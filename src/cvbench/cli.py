@@ -113,6 +113,34 @@ class ConfigError(ValueError):
     """Bad configuration file or value."""
 
 
+def _typed(raw) -> dict:
+    """Apply ``_SCHEMA`` to a section -> key -> value mapping holding every key.
+
+    Values are typed from their text, so a manifest's ``"frames": "300"`` and
+    a config file's ``frames = 300`` both give the int 300, while ``300.5``
+    is rejected rather than truncated.
+    """
+    if not isinstance(raw, dict) or not all(isinstance(keys, dict) for keys in raw.values()):
+        raise ConfigError("config must map each section to its keys")
+    for section, keys in raw.items():
+        if section not in DEFAULTS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in keys:
+            if (section, key) not in _SCHEMA:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+    cfg: dict = {}
+    for (section, key), typ in _SCHEMA.items():
+        try:
+            value = raw[section][key]
+        except KeyError:
+            raise ConfigError(f"missing config key [{section}] {key}") from None
+        try:
+            cfg.setdefault(section, {})[key] = typ(str(value))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {value!r} as {typ.__name__}") from exc
+    return cfg
+
+
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with an optional config file; values are typed."""
     parser = configparser.ConfigParser()
@@ -126,20 +154,7 @@ def load_config(path: str | Path | None = None) -> dict:
         except configparser.Error as exc:
             # configparser messages carry the offending line numbers
             raise ConfigError(f"config parse error: {exc}") from exc
-    cfg: dict = {}
-    for (section, key), typ in _SCHEMA.items():
-        raw = parser.get(section, key)
-        try:
-            cfg.setdefault(section, {})[key] = typ(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
-    for section in parser.sections():
-        if section not in DEFAULTS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if (section, key) not in _SCHEMA:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-    return cfg
+    return _typed({section: dict(parser[section]) for section in parser.sections()})
 
 
 @dataclass
@@ -150,6 +165,8 @@ class RunManifest:
     version: str
     seed: int
     config: dict
+    #: the Philox normal streams, and so the CSV bytes, depend on numpy's version
+    numpy_version: str = np.__version__
     outputs: list = field(default_factory=list)
     duration_s: float = 0.0
     created_utc: str = ""
@@ -444,10 +461,23 @@ def _execute(command: str, cfg: dict, out_path: Path) -> Path:
 
 
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
-    """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte."""
+    """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
+
+    Raises ``ConfigError`` when the manifest was written by another cvbench
+    version, names an unknown command, or holds a config that ``load_config``
+    would reject.
+    """
     data = json.loads(Path(manifest_path).read_text())
+    if data.get("version") != __version__:
+        raise ConfigError(
+            f"manifest written by cvbench {data.get('version')!r} cannot be replayed "
+            f"by cvbench {__version__!r}"
+        )
+    if data.get("command") not in _COMMANDS:
+        raise ConfigError(f"manifest names unknown command {data.get('command')!r}")
+    cfg = _typed(data.get("config"))
     target = Path(out_path) if out_path is not None else Path(data["outputs"][0])
-    return _execute(data["command"], data["config"], target)
+    return _execute(data["command"], cfg, target)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -482,19 +512,20 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         _execute(args.command, cfg, out_path)
-    except (ConfigError, ValueError) as exc:
+        manifest = RunManifest(
+            command=args.command,
+            version=__version__,
+            seed=cfg["bench"]["seed"],
+            config=cfg,
+            outputs=[str(out_path)],
+            duration_s=round(time.perf_counter() - started, 3),
+            created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        )
+        manifest.write(out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: an unwritable output path, e.g. a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest = RunManifest(
-        command=args.command,
-        version=__version__,
-        seed=cfg["bench"]["seed"],
-        config=cfg,
-        outputs=[str(out_path)],
-        duration_s=round(time.perf_counter() - started, 3),
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-    manifest.write(out_path.with_suffix(out_path.suffix + ".manifest.json"))
     return 0
 
 

@@ -9,9 +9,16 @@ beam's modes with an independent equal-mean field.
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
 keyed by (seed, b) at counter position c, and frame j occupies row
-j mod CHUNK_FRAMES of its chunk. Any frame is therefore reproducible in
-isolation by regenerating one chunk (see ``frame_field``), and the output is
-bit-identical for any worker count since workers only handle whole chunks.
+j mod CHUNK_FRAMES of its chunk. This chunk keying is the reproducibility
+contract: any frame is reproducible in isolation by regenerating one chunk
+(see ``frame_field``).
+
+For speed, each job of ``run_bench`` handles a slab: a run of consecutive
+chunks, each still drawn whole from its own stream, that is split, mixed and
+detected in one batch. Slabs are only an execution grouping: their length
+follows from the mode count (about ``SLAB_NORMALS`` normals per beam), no
+row's value depends on it, and the output is bit-identical for any worker
+count since workers only handle whole chunks.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import numpy as np
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 256
+#: normals per beam drawn by one run_bench job; sets the slab length, not the output
+SLAB_NORMALS = 65_536
 
 SCENARIOS = ("interference", "erasure")
 ANALYSIS_BASES = ("none", "deg45", "V", "H")
@@ -149,8 +158,14 @@ def sample_thermal_field(rng: np.random.Generator, modes: int, mean: float) -> n
 
 
 def _chunk_fields(seed: int, beam: int, chunk: int, rows: int, modes: int, mean: float) -> np.ndarray:
-    # always draw the full chunk so row content never depends on `rows`
-    z = chunk_rng(seed, beam, chunk).standard_normal((CHUNK_FRAMES, 2 * modes))
+    # fields of `rows` frames from the start of `chunk`, possibly spanning
+    # several chunks; each chunk is drawn whole from its own stream so row
+    # content never depends on `rows`
+    n_chunks = -(-rows // CHUNK_FRAMES)
+    z = np.empty((n_chunks * CHUNK_FRAMES, 2 * modes))
+    for i in range(n_chunks):
+        rng = chunk_rng(seed, beam, chunk + i)
+        rng.standard_normal(out=z[i * CHUNK_FRAMES : (i + 1) * CHUNK_FRAMES])
     z = z[:rows] * math.sqrt(mean / 2.0)
     return z[:, 0::2] + 1j * z[:, 1::2]
 
@@ -337,6 +352,11 @@ def _erasure_chunk(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, out
     outs[sl, 2] = o3
 
 
+def _slab_chunks(modes: int) -> int:
+    """Chunks per run_bench job: about SLAB_NORMALS normals per beam, at least one chunk."""
+    return max(1, SLAB_NORMALS // (CHUNK_FRAMES * 2 * modes))
+
+
 def run_bench(config: BenchConfig) -> FrameBatch:
     """Simulate the configured bench and record per-frame intensities.
 
@@ -355,16 +375,18 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     outs = np.empty((config.frames, 3))
     fill = _interference_chunk if config.scenario == "interference" else _erasure_chunk
     n_chunks = (config.frames + CHUNK_FRAMES - 1) // CHUNK_FRAMES
+    slab = _slab_chunks(config.modes)
+    starts = range(0, n_chunks, slab)
 
     def rows_of(c: int) -> int:
-        return min(CHUNK_FRAMES, config.frames - c * CHUNK_FRAMES)
+        return min(slab * CHUNK_FRAMES, config.frames - c * CHUNK_FRAMES)
 
-    if config.workers == 1 or n_chunks == 1:
-        for c in range(n_chunks):
+    if config.workers == 1 or len(starts) == 1:
+        for c in starts:
             fill(config, c, rows_of(c), ins, outs)
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            jobs = [pool.submit(fill, config, c, rows_of(c), ins, outs) for c in range(n_chunks)]
+            jobs = [pool.submit(fill, config, c, rows_of(c), ins, outs) for c in starts]
             for job in jobs:
                 job.result()
     ins.flags.writeable = False

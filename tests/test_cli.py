@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from cvbench import cli
+from cvbench import __version__, cli
 
 
 def read_rows(path):
@@ -121,6 +122,41 @@ class TestManifest:
         assert replay.read_bytes() == out.read_bytes()
 
 
+    def _tables_manifest(self, tmp_path):
+        out = tmp_path / "tables.csv"
+        run_main(["tables", "--frames", "1000", "--out", str(out)])
+        path = tmp_path / "tables.csv.manifest.json"
+        return out, path, json.loads(path.read_text())
+
+    def test_records_versions(self, tmp_path):
+        _, _, manifest = self._tables_manifest(tmp_path)
+        assert manifest["version"] == __version__
+        assert manifest["numpy_version"] == np.__version__
+
+    def test_other_version_refused(self, tmp_path):
+        _, path, manifest = self._tables_manifest(tmp_path)
+        manifest["version"] = "9.9"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match="9.9"):
+            cli.run_from_manifest(path, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_config_typed_like_config_files(self, tmp_path):
+        out, path, manifest = self._tables_manifest(tmp_path)
+        manifest["config"]["bench"]["frames"] = "1000"
+        path.write_text(json.dumps(manifest))
+        assert cli.run_from_manifest(path, tmp_path / "r.csv").read_bytes() == out.read_bytes()
+        for bad in ("many", 1000.5):
+            manifest["config"]["bench"]["frames"] = bad
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(cli.ConfigError, match="frames"):
+                cli.run_from_manifest(path, tmp_path / "r.csv")
+        manifest["config"]["bench"]["farmes"] = 1000
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match="unknown config key"):
+            cli.run_from_manifest(path, tmp_path / "r.csv")
+
+
 class TestErasure:
     def test_row_layout_and_v_warning(self, tmp_path, capsys):
         out = tmp_path / "erasure.csv"
@@ -223,3 +259,11 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[bench]\nframes = many\n")
     assert run_main(["tables", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_unwritable_out_path_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "tables.csv"
+    assert run_main(["tables", "--frames", "500", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(out) in err[0]

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from cvbench import speckle
 from cvbench.speckle import (
+    ANALYSIS_BASES,
     BEAM_MIX_SUBSTITUTE,
     BEAM_SOURCE1,
     BEAM_SOURCE2,
     BEAM_SPLIT_SUBSTITUTE,
+    CHUNK_FRAMES,
     BenchConfig,
     detect,
     field_rng,
@@ -29,6 +32,46 @@ from cvbench.stats import corr_coeff
 def row_intensities(fields):
     power = fields.real**2 + fields.imag**2
     return power.reshape(power.shape[0], -1).sum(axis=1)
+
+
+#: every (scenario, analysis basis) the bench distinguishes
+SCENARIO_BASES = [("interference", "none")] + [("erasure", basis) for basis in ANALYSIS_BASES]
+
+
+def reference_frame(cfg, j):
+    """(ins, outs) of frame j through the documented per-frame pipeline."""
+    source2_mean = cfg.mean_photons / cfg.t_split
+    beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
+    source2 = frame_field(cfg.seed, BEAM_SOURCE2, j, cfg.modes, source2_mean)
+    beam2, beam3 = split_field(source2, cfg.t_split)
+    sub_split = frame_field(
+        cfg.seed, BEAM_SPLIT_SUBSTITUTE, j, cfg.modes, (1 - cfg.t_split) * source2_mean
+    )
+    beam3 = substitute_modes(beam3, cfg.eta, sub_split)
+    sub_mix = frame_field(cfg.seed, BEAM_MIX_SUBSTITUTE, j, cfg.modes, cfg.mean_photons)
+    ins = (detect(beam1), detect(beam2), detect(beam3))
+    if cfg.scenario == "interference":
+        out1, out2 = mix_fields(beam1, beam2, cfg.tau_mix, cfg.eta, sub_mix)
+        return ins, (detect(out1), detect(out2), ins[2])
+    out1, out2 = mix_fields(
+        polarized(beam1, "H"), polarized(beam2, "V"), cfg.tau_mix, cfg.eta, polarized(sub_mix, "V")
+    )
+    basis = cfg.analysis_basis
+    outs = (out1, out2, polarized(beam3, "V"))
+    return ins, tuple(detect(project_jones(field, basis)) for field in outs)
+
+
+@pytest.fixture(params=[1, 3, None], ids=["slab1", "slab3", "slab-default"])
+def slab_chunks(request, monkeypatch):
+    """Chunks per run_bench job: SLAB_NORMALS patched so that ``modes`` gives that many."""
+
+    def set_for(modes):
+        if request.param is not None:
+            normals = request.param * CHUNK_FRAMES * 2 * modes
+            monkeypatch.setattr(speckle, "SLAB_NORMALS", normals)
+        return speckle._slab_chunks(modes)
+
+    return set_for
 
 
 class TestSampler:
@@ -194,6 +237,39 @@ class TestRunBench:
             assert batch.in_series(2)[j] == detect(beam3)
             assert batch.out_series(0)[j] == pytest.approx(detect(out1), rel=1e-12)
             assert batch.out_series(1)[j] == pytest.approx(detect(out2), rel=1e-12)
+
+    @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
+    def test_determinism_across_workers_and_slabs(self, scenario, basis, slab_chunks):
+        modes = 3
+        frames = 2 * slab_chunks(modes) * CHUNK_FRAMES + 100
+        batches = [
+            run_bench(
+                BenchConfig(
+                    modes=modes, frames=frames, seed=78, eta=0.7, workers=w,
+                    scenario=scenario, analysis_basis=basis,
+                )
+            )
+            for w in (1, 2, 8)
+        ]
+        for other in batches[1:]:
+            assert np.array_equal(batches[0].intensities_in, other.intensities_in)
+            assert np.array_equal(batches[0].intensities_out, other.intensities_out)
+
+    @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
+    @pytest.mark.parametrize("modes, eta", [(1, 1.0), (7, 0.7)])
+    def test_slab_boundaries_match_per_frame_operations(
+        self, scenario, basis, modes, eta, slab_chunks
+    ):
+        slab_frames = slab_chunks(modes) * CHUNK_FRAMES
+        cfg = BenchConfig(
+            modes=modes, frames=slab_frames + 2, seed=6, eta=eta, tau_mix=0.3, t_split=0.4,
+            scenario=scenario, analysis_basis=basis, workers=2,
+        )
+        batch = run_bench(cfg)
+        for j in sorted({1, 255, 257, slab_frames - 1, slab_frames + 1}):
+            ins, outs = reference_frame(cfg, j)
+            assert tuple(batch.intensities_in[j]) == ins
+            assert tuple(batch.intensities_out[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
 
     def test_energy_conservation_per_frame(self):
         batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))

@@ -47,6 +47,24 @@ class TestCorrCoeff:
         with pytest.raises(ValueError):
             corr_coeff([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
+    def test_agrees_with_error_free_reduction(self, offset):
+        # reference: the same two-pass formula with every sum taken by math.fsum
+        def fsum_corr(h, k):
+            dh = h - math.fsum(h.tolist()) / h.size
+            dk = k - math.fsum(k.tolist()) / k.size
+            cov = math.fsum((dh * dk).tolist())
+            return cov / math.sqrt(math.fsum((dh * dh).tolist()) * math.fsum((dk * dk).tolist()))
+
+        rng = np.random.default_rng(109)
+        n = 10**6
+        x = rng.gamma(4.0, size=n)
+        y = rng.gamma(4.0, size=n)
+        for c in (0.0, 0.5, 0.999):
+            h = x + offset
+            k = c * x + math.sqrt(1.0 - c * c) * y + offset
+            assert abs(corr_coeff(h, k) - fsum_corr(h, k)) <= 1e-12
+
     def test_clamped_to_unit_interval(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]) * (1.0 + 1e-16)
         assert -1.0 <= corr_coeff(x, x * 2.0) <= 1.0
