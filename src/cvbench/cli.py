@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .states import (
     PhysicalityError,
     SingleModeSpec,
     mode_block,
+    partial_trace,
     single_mode_cm,
     thermal_state,
 )
@@ -277,10 +279,10 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
             else:
                 t_split, tau_mix = tau, cfg["bench"]["tau_mix"]
             source = SingleModeSpec(float(n_source))
-            pair = prepare_discordant_pair(source, t_split)
-            disc = gaussian_discord(pair, side="B").value
             protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
-            _, out_state = run_three_mode(protocol)
+            in_state, out_state = run_three_mode(protocol)
+            # modes 2 and 3 of the input state are the discordant pair
+            disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
             c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
             c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
             rows.append((tau, float(n_source), disc, c13, c23))
@@ -353,15 +355,13 @@ def _check_discord_oracle(quick: bool) -> None:
 
 
 def _check_entropy_identities(quick: bool) -> None:
-    import math as _math
-
     for n in (0.1, 1.0, 10.0):
-        expected = (n + 1.0) * _math.log(n + 1.0) - n * _math.log(n)
+        expected = (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
         if abs(entropy(thermal_state(n)) - expected) > 1e-12:
             raise AssertionError(f"thermal entropy mismatch at N={n}")
     pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
     report = mutual_information(pair)
-    expected = 3.0 * _math.log(4.0 / 3.0)  # 2 g(1) - g(2)
+    expected = 3.0 * math.log(4.0 / 3.0)  # 2 g(1) - g(2)
     if abs(report.mutual_information - expected) > 1e-9:
         raise AssertionError("split-thermal mutual information mismatch")
 
@@ -456,18 +456,19 @@ _COMMANDS = {
 }
 
 
-def _execute(command: str, cfg: dict, out_path: Path) -> Path:
-    return _COMMANDS[command](cfg, out_path)
-
-
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
     """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
 
-    Raises ``ConfigError`` when the manifest was written by another cvbench
-    version, names an unknown command, or holds a config that ``load_config``
-    would reject.
+    Raises ``ConfigError`` when the manifest is not a JSON object, was written
+    by another cvbench version, names an unknown command, holds a config that
+    ``load_config`` would reject, or (without ``out_path``) records no output.
     """
-    data = json.loads(Path(manifest_path).read_text())
+    try:
+        data = json.loads(Path(manifest_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"manifest must be a JSON object, got {type(data).__name__}")
     if data.get("version") != __version__:
         raise ConfigError(
             f"manifest written by cvbench {data.get('version')!r} cannot be replayed "
@@ -476,8 +477,12 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     if data.get("command") not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {data.get('command')!r}")
     cfg = _typed(data.get("config"))
-    target = Path(out_path) if out_path is not None else Path(data["outputs"][0])
-    return _execute(data["command"], cfg, target)
+    if out_path is None:
+        outputs = data.get("outputs")
+        if not isinstance(outputs, list) or not outputs or not isinstance(outputs[0], str):
+            raise ConfigError("manifest records no output path and none was given")
+        out_path = outputs[0]
+    return _COMMANDS[data["command"]](cfg, Path(out_path))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
     started = time.perf_counter()
     try:
-        _execute(args.command, cfg, out_path)
+        _COMMANDS[args.command](cfg, out_path)
         manifest = RunManifest(
             command=args.command,
             version=__version__,

@@ -1,10 +1,14 @@
-"""Frame-by-frame Monte Carlo of multimode pseudo-thermal beams through the benches.
+"""Frame-by-frame Monte Carlo of multimode pseudo-thermal beams through one bench.
 
 Beams are classical speckle fields: each spatial mode carries an independent
 circular complex Gaussian amplitude, splitting is deterministic, and a
 detector integrates |amplitude|^2 over its modes (analog regime, no shot
 noise). Mode mismatch is modeled by substituting a fraction (1 - eta) of a
 beam's modes with an independent equal-mean field.
+
+One bench serves both scenarios, which are its two polarization presets
+(``POLARIZATIONS``): the beam splitter mixes each polarization plane on its
+own, and in either scenario the detectors sit behind ``analysis_basis``.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
@@ -26,6 +30,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -34,7 +40,9 @@ CHUNK_FRAMES = 256
 #: normals per beam drawn by one run_bench job; sets the slab length, not the output
 SLAB_NORMALS = 65_536
 
-SCENARIOS = ("interference", "erasure")
+#: polarization plane of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
+POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
+SCENARIOS = tuple(POLARIZATIONS)
 ANALYSIS_BASES = ("none", "deg45", "V", "H")
 
 #: stream ids keying the per-beam Philox streams
@@ -45,6 +53,7 @@ BEAM_SPLIT_SUBSTITUTE = 4
 
 __all__ = [
     "CHUNK_FRAMES",
+    "POLARIZATIONS",
     "SCENARIOS",
     "ANALYSIS_BASES",
     "BEAM_SOURCE1",
@@ -117,9 +126,9 @@ class BenchConfig:
 class FrameBatch:
     """Per-frame integrated intensities of beams 1-3, before and after the BS.
 
-    Columns index the beams: (0, 1, 2) <-> (beam 1, beam 2, beam 3). For the
-    erasure scenario the 'out' intensities are taken behind the analysis
-    projection configured in ``config.analysis_basis``.
+    Columns index the beams: (0, 1, 2) <-> (beam 1, beam 2, beam 3). In both
+    scenarios the 'out' intensities are taken behind the analysis projection
+    configured in ``config.analysis_basis``; 'none' means total intensity.
     """
 
     config: BenchConfig
@@ -211,28 +220,34 @@ def mix_fields(
     eta: float = 1.0,
     substitute: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude-level beam splitter on one frame (scalar or Jones fields).
+    """Amplitude-level beam splitter on fields of any leading shape (scalar or Jones).
 
     out_a = sqrt(tau) a + sqrt(1 - tau) b and out_b = sqrt(tau) b -
-    sqrt(1 - tau) a, matching the covariance-level sign convention. With
-    eta < 1 a fraction (1 - eta) of b's modes is first replaced by the
-    independent equal-mean ``substitute`` field. Energy is conserved per mode
-    pair when eta = 1.
+    sqrt(1 - tau) a, matching the covariance-level sign convention. An input
+    given as a 0-d zero is an empty port. With eta < 1 a fraction (1 - eta)
+    of b's modes is first replaced by the independent equal-mean
+    ``substitute`` field. Energy is conserved per mode pair when eta = 1.
     """
     a = np.asarray(field_a)
     b = np.asarray(field_b)
-    if a.shape != b.shape:
+    a_empty, b_empty = (x.ndim == 0 and x == 0 for x in (a, b))
+    if a.shape != b.shape and not (a_empty or b_empty):
         raise ValueError(f"mode-count mismatch: {a.shape} vs {b.shape}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if eta < 1.0:
-        if substitute is None:
-            raise ValueError("eta < 1 requires a substitute field")
+        if substitute is None or b_empty:
+            raise ValueError("eta < 1 requires a field in port b and a substitute field")
         b = substitute_modes(b, eta, np.asarray(substitute))
     t = math.sqrt(tau)
     r = math.sqrt(1.0 - tau)
+    # an empty port adds no term
+    if b_empty:
+        return t * a, -r * a
+    if a_empty:
+        return r * b, t * b
     return t * a + r * b, t * b - r * a
 
 
@@ -290,66 +305,45 @@ def _degraded(cfg: BenchConfig, chunk: int, rows: int, beam2: np.ndarray, beam3:
     return beam2_mixed, beam3
 
 
-def _interference_chunk(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: np.ndarray):
+def _detect_planes(planes: dict, basis: str, rows: int) -> np.ndarray:
+    # per-frame detect behind project_jones(basis) of a field held as
+    # {plane: (rows, modes)}, planes in H, V order; an absent plane is zero
+    if basis == "none":
+        return reduce(add, map(_row_intensity, planes.values()))
+    if basis == "deg45":
+        return _row_intensity(reduce(add, planes.values()) / math.sqrt(2.0))
+    return _row_intensity(planes[basis]) if basis in planes else np.zeros(rows)
+
+
+def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: np.ndarray):
     beam1 = _chunk_fields(cfg.seed, BEAM_SOURCE1, chunk, rows, cfg.modes, cfg.mean_photons)
     source2 = _chunk_fields(
         cfg.seed, BEAM_SOURCE2, chunk, rows, cfg.modes, cfg.mean_photons / cfg.t_split
     )
     beam2, beam3 = split_field(source2, cfg.t_split)
     beam2_mixed, beam3 = _degraded(cfg, chunk, rows, beam2, beam3)
-    t = math.sqrt(cfg.tau_mix)
-    r = math.sqrt(1.0 - cfg.tau_mix)
-    out1 = t * beam1 + r * beam2_mixed
-    out2 = t * beam2_mixed - r * beam1
+    # orthogonal planes never interfere: the BS mixes each plane on its own,
+    # and a plane neither input carries is never formed
+    pol1, pol23 = POLARIZATIONS[cfg.scenario]
+    in1, in2 = {pol1: beam1}, {pol23: beam2_mixed}
+    out1, out2 = {}, {}
+    for plane in ("H", "V"):
+        if plane in in1 or plane in in2:
+            out1[plane], out2[plane] = mix_fields(
+                in1.get(plane, 0.0), in2.get(plane, 0.0), cfg.tau_mix
+            )
     lo = chunk * CHUNK_FRAMES
     sl = slice(lo, lo + rows)
     ins[sl, 0] = _row_intensity(beam1)
     ins[sl, 1] = _row_intensity(beam2)
     ins[sl, 2] = _row_intensity(beam3)
-    outs[sl, 0] = _row_intensity(out1)
-    outs[sl, 1] = _row_intensity(out2)
-    outs[sl, 2] = ins[sl, 2]
-
-
-def _erasure_chunk(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: np.ndarray):
-    # beam 1 is H polarized, beams 2 and 3 V polarized; orthogonal components
-    # never interfere, so the Jones fields are carried as separate planes
-    beam1_h = _chunk_fields(cfg.seed, BEAM_SOURCE1, chunk, rows, cfg.modes, cfg.mean_photons)
-    source2 = _chunk_fields(
-        cfg.seed, BEAM_SOURCE2, chunk, rows, cfg.modes, cfg.mean_photons / cfg.t_split
-    )
-    beam2_v, beam3_v = split_field(source2, cfg.t_split)
-    beam2_mixed, beam3_v = _degraded(cfg, chunk, rows, beam2_v, beam3_v)
-    t = math.sqrt(cfg.tau_mix)
-    r = math.sqrt(1.0 - cfg.tau_mix)
-    # the BS acts on each polarization plane independently
-    out1_h, out2_h = t * beam1_h, -r * beam1_h
-    out1_v, out2_v = r * beam2_mixed, t * beam2_mixed
-    basis = cfg.analysis_basis
-    if basis == "none":
-        o1 = _row_intensity(out1_h) + _row_intensity(out1_v)
-        o2 = _row_intensity(out2_h) + _row_intensity(out2_v)
-        o3 = _row_intensity(beam3_v)
-    elif basis == "deg45":
-        o1 = _row_intensity((out1_h + out1_v) / math.sqrt(2.0))
-        o2 = _row_intensity((out2_h + out2_v) / math.sqrt(2.0))
-        o3 = _row_intensity(beam3_v / math.sqrt(2.0))
-    elif basis == "V":
-        o1 = _row_intensity(out1_v)
-        o2 = _row_intensity(out2_v)
-        o3 = _row_intensity(beam3_v)
-    else:  # "H": beams 2 and 3 carry no H component
-        o1 = _row_intensity(out1_h)
-        o2 = _row_intensity(out2_h)
-        o3 = np.zeros(rows)
-    lo = chunk * CHUNK_FRAMES
-    sl = slice(lo, lo + rows)
-    ins[sl, 0] = _row_intensity(beam1_h)
-    ins[sl, 1] = _row_intensity(beam2_v)
-    ins[sl, 2] = _row_intensity(beam3_v)
-    outs[sl, 0] = o1
-    outs[sl, 1] = o2
-    outs[sl, 2] = o3
+    outs[sl, 0] = _detect_planes(out1, cfg.analysis_basis, rows)
+    outs[sl, 1] = _detect_planes(out2, cfg.analysis_basis, rows)
+    # beam 3 bypasses the BS: its in-column is its detection unless projected
+    if cfg.analysis_basis in ("none", pol23):
+        outs[sl, 2] = ins[sl, 2]
+    else:
+        outs[sl, 2] = _detect_planes({pol23: beam3}, cfg.analysis_basis, rows)
 
 
 def _slab_chunks(modes: int) -> int:
@@ -360,20 +354,20 @@ def _slab_chunks(modes: int) -> int:
 def run_bench(config: BenchConfig) -> FrameBatch:
     """Simulate the configured bench and record per-frame intensities.
 
-    interference: beam 1 is source 1; source 2 splits into beams 2 and 3 at
-    t_split; beams 1 and 2 mix at tau_mix. The three intensities are recorded
-    before and after the beam splitter (beam 3 is untouched by it).
-
-    erasure: beam 1 (H) and beam 2 (V) meet the beam splitter without
-    interfering; the 'out' intensities are taken behind the analysis_basis
-    projection applied to every beam, 'none' meaning total intensity.
+    Beam 1 is source 1; source 2 splits into beams 2 and 3 at t_split; beams
+    1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
+    The scenario only sets the polarization planes: interference puts beams
+    1-3 on H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams
+    2 and 3 on V, so they do not. The three intensities are recorded before
+    the beam splitter and behind the analysis_basis projection after it,
+    'none' meaning total intensity; a beam without a component along an H or
+    V analysis axis detects zero.
 
     Identical (seed, config) produce bit-identical batches for any worker
     count; frame j depends only on (seed, beam ids, j).
     """
     ins = np.empty((config.frames, 3))
     outs = np.empty((config.frames, 3))
-    fill = _interference_chunk if config.scenario == "interference" else _erasure_chunk
     n_chunks = (config.frames + CHUNK_FRAMES - 1) // CHUNK_FRAMES
     slab = _slab_chunks(config.modes)
     starts = range(0, n_chunks, slab)
@@ -383,10 +377,10 @@ def run_bench(config: BenchConfig) -> FrameBatch:
 
     if config.workers == 1 or len(starts) == 1:
         for c in starts:
-            fill(config, c, rows_of(c), ins, outs)
+            _bench_slab(config, c, rows_of(c), ins, outs)
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            jobs = [pool.submit(fill, config, c, rows_of(c), ins, outs) for c in starts]
+            jobs = [pool.submit(_bench_slab, config, c, rows_of(c), ins, outs) for c in starts]
             for job in jobs:
                 job.result()
     ins.flags.writeable = False

@@ -156,6 +156,34 @@ class TestManifest:
         with pytest.raises(cli.ConfigError, match="unknown config key"):
             cli.run_from_manifest(path, tmp_path / "r.csv")
 
+    def test_top_level_list_refused(self, tmp_path):
+        _, path, manifest = self._tables_manifest(tmp_path)
+        path.write_text(json.dumps([manifest]))
+        with pytest.raises(cli.ConfigError, match="JSON object"):
+            cli.run_from_manifest(path, tmp_path / "r.csv")
+
+    def test_non_json_refused(self, tmp_path):
+        path = tmp_path / "tables.csv.manifest.json"
+        path.write_text("command = tables\n")
+        with pytest.raises(cli.ConfigError, match="not valid JSON"):
+            cli.run_from_manifest(path)
+
+    def test_missing_outputs_refused(self, tmp_path):
+        _, path, manifest = self._tables_manifest(tmp_path)
+        del manifest["outputs"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match="no output"):
+            cli.run_from_manifest(path)
+
+    def test_empty_outputs_refused(self, tmp_path):
+        out, path, manifest = self._tables_manifest(tmp_path)
+        manifest["outputs"] = []
+        path.write_text(json.dumps(manifest))
+        before = out.read_bytes()
+        with pytest.raises(cli.ConfigError, match="no output"):
+            cli.run_from_manifest(path)
+        assert out.read_bytes() == before
+
 
 class TestErasure:
     def test_row_layout_and_v_warning(self, tmp_path, capsys):

@@ -34,12 +34,18 @@ def row_intensities(fields):
     return power.reshape(power.shape[0], -1).sum(axis=1)
 
 
+#: polarization of (beam 1, beams 2 and 3) per scenario, written out here so
+#: that reference_frame stays independent of the bench's own table
+SCENARIO_POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
+
 #: every (scenario, analysis basis) the bench distinguishes
-SCENARIO_BASES = [("interference", "none")] + [("erasure", basis) for basis in ANALYSIS_BASES]
+SCENARIO_BASES = [
+    (scenario, basis) for scenario in SCENARIO_POLARIZATIONS for basis in ANALYSIS_BASES
+]
 
 
 def reference_frame(cfg, j):
-    """(ins, outs) of frame j through the documented per-frame pipeline."""
+    """(ins, outs) of frame j through the documented per-frame Jones pipeline."""
     source2_mean = cfg.mean_photons / cfg.t_split
     beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
     source2 = frame_field(cfg.seed, BEAM_SOURCE2, j, cfg.modes, source2_mean)
@@ -50,15 +56,13 @@ def reference_frame(cfg, j):
     beam3 = substitute_modes(beam3, cfg.eta, sub_split)
     sub_mix = frame_field(cfg.seed, BEAM_MIX_SUBSTITUTE, j, cfg.modes, cfg.mean_photons)
     ins = (detect(beam1), detect(beam2), detect(beam3))
-    if cfg.scenario == "interference":
-        out1, out2 = mix_fields(beam1, beam2, cfg.tau_mix, cfg.eta, sub_mix)
-        return ins, (detect(out1), detect(out2), ins[2])
+    pol1, pol23 = SCENARIO_POLARIZATIONS[cfg.scenario]
     out1, out2 = mix_fields(
-        polarized(beam1, "H"), polarized(beam2, "V"), cfg.tau_mix, cfg.eta, polarized(sub_mix, "V")
+        polarized(beam1, pol1), polarized(beam2, pol23), cfg.tau_mix, cfg.eta,
+        polarized(sub_mix, pol23),
     )
-    basis = cfg.analysis_basis
-    outs = (out1, out2, polarized(beam3, "V"))
-    return ins, tuple(detect(project_jones(field, basis)) for field in outs)
+    outs = (out1, out2, polarized(beam3, pol23))
+    return ins, tuple(detect(project_jones(field, cfg.analysis_basis)) for field in outs)
 
 
 @pytest.fixture(params=[1, 3, None], ids=["slab1", "slab3", "slab-default"])
@@ -162,6 +166,17 @@ class TestMixFields:
     def test_mode_count_mismatch(self):
         with pytest.raises(ValueError):
             mix_fields(np.zeros(3, complex), np.zeros(4, complex), 0.5)
+
+    def test_zero_scalar_is_an_empty_port(self):
+        a = sample_thermal_field(field_rng(17, 1), 30, 1.0)
+        for out, ref in zip(mix_fields(a, 0.0, 0.37), mix_fields(a, np.zeros_like(a), 0.37)):
+            assert np.array_equal(out, ref)
+        for out, ref in zip(mix_fields(0.0, a, 0.37), mix_fields(np.zeros_like(a), a, 0.37)):
+            assert np.array_equal(out, ref)
+        with pytest.raises(ValueError):
+            mix_fields(a, 1.0, 0.37)
+        with pytest.raises(ValueError):
+            mix_fields(a, 0.0, 0.37, eta=0.9, substitute=a)
 
     def test_substitution_required(self):
         a = np.ones(10, complex)
