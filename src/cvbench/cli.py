@@ -153,6 +153,8 @@ def load_config(path: str | Path | None = None) -> dict:
                 parser.read_file(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
         except configparser.Error as exc:
             # configparser messages carry the offending line numbers
             raise ConfigError(f"config parse error: {exc}") from exc
@@ -459,13 +461,16 @@ _COMMANDS = {
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
     """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
 
-    Raises ``ConfigError`` when the manifest is not a JSON object, was written
-    by another cvbench version, names an unknown command, holds a config that
-    ``load_config`` would reject, or (without ``out_path``) records no output.
+    Raises ``ConfigError`` when the manifest cannot be read, is not a JSON
+    object, was written by another cvbench version, names an unknown command,
+    holds a config that ``load_config`` would reject, or (without ``out_path``)
+    records no output.
     """
     try:
         data = json.loads(Path(manifest_path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"manifest must be a JSON object, got {type(data).__name__}")

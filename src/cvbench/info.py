@@ -18,8 +18,10 @@ import numpy as np
 
 from .states import GaussianState, partial_trace, symplectic_eigenvalues
 
-#: symplectic eigenvalues within this distance of the pure limit contribute 0
-PURE_GUARD = 1e-12
+#: symplectic eigenvalues within this distance of the pure limit contribute 0;
+#: it absorbs eigensolver rounding at the pure limit, and the entropy it cuts
+#: off, below 4e-13, stays under the 1e-12 clamp of the mutual information
+PURE_GUARD = 1e-14
 #: discord values in [-DISCORD_CLAMP, 0) are clamped to 0; below is an error
 DISCORD_CLAMP = 1e-9
 #: relative margin within which both branches of the discord formula are taken
@@ -134,19 +136,41 @@ def _ordered_blocks(state: GaussianState, side: str):
     if side == "A":
         perm = np.array([2, 3, 0, 1])
         cm = cm[np.ix_(perm, perm)]
-    return cm[0:2, 0:2], cm[2:4, 2:4], cm[0:2, 2:4], cm
+    return cm[0:2, 0:2], cm[2:4, 2:4], cm[0:2, 2:4]
 
 
-def _symplectic_pair(ia: float, ib: float, ic: float, id_: float) -> tuple[float, float]:
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def _invariants(a_blk, b_blk, c_blk) -> tuple[float, float, float, float]:
+    """det A, det B, det C and k = det CM - det A det B of the rescaled CM.
+
+    k comes from the identity det CM = det A det B + det C^2
+    - tr(adj B C^T adj A C). It is exactly 0 for a product state and its
+    rounding error scales with the correlations, where that of a computed
+    det CM - det A det B would scale with det CM.
+    """
+    ia = float(np.linalg.det(a_blk))
+    ib = float(np.linalg.det(b_blk))
+    ic = float(np.linalg.det(c_blk))
+    k = ic * ic - float(np.trace(_adjugate(b_blk) @ c_blk.T @ _adjugate(a_blk) @ c_blk))
+    return ia, ib, ic, k
+
+
+def _symplectic_pair(ia: float, ib: float, ic: float, k: float) -> tuple[float, float]:
+    # nu_(+/-)^2 = (delta +/- sqrt(delta^2 - 4 det CM)) / 2, with the radicand
+    # regrouped around k; the smaller root is det CM over the larger one, and
+    # the larger one is capped at det CM so that nu_minus >= 1 (the pure limit)
     delta = ia + ib + 2.0 * ic
-    root = math.sqrt(max(delta * delta - 4.0 * id_, 0.0))
-    nu_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
-    nu_plus = math.sqrt(max((delta + root) / 2.0, 0.0))
-    return nu_minus, nu_plus
+    id_ = ia * ib + k
+    radicand = (ia - ib) ** 2 + 4.0 * ic * (ia + ib + ic) - 4.0 * k
+    nu_plus_sq = min((delta + math.sqrt(max(radicand, 0.0))) / 2.0, id_)
+    return math.sqrt(id_ / nu_plus_sq), math.sqrt(nu_plus_sq)
 
 
 def _minimal_conditional_det(
-    ia: float, ib: float, ic: float, id_: float
+    ia: float, ib: float, ic: float, k: float
 ) -> tuple[float, Optional[GaussianMeasurement]]:
     """Minimal conditional determinant over Gaussian measurements on mode B.
 
@@ -154,21 +178,23 @@ def _minimal_conditional_det(
     the heterodyne measurement (s = 1); near the branch boundary both
     expressions are evaluated and the smaller one wins. States with a
     near-pure measured mode (det B -> 1) are routed to the second branch,
-    whose expression has no (det B - 1) denominator.
+    whose expression has no (det B - 1) denominator. The margin is relative:
+    outside its own branch an expression can fall below the true minimum.
     """
-    lhs = (id_ - ia * ib) ** 2
+    id_ = ia * ib + k
+    lhs = k * k
     rhs = (1.0 + ib) * ic * ic * (ia + id_)
-    margin = _BRANCH_MARGIN * max(abs(lhs), abs(rhs), 1.0)
+    margin = _BRANCH_MARGIN * max(lhs, rhs)
     denom = (ib - 1.0) ** 2
+    # (det B - 1)(det CM - det A) with det CM - det A = det A (det B - 1) + k
+    w = (ib - 1.0) * (ia * (ib - 1.0) + k)
     candidates: list[tuple[float, Optional[GaussianMeasurement]]] = []
     if denom > 1e-12 and lhs <= rhs + margin:
-        inner = max(ic * ic + (ib - 1.0) * (id_ - ia), 0.0)
-        e_het = (
-            2.0 * ic * ic + (ib - 1.0) * (id_ - ia) + 2.0 * abs(ic) * math.sqrt(inner)
-        ) / denom
+        inner = max(ic * ic + w, 0.0)
+        e_het = (2.0 * ic * ic + w + 2.0 * abs(ic) * math.sqrt(inner)) / denom
         candidates.append((e_het, GaussianMeasurement(1.0, 0.0)))
     if lhs >= rhs - margin or not candidates:
-        inner = max(ic**4 + (id_ - ia * ib) ** 2 - 2.0 * ic * ic * (id_ + ia * ib), 0.0)
+        inner = max(ic**4 + k * k - 2.0 * ic * ic * (id_ + ia * ib), 0.0)
         e_gen = (ia * ib - ic * ic + id_ - math.sqrt(inner)) / (2.0 * ib)
         candidates.append((e_gen, None))
     e_min, minimizer = min(candidates, key=lambda pair: pair[0])
@@ -191,15 +217,12 @@ def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
     [-1e-9, 0) are clamped to 0.
     """
     _validate_two_mode(state, side)
-    a_blk, b_blk, c_blk, cm = _ordered_blocks(state, side)
+    a_blk, b_blk, c_blk = _ordered_blocks(state, side)
     if float(np.max(np.abs(c_blk))) == 0.0:
         return DiscordResult(0.0, side, GaussianMeasurement(1.0, 0.0))
-    ia = float(np.linalg.det(a_blk))
-    ib = float(np.linalg.det(b_blk))
-    ic = float(np.linalg.det(c_blk))
-    id_ = float(np.linalg.det(cm))
-    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, id_)
-    e_min, minimizer = _minimal_conditional_det(ia, ib, ic, id_)
+    ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
+    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
+    e_min, minimizer = _minimal_conditional_det(ia, ib, ic, k)
     value = _h(math.sqrt(ib)) - _h(nu_minus) - _h(nu_plus) + _h(math.sqrt(e_min))
     if value < 0.0:
         if value < -DISCORD_CLAMP:
@@ -266,12 +289,9 @@ def discord_oracle(
     the best value found.
     """
     _validate_two_mode(state, side)
-    a_blk, b_blk, c_blk, cm = _ordered_blocks(state, side)
-    ia = float(np.linalg.det(a_blk))
-    ib = float(np.linalg.det(b_blk))
-    ic = float(np.linalg.det(c_blk))
-    id_ = float(np.linalg.det(cm))
-    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, id_)
+    a_blk, b_blk, c_blk = _ordered_blocks(state, side)
+    ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
+    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
     fixed = _h(math.sqrt(ib)) - _h(nu_minus) - _h(nu_plus)
 
     n_q, n_phi = grid

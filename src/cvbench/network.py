@@ -55,8 +55,7 @@ def bs_symplectic(tau: float) -> SymplecticOp:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     t = math.sqrt(tau)
     r = math.sqrt(1.0 - tau)
-    eye = np.eye(2)
-    return SymplecticOp(np.block([[t * eye, r * eye], [-r * eye, t * eye]]))
+    return SymplecticOp(np.kron([[t, r], [-r, t]], np.eye(2)))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 #: absolute asymmetry accepted before a covariance matrix is rejected
 SYMMETRY_TOL = 1e-12
@@ -55,10 +55,18 @@ class SymplecticError(ValueError):
     """Matrix violates the symplectic condition S Omega S^T = Omega."""
 
 
+@functools.cache
 def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega: block-diagonal 2x2 blocks [[0, 1], [-1, 0]]."""
-    w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return block_diag(*([w] * n_modes))
+    """Symplectic form Omega: block-diagonal 2x2 blocks [[0, 1], [-1, 0]].
+
+    Built once per mode count and shared by every caller, so it is read-only.
+    """
+    w = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    w[x, x + 1] = 1.0
+    w[x + 1, x] = -1.0
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -200,7 +208,13 @@ def tensor(states) -> GaussianState:
     mats = [s.cm for s in states]
     if not mats:
         raise ValueError("tensor needs at least one state")
-    return GaussianState(block_diag(*mats))
+    cm = np.zeros((sum(m.shape[0] for m in mats),) * 2)
+    start = 0
+    for m in mats:
+        stop = start + m.shape[0]
+        cm[start:stop, start:stop] = m
+        start = stop
+    return GaussianState(cm)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:

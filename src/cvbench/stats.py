@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .states import GaussianState
 
@@ -76,7 +76,7 @@ def corr_coeff(series_h, series_k) -> float:
 def _fisher_z_interval(c: float, n_frames: int, level: float) -> CorrelationEstimate:
     if 1.0 - abs(c) <= 1e-15:
         return CorrelationEstimate(c, n_frames, c, c, level)
-    z_crit = float(norm.ppf(0.5 + level / 2.0))
+    z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z_crit / math.sqrt(n_frames - 3.0)
     z = math.atanh(c)
     lo = max(-1.0, math.tanh(z - half))

@@ -1,6 +1,10 @@
 """Tests for the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,12 @@ class TestConfig:
         path = tmp_path / "broken.cfg"
         path.write_text("[bench]\nframes = 2000\nthis is not a key value pair\n")
         with pytest.raises(cli.ConfigError, match="line"):
+            cli.load_config(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[bench]\nframes = \xff\n")
+        with pytest.raises(cli.ConfigError, match="UTF-8"):
             cli.load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -168,6 +178,16 @@ class TestManifest:
         with pytest.raises(cli.ConfigError, match="not valid JSON"):
             cli.run_from_manifest(path)
 
+    def test_missing_manifest_refused(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="cannot read manifest"):
+            cli.run_from_manifest(tmp_path / "nope.json")
+
+    def test_non_utf8_manifest_refused(self, tmp_path):
+        path = tmp_path / "tables.csv.manifest.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(cli.ConfigError, match="not valid JSON"):
+            cli.run_from_manifest(path)
+
     def test_missing_outputs_refused(self, tmp_path):
         _, path, manifest = self._tables_manifest(tmp_path)
         del manifest["outputs"]
@@ -295,3 +315,13 @@ def test_unwritable_out_path_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
     assert str(out) in err[0]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime needs numpy alone
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, cvbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

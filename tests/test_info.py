@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvbench.info import (
     discord_oracle,
@@ -199,3 +201,35 @@ def test_pure_two_mode_discord_equals_marginal_entropy():
     marginal_entropy = entropy(partial_trace(state, {0}))
     assert marginal_entropy == pytest.approx(g_thermal(math.sinh(r) ** 2), abs=1e-12)
     assert gaussian_discord(state, "B").value == pytest.approx(marginal_entropy, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_a, n_b, tau", [(3.0, 0.5, 0.5), (10.0, 1.0, 0.3), (2.0, 0.0, 0.7)])
+def test_mixed_squeezed_vacua_discord_equals_marginal_entropy(n_a, n_b, tau):
+    # a pure state whose symplectic spectrum is degenerate (both eigenvalues at
+    # the pure limit), where the closed form's root is most sensitive to rounding
+    product = tensor([single_mode_state(SingleModeSpec(n, 1.0)) for n in (n_a, n_b)])
+    state = apply_symplectic(product, bs_symplectic(tau))
+    marginal_entropy = entropy(partial_trace(state, {0}))
+    for side in ("A", "B"):
+        assert gaussian_discord(state, side).value == pytest.approx(marginal_entropy, abs=1e-9)
+
+
+specs = st.builds(
+    SingleModeSpec,
+    n_tot=st.floats(0.0, 10.0),
+    beta=st.floats(0.0, 1.0),
+)
+# the near-product limits tau -> 0 and tau -> 1 as well as the bulk
+taus = st.one_of(st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0), st.floats(0.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec_a=specs, spec_b=specs, tau=taus)
+# identical thermal inputs leave the beam splitter as a product state
+@example(spec_a=SingleModeSpec(1e-6), spec_b=SingleModeSpec(1e-6), tau=0.3)
+def test_discord_between_zero_and_mutual_information(spec_a, spec_b, tau):
+    product = tensor([single_mode_state(spec_a), single_mode_state(spec_b)])
+    state = apply_symplectic(product, bs_symplectic(tau))
+    mi = mutual_information(state).mutual_information
+    for side in ("A", "B"):
+        assert 0.0 <= gaussian_discord(state, side).value <= mi + 1e-12

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cvbench.states import (
     GaussianState,
@@ -22,7 +23,7 @@ from cvbench.states import (
     thermal_state,
     vacuum_state,
 )
-from helpers import random_single_mode_cm, random_symplectic
+from helpers import random_single_mode_cm, random_symplectic, random_two_mode_state
 
 
 def balanced_bs_4x4():
@@ -205,3 +206,33 @@ def test_omega_structure():
     assert np.array_equal(w[:2, :2], [[0, 1], [-1, 0]])
     assert np.array_equal(w, -w.T)
     assert np.array_equal(w[:2, 2:], np.zeros((2, 2)))
+
+
+class TestOmegaCache:
+    @pytest.mark.parametrize("n_modes", range(1, 7))
+    def test_matches_block_diag(self, n_modes):
+        w = omega(n_modes)
+        ref = block_diag(*([np.array([[0.0, 1.0], [-1.0, 0.0]])] * n_modes))
+        assert w.dtype == ref.dtype and np.array_equal(w, ref)
+
+    def test_shared_instance(self):
+        assert omega(3) is omega(3)
+
+    def test_read_only(self):
+        w = omega(2)
+        with pytest.raises(ValueError):
+            w[0, 1] = 5.0
+        assert w[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("n_factors", range(1, 5))
+def test_tensor_matches_block_diag(n_factors):
+    rng = np.random.default_rng(100 + n_factors)
+    for _ in range(10):
+        factors = [
+            random_two_mode_state(rng) if rng.random() < 0.5
+            else GaussianState(random_single_mode_cm(rng))
+            for _ in range(n_factors)
+        ]
+        ref = GaussianState(block_diag(*[f.cm for f in factors]))
+        assert np.array_equal(tensor(factors).cm, ref.cm)
