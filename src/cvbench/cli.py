@@ -20,6 +20,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -176,10 +177,26 @@ class RunManifest:
     created_utc: str = ""
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
+        _write_atomic(path, json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _bench_config(cfg: dict, scenario: str, basis: str = "none") -> BenchConfig:
+def _write_atomic(path: Path, text: str, encoding: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A write that fails leaves an earlier file at ``path`` whole and removes
+    the temporary file, so no reader ever sees a partial CSV or manifest.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding=encoding) as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _bench_config(cfg: dict, scenario: str) -> BenchConfig:
     return BenchConfig(
         modes=cfg["bench"]["modes"],
         frames=cfg["bench"]["frames"],
@@ -189,7 +206,6 @@ def _bench_config(cfg: dict, scenario: str, basis: str = "none") -> BenchConfig:
         eta=cfg["bench"]["eta"],
         seed=cfg["bench"]["seed"],
         scenario=scenario,
-        analysis_basis=basis,
         workers=cfg["bench"]["workers"],
     )
 
@@ -203,7 +219,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header: tuple, rows: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def run_tables(cfg: dict, out_path: Path) -> Path:
@@ -238,15 +254,16 @@ def run_erasure(cfg: dict, out_path: Path) -> Path:
         if basis not in ("none", "deg45", "V"):
             raise ConfigError(f"erasure basis must be none, deg45, V or all, got {basis!r}")
     level = cfg["analysis"]["ci_level"]
+    # one run detects every analyzer; each basis is a read-out of the same frames
+    batch = run_bench(_bench_config(cfg, "erasure"))
+    n = batch.n_frames
     rows = []
     for basis in bases:
         if basis == "V":
             print(f"warning: {V_BASIS_WARNING}", file=sys.stderr)
-        batch = run_bench(_bench_config(cfg, "erasure", basis))
-        n = batch.n_frames
         pairs = _PAIRS if basis != "none" else (_PAIRS[0],)
         for i, j, label in pairs:
-            c = corr_coeff(batch.out_series(i), batch.out_series(j))
+            c = corr_coeff(batch.out_series(i, basis), batch.out_series(j, basis))
             est = confidence_interval(c, n, level)
             rows.append((basis, label, c, est.ci_low, est.ci_high))
     _write_csv(out_path, ("basis", "pair", "c_out", "ci_lo", "ci_hi"), rows)

@@ -8,7 +8,9 @@ beam's modes with an independent equal-mean field.
 
 One bench serves both scenarios, which are its two polarization presets
 (``POLARIZATIONS``): the beam splitter mixes each polarization plane on its
-own, and in either scenario the detectors sit behind ``analysis_basis``.
+own. The analyzers are a read-out, not part of the run: one pass detects
+every analysis basis the preset can tell apart (``DETECTED``), and
+``FrameBatch.out_series`` reads any basis off those series.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
@@ -44,6 +46,8 @@ SLAB_NORMALS = 65_536
 POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
 SCENARIOS = tuple(POLARIZATIONS)
 ANALYSIS_BASES = ("none", "deg45", "V", "H")
+#: analysis bases run_bench detects per scenario; every other basis is read off these
+DETECTED = {"interference": ("none",), "erasure": ("none", "V", "deg45")}
 
 #: stream ids keying the per-beam Philox streams
 BEAM_SOURCE1 = 1
@@ -56,6 +60,7 @@ __all__ = [
     "POLARIZATIONS",
     "SCENARIOS",
     "ANALYSIS_BASES",
+    "DETECTED",
     "BEAM_SOURCE1",
     "BEAM_SOURCE2",
     "BEAM_MIX_SUBSTITUTE",
@@ -126,24 +131,57 @@ class BenchConfig:
 class FrameBatch:
     """Per-frame integrated intensities of beams 1-3, before and after the BS.
 
-    Columns index the beams: (0, 1, 2) <-> (beam 1, beam 2, beam 3). In both
-    scenarios the 'out' intensities are taken behind the analysis projection
-    configured in ``config.analysis_basis``; 'none' means total intensity.
+    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3). ``detected``
+    maps each basis of ``DETECTED[config.scenario]`` to the read-only series
+    of the three beams behind that analyzer, 'none' meaning total intensity;
+    beam 3 bypasses the BS, so behind 'none' or its own plane its series is a
+    view of its in-column. ``out_series`` reads any basis, detected or not.
     """
 
     config: BenchConfig
     intensities_in: np.ndarray
-    intensities_out: np.ndarray
+    detected: dict
 
     @property
     def n_frames(self) -> int:
         return self.intensities_in.shape[0]
 
+    @property
+    def intensities_out(self) -> np.ndarray:
+        """(frames, 3) out-intensities behind ``config.analysis_basis``, assembled per access."""
+        out = np.stack([self.out_series(beam) for beam in range(3)], axis=1)
+        out.flags.writeable = False
+        return out
+
     def in_series(self, beam: int) -> np.ndarray:
         return self.intensities_in[:, beam]
 
-    def out_series(self, beam: int) -> np.ndarray:
-        return self.intensities_out[:, beam]
+    def out_series(self, beam: int, basis: str | None = None) -> np.ndarray:
+        """Read-only out-intensities of one beam behind ``basis`` (default: the config's).
+
+        A basis the run did not detect is read off the detected ones: a beam
+        holding one plane p detects everything behind 'none' and p, nothing
+        behind the orthogonal axis and half behind deg45; a beam holding both
+        planes detects 'none' minus 'V' behind H.
+        """
+        basis = self.config.analysis_basis if basis is None else basis
+        if basis in self.detected:
+            return self.detected[basis][beam]
+        if basis not in ANALYSIS_BASES:
+            raise ValueError(f"unknown analysis basis {basis!r}")
+        pol1, pol23 = POLARIZATIONS[self.config.scenario]
+        planes = {pol1, pol23} if beam < 2 else {pol23}
+        total = self.detected["none"][beam]
+        if basis == "deg45":  # not detected, so the beam holds one plane
+            series = total / 2.0
+        elif basis not in planes:
+            series = np.zeros_like(total)
+        elif len(planes) == 1:
+            return total
+        else:
+            series = total - self.detected["V"][beam]
+        series.flags.writeable = False
+        return series
 
 
 def chunk_rng(seed: int, beam: int, chunk: int) -> np.random.Generator:
@@ -305,17 +343,7 @@ def _degraded(cfg: BenchConfig, chunk: int, rows: int, beam2: np.ndarray, beam3:
     return beam2_mixed, beam3
 
 
-def _detect_planes(planes: dict, basis: str, rows: int) -> np.ndarray:
-    # per-frame detect behind project_jones(basis) of a field held as
-    # {plane: (rows, modes)}, planes in H, V order; an absent plane is zero
-    if basis == "none":
-        return reduce(add, map(_row_intensity, planes.values()))
-    if basis == "deg45":
-        return _row_intensity(reduce(add, planes.values()) / math.sqrt(2.0))
-    return _row_intensity(planes[basis]) if basis in planes else np.zeros(rows)
-
-
-def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: np.ndarray):
+def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: dict):
     beam1 = _chunk_fields(cfg.seed, BEAM_SOURCE1, chunk, rows, cfg.modes, cfg.mean_photons)
     source2 = _chunk_fields(
         cfg.seed, BEAM_SOURCE2, chunk, rows, cfg.modes, cfg.mean_photons / cfg.t_split
@@ -337,13 +365,16 @@ def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: 
     ins[sl, 0] = _row_intensity(beam1)
     ins[sl, 1] = _row_intensity(beam2)
     ins[sl, 2] = _row_intensity(beam3)
-    outs[sl, 0] = _detect_planes(out1, cfg.analysis_basis, rows)
-    outs[sl, 1] = _detect_planes(out2, cfg.analysis_basis, rows)
-    # beam 3 bypasses the BS: its in-column is its detection unless projected
-    if cfg.analysis_basis in ("none", pol23):
-        outs[sl, 2] = ins[sl, 2]
-    else:
-        outs[sl, 2] = _detect_planes({pol23: beam3}, cfg.analysis_basis, rows)
+    # each output port is held as its planes, in H, V order
+    for beam, planes in enumerate((out1, out2)):
+        power = [_row_intensity(field) for field in planes.values()]
+        outs["none"][beam, sl] = reduce(add, power)
+        if "V" in outs:
+            outs["V"][beam, sl] = power[-1]
+        if "deg45" in outs:
+            outs["deg45"][beam, sl] = _row_intensity(reduce(add, planes.values()) / math.sqrt(2.0))
+    if "deg45" in outs:
+        outs["deg45"][2, sl] = _row_intensity(beam3 / math.sqrt(2.0))
 
 
 def _slab_chunks(modes: int) -> int:
@@ -359,15 +390,19 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     The scenario only sets the polarization planes: interference puts beams
     1-3 on H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams
     2 and 3 on V, so they do not. The three intensities are recorded before
-    the beam splitter and behind the analysis_basis projection after it,
-    'none' meaning total intensity; a beam without a component along an H or
-    V analysis axis detects zero.
+    the beam splitter and, in the same pass, behind every analyzer of
+    ``DETECTED[config.scenario]`` after it; ``config.analysis_basis`` only
+    selects the batch's default read-out.
 
     Identical (seed, config) produce bit-identical batches for any worker
     count; frame j depends only on (seed, beam ids, j).
     """
     ins = np.empty((config.frames, 3))
-    outs = np.empty((config.frames, 3))
+    # beams 1 and 2 per detected basis; beam 3 too where its in-column is not its detection
+    outs = {
+        basis: np.empty((3 if basis == "deg45" else 2, config.frames))
+        for basis in DETECTED[config.scenario]
+    }
     n_chunks = (config.frames + CHUNK_FRAMES - 1) // CHUNK_FRAMES
     slab = _slab_chunks(config.modes)
     starts = range(0, n_chunks, slab)
@@ -384,5 +419,8 @@ def run_bench(config: BenchConfig) -> FrameBatch:
             for job in jobs:
                 job.result()
     ins.flags.writeable = False
-    outs.flags.writeable = False
-    return FrameBatch(config, ins, outs)
+    detected = {}
+    for basis, block in outs.items():
+        block.flags.writeable = False
+        detected[basis] = (block[0], block[1], block[2] if len(block) == 3 else ins[:, 2])
+    return FrameBatch(config, ins, detected)

@@ -46,7 +46,8 @@ def _centred(x: np.ndarray) -> np.ndarray:
     # corrected two-pass centring (Chan, Golub & LeVeque 1983): subtracting the
     # residual mean of the first pass removes the first pass's rounding error
     d = x - np.sum(x) / x.size
-    return d - np.sum(d) / x.size
+    d -= np.sum(d) / x.size
+    return d
 
 
 def corr_coeff(series_h, series_k) -> float:
@@ -63,13 +64,16 @@ def corr_coeff(series_h, series_k) -> float:
         raise ValueError("series must be one-dimensional and of equal length")
     if h.size < 2:
         raise ValueError("need at least two frames")
+    # at most two full-length temporaries: the products reuse dh's buffer
     dh = _centred(h)
-    dk = _centred(k)
     var_h = float(np.sum(dh * dh))
-    var_k = float(np.sum(dk * dk))
+    dk = _centred(k)
+    dh *= dk
+    cov = float(np.sum(dh))
+    var_k = float(np.sum(np.multiply(dk, dk, out=dh)))
     if var_h <= 0.0 or var_k <= 0.0:
         raise ValueError("correlation undefined: a series has zero variance")
-    c = float(np.sum(dh * dk)) / math.sqrt(var_h * var_k)
+    c = cov / math.sqrt(var_h * var_k)
     return min(1.0, max(-1.0, c))
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line harness."""
 
+import errno
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from cvbench import __version__, cli
+from cvbench.speckle import run_bench
 
 
 def read_rows(path):
@@ -228,6 +230,19 @@ class TestErasure:
         assert abs(values[("deg45", "1-2")]) <= 0.1
         assert values[("V", "2-3")] >= 0.99
 
+    def test_all_bases_read_one_bench_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return run_bench(config)
+
+        monkeypatch.setattr(cli, "run_bench", counting)
+        out = tmp_path / "erasure.csv"
+        assert run_main(["erasure", "--basis", "all", "--frames", "2000", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(read_rows(out)[1]) == 7
+
     def test_single_basis_selection(self, tmp_path):
         out = tmp_path / "erasure45.csv"
         run_main(["erasure", "--frames", "2000", "--basis", "deg45", "--out", str(out)])
@@ -315,6 +330,45 @@ def test_unwritable_out_path_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
     assert str(out) in err[0]
+
+
+class HalfWriter:
+    """File handle whose write stores half of the text, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["csv", "manifest"])
+def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys, failing):
+    out = tmp_path / "tables.csv"
+    manifest = tmp_path / "tables.csv.manifest.json"
+    assert run_main(["tables", "--frames", "500", "--seed", "1", "--out", str(out)]) == 0
+    target = out if failing == "csv" else manifest
+    before = target.read_bytes()
+
+    def failing_open(file, *args, **kwargs):
+        # writes to the target, or to a temporary file named after it, fail halfway
+        handle = open(file, *args, **kwargs)
+        return HalfWriter(handle) if str(file).startswith(str(target)) else handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    # another seed, so that a completed write would change the bytes
+    assert run_main(["tables", "--frames", "500", "--seed", "2", "--out", str(out)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
 
 
 def test_cli_import_loads_no_scipy():

@@ -233,3 +233,66 @@ def test_discord_between_zero_and_mutual_information(spec_a, spec_b, tau):
     mi = mutual_information(state).mutual_information
     for side in ("A", "B"):
         assert 0.0 <= gaussian_discord(state, side).value <= mi + 1e-12
+
+
+def mixed_pair(spec_a, spec_b, tau):
+    product = tensor([single_mode_state(spec_a), single_mode_state(spec_b)])
+    return apply_symplectic(product, bs_symplectic(tau))
+
+
+def branch_gap(state):
+    """k^2 - (1 + det B) det C^2 (det A + det CM) of the rescaled CM, measurement on B.
+
+    Negative in the heterodyne branch of the closed-form discord, positive in
+    the general one, written out here from the invariants.
+    """
+    cm = 2.0 * state.cm
+    ia, ib, ic, id_ = (np.linalg.det(m) for m in (cm[:2, :2], cm[2:, 2:], cm[:2, 2:], cm))
+    return (id_ - ia * ib) ** 2 - (1.0 + ib) * ic**2 * (ia + id_)
+
+
+#: one state deep in each branch: a split thermal pair and a mixed squeezed-thermal pair
+HETERODYNE_ANCHOR = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+GENERAL_ANCHOR = mixed_pair(SingleModeSpec(1.0, 1.0), SingleModeSpec(1.0), 0.3)
+
+
+@st.composite
+def near_branch_boundary(draw):
+    """A point within a 2^-45 step of where a segment of CMs crosses the branch boundary.
+
+    The segment joins a mixed pair to the anchor of the other branch; CMs are
+    convex, so every point on it is physical. Pure pairs already sit on the
+    boundary, where both branches agree.
+    """
+    start = mixed_pair(draw(specs), draw(specs), draw(taus))
+    side = branch_gap(start) > 0.0
+    end = HETERODYNE_ANCHOR if side else GENERAL_ANCHOR
+    lo, hi = 0.0, 1.0
+    for _ in range(45):
+        mid = (lo + hi) / 2.0
+        if (branch_gap(GaussianState((1.0 - mid) * start.cm + mid * end.cm)) > 0.0) == side:
+            lo = mid
+        else:
+            hi = mid
+    lam = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    return GaussianState((1.0 - lam) * start.cm + lam * end.cm)
+
+
+# mode B close to pure: nearly no thermal photons, barely mixed with mode A
+near_pure_measured_mode = st.builds(
+    mixed_pair,
+    specs,
+    st.one_of(
+        st.builds(SingleModeSpec, n_tot=st.floats(0.0, 1e-6)),
+        st.builds(SingleModeSpec, n_tot=st.floats(0.0, 10.0), beta=st.floats(1.0 - 1e-9, 1.0)),
+    ),
+    st.floats(1.0 - 1e-4, 1.0),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(state=st.one_of(near_branch_boundary(), near_pure_measured_mode))
+def test_oracle_bounds_closed_form_from_above(state):
+    # the oracle's value is the entropy of one measurement it found, so it
+    # cannot fall below the minimum over all of them that the closed form gives
+    assert discord_oracle(state, "B").value >= gaussian_discord(state, "B").value - 1e-6

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbench.network import (
     BeamSplitterSpec,
@@ -19,12 +21,15 @@ from cvbench.network import (
 )
 from cvbench.states import (
     SingleModeSpec,
+    apply_symplectic,
     mode_block,
     omega,
     single_mode_cm,
+    single_mode_state,
     symplectic_eigenvalues,
+    tensor,
 )
-from helpers import random_single_mode_cm, random_source
+from helpers import random_single_mode_cm, random_source, random_two_mode_state
 
 
 class TestBsSymplectic:
@@ -246,3 +251,24 @@ class TestPolarizationFiltered:
         h_state, v_state = polarization_filtered_cms(SingleModeSpec(2.0, 0.6), SingleModeSpec(1.0, 0.2))
         for state in (h_state, v_state):
             assert np.all(symplectic_eigenvalues(state) >= 0.5 - 1e-9)
+
+
+specs = st.builds(SingleModeSpec, n_tot=st.floats(0.0, 10.0), beta=st.floats(0.0, 1.0))
+# mixed products of single-mode states and generic correlated states
+two_mode_states = st.one_of(
+    st.builds(
+        lambda a, b, tau: apply_symplectic(
+            tensor([single_mode_state(a), single_mode_state(b)]), bs_symplectic(tau)
+        ),
+        specs, specs, st.floats(0.0, 1.0),
+    ),
+    st.builds(lambda seed: random_two_mode_state(np.random.default_rng(seed)), st.integers(0, 2**32)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(state=two_mode_states, tau=st.floats(0.0, 1.0))
+def test_bs_preserves_symplectic_spectrum(state, tau):
+    before = symplectic_eigenvalues(state)
+    after = symplectic_eigenvalues(apply_symplectic(state, bs_symplectic(tau)))
+    assert np.allclose(after, before, rtol=1e-9, atol=0.0)

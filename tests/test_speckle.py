@@ -1,6 +1,7 @@
 """Tests for the speckle Monte Carlo bench."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,19 +273,45 @@ class TestRunBench:
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize("modes, eta", [(1, 1.0), (7, 0.7)])
+    @pytest.mark.parametrize("read_out", [False, True], ids=["configured", "read-out"])
     def test_slab_boundaries_match_per_frame_operations(
-        self, scenario, basis, modes, eta, slab_chunks
+        self, scenario, basis, modes, eta, read_out, slab_chunks
     ):
+        # read-out: the batch is configured with another basis and ``basis``
+        # is read off it, which must give the same frames
         slab_frames = slab_chunks(modes) * CHUNK_FRAMES
         cfg = BenchConfig(
             modes=modes, frames=slab_frames + 2, seed=6, eta=eta, tau_mix=0.3, t_split=0.4,
             scenario=scenario, analysis_basis=basis, workers=2,
         )
-        batch = run_bench(cfg)
+        if read_out:
+            other = ANALYSIS_BASES[(ANALYSIS_BASES.index(basis) + 1) % len(ANALYSIS_BASES)]
+            batch = run_bench(replace(cfg, analysis_basis=other))
+            detected = np.stack([batch.out_series(beam, basis) for beam in range(3)], axis=1)
+        else:
+            batch = run_bench(cfg)
+            detected = batch.intensities_out
         for j in sorted({1, 255, 257, slab_frames - 1, slab_frames + 1}):
             ins, outs = reference_frame(cfg, j)
             assert tuple(batch.intensities_in[j]) == ins
-            assert tuple(batch.intensities_out[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+            assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
+    def test_out_series_read_only(self, scenario):
+        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, scenario=scenario))
+        series = [batch.out_series(beam, basis) for basis in ANALYSIS_BASES for beam in range(3)]
+        series.append(batch.intensities_out)
+        for values in series:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        # beam 3 bypasses the BS: behind 'none' its detection is its in-column
+        assert np.shares_memory(batch.out_series(2, "none"), batch.intensities_in)
+
+    def test_unknown_basis_read_out_rejected(self):
+        batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
+        with pytest.raises(ValueError):
+            batch.out_series(0, "circular")
 
     def test_energy_conservation_per_frame(self):
         batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))
