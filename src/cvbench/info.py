@@ -39,17 +39,9 @@ __all__ = [
 ]
 
 
-def _entropy_term(d: float) -> float:
-    # (d + 1/2) ln(d + 1/2) - (d - 1/2) ln(d - 1/2), exactly 0 at the pure limit
-    x = d - 0.5
-    if x <= PURE_GUARD:
-        return 0.0
-    return (d + 0.5) * math.log(d + 0.5) - x * math.log(x)
-
-
 def entropy(state: GaussianState) -> float:
     """Von Neumann entropy in nats; >= 0, and 0 iff the state is pure."""
-    return float(sum(_entropy_term(float(d)) for d in symplectic_eigenvalues(state)))
+    return float(sum(_h(2.0 * float(d)) for d in symplectic_eigenvalues(state)))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ noise). Mode mismatch is modeled by substituting a fraction (1 - eta) of a
 beam's modes with an independent equal-mean field.
 
 One bench serves both scenarios, which are its two polarization presets
-(``POLARIZATIONS``): the beam splitter mixes each polarization plane on its
-own. The analyzers are a read-out, not part of the run: one pass detects
-every analysis basis the preset can tell apart (``DETECTED``), and
-``FrameBatch.out_series`` reads any basis off those series.
+(``POLARIZATIONS``). The analyzers are a read-out, not part of the run: every
+intensity detected behind any analyzer is linear in the per-frame Gram
+matrix of the two fields entering the beam splitter, so a run records the
+in-intensities and that matrix, and ``FrameBatch.out_series`` reads any
+basis off them through the analyzer's intensity projector (``ANALYZERS``).
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
@@ -20,11 +21,12 @@ contract: any frame is reproducible in isolation by regenerating one chunk
 (see ``frame_field``).
 
 For speed, each job of ``run_bench`` handles a slab: a run of consecutive
-chunks, each still drawn whole from its own stream, that is split, mixed and
-detected in one batch. Slabs are only an execution grouping: their length
-follows from the mode count (about ``SLAB_NORMALS`` normals per beam), no
-row's value depends on it, and the output is bit-identical for any worker
-count since workers only handle whole chunks.
+chunks, each still drawn whole from its own stream, that is split and
+reduced to per-frame second moments in one batch. Slabs are only an
+execution grouping: their length follows from the mode count (about
+``SLAB_NORMALS`` normals per beam), no row's value depends on it, and the
+output is bit-identical for any worker count since workers only handle
+whole chunks.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -45,9 +45,14 @@ SLAB_NORMALS = 65_536
 #: polarization plane of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
 SCENARIOS = tuple(POLARIZATIONS)
-ANALYSIS_BASES = ("none", "deg45", "V", "H")
-#: analysis bases run_bench detects per scenario; every other basis is read off these
-DETECTED = {"interference": ("none",), "erasure": ("none", "V", "deg45")}
+#: intensity projector of each analyzer on (H, V) Jones vectors; 'none' detects both planes
+ANALYZERS = {
+    "none": np.eye(2),
+    "deg45": np.full((2, 2), 0.5),
+    "V": np.diag([0.0, 1.0]),
+    "H": np.diag([1.0, 0.0]),
+}
+ANALYSIS_BASES = tuple(ANALYZERS)
 
 #: stream ids keying the per-beam Philox streams
 BEAM_SOURCE1 = 1
@@ -60,7 +65,7 @@ __all__ = [
     "POLARIZATIONS",
     "SCENARIOS",
     "ANALYSIS_BASES",
-    "DETECTED",
+    "ANALYZERS",
     "BEAM_SOURCE1",
     "BEAM_SOURCE2",
     "BEAM_MIX_SUBSTITUTE",
@@ -129,18 +134,19 @@ class BenchConfig:
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """Per-frame integrated intensities of beams 1-3, before and after the BS.
+    """Per-frame second moments of one bench run, off which every detection is read.
 
-    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3). ``detected``
-    maps each basis of ``DETECTED[config.scenario]`` to the read-only series
-    of the three beams behind that analyzer, 'none' meaning total intensity;
-    beam 3 bypasses the BS, so behind 'none' or its own plane its series is a
-    view of its in-column. ``out_series`` reads any basis, detected or not.
+    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3).
+    ``intensities_in`` holds the integrated intensities of the three beams
+    before the BS. ``gram`` holds two columns: |a2|^2 of beam 2 as it enters
+    the BS (after mode substitution) and Re sum_m a1_m conj(a2_m). With
+    |a1|^2 = ``intensities_in[:, 0]`` they make the Gram matrix of the two BS
+    inputs, and ``out_series`` reads every beam behind every analyzer off it.
     """
 
     config: BenchConfig
     intensities_in: np.ndarray
-    detected: dict
+    gram: np.ndarray
 
     @property
     def n_frames(self) -> int:
@@ -154,34 +160,48 @@ class FrameBatch:
         return out
 
     def in_series(self, beam: int) -> np.ndarray:
-        return self.intensities_in[:, beam]
+        return self.intensities_in[:, _checked_beam(beam)]
 
     def out_series(self, beam: int, basis: str | None = None) -> np.ndarray:
         """Read-only out-intensities of one beam behind ``basis`` (default: the config's).
 
-        A basis the run did not detect is read off the detected ones: a beam
-        holding one plane p detects everything behind 'none' and p, nothing
-        behind the orthogonal axis and half behind deg45; a beam holding both
-        planes detects 'none' minus 'V' behind H.
+        With P the analyzer's projector and e1, e2 the Jones vectors of the
+        planes of beam 1 and of beams 2-3, out-port p carries alpha a1 e1 +
+        beta a2 e2, (alpha, beta) being row p of the BS matrix of
+        ``mix_fields``, and detects alpha^2 e1.P.e1 |a1|^2 +
+        beta^2 e2.P.e2 |a2|^2 + 2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3
+        bypasses the BS and detects e2.P.e2 |a3|^2, a view of its in-column
+        where that weight is 1.
         """
+        beam = _checked_beam(beam)
         basis = self.config.analysis_basis if basis is None else basis
-        if basis in self.detected:
-            return self.detected[basis][beam]
-        if basis not in ANALYSIS_BASES:
+        if basis not in ANALYZERS:
             raise ValueError(f"unknown analysis basis {basis!r}")
+        proj = ANALYZERS[basis]
         pol1, pol23 = POLARIZATIONS[self.config.scenario]
-        planes = {pol1, pol23} if beam < 2 else {pol23}
-        total = self.detected["none"][beam]
-        if basis == "deg45":  # not detected, so the beam holds one plane
-            series = total / 2.0
-        elif basis not in planes:
-            series = np.zeros_like(total)
-        elif len(planes) == 1:
-            return total
+        e1, e2 = polarized(np.ones(()), pol1).real, polarized(np.ones(()), pol23).real
+        ins = self.intensities_in
+        if beam == 2:
+            weight = e2 @ proj @ e2
+            if weight == 1.0:
+                return ins[:, 2]
+            series = weight * ins[:, 2]
         else:
-            series = total - self.detected["V"][beam]
+            alpha, beta = np.array(mix_fields(*np.eye(2), self.config.tau_mix))[beam]
+            u, v = alpha * e1, beta * e2
+            series = (
+                (u @ proj @ u) * ins[:, 0]
+                + (v @ proj @ v) * self.gram[:, 0]
+                + 2.0 * (u @ proj @ v) * self.gram[:, 1]
+            )
         series.flags.writeable = False
         return series
+
+
+def _checked_beam(beam: int) -> int:
+    if beam not in (0, 1, 2):
+        raise IndexError(f"beam must be 0, 1 or 2, got {beam!r}")
+    return beam
 
 
 def chunk_rng(seed: int, beam: int, chunk: int) -> np.random.Generator:
@@ -261,31 +281,26 @@ def mix_fields(
     """Amplitude-level beam splitter on fields of any leading shape (scalar or Jones).
 
     out_a = sqrt(tau) a + sqrt(1 - tau) b and out_b = sqrt(tau) b -
-    sqrt(1 - tau) a, matching the covariance-level sign convention. An input
-    given as a 0-d zero is an empty port. With eta < 1 a fraction (1 - eta)
-    of b's modes is first replaced by the independent equal-mean
+    sqrt(1 - tau) a, matching the covariance-level sign convention; this is
+    the one place the convention is coded, and ``FrameBatch`` reads the BS
+    matrix off it to weight the Gram columns. With eta < 1 a fraction
+    (1 - eta) of b's modes is first replaced by the independent equal-mean
     ``substitute`` field. Energy is conserved per mode pair when eta = 1.
     """
     a = np.asarray(field_a)
     b = np.asarray(field_b)
-    a_empty, b_empty = (x.ndim == 0 and x == 0 for x in (a, b))
-    if a.shape != b.shape and not (a_empty or b_empty):
+    if a.shape != b.shape:
         raise ValueError(f"mode-count mismatch: {a.shape} vs {b.shape}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
     if eta < 1.0:
-        if substitute is None or b_empty:
-            raise ValueError("eta < 1 requires a field in port b and a substitute field")
+        if substitute is None:
+            raise ValueError("eta < 1 requires a substitute field")
         b = substitute_modes(b, eta, np.asarray(substitute))
     t = math.sqrt(tau)
     r = math.sqrt(1.0 - tau)
-    # an empty port adds no term
-    if b_empty:
-        return t * a, -r * a
-    if a_empty:
-        return r * b, t * b
     return t * a + r * b, t * b - r * a
 
 
@@ -317,10 +332,9 @@ def detect(field: np.ndarray) -> float:
     return float(np.sum(f.real * f.real + f.imag * f.imag))
 
 
-def _row_intensity(field: np.ndarray) -> np.ndarray:
-    # per-frame detect for a (rows, modes[, 2]) chunk
-    power = field.real * field.real + field.imag * field.imag
-    return power.reshape(power.shape[0], -1).sum(axis=1)
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # per-frame Re sum_m x_m conj(y_m) of two (rows, modes) chunks; detect when x is y
+    return (x.real * y.real + x.imag * y.imag).sum(axis=1)
 
 
 def _degraded(cfg: BenchConfig, chunk: int, rows: int, beam2: np.ndarray, beam3: np.ndarray):
@@ -343,38 +357,20 @@ def _degraded(cfg: BenchConfig, chunk: int, rows: int, beam2: np.ndarray, beam3:
     return beam2_mixed, beam3
 
 
-def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, outs: dict):
+def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, gram: np.ndarray):
     beam1 = _chunk_fields(cfg.seed, BEAM_SOURCE1, chunk, rows, cfg.modes, cfg.mean_photons)
     source2 = _chunk_fields(
         cfg.seed, BEAM_SOURCE2, chunk, rows, cfg.modes, cfg.mean_photons / cfg.t_split
     )
     beam2, beam3 = split_field(source2, cfg.t_split)
     beam2_mixed, beam3 = _degraded(cfg, chunk, rows, beam2, beam3)
-    # orthogonal planes never interfere: the BS mixes each plane on its own,
-    # and a plane neither input carries is never formed
-    pol1, pol23 = POLARIZATIONS[cfg.scenario]
-    in1, in2 = {pol1: beam1}, {pol23: beam2_mixed}
-    out1, out2 = {}, {}
-    for plane in ("H", "V"):
-        if plane in in1 or plane in in2:
-            out1[plane], out2[plane] = mix_fields(
-                in1.get(plane, 0.0), in2.get(plane, 0.0), cfg.tau_mix
-            )
     lo = chunk * CHUNK_FRAMES
     sl = slice(lo, lo + rows)
-    ins[sl, 0] = _row_intensity(beam1)
-    ins[sl, 1] = _row_intensity(beam2)
-    ins[sl, 2] = _row_intensity(beam3)
-    # each output port is held as its planes, in H, V order
-    for beam, planes in enumerate((out1, out2)):
-        power = [_row_intensity(field) for field in planes.values()]
-        outs["none"][beam, sl] = reduce(add, power)
-        if "V" in outs:
-            outs["V"][beam, sl] = power[-1]
-        if "deg45" in outs:
-            outs["deg45"][beam, sl] = _row_intensity(reduce(add, planes.values()) / math.sqrt(2.0))
-    if "deg45" in outs:
-        outs["deg45"][2, sl] = _row_intensity(beam3 / math.sqrt(2.0))
+    ins[sl, 0] = _row_dot(beam1, beam1)
+    ins[sl, 1] = _row_dot(beam2, beam2)
+    ins[sl, 2] = _row_dot(beam3, beam3)
+    gram[sl, 0] = ins[sl, 1] if beam2_mixed is beam2 else _row_dot(beam2_mixed, beam2_mixed)
+    gram[sl, 1] = _row_dot(beam1, beam2_mixed)
 
 
 def _slab_chunks(modes: int) -> int:
@@ -389,20 +385,16 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
     The scenario only sets the polarization planes: interference puts beams
     1-3 on H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams
-    2 and 3 on V, so they do not. The three intensities are recorded before
-    the beam splitter and, in the same pass, behind every analyzer of
-    ``DETECTED[config.scenario]`` after it; ``config.analysis_basis`` only
+    2 and 3 on V, so they do not. The pass records the three intensities
+    before the beam splitter and the Gram matrix of its two inputs; every
+    analyzer is read off those afterwards, and ``config.analysis_basis`` only
     selects the batch's default read-out.
 
     Identical (seed, config) produce bit-identical batches for any worker
     count; frame j depends only on (seed, beam ids, j).
     """
     ins = np.empty((config.frames, 3))
-    # beams 1 and 2 per detected basis; beam 3 too where its in-column is not its detection
-    outs = {
-        basis: np.empty((3 if basis == "deg45" else 2, config.frames))
-        for basis in DETECTED[config.scenario]
-    }
+    gram = np.empty((config.frames, 2))
     n_chunks = (config.frames + CHUNK_FRAMES - 1) // CHUNK_FRAMES
     slab = _slab_chunks(config.modes)
     starts = range(0, n_chunks, slab)
@@ -412,15 +404,12 @@ def run_bench(config: BenchConfig) -> FrameBatch:
 
     if config.workers == 1 or len(starts) == 1:
         for c in starts:
-            _bench_slab(config, c, rows_of(c), ins, outs)
+            _bench_slab(config, c, rows_of(c), ins, gram)
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            jobs = [pool.submit(_bench_slab, config, c, rows_of(c), ins, outs) for c in starts]
+            jobs = [pool.submit(_bench_slab, config, c, rows_of(c), ins, gram) for c in starts]
             for job in jobs:
                 job.result()
     ins.flags.writeable = False
-    detected = {}
-    for basis, block in outs.items():
-        block.flags.writeable = False
-        detected[basis] = (block[0], block[1], block[2] if len(block) == 3 else ins[:, 2])
-    return FrameBatch(config, ins, detected)
+    gram.flags.writeable = False
+    return FrameBatch(config, ins, gram)

@@ -168,17 +168,6 @@ class TestMixFields:
         with pytest.raises(ValueError):
             mix_fields(np.zeros(3, complex), np.zeros(4, complex), 0.5)
 
-    def test_zero_scalar_is_an_empty_port(self):
-        a = sample_thermal_field(field_rng(17, 1), 30, 1.0)
-        for out, ref in zip(mix_fields(a, 0.0, 0.37), mix_fields(a, np.zeros_like(a), 0.37)):
-            assert np.array_equal(out, ref)
-        for out, ref in zip(mix_fields(0.0, a, 0.37), mix_fields(np.zeros_like(a), a, 0.37)):
-            assert np.array_equal(out, ref)
-        with pytest.raises(ValueError):
-            mix_fields(a, 1.0, 0.37)
-        with pytest.raises(ValueError):
-            mix_fields(a, 0.0, 0.37, eta=0.9, substitute=a)
-
     def test_substitution_required(self):
         a = np.ones(10, complex)
         with pytest.raises(ValueError):
@@ -308,13 +297,37 @@ class TestRunBench:
         # beam 3 bypasses the BS: behind 'none' its detection is its in-column
         assert np.shares_memory(batch.out_series(2, "none"), batch.intensities_in)
 
+    @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
+    @pytest.mark.parametrize("tau_mix", [0.0, 1.0])
+    def test_extreme_mixing_matches_per_frame_operations(self, scenario, basis, tau_mix):
+        # at tau 0 or 1 one input of each port has weight zero
+        cfg = BenchConfig(
+            modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix, scenario=scenario
+        )
+        batch = run_bench(cfg)
+        detected = np.stack([batch.out_series(beam, basis) for beam in range(3)], axis=1)
+        for j in (0, 131, 299):
+            _, outs = reference_frame(replace(cfg, analysis_basis=basis), j)
+            assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+
     def test_unknown_basis_read_out_rejected(self):
         batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
         with pytest.raises(ValueError):
             batch.out_series(0, "circular")
 
-    def test_energy_conservation_per_frame(self):
-        batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))
+    @pytest.mark.parametrize("beam", [-1, 3])
+    def test_beam_outside_the_bench_rejected(self, beam):
+        batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
+        with pytest.raises(IndexError):
+            batch.in_series(beam)
+        with pytest.raises(IndexError):
+            batch.out_series(beam)
+
+    @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
+    def test_energy_conservation_per_frame(self, scenario):
+        batch = run_bench(
+            BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31, scenario=scenario)
+        )
         before = batch.in_series(0) + batch.in_series(1)
         after = batch.out_series(0) + batch.out_series(1)
         assert np.allclose(after, before, rtol=1e-9)
