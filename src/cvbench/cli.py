@@ -10,8 +10,11 @@ byte-for-byte (see ``run_from_manifest``).
 Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ``[analysis]`` and ``[sweep]`` sections; every key has a default matching the
 ideal balanced bench (100 modes, 1e5 frames, unit mean intensity, tau = 1/2,
-t = 1/2, eta = 1, seed 42, 99% confidence level). Command-line flags override
-single keys.
+t = 1/2, eta = 1, seed 42, 99% confidence level). Each setting is declared
+once, in ``_SETTINGS``, with its type, default and flag; the ``[source]`` and
+``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``. A command
+takes flags only for the settings it reads, so ``sweep-discord`` takes just
+``--tau`` and ``--t-split``.
 """
 
 from __future__ import annotations
@@ -63,42 +66,31 @@ __all__ = [
     "main",
 ]
 
-DEFAULTS = {
-    "source": {"mean_photons": "1.0", "t_split": "0.5"},
-    "bench": {
-        "modes": "100",
-        "frames": "100000",
-        "tau_mix": "0.5",
-        "eta": "1.0",
-        "seed": "42",
-        "workers": "1",
-    },
-    "analysis": {"ci_level": "0.99", "basis": "all"},
-    "sweep": {
-        "n_source_min": "0.02",
-        "n_source_max": "50.0",
-        "n_points": "50",
-        "taus": "0.15,0.5,0.85",
-        "sweep_param": "tau_mix",
-    },
-}
+#: every setting once: (section, key, type, default, flag). The [source] and
+#: [bench] keys are the fields of ``BenchConfig``; a flag overrides its key on
+#: the commands that read it, and a key without one is set by config file only
+_SETTINGS = (
+    ("source", "mean_photons", float, "1.0", None),
+    ("source", "t_split", float, "0.5", "--t-split"),
+    ("bench", "modes", int, "100", "--modes"),
+    ("bench", "frames", int, "100000", "--frames"),
+    ("bench", "tau_mix", float, "0.5", "--tau"),
+    ("bench", "eta", float, "1.0", "--eta"),
+    ("bench", "seed", int, "42", "--seed"),
+    ("bench", "workers", int, "1", "--workers"),
+    ("analysis", "ci_level", float, "0.99", "--ci-level"),
+    ("analysis", "basis", str, "all", "--basis"),
+    ("sweep", "n_source_min", float, "0.02", None),
+    ("sweep", "n_source_max", float, "50.0", None),
+    ("sweep", "n_points", int, "50", None),
+    ("sweep", "taus", str, "0.15,0.5,0.85", None),
+    ("sweep", "sweep_param", str, "tau_mix", None),
+)
 
-_SCHEMA = {
-    ("source", "mean_photons"): float,
-    ("source", "t_split"): float,
-    ("bench", "modes"): int,
-    ("bench", "frames"): int,
-    ("bench", "tau_mix"): float,
-    ("bench", "eta"): float,
-    ("bench", "seed"): int,
-    ("bench", "workers"): int,
-    ("analysis", "ci_level"): float,
-    ("analysis", "basis"): str,
-    ("sweep", "n_source_min"): float,
-    ("sweep", "n_source_max"): float,
-    ("sweep", "n_points"): int,
-    ("sweep", "taus"): str,
-    ("sweep", "sweep_param"): str,
+#: section -> key -> default text, read off ``_SETTINGS``
+DEFAULTS = {
+    section: {key: default for s, key, _, default, _ in _SETTINGS if s == section}
+    for section in dict.fromkeys(s for s, *_ in _SETTINGS)
 }
 
 #: printed whenever the erasure bench is analyzed in the V basis
@@ -117,7 +109,7 @@ class ConfigError(ValueError):
 
 
 def _typed(raw) -> dict:
-    """Apply ``_SCHEMA`` to a section -> key -> value mapping holding every key.
+    """Type a section -> key -> value mapping holding every key of ``_SETTINGS``.
 
     Values are typed from their text, so a manifest's ``"frames": "300"`` and
     a config file's ``frames = 300`` both give the int 300, while ``300.5``
@@ -129,10 +121,10 @@ def _typed(raw) -> dict:
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in keys:
-            if (section, key) not in _SCHEMA:
+            if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
     cfg: dict = {}
-    for (section, key), typ in _SCHEMA.items():
+    for section, key, typ, _, _ in _SETTINGS:
         try:
             value = raw[section][key]
         except KeyError:
@@ -196,20 +188,6 @@ def _write_atomic(path: Path, text: str, encoding: str) -> None:
         raise
 
 
-def _bench_config(cfg: dict, scenario: str) -> BenchConfig:
-    return BenchConfig(
-        modes=cfg["bench"]["modes"],
-        frames=cfg["bench"]["frames"],
-        mean_photons=cfg["source"]["mean_photons"],
-        tau_mix=cfg["bench"]["tau_mix"],
-        t_split=cfg["source"]["t_split"],
-        eta=cfg["bench"]["eta"],
-        seed=cfg["bench"]["seed"],
-        scenario=scenario,
-        workers=cfg["bench"]["workers"],
-    )
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -224,7 +202,7 @@ def _write_csv(path: Path, header: tuple, rows: list) -> None:
 
 def run_tables(cfg: dict, out_path: Path) -> Path:
     """Interference bench: one row per beam pair with in/out correlations and CIs."""
-    batch = run_bench(_bench_config(cfg, "interference"))
+    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     level = cfg["analysis"]["ci_level"]
     n = batch.n_frames
     rows = []
@@ -255,7 +233,7 @@ def run_erasure(cfg: dict, out_path: Path) -> Path:
             raise ConfigError(f"erasure basis must be none, deg45, V or all, got {basis!r}")
     level = cfg["analysis"]["ci_level"]
     # one run detects every analyzer; each basis is a read-out of the same frames
-    batch = run_bench(_bench_config(cfg, "erasure"))
+    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     n = batch.n_frames
     rows = []
     for basis in bases:
@@ -263,7 +241,9 @@ def run_erasure(cfg: dict, out_path: Path) -> Path:
             print(f"warning: {V_BASIS_WARNING}", file=sys.stderr)
         pairs = _PAIRS if basis != "none" else (_PAIRS[0],)
         for i, j, label in pairs:
-            c = corr_coeff(batch.out_series(i, basis), batch.out_series(j, basis))
+            c = corr_coeff(
+                batch.out_series(i, basis, "erasure"), batch.out_series(j, basis, "erasure")
+            )
             est = confidence_interval(c, n, level)
             rows.append((basis, label, c, est.ci_low, est.ci_high))
     _write_csv(out_path, ("basis", "pair", "c_out", "ci_lo", "ci_hi"), rows)
@@ -430,49 +410,47 @@ def run_validate(quick: bool = False) -> int:
 # argument handling
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+#: flags of the commands that run the bench; --quick halves [bench] frames
+_BENCH_FLAGS = (
+    "--t-split", "--modes", "--frames", "--tau", "--eta", "--seed", "--workers", "--ci-level",
+    "--quick",
+)
+
+#: command -> (help, function, flags of the settings it reads)
+_COMMANDS = {
+    "tables": ("interference bench correlation table (CSV)", run_tables, _BENCH_FLAGS),
+    "erasure": (
+        "polarization-erasure bench per analysis basis (CSV)",
+        run_erasure,
+        _BENCH_FLAGS + ("--basis",),
+    ),
+    "sweep-discord": (
+        "analytic output correlations vs input discord (CSV)",
+        run_sweep_discord,
+        ("--tau", "--t-split"),
+    ),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, flags: tuple) -> None:
     sub.add_argument("--config", metavar="FILE", help="config file (key = value with sections)")
     sub.add_argument("--out", metavar="PATH", help="output CSV path")
-    sub.add_argument("--seed", type=int, help="override bench seed")
-    sub.add_argument("--frames", type=int, help="override frame count")
-    sub.add_argument("--modes", type=int, help="override modes per detector")
-    sub.add_argument("--tau", type=float, help="override mixing transmissivity")
-    sub.add_argument("--t-split", type=float, dest="t_split", help="override 2/3 splitting")
-    sub.add_argument("--eta", type=float, help="override mode-matching efficiency")
-    sub.add_argument("--ci-level", type=float, dest="ci_level", help="override CI level")
-    sub.add_argument("--workers", type=int, help="override worker count")
-    sub.add_argument("--quick", action="store_true", help="halve the frame count")
-
-
-_OVERRIDES = (
-    ("seed", "bench", "seed"),
-    ("frames", "bench", "frames"),
-    ("modes", "bench", "modes"),
-    ("tau", "bench", "tau_mix"),
-    ("eta", "bench", "eta"),
-    ("workers", "bench", "workers"),
-    ("t_split", "source", "t_split"),
-    ("ci_level", "analysis", "ci_level"),
-    ("basis", "analysis", "basis"),
-)
+    for section, key, typ, _, flag in _SETTINGS:
+        if flag in flags:
+            sub.add_argument(flag, type=typ, dest=key, help=f"override [{section}] {key}")
+    if "--quick" in flags:
+        sub.add_argument("--quick", action="store_true", help="halve the frame count")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = load_config(getattr(args, "config", None))
-    for attr, section, key in _OVERRIDES:
-        value = getattr(args, attr, None)
+    cfg = load_config(args.config)
+    for section, key, *_ in _SETTINGS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[section][key] = value
     if getattr(args, "quick", False):
         cfg["bench"]["frames"] = max(1, cfg["bench"]["frames"] // 2)
     return cfg
-
-
-_COMMANDS = {
-    "tables": run_tables,
-    "erasure": run_erasure,
-    "sweep-discord": run_sweep_discord,
-}
 
 
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
@@ -499,12 +477,13 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     if data.get("command") not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {data.get('command')!r}")
     cfg = _typed(data.get("config"))
+    _, run, _ = _COMMANDS[data["command"]]
     if out_path is None:
         outputs = data.get("outputs")
         if not isinstance(outputs, list) or not outputs or not isinstance(outputs[0], str):
             raise ConfigError("manifest records no output path and none was given")
         out_path = outputs[0]
-    return _COMMANDS[data["command"]](cfg, Path(out_path))
+    return run(cfg, Path(out_path))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -514,15 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("tables", "interference bench correlation table (CSV)"),
-        ("erasure", "polarization-erasure bench per analysis basis (CSV)"),
-        ("sweep-discord", "analytic output correlations vs input discord (CSV)"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        _add_common_flags(p)
-        if name == "erasure":
-            p.add_argument("--basis", choices=("none", "deg45", "V", "all"), help="analysis basis")
+    for name, (desc, _, flags) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=desc), flags)
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--quick", action="store_true", help="reduced-size checks")
 
@@ -536,9 +508,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
+    _, run, _ = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        _COMMANDS[args.command](cfg, out_path)
+        run(cfg, out_path)
         manifest = RunManifest(
             command=args.command,
             version=__version__,
@@ -549,9 +522,10 @@ def main(argv: list[str] | None = None) -> int:
             created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         manifest.write(out_path.with_suffix(out_path.suffix + ".manifest.json"))
-    except (ConfigError, ValueError, OSError) as exc:
-        # OSError: an unwritable output path, e.g. a missing directory
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # OSError: an unwritable output path, e.g. a missing directory;
+        # MemoryError: a frame count or sweep grid too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

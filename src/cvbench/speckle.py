@@ -7,11 +7,12 @@ noise). Mode mismatch is modeled by substituting a fraction (1 - eta) of a
 beam's modes with an independent equal-mean field.
 
 One bench serves both scenarios, which are its two polarization presets
-(``POLARIZATIONS``). The analyzers are a read-out, not part of the run: every
-intensity detected behind any analyzer is linear in the per-frame Gram
-matrix of the two fields entering the beam splitter, so a run records the
-in-intensities and that matrix, and ``FrameBatch.out_series`` reads any
-basis off them through the analyzer's intensity projector (``ANALYZERS``).
+(``POLARIZATIONS``). Presets and analyzers are a read-out, not part of the
+run: every intensity detected behind any analyzer is linear in the per-frame
+Gram matrix of the two fields entering the beam splitter, so a run records
+the in-intensities and that matrix, and
+``FrameBatch.out_series(beam, basis, scenario)`` reads any preset and basis
+off them through the analyzer's intensity projector (``ANALYZERS``).
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
@@ -88,12 +89,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Configuration of one bench run.
+    """Configuration of one bench run: the ``[source]`` and ``[bench]`` settings.
 
-    ``mean_photons`` is the per-mode mean intensity of every detected beam in
-    the ideal configuration; the split source is drawn brighter by 1/t_split
-    so that beam 2 matches beam 1. All modes of a beam share one mean, which
-    is what makes the correlation coefficients independent of ``modes``.
+    Nothing here picks a polarization preset or an analyzer; those are
+    arguments of ``FrameBatch.out_series``. ``mean_photons`` is the per-mode
+    mean intensity of every detected beam in the ideal configuration; the
+    split source is drawn brighter by 1/t_split so that beam 2 matches beam 1.
+    All modes of a beam share one mean, which is what makes the correlation
+    coefficients independent of ``modes``.
     """
 
     modes: int = 100
@@ -103,8 +106,6 @@ class BenchConfig:
     t_split: float = 0.5
     eta: float = 1.0
     seed: int = 42
-    scenario: str = "interference"
-    analysis_basis: str = "none"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -122,12 +123,6 @@ class BenchConfig:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.analysis_basis not in ANALYSIS_BASES:
-            raise ValueError(
-                f"analysis_basis must be one of {ANALYSIS_BASES}, got {self.analysis_basis!r}"
-            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
@@ -141,7 +136,7 @@ class FrameBatch:
     before the BS. ``gram`` holds two columns: |a2|^2 of beam 2 as it enters
     the BS (after mode substitution) and Re sum_m a1_m conj(a2_m). With
     |a1|^2 = ``intensities_in[:, 0]`` they make the Gram matrix of the two BS
-    inputs, and ``out_series`` reads every beam behind every analyzer off it.
+    inputs, off which ``out_series`` reads every beam, preset and analyzer.
     """
 
     config: BenchConfig
@@ -154,7 +149,7 @@ class FrameBatch:
 
     @property
     def intensities_out(self) -> np.ndarray:
-        """(frames, 3) out-intensities behind ``config.analysis_basis``, assembled per access."""
+        """(frames, 3) out-intensities of the interference preset behind no analyzer."""
         out = np.stack([self.out_series(beam) for beam in range(3)], axis=1)
         out.flags.writeable = False
         return out
@@ -162,23 +157,27 @@ class FrameBatch:
     def in_series(self, beam: int) -> np.ndarray:
         return self.intensities_in[:, _checked_beam(beam)]
 
-    def out_series(self, beam: int, basis: str | None = None) -> np.ndarray:
-        """Read-only out-intensities of one beam behind ``basis`` (default: the config's).
+    def out_series(
+        self, beam: int, basis: str = "none", scenario: str = "interference"
+    ) -> np.ndarray:
+        """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
 
-        With P the analyzer's projector and e1, e2 the Jones vectors of the
-        planes of beam 1 and of beams 2-3, out-port p carries alpha a1 e1 +
-        beta a2 e2, (alpha, beta) being row p of the BS matrix of
-        ``mix_fields``, and detects alpha^2 e1.P.e1 |a1|^2 +
-        beta^2 e2.P.e2 |a2|^2 + 2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3
-        bypasses the BS and detects e2.P.e2 |a3|^2, a view of its in-column
-        where that weight is 1.
+        ``basis`` is a key of ``ANALYZERS`` and ``scenario`` one of
+        ``POLARIZATIONS``; any other value raises ``ValueError``. With P the
+        analyzer's projector and e1, e2 the Jones vectors of the planes of
+        beam 1 and of beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2,
+        (alpha, beta) being row p of the BS matrix of ``mix_fields``, and
+        detects alpha^2 e1.P.e1 |a1|^2 + beta^2 e2.P.e2 |a2|^2 +
+        2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3 bypasses the BS and detects
+        e2.P.e2 |a3|^2, a view of its in-column where that weight is 1.
         """
         beam = _checked_beam(beam)
-        basis = self.config.analysis_basis if basis is None else basis
         if basis not in ANALYZERS:
             raise ValueError(f"unknown analysis basis {basis!r}")
+        if scenario not in POLARIZATIONS:
+            raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
         proj = ANALYZERS[basis]
-        pol1, pol23 = POLARIZATIONS[self.config.scenario]
+        pol1, pol23 = POLARIZATIONS[scenario]
         e1, e2 = polarized(np.ones(()), pol1).real, polarized(np.ones(()), pol23).real
         ins = self.intensities_in
         if beam == 2:
@@ -383,12 +382,11 @@ def run_bench(config: BenchConfig) -> FrameBatch:
 
     Beam 1 is source 1; source 2 splits into beams 2 and 3 at t_split; beams
     1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
-    The scenario only sets the polarization planes: interference puts beams
-    1-3 on H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams
-    2 and 3 on V, so they do not. The pass records the three intensities
-    before the beam splitter and the Gram matrix of its two inputs; every
-    analyzer is read off those afterwards, and ``config.analysis_basis`` only
-    selects the batch's default read-out.
+    The pass records the three intensities before the beam splitter and the
+    Gram matrix of its two inputs, which no preset or analyzer changes. Both
+    are read off those afterwards by ``FrameBatch.out_series``: the
+    interference preset puts beams 1-3 on H, so beams 1 and 2 interfere;
+    erasure puts beam 1 on H and beams 2 and 3 on V, so they do not.
 
     Identical (seed, config) produce bit-identical batches for any worker
     count; frame j depends only on (seed, beam ids, j).

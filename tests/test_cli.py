@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvbench import __version__, cli
-from cvbench.speckle import run_bench
+from cvbench.speckle import BenchConfig, run_bench
 
 
 def read_rows(path):
@@ -60,6 +60,13 @@ class TestConfig:
         path.write_text("[bench]\nframes = many\n")
         with pytest.raises(cli.ConfigError, match="frames"):
             cli.load_config(path)
+
+    def test_source_and_bench_are_the_bench_config(self):
+        cfg = cli.load_config()
+        fields = set(BenchConfig.__dataclass_fields__)
+        assert set(cfg["source"]) | set(cfg["bench"]) == fields
+        assert len(cfg["source"]) + len(cfg["bench"]) == len(fields)
+        assert BenchConfig(**cfg["source"], **cfg["bench"]) == BenchConfig()
 
 
 def run_main(args):
@@ -249,6 +256,13 @@ class TestErasure:
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["deg45"] * 3
 
+    def test_unknown_basis_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "erasure.csv"
+        assert run_main(["erasure", "--frames", "500", "--basis", "H", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:") and "'H'" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_columns_and_monotonicity(self, tmp_path):
@@ -293,6 +307,26 @@ class TestSweep:
         _, rows = read_rows(out)
         assert len(rows) == 8
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--seed", "3"],
+            ["--frames", "10"],
+            ["--modes", "2"],
+            ["--eta", "0.5"],
+            ["--workers", "2"],
+            ["--ci-level", "0.9"],
+            ["--quick"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_bench_flags_rejected(self, tmp_path, flag):
+        # the sweep reads only [sweep], t_split and tau_mix; a flag it would ignore is refused
+        with pytest.raises(SystemExit) as exc:
+            run_main(["sweep-discord", *flag, "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_grid_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("[sweep]\nn_points = 1\n")
@@ -330,6 +364,17 @@ def test_unwritable_out_path_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
     assert str(out) in err[0]
+
+
+def test_allocation_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def too_large(config):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_bench", too_large)
+    assert run_main(["tables", "--frames", "500", "--out", str(tmp_path / "tables.csv")]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 class HalfWriter:

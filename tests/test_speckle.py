@@ -1,7 +1,6 @@
 """Tests for the speckle Monte Carlo bench."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +44,8 @@ SCENARIO_BASES = [
 ]
 
 
-def reference_frame(cfg, j):
-    """(ins, outs) of frame j through the documented per-frame Jones pipeline."""
+def reference_frame(cfg, j, scenario, basis):
+    """(ins, outs) of frame j of a preset behind a basis, through the per-frame Jones pipeline."""
     source2_mean = cfg.mean_photons / cfg.t_split
     beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
     source2 = frame_field(cfg.seed, BEAM_SOURCE2, j, cfg.modes, source2_mean)
@@ -57,13 +56,13 @@ def reference_frame(cfg, j):
     beam3 = substitute_modes(beam3, cfg.eta, sub_split)
     sub_mix = frame_field(cfg.seed, BEAM_MIX_SUBSTITUTE, j, cfg.modes, cfg.mean_photons)
     ins = (detect(beam1), detect(beam2), detect(beam3))
-    pol1, pol23 = SCENARIO_POLARIZATIONS[cfg.scenario]
+    pol1, pol23 = SCENARIO_POLARIZATIONS[scenario]
     out1, out2 = mix_fields(
         polarized(beam1, pol1), polarized(beam2, pol23), cfg.tau_mix, cfg.eta,
         polarized(sub_mix, pol23),
     )
     outs = (out1, out2, polarized(beam3, pol23))
-    return ins, tuple(detect(project_jones(field, cfg.analysis_basis)) for field in outs)
+    return ins, tuple(detect(project_jones(field, basis)) for field in outs)
 
 
 @pytest.fixture(params=[1, 3, None], ids=["slab1", "slab3", "slab-default"])
@@ -93,6 +92,26 @@ class TestSampler:
         intensity = np.abs(field) ** 2
         result = kstest(intensity, "expon", args=(0.0, mean))
         assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize("modes", [1, 4])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_bench_intensities_are_gamma(self, modes, eta):
+        # the fields run_bench draws: each detected beam sums M exponential
+        # modes of one mean, substituted modes included, so it is Gamma(M, mean)
+        cfg = BenchConfig(
+            modes=modes, frames=20_000, mean_photons=1.3, tau_mix=0.3, t_split=0.4, eta=eta,
+            seed=61,
+        )
+        batch = run_bench(cfg)
+        beam3_mean = (1.0 - cfg.t_split) * cfg.mean_photons / cfg.t_split
+        for name, series, mean in (
+            ("in 1", batch.in_series(0), cfg.mean_photons),
+            ("in 2", batch.in_series(1), cfg.mean_photons),
+            ("in 3", batch.in_series(2), beam3_mean),
+            ("out 1", batch.out_series(0), cfg.mean_photons),
+        ):
+            result = kstest(series, "gamma", args=(modes, 0.0, mean))
+            assert result.pvalue > 0.01, name
 
     def test_quadratures_have_half_mean_variance(self):
         mean = 2.0
@@ -248,17 +267,16 @@ class TestRunBench:
         modes = 3
         frames = 2 * slab_chunks(modes) * CHUNK_FRAMES + 100
         batches = [
-            run_bench(
-                BenchConfig(
-                    modes=modes, frames=frames, seed=78, eta=0.7, workers=w,
-                    scenario=scenario, analysis_basis=basis,
-                )
-            )
+            run_bench(BenchConfig(modes=modes, frames=frames, seed=78, eta=0.7, workers=w))
             for w in (1, 2, 8)
         ]
         for other in batches[1:]:
             assert np.array_equal(batches[0].intensities_in, other.intensities_in)
-            assert np.array_equal(batches[0].intensities_out, other.intensities_out)
+            for beam in range(3):
+                assert np.array_equal(
+                    batches[0].out_series(beam, basis, scenario),
+                    other.out_series(beam, basis, scenario),
+                )
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize("modes, eta", [(1, 1.0), (7, 0.7)])
@@ -266,54 +284,61 @@ class TestRunBench:
     def test_slab_boundaries_match_per_frame_operations(
         self, scenario, basis, modes, eta, read_out, slab_chunks
     ):
-        # read-out: the batch is configured with another basis and ``basis``
-        # is read off it, which must give the same frames
+        # configured: only (scenario, basis) is read off the batch; read-out:
+        # the next (scenario, basis) is read off it first and again after,
+        # and neither read-out may change the frames of the other
         slab_frames = slab_chunks(modes) * CHUNK_FRAMES
         cfg = BenchConfig(
             modes=modes, frames=slab_frames + 2, seed=6, eta=eta, tau_mix=0.3, t_split=0.4,
-            scenario=scenario, analysis_basis=basis, workers=2,
+            workers=2,
         )
+        batch = run_bench(cfg)
         if read_out:
-            other = ANALYSIS_BASES[(ANALYSIS_BASES.index(basis) + 1) % len(ANALYSIS_BASES)]
-            batch = run_bench(replace(cfg, analysis_basis=other))
-            detected = np.stack([batch.out_series(beam, basis) for beam in range(3)], axis=1)
-        else:
-            batch = run_bench(cfg)
-            detected = batch.intensities_out
+            k = SCENARIO_BASES.index((scenario, basis))
+            other_scenario, other_basis = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
+            first = [batch.out_series(b, other_basis, other_scenario).copy() for b in range(3)]
+        detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
+        if read_out:
+            for beam in range(3):
+                assert np.array_equal(
+                    batch.out_series(beam, other_basis, other_scenario), first[beam]
+                )
         for j in sorted({1, 255, 257, slab_frames - 1, slab_frames + 1}):
-            ins, outs = reference_frame(cfg, j)
+            ins, outs = reference_frame(cfg, j, scenario, basis)
             assert tuple(batch.intensities_in[j]) == ins
             assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
     def test_out_series_read_only(self, scenario):
-        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, scenario=scenario))
-        series = [batch.out_series(beam, basis) for basis in ANALYSIS_BASES for beam in range(3)]
+        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7))
+        series = [
+            batch.out_series(beam, basis, scenario) for basis in ANALYSIS_BASES for beam in range(3)
+        ]
         series.append(batch.intensities_out)
         for values in series:
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 1.0
         # beam 3 bypasses the BS: behind 'none' its detection is its in-column
-        assert np.shares_memory(batch.out_series(2, "none"), batch.intensities_in)
+        assert np.shares_memory(batch.out_series(2, "none", scenario), batch.intensities_in)
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize("tau_mix", [0.0, 1.0])
     def test_extreme_mixing_matches_per_frame_operations(self, scenario, basis, tau_mix):
         # at tau 0 or 1 one input of each port has weight zero
-        cfg = BenchConfig(
-            modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix, scenario=scenario
-        )
+        cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix)
         batch = run_bench(cfg)
-        detected = np.stack([batch.out_series(beam, basis) for beam in range(3)], axis=1)
+        detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
         for j in (0, 131, 299):
-            _, outs = reference_frame(replace(cfg, analysis_basis=basis), j)
+            _, outs = reference_frame(cfg, j, scenario, basis)
             assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
 
     def test_unknown_basis_read_out_rejected(self):
         batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
         with pytest.raises(ValueError):
             batch.out_series(0, "circular")
+        with pytest.raises(ValueError):
+            batch.out_series(0, "none", "lab")
 
     @pytest.mark.parametrize("beam", [-1, 3])
     def test_beam_outside_the_bench_rejected(self, beam):
@@ -325,11 +350,9 @@ class TestRunBench:
 
     @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
     def test_energy_conservation_per_frame(self, scenario):
-        batch = run_bench(
-            BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31, scenario=scenario)
-        )
+        batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))
         before = batch.in_series(0) + batch.in_series(1)
-        after = batch.out_series(0) + batch.out_series(1)
+        after = batch.out_series(0, "none", scenario) + batch.out_series(1, "none", scenario)
         assert np.allclose(after, before, rtol=1e-9)
 
     def test_correlation_invariant_under_doubling_modes(self):
@@ -357,43 +380,34 @@ class TestRunBench:
         assert c23_in == pytest.approx(0.97, abs=0.02)
 
     def test_erasure_without_polarizers_outputs_identical(self):
-        batch = run_bench(
-            BenchConfig(modes=50, frames=5000, seed=3, scenario="erasure", analysis_basis="none")
-        )
-        c12 = corr_coeff(batch.out_series(0), batch.out_series(1))
+        batch = run_bench(BenchConfig(modes=50, frames=5000, seed=3))
+        out1, out2 = (batch.out_series(beam, "none", "erasure") for beam in (0, 1))
+        c12 = corr_coeff(out1, out2)
         assert c12 >= 0.9999  # identical total intensities at tau = 1/2
         c12_in = corr_coeff(batch.in_series(0), batch.in_series(1))
         assert abs(c12_in) <= 0.05
 
     def test_erasure_deg45_restores_transfer_pattern(self):
-        batch = run_bench(
-            BenchConfig(
-                modes=100, frames=3 * 10**4, seed=13, scenario="erasure", analysis_basis="deg45"
-            )
-        )
-        c12 = corr_coeff(batch.out_series(0), batch.out_series(1))
-        c13 = corr_coeff(batch.out_series(0), batch.out_series(2))
-        c23 = corr_coeff(batch.out_series(1), batch.out_series(2))
+        batch = run_bench(BenchConfig(modes=100, frames=3 * 10**4, seed=13))
+        out = [batch.out_series(beam, "deg45", "erasure") for beam in range(3)]
+        c12 = corr_coeff(out[0], out[1])
+        c13 = corr_coeff(out[0], out[2])
+        c23 = corr_coeff(out[1], out[2])
         assert abs(c12) <= 0.02
         assert c13 == pytest.approx(0.5, abs=0.02)
         assert c23 == pytest.approx(0.5, abs=0.02)
 
     def test_erasure_v_basis_model_pattern(self):
-        batch = run_bench(
-            BenchConfig(modes=60, frames=5000, seed=19, scenario="erasure", analysis_basis="V")
-        )
+        batch = run_bench(BenchConfig(modes=60, frames=5000, seed=19))
+        out = [batch.out_series(beam, "V", "erasure") for beam in range(3)]
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert corr_coeff(batch.out_series(i), batch.out_series(j)) >= 0.99
+            assert corr_coeff(out[i], out[j]) >= 0.99
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(modes=0)
         with pytest.raises(ValueError):
             BenchConfig(t_split=0.0)
-        with pytest.raises(ValueError):
-            BenchConfig(scenario="lab")
-        with pytest.raises(ValueError):
-            BenchConfig(analysis_basis="circular")
         with pytest.raises(ValueError):
             BenchConfig(eta=1.5)
 
@@ -403,3 +417,7 @@ class TestRunBench:
         assert batch.intensities_in.shape == (300, 3)
         assert np.all(batch.intensities_in >= 0.0)
         assert np.all(batch.intensities_out >= 0.0)
+        assert np.array_equal(
+            batch.intensities_out,
+            np.stack([batch.out_series(b, "none", "interference") for b in range(3)], axis=1),
+        )
