@@ -270,21 +270,23 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
     if sweep["sweep_param"] not in ("tau_mix", "t_split"):
         raise ConfigError(f"sweep_param must be tau_mix or t_split, got {sweep['sweep_param']!r}")
     grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
+    # one batched source: each series is one stacked pass over the whole grid
+    source = SingleModeSpec(grid)
     rows = []
     for tau in taus:
-        for n_source in grid:
-            if sweep["sweep_param"] == "tau_mix":
-                t_split, tau_mix = cfg["source"]["t_split"], tau
-            else:
-                t_split, tau_mix = tau, cfg["bench"]["tau_mix"]
-            source = SingleModeSpec(float(n_source))
-            protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
-            in_state, out_state = run_three_mode(protocol)
-            # modes 2 and 3 of the input state are the discordant pair
-            disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
-            c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
-            c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
-            rows.append((tau, float(n_source), disc, c13, c23))
+        if sweep["sweep_param"] == "tau_mix":
+            t_split, tau_mix = cfg["source"]["t_split"], tau
+        else:
+            t_split, tau_mix = tau, cfg["bench"]["tau_mix"]
+        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
+        in_state, out_state = run_three_mode(protocol)
+        # modes 2 and 3 of the input state are the discordant pair
+        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
+        c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
+        c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
+        rows.extend(
+            (tau, *point) for point in zip(grid.tolist(), disc.tolist(), c13.tolist(), c23.tolist())
+        )
     _write_csv(out_path, ("tau", "n_source", "discord", "c13_out", "c23_out"), rows)
     return out_path
 
@@ -410,6 +412,17 @@ def run_validate(quick: bool = False) -> int:
 # argument handling
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a rejected command line as one ``error:`` line and exit code 2.
+
+    Subparsers are built from the same class, so unknown flags (rejected by the
+    top-level parser) and bad values (rejected by a subcommand) read alike.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 #: flags of the commands that run the bench; --quick halves [bench] frames
 _BENCH_FLAGS = (
     "--t-split", "--modes", "--frames", "--tau", "--eta", "--seed", "--workers", "--ci-level",
@@ -487,7 +500,7 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cvbench",
         description="Virtual optical bench: correlation tables, discord sweeps, validation.",
     )

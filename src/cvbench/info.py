@@ -4,7 +4,11 @@ All entropies are in nats. Two conventions meet here: the package-wide
 vacuum-variance-1/2 CMs, and the vacuum-equals-identity convention in which
 the discord literature states its invariants. ``unit_vacuum_cm`` is the one
 bridge between them; the entropy term of a symplectic eigenvalue d in the 1/2
-convention equals ``_h(2 d)`` in the rescaled one.
+convention equals ``_h_vec(2 d)`` in the rescaled one.
+
+``entropy`` and ``gaussian_discord`` accept batched states (see
+``cvbench.states``) and then return arrays; a single state gives floats.
+``discord_oracle`` is the scalar reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import GaussianState, partial_trace, symplectic_eigenvalues
+from .states import GaussianState, _at_member, _log, _pow, partial_trace, symplectic_eigenvalues
 
 #: symplectic eigenvalues within this distance of the pure limit contribute 0;
 #: it absorbs eigensolver rounding at the pure limit, and the entropy it cuts
@@ -39,9 +43,13 @@ __all__ = [
 ]
 
 
-def entropy(state: GaussianState) -> float:
-    """Von Neumann entropy in nats; >= 0, and 0 iff the state is pure."""
-    return float(sum(_h(2.0 * float(d)) for d in symplectic_eigenvalues(state)))
+def entropy(state: GaussianState):
+    """Von Neumann entropy in nats; >= 0, and 0 iff the state is pure.
+
+    A float for a single state, an array over the batch axes for a batch.
+    """
+    total = np.sum(_h_vec(2.0 * symplectic_eigenvalues(state)), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,8 @@ def mutual_information(
     """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats."""
     if state.n_modes != 2:
         raise ValueError(f"mutual information needs a two-mode state, got {state.n_modes} modes")
+    if state.batch_shape or (input_state is not None and input_state.batch_shape):
+        raise ValueError("mutual information takes a single state, not a batch")
     s1 = entropy(partial_trace(state, {0}))
     s2 = entropy(partial_trace(state, {1}))
     s12 = entropy(state)
@@ -94,11 +104,18 @@ class GaussianMeasurement:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Gaussian discord value with the measured side and, when known, the minimizer."""
+    """Gaussian discord value with the measured side and, when known, the minimizer.
+
+    For a batched state ``value`` is an array and no minimizer is reported.
+    ``iterations`` and ``converged`` describe the oracle's local refinement;
+    the closed form is exact and leaves them at 0 and True.
+    """
 
     value: float
     side: str
     minimizer: Optional[GaussianMeasurement] = None
+    iterations: int = 0
+    converged: bool = True
 
 
 def unit_vacuum_cm(state: GaussianState) -> np.ndarray:
@@ -106,20 +123,14 @@ def unit_vacuum_cm(state: GaussianState) -> np.ndarray:
     return 2.0 * state.cm
 
 
-def _h(x: float) -> float:
-    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d)
-    y = (x - 1.0) / 2.0
-    if y <= PURE_GUARD:
-        return 0.0
-    return (x + 1.0) / 2.0 * math.log((x + 1.0) / 2.0) - y * math.log(y)
-
-
-def _h_vec(x: np.ndarray) -> np.ndarray:
+def _h_vec(x: np.ndarray, log=_log) -> np.ndarray:
+    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d).
+    # libm's log by default (see states._log); the oracle's grid takes numpy's
     y = (x - 1.0) / 2.0
     safe = y > PURE_GUARD
     yp = np.where(safe, y, 1.0)
     xp = (x + 1.0) / 2.0
-    return np.where(safe, xp * np.log(xp) - yp * np.log(yp), 0.0)
+    return np.where(safe, xp * log(xp) - yp * log(yp), 0.0)
 
 
 def _ordered_blocks(state: GaussianState, side: str):
@@ -127,43 +138,46 @@ def _ordered_blocks(state: GaussianState, side: str):
     cm = unit_vacuum_cm(state)
     if side == "A":
         perm = np.array([2, 3, 0, 1])
-        cm = cm[np.ix_(perm, perm)]
-    return cm[0:2, 0:2], cm[2:4, 2:4], cm[0:2, 2:4]
+        cm = cm[..., perm, :][..., perm]
+    return cm[..., 0:2, 0:2], cm[..., 2:4, 2:4], cm[..., 0:2, 2:4]
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    adj = np.empty_like(m)
+    adj[..., 0, 0] = m[..., 1, 1]
+    adj[..., 0, 1] = -m[..., 0, 1]
+    adj[..., 1, 0] = -m[..., 1, 0]
+    adj[..., 1, 1] = m[..., 0, 0]
+    return adj
 
 
-def _invariants(a_blk, b_blk, c_blk) -> tuple[float, float, float, float]:
+def _invariants(a_blk, b_blk, c_blk):
     """det A, det B, det C and k = det CM - det A det B of the rescaled CM.
 
     k comes from the identity det CM = det A det B + det C^2
     - tr(adj B C^T adj A C). It is exactly 0 for a product state and its
     rounding error scales with the correlations, where that of a computed
-    det CM - det A det B would scale with det CM.
+    det CM - det A det B would scale with det CM. One value per member of
+    the (..., 2, 2) block stacks.
     """
-    ia = float(np.linalg.det(a_blk))
-    ib = float(np.linalg.det(b_blk))
-    ic = float(np.linalg.det(c_blk))
-    k = ic * ic - float(np.trace(_adjugate(b_blk) @ c_blk.T @ _adjugate(a_blk) @ c_blk))
+    ia, ib, ic = np.linalg.det(np.stack([a_blk, b_blk, c_blk]))
+    chain = _adjugate(b_blk) @ np.swapaxes(c_blk, -1, -2) @ _adjugate(a_blk) @ c_blk
+    k = ic * ic - (chain[..., 0, 0] + chain[..., 1, 1])
     return ia, ib, ic, k
 
 
-def _symplectic_pair(ia: float, ib: float, ic: float, k: float) -> tuple[float, float]:
+def _symplectic_pair(ia, ib, ic, k):
     # nu_(+/-)^2 = (delta +/- sqrt(delta^2 - 4 det CM)) / 2, with the radicand
     # regrouped around k; the smaller root is det CM over the larger one, and
     # the larger one is capped at det CM so that nu_minus >= 1 (the pure limit)
     delta = ia + ib + 2.0 * ic
     id_ = ia * ib + k
-    radicand = (ia - ib) ** 2 + 4.0 * ic * (ia + ib + ic) - 4.0 * k
-    nu_plus_sq = min((delta + math.sqrt(max(radicand, 0.0))) / 2.0, id_)
-    return math.sqrt(id_ / nu_plus_sq), math.sqrt(nu_plus_sq)
+    radicand = _pow(ia - ib, 2.0) + 4.0 * ic * (ia + ib + ic) - 4.0 * k
+    nu_plus_sq = np.minimum((delta + np.sqrt(np.maximum(radicand, 0.0))) / 2.0, id_)
+    return np.sqrt(id_ / nu_plus_sq), np.sqrt(nu_plus_sq)
 
 
-def _minimal_conditional_det(
-    ia: float, ib: float, ic: float, k: float
-) -> tuple[float, Optional[GaussianMeasurement]]:
+def _minimal_conditional_det(ia, ib, ic, k):
     """Minimal conditional determinant over Gaussian measurements on mode B.
 
     Piecewise in the symplectic invariants. In the first branch the optimum is
@@ -172,25 +186,31 @@ def _minimal_conditional_det(
     near-pure measured mode (det B -> 1) are routed to the second branch,
     whose expression has no (det B - 1) denominator. The margin is relative:
     outside its own branch an expression can fall below the true minimum.
+
+    The branches are masks over the members: both expressions are evaluated
+    everywhere and each is used only where its branch applies. Returns the
+    determinant and a mask that is True where the heterodyne expression won.
     """
     id_ = ia * ib + k
     lhs = k * k
     rhs = (1.0 + ib) * ic * ic * (ia + id_)
-    margin = _BRANCH_MARGIN * max(lhs, rhs)
-    denom = (ib - 1.0) ** 2
+    margin = _BRANCH_MARGIN * np.maximum(lhs, rhs)
+    denom = _pow(ib - 1.0, 2.0)
     # (det B - 1)(det CM - det A) with det CM - det A = det A (det B - 1) + k
     w = (ib - 1.0) * (ia * (ib - 1.0) + k)
-    candidates: list[tuple[float, Optional[GaussianMeasurement]]] = []
-    if denom > 1e-12 and lhs <= rhs + margin:
-        inner = max(ic * ic + w, 0.0)
-        e_het = (2.0 * ic * ic + w + 2.0 * abs(ic) * math.sqrt(inner)) / denom
-        candidates.append((e_het, GaussianMeasurement(1.0, 0.0)))
-    if lhs >= rhs - margin or not candidates:
-        inner = max(ic**4 + k * k - 2.0 * ic * ic * (id_ + ia * ib), 0.0)
-        e_gen = (ia * ib - ic * ic + id_ - math.sqrt(inner)) / (2.0 * ib)
-        candidates.append((e_gen, None))
-    e_min, minimizer = min(candidates, key=lambda pair: pair[0])
-    return max(e_min, 1.0), minimizer
+    heterodyne_branch = (denom > 1e-12) & (lhs <= rhs + margin)
+    general_branch = (lhs >= rhs - margin) | ~heterodyne_branch
+    ic_sq = ic * ic
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.maximum(ic_sq + w, 0.0)
+        e_het = (2.0 * ic_sq + w + 2.0 * np.abs(ic) * np.sqrt(inner)) / denom
+        inner = np.maximum(_pow(ic, 4.0) + k * k - 2.0 * ic_sq * (id_ + ia * ib), 0.0)
+        e_gen = (ia * ib - ic_sq + id_ - np.sqrt(inner)) / (2.0 * ib)
+    e_het = np.where(heterodyne_branch, e_het, np.inf)
+    e_gen = np.where(general_branch, e_gen, np.inf)
+    # a tie goes to the heterodyne expression
+    heterodyne = e_het <= e_gen
+    return np.maximum(np.where(heterodyne, e_het, e_gen), 1.0), heterodyne
 
 
 def _validate_two_mode(state: GaussianState, side: str) -> None:
@@ -206,21 +226,27 @@ def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
     Closed form in the symplectic invariants (det A, det B, det C, det CM) of
     the rescaled CM with the piecewise minimal conditional determinant; zero
     exactly for product states, and strictly positive otherwise. Values in
-    [-1e-9, 0) are clamped to 0.
+    [-1e-9, 0) are clamped to 0. A batched state is one stacked evaluation:
+    ``value`` is then an array, and each member equals the discord of that
+    member alone.
     """
     _validate_two_mode(state, side)
     a_blk, b_blk, c_blk = _ordered_blocks(state, side)
-    if float(np.max(np.abs(c_blk))) == 0.0:
-        return DiscordResult(0.0, side, GaussianMeasurement(1.0, 0.0))
     ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
     nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
-    e_min, minimizer = _minimal_conditional_det(ia, ib, ic, k)
-    value = _h(math.sqrt(ib)) - _h(nu_minus) - _h(nu_plus) + _h(math.sqrt(e_min))
-    if value < 0.0:
-        if value < -DISCORD_CLAMP:
-            raise ArithmeticError(f"discord evaluated to {value:g}")
-        value = 0.0
-    return DiscordResult(value, side, minimizer)
+    e_min, heterodyne = _minimal_conditional_det(ia, ib, ic, k)
+    h = _h_vec(np.stack([np.sqrt(ib), nu_minus, nu_plus, np.sqrt(e_min)]))
+    # a product state has no discord, and the heterodyne is among its minimizers
+    product = ~c_blk.any(axis=(-2, -1))
+    value = np.where(product, 0.0, h[0] - h[1] - h[2] + h[3])
+    heterodyne = heterodyne | product
+    negative = value < -DISCORD_CLAMP
+    if negative.any():
+        raise ArithmeticError(f"discord evaluated to {np.min(value):g}{_at_member(negative)}")
+    value = np.where(value < 0.0, 0.0, value)
+    if value.ndim:
+        return DiscordResult(value, side)
+    return DiscordResult(float(value), side, GaussianMeasurement(1.0, 0.0) if heterodyne else None)
 
 
 def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
@@ -261,7 +287,7 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     e12 = a[0, 1] - w12
     e22 = a[1, 1] - w22
     det_eps = np.maximum(e11 * e22 - e12 * e12, 1.0)
-    return _h_vec(np.sqrt(det_eps))
+    return _h_vec(np.sqrt(det_eps), np.log)
 
 
 def discord_oracle(
@@ -277,14 +303,19 @@ def discord_oracle(
     [0, pi), then shrinks a local grid around the best point. The result is
     an upper bound that converges to the closed form. Fully deterministic:
     fixed enumeration order, ties resolved toward smaller s, then smaller
-    phi. Non-convergence of the refinement is reported as a warning carrying
-    the best value found.
+    phi. The result records the refinement steps taken and whether the step
+    fell below 1e-13 within ``refinement * 8`` of them; non-convergence is
+    also reported as a warning carrying the best value found. A single state
+    only: this is the reference the closed form is checked against.
     """
     _validate_two_mode(state, side)
+    if state.batch_shape:
+        raise ValueError("the discord oracle takes a single state, not a batch")
     a_blk, b_blk, c_blk = _ordered_blocks(state, side)
     ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
     nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
-    fixed = _h(math.sqrt(ib)) - _h(nu_minus) - _h(nu_plus)
+    h = _h_vec(np.stack([np.sqrt(ib), nu_minus, nu_plus]))
+    fixed = float(h[0] - h[1] - h[2])
 
     n_q, n_phi = grid
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
@@ -299,9 +330,13 @@ def discord_oracle(
     # long), shrink only when the 9x9 neighborhood offers no improvement
     step_q = 1.0 / (n_q - 1)
     step_phi = math.pi / n_phi
+    iterations = 0
+    converged = False
     for _ in range(refinement * 8):
         if max(step_q, step_phi) < 1e-13:
+            converged = True
             break
+        iterations += 1
         q_loc = np.clip(best_q + np.linspace(step_q, -step_q, 9), 0.0, 1.0)
         phi_loc = best_phi + np.linspace(-step_phi, step_phi, 9)
         local = _conditional_entropies(a_blk, b_blk, c_blk, q_loc, phi_loc)
@@ -317,7 +352,7 @@ def discord_oracle(
         else:
             step_q *= 0.5
             step_phi *= 0.5
-    else:
+    if not converged:
         warnings.warn(
             f"discord oracle did not settle (steps {step_q:g}, {step_phi:g}); "
             f"best value {fixed + best_val:.9g}",
@@ -331,4 +366,6 @@ def discord_oracle(
             raise ArithmeticError(f"oracle discord evaluated to {value:g}")
         value = 0.0
     best_s = math.inf if best_q == 0.0 else 1.0 / best_q
-    return DiscordResult(value, side, GaussianMeasurement(best_s, best_phi % math.pi))
+    return DiscordResult(
+        value, side, GaussianMeasurement(best_s, best_phi % math.pi), iterations, converged
+    )

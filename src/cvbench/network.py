@@ -4,6 +4,10 @@ All transformations are computed by explicit symplectic congruence; the
 closed-form block expressions (tau sigma1 + (1 - tau) sigma2 and friends)
 appear only in the tests, as independent oracles.
 
+The protocol builders pass batches through: a ``SingleModeSpec`` of arrays
+gives batched states (see ``cvbench.states``), with the same checks applied
+to every member. ``mix_two`` stays a single-state operation.
+
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
 i.e. the reflection of the first input mode carries the minus sign.
@@ -20,6 +24,7 @@ from .states import (
     GaussianState,
     SingleModeSpec,
     SymplecticOp,
+    _at_member,
     apply_symplectic,
     mode_block,
     single_mode_cm,
@@ -101,10 +106,14 @@ class TwoModeBlocks:
     def from_state(cls, state: GaussianState) -> "TwoModeBlocks":
         if state.n_modes != 2:
             raise ValueError(f"need a two-mode state, got {state.n_modes} modes")
+        if state.batch_shape:
+            raise ValueError("TwoModeBlocks takes a single state, not a batch")
         return cls(mode_block(state, 0, 0), mode_block(state, 1, 1), mode_block(state, 0, 1))
 
     def as_state(self) -> GaussianState:
         """Assemble the 4x4 CM; raises unless it is symmetric and physical."""
+        if any(np.shape(b) != (2, 2) for b in (self.sigma1, self.sigma2, self.sigma12)):
+            raise ValueError("TwoModeBlocks.as_state needs 2x2 blocks, not batches")
         top = np.hstack([self.sigma1, self.sigma12])
         bottom = np.hstack([self.sigma12.T, self.sigma2])
         return GaussianState(np.vstack([top, bottom]))
@@ -120,6 +129,8 @@ def mix_two(sigma1, sigma2, tau: float) -> TwoModeBlocks:
     """
     state1 = GaussianState(np.asarray(sigma1, dtype=float))
     state2 = GaussianState(np.asarray(sigma2, dtype=float))
+    if state1.batch_shape or state2.batch_shape:
+        raise ValueError("mix_two takes single-mode CMs, not batches")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     if np.array_equal(state1.cm, state2.cm):
@@ -148,19 +159,22 @@ def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
 
     Splitting maps diag(f+, f-) to diag(g+, g-) with g = t f + (1 - t)/2; the
     (n_tot, beta) pair is recovered by inverting the f+/f- parametrization
-    (smaller root of the beta quadratic, clamped into [0, 1]).
+    (smaller root of the beta quadratic, clamped into [0, 1]); a probe
+    without photons is the vacuum. A batched source gives a batched probe.
     """
     cm = single_mode_cm(source)
-    g_plus = t_split * cm[0, 0] + (1.0 - t_split) * 0.5
-    g_minus = t_split * cm[1, 1] + (1.0 - t_split) * 0.5
+    g_plus = t_split * cm[..., 0, 0] + (1.0 - t_split) * 0.5
+    g_minus = t_split * cm[..., 1, 1] + (1.0 - t_split) * 0.5
     n = (g_plus + g_minus - 1.0) / 2.0
-    if n <= 0.0:
-        return SingleModeSpec(max(n, 0.0), 0.0)
     delta = (g_plus - g_minus) / 2.0
     b = n + 2.0 * n * n
     disc = b * b - 4.0 * (n * n) * (delta * delta)
-    beta = (b - math.sqrt(max(disc, 0.0))) / (2.0 * n * n)
-    return SingleModeSpec(n, min(1.0, max(0.0, beta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = (b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * n * n)
+    bright = n > 0.0
+    # beta > 0 is False for NaN, which the clamp sends to 0
+    beta = np.where(bright & (beta > 0.0), np.minimum(beta, 1.0), 0.0)
+    return SingleModeSpec(np.where(bright, n, 0.0)[()], beta[()])
 
 
 @dataclass(frozen=True)
@@ -189,14 +203,16 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
 
     The output keeps both mixed marginals and leaves modes 1 and 2 mutually
     uncorrelated, while the 2-3 correlation block shrinks by sqrt(tau) and a
-    1-3 block of sqrt(1 - tau) times the input block appears.
+    1-3 block of sqrt(1 - tau) times the input block appears. Batched probe
+    and source specs give batched states; every member's marginals are matched.
     """
     pair = prepare_discordant_pair(protocol.source, protocol.t_split)
     probe = single_mode_state(protocol.probe)
-    mismatch = float(np.max(np.abs(mode_block(pair, 0, 0) - probe.cm)))
-    if mismatch > MARGINAL_TOL:
+    mismatch = np.max(np.abs(mode_block(pair, 0, 0) - probe.cm), axis=(-2, -1))
+    off = mismatch > MARGINAL_TOL
+    if off.any():
         raise MarginalMismatchError(
-            f"mode-2 marginal deviates from the probe by {mismatch:g}; "
+            f"mode-2 marginal deviates from the probe by {np.max(mismatch):g}{_at_member(off)}; "
             "identical interfering states are required"
         )
     state_in = tensor([probe, pair])

@@ -6,9 +6,12 @@ Conventions, fixed across the package:
 * quadratures are interleaved as (x1, p1, x2, p2, ...)
 * a state is physical iff every symplectic eigenvalue reaches 1/2
 
-States are immutable values; every operation returns a new ``GaussianState``
-and never mutates its inputs, so everything here is safe to call from any
-number of threads.
+A ``GaussianState`` may hold a stack of CMs of shape (..., 2n, 2n): every
+operation here acts on the trailing two axes and broadcasts over the leading
+batch axes, so a series of states is one computation and a single state is a
+batch of one. States are immutable values; every operation returns a new
+``GaussianState`` and never mutates its inputs, so everything here is safe to
+call from any number of threads.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 #: symplectic eigenvalues may undershoot 1/2 by this much (numerical slack)
 PHYSICALITY_TOL = 1e-9
-#: negative radicands within this margin are clamped to zero, beyond it rejected
-CLAMP_TOL = 1e-12
 
 VACUUM_VARIANCE = 0.5
 
@@ -45,6 +46,28 @@ __all__ = [
     "apply_symplectic",
     "mode_block",
 ]
+
+
+def _at_member(bad: np.ndarray) -> str:
+    """Name the first flagged member of a batch, as " (batch member i)"; "" unbatched."""
+    if bad.ndim == 0:
+        return ""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" (batch member {index[0] if len(index) == 1 else index})"
+
+
+def _elementwise(fn, nin: int):
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+#: libm's log and pow, applied member by member. numpy's SIMD log, and its
+#: ``** 2`` of an array (a product), differ from them in the last bit for
+#: about one input in 10^3. With these, a single state gets the bits of the
+#: libm formulas (``math.log``, ``x ** 2`` on floats) and so does every member
+#: of a batch
+_log = _elementwise(math.log, 1)
+_pow = _elementwise(pow, 2)
 
 
 class PhysicalityError(ValueError):
@@ -77,16 +100,20 @@ class SingleModeSpec:
     fraction of it carried by squeezing: beta = 0 is a thermal state, beta = 1
     a squeezed vacuum, and the thermal component always holds
     (1 - beta) * n_tot photons. The squeezed axis is fixed so that the x
-    variance is the larger one (no squeezing phase is exposed).
+    variance is the larger one (no squeezing phase is exposed). Either field
+    may be an array; the two broadcast to a batch of modes.
     """
 
     n_tot: float
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.n_tot >= 0.0:
-            raise ValueError(f"n_tot must be >= 0, got {self.n_tot!r}")
-        if not 0.0 <= self.beta <= 1.0:
+        # one reduction covers both fields, and NaN fails it
+        n_tot = np.asarray(self.n_tot)[()]
+        beta = np.asarray(self.beta)[()]
+        if not ((n_tot >= 0.0) & (beta >= 0.0) & (beta <= 1.0)).all():
+            if not (n_tot >= 0.0).all():
+                raise ValueError(f"n_tot must be >= 0, got {self.n_tot!r}")
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
 
     @property
@@ -97,62 +124,79 @@ class SingleModeSpec:
     def squeezing(self) -> float:
         """Squeezing parameter r >= 0 of the mode, r = ln(f+ / f-) / 4."""
         cm = single_mode_cm(self)
-        return 0.25 * math.log(cm[0, 0] / cm[1, 1])
+        r = 0.25 * _log(cm[..., 0, 0] / cm[..., 1, 1])
+        return float(r) if r.ndim == 0 else r
 
 
 def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     """CM diag(f+, f-) with f(+/-) = 1/2 + N +/- sqrt(beta N [1 + N (2 - beta)]).
 
-    The determinant obeys the purity identity det = (1/2 + (1 - beta) N)^2,
-    which is verified before returning.
+    Shape (..., 2, 2) over the broadcast shape of ``n_tot`` and ``beta``. The
+    determinant obeys the purity identity det = (1/2 + (1 - beta) N)^2, which
+    is verified for every member before returning.
     """
-    n, beta = float(spec.n_tot), float(spec.beta)
-    radicand = beta * n * (1.0 + n * (2.0 - beta))
-    if radicand < 0.0:
-        if radicand < -CLAMP_TOL:
-            raise ValueError(f"negative squeezing radicand {radicand!r}")
-        radicand = 0.0
-    shift = math.sqrt(radicand)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+    n = np.asarray(spec.n_tot, dtype=float)[()]
+    beta = np.asarray(spec.beta, dtype=float)[()]
+    # n >= 0 and 0 <= beta <= 1 (checked by the spec) leave no negative factor
+    shift = np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
     f_plus = 0.5 + n + shift
     f_minus = 0.5 + n - shift
     expected_det = (0.5 + (1.0 - beta) * n) ** 2
-    if abs(f_plus * f_minus - expected_det) > 1e-10 * max(1.0, expected_det):
+    # relative to max(1, expected_det): beyond 1e-10 and beyond 1e-10 expected_det
+    err = abs(f_plus * f_minus - expected_det)
+    if ((err > 1e-10) & (err > 1e-10 * expected_det)).any():
         raise ArithmeticError("purity identity violated: numerical failure in f+/f-")
-    return np.diag([f_plus, f_minus])
+    cm = np.zeros(f_plus.shape + (2, 2))
+    cm[..., 0, 0] = f_plus
+    cm[..., 1, 1] = f_minus
+    return cm
 
 
-def _symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
-    # eigenvalues of Omega @ cm come in +/- i d pairs; |.| and sorting pair them
-    n = cm.shape[0] // 2
-    eig = np.linalg.eigvals(omega(n) @ cm)
-    d = np.sort(np.abs(eig))
-    return np.ascontiguousarray(d[::2])
+def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
+    # |eigenvalues| of Omega @ cm over the trailing axes: each symplectic
+    # eigenvalue d twice, from the +/- i d pair
+    return np.abs(np.linalg.eigvals(omega(cm.shape[-1] // 2) @ cm))
 
 
 class GaussianState:
     """Zero-mean n-mode Gaussian state held as its 2n x 2n covariance matrix.
 
-    The constructor symmetrizes the matrix (asymmetry beyond 1e-12 is an
-    error, anything smaller is averaged away) and rejects unphysical input:
-    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack.
+    ``cm`` may carry leading batch axes, shape (..., 2n, 2n); the state is
+    then a batch of states of the same mode count. The constructor
+    symmetrizes every matrix (asymmetry beyond 1e-12 is an error, anything
+    smaller is averaged away) and rejects unphysical input: every symplectic
+    eigenvalue must reach 1/2 up to a 1e-9 slack. A rejection names the
+    first offending member of a batch.
     """
 
     __slots__ = ("_cm",)
 
     def __init__(self, cm) -> None:
         arr = np.array(cm, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or not arr.size:
-            raise ValueError(f"covariance matrix must be 2n x 2n, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("covariance matrix contains non-finite entries")
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(arr)))):
-            raise PhysicalityError(f"covariance matrix asymmetry {asym:g} exceeds tolerance")
-        arr = (arr + arr.T) / 2.0
-        d_min = float(_symplectic_eigenvalues(arr)[0])
-        if d_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2 or not arr.size:
+            raise ValueError(f"covariance matrix must be (..., 2n, 2n), got shape {arr.shape}")
+        # each check reduces the whole stack first and finds the member only on failure
+        if not np.isfinite(arr).all():
+            bad = ~np.isfinite(arr).all(axis=(-2, -1))
+            raise ValueError(f"covariance matrix contains non-finite entries{_at_member(bad)}")
+        arr_t = arr.swapaxes(-1, -2)
+        asym = np.abs(arr - arr_t).max(axis=(-2, -1))
+        # the tolerance is relative to the largest entry, but never below SYMMETRY_TOL
+        if (asym > SYMMETRY_TOL).any():
+            too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+            if too_asym.any():
+                raise PhysicalityError(
+                    f"covariance matrix asymmetry {np.max(asym[too_asym]):g} exceeds tolerance"
+                    f"{_at_member(too_asym)}"
+                )
+        arr = (arr + arr_t) / 2.0
+        d_min = _symplectic_moduli(arr).min(axis=-1)
+        below = d_min < VACUUM_VARIANCE - PHYSICALITY_TOL
+        if below.any():
             raise PhysicalityError(
-                f"smallest symplectic eigenvalue {d_min:.12g} lies below the vacuum limit 1/2"
+                f"smallest symplectic eigenvalue {np.min(d_min):.12g} lies below the vacuum "
+                f"limit 1/2{_at_member(below)}"
             )
         arr.flags.writeable = False
         self._cm = arr
@@ -163,10 +207,16 @@ class GaussianState:
 
     @property
     def n_modes(self) -> int:
-        return self._cm.shape[0] // 2
+        return self._cm.shape[-1] // 2
+
+    @property
+    def batch_shape(self) -> tuple:
+        """Leading batch axes of the CM; () for a single state."""
+        return self._cm.shape[:-2]
 
     def __repr__(self) -> str:
-        return f"GaussianState(n_modes={self.n_modes})"
+        batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""
+        return f"GaussianState(n_modes={self.n_modes}{batch})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,15 +254,16 @@ def thermal_state(n_photons: float) -> GaussianState:
 
 
 def tensor(states) -> GaussianState:
-    """Product state: direct sum of the covariance matrices."""
+    """Product state: direct sum of the covariance matrices, broadcast over batch axes."""
     mats = [s.cm for s in states]
     if not mats:
         raise ValueError("tensor needs at least one state")
-    cm = np.zeros((sum(m.shape[0] for m in mats),) * 2)
+    batch = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    cm = np.zeros(batch + (sum(m.shape[-1] for m in mats),) * 2)
     start = 0
     for m in mats:
-        stop = start + m.shape[0]
-        cm[start:stop, start:stop] = m
+        stop = start + m.shape[-1]
+        cm[..., start:stop, start:stop] = m
         start = stop
     return GaussianState(cm)
 
@@ -225,17 +276,22 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     if modes[0] < 0 or modes[-1] >= state.n_modes:
         raise IndexError(f"mode indices {modes} out of range for {state.n_modes} modes")
     idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
-    return GaussianState(state.cm[np.ix_(idx, idx)])
+    return GaussianState(state.cm[..., idx, :][..., idx])
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Symplectic spectrum, sorted ascending; >= 1/2 for physical states."""
-    return _symplectic_eigenvalues(state.cm)
+    """Symplectic spectrum, sorted ascending; >= 1/2 for physical states.
+
+    Shape (..., n): one spectrum per member of a batch.
+    """
+    # the moduli come in equal pairs; sorting lines each pair up
+    d = np.sort(_symplectic_moduli(state.cm), axis=-1)
+    return np.ascontiguousarray(d[..., ::2])
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
     """Congruence Sigma -> S Sigma S^T; preserves the symplectic spectrum."""
-    if op.matrix.shape[0] != state.cm.shape[0]:
+    if op.matrix.shape[0] != state.cm.shape[-1]:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
     return GaussianState(s @ state.cm @ s.T)
@@ -245,4 +301,4 @@ def mode_block(state: GaussianState, mode_i: int, mode_j: int) -> np.ndarray:
     """2x2 CM block coupling modes i and j (i == j gives the marginal block)."""
     if not (0 <= mode_i < state.n_modes and 0 <= mode_j < state.n_modes):
         raise IndexError("mode index out of range")
-    return state.cm[2 * mode_i : 2 * mode_i + 2, 2 * mode_j : 2 * mode_j + 2].copy()
+    return state.cm[..., 2 * mode_i : 2 * mode_i + 2, 2 * mode_j : 2 * mode_j + 2].copy()

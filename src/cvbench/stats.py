@@ -3,7 +3,7 @@
 ``corr_coeff`` is the frame-averaged second-order correlation coefficient of
 two intensity series. ``cm_to_intensity_corr`` predicts the same quantity
 analytically from a covariance matrix, which the Monte Carlo tests use as a
-cross-module oracle.
+cross-module oracle; it takes batched states too.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .states import GaussianState
+from .states import GaussianState, _at_member, _pow
 
 __all__ = [
     "CorrelationEstimate",
@@ -115,22 +115,24 @@ def confidence_interval(
     return build(c, n_frames, level)
 
 
-def _ladder_moments(cm: np.ndarray, h: int, k: int) -> tuple[complex, complex]:
+def _ladder_moments(cm: np.ndarray, h: int, k: int):
     # <a_h^dag a_k> and <a_h a_k> read off the quadrature covariances,
-    # a = (x + i p)/sqrt(2); for h == k the commutator shifts the first by 1/2
+    # a = (x + i p)/sqrt(2), as (real, imaginary) parts; for h == k the
+    # commutator shifts the first by 1/2
     xh, ph = 2 * h, 2 * h + 1
     xk, pk = 2 * k, 2 * k + 1
-    cross = complex(
-        (cm[xh, xk] + cm[ph, pk]) / 2.0,
-        (cm[xh, pk] - cm[ph, xk]) / 2.0,
-    )
-    pair = complex(
-        (cm[xh, xk] - cm[ph, pk]) / 2.0,
-        (cm[xh, pk] + cm[ph, xk]) / 2.0,
-    )
+    cross_re = (cm[..., xh, xk] + cm[..., ph, pk]) / 2.0
+    cross_im = (cm[..., xh, pk] - cm[..., ph, xk]) / 2.0
+    pair_re = (cm[..., xh, xk] - cm[..., ph, pk]) / 2.0
+    pair_im = (cm[..., xh, pk] + cm[..., ph, xk]) / 2.0
     if h == k:
-        cross -= 0.5
-    return cross, pair
+        cross_re -= 0.5
+    return (cross_re, cross_im), (pair_re, pair_im)
+
+
+def _abs_sq(z) -> np.ndarray:
+    # |z|^2 as the squared modulus, with libm's pow (see states._pow)
+    return _pow(np.hypot(*z), 2.0)
 
 
 def cm_to_intensity_corr(
@@ -143,7 +145,8 @@ def cm_to_intensity_corr(
     n^2 + |<a a>|^2, plus a shot term n when ``shot_noise`` is set. The
     default matches analog detection of bright fields (no shot term) and is
     what the speckle bench realizes; the value is independent of how many
-    equal-intensity copies of the modes a detector collects.
+    equal-intensity copies of the modes a detector collects. A float for a
+    single state, an array over the batch axes for a batched one.
     """
     n_modes = state.n_modes
     if not (0 <= mode_h < n_modes and 0 <= mode_k < n_modes):
@@ -151,17 +154,19 @@ def cm_to_intensity_corr(
     if mode_h == mode_k:
         raise ValueError("intensity correlation needs two distinct modes")
     cm = state.cm
-    n_h, pair_h = _ladder_moments(cm, mode_h, mode_h)
-    n_k, pair_k = _ladder_moments(cm, mode_k, mode_k)
-    n_h, n_k = n_h.real, n_k.real
-    if n_h <= 0.0 or n_k <= 0.0:
-        raise ValueError("intensity correlation undefined for a mode with zero mean photons")
+    (n_h, _), pair_h = _ladder_moments(cm, mode_h, mode_h)
+    (n_k, _), pair_k = _ladder_moments(cm, mode_k, mode_k)
+    dark = (n_h <= 0.0) | (n_k <= 0.0)
+    if dark.any():
+        raise ValueError(
+            f"intensity correlation undefined for a mode with zero mean photons{_at_member(dark)}"
+        )
     cross, pair = _ladder_moments(cm, mode_h, mode_k)
-    cov = abs(cross) ** 2 + abs(pair) ** 2
-    var_h = n_h**2 + abs(pair_h) ** 2
-    var_k = n_k**2 + abs(pair_k) ** 2
+    cov = _abs_sq(cross) + _abs_sq(pair)
+    var_h = _pow(n_h, 2.0) + _abs_sq(pair_h)
+    var_k = _pow(n_k, 2.0) + _abs_sq(pair_k)
     if shot_noise:
         var_h += n_h
         var_k += n_k
-    c = cov / math.sqrt(var_h * var_k)
-    return min(1.0, max(-1.0, c))
+    c = np.clip(cov / np.sqrt(var_h * var_k), -1.0, 1.0)
+    return float(c) if c.ndim == 0 else c

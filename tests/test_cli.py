@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from cvbench import __version__, cli
+from cvbench.info import gaussian_discord
+from cvbench.network import ThreeModeProtocol, matched_probe, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
+from cvbench.states import SingleModeSpec, partial_trace
+from cvbench.stats import cm_to_intensity_corr
 
 
 def read_rows(path):
@@ -307,6 +311,36 @@ class TestSweep:
         _, rows = read_rows(out)
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("sweep_param", ["tau_mix", "t_split"])
+    def test_stacked_sweep_equals_per_point_calls(self, tmp_path, sweep_param):
+        # the command evaluates each series as one stack; the CSV must be the
+        # bytes of one scalar pipeline per point
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[sweep]\nn_points = 1000\nn_source_min = 0.001\nn_source_max = 1000.0\n"
+            f"taus = 0.05,0.7\nsweep_param = {sweep_param}\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = ["tau,n_source,discord,c13_out,c23_out"]
+        for tau in (0.05, 0.7):
+            t_split, tau_mix = (0.5, tau) if sweep_param == "tau_mix" else (tau, 0.5)
+            for n_source in np.geomspace(0.001, 1000.0, 1000).tolist():
+                source = SingleModeSpec(n_source)
+                protocol = ThreeModeProtocol(
+                    matched_probe(source, t_split), source, t_split, tau_mix
+                )
+                state_in, state_out = run_three_mode(protocol)
+                row = (
+                    tau,
+                    n_source,
+                    gaussian_discord(partial_trace(state_in, (1, 2)), "B").value,
+                    cm_to_intensity_corr(state_out, 0, 2, shot_noise=True),
+                    cm_to_intensity_corr(state_out, 1, 2, shot_noise=True),
+                )
+                lines.append(",".join(f"{v:.6f}" for v in row))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
     @pytest.mark.parametrize(
         "flag",
         [
@@ -356,6 +390,23 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[bench]\nframes = many\n")
     assert run_main(["tables", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-discord", "--seed", "3"], "error: unrecognized arguments: --seed 3"),
+        (["tables", "--frames", "2.5"], "error: argument --frames: invalid int value: '2.5'"),
+    ],
+    ids=["unknown-flag", "bad-value"],
+)
+def test_rejected_command_line_is_one_error_line(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run_main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_path_exit_code(tmp_path, capsys):

@@ -14,7 +14,13 @@ from cvbench.info import (
     mutual_information,
     unit_vacuum_cm,
 )
-from cvbench.network import bs_symplectic, prepare_discordant_pair
+from cvbench.network import (
+    ThreeModeProtocol,
+    bs_symplectic,
+    matched_probe,
+    prepare_discordant_pair,
+    run_three_mode,
+)
 from cvbench.states import (
     GaussianState,
     SingleModeSpec,
@@ -26,6 +32,7 @@ from cvbench.states import (
     thermal_state,
     vacuum_state,
 )
+from cvbench.stats import cm_to_intensity_corr
 from helpers import random_symplectic, random_two_mode_state
 
 
@@ -296,3 +303,147 @@ def test_oracle_bounds_closed_form_from_above(state):
     # the oracle's value is the entropy of one measurement it found, so it
     # cannot fall below the minimum over all of them that the closed form gives
     assert discord_oracle(state, "B").value >= gaussian_discord(state, "B").value - 1e-6
+
+
+# -- batched evaluation: a stack is one call, and each member is its own call --
+
+# product states have an exactly zero C block, where the zero-C shortcut applies
+products = st.builds(
+    lambda a, b: tensor([single_mode_state(a), single_mode_state(b)]), specs, specs
+)
+stack_members = st.one_of(products, near_branch_boundary(), near_pure_measured_mode)
+
+
+def stacked(states):
+    return GaussianState(np.stack([s.cm for s in states]))
+
+
+def has_photons(state):
+    # both modes carry photons, so their intensity correlation is defined
+    return bool(np.all(np.diag(state.cm).reshape(2, 2).sum(axis=1) > 1.0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(members=st.lists(stack_members, min_size=1, max_size=6), tau=taus)
+def test_stacked_calls_equal_member_calls(members, tau):
+    batch = stacked(members)
+    for side in ("A", "B"):
+        result = gaussian_discord(batch, side)
+        singles = [gaussian_discord(m, side) for m in members]
+        assert np.array_equal(result.value, [r.value for r in singles])
+        assert result.minimizer is None
+    assert np.array_equal(entropy(batch), [entropy(m) for m in members])
+    op = bs_symplectic(tau)
+    assert np.array_equal(
+        apply_symplectic(batch, op).cm, [apply_symplectic(m, op).cm for m in members]
+    )
+    for keep in ({0}, {1}):
+        assert np.array_equal(
+            partial_trace(batch, keep).cm, [partial_trace(m, keep).cm for m in members]
+        )
+    bright = [m for m in members if has_photons(m)]
+    if bright:
+        for shot_noise in (False, True):
+            assert np.array_equal(
+                cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise),
+                [cm_to_intensity_corr(m, 0, 1, shot_noise) for m in bright],
+            )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(specs, specs, taus), min_size=1, max_size=8))
+def test_stacked_discord_between_zero_and_mutual_information(pairs):
+    states = [mixed_pair(*p) for p in pairs]
+    mi = np.array([mutual_information(s).mutual_information for s in states])
+    for side in ("A", "B"):
+        values = gaussian_discord(stacked(states), side).value
+        assert np.all(0.0 <= values) and np.all(values <= mi + 1e-12)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    states=st.lists(
+        st.one_of(near_branch_boundary(), near_pure_measured_mode), min_size=1, max_size=4
+    )
+)
+def test_stacked_oracle_bounds_closed_form_from_above(states):
+    values = gaussian_discord(stacked(states), "B").value
+    for state, value in zip(states, values):
+        assert discord_oracle(state, "B").value >= value - 1e-6
+
+
+# (source photons, beta, quantity) -> value, as hex floats. These single-state
+# values depend on libm's log and pow in their last bits, where numpy's SIMD
+# log and its array product for ** 2 give other bits; every pinned value is
+# also checked as a member of one stack
+PINNED_BITS = [
+    ("0x1.e39a4519fb9bdp+7", 0.5, "discord", "0x1.5b7917f811fa4p-1"),
+    ("0x1.99136329c9dc6p-2", 0.5, "discord", "0x1.bc85d879ba826p-4"),
+    ("0x1.9a633dd5e87d4p-7", 1.0, "discord", "0x1.5a43d2a49fb8dp-6"),
+    ("0x1.7f6ba680b4e42p-9", 0.5, "mi", "0x1.918d50ee89beep-8"),
+    ("0x1.9a633dd5e87d4p-7", 1.0, "mi", "0x1.5a43d2a49fb8dp-5"),
+    ("0x1.d7f4911e8736ap-9", 1.0, "c13", "0x1.b023cddc65f7ep-3"),
+    ("0x1.d6253a1e99d21p-3", 1.0, "c13", "0x1.101fc43e47bdep-2"),
+    ("0x1.351c09abb2454p+3", 1.0, "c13", "0x1.25a7eac74b935p-1"),
+    ("0x1.1f818f2f2f5f6p-9", 0.3, "squeezing", "0x1.a399b0681438bp-6"),
+]
+
+
+def test_single_state_values_keep_their_bits():
+    # the split pair at t_split 0.5 and, for c13, the three-mode output at tau_mix 0.37
+    for n_hex, beta, quantity, expected in PINNED_BITS:
+        spec = SingleModeSpec(float.fromhex(n_hex), beta)
+        pair = prepare_discordant_pair(spec, 0.5)
+        batch = SingleModeSpec(np.full(3, spec.n_tot), beta)
+        pairs = prepare_discordant_pair(batch, 0.5)
+        if quantity == "discord":
+            single, stack = gaussian_discord(pair).value, gaussian_discord(pairs).value
+        elif quantity == "mi":
+            single = mutual_information(pair).mutual_information
+            stack = [mutual_information(GaussianState(cm)).mutual_information for cm in pairs.cm]
+        elif quantity == "c13":
+            single = cm_to_intensity_corr(three_mode_output(spec), 0, 2, shot_noise=True)
+            stack = cm_to_intensity_corr(three_mode_output(batch), 0, 2, shot_noise=True)
+        else:
+            single, stack = spec.squeezing, batch.squeezing
+        assert type(single) is float
+        assert single.hex() == expected, (n_hex, quantity)
+        assert [float(v).hex() for v in stack] == [expected] * 3, (n_hex, quantity)
+
+
+def three_mode_output(source):
+    probe = matched_probe(source, 0.5)
+    return run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.37))[1]
+
+
+def test_mutual_information_takes_a_single_state():
+    pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+    with pytest.raises(ValueError, match="single state"):
+        mutual_information(stacked([pair, pair]))
+    with pytest.raises(ValueError, match="single state"):
+        mutual_information(pair, input_state=stacked([pair]))
+
+
+def test_oracle_takes_a_single_state():
+    pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+    with pytest.raises(ValueError, match="single state"):
+        discord_oracle(stacked([pair, pair]))
+
+
+class TestOracleConvergence:
+    def test_default_call_converges(self):
+        pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+        result = discord_oracle(pair, "B")
+        assert result.converged is True
+        assert 0 < result.iterations < 40 * 8
+
+    def test_short_refinement_reports_non_convergence(self):
+        pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+        with pytest.warns(RuntimeWarning, match="did not settle"):
+            result = discord_oracle(pair, "B", refinement=1)
+        assert result.converged is False
+        assert result.iterations == 8
+
+    def test_closed_form_leaves_defaults(self):
+        result = gaussian_discord(prepare_discordant_pair(SingleModeSpec(2.0), 0.5), "B")
+        assert result.iterations == 0 and result.converged is True

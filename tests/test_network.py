@@ -220,6 +220,48 @@ class TestRunThreeMode:
         with pytest.raises(ValueError):
             ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 1.5, 0.5)
 
+    @pytest.mark.parametrize("t_split", [0.0, 0.3, 1.0])
+    def test_batched_source_equals_member_runs(self, t_split):
+        n_tot = np.array([0.0, 1e-9, 0.02, 1.0, 50.0])
+        beta = np.array([0.0, 0.5, 0.9, 0.0, 0.3])
+        source = SingleModeSpec(n_tot, beta)
+        probe = matched_probe(source, t_split)
+        state_in, state_out = run_three_mode(ThreeModeProtocol(probe, source, t_split, 0.4))
+        assert state_in.batch_shape == state_out.batch_shape == (5,)
+        for i, (n, b) in enumerate(zip(n_tot, beta)):
+            single = SingleModeSpec(float(n), float(b))
+            single_probe = matched_probe(single, t_split)
+            assert (probe.n_tot[i], probe.beta[i]) == (single_probe.n_tot, single_probe.beta)
+            single_in, single_out = run_three_mode(
+                ThreeModeProtocol(single_probe, single, t_split, 0.4)
+            )
+            assert np.array_equal(state_in.cm[i], single_in.cm)
+            assert np.array_equal(state_out.cm[i], single_out.cm)
+
+    def test_marginal_mismatch_names_member(self):
+        source = SingleModeSpec(np.array([1.0, 2.0, 3.0]))
+        probe = SingleModeSpec(np.array([0.5, 1.0, 1.6]))
+        with pytest.raises(MarginalMismatchError, match=r"batch member 2\b"):
+            run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.5))
+
+
+class TestSingleStateOnly:
+    def test_mix_two_refuses_a_batch(self):
+        sigma = single_mode_cm(SingleModeSpec(np.array([1.0, 2.0])))
+        with pytest.raises(ValueError, match="not batches"):
+            mix_two(sigma, sigma, 0.5)
+
+    def test_blocks_refuse_a_batched_state(self):
+        pairs = prepare_discordant_pair(SingleModeSpec(np.array([1.0, 2.0])), 0.5)
+        with pytest.raises(ValueError, match="not a batch"):
+            TwoModeBlocks.from_state(pairs)
+
+    def test_as_state_refuses_batched_blocks(self):
+        pairs = prepare_discordant_pair(SingleModeSpec(np.array([1.0, 2.0])), 0.5)
+        blocks = TwoModeBlocks(*(mode_block(pairs, i, j) for i, j in ((0, 0), (1, 1), (0, 1))))
+        with pytest.raises(ValueError, match="not batches"):
+            blocks.as_state()
+
 
 class TestPolarizationFiltered:
     def test_vacuum_input(self):

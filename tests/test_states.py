@@ -236,3 +236,69 @@ def test_tensor_matches_block_diag(n_factors):
         ]
         ref = GaussianState(block_diag(*[f.cm for f in factors]))
         assert np.array_equal(tensor(factors).cm, ref.cm)
+
+
+class TestBatchedStates:
+    """A CM stack of shape (..., 2n, 2n) is a batch: each member as if built alone."""
+
+    def test_unphysical_member_named(self):
+        cms = np.stack([single_mode_cm(SingleModeSpec(n)) for n in (0.5, 1.0, 2.0, 3.0, 4.0)])
+        cms[3] = np.diag([0.4, 0.4])
+        with pytest.raises(PhysicalityError, match=r"batch member 3\b"):
+            GaussianState(cms)
+        # with several offenders the first one is named
+        cms[4] = np.diag([0.3, 0.3])
+        with pytest.raises(PhysicalityError, match=r"batch member 3\b"):
+            GaussianState(cms)
+
+    def test_asymmetric_and_non_finite_members_named(self):
+        cms = np.stack([np.eye(2)] * 6).reshape(2, 3, 2, 2)
+        cms[1, 2, 0, 1] = 1e-6
+        with pytest.raises(PhysicalityError, match=r"batch member \(1, 2\)"):
+            GaussianState(cms)
+        cms[1, 2, 0, 1] = 0.0
+        cms[0, 1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite entries \(batch member \(0, 1\)\)"):
+            GaussianState(cms)
+
+    def test_single_state_messages_name_no_member(self):
+        with pytest.raises(PhysicalityError) as exc:
+            GaussianState(np.diag([0.4, 0.4]))
+        assert "batch" not in str(exc.value)
+
+    def test_array_spec_gives_member_cms(self):
+        n_tot = np.array([0.0, 0.3, 2.0, 7.5])
+        beta = np.array([0.7, 0.0, 1.0, 0.4])
+        cms = single_mode_cm(SingleModeSpec(n_tot, beta))
+        assert cms.shape == (4, 2, 2)
+        for cm, n, b in zip(cms, n_tot, beta):
+            assert np.array_equal(cm, single_mode_cm(SingleModeSpec(float(n), float(b))))
+        singles = [SingleModeSpec(float(n), float(b)) for n, b in zip(n_tot, beta)]
+        assert np.array_equal(SingleModeSpec(n_tot, beta).squeezing, [s.squeezing for s in singles])
+
+    def test_array_spec_validated_per_member(self):
+        with pytest.raises(ValueError):
+            SingleModeSpec(np.array([1.0, -0.1]))
+        with pytest.raises(ValueError):
+            SingleModeSpec(np.array([1.0, 2.0]), np.array([0.5, 1.2]))
+        with pytest.raises(ValueError):
+            SingleModeSpec(np.array([1.0, np.nan]))
+
+    def test_batched_source_tensored_with_one_vacuum(self):
+        n_tot = np.geomspace(0.01, 10.0, 7)
+        source = single_mode_state(SingleModeSpec(n_tot))
+        pair = tensor([vacuum_state(), source])
+        assert pair.batch_shape == (7,) and pair.n_modes == 2
+        for i, n in enumerate(n_tot):
+            single = tensor([vacuum_state(), single_mode_state(SingleModeSpec(float(n)))])
+            assert np.array_equal(pair.cm[i], single.cm)
+        assert np.array_equal(mode_block(pair, 1, 1), source.cm)
+        assert np.array_equal(partial_trace(pair, {1}).cm, source.cm)
+
+    def test_symplectic_spectrum_per_member(self):
+        rng = np.random.default_rng(5)
+        states = [random_two_mode_state(rng) for _ in range(5)]
+        batch = GaussianState(np.stack([s.cm for s in states]))
+        assert np.array_equal(
+            symplectic_eigenvalues(batch), [symplectic_eigenvalues(s) for s in states]
+        )
