@@ -41,7 +41,7 @@ from .network import (
     prepare_discordant_pair,
     run_three_mode,
 )
-from .speckle import BenchConfig, run_bench
+from .speckle import SAMPLER, BenchConfig, run_bench
 from .states import (
     GaussianState,
     PhysicalityError,
@@ -162,8 +162,10 @@ class RunManifest:
     version: str
     seed: int
     config: dict
-    #: the Philox normal streams, and so the CSV bytes, depend on numpy's version
+    #: the Philox streams and the Gamma sampler, and so the CSV bytes, depend on numpy's version
     numpy_version: str = np.__version__
+    #: how the bench draws its frames; a replay refuses a manifest of another sampler
+    sampler: str = SAMPLER
     outputs: list = field(default_factory=list)
     duration_s: float = 0.0
     created_utc: str = ""
@@ -257,7 +259,9 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
     (sweep_param = tau_mix) or as the splitting used to prepare the pair
     (sweep_param = t_split). Correlations use the photon-counting variance:
     with the analog (classical) variance every split-thermal pair has
-    intensity correlation exactly 1 and the curves would degenerate.
+    intensity correlation exactly 1 and the curves would degenerate. A tau
+    outside [0, 1], or a t_split tau of 1 (beam 3 then carries no photons),
+    raises ``ConfigError`` before any series is computed.
     """
     sweep = cfg["sweep"]
     taus = [float(x) for x in str(sweep["taus"]).split(",") if x.strip()]
@@ -269,6 +273,11 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
         raise ConfigError("sweep photon grid must satisfy 0 < n_source_min < n_source_max")
     if sweep["sweep_param"] not in ("tau_mix", "t_split"):
         raise ConfigError(f"sweep_param must be tau_mix or t_split, got {sweep['sweep_param']!r}")
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
+        if sweep["sweep_param"] == "t_split" and tau == 1.0:
+            raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into beam 3")
     grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
     # one batched source: each series is one stacked pass over the whole grid
     source = SingleModeSpec(grid)
@@ -470,9 +479,9 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
 
     Raises ``ConfigError`` when the manifest cannot be read, is not a JSON
-    object, was written by another cvbench version, names an unknown command,
-    holds a config that ``load_config`` would reject, or (without ``out_path``)
-    records no output.
+    object, was written by another cvbench version, records another bench
+    sampler or none, names an unknown command, holds a config that
+    ``load_config`` would reject, or (without ``out_path``) records no output.
     """
     try:
         data = json.loads(Path(manifest_path).read_text())
@@ -486,6 +495,11 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
         raise ConfigError(
             f"manifest written by cvbench {data.get('version')!r} cannot be replayed "
             f"by cvbench {__version__!r}"
+        )
+    if data.get("sampler") != SAMPLER:
+        raise ConfigError(
+            f"manifest records bench sampler {data.get('sampler')!r}, "
+            f"but cvbench {__version__} samples with {SAMPLER!r}"
         )
     if data.get("command") not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {data.get('command')!r}")

@@ -14,34 +14,40 @@ the in-intensities and that matrix, and
 ``FrameBatch.out_series(beam, basis, scenario)`` reads any preset and basis
 off them through the analyzer's intensity projector (``ANALYZERS``).
 
-Randomness is counter-based. Frames are grouped into fixed chunks of
-``CHUNK_FRAMES``; the fields of chunk c of beam b come from the Philox stream
-keyed by (seed, b) at counter position c, and frame j occupies row
-j mod CHUNK_FRAMES of its chunk. This chunk keying is the reproducibility
-contract: any frame is reproducible in isolation by regenerating one chunk
-(see ``frame_field``).
+``run_bench`` does not draw fields. The five numbers it records per frame
+are entries of Gram matrices of independent unit-variance mode amplitudes,
+which follow complex Wishart laws, so it samples them directly by the
+Bartlett decomposition (Goodman 1963, Ann. Math. Stat. 34:152): a fixed
+number of Gamma and normal draws per frame, whatever the mode count.
 
-For speed, each job of ``run_bench`` handles a slab: a run of consecutive
-chunks, each still drawn whole from its own stream, that is split and
-reduced to per-frame second moments in one batch. Slabs are only an
-execution grouping: their length follows from the mode count (about
-``SLAB_NORMALS`` normals per beam), no row's value depends on it, and the
-output is bit-identical for any worker count since workers only handle
-whole chunks.
+Randomness is counter-based. Frames are grouped into fixed chunks of
+``CHUNK_FRAMES``; chunk c draws its frames from the Philox stream keyed by
+(seed, ``GRAM_STREAM``) at counter position c, whole and in a fixed order.
+Gamma rejection takes a variable number of draws, so no stream spans two
+chunks. This chunk keying is the reproducibility contract: any frame is
+reproducible by regenerating its chunk alone (``chunk_record``), and the
+output cannot depend on ``BenchConfig.workers``, which is accepted and
+recorded for compatibility while the sampler runs serially. The numbers for
+a given seed changed in 0.2.0, when this sampler replaced per-mode fields.
+
+The per-mode field API (``frame_field``, ``split_field``,
+``substitute_modes``, ``mix_fields``, ``polarized``, ``project_jones``,
+``detect``) stays as the reference oracle. It draws the fields of beam b
+from the streams keyed by (seed, b), one per chunk, and the tests check that
+records built from those fields have the law of the sampled ones.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 256
-#: normals per beam drawn by one run_bench job; sets the slab length, not the output
-SLAB_NORMALS = 65_536
+#: what run_bench samples; a manifest records it and a replay must match it
+SAMPLER = "bartlett-gram"
 
 #: polarization plane of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
@@ -55,14 +61,17 @@ ANALYZERS = {
 }
 ANALYSIS_BASES = tuple(ANALYZERS)
 
-#: stream ids keying the per-beam Philox streams
+#: stream ids keying the per-beam Philox streams of the field API
 BEAM_SOURCE1 = 1
 BEAM_SOURCE2 = 2
 BEAM_MIX_SUBSTITUTE = 3
 BEAM_SPLIT_SUBSTITUTE = 4
+#: stream id keying run_bench's per-chunk Gram streams
+GRAM_STREAM = 5
 
 __all__ = [
     "CHUNK_FRAMES",
+    "SAMPLER",
     "POLARIZATIONS",
     "SCENARIOS",
     "ANALYSIS_BASES",
@@ -71,6 +80,7 @@ __all__ = [
     "BEAM_SOURCE2",
     "BEAM_MIX_SUBSTITUTE",
     "BEAM_SPLIT_SUBSTITUTE",
+    "GRAM_STREAM",
     "BenchConfig",
     "FrameBatch",
     "chunk_rng",
@@ -83,6 +93,7 @@ __all__ = [
     "polarized",
     "project_jones",
     "detect",
+    "chunk_record",
     "run_bench",
 ]
 
@@ -188,11 +199,21 @@ class FrameBatch:
         else:
             alpha, beta = np.array(mix_fields(*np.eye(2), self.config.tau_mix))[beam]
             u, v = alpha * e1, beta * e2
-            series = (
-                (u @ proj @ u) * ins[:, 0]
-                + (v @ proj @ v) * self.gram[:, 0]
-                + 2.0 * (u @ proj @ v) * self.gram[:, 1]
+            terms = (
+                (u @ proj @ u, ins[:, 0]),
+                (v @ proj @ v, self.gram[:, 0]),
+                (2.0 * (u @ proj @ v), self.gram[:, 1]),
             )
+            series = None
+            for weight, column in terms:
+                if weight == 0.0:
+                    continue  # the term adds an exact 0, so skipping it changes no bit
+                if series is None:
+                    series = weight * column
+                else:
+                    series += weight * column
+            if series is None:
+                series = np.zeros(self.n_frames)
         series.flags.writeable = False
         return series
 
@@ -203,15 +224,15 @@ def _checked_beam(beam: int) -> int:
     return beam
 
 
-def chunk_rng(seed: int, beam: int, chunk: int) -> np.random.Generator:
-    """Counter-based stream for one (beam, chunk-of-frames) cell."""
-    key = np.array([seed, beam], dtype=np.uint64)
+def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """Counter-based stream for one (stream id, chunk-of-frames) cell."""
+    key = np.array([seed, stream], dtype=np.uint64)
     counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def field_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Stand-alone stream, placed outside the chunk range used by run_bench."""
+    """Stand-alone stream, placed outside the chunk range of the per-chunk streams."""
     return chunk_rng(seed, stream, (1 << 32) + index)
 
 
@@ -237,9 +258,11 @@ def _chunk_fields(seed: int, beam: int, chunk: int, rows: int, modes: int, mean:
 
 
 def frame_field(seed: int, beam: int, frame: int, modes: int, mean: float) -> np.ndarray:
-    """Field of a single bench frame regenerated in isolation.
+    """Field of one frame of the field API's stream ``beam``, regenerated in isolation.
 
-    Bit-identical to what ``run_bench`` uses internally for that frame.
+    Bit-identical to that frame's row of any longer draw of the same chunk;
+    the per-mode reference oracle against which ``run_bench``'s records are
+    tested.
     """
     chunk, row = divmod(frame, CHUNK_FRAMES)
     return _chunk_fields(seed, beam, chunk, row + 1, modes, mean)[row]
@@ -331,50 +354,88 @@ def detect(field: np.ndarray) -> float:
     return float(np.sum(f.real * f.real + f.imag * f.imag))
 
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # per-frame Re sum_m x_m conj(y_m) of two (rows, modes) chunks; detect when x is y
-    return (x.real * y.real + x.imag * y.imag).sum(axis=1)
+def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|x|^2, |y|^2, Re x.y*) per frame of a 2x2 complex Wishart W2(d), in place.
+
+    ``rows`` holds the Bartlett draws g0 ~ Gamma(d), g1 ~ Gamma(d - 1) and two
+    standard normals n0, n1, then a spare row; an undrawn row (g1 when d = 1,
+    every row when d = 0) is zero. With l = (n0 + i n1) / sqrt(2) ~ CN(0, 1),
+    |x|^2 = g0 stays in row 0, |y|^2 = g1 + |l|^2 lands in row 1 and
+    Re x.y* = sqrt(g0) Re l in row 4; rows 2 and 3 are left as scratch.
+    """
+    g0, g1, re, im, xy = rows
+    re *= math.sqrt(0.5)
+    im *= math.sqrt(0.5)
+    np.sqrt(g0, out=xy)
+    xy *= re
+    re *= re
+    im *= im
+    g1 += re
+    g1 += im
+    return g0, g1, xy
 
 
-def _degraded(cfg: BenchConfig, chunk: int, rows: int, beam2: np.ndarray, beam3: np.ndarray):
-    """Beam 3 and the BS-facing copy of beam 2 with (1 - eta) of modes substituted."""
-    if cfg.eta >= 1.0:
-        return beam2, beam3
-    k = _substituted_count(cfg.modes, cfg.eta)
-    if k == 0:
-        return beam2, beam3
-    source2_mean = cfg.mean_photons / cfg.t_split
-    sub_split = _chunk_fields(
-        cfg.seed, BEAM_SPLIT_SUBSTITUTE, chunk, rows, cfg.modes,
-        (1.0 - cfg.t_split) * source2_mean,
-    )
-    beam3 = beam3.copy()
-    beam3[:, :k] = sub_split[:, :k]
-    sub_mix = _chunk_fields(cfg.seed, BEAM_MIX_SUBSTITUTE, chunk, rows, cfg.modes, cfg.mean_photons)
-    beam2_mixed = beam2.copy()
-    beam2_mixed[:, :k] = sub_mix[:, :k]
-    return beam2_mixed, beam3
+def _record(config: BenchConfig, first: int, n_chunks: int) -> tuple[np.ndarray, np.ndarray]:
+    """(in-intensities, Gram columns) of every frame of chunks first .. first + n_chunks - 1.
+
+    With k = round((1 - eta) M) substituted modes, a frame's draws are
+    B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
+    substitute), and two Gamma(k): source 2 and the split substitute on the
+    substituted modes. Each chunk draws them whole from its own stream, in a
+    fixed order, into run-wide rows; the arithmetic then runs once over all
+    rows, in place, and the record is the column views of one 5-row buffer.
+    """
+    k = _substituted_count(config.modes, config.eta)
+    r = config.modes - k
+    n = n_chunks * CHUNK_FRAMES
+    # rec: B's rows (g0, g1, two normals, spare), which become the record;
+    # sub: A's rows, then G_s2 and G_ss
+    rec = np.zeros((5, n))
+    sub = np.zeros((7, n)) if k else None
+    gammas = [(rec[0], r), (rec[1], r - 1)]
+    normals = [rec[2], rec[3]] if r else []
+    if k:
+        gammas += [(sub[0], k), (sub[1], k - 1), (sub[5], k), (sub[6], k)]
+        normals += [sub[2], sub[3]]
+    gammas = [(row, shape) for row, shape in gammas if shape > 0]
+    for i in range(n_chunks):
+        rng = chunk_rng(config.seed, GRAM_STREAM, first + i)
+        cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
+        for row, shape in gammas:
+            rng.standard_gamma(shape, out=row[cols])
+        for row in normals:
+            rng.standard_normal(out=row[cols])
+
+    m1, t = config.mean_photons, config.t_split
+    m2 = m1 / t
+    b_xx, b_yy, b_xy = _bartlett(rec)
+    _, _, ins2, gram0, _ = rec  # B's scratch rows take the outputs it has no row for
+    np.multiply(b_yy, t * m2, out=gram0)
+    b_xy *= math.sqrt(t * m1 * m2)
+    beam3_yy = b_yy
+    if k:
+        a_xx, a_yy, a_xy = _bartlett(sub[:5])
+        g_s2, g_ss = sub[5], sub[6]
+        b_xx += a_xx
+        a_yy *= m1
+        gram0 += a_yy
+        a_xy *= m1
+        b_xy += a_xy
+        g_ss += b_yy
+        beam3_yy = g_ss
+        b_yy += g_s2
+    np.multiply(beam3_yy, (1.0 - t) * m2, out=ins2)
+    b_yy *= t * m2
+    b_xx *= m1
+    return rec[:3].T, rec[3:].T
 
 
-def _bench_slab(cfg: BenchConfig, chunk: int, rows: int, ins: np.ndarray, gram: np.ndarray):
-    beam1 = _chunk_fields(cfg.seed, BEAM_SOURCE1, chunk, rows, cfg.modes, cfg.mean_photons)
-    source2 = _chunk_fields(
-        cfg.seed, BEAM_SOURCE2, chunk, rows, cfg.modes, cfg.mean_photons / cfg.t_split
-    )
-    beam2, beam3 = split_field(source2, cfg.t_split)
-    beam2_mixed, beam3 = _degraded(cfg, chunk, rows, beam2, beam3)
-    lo = chunk * CHUNK_FRAMES
-    sl = slice(lo, lo + rows)
-    ins[sl, 0] = _row_dot(beam1, beam1)
-    ins[sl, 1] = _row_dot(beam2, beam2)
-    ins[sl, 2] = _row_dot(beam3, beam3)
-    gram[sl, 0] = ins[sl, 1] if beam2_mixed is beam2 else _row_dot(beam2_mixed, beam2_mixed)
-    gram[sl, 1] = _row_dot(beam1, beam2_mixed)
+def chunk_record(config: BenchConfig, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(in-intensities, Gram columns) of the CHUNK_FRAMES frames of one chunk, drawn alone.
 
-
-def _slab_chunks(modes: int) -> int:
-    """Chunks per run_bench job: about SLAB_NORMALS normals per beam, at least one chunk."""
-    return max(1, SLAB_NORMALS // (CHUNK_FRAMES * 2 * modes))
+    Bit-identical to rows chunk * CHUNK_FRAMES onward of ``run_bench``'s batch.
+    """
+    return _record(config, chunk, 1)
 
 
 def run_bench(config: BenchConfig) -> FrameBatch:
@@ -388,26 +449,15 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     interference preset puts beams 1-3 on H, so beams 1 and 2 interfere;
     erasure puts beam 1 on H and beams 2 and 3 on V, so they do not.
 
-    Identical (seed, config) produce bit-identical batches for any worker
-    count; frame j depends only on (seed, beam ids, j).
+    With m1 = mean_photons, t = t_split, m2 = m1 / t and the draws of
+    ``_record``, a frame records ins = (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
+    (1 - t) m2 (G_ss + B_yy)) and gram = (m1 A_yy + t m2 B_yy,
+    m1 Re A_xy + sqrt(t m1 m2) Re B_xy). Identical (seed, config) produce
+    bit-identical batches for any worker count; frame j depends only on the
+    seed, j, modes, eta, mean_photons and t_split.
     """
-    ins = np.empty((config.frames, 3))
-    gram = np.empty((config.frames, 2))
-    n_chunks = (config.frames + CHUNK_FRAMES - 1) // CHUNK_FRAMES
-    slab = _slab_chunks(config.modes)
-    starts = range(0, n_chunks, slab)
-
-    def rows_of(c: int) -> int:
-        return min(slab * CHUNK_FRAMES, config.frames - c * CHUNK_FRAMES)
-
-    if config.workers == 1 or len(starts) == 1:
-        for c in starts:
-            _bench_slab(config, c, rows_of(c), ins, gram)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            jobs = [pool.submit(_bench_slab, config, c, rows_of(c), ins, gram) for c in starts]
-            for job in jobs:
-                job.result()
+    ins, gram = _record(config, 0, -(-config.frames // CHUNK_FRAMES))
+    ins, gram = ins[: config.frames], gram[: config.frames]
     ins.flags.writeable = False
     gram.flags.writeable = False
     return FrameBatch(config, ins, gram)

@@ -155,12 +155,30 @@ class TestManifest:
         _, _, manifest = self._tables_manifest(tmp_path)
         assert manifest["version"] == __version__
         assert manifest["numpy_version"] == np.__version__
+        assert manifest["sampler"] == "bartlett-gram"
 
     def test_other_version_refused(self, tmp_path):
         _, path, manifest = self._tables_manifest(tmp_path)
         manifest["version"] = "9.9"
         path.write_text(json.dumps(manifest))
         with pytest.raises(cli.ConfigError, match="9.9"):
+            cli.run_from_manifest(path, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_other_sampler_refused(self, tmp_path):
+        # a manifest of another sampler would replay into different bytes
+        _, path, manifest = self._tables_manifest(tmp_path)
+        manifest["sampler"] = "philox-fields"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match="'philox-fields'"):
+            cli.run_from_manifest(path, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_missing_sampler_refused(self, tmp_path):
+        _, path, manifest = self._tables_manifest(tmp_path)
+        del manifest["sampler"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match="sampler None"):
             cli.run_from_manifest(path, tmp_path / "replay.csv")
         assert not (tmp_path / "replay.csv").exists()
 
@@ -360,6 +378,25 @@ class TestSweep:
             run_main(["sweep-discord", *flag, "--out", str(tmp_path / "sweep.csv")])
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "sweep_param, taus, bad",
+        [
+            ("t_split", "0.001,0.999,1.0,0.0", "1.0"),
+            ("tau_mix", "0.5,1.5", "1.5"),
+            ("t_split", "-0.2,0.5", "-0.2"),
+        ],
+    )
+    def test_unevaluable_tau_rejected_up_front(self, tmp_path, capsys, sweep_param, taus, bad):
+        # a tau the series cannot evaluate is named in one error line before
+        # any series runs, and nothing is written
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"[sweep]\nn_points = 4\ntaus = {taus}\nsweep_param = {sweep_param}\n")
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: sweep tau {bad} ")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_invalid_grid_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
-from cvbench import speckle
 from cvbench.speckle import (
     ANALYSIS_BASES,
+    ANALYZERS,
     BEAM_MIX_SUBSTITUTE,
     BEAM_SOURCE1,
     BEAM_SOURCE2,
     BEAM_SPLIT_SUBSTITUTE,
     CHUNK_FRAMES,
     BenchConfig,
+    FrameBatch,
+    _chunk_fields,
+    chunk_record,
     detect,
     field_rng,
     frame_field,
@@ -44,8 +47,8 @@ SCENARIO_BASES = [
 ]
 
 
-def reference_frame(cfg, j, scenario, basis):
-    """(ins, outs) of frame j of a preset behind a basis, through the per-frame Jones pipeline."""
+def frame_fields(cfg, j):
+    """(beam 1, beam 2, beam 3, mix substitute) of frame j, from the per-frame field API."""
     source2_mean = cfg.mean_photons / cfg.t_split
     beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
     source2 = frame_field(cfg.seed, BEAM_SOURCE2, j, cfg.modes, source2_mean)
@@ -53,29 +56,112 @@ def reference_frame(cfg, j, scenario, basis):
     sub_split = frame_field(
         cfg.seed, BEAM_SPLIT_SUBSTITUTE, j, cfg.modes, (1 - cfg.t_split) * source2_mean
     )
-    beam3 = substitute_modes(beam3, cfg.eta, sub_split)
     sub_mix = frame_field(cfg.seed, BEAM_MIX_SUBSTITUTE, j, cfg.modes, cfg.mean_photons)
-    ins = (detect(beam1), detect(beam2), detect(beam3))
+    return beam1, beam2, substitute_modes(beam3, cfg.eta, sub_split), sub_mix
+
+
+def field_batch(cfg, frames):
+    """FrameBatch of the given frames, recorded from per-frame fields by detect and the Re-dot."""
+    ins, gram = [], []
+    for j in frames:
+        beam1, beam2, beam3, sub_mix = frame_fields(cfg, j)
+        mixed = substitute_modes(beam2, cfg.eta, sub_mix)
+        ins.append((detect(beam1), detect(beam2), detect(beam3)))
+        gram.append((detect(mixed), float(np.sum((beam1 * mixed.conj()).real))))
+    return FrameBatch(cfg, np.array(ins), np.array(gram))
+
+
+def field_record(cfg):
+    """(frames, 5) columns (3 in-intensities, 2 Gram columns) of cfg built from whole fields.
+
+    The vectorised twin of ``field_batch``, drawn 8 chunks at a time to bound memory.
+    """
+    source2_mean = cfg.mean_photons / cfg.t_split
+    k = int(round((1.0 - cfg.eta) * cfg.modes))
+    block = 8 * CHUNK_FRAMES
+    out = np.empty((cfg.frames, 5))
+    for lo in range(0, cfg.frames, block):
+        rows = min(block, cfg.frames - lo)
+
+        def fields(beam, mean):
+            return _chunk_fields(cfg.seed, beam, lo // CHUNK_FRAMES, rows, cfg.modes, mean)
+
+        beam1 = fields(BEAM_SOURCE1, cfg.mean_photons)
+        beam2, beam3 = split_field(fields(BEAM_SOURCE2, source2_mean), cfg.t_split)
+        mixed = beam2
+        if k:
+            beam3[:, :k] = fields(BEAM_SPLIT_SUBSTITUTE, (1 - cfg.t_split) * source2_mean)[:, :k]
+            mixed = beam2.copy()
+            mixed[:, :k] = fields(BEAM_MIX_SUBSTITUTE, cfg.mean_photons)[:, :k]
+        out[lo : lo + rows] = np.stack(
+            [
+                row_intensities(beam1),
+                row_intensities(beam2),
+                row_intensities(beam3),
+                row_intensities(mixed),
+                (beam1 * mixed.conj()).real.sum(axis=1),
+            ],
+            axis=1,
+        )
+    return out
+
+
+def block_correlations(columns, blocks=20):
+    """(correlation matrix, its standard error from `blocks` batch means) of (frames, 5) columns."""
+    c = np.corrcoef(columns, rowvar=False)
+    per_block = [np.corrcoef(part, rowvar=False) for part in np.array_split(columns, blocks)]
+    return c, np.std(per_block, axis=0, ddof=1) / math.sqrt(blocks)
+
+
+def law_mismatches(sampled, reference):
+    """Where two (frames, 5) records differ in law: per-column KS p <= 0.01, or a
+    pairwise correlation more than 5 standard errors apart."""
+    names = ("in 1", "in 2", "in 3", "gram |a2|^2", "gram Re a1.a2*")
+    problems = [
+        f"{name}: KS p = {p:.2g}"
+        for name, p in zip(
+            names, (ks_2samp(sampled[:, i], reference[:, i]).pvalue for i in range(5))
+        )
+        if p <= 0.01
+    ]
+    c_s, se_s = block_correlations(sampled)
+    c_r, se_r = block_correlations(reference)
+    bound = 5.0 * np.hypot(se_s, se_r) + 1e-12
+    for i, j in zip(*np.triu_indices(5, 1)):
+        if abs(c_s[i, j] - c_r[i, j]) > bound[i, j]:
+            problems.append(
+                f"corr({names[i]}, {names[j]}): {c_s[i, j]:.4f} vs {c_r[i, j]:.4f} "
+                f"(bound {bound[i, j]:.4f})"
+            )
+    return problems
+
+
+def reference_frame(cfg, j, scenario, basis):
+    """Detected out-intensities of frame j of a preset behind a basis, through the per-frame
+    Jones pipeline."""
+    beam1, beam2, beam3, sub_mix = frame_fields(cfg, j)
     pol1, pol23 = SCENARIO_POLARIZATIONS[scenario]
     out1, out2 = mix_fields(
         polarized(beam1, pol1), polarized(beam2, pol23), cfg.tau_mix, cfg.eta,
         polarized(sub_mix, pol23),
     )
     outs = (out1, out2, polarized(beam3, pol23))
-    return ins, tuple(detect(project_jones(field, basis)) for field in outs)
+    return tuple(detect(project_jones(field, basis)) for field in outs)
 
 
-@pytest.fixture(params=[1, 3, None], ids=["slab1", "slab3", "slab-default"])
-def slab_chunks(request, monkeypatch):
-    """Chunks per run_bench job: SLAB_NORMALS patched so that ``modes`` gives that many."""
+#: (modes, eta) of the law tests: single and multi-mode, with and without substitution
+LAW_CASES = [(1, 1.0), (4, 1.0), (7, 0.7), (100, 1.0), (100, 0.5)]
 
-    def set_for(modes):
-        if request.param is not None:
-            normals = request.param * CHUNK_FRAMES * 2 * modes
-            monkeypatch.setattr(speckle, "SLAB_NORMALS", normals)
-        return speckle._slab_chunks(modes)
 
-    return set_for
+def law_config(modes, eta):
+    return BenchConfig(
+        modes=modes, frames=20_000, mean_photons=1.3, tau_mix=0.3, t_split=0.4, eta=eta, seed=1000
+    )
+
+
+def sampled_record(cfg):
+    batch = run_bench(cfg)
+    return np.concatenate([batch.intensities_in, batch.gram], axis=1)
 
 
 class TestSampler:
@@ -126,6 +212,45 @@ class TestSampler:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             sample_thermal_field(field_rng(9, 1), 10, -1.0)
+
+
+class TestGramSampler:
+    @pytest.mark.parametrize("modes, eta", LAW_CASES)
+    def test_record_has_the_law_of_the_field_path(self, modes, eta):
+        # out_series reads every preset and basis as a fixed linear combination
+        # of the five recorded columns, so their joint law covers them all
+        cfg = law_config(modes, eta)
+        assert law_mismatches(sampled_record(cfg), field_record(cfg)) == []
+
+    def test_law_check_catches_a_wrong_bartlett_gamma(self):
+        # drawing Gamma(d) where Bartlett needs Gamma(d - 1) adds an independent
+        # Exp(1) to B_yy: to both source-2 beams and, at eta = 1, to |a2|^2.
+        # At M = 100 that is a 1% shift of their means
+        cfg = law_config(100, 1.0)
+        m2 = cfg.mean_photons / cfg.t_split
+        gain = [0.0, cfg.t_split * m2, (1.0 - cfg.t_split) * m2, cfg.t_split * m2, 0.0]
+        extra = np.random.default_rng(1).standard_exponential(cfg.frames)
+        wrong = sampled_record(cfg) + np.outer(extra, gain)
+        assert law_mismatches(wrong, field_record(cfg))
+
+    def test_law_check_catches_a_missing_sqrt_t(self):
+        # without sqrt(t) the cross term is sqrt(m1 m2) Re B_xy, 1/sqrt(t) too large
+        cfg = law_config(4, 1.0)
+        wrong = sampled_record(cfg)
+        wrong[:, 4] /= math.sqrt(cfg.t_split)
+        assert law_mismatches(wrong, field_record(cfg))
+
+    @pytest.mark.parametrize("modes, eta", [(1, 0.0), (3, 0.5)])
+    def test_degenerate_blocks(self, modes, eta):
+        # eta = 0 substitutes every mode (B = W2(0) is a zero block), and
+        # M = 1 draws no Gamma(d - 1); the record must stay a valid Gram record
+        batch = run_bench(BenchConfig(modes=modes, frames=1000, seed=3, eta=eta))
+        ins, gram = batch.intensities_in, batch.gram
+        assert np.all(ins >= 0.0) and np.all(gram[:, 0] >= 0.0)
+        # Cauchy-Schwarz on the BS inputs: (Re a1.a2*)^2 <= |a1|^2 |a2|^2
+        assert np.all(gram[:, 1] ** 2 <= ins[:, 0] * gram[:, 0] * (1 + 1e-12))
+        if eta == 0.0:
+            assert corr_coeff(ins[:, 1], ins[:, 2]) == pytest.approx(0.0, abs=0.1)
 
 
 class TestSplitField:
@@ -234,79 +359,67 @@ class TestRunBench:
             assert np.array_equal(batches[0].intensities_in, other.intensities_in)
             assert np.array_equal(batches[0].intensities_out, other.intensities_out)
 
-    def test_frame_reproducible_in_isolation(self):
-        cfg = BenchConfig(modes=13, frames=600, seed=99)
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_frame_reproducible_in_isolation(self, eta):
+        # every frame comes from its chunk's stream alone, so one chunk drawn
+        # by itself reproduces its rows of the whole run bit for bit
+        cfg = BenchConfig(modes=13, frames=600, seed=99, eta=eta)
         batch = run_bench(cfg)
-        for j in (0, 255, 256, 599):
-            beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
-            assert detect(beam1) == batch.in_series(0)[j]
+        for j in (0, 1, 255, 256, 257, cfg.frames - 1):
+            chunk, row = divmod(j, CHUNK_FRAMES)
+            ins, gram = chunk_record(cfg, chunk)
+            assert ins[row].tobytes() == batch.intensities_in[j].tobytes()
+            assert gram[row].tobytes() == batch.gram[j].tobytes()
 
     def test_matches_per_frame_operations(self):
-        # the chunked engine must agree with the documented per-frame pipeline
+        # the read-out of a record built from per-frame fields must agree with
+        # the documented per-frame pipeline, mixing scalar fields by mix_fields
         cfg = BenchConfig(modes=7, frames=10, seed=4, eta=0.7, tau_mix=0.3, t_split=0.4)
-        batch = run_bench(cfg)
-        source2_mean = cfg.mean_photons / cfg.t_split
+        batch = field_batch(cfg, range(cfg.frames))
         for j in range(cfg.frames):
-            beam1 = frame_field(cfg.seed, BEAM_SOURCE1, j, cfg.modes, cfg.mean_photons)
-            source2 = frame_field(cfg.seed, BEAM_SOURCE2, j, cfg.modes, source2_mean)
-            beam2, beam3 = split_field(source2, cfg.t_split)
-            sub_split = frame_field(
-                cfg.seed, BEAM_SPLIT_SUBSTITUTE, j, cfg.modes, (1 - cfg.t_split) * source2_mean
-            )
-            beam3 = substitute_modes(beam3, cfg.eta, sub_split)
-            sub_mix = frame_field(cfg.seed, BEAM_MIX_SUBSTITUTE, j, cfg.modes, cfg.mean_photons)
+            beam1, beam2, beam3, sub_mix = frame_fields(cfg, j)
             out1, out2 = mix_fields(beam1, beam2, cfg.tau_mix, cfg.eta, sub_mix)
-            assert batch.in_series(0)[j] == detect(beam1)
-            assert batch.in_series(1)[j] == detect(beam2)
-            assert batch.in_series(2)[j] == detect(beam3)
             assert batch.out_series(0)[j] == pytest.approx(detect(out1), rel=1e-12)
             assert batch.out_series(1)[j] == pytest.approx(detect(out2), rel=1e-12)
+            assert batch.out_series(2)[j] == detect(beam3)
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
-    def test_determinism_across_workers_and_slabs(self, scenario, basis, slab_chunks):
-        modes = 3
-        frames = 2 * slab_chunks(modes) * CHUNK_FRAMES + 100
+    @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100])
+    def test_determinism_across_workers_and_chunk_counts(self, scenario, basis, frames):
+        # no worker count changes a value, and a run is a prefix of any longer run
         batches = [
-            run_bench(BenchConfig(modes=modes, frames=frames, seed=78, eta=0.7, workers=w))
-            for w in (1, 2, 8)
+            run_bench(BenchConfig(modes=3, frames=n, seed=78, eta=0.7, workers=w))
+            for n, w in ((frames, 1), (frames, 2), (frames, 8), (3 * CHUNK_FRAMES, 1))
         ]
         for other in batches[1:]:
-            assert np.array_equal(batches[0].intensities_in, other.intensities_in)
+            assert np.array_equal(batches[0].intensities_in, other.intensities_in[:frames])
             for beam in range(3):
                 assert np.array_equal(
                     batches[0].out_series(beam, basis, scenario),
-                    other.out_series(beam, basis, scenario),
+                    other.out_series(beam, basis, scenario)[:frames],
                 )
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
-    @pytest.mark.parametrize("modes, eta", [(1, 1.0), (7, 0.7)])
-    @pytest.mark.parametrize("read_out", [False, True], ids=["configured", "read-out"])
-    def test_slab_boundaries_match_per_frame_operations(
-        self, scenario, basis, modes, eta, read_out, slab_chunks
-    ):
-        # configured: only (scenario, basis) is read off the batch; read-out:
-        # the next (scenario, basis) is read off it first and again after,
-        # and neither read-out may change the frames of the other
-        slab_frames = slab_chunks(modes) * CHUNK_FRAMES
-        cfg = BenchConfig(
-            modes=modes, frames=slab_frames + 2, seed=6, eta=eta, tau_mix=0.3, t_split=0.4,
-            workers=2,
-        )
-        batch = run_bench(cfg)
-        if read_out:
-            k = SCENARIO_BASES.index((scenario, basis))
-            other_scenario, other_basis = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
-            first = [batch.out_series(b, other_basis, other_scenario).copy() for b in range(3)]
+    @pytest.mark.parametrize("modes", [1, 7])
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
+    def test_read_out_matches_per_frame_operations(self, scenario, basis, modes, eta, tau_mix):
+        # out_series on a record built from per-frame fields (detect and the
+        # Re-dot) must equal mixing and detecting those fields through the
+        # Jones pipeline. The next (scenario, basis) is read off the record
+        # first and again after, and neither read-out may change the other
+        cfg = BenchConfig(modes=modes, frames=600, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
+        frames = (0, 1, 255, 256, 257, 599)
+        batch = field_batch(cfg, frames)
+        k = SCENARIO_BASES.index((scenario, basis))
+        other_scenario, other_basis = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
+        first = [batch.out_series(b, other_basis, other_scenario).copy() for b in range(3)]
         detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
-        if read_out:
-            for beam in range(3):
-                assert np.array_equal(
-                    batch.out_series(beam, other_basis, other_scenario), first[beam]
-                )
-        for j in sorted({1, 255, 257, slab_frames - 1, slab_frames + 1}):
-            ins, outs = reference_frame(cfg, j, scenario, basis)
-            assert tuple(batch.intensities_in[j]) == ins
-            assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+        for beam in range(3):
+            assert np.array_equal(batch.out_series(beam, other_basis, other_scenario), first[beam])
+        for row, j in enumerate(frames):
+            outs = reference_frame(cfg, j, scenario, basis)
+            assert tuple(detected[row]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
     def test_out_series_read_only(self, scenario):
@@ -327,11 +440,35 @@ class TestRunBench:
     def test_extreme_mixing_matches_per_frame_operations(self, scenario, basis, tau_mix):
         # at tau 0 or 1 one input of each port has weight zero
         cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix)
-        batch = run_bench(cfg)
+        frames = (0, 131, 299)
+        batch = field_batch(cfg, frames)
         detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
-        for j in (0, 131, 299):
-            _, outs = reference_frame(cfg, j, scenario, basis)
-            assert tuple(detected[j]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+        for row, j in enumerate(frames):
+            outs = reference_frame(cfg, j, scenario, basis)
+            assert tuple(detected[row]) == pytest.approx(outs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("scenario", SCENARIO_POLARIZATIONS)
+    @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
+    def test_out_series_keeps_the_bits_of_the_full_sum(self, scenario, tau_mix):
+        # out_series skips zero-weight terms; every (basis, beam) must still
+        # equal the full three-term weighted sum
+        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, tau_mix=tau_mix))
+        jones = {"H": np.array([1.0, 0.0]), "V": np.array([0.0, 1.0])}
+        e1, e2 = (jones[pol] for pol in SCENARIO_POLARIZATIONS[scenario])
+        bs = np.array(mix_fields(*np.eye(2), tau_mix))
+        ins, gram = batch.intensities_in, batch.gram
+        for basis, proj in ANALYZERS.items():
+            for beam in range(3):
+                if beam == 2:
+                    full = (e2 @ proj @ e2) * ins[:, 2]
+                else:
+                    u, v = bs[beam, 0] * e1, bs[beam, 1] * e2
+                    full = (
+                        (u @ proj @ u) * ins[:, 0]
+                        + (v @ proj @ v) * gram[:, 0]
+                        + 2.0 * (u @ proj @ v) * gram[:, 1]
+                    )
+                assert np.array_equal(batch.out_series(beam, basis, scenario), full)
 
     def test_unknown_basis_read_out_rejected(self):
         batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
