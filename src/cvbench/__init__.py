@@ -22,11 +22,9 @@ from .network import (
     BeamSplitterSpec,
     MarginalMismatchError,
     ThreeModeProtocol,
-    TwoModeBlocks,
     bs_symplectic,
     matched_probe,
     mix_two,
-    polarization_filtered_cms,
     prepare_discordant_pair,
     run_three_mode,
 )
@@ -72,11 +70,9 @@ __all__ = [
     "BeamSplitterSpec",
     "MarginalMismatchError",
     "ThreeModeProtocol",
-    "TwoModeBlocks",
     "bs_symplectic",
     "matched_probe",
     "mix_two",
-    "polarization_filtered_cms",
     "prepare_discordant_pair",
     "run_three_mode",
     "BenchConfig",

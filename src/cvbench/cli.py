@@ -36,8 +36,8 @@ from . import __version__
 from .info import discord_oracle, entropy, gaussian_discord, mutual_information
 from .network import (
     ThreeModeProtocol,
+    bs_symplectic,
     matched_probe,
-    mix_two,
     prepare_discordant_pair,
     run_three_mode,
 )
@@ -46,9 +46,12 @@ from .states import (
     GaussianState,
     PhysicalityError,
     SingleModeSpec,
+    apply_symplectic,
     mode_block,
     partial_trace,
-    single_mode_cm,
+    single_mode_state,
+    symplectic_eigenvalues,
+    tensor,
     thermal_state,
 )
 from .stats import cm_to_intensity_corr, confidence_interval, corr_coeff
@@ -260,8 +263,9 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
     (sweep_param = t_split). Correlations use the photon-counting variance:
     with the analog (classical) variance every split-thermal pair has
     intensity correlation exactly 1 and the curves would degenerate. A tau
-    outside [0, 1], or a t_split tau of 1 (beam 3 then carries no photons),
-    raises ``ConfigError`` before any series is computed.
+    outside [0, 1], or a t_split of 0 or 1 (beam 2 or beam 3 then carries no
+    photons), whether swept or fixed, raises ``ConfigError`` before any series
+    is computed.
     """
     sweep = cfg["sweep"]
     taus = [float(x) for x in str(sweep["taus"]).split(",") if x.strip()]
@@ -273,11 +277,15 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
         raise ConfigError("sweep photon grid must satisfy 0 < n_source_min < n_source_max")
     if sweep["sweep_param"] not in ("tau_mix", "t_split"):
         raise ConfigError(f"sweep_param must be tau_mix or t_split, got {sweep['sweep_param']!r}")
+    dark = {0.0: "beam 2", 1.0: "beam 3"}
     for tau in taus:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
-        if sweep["sweep_param"] == "t_split" and tau == 1.0:
-            raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into beam 3")
+        if sweep["sweep_param"] == "t_split" and tau in dark:
+            raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into {dark[tau]}")
+    t_split = cfg["source"]["t_split"]
+    if sweep["sweep_param"] == "tau_mix" and t_split in dark:
+        raise ConfigError(f"sweep t_split {t_split!r} sends no photons into {dark[t_split]}")
     grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
     # one batched source: each series is one stacked pass over the whole grid
     source = SingleModeSpec(grid)
@@ -314,27 +322,32 @@ def _check_physicality(quick: bool) -> None:
 
 
 def _check_purity_identity(quick: bool) -> None:
-    rng = np.random.default_rng(1)
-    for _ in range(100 if quick else 500):
-        spec = SingleModeSpec(rng.uniform(0.0, 8.0), rng.uniform(0.0, 1.0))
-        cm = single_mode_cm(spec)
-        expected = (0.5 + spec.n_thermal) ** 2
-        err = abs(float(np.linalg.det(cm)) - expected)
-        if err > 1e-10 * max(1.0, expected):
-            raise AssertionError(f"purity identity off by {err:g} at {spec}")
+    # the symplectic spectrum, not the determinant single_mode_cm already checks
+    draws = np.random.default_rng(1).uniform(size=(100 if quick else 500, 2))
+    spec = SingleModeSpec(8.0 * draws[:, 0], draws[:, 1])
+    nu = symplectic_eigenvalues(single_mode_state(spec))[:, 0]
+    expected = (0.5 + spec.n_thermal) ** 2
+    err = np.abs(nu**2 - expected)
+    off = err > 1e-10 * np.maximum(1.0, expected)
+    if off.any():
+        i = int(np.argmax(off))
+        raise AssertionError(
+            f"purity identity off by {err[i]:g} at n_tot={spec.n_tot[i]!r}, beta={spec.beta[i]!r}"
+        )
 
 
 def _check_identity_interference(quick: bool) -> None:
-    rng = np.random.default_rng(2)
-    for _ in range(20 if quick else 60):
-        spec = SingleModeSpec(rng.uniform(0.0, 4.0), rng.uniform(0.0, 1.0))
-        sigma = single_mode_cm(spec)
-        for tau in (0.15, 0.5, 0.85):
-            blocks = mix_two(sigma, sigma, tau)
-            if float(np.max(np.abs(blocks.sigma12))) > 1e-12:
-                raise AssertionError("identical inputs produced a nonzero off-diagonal block")
-            if float(np.max(np.abs(blocks.sigma1 - sigma))) > 1e-12:
-                raise AssertionError("identical inputs changed a marginal")
+    draws = np.random.default_rng(2).uniform(size=(20 if quick else 60, 2))
+    state = single_mode_state(SingleModeSpec(4.0 * draws[:, 0], draws[:, 1]))
+    pairs = tensor([state, state])
+    for tau in (0.15, 0.5, 0.85):
+        out = apply_symplectic(pairs, bs_symplectic(tau))
+        off = float(np.max(np.abs(mode_block(out, 0, 1))))
+        if off > 1e-12:
+            raise AssertionError(f"identical inputs gave an off-diagonal block {off:g} at tau {tau}")
+        shift = max(float(np.max(np.abs(mode_block(out, m, m) - state.cm))) for m in (0, 1))
+        if shift > 1e-12:
+            raise AssertionError(f"identical inputs changed a marginal by {shift:g} at tau {tau}")
 
 
 def _check_output_blocks(quick: bool) -> None:
@@ -432,10 +445,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-#: flags of the commands that run the bench; --quick halves [bench] frames
+#: flags of the commands that run the bench
 _BENCH_FLAGS = (
     "--t-split", "--modes", "--frames", "--tau", "--eta", "--seed", "--workers", "--ci-level",
-    "--quick",
 )
 
 #: command -> (help, function, flags of the settings it reads)
@@ -460,8 +472,6 @@ def _add_flags(sub: argparse.ArgumentParser, flags: tuple) -> None:
     for section, key, typ, _, flag in _SETTINGS:
         if flag in flags:
             sub.add_argument(flag, type=typ, dest=key, help=f"override [{section}] {key}")
-    if "--quick" in flags:
-        sub.add_argument("--quick", action="store_true", help="halve the frame count")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -470,8 +480,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[section][key] = value
-    if getattr(args, "quick", False):
-        cfg["bench"]["frames"] = max(1, cfg["bench"]["frames"] // 2)
     return cfg
 
 

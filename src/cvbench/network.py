@@ -33,20 +33,19 @@ from .states import (
     vacuum_state,
 )
 
-#: largest tolerated deviation between the probe marginal and the mode-2 marginal
+#: largest tolerated deviation between the probe marginal and the mode-2 marginal,
+#: relative to the probe CM's largest entry but never below this value
 MARGINAL_TOL = 1e-10
 
 __all__ = [
     "MarginalMismatchError",
     "BeamSplitterSpec",
-    "TwoModeBlocks",
     "ThreeModeProtocol",
     "bs_symplectic",
     "mix_two",
     "prepare_discordant_pair",
     "matched_probe",
     "run_three_mode",
-    "polarization_filtered_cms",
 ]
 
 
@@ -94,38 +93,14 @@ class BeamSplitterSpec:
         return SymplecticOp(full)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoModeBlocks:
-    """(Sigma1, Sigma2, Sigma12) decomposition of a two-mode covariance matrix."""
+def mix_two(sigma1, sigma2, tau: float) -> GaussianState:
+    """Two-mode state leaving a beam splitter of transmissivity tau fed by two single-mode CMs.
 
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    sigma12: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: GaussianState) -> "TwoModeBlocks":
-        if state.n_modes != 2:
-            raise ValueError(f"need a two-mode state, got {state.n_modes} modes")
-        if state.batch_shape:
-            raise ValueError("TwoModeBlocks takes a single state, not a batch")
-        return cls(mode_block(state, 0, 0), mode_block(state, 1, 1), mode_block(state, 0, 1))
-
-    def as_state(self) -> GaussianState:
-        """Assemble the 4x4 CM; raises unless it is symmetric and physical."""
-        if any(np.shape(b) != (2, 2) for b in (self.sigma1, self.sigma2, self.sigma12)):
-            raise ValueError("TwoModeBlocks.as_state needs 2x2 blocks, not batches")
-        top = np.hstack([self.sigma1, self.sigma12])
-        bottom = np.hstack([self.sigma12.T, self.sigma2])
-        return GaussianState(np.vstack([top, bottom]))
-
-
-def mix_two(sigma1, sigma2, tau: float) -> TwoModeBlocks:
-    """Mix two single-mode CMs at a beam splitter of transmissivity tau.
-
-    Computed by congruence with ``bs_symplectic(tau)``. Identical inputs are
-    returned unchanged with an exactly zero off-diagonal block: the two
-    interference contributions cancel and the interaction leaves the pair
-    unchanged, a statement that holds exactly, not only to rounding.
+    Computed by congruence with ``bs_symplectic(tau)``; read its blocks with
+    ``mode_block``. Identical inputs give the product state of the input with
+    itself, with an exactly zero off-diagonal block: the two interference
+    contributions cancel and the interaction leaves the pair unchanged, a
+    statement that holds exactly, not only to rounding.
     """
     state1 = GaussianState(np.asarray(sigma1, dtype=float))
     state2 = GaussianState(np.asarray(sigma2, dtype=float))
@@ -134,9 +109,8 @@ def mix_two(sigma1, sigma2, tau: float) -> TwoModeBlocks:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     if np.array_equal(state1.cm, state2.cm):
-        return TwoModeBlocks(state1.cm.copy(), state1.cm.copy(), np.zeros((2, 2)))
-    out = apply_symplectic(tensor([state1, state2]), bs_symplectic(tau))
-    return TwoModeBlocks.from_state(out)
+        return tensor([state1, state1])
+    return apply_symplectic(tensor([state1, state2]), bs_symplectic(tau))
 
 
 def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianState:
@@ -204,33 +178,21 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
     The output keeps both mixed marginals and leaves modes 1 and 2 mutually
     uncorrelated, while the 2-3 correlation block shrinks by sqrt(tau) and a
     1-3 block of sqrt(1 - tau) times the input block appears. Batched probe
-    and source specs give batched states; every member's marginals are matched.
+    and source specs give batched states. Every member's marginals must match
+    to ``MARGINAL_TOL`` times max(1, the largest entry of its probe CM), so
+    bright sources are not refused for rounding.
     """
     pair = prepare_discordant_pair(protocol.source, protocol.t_split)
     probe = single_mode_state(protocol.probe)
     mismatch = np.max(np.abs(mode_block(pair, 0, 0) - probe.cm), axis=(-2, -1))
-    off = mismatch > MARGINAL_TOL
+    scale = np.maximum(1.0, np.max(np.abs(probe.cm), axis=(-2, -1)))
+    off = mismatch > MARGINAL_TOL * scale
     if off.any():
         raise MarginalMismatchError(
-            f"mode-2 marginal deviates from the probe by {np.max(mismatch):g}{_at_member(off)}; "
-            "identical interfering states are required"
+            f"mode-2 marginal deviates from the probe by {np.max(mismatch[off]):g}"
+            f"{_at_member(off)}; identical interfering states are required"
         )
     state_in = tensor([probe, pair])
     op = BeamSplitterSpec(protocol.tau_mix, 0, 1).operator(3)
     return state_in, apply_symplectic(state_in, op)
 
-
-def polarization_filtered_cms(
-    spec1: SingleModeSpec, spec2: SingleModeSpec
-) -> tuple[GaussianState, GaussianState]:
-    """Two-mode output states behind the H and V polarization filters (tau = 1/2).
-
-    With orthogonally polarized inputs the beams do not interfere: each input
-    mixes with the vacuum entering the other port. The H pair is beam 1 plus
-    vacuum, giving off-diagonal block (sigma0 - sigma1)/2; the V pair is
-    vacuum plus beam 2, giving the opposite-sign block (sigma2 - sigma0)/2.
-    """
-    half = bs_symplectic(0.5)
-    h_state = apply_symplectic(tensor([single_mode_state(spec1), vacuum_state()]), half)
-    v_state = apply_symplectic(tensor([vacuum_state(), single_mode_state(spec2)]), half)
-    return h_state, v_state

@@ -294,20 +294,15 @@ def substitute_modes(field: np.ndarray, eta: float, replacement: np.ndarray) -> 
 
 
 def mix_fields(
-    field_a: np.ndarray,
-    field_b: np.ndarray,
-    tau: float,
-    eta: float = 1.0,
-    substitute: np.ndarray | None = None,
+    field_a: np.ndarray, field_b: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-level beam splitter on fields of any leading shape (scalar or Jones).
 
     out_a = sqrt(tau) a + sqrt(1 - tau) b and out_b = sqrt(tau) b -
     sqrt(1 - tau) a, matching the covariance-level sign convention; this is
     the one place the convention is coded, and ``FrameBatch`` reads the BS
-    matrix off it to weight the Gram columns. With eta < 1 a fraction
-    (1 - eta) of b's modes is first replaced by the independent equal-mean
-    ``substitute`` field. Energy is conserved per mode pair when eta = 1.
+    matrix off it to weight the Gram columns. Mode mismatch is applied to the
+    input first, by ``substitute_modes``. Energy is conserved per mode pair.
     """
     a = np.asarray(field_a)
     b = np.asarray(field_b)
@@ -315,12 +310,6 @@ def mix_fields(
         raise ValueError(f"mode-count mismatch: {a.shape} vs {b.shape}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if eta < 1.0:
-        if substitute is None:
-            raise ValueError("eta < 1 requires a substitute field")
-        b = substitute_modes(b, eta, np.asarray(substitute))
     t = math.sqrt(tau)
     r = math.sqrt(1.0 - tau)
     return t * a + r * b, t * b - r * a

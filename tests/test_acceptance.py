@@ -37,12 +37,12 @@ def test_c01_identity_interference_law():
     for _ in range(200):
         sigma = random_single_mode_cm(rng)
         for tau in (0.15, 0.5, 0.85):
-            blocks = mix_two(sigma, sigma, tau)
-            worst_off = max(worst_off, float(np.max(np.abs(blocks.sigma12))))
+            out = mix_two(sigma, sigma, tau)
+            worst_off = max(worst_off, float(np.max(np.abs(mode_block(out, 0, 1)))))
             worst_marginal = max(
                 worst_marginal,
-                float(np.max(np.abs(blocks.sigma1 - sigma))),
-                float(np.max(np.abs(blocks.sigma2 - sigma))),
+                float(np.max(np.abs(mode_block(out, 0, 0) - sigma))),
+                float(np.max(np.abs(mode_block(out, 1, 1) - sigma))),
             )
     elapsed = time.perf_counter() - started
     ok = worst_off <= 1e-12 and worst_marginal <= 1e-12 and elapsed < 1.0

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from cvbench import __version__, cli
 from cvbench.info import gaussian_discord
 from cvbench.network import ThreeModeProtocol, matched_probe, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
-from cvbench.states import SingleModeSpec, partial_trace
+from cvbench.states import SingleModeSpec, SymplecticOp, partial_trace, symplectic_eigenvalues
 from cvbench.stats import cm_to_intensity_corr
 
 
@@ -118,12 +119,6 @@ class TestTables:
         _, rows = read_rows(out)
         c23_in = float(rows[2][1])
         assert c23_in == pytest.approx(0.97, abs=0.02)
-
-    def test_quick_halves_frames(self, tmp_path):
-        out = tmp_path / "q.csv"
-        run_main(["tables", "--frames", "2000", "--quick", "--out", str(out)])
-        manifest = json.loads((tmp_path / "q.csv.manifest.json").read_text())
-        assert manifest["config"]["bench"]["frames"] == 1000
 
 
 class TestManifest:
@@ -385,6 +380,7 @@ class TestSweep:
             ("t_split", "0.001,0.999,1.0,0.0", "1.0"),
             ("tau_mix", "0.5,1.5", "1.5"),
             ("t_split", "-0.2,0.5", "-0.2"),
+            ("t_split", "0.5,0.0", "0.0"),
         ],
     )
     def test_unevaluable_tau_rejected_up_front(self, tmp_path, capsys, sweep_param, taus, bad):
@@ -397,6 +393,15 @@ class TestSweep:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith(f"error: sweep tau {bad} ")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("t_split, beam", [("1.0", 3), ("0.0", 2)])
+    def test_dark_t_split_rejected_up_front(self, tmp_path, capsys, t_split, beam):
+        # a fixed t_split of 0 or 1 leaves a beam without photons in every series
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--t-split", t_split, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: sweep t_split {t_split} sends no photons into beam {beam}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_grid_rejected(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -422,6 +427,29 @@ class TestValidate:
         assert "FAIL synthetic" in out
         assert "PASS physicality-gate" in out
 
+    def test_identity_interference_runs_the_congruence(self, capsys, monkeypatch):
+        # a two-mode squeezer is symplectic but not passive: it correlates
+        # identical inputs, so a check that mixes them must fail. (A sign flip
+        # would not do: every orthogonal mixing leaves identical inputs unchanged.)
+        def squeezer(tau):
+            c, s = math.cosh(0.3), math.sinh(0.3)
+            z = np.diag([1.0, -1.0])
+            return SymplecticOp(np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]]))
+
+        monkeypatch.setattr(cli, "bs_symplectic", squeezer)
+        assert run_main(["validate", "--quick"]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split()[0] for line in lines].count("FAIL") == 1
+        assert lines[2].startswith("FAIL identity-interference: ")
+
+    def test_purity_identity_reads_the_spectrum(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "symplectic_eigenvalues", lambda state: symplectic_eigenvalues(state) + 1e-9
+        )
+        monkeypatch.setattr(cli, "_CHECKS", (cli._CHECKS[1],))
+        assert cli.run_validate(quick=True) == 1
+        assert capsys.readouterr().out.startswith("FAIL purity-identity: purity identity off by ")
+
 
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
@@ -434,8 +462,10 @@ def test_config_error_exit_code(tmp_path):
     [
         (["sweep-discord", "--seed", "3"], "error: unrecognized arguments: --seed 3"),
         (["tables", "--frames", "2.5"], "error: argument --frames: invalid int value: '2.5'"),
+        (["tables", "--quick"], "error: unrecognized arguments: --quick"),
+        (["erasure", "--quick"], "error: unrecognized arguments: --quick"),
     ],
-    ids=["unknown-flag", "bad-value"],
+    ids=["unknown-flag", "bad-value", "tables-quick", "erasure-quick"],
 )
 def test_rejected_command_line_is_one_error_line(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -11,15 +11,14 @@ from cvbench.network import (
     BeamSplitterSpec,
     MarginalMismatchError,
     ThreeModeProtocol,
-    TwoModeBlocks,
     bs_symplectic,
     matched_probe,
     mix_two,
-    polarization_filtered_cms,
     prepare_discordant_pair,
     run_three_mode,
 )
 from cvbench.states import (
+    GaussianState,
     SingleModeSpec,
     apply_symplectic,
     mode_block,
@@ -28,6 +27,7 @@ from cvbench.states import (
     single_mode_state,
     symplectic_eigenvalues,
     tensor,
+    vacuum_state,
 )
 from helpers import random_single_mode_cm, random_source, random_two_mode_state
 
@@ -69,37 +69,42 @@ class TestBsSymplectic:
             BeamSplitterSpec(0.5, 0, 3).operator(2)
 
 
+def blocks(state):
+    """(Sigma1, Sigma2, Sigma12) of a two-mode state."""
+    return mode_block(state, 0, 0), mode_block(state, 1, 1), mode_block(state, 0, 1)
+
+
 class TestMixTwo:
     def test_identical_inputs_leave_system_unchanged(self):
         sigma = single_mode_cm(SingleModeSpec(1.0, 0.0))
         for tau in (0.1, 0.5, 0.9):
-            blocks = mix_two(sigma, sigma, tau)
-            assert np.array_equal(blocks.sigma12, np.zeros((2, 2)))  # exact zero
-            assert np.allclose(blocks.sigma1, sigma, atol=1e-12)
-            assert np.allclose(blocks.sigma2, sigma, atol=1e-12)
+            sigma1, sigma2, sigma12 = blocks(mix_two(sigma, sigma, tau))
+            assert np.array_equal(sigma12, np.zeros((2, 2)))  # exact zero
+            assert np.allclose(sigma1, sigma, atol=1e-12)
+            assert np.allclose(sigma2, sigma, atol=1e-12)
 
     def test_identical_random_inputs_exact_zero(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             sigma = random_single_mode_cm(rng)
             tau = rng.uniform(0.0, 1.0)
-            assert np.array_equal(mix_two(sigma, sigma, tau).sigma12, np.zeros((2, 2)))
+            assert np.array_equal(mode_block(mix_two(sigma, sigma, tau), 0, 1), np.zeros((2, 2)))
 
     def test_tau_one_passthrough(self):
         s1 = single_mode_cm(SingleModeSpec(1.0, 0.0))
         s2 = single_mode_cm(SingleModeSpec(2.0, 0.3))
-        blocks = mix_two(s1, s2, 1.0)
-        assert np.allclose(blocks.sigma1, s1, atol=1e-12)
-        assert np.allclose(blocks.sigma2, s2, atol=1e-12)
-        assert np.allclose(blocks.sigma12, 0.0, atol=1e-12)
+        sigma1, sigma2, sigma12 = blocks(mix_two(s1, s2, 1.0))
+        assert np.allclose(sigma1, s1, atol=1e-12)
+        assert np.allclose(sigma2, s2, atol=1e-12)
+        assert np.allclose(sigma12, 0.0, atol=1e-12)
 
     def test_vacuum_thermal_balanced(self):
         vac = np.diag([0.5, 0.5])
         th = np.diag([1.5, 1.5])
-        blocks = mix_two(vac, th, 0.5)
-        assert np.allclose(blocks.sigma1, np.eye(2), atol=1e-12)
-        assert np.allclose(blocks.sigma2, np.eye(2), atol=1e-12)
-        assert np.allclose(np.abs(blocks.sigma12), 0.5 * np.eye(2), atol=1e-12)
+        sigma1, sigma2, sigma12 = blocks(mix_two(vac, th, 0.5))
+        assert np.allclose(sigma1, np.eye(2), atol=1e-12)
+        assert np.allclose(sigma2, np.eye(2), atol=1e-12)
+        assert np.allclose(np.abs(sigma12), 0.5 * np.eye(2), atol=1e-12)
 
     def test_block_formula_oracle(self):
         # closed-form output blocks, used only here as an independent check:
@@ -110,23 +115,16 @@ class TestMixTwo:
             s1 = random_single_mode_cm(rng)
             s2 = random_single_mode_cm(rng)
             tau = rng.uniform(0.0, 1.0)
-            blocks = mix_two(s1, s2, tau)
-            assert np.allclose(blocks.sigma1, tau * s1 + (1 - tau) * s2, atol=1e-12)
-            assert np.allclose(blocks.sigma2, tau * s2 + (1 - tau) * s1, atol=1e-12)
-            assert np.allclose(
-                blocks.sigma12, math.sqrt(tau * (1 - tau)) * (s2 - s1), atol=1e-12
-            )
+            sigma1, sigma2, sigma12 = blocks(mix_two(s1, s2, tau))
+            assert np.allclose(sigma1, tau * s1 + (1 - tau) * s2, atol=1e-12)
+            assert np.allclose(sigma2, tau * s2 + (1 - tau) * s1, atol=1e-12)
+            assert np.allclose(sigma12, math.sqrt(tau * (1 - tau)) * (s2 - s1), atol=1e-12)
 
     def test_assembled_state_is_physical(self):
-        blocks = mix_two(np.diag([0.5, 0.5]), np.diag([2.5, 2.5]), 0.3)
-        state = blocks.as_state()
-        assert state.n_modes == 2
+        state = mix_two(np.diag([0.5, 0.5]), np.diag([2.5, 2.5]), 0.3)
+        assert isinstance(state, GaussianState)
+        assert state.n_modes == 2 and state.batch_shape == ()
         assert np.all(symplectic_eigenvalues(state) >= 0.5 - 1e-9)
-
-    def test_from_state_roundtrip(self):
-        blocks = mix_two(np.diag([0.5, 0.5]), np.diag([1.5, 1.5]), 0.25)
-        again = TwoModeBlocks.from_state(blocks.as_state())
-        assert np.allclose(again.sigma12, blocks.sigma12, atol=1e-15)
 
 
 class TestPrepareDiscordantPair:
@@ -244,6 +242,23 @@ class TestRunThreeMode:
         with pytest.raises(MarginalMismatchError, match=r"batch member 2\b"):
             run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.5))
 
+    @pytest.mark.parametrize("t_split", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_bright_source_runs(self, beta, t_split):
+        # the marginal match scales with the probe CM: at 1e6 photons an
+        # absolute 1e-10 would refuse rounding in the last bits
+        source = SingleModeSpec(1e6, beta)
+        probe = matched_probe(source, t_split)
+        _, out = run_three_mode(ThreeModeProtocol(probe, source, t_split, 0.4))
+        assert np.allclose(mode_block(out, 0, 0), single_mode_cm(probe), rtol=1e-12, atol=0.0)
+
+    def test_bright_mismatched_probe_rejected(self):
+        source = SingleModeSpec(np.array([1e6, 2e6]), 0.9)
+        probe = matched_probe(source, 0.5)
+        off = SingleModeSpec(probe.n_tot * np.array([1.0, 1.0 + 1e-8]), probe.beta)
+        with pytest.raises(MarginalMismatchError, match=r"batch member 1\b"):
+            run_three_mode(ThreeModeProtocol(off, source, 0.5, 0.5))
+
 
 class TestSingleStateOnly:
     def test_mix_two_refuses_a_batch(self):
@@ -251,25 +266,26 @@ class TestSingleStateOnly:
         with pytest.raises(ValueError, match="not batches"):
             mix_two(sigma, sigma, 0.5)
 
-    def test_blocks_refuse_a_batched_state(self):
-        pairs = prepare_discordant_pair(SingleModeSpec(np.array([1.0, 2.0])), 0.5)
-        with pytest.raises(ValueError, match="not a batch"):
-            TwoModeBlocks.from_state(pairs)
 
-    def test_as_state_refuses_batched_blocks(self):
-        pairs = prepare_discordant_pair(SingleModeSpec(np.array([1.0, 2.0])), 0.5)
-        blocks = TwoModeBlocks(*(mode_block(pairs, i, j) for i, j in ((0, 0), (1, 1), (0, 1))))
-        with pytest.raises(ValueError, match="not batches"):
-            blocks.as_state()
+def polarization_filtered(spec1, spec2):
+    """Two-mode states behind the H and V filters of the erasure preset (tau = 1/2).
+
+    With orthogonally polarized inputs the beams do not interfere: each input
+    mixes with the vacuum entering the other port, beam 1 on H and beam 2 on V.
+    """
+    half = bs_symplectic(0.5)
+    h_state = apply_symplectic(tensor([single_mode_state(spec1), vacuum_state()]), half)
+    v_state = apply_symplectic(tensor([vacuum_state(), single_mode_state(spec2)]), half)
+    return h_state, v_state
 
 
 class TestPolarizationFiltered:
     def test_vacuum_input(self):
-        h_state, _ = polarization_filtered_cms(SingleModeSpec(0.0), SingleModeSpec(1.0))
+        h_state, _ = polarization_filtered(SingleModeSpec(0.0), SingleModeSpec(1.0))
         assert np.allclose(h_state.cm, np.diag([0.5] * 4), atol=1e-12)
 
     def test_thermal_blocks(self):
-        h_state, v_state = polarization_filtered_cms(SingleModeSpec(1.0), SingleModeSpec(1.0))
+        h_state, v_state = polarization_filtered(SingleModeSpec(1.0), SingleModeSpec(1.0))
         assert np.allclose(mode_block(h_state, 0, 0), np.eye(2), atol=1e-12)
         assert np.allclose(mode_block(h_state, 0, 1), -0.5 * np.eye(2), atol=1e-12)
         assert np.allclose(mode_block(v_state, 0, 1), 0.5 * np.eye(2), atol=1e-12)
@@ -283,14 +299,14 @@ class TestPolarizationFiltered:
             s1 = single_mode_cm(spec1)
             s2 = single_mode_cm(spec2)
             s0 = np.diag([0.5, 0.5])
-            h_state, v_state = polarization_filtered_cms(spec1, spec2)
+            h_state, v_state = polarization_filtered(spec1, spec2)
             expected_h = 0.5 * np.block([[s1 + s0, s0 - s1], [s0 - s1, s1 + s0]])
             expected_v = 0.5 * np.block([[s2 + s0, s2 - s0], [s2 - s0, s2 + s0]])
             assert np.allclose(h_state.cm, expected_h, atol=1e-12)
             assert np.allclose(v_state.cm, expected_v, atol=1e-12)
 
     def test_outputs_physical(self):
-        h_state, v_state = polarization_filtered_cms(SingleModeSpec(2.0, 0.6), SingleModeSpec(1.0, 0.2))
+        h_state, v_state = polarization_filtered(SingleModeSpec(2.0, 0.6), SingleModeSpec(1.0, 0.2))
         for state in (h_state, v_state):
             assert np.all(symplectic_eigenvalues(state) >= 0.5 - 1e-9)
 
