@@ -229,6 +229,10 @@ def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
     [-1e-9, 0) are clamped to 0. A batched state is one stacked evaluation:
     ``value`` is then an array, and each member equals the discord of that
     member alone.
+
+    The invariants cancel at scale N^4 for N photons per mode, so the absolute
+    error grows as N^2 times machine epsilon: on split thermal pairs it is
+    below 1e-6 nats up to N = 1e4 and reaches 2.5e-4 at 1e6 and 2.3e-2 at 1e7.
     """
     _validate_two_mode(state, side)
     a_blk, b_blk, c_blk = _ordered_blocks(state, side)

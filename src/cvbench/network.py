@@ -5,8 +5,11 @@ closed-form block expressions (tau sigma1 + (1 - tau) sigma2 and friends)
 appear only in the tests, as independent oracles.
 
 The protocol builders pass batches through: a ``SingleModeSpec`` of arrays
-gives batched states (see ``cvbench.states``), with the same checks applied
-to every member. ``mix_two`` stays a single-state operation.
+gives batched states (see ``cvbench.states``). Specs and the CMs handed to
+``mix_two`` are checked for physicality as they enter, every member of a
+batch; the congruences and direct sums built from them are physical by
+construction and are not checked again. ``mix_two`` stays a single-state
+operation.
 
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
@@ -133,7 +136,8 @@ def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
 
     Splitting maps diag(f+, f-) to diag(g+, g-) with g = t f + (1 - t)/2; the
     (n_tot, beta) pair is recovered by inverting the f+/f- parametrization
-    (smaller root of the beta quadratic, clamped into [0, 1]); a probe
+    (smaller root of the beta quadratic, taken in a cancellation-free form
+    where the naive one would lose digits, and clamped into [0, 1]); a probe
     without photons is the vacuum. A batched source gives a batched probe.
     """
     cm = single_mode_cm(source)
@@ -143,8 +147,13 @@ def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
     delta = (g_plus - g_minus) / 2.0
     b = n + 2.0 * n * n
     disc = b * b - 4.0 * (n * n) * (delta * delta)
+    root = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = (b - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * n * n)
+        beta = (b - root) / (2.0 * n * n)
+        # where root is within 1e-4 of b the subtraction has lost more than 4
+        # digits; the product of the roots, delta^2 / n^2, gives the smaller one
+        stable = 2.0 * (delta * delta) / (b + root)
+    beta = np.where(4.0 * (n * n) * (delta * delta) < 1e-4 * (b * b), stable, beta)
     bright = n > 0.0
     # beta > 0 is False for NaN, which the clamp sends to 0
     beta = np.where(bright & (beta > 0.0), np.minimum(beta, 1.0), 0.0)

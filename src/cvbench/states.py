@@ -12,6 +12,14 @@ batch axes, so a series of states is one computation and a single state is a
 batch of one. States are immutable values; every operation returns a new
 ``GaussianState`` and never mutates its inputs, so everything here is safe to
 call from any number of threads.
+
+Physicality is checked where a CM enters: ``GaussianState(cm)`` on a CM handed
+in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
+``SymplecticOp`` on its matrix. The closed operations ``tensor``,
+``partial_trace``, ``apply_symplectic`` and ``vacuum_state`` map physical
+states to physical states (a direct sum, a principal submatrix and a
+congruence by a checked symplectic all keep every symplectic eigenvalue at or
+above 1/2), so they build their results without a second eigen-solve.
 """
 
 from __future__ import annotations
@@ -131,6 +139,8 @@ class SingleModeSpec:
 def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     """CM diag(f+, f-) with f(+/-) = 1/2 + N +/- sqrt(beta N [1 + N (2 - beta)]).
 
+    Where that f- falls below 1e-4 f+ (a nearly pure, squeezed mode) it is
+    taken as (1/2 + (1 - beta) N)^2 / f+ instead, which does not cancel.
     Shape (..., 2, 2) over the broadcast shape of ``n_tot`` and ``beta``. The
     determinant obeys the purity identity det = (1/2 + (1 - beta) N)^2, which
     is verified for every member before returning.
@@ -143,6 +153,9 @@ def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     f_plus = 0.5 + n + shift
     f_minus = 0.5 + n - shift
     expected_det = (0.5 + (1.0 - beta) * n) ** 2
+    # below 1e-4 f+, 1/2 + N - shift has lost more than 4 digits to cancellation;
+    # there the purity identity gives f- without the subtraction
+    f_minus = np.where(f_minus < 1e-4 * f_plus, expected_det / f_plus, f_minus)[()]
     # relative to max(1, expected_det): beyond 1e-10 and beyond 1e-10 expected_det
     err = abs(f_plus * f_minus - expected_det)
     if ((err > 1e-10) & (err > 1e-10 * expected_det)).any():
@@ -159,15 +172,24 @@ def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvals(omega(cm.shape[-1] // 2) @ cm))
 
 
+def _require_finite(cm: np.ndarray) -> None:
+    if not np.isfinite(cm).all():
+        bad = ~np.isfinite(cm).all(axis=(-2, -1))
+        raise ValueError(f"covariance matrix contains non-finite entries{_at_member(bad)}")
+
+
 class GaussianState:
     """Zero-mean n-mode Gaussian state held as its 2n x 2n covariance matrix.
 
     ``cm`` may carry leading batch axes, shape (..., 2n, 2n); the state is
-    then a batch of states of the same mode count. The constructor
-    symmetrizes every matrix (asymmetry beyond 1e-12 is an error, anything
-    smaller is averaged away) and rejects unphysical input: every symplectic
-    eigenvalue must reach 1/2 up to a 1e-9 slack. A rejection names the
-    first offending member of a batch.
+    then a batch of states of the same mode count. The constructor is the
+    entry check: it symmetrizes every matrix (asymmetry beyond 1e-12 is an
+    error, anything smaller is averaged away) and rejects unphysical input:
+    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack. A rejection
+    names the first offending member of a batch. The closed operations
+    (``tensor``, ``partial_trace``, ``apply_symplectic``, ``vacuum_state``)
+    build their physical-by-construction results through ``_closed`` and skip
+    the eigen-solve.
     """
 
     __slots__ = ("_cm",)
@@ -177,9 +199,7 @@ class GaussianState:
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2 or not arr.size:
             raise ValueError(f"covariance matrix must be (..., 2n, 2n), got shape {arr.shape}")
         # each check reduces the whole stack first and finds the member only on failure
-        if not np.isfinite(arr).all():
-            bad = ~np.isfinite(arr).all(axis=(-2, -1))
-            raise ValueError(f"covariance matrix contains non-finite entries{_at_member(bad)}")
+        _require_finite(arr)
         arr_t = arr.swapaxes(-1, -2)
         asym = np.abs(arr - arr_t).max(axis=(-2, -1))
         # the tolerance is relative to the largest entry, but never below SYMMETRY_TOL
@@ -200,6 +220,14 @@ class GaussianState:
             )
         arr.flags.writeable = False
         self._cm = arr
+
+    @classmethod
+    def _closed(cls, cm: np.ndarray) -> GaussianState:
+        """Wrap a symmetric CM that an operation on physical states built; no checks."""
+        state = cls.__new__(cls)
+        cm.flags.writeable = False
+        state._cm = cm
+        return state
 
     @property
     def cm(self) -> np.ndarray:
@@ -231,7 +259,8 @@ class SymplecticOp:
             raise SymplecticError(f"operator must be 2n x 2n, got shape {arr.shape}")
         w = omega(arr.shape[0] // 2)
         defect = float(np.max(np.abs(arr @ w @ arr.T - w)))
-        if defect > 1e-10:
+        # NaN fails this comparison, so a non-finite matrix is refused
+        if not defect <= 1e-10:
             raise SymplecticError(f"S Omega S^T deviates from Omega by {defect:g}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
@@ -246,7 +275,9 @@ def single_mode_state(spec: SingleModeSpec) -> GaussianState:
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
-    return GaussianState(np.eye(2 * n_modes) * VACUUM_VARIANCE)
+    if n_modes < 1:
+        raise ValueError(f"vacuum state needs at least one mode, got {n_modes!r}")
+    return GaussianState._closed(np.eye(2 * n_modes) * VACUUM_VARIANCE)
 
 
 def thermal_state(n_photons: float) -> GaussianState:
@@ -265,7 +296,7 @@ def tensor(states) -> GaussianState:
         stop = start + m.shape[-1]
         cm[..., start:stop, start:stop] = m
         start = stop
-    return GaussianState(cm)
+    return GaussianState._closed(cm)
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -276,7 +307,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     if modes[0] < 0 or modes[-1] >= state.n_modes:
         raise IndexError(f"mode indices {modes} out of range for {state.n_modes} modes")
     idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
-    return GaussianState(state.cm[..., idx, :][..., idx])
+    return GaussianState._closed(state.cm[..., idx, :][..., idx])
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
@@ -290,11 +321,17 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Congruence Sigma -> S Sigma S^T; preserves the symplectic spectrum."""
+    """Congruence Sigma -> S Sigma S^T; preserves the symplectic spectrum.
+
+    The result is symmetrized, (a + a^T) / 2, and refused only if the
+    congruence overflowed: a checked symplectic keeps the state physical.
+    """
     if op.matrix.shape[0] != state.cm.shape[-1]:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    return GaussianState(s @ state.cm @ s.T)
+    cm = s @ state.cm @ s.T
+    _require_finite(cm)
+    return GaussianState._closed((cm + cm.swapaxes(-1, -2)) / 2.0)
 
 
 def mode_block(state: GaussianState, mode_i: int, mode_j: int) -> np.ndarray:

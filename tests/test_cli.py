@@ -403,11 +403,29 @@ class TestSweep:
         assert err == [f"error: sweep t_split {t_split} sends no photons into beam {beam}"]
         assert list(tmp_path.iterdir()) == []
 
-    def test_invalid_grid_rejected(self, tmp_path):
+    def test_invalid_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("[sweep]\nn_points = 1\n")
         out = tmp_path / "sweep.csv"
-        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+        # the second grid reaches beyond the stated photon range, SWEEP_N_MAX
+        for grid in ("n_points = 1", "n_source_max = 1.5e7"):
+            cfg.write_text(f"[sweep]\n{grid}\n")
+            assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith("error: sweep "), grid
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_bright_t_split_sweep_runs(self, tmp_path):
+        # the whole stated photon range: intermediate states are not eigen-checked
+        # again, so rounding in a bright congruence is not read as unphysical
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            f"[sweep]\nn_points = 2000\nn_source_max = {cli.SWEEP_N_MAX!r}\n"
+            "taus = 0.15,0.3,0.5,0.7,0.85\nsweep_param = t_split\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 10_000 and float(rows[-1][1]) == cli.SWEEP_N_MAX
 
 
 class TestValidate:

@@ -389,6 +389,46 @@ PINNED_BITS = [
 ]
 
 
+@pytest.mark.parametrize("t_split", [0.15, 0.3, 0.5, 0.7, 0.85])
+def test_split_thermal_discord_to_six_decimals(t_split):
+    # heterodyne-optimal closed form of a split thermal pair, in thermal
+    # entropies: g((1 - t) N) - g(N) + g(t N / ((1 - t) N + 1)). The invariants
+    # cancel at scale N^4, which leaves the sweep's 6 decimals up to N = 1e4
+    n_tot = np.geomspace(1e-3, 1e4, 200)
+    values = gaussian_discord(prepare_discordant_pair(SingleModeSpec(n_tot), t_split)).value
+    for n, value in zip(n_tot.tolist(), values.tolist()):
+        kept = (1.0 - t_split) * n
+        expected = g_thermal(kept) - g_thermal(n) + g_thermal(t_split * n / (kept + 1.0))
+        assert abs(value - expected) <= 1e-6, n
+
+
+#: log-spaced toward both ends of [1e-6, 1 - 1e-6]
+EDGE_SPLITS = (1e-6, 1e-4, 1e-2, 0.5, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("t_split", EDGE_SPLITS)
+def test_protocol_over_the_stated_photon_range(t_split):
+    # seeded draws: N log-uniform in [1e-6, 1e7], beta in [0, 1] with its
+    # edges; the first two members put the probe's beta root where it cancels
+    rng = np.random.default_rng([12, EDGE_SPLITS.index(t_split)])
+    n_tot = 10.0 ** rng.uniform(-6.0, 7.0, 300)
+    edges = rng.choice([0.0, 1e-9, 1.0 - 1e-9, 1.0], 300)
+    beta = np.where(rng.random(300) < 0.3, edges, rng.uniform(0.0, 1.0, 300))
+    n_tot[:2], beta[:2] = (1e-6, 700.0), 1e-9
+    source = SingleModeSpec(n_tot, beta)
+    pair = prepare_discordant_pair(source, t_split)
+    discord = gaussian_discord(pair, "B").value
+    mi = entropy(partial_trace(pair, {0})) + entropy(partial_trace(pair, {1})) - entropy(pair)
+    # 1e-12 is the mutual information's own clamp
+    assert np.all(0.0 <= discord) and np.all(discord <= mi + 1e-12)
+    for tau in EDGE_SPLITS:
+        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
+        _, out = run_three_mode(protocol)
+        for mode in (0, 1):
+            c = cm_to_intensity_corr(out, mode, 2, shot_noise=True)
+            assert np.all((0.0 <= c) & (c <= 1.0)), (tau, mode)
+
+
 def test_single_state_values_keep_their_bits():
     # the split pair at t_split 0.5 and, for c13, the three-mode output at tau_mix 0.37
     for n_hex, beta, quantity, expected in PINNED_BITS:

@@ -45,6 +45,17 @@ class TestSingleModeSpec:
         assert np.allclose(np.diag(cm), [1.5 + math.sqrt(2.0), 1.5 - math.sqrt(2.0)])
         assert abs(np.linalg.det(cm) - 0.25) < 1e-12  # pure state
 
+    def test_nearly_pure_bright_modes(self):
+        # f- = 1/2 + N - shift cancels for a nearly pure squeezed mode; the
+        # purity identity, checked inside single_mode_cm, must still hold
+        n_tot = np.geomspace(1e-6, 1e9, 4000)
+        for beta in (0.5, 0.9, 0.99, 0.999, 0.99999, 1.0):
+            state = single_mode_state(SingleModeSpec(n_tot, beta))
+            nu = symplectic_eigenvalues(state)[:, 0]
+            assert np.allclose(nu, 0.5 + (1.0 - beta) * n_tot, rtol=1e-6, atol=0.0)
+        cm = single_mode_cm(SingleModeSpec(1e4, 1.0))
+        assert cm[0, 0] * cm[1, 1] == pytest.approx(0.25, rel=1e-15)
+
     def test_purity_identity_random(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
@@ -71,6 +82,8 @@ class TestGaussianState:
     def test_vacuum(self):
         assert np.allclose(vacuum_state().cm, np.diag([0.5, 0.5]))
         assert np.allclose(vacuum_state(2).cm, np.diag([0.5] * 4))
+        with pytest.raises(ValueError):
+            vacuum_state(0)
 
     def test_rejects_below_vacuum(self):
         with pytest.raises(PhysicalityError):
@@ -162,6 +175,17 @@ class TestSymplecticOp:
     def test_rejects_non_symplectic(self):
         with pytest.raises(SymplecticError):
             SymplecticOp(np.diag([2.0, 2.0]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(SymplecticError):
+            SymplecticOp([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_overflowing_congruence_refused(self):
+        # a valid symplectic whose congruence overflows; the closed result is
+        # not eigen-checked, so apply_symplectic refuses it itself
+        op = SymplecticOp(np.diag([1e200, 1e-200]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            apply_symplectic(thermal_state(1.0), op)
 
     def test_accepts_squeezer(self):
         op = SymplecticOp(np.diag([2.0, 0.5]))
@@ -302,3 +326,47 @@ class TestBatchedStates:
         assert np.array_equal(
             symplectic_eigenvalues(batch), [symplectic_eigenvalues(s) for s in states]
         )
+
+
+class TestClosedOperations:
+    """Closed operations skip the eigen-check; their results must pass it unchanged."""
+
+    @staticmethod
+    def states(rng):
+        single = random_two_mode_state(rng)
+        batch = GaussianState(np.stack([random_two_mode_state(rng).cm for _ in range(6)]))
+        return single, batch
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda state, rng: tensor([state, GaussianState(random_single_mode_cm(rng))]),
+            lambda state, rng: partial_trace(state, {1}),
+            lambda state, rng: apply_symplectic(state, SymplecticOp(random_symplectic(rng, 2))),
+            lambda state, rng: vacuum_state(state.n_modes),
+        ],
+        ids=["tensor", "partial_trace", "apply_symplectic", "vacuum_state"],
+    )
+    def test_results_pass_the_entry_check(self, operation):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            for state in self.states(rng):
+                out = operation(state, rng)
+                assert not out.cm.flags.writeable
+                assert np.array_equal(GaussianState(out.cm).cm, out.cm)
+
+    def test_closed_operations_run_no_eigen_solve(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        state, batch = self.states(rng)
+        op = SymplecticOp(random_symplectic(rng, 2))
+
+        def refuse(*args):
+            raise AssertionError("eigen-solve on a closed operation")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for s in (state, batch):
+            tensor([s, vacuum_state()])
+            partial_trace(s, {0})
+            apply_symplectic(s, op)
+        with pytest.raises(AssertionError, match="eigen-solve"):
+            GaussianState(state.cm)
