@@ -6,9 +6,12 @@ the discord literature states its invariants. ``unit_vacuum_cm`` is the one
 bridge between them; the entropy term of a symplectic eigenvalue d in the 1/2
 convention equals ``_h_vec(2 d)`` in the rescaled one.
 
-``entropy`` and ``gaussian_discord`` accept batched states (see
-``cvbench.states``) and then return arrays; a single state gives floats.
-``discord_oracle`` is the scalar reference the closed form is tested against.
+``entropy``, ``gaussian_discord`` and ``discord_oracle`` accept batched
+states (see ``cvbench.states``) and then return arrays; a single state gives
+floats, and each member of a batch gives the bits of its own call.
+``discord_oracle`` is the brute-force reference the closed form is tested
+against: it scans a batch member by member and refines all members in
+lockstep.
 """
 
 from __future__ import annotations
@@ -106,16 +109,18 @@ class GaussianMeasurement:
 class DiscordResult:
     """Gaussian discord value with the measured side and, when known, the minimizer.
 
-    For a batched state ``value`` is an array and no minimizer is reported.
     ``iterations`` and ``converged`` describe the oracle's local refinement;
-    the closed form is exact and leaves them at 0 and True.
+    the closed form is exact and leaves them at 0 and True. For a batched
+    state ``value`` is an array over the batch axes and no minimizer is
+    reported; the oracle's ``iterations`` and ``converged`` are arrays too.
+    Each member equals the result of a call on that member alone.
     """
 
-    value: float
+    value: float | np.ndarray
     side: str
     minimizer: Optional[GaussianMeasurement] = None
-    iterations: int = 0
-    converged: bool = True
+    iterations: int | np.ndarray = 0
+    converged: bool | np.ndarray = True
 
 
 def unit_vacuum_cm(state: GaussianState) -> np.ndarray:
@@ -264,22 +269,38 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     denominator scaled by q, so every entry is polynomial in q and no
     cancellation occurs even at q = 0. Only the determinant of the
     conditional CM matters for the entropy.
+
+    Broadcasts over leading member axes: blocks (..., 2, 2) and grids
+    (..., n_q) and (..., n_phi) give entropies (..., n_q, n_phi), and every
+    entry is computed as it would be for its member alone.
     """
-    q = np.asarray(q_vals, dtype=float)[:, None]
-    phi = np.asarray(phi_vals, dtype=float)[None, :]
+    q = np.asarray(q_vals, dtype=float)[..., :, None]
+    phi = np.asarray(phi_vals, dtype=float)[..., None, :]
     cos = np.cos(phi)
     sin = np.sin(phi)
-    # b in the (u, v) frame of the measurement, u = (cos, sin)
-    b_uu = cos * cos * b[0, 0] + 2.0 * cos * sin * b[0, 1] + sin * sin * b[1, 1]
-    b_vv = sin * sin * b[0, 0] - 2.0 * cos * sin * b[0, 1] + cos * cos * b[1, 1]
-    b_uv = cos * sin * (b[1, 1] - b[0, 0]) + (cos * cos - sin * sin) * b[0, 1]
+
+    def entry(m, i, j):
+        return m[..., i, j, None, None]
+
+    # b in the (u, v) frame of the measurement, u = (cos, sin). Shared
+    # products are formed once, in the order the written-out formulas use;
+    # doubling is exact, so 2 (cos sin) equals (2 cos) sin
+    b00, b01, b11 = entry(b, 0, 0), entry(b, 0, 1), entry(b, 1, 1)
+    cc, ss, cs = cos * cos, sin * sin, cos * sin
+    cross = 2.0 * cs * b01
+    b_uu = cc * b00 + cross + ss * b11
+    b_vv = ss * b00 - cross + cc * b11
+    b_uv = cs * (b11 - b00) + (cc - ss) * b01
     # q-scaled inverse of (b + m) in the (u, v) frame
-    det_q = (1.0 + q * b_uu) * (b_vv + q) - q * b_uv * b_uv
-    i_uu = q * (b_vv + q) / det_q
-    i_vv = (1.0 + q * b_uu) / det_q
-    i_uv = -q * b_uv / det_q
+    row_u = 1.0 + q * b_uu
+    row_v = b_vv + q
+    q_uv = q * b_uv
+    det_q = row_u * row_v - q_uv * b_uv
+    i_uu = q * row_v / det_q
+    i_vv = row_u / det_q
+    i_uv = -q_uv / det_q
     # g = c R rotates the coupling block into the same frame
-    c00, c01, c10, c11 = c[0, 0], c[0, 1], c[1, 0], c[1, 1]
+    c00, c01, c10, c11 = entry(c, 0, 0), entry(c, 0, 1), entry(c, 1, 0), entry(c, 1, 1)
     g11 = c00 * cos + c01 * sin
     g12 = -c00 * sin + c01 * cos
     g21 = c10 * cos + c11 * sin
@@ -287,9 +308,9 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     w11 = g11 * g11 * i_uu + 2.0 * g11 * g12 * i_uv + g12 * g12 * i_vv
     w12 = g11 * g21 * i_uu + (g11 * g22 + g12 * g21) * i_uv + g12 * g22 * i_vv
     w22 = g21 * g21 * i_uu + 2.0 * g21 * g22 * i_uv + g22 * g22 * i_vv
-    e11 = a[0, 0] - w11
-    e12 = a[0, 1] - w12
-    e22 = a[1, 1] - w22
+    e11 = entry(a, 0, 0) - w11
+    e12 = entry(a, 0, 1) - w12
+    e22 = entry(a, 1, 1) - w22
     det_eps = np.maximum(e11 * e22 - e12 * e12, 1.0)
     return _h_vec(np.sqrt(det_eps), np.log)
 
@@ -309,67 +330,90 @@ def discord_oracle(
     fixed enumeration order, ties resolved toward smaller s, then smaller
     phi. The result records the refinement steps taken and whether the step
     fell below 1e-13 within ``refinement * 8`` of them; non-convergence is
-    also reported as a warning carrying the best value found. A single state
-    only: this is the reference the closed form is checked against.
+    also reported as one warning carrying the best value found.
+
+    A batched state is refined in lockstep, one ``_conditional_entropies``
+    call per step for all members still refining; the scan runs member by
+    member, so its grid is held for one member at a time. Each member keeps
+    its own best point, steps, stop and iteration count, so its value,
+    ``iterations`` and ``converged`` equal those of a call on that member
+    alone, bit for bit. They are then arrays over the batch axes, and no
+    minimizer is reported.
     """
     _validate_two_mode(state, side)
-    if state.batch_shape:
-        raise ValueError("the discord oracle takes a single state, not a batch")
     a_blk, b_blk, c_blk = _ordered_blocks(state, side)
     ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
     nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
     h = _h_vec(np.stack([np.sqrt(ib), nu_minus, nu_plus]))
-    fixed = float(h[0] - h[1] - h[2])
+    fixed = np.reshape(h[0] - h[1] - h[2], -1)
+    a_blk, b_blk, c_blk = (blk.reshape(-1, 2, 2) for blk in (a_blk, b_blk, c_blk))
+    members = len(a_blk)
 
     n_q, n_phi = grid
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
     phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    values = _conditional_entropies(a_blk, b_blk, c_blk, q_vals, phi_vals)
-    flat = int(np.argmin(values))  # first occurrence: smallest s, then smallest phi
-    best_q = float(q_vals[flat // n_phi])
-    best_phi = float(phi_vals[flat % n_phi])
-    best_val = float(values.flat[flat])
+    best_q, best_phi, best_val = np.empty((3, members))
+    for m in range(members):
+        values = _conditional_entropies(a_blk[m], b_blk[m], c_blk[m], q_vals, phi_vals)
+        flat = int(np.argmin(values))  # first occurrence: smallest s, then smallest phi
+        best_q[m] = q_vals[flat // n_phi]
+        best_phi[m] = phi_vals[flat % n_phi]
+        best_val[m] = values.flat[flat]
 
     # pattern search: walk at a fixed step while improving (valleys can be
-    # long), shrink only when the 9x9 neighborhood offers no improvement
-    step_q = 1.0 / (n_q - 1)
-    step_phi = math.pi / n_phi
-    iterations = 0
-    converged = False
-    for _ in range(refinement * 8):
-        if max(step_q, step_phi) < 1e-13:
-            converged = True
-            break
-        iterations += 1
-        q_loc = np.clip(best_q + np.linspace(step_q, -step_q, 9), 0.0, 1.0)
-        phi_loc = best_phi + np.linspace(-step_phi, step_phi, 9)
-        local = _conditional_entropies(a_blk, b_blk, c_blk, q_loc, phi_loc)
-        flat = int(np.argmin(local))
-        candidate = float(local.flat[flat])
-        if candidate < best_val:
-            best_val = candidate
-            best_q = float(q_loc[flat // 9])
-            best_phi = float(phi_loc[flat % 9])
-            if not (flat // 9 in (0, 8) or flat % 9 in (0, 8)):
-                step_q *= 0.5
-                step_phi *= 0.5
-        else:
-            step_q *= 0.5
-            step_phi *= 0.5
-    if not converged:
+    # long), shrink only when the 9x9 neighborhood offers no improvement.
+    # Both steps halve together, so each member carries one power-of-two
+    # scale; scaling the offsets by it is exact, as rescaling the end points
+    # of a linspace would be
+    steps = (1.0 / (n_q - 1), math.pi / n_phi)
+    q_offsets = np.linspace(steps[0], -steps[0], 9)
+    phi_offsets = np.linspace(-steps[1], steps[1], 9)
+    rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
+    iterations = np.full(members, refinement * 8)
+    converged = np.zeros(members, dtype=bool)
+    # the members still refining: indices, blocks, best points and scales
+    active, blocks, scale = np.arange(members), (a_blk, b_blk, c_blk), np.ones(members)
+    q, phi, val = best_q, best_phi, best_val
+    for step in range(refinement * 8):
+        settled = max(steps) * scale < 1e-13
+        if settled.any():
+            done, keep = active[settled], ~settled
+            converged[done], iterations[done] = True, step
+            best_q[done], best_phi[done], best_val[done] = q[settled], phi[settled], val[settled]
+            active, q, phi, val, scale = (x[keep] for x in (active, q, phi, val, scale))
+            blocks = tuple(blk[keep] for blk in blocks)
+            if not active.size:
+                break
+        q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
+        phi_loc = phi[:, None] + scale[:, None] * phi_offsets
+        local = _conditional_entropies(*blocks, q_loc, phi_loc).reshape(active.size, 81)
+        flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
+        rows = np.arange(active.size)
+        candidate = local[rows, flat]
+        improved = candidate < val
+        val = np.where(improved, candidate, val)
+        q = np.where(improved, q_loc[rows, flat // 9], q)
+        phi = np.where(improved, phi_loc[rows, flat % 9], phi)
+        # an improvement on the rim of the neighborhood walks on; all else shrinks
+        scale = np.where(improved & rim[flat], scale, 0.5 * scale)
+    best_q[active], best_phi[active], best_val[active] = q, phi, val
+    shape = state.batch_shape
+    if active.size:
         warnings.warn(
-            f"discord oracle did not settle (steps {step_q:g}, {step_phi:g}); "
-            f"best value {fixed + best_val:.9g}",
+            f"discord oracle did not settle (steps {steps[0] * scale[0]:g}, "
+            f"{steps[1] * scale[0]:g}); best value {fixed[active[0]] + val[0]:.9g}"
+            f"{_at_member(~converged.reshape(shape))}",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    value = fixed + best_val
-    if value < 0.0:
-        if value < -DISCORD_CLAMP:
-            raise ArithmeticError(f"oracle discord evaluated to {value:g}")
-        value = 0.0
-    best_s = math.inf if best_q == 0.0 else 1.0 / best_q
-    return DiscordResult(
-        value, side, GaussianMeasurement(best_s, best_phi % math.pi), iterations, converged
-    )
+    value = (fixed + best_val).reshape(shape)
+    negative = value < -DISCORD_CLAMP
+    if negative.any():
+        raise ArithmeticError(f"oracle discord evaluated to {np.min(value):g}{_at_member(negative)}")
+    value = np.where(value < 0.0, 0.0, value)
+    if shape:
+        return DiscordResult(value, side, None, iterations.reshape(shape), converged.reshape(shape))
+    best_s = math.inf if best_q[0] == 0.0 else 1.0 / float(best_q[0])
+    minimizer = GaussianMeasurement(best_s, float(best_phi[0]) % math.pi)
+    return DiscordResult(float(value), side, minimizer, int(iterations[0]), bool(converged[0]))

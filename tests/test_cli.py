@@ -1,9 +1,11 @@
 """Tests for the command-line harness."""
 
+import dataclasses
 import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from cvbench import __version__, cli
-from cvbench.info import gaussian_discord
+from cvbench.info import discord_oracle, gaussian_discord
 from cvbench.network import ThreeModeProtocol, matched_probe, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import SingleModeSpec, SymplecticOp, partial_trace, symplectic_eigenvalues
@@ -467,6 +469,29 @@ class TestValidate:
         monkeypatch.setattr(cli, "_CHECKS", (cli._CHECKS[1],))
         assert cli.run_validate(quick=True) == 1
         assert capsys.readouterr().out.startswith("FAIL purity-identity: purity identity off by ")
+
+    def test_oracle_check_fails_on_an_offset_oracle(self, capsys, monkeypatch):
+        assert run_main(["validate"]) == 0
+        assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name, _ in cli._CHECKS)
+
+        def offset_by(shift):
+            def offset(state, side="B", **kwargs):
+                result = discord_oracle(state, side, **kwargs)
+                return dataclasses.replace(result, value=result.value + shift)
+
+            return offset
+
+        # every member off, then only the last of the ten
+        for shift, member in ((1e-5, r"\d"), (np.eye(10)[9] * 1e-5, "9")):
+            monkeypatch.setattr(cli, "discord_oracle", offset_by(shift))
+            assert run_main(["validate"]) == 1
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert [line.split()[0] for line in lines].count("FAIL") == 1
+            assert re.fullmatch(
+                r"FAIL discord-closed-form-vs-oracle: closed form 0\.\d{9} vs oracle 0\.\d{9} "
+                rf"at worst member {member}: off by 1e-05, 9e-06 beyond the 1e-6 bound",
+                lines[4],
+            )
 
 
 def test_config_error_exit_code(tmp_path):

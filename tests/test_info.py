@@ -364,12 +364,24 @@ def test_stacked_discord_between_zero_and_mutual_information(pairs):
 @given(
     states=st.lists(
         st.one_of(near_branch_boundary(), near_pure_measured_mode), min_size=1, max_size=4
-    )
+    ),
+    product=products,
+    position=st.integers(0, 4),
 )
-def test_stacked_oracle_bounds_closed_form_from_above(states):
-    values = gaussian_discord(stacked(states), "B").value
-    for state, value in zip(states, values):
-        assert discord_oracle(state, "B").value >= value - 1e-6
+def test_stacked_oracle_bounds_closed_form_from_above(states, product, position):
+    # one oracle call per side on a stack holding a product state; each
+    # member equals its own call bit for bit, and bounds the closed form
+    states.insert(position, product)
+    batch = stacked(states)
+    for side in ("A", "B"):
+        closed = gaussian_discord(batch, side).value
+        result = discord_oracle(batch, side)
+        assert result.minimizer is None
+        singles = [discord_oracle(state, side) for state in states]
+        assert [float(v).hex() for v in result.value] == [r.value.hex() for r in singles]
+        assert result.iterations.tolist() == [r.iterations for r in singles]
+        assert result.converged.tolist() == [r.converged for r in singles]
+        assert np.all(result.value >= closed - 1e-6)
 
 
 # (source photons, beta, quantity) -> value, as hex floats. These single-state
@@ -464,10 +476,58 @@ def test_mutual_information_takes_a_single_state():
         mutual_information(pair, input_state=stacked([pair]))
 
 
-def test_oracle_takes_a_single_state():
-    pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-    with pytest.raises(ValueError, match="single state"):
-        discord_oracle(stacked([pair, pair]))
+def validate_oracle_states():
+    # the draws of the validate command's oracle check
+    rng = np.random.default_rng(4)
+    states = []
+    for _ in range(10):
+        source = SingleModeSpec(rng.uniform(0.3, 3.0), rng.uniform(0.0, 0.8))
+        states.append(prepare_discordant_pair(source, rng.uniform(0.2, 0.8)))
+    return states
+
+
+def c03_states(indices):
+    # the random states of acceptance criterion C3
+    rng = np.random.default_rng(303)
+    states = [random_two_mode_state(rng) for _ in range(max(indices) + 1)]
+    return [states[i] for i in indices]
+
+
+# measured side, states -> (value, minimizer s, minimizer phi, iterations) of
+# each state's oracle call, as hex floats; each call converges
+PINNED_ORACLE_BITS = {
+    "validate": ("B", validate_oracle_states, [
+        ("0x1.033af65547134p-2", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.c170dc95b826cp-4", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.8779e4cc13478p-2", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.8ec4f8ce25b58p-3", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.7a5575aa58780p-3", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.d24acceb2655ep-3", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.2a78a0f6e074cp-3", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.1c54efb1ce28ep-3", "inf", "0x1.921fb4dfbae43p+0", 39),
+        ("0x1.82e6e8a47a250p-3", "inf", "0x1.921fb54442d18p+0", 39),
+        ("0x1.28725ba5f0b66p-2", "0x1.f720a846c414fp+4", "0x1.921fb4df565c4p+0", 40),
+    ]),
+    "c03": ("A", lambda: c03_states([5, 7]), [
+        ("0x1.7f61c44029eacp-2", "0x1.31127bcc2ea56p+0", "0x1.c450afd825a67p+0", 40),
+        ("0x1.1dcc68763b39ep-2", "0x1.99d6e97a49413p+0", "0x1.e2115e33fbdf6p-2", 40),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ORACLE_BITS)
+def test_oracle_keeps_its_bits(name):
+    side, build, pinned = PINNED_ORACLE_BITS[name]
+    states = build()
+    for state, expected in zip(states, pinned):
+        result = discord_oracle(state, side)
+        found = (result.value, result.minimizer.s, result.minimizer.phi)
+        assert (*[v.hex() for v in found], result.iterations) == expected
+        assert result.converged is True
+    result = discord_oracle(stacked(states), side)
+    assert [float(v).hex() for v in result.value] == [p[0] for p in pinned]
+    assert result.iterations.tolist() == [p[3] for p in pinned]
+    assert result.converged.all() and result.minimizer is None
 
 
 class TestOracleConvergence:
@@ -483,6 +543,18 @@ class TestOracleConvergence:
             result = discord_oracle(pair, "B", refinement=1)
         assert result.converged is False
         assert result.iterations == 8
+
+    def test_short_refinement_on_a_stack_warns_once(self):
+        pairs = prepare_discordant_pair(SingleModeSpec(np.array([2.0, 0.7, 5.0])), 0.5)
+        with pytest.warns(RuntimeWarning, match="did not settle") as caught:
+            result = discord_oracle(pairs, "B", refinement=1)
+        assert len(caught) == 1
+        with pytest.warns(RuntimeWarning) as first:
+            discord_oracle(GaussianState(pairs.cm[0]), "B", refinement=1)
+        # the warning of the first unsettled member's own call, naming that member
+        assert str(caught[0].message) == f"{first[0].message} (batch member 0)"
+        assert result.converged.tolist() == [False] * 3
+        assert result.iterations.tolist() == [8] * 3
 
     def test_closed_form_leaves_defaults(self):
         result = gaussian_discord(prepare_discordant_pair(SingleModeSpec(2.0), 0.5), "B")
