@@ -28,17 +28,7 @@ from .network import (
     prepare_discordant_pair,
     run_three_mode,
 )
-from .speckle import (
-    BenchConfig,
-    FrameBatch,
-    detect,
-    mix_fields,
-    polarized,
-    project_jones,
-    run_bench,
-    sample_thermal_field,
-    split_field,
-)
+from .speckle import BenchConfig, FrameBatch, run_bench
 from .states import (
     GaussianState,
     PhysicalityError,
@@ -77,13 +67,7 @@ __all__ = [
     "run_three_mode",
     "BenchConfig",
     "FrameBatch",
-    "detect",
-    "mix_fields",
-    "polarized",
-    "project_jones",
     "run_bench",
-    "sample_thermal_field",
-    "split_field",
     "GaussianState",
     "PhysicalityError",
     "SingleModeSpec",

@@ -30,11 +30,9 @@ output cannot depend on ``BenchConfig.workers``, which is accepted and
 recorded for compatibility while the sampler runs serially. The numbers for
 a given seed changed in 0.2.0, when this sampler replaced per-mode fields.
 
-The per-mode field API (``frame_field``, ``split_field``,
-``substitute_modes``, ``mix_fields``, ``polarized``, ``project_jones``,
-``detect``) stays as the reference oracle. It draws the fields of beam b
-from the streams keyed by (seed, b), one per chunk, and the tests check that
-records built from those fields have the law of the sampled ones.
+The beam-splitter convention is coded once, in ``network.bs_symplectic``;
+``out_series`` reads the BS row off its matrix. The per-mode field oracle
+against which the records are law-tested lives in ``tests/test_speckle.py``.
 """
 
 from __future__ import annotations
@@ -44,13 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import bs_symplectic
+
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 256
 #: what run_bench samples; a manifest records it and a replay must match it
 SAMPLER = "bartlett-gram"
 
-#: polarization plane of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
-POLARIZATIONS = {"interference": ("H", "H"), "erasure": ("H", "V")}
+#: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
+POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
 SCENARIOS = tuple(POLARIZATIONS)
 #: intensity projector of each analyzer on (H, V) Jones vectors; 'none' detects both planes
 ANALYZERS = {
@@ -61,12 +61,8 @@ ANALYZERS = {
 }
 ANALYSIS_BASES = tuple(ANALYZERS)
 
-#: stream ids keying the per-beam Philox streams of the field API
-BEAM_SOURCE1 = 1
-BEAM_SOURCE2 = 2
-BEAM_MIX_SUBSTITUTE = 3
-BEAM_SPLIT_SUBSTITUTE = 4
-#: stream id keying run_bench's per-chunk Gram streams
+#: stream id keying run_bench's per-chunk Gram streams; ids 1-4 key the per-beam
+#: field streams of the test oracle (source 1, source 2, mix and split substitutes)
 GRAM_STREAM = 5
 
 __all__ = [
@@ -76,23 +72,10 @@ __all__ = [
     "SCENARIOS",
     "ANALYSIS_BASES",
     "ANALYZERS",
-    "BEAM_SOURCE1",
-    "BEAM_SOURCE2",
-    "BEAM_MIX_SUBSTITUTE",
-    "BEAM_SPLIT_SUBSTITUTE",
     "GRAM_STREAM",
     "BenchConfig",
     "FrameBatch",
     "chunk_rng",
-    "field_rng",
-    "frame_field",
-    "sample_thermal_field",
-    "split_field",
-    "substitute_modes",
-    "mix_fields",
-    "polarized",
-    "project_jones",
-    "detect",
     "chunk_record",
     "run_bench",
 ]
@@ -124,8 +107,8 @@ class BenchConfig:
             raise ValueError(f"modes must be >= 1, got {self.modes!r}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames!r}")
-        if not self.mean_photons > 0.0:
-            raise ValueError(f"mean_photons must be > 0, got {self.mean_photons!r}")
+        if not 0.0 < self.mean_photons < math.inf:
+            raise ValueError(f"mean_photons must be finite and > 0, got {self.mean_photons!r}")
         if not 0.0 <= self.tau_mix <= 1.0:
             raise ValueError(f"tau_mix must lie in [0, 1], got {self.tau_mix!r}")
         if not 0.0 < self.t_split <= 1.0:
@@ -175,9 +158,9 @@ class FrameBatch:
 
         ``basis`` is a key of ``ANALYZERS`` and ``scenario`` one of
         ``POLARIZATIONS``; any other value raises ``ValueError``. With P the
-        analyzer's projector and e1, e2 the Jones vectors of the planes of
-        beam 1 and of beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2,
-        (alpha, beta) being row p of the BS matrix of ``mix_fields``, and
+        analyzer's projector and e1, e2 the Jones vectors of beam 1 and of
+        beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2, (alpha, beta)
+        being row p of the BS matrix of ``network.bs_symplectic``, and
         detects alpha^2 e1.P.e1 |a1|^2 + beta^2 e2.P.e2 |a2|^2 +
         2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3 bypasses the BS and detects
         e2.P.e2 |a3|^2, a view of its in-column where that weight is 1.
@@ -188,8 +171,7 @@ class FrameBatch:
         if scenario not in POLARIZATIONS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
         proj = ANALYZERS[basis]
-        pol1, pol23 = POLARIZATIONS[scenario]
-        e1, e2 = polarized(np.ones(()), pol1).real, polarized(np.ones(()), pol23).real
+        e1, e2 = np.array(POLARIZATIONS[scenario])
         ins = self.intensities_in
         if beam == 2:
             weight = e2 @ proj @ e2
@@ -197,7 +179,8 @@ class FrameBatch:
                 return ins[:, 2]
             series = weight * ins[:, 2]
         else:
-            alpha, beta = np.array(mix_fields(*np.eye(2), self.config.tau_mix))[beam]
+            # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
+            alpha, beta = bs_symplectic(self.config.tau_mix).matrix[2 * beam, ::2]
             u, v = alpha * e1, beta * e2
             terms = (
                 (u @ proj @ u, ins[:, 0]),
@@ -231,116 +214,8 @@ def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def field_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Stand-alone stream, placed outside the chunk range of the per-chunk streams."""
-    return chunk_rng(seed, stream, (1 << 32) + index)
-
-
-def sample_thermal_field(rng: np.random.Generator, modes: int, mean: float) -> np.ndarray:
-    """One frame of a thermal speckle field: M circular complex Gaussians, E|a|^2 = mean."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0, got {mean!r}")
-    z = rng.standard_normal(2 * modes) * math.sqrt(mean / 2.0)
-    return z[0::2] + 1j * z[1::2]
-
-
-def _chunk_fields(seed: int, beam: int, chunk: int, rows: int, modes: int, mean: float) -> np.ndarray:
-    # fields of `rows` frames from the start of `chunk`, possibly spanning
-    # several chunks; each chunk is drawn whole from its own stream so row
-    # content never depends on `rows`
-    n_chunks = -(-rows // CHUNK_FRAMES)
-    z = np.empty((n_chunks * CHUNK_FRAMES, 2 * modes))
-    for i in range(n_chunks):
-        rng = chunk_rng(seed, beam, chunk + i)
-        rng.standard_normal(out=z[i * CHUNK_FRAMES : (i + 1) * CHUNK_FRAMES])
-    z = z[:rows] * math.sqrt(mean / 2.0)
-    return z[:, 0::2] + 1j * z[:, 1::2]
-
-
-def frame_field(seed: int, beam: int, frame: int, modes: int, mean: float) -> np.ndarray:
-    """Field of one frame of the field API's stream ``beam``, regenerated in isolation.
-
-    Bit-identical to that frame's row of any longer draw of the same chunk;
-    the per-mode reference oracle against which ``run_bench``'s records are
-    tested.
-    """
-    chunk, row = divmod(frame, CHUNK_FRAMES)
-    return _chunk_fields(seed, beam, chunk, row + 1, modes, mean)[row]
-
-
-def split_field(field: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic split (sqrt(t) field, sqrt(1 - t) field); outputs share the speckle."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"split ratio must lie in [0, 1], got {t!r}")
-    return field * math.sqrt(t), field * math.sqrt(1.0 - t)
-
-
 def _substituted_count(modes: int, eta: float) -> int:
     return int(round((1.0 - eta) * modes))
-
-
-def substitute_modes(field: np.ndarray, eta: float, replacement: np.ndarray) -> np.ndarray:
-    """Replace the first round((1 - eta) M) modes with the replacement field.
-
-    Models mode mismatch: replaced modes lose all correlation with their
-    partner beams while the marginal statistics keep the same thermal mean.
-    """
-    k = _substituted_count(field.shape[0], eta)
-    if k == 0:
-        return field
-    out = field.copy()
-    out[:k] = replacement[:k]
-    return out
-
-
-def mix_fields(
-    field_a: np.ndarray, field_b: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude-level beam splitter on fields of any leading shape (scalar or Jones).
-
-    out_a = sqrt(tau) a + sqrt(1 - tau) b and out_b = sqrt(tau) b -
-    sqrt(1 - tau) a, matching the covariance-level sign convention; this is
-    the one place the convention is coded, and ``FrameBatch`` reads the BS
-    matrix off it to weight the Gram columns. Mode mismatch is applied to the
-    input first, by ``substitute_modes``. Energy is conserved per mode pair.
-    """
-    a = np.asarray(field_a)
-    b = np.asarray(field_b)
-    if a.shape != b.shape:
-        raise ValueError(f"mode-count mismatch: {a.shape} vs {b.shape}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
-    t = math.sqrt(tau)
-    r = math.sqrt(1.0 - tau)
-    return t * a + r * b, t * b - r * a
-
-
-def polarized(field: np.ndarray, axis: str) -> np.ndarray:
-    """Lift a scalar speckle field to a Jones field along 'H' or 'V'."""
-    if axis not in ("H", "V"):
-        raise ValueError(f"axis must be 'H' or 'V', got {axis!r}")
-    out = np.zeros(field.shape + (2,), dtype=complex)
-    out[..., 0 if axis == "H" else 1] = field
-    return out
-
-
-def project_jones(field: np.ndarray, basis: str) -> np.ndarray:
-    """Project a Jones field on an analysis axis; 'none' keeps both components."""
-    if basis == "none":
-        return field
-    if basis == "H":
-        return field[..., 0]
-    if basis == "V":
-        return field[..., 1]
-    if basis == "deg45":
-        return (field[..., 0] + field[..., 1]) / math.sqrt(2.0)
-    raise ValueError(f"unknown analysis basis {basis!r}")
-
-
-def detect(field: np.ndarray) -> float:
-    """Integrated intensity: sum of |amplitude|^2 over modes (and Jones components)."""
-    f = np.asarray(field)
-    return float(np.sum(f.real * f.real + f.imag * f.imag))
 
 
 def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -56,7 +56,11 @@ def corr_coeff(series_h, series_k) -> float:
     Both series are centred by the corrected two-pass algorithm, and the
     centred sums of squares and products are numpy pairwise sums. On 1e6-frame
     Gamma series with mean offsets up to 1e8 the result agrees with an
-    error-free ``math.fsum`` reduction to within 1e-12 (tested).
+    error-free ``math.fsum`` reduction to within 1e-12 (tested). A series
+    holding NaN or inf, or one whose sums overflow, raises ``ValueError``
+    rather than returning a clamped value; the check reads the three scalar
+    sums, so finite input costs no extra pass. Finite sums give a finite
+    result, since |cov| <= sqrt(var_h var_k).
     """
     h = np.asarray(series_h, dtype=float)
     k = np.asarray(series_k, dtype=float)
@@ -64,16 +68,24 @@ def corr_coeff(series_h, series_k) -> float:
         raise ValueError("series must be one-dimensional and of equal length")
     if h.size < 2:
         raise ValueError("need at least two frames")
-    # at most two full-length temporaries: the products reuse dh's buffer
-    dh = _centred(h)
-    var_h = float(np.sum(dh * dh))
-    dk = _centred(k)
-    dh *= dk
-    cov = float(np.sum(dh))
-    var_k = float(np.sum(np.multiply(dk, dk, out=dh)))
+    # non-finite sums are reported below, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at most two full-length temporaries: the products reuse dh's buffer
+        dh = _centred(h)
+        var_h = float(np.sum(dh * dh))
+        dk = _centred(k)
+        dh *= dk
+        cov = float(np.sum(dh))
+        var_k = float(np.sum(np.multiply(dk, dk, out=dh)))
+    if not (math.isfinite(var_h) and math.isfinite(cov) and math.isfinite(var_k)):
+        raise ValueError("correlation undefined: a series is not finite or its sums overflow")
     if var_h <= 0.0 or var_k <= 0.0:
         raise ValueError("correlation undefined: a series has zero variance")
-    c = cov / math.sqrt(var_h * var_k)
+    norm = math.sqrt(var_h * var_k)
+    if not 0.0 < norm < math.inf:
+        # the product over- or underflows where neither variance does
+        norm = math.sqrt(var_h) * math.sqrt(var_k)
+    c = cov / norm
     return min(1.0, max(-1.0, c))
 
 

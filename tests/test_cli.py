@@ -519,6 +519,19 @@ def test_rejected_command_line_is_one_error_line(tmp_path, capsys, argv, message
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mean_photons", ["inf", "1e300"])
+def test_non_finite_correlation_exit_code(tmp_path, capsys, mean_photons):
+    # an infinite source is refused by BenchConfig; a finite one too bright for
+    # the correlation sums is refused by corr_coeff. Neither writes a CSV
+    cfg = tmp_path / "bright.cfg"
+    cfg.write_text(f"[source]\nmean_photons = {mean_photons}\n")
+    out = tmp_path / "tables.csv"
+    assert run_main(["tables", "--frames", "500", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bright.cfg"]
+
+
 def test_unwritable_out_path_exit_code(tmp_path, capsys):
     out = tmp_path / "missing" / "tables.csv"
     assert run_main(["tables", "--frames", "500", "--out", str(out)]) == 2

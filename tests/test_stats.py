@@ -41,6 +41,31 @@ class TestCorrCoeff:
         with pytest.raises(ValueError, match="zero variance"):
             corr_coeff([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([1.0, math.nan, 3.0, 2.0]),
+            np.array([1.0, math.inf, 3.0, 2.0]),
+            np.array([1.0, -3.0, 2.0, 5.0]) * 1e200,
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_non_finite_sums_rejected(self, bad):
+        # a clamp would turn NaN into -1 and an overflowed variance into 0
+        good = np.array([0.5, 1.5, 1.0, 2.5])
+        for h, k in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                corr_coeff(h, k)
+
+    @pytest.mark.parametrize("scale", [2.0**330, 2.0**-500])
+    def test_variance_product_out_of_range(self, scale):
+        # each variance is a normal float, their product over- or underflows;
+        # a power-of-two scale leaves the correlation as it is
+        rng = np.random.default_rng(107)
+        x = rng.exponential(size=1000)
+        y = x + rng.exponential(size=1000)
+        assert corr_coeff(scale * x, scale * y) == pytest.approx(corr_coeff(x, y), rel=1e-14)
+
     def test_length_validation(self):
         with pytest.raises(ValueError):
             corr_coeff([1.0], [2.0])
