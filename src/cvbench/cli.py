@@ -575,9 +575,10 @@ def main(argv: list[str] | None = None) -> int:
             created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         manifest.write(out_path.with_suffix(out_path.suffix + ".manifest.json"))
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         # OSError: an unwritable output path, e.g. a missing directory;
-        # MemoryError: a frame count or sweep grid too large to allocate
+        # MemoryError: a frame count or sweep grid too large to allocate;
+        # ArithmeticError: a value the engine cannot evaluate to its tolerance
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0

@@ -11,7 +11,8 @@ states (see ``cvbench.states``) and then return arrays; a single state gives
 floats, and each member of a batch gives the bits of its own call.
 ``discord_oracle`` is the brute-force reference the closed form is tested
 against: it scans a batch member by member and refines all members in
-lockstep.
+lockstep. The two share one entropy term, one evaluation of the
+measurement-free part of the discord and one clamp of its rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import GaussianState, _at_member, _log, _pow, partial_trace, symplectic_eigenvalues
+from .states import GaussianState, at_member, partial_trace, symplectic_eigenvalues
 
 #: symplectic eigenvalues within this distance of the pure limit contribute 0;
 #: it absorbs eigensolver rounding at the pure limit, and the entropy it cuts
@@ -33,6 +34,8 @@ PURE_GUARD = 1e-14
 DISCORD_CLAMP = 1e-9
 #: relative margin within which both branches of the discord formula are taken
 _BRANCH_MARGIN = 1e-12
+#: the oracle's scan: measurement squeezings q = 1/s by angles phi
+_ORACLE_GRID = (64, 64)
 
 __all__ = [
     "EntropyReport",
@@ -128,14 +131,13 @@ def unit_vacuum_cm(state: GaussianState) -> np.ndarray:
     return 2.0 * state.cm
 
 
-def _h_vec(x: np.ndarray, log=_log) -> np.ndarray:
-    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d).
-    # libm's log by default (see states._log); the oracle's grid takes numpy's
+def _h_vec(x: np.ndarray) -> np.ndarray:
+    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d)
     y = (x - 1.0) / 2.0
     safe = y > PURE_GUARD
     yp = np.where(safe, y, 1.0)
     xp = (x + 1.0) / 2.0
-    return np.where(safe, xp * log(xp) - yp * log(yp), 0.0)
+    return np.where(safe, xp * np.log(xp) - yp * np.log(yp), 0.0)
 
 
 def _ordered_blocks(state: GaussianState, side: str):
@@ -177,7 +179,7 @@ def _symplectic_pair(ia, ib, ic, k):
     # the larger one is capped at det CM so that nu_minus >= 1 (the pure limit)
     delta = ia + ib + 2.0 * ic
     id_ = ia * ib + k
-    radicand = _pow(ia - ib, 2.0) + 4.0 * ic * (ia + ib + ic) - 4.0 * k
+    radicand = np.square(ia - ib) + 4.0 * ic * (ia + ib + ic) - 4.0 * k
     nu_plus_sq = np.minimum((delta + np.sqrt(np.maximum(radicand, 0.0))) / 2.0, id_)
     return np.sqrt(id_ / nu_plus_sq), np.sqrt(nu_plus_sq)
 
@@ -200,7 +202,7 @@ def _minimal_conditional_det(ia, ib, ic, k):
     lhs = k * k
     rhs = (1.0 + ib) * ic * ic * (ia + id_)
     margin = _BRANCH_MARGIN * np.maximum(lhs, rhs)
-    denom = _pow(ib - 1.0, 2.0)
+    denom = np.square(ib - 1.0)
     # (det B - 1)(det CM - det A) with det CM - det A = det A (det B - 1) + k
     w = (ib - 1.0) * (ia * (ib - 1.0) + k)
     heterodyne_branch = (denom > 1e-12) & (lhs <= rhs + margin)
@@ -209,7 +211,7 @@ def _minimal_conditional_det(ia, ib, ic, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = np.maximum(ic_sq + w, 0.0)
         e_het = (2.0 * ic_sq + w + 2.0 * np.abs(ic) * np.sqrt(inner)) / denom
-        inner = np.maximum(_pow(ic, 4.0) + k * k - 2.0 * ic_sq * (id_ + ia * ib), 0.0)
+        inner = np.maximum(ic_sq * ic_sq + k * k - 2.0 * ic_sq * (id_ + ia * ib), 0.0)
         e_gen = (ia * ib - ic_sq + id_ - np.sqrt(inner)) / (2.0 * ib)
     e_het = np.where(heterodyne_branch, e_het, np.inf)
     e_gen = np.where(general_branch, e_gen, np.inf)
@@ -218,11 +220,28 @@ def _minimal_conditional_det(ia, ib, ic, k):
     return np.maximum(np.where(heterodyne, e_het, e_gen), 1.0), heterodyne
 
 
-def _validate_two_mode(state: GaussianState, side: str) -> None:
+def _discord_terms(state: GaussianState, side: str):
+    """Ordered blocks, invariants and h(sqrt det B) - h(nu-) - h(nu+) of a two-mode state.
+
+    The part of the discord that no measurement changes, shared by the closed
+    form and the oracle; each adds the conditional entropy of its minimum.
+    """
     if state.n_modes != 2:
         raise ValueError(f"discord needs a two-mode state, got {state.n_modes} modes")
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    blocks = _ordered_blocks(state, side)
+    invariants = _invariants(*blocks)
+    h = _h_vec(np.stack([np.sqrt(invariants[1]), *_symplectic_pair(*invariants)]))
+    return blocks, invariants, h[0] - h[1] - h[2]
+
+
+def _clamped(value: np.ndarray, what: str) -> np.ndarray:
+    # values in [-DISCORD_CLAMP, 0) are rounding and read as 0; below is an error
+    negative = value < -DISCORD_CLAMP
+    if negative.any():
+        raise ArithmeticError(f"{what} evaluated to {np.min(value):g}{at_member(negative)}")
+    return np.where(value < 0.0, 0.0, value)
 
 
 def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
@@ -239,20 +258,12 @@ def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
     error grows as N^2 times machine epsilon: on split thermal pairs it is
     below 1e-6 nats up to N = 1e4 and reaches 2.5e-4 at 1e6 and 2.3e-2 at 1e7.
     """
-    _validate_two_mode(state, side)
-    a_blk, b_blk, c_blk = _ordered_blocks(state, side)
-    ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
-    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
-    e_min, heterodyne = _minimal_conditional_det(ia, ib, ic, k)
-    h = _h_vec(np.stack([np.sqrt(ib), nu_minus, nu_plus, np.sqrt(e_min)]))
+    blocks, invariants, fixed = _discord_terms(state, side)
+    e_min, heterodyne = _minimal_conditional_det(*invariants)
     # a product state has no discord, and the heterodyne is among its minimizers
-    product = ~c_blk.any(axis=(-2, -1))
-    value = np.where(product, 0.0, h[0] - h[1] - h[2] + h[3])
+    product = ~blocks[2].any(axis=(-2, -1))
+    value = _clamped(np.where(product, 0.0, fixed + _h_vec(np.sqrt(e_min))), "discord")
     heterodyne = heterodyne | product
-    negative = value < -DISCORD_CLAMP
-    if negative.any():
-        raise ArithmeticError(f"discord evaluated to {np.min(value):g}{_at_member(negative)}")
-    value = np.where(value < 0.0, 0.0, value)
     if value.ndim:
         return DiscordResult(value, side)
     return DiscordResult(float(value), side, GaussianMeasurement(1.0, 0.0) if heterodyne else None)
@@ -312,13 +323,12 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     e12 = entry(a, 0, 1) - w12
     e22 = entry(a, 1, 1) - w22
     det_eps = np.maximum(e11 * e22 - e12 * e12, 1.0)
-    return _h_vec(np.sqrt(det_eps), np.log)
+    return _h_vec(np.sqrt(det_eps))
 
 
 def discord_oracle(
     state: GaussianState,
     side: str = "B",
-    grid: tuple[int, int] = (64, 64),
     refinement: int = 40,
 ) -> DiscordResult:
     """Brute-force Gaussian discord: scan measurements, then refine locally.
@@ -340,16 +350,12 @@ def discord_oracle(
     alone, bit for bit. They are then arrays over the batch axes, and no
     minimizer is reported.
     """
-    _validate_two_mode(state, side)
-    a_blk, b_blk, c_blk = _ordered_blocks(state, side)
-    ia, ib, ic, k = _invariants(a_blk, b_blk, c_blk)
-    nu_minus, nu_plus = _symplectic_pair(ia, ib, ic, k)
-    h = _h_vec(np.stack([np.sqrt(ib), nu_minus, nu_plus]))
-    fixed = np.reshape(h[0] - h[1] - h[2], -1)
-    a_blk, b_blk, c_blk = (blk.reshape(-1, 2, 2) for blk in (a_blk, b_blk, c_blk))
+    blocks, _, fixed = _discord_terms(state, side)
+    fixed = np.reshape(fixed, -1)
+    a_blk, b_blk, c_blk = (blk.reshape(-1, 2, 2) for blk in blocks)
     members = len(a_blk)
 
-    n_q, n_phi = grid
+    n_q, n_phi = _ORACLE_GRID
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
     phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     best_q, best_phi, best_val = np.empty((3, members))
@@ -402,16 +408,12 @@ def discord_oracle(
         warnings.warn(
             f"discord oracle did not settle (steps {steps[0] * scale[0]:g}, "
             f"{steps[1] * scale[0]:g}); best value {fixed[active[0]] + val[0]:.9g}"
-            f"{_at_member(~converged.reshape(shape))}",
+            f"{at_member(~converged.reshape(shape))}",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    value = (fixed + best_val).reshape(shape)
-    negative = value < -DISCORD_CLAMP
-    if negative.any():
-        raise ArithmeticError(f"oracle discord evaluated to {np.min(value):g}{_at_member(negative)}")
-    value = np.where(value < 0.0, 0.0, value)
+    value = _clamped((fixed + best_val).reshape(shape), "oracle discord")
     if shape:
         return DiscordResult(value, side, None, iterations.reshape(shape), converged.reshape(shape))
     best_s = math.inf if best_q[0] == 0.0 else 1.0 / float(best_q[0])

@@ -27,8 +27,8 @@ from .states import (
     GaussianState,
     SingleModeSpec,
     SymplecticOp,
-    _at_member,
     apply_symplectic,
+    at_member,
     mode_block,
     single_mode_cm,
     single_mode_state,
@@ -134,26 +134,20 @@ def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianS
 def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
     """Probe parameters whose CM equals the beam-2 marginal of the split source.
 
-    Splitting maps diag(f+, f-) to diag(g+, g-) with g = t f + (1 - t)/2; the
-    (n_tot, beta) pair is recovered by inverting the f+/f- parametrization
-    (smaller root of the beta quadratic, taken in a cancellation-free form
-    where the naive one would lose digits, and clamped into [0, 1]); a probe
-    without photons is the vacuum. A batched source gives a batched probe.
+    Splitting maps diag(f+, f-) to diag(g+, g-) with g = t f + (1 - t)/2. The
+    (n_tot, beta) pair is recovered by inverting the f+/f- parametrization:
+    n = (g+ + g- - 1)/2, and the purity identity sqrt(g+ g-) = 1/2 + (1 - beta) n
+    gives beta = delta^2 / (n (n + 1/2 + sqrt(g+ g-))) with delta = (g+ - g-)/2,
+    a form without cancellation (clamped into [0, 1]). A probe without photons
+    is the vacuum. A batched source gives a batched probe.
     """
     cm = single_mode_cm(source)
     g_plus = t_split * cm[..., 0, 0] + (1.0 - t_split) * 0.5
     g_minus = t_split * cm[..., 1, 1] + (1.0 - t_split) * 0.5
     n = (g_plus + g_minus - 1.0) / 2.0
     delta = (g_plus - g_minus) / 2.0
-    b = n + 2.0 * n * n
-    disc = b * b - 4.0 * (n * n) * (delta * delta)
-    root = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta = (b - root) / (2.0 * n * n)
-        # where root is within 1e-4 of b the subtraction has lost more than 4
-        # digits; the product of the roots, delta^2 / n^2, gives the smaller one
-        stable = 2.0 * (delta * delta) / (b + root)
-    beta = np.where(4.0 * (n * n) * (delta * delta) < 1e-4 * (b * b), stable, beta)
+        beta = (delta * delta) / (n * (n + 0.5 + np.sqrt(g_plus * g_minus)))
     bright = n > 0.0
     # beta > 0 is False for NaN, which the clamp sends to 0
     beta = np.where(bright & (beta > 0.0), np.minimum(beta, 1.0), 0.0)
@@ -199,7 +193,7 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
     if off.any():
         raise MarginalMismatchError(
             f"mode-2 marginal deviates from the probe by {np.max(mismatch[off]):g}"
-            f"{_at_member(off)}; identical interfering states are required"
+            f"{at_member(off)}; identical interfering states are required"
         )
     state_in = tensor([probe, pair])
     op = BeamSplitterSpec(protocol.tau_mix, 0, 1).operator(3)

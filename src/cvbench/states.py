@@ -9,7 +9,9 @@ Conventions, fixed across the package:
 A ``GaussianState`` may hold a stack of CMs of shape (..., 2n, 2n): every
 operation here acts on the trailing two axes and broadcasts over the leading
 batch axes, so a series of states is one computation and a single state is a
-batch of one. States are immutable values; every operation returns a new
+batch of one. All arithmetic is numpy's ufuncs and stacked linear algebra,
+which act member by member, so each member of a batch gets the bits of its
+own call. States are immutable values; every operation returns a new
 ``GaussianState`` and never mutates its inputs, so everything here is safe to
 call from any number of threads.
 
@@ -25,7 +27,6 @@ above 1/2), so they build their results without a second eigen-solve.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,29 +54,16 @@ __all__ = [
     "symplectic_eigenvalues",
     "apply_symplectic",
     "mode_block",
+    "at_member",
 ]
 
 
-def _at_member(bad: np.ndarray) -> str:
+def at_member(bad: np.ndarray) -> str:
     """Name the first flagged member of a batch, as " (batch member i)"; "" unbatched."""
     if bad.ndim == 0:
         return ""
     index = tuple(int(i) for i in np.argwhere(bad)[0])
     return f" (batch member {index[0] if len(index) == 1 else index})"
-
-
-def _elementwise(fn, nin: int):
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-#: libm's log and pow, applied member by member. numpy's SIMD log, and its
-#: ``** 2`` of an array (a product), differ from them in the last bit for
-#: about one input in 10^3. With these, a single state gets the bits of the
-#: libm formulas (``math.log``, ``x ** 2`` on floats) and so does every member
-#: of a batch
-_log = _elementwise(math.log, 1)
-_pow = _elementwise(pow, 2)
 
 
 class PhysicalityError(ValueError):
@@ -116,12 +104,13 @@ class SingleModeSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        # one reduction covers both fields, and NaN fails it
+        # one reduction covers both fields, and NaN and inf fail it
         n_tot = np.asarray(self.n_tot)[()]
         beta = np.asarray(self.beta)[()]
-        if not ((n_tot >= 0.0) & (beta >= 0.0) & (beta <= 1.0)).all():
-            if not (n_tot >= 0.0).all():
-                raise ValueError(f"n_tot must be >= 0, got {self.n_tot!r}")
+        valid_n = (n_tot >= 0.0) & (n_tot < np.inf)
+        if not (valid_n & (beta >= 0.0) & (beta <= 1.0)).all():
+            if not valid_n.all():
+                raise ValueError(f"n_tot must be finite and >= 0, got {self.n_tot!r}")
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
 
     @property
@@ -132,7 +121,7 @@ class SingleModeSpec:
     def squeezing(self) -> float:
         """Squeezing parameter r >= 0 of the mode, r = ln(f+ / f-) / 4."""
         cm = single_mode_cm(self)
-        r = 0.25 * _log(cm[..., 0, 0] / cm[..., 1, 1])
+        r = 0.25 * np.log(cm[..., 0, 0] / cm[..., 1, 1])
         return float(r) if r.ndim == 0 else r
 
 
@@ -175,7 +164,7 @@ def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
 def _require_finite(cm: np.ndarray) -> None:
     if not np.isfinite(cm).all():
         bad = ~np.isfinite(cm).all(axis=(-2, -1))
-        raise ValueError(f"covariance matrix contains non-finite entries{_at_member(bad)}")
+        raise ValueError(f"covariance matrix contains non-finite entries{at_member(bad)}")
 
 
 class GaussianState:
@@ -208,7 +197,7 @@ class GaussianState:
             if too_asym.any():
                 raise PhysicalityError(
                     f"covariance matrix asymmetry {np.max(asym[too_asym]):g} exceeds tolerance"
-                    f"{_at_member(too_asym)}"
+                    f"{at_member(too_asym)}"
                 )
         arr = (arr + arr_t) / 2.0
         d_min = _symplectic_moduli(arr).min(axis=-1)
@@ -216,7 +205,7 @@ class GaussianState:
         if below.any():
             raise PhysicalityError(
                 f"smallest symplectic eigenvalue {np.min(d_min):.12g} lies below the vacuum "
-                f"limit 1/2{_at_member(below)}"
+                f"limit 1/2{at_member(below)}"
             )
         arr.flags.writeable = False
         self._cm = arr

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .states import GaussianState, _at_member, _pow
+from .states import GaussianState, at_member
 
 __all__ = [
     "CorrelationEstimate",
@@ -143,8 +143,8 @@ def _ladder_moments(cm: np.ndarray, h: int, k: int):
 
 
 def _abs_sq(z) -> np.ndarray:
-    # |z|^2 as the squared modulus, with libm's pow (see states._pow)
-    return _pow(np.hypot(*z), 2.0)
+    # |z|^2 as the squared modulus
+    return np.square(np.hypot(*z))
 
 
 def cm_to_intensity_corr(
@@ -171,12 +171,12 @@ def cm_to_intensity_corr(
     dark = (n_h <= 0.0) | (n_k <= 0.0)
     if dark.any():
         raise ValueError(
-            f"intensity correlation undefined for a mode with zero mean photons{_at_member(dark)}"
+            f"intensity correlation undefined for a mode with zero mean photons{at_member(dark)}"
         )
     cross, pair = _ladder_moments(cm, mode_h, mode_k)
     cov = _abs_sq(cross) + _abs_sq(pair)
-    var_h = _pow(n_h, 2.0) + _abs_sq(pair_h)
-    var_k = _pow(n_k, 2.0) + _abs_sq(pair_k)
+    var_h = np.square(n_h) + _abs_sq(pair_h)
+    var_k = np.square(n_k) + _abs_sq(pair_k)
     if shot_noise:
         var_h += n_h
         var_k += n_k

@@ -429,6 +429,19 @@ class TestSweep:
         _, rows = read_rows(out)
         assert len(rows) == 10_000 and float(rows[-1][1]) == cli.SWEEP_N_MAX
 
+    def test_unevaluable_discord_is_one_error_line(self, tmp_path, capsys):
+        # a valid grid whose closed-form discord falls below its -1e-9 clamp
+        # (near 1.3e6 photons at t_split 1e-10) exits 2 and writes nothing
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "[sweep]\nsweep_param = t_split\ntaus = 1e-10\nn_source_max = 1e7\nn_points = 2000\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: discord evaluated to "), err
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestValidate:
     def test_quick_suite_passes(self, capsys):

