@@ -19,7 +19,6 @@ from .info import (
     mutual_information,
 )
 from .network import (
-    BeamSplitterSpec,
     MarginalMismatchError,
     ThreeModeProtocol,
     bs_symplectic,
@@ -57,7 +56,6 @@ __all__ = [
     "entropy",
     "gaussian_discord",
     "mutual_information",
-    "BeamSplitterSpec",
     "MarginalMismatchError",
     "ThreeModeProtocol",
     "bs_symplectic",

@@ -305,12 +305,18 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
             t_split, tau_mix = cfg["source"]["t_split"], tau
         else:
             t_split, tau_mix = tau, cfg["bench"]["tau_mix"]
-        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
-        in_state, out_state = run_three_mode(protocol)
-        # modes 2 and 3 of the input state are the discordant pair
-        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
-        c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
-        c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
+        try:
+            protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
+            in_state, out_state = run_three_mode(protocol)
+            # modes 2 and 3 of the input state are the discordant pair
+            disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
+            c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
+            c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
+        except (ArithmeticError, ValueError) as exc:
+            # the batch axis is the photon grid, so a flagged member is a point
+            if getattr(exc, "member", None) is None:
+                raise
+            raise type(exc)(f"{exc} at tau {tau:g}, n_source {grid[exc.member]:g}") from exc
         rows.extend(
             (tau, *point) for point in zip(grid.tolist(), disc.tolist(), c13.tolist(), c23.tolist())
         )
@@ -366,9 +372,9 @@ def _check_output_blocks(quick: bool) -> None:
         source = SingleModeSpec(rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.9))
         t_split = rng.uniform(0.15, 0.85)
         tau = rng.uniform(0.1, 0.9)
-        delta = mode_block(prepare_discordant_pair(source, t_split), 0, 1)
         protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
-        _, out = run_three_mode(protocol)
+        state_in, out = run_three_mode(protocol)
+        delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
         err13 = np.max(np.abs(mode_block(out, 0, 2) - np.sqrt(1 - tau) * delta))
         err23 = np.max(np.abs(mode_block(out, 1, 2) - np.sqrt(tau) * delta))
         err12 = np.max(np.abs(mode_block(out, 0, 1)))

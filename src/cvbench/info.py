@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import GaussianState, at_member, partial_trace, symplectic_eigenvalues
+from .states import GaussianState, member_error, partial_trace, symplectic_eigenvalues
 
 #: symplectic eigenvalues within this distance of the pure limit contribute 0;
 #: it absorbs eigensolver rounding at the pure limit, and the entropy it cuts
@@ -240,7 +240,7 @@ def _clamped(value: np.ndarray, what: str) -> np.ndarray:
     # values in [-DISCORD_CLAMP, 0) are rounding and read as 0; below is an error
     negative = value < -DISCORD_CLAMP
     if negative.any():
-        raise ArithmeticError(f"{what} evaluated to {np.min(value):g}{at_member(negative)}")
+        raise member_error(ArithmeticError, f"{what} evaluated to {value[negative][0]:g}", negative)
     return np.where(value < 0.0, 0.0, value)
 
 
@@ -405,13 +405,12 @@ def discord_oracle(
     best_q[active], best_phi[active], best_val[active] = q, phi, val
     shape = state.batch_shape
     if active.size:
-        warnings.warn(
+        message = (
             f"discord oracle did not settle (steps {steps[0] * scale[0]:g}, "
             f"{steps[1] * scale[0]:g}); best value {fixed[active[0]] + val[0]:.9g}"
-            f"{at_member(~converged.reshape(shape))}",
-            RuntimeWarning,
-            stacklevel=2,
         )
+        unsettled = ~converged.reshape(shape)
+        warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
 
     value = _clamped((fixed + best_val).reshape(shape), "oracle discord")
     if shape:

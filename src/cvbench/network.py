@@ -1,4 +1,4 @@
-"""Beam-splitter circuits on labeled modes and the two bench protocols at CM level.
+"""The beam splitter and the two bench protocols it builds, at CM level.
 
 All transformations are computed by explicit symplectic congruence; the
 closed-form block expressions (tau sigma1 + (1 - tau) sigma2 and friends)
@@ -13,7 +13,9 @@ operation.
 
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
-i.e. the reflection of the first input mode carries the minus sign.
+i.e. the reflection of the first input mode carries the minus sign. It is
+written out only in ``bs_symplectic``: ``run_three_mode`` embeds that matrix
+on modes 1 and 2, and the bench's read-out takes its BS row from it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .states import (
     SingleModeSpec,
     SymplecticOp,
     apply_symplectic,
-    at_member,
+    member_error,
     mode_block,
     single_mode_cm,
     single_mode_state,
@@ -42,7 +44,6 @@ MARGINAL_TOL = 1e-10
 
 __all__ = [
     "MarginalMismatchError",
-    "BeamSplitterSpec",
     "ThreeModeProtocol",
     "bs_symplectic",
     "mix_two",
@@ -62,38 +63,10 @@ def bs_symplectic(tau: float) -> SymplecticOp:
         raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
     t = math.sqrt(tau)
     r = math.sqrt(1.0 - tau)
-    return SymplecticOp(np.kron([[t, r], [-r, t]], np.eye(2)))
-
-
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """A beam splitter of transmissivity tau between two labeled modes."""
-
-    tau: float
-    mode_a: int
-    mode_b: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.tau!r}")
-        if self.mode_a == self.mode_b:
-            raise ValueError("mode_a and mode_b must differ")
-        if min(self.mode_a, self.mode_b) < 0:
-            raise ValueError("mode indices must be non-negative")
-
-    def operator(self, n_modes: int) -> SymplecticOp:
-        """Embed the 4x4 beam splitter into an identity on the remaining modes."""
-        if max(self.mode_a, self.mode_b) >= n_modes:
-            raise IndexError("beam-splitter mode index out of range")
-        core = bs_symplectic(self.tau).matrix
-        full = np.eye(2 * n_modes)
-        placement = ((self.mode_a, 0), (self.mode_b, 1))
-        for mi, bi in placement:
-            for mj, bj in placement:
-                full[2 * mi : 2 * mi + 2, 2 * mj : 2 * mj + 2] = core[
-                    2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2
-                ]
-        return SymplecticOp(full)
+    # the products kron([[t, r], [-r, t]], I2) forms, -r * 0 = -0.0 included
+    return SymplecticOp(
+        np.array([[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, -0.0, t, 0.0], [-0.0, -r, 0.0, t]])
+    )
 
 
 def mix_two(sigma1, sigma2, tau: float) -> GaussianState:
@@ -191,11 +164,14 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
     scale = np.maximum(1.0, np.max(np.abs(probe.cm), axis=(-2, -1)))
     off = mismatch > MARGINAL_TOL * scale
     if off.any():
-        raise MarginalMismatchError(
-            f"mode-2 marginal deviates from the probe by {np.max(mismatch[off]):g}"
-            f"{at_member(off)}; identical interfering states are required"
+        raise member_error(
+            MarginalMismatchError,
+            f"mode-2 marginal deviates from the probe by {mismatch[off][0]:g}; "
+            "identical interfering states are required",
+            off,
         )
     state_in = tensor([probe, pair])
-    op = BeamSplitterSpec(protocol.tau_mix, 0, 1).operator(3)
-    return state_in, apply_symplectic(state_in, op)
+    op = np.eye(6)
+    op[:4, :4] = bs_symplectic(protocol.tau_mix).matrix
+    return state_in, apply_symplectic(state_in, SymplecticOp(op))
 

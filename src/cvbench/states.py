@@ -54,16 +54,22 @@ __all__ = [
     "symplectic_eigenvalues",
     "apply_symplectic",
     "mode_block",
-    "at_member",
+    "member_error",
 ]
 
 
-def at_member(bad: np.ndarray) -> str:
-    """Name the first flagged member of a batch, as " (batch member i)"; "" unbatched."""
-    if bad.ndim == 0:
-        return ""
-    index = tuple(int(i) for i in np.argwhere(bad)[0])
-    return f" (batch member {index[0] if len(index) == 1 else index})"
+def member_error(error: type[Exception], message: str, bad: np.ndarray) -> Exception:
+    """``error(message)`` naming the first flagged member of a batch, as " (batch member i)".
+
+    Its index tuple is kept as the error's ``member`` (None for a single state),
+    so a caller that knows what the batch axes stand for can name the point.
+    """
+    member = tuple(int(i) for i in np.argwhere(bad)[0]) if bad.ndim else None
+    if member is not None:
+        message += f" (batch member {member[0] if len(member) == 1 else member})"
+    exc = error(message)
+    exc.member = member
+    return exc
 
 
 class PhysicalityError(ValueError):
@@ -132,21 +138,29 @@ def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     taken as (1/2 + (1 - beta) N)^2 / f+ instead, which does not cancel.
     Shape (..., 2, 2) over the broadcast shape of ``n_tot`` and ``beta``. The
     determinant obeys the purity identity det = (1/2 + (1 - beta) N)^2, which
-    is verified for every member before returning.
+    is verified for every member before returning. A member so bright that
+    f+, f- or that determinant overflows cannot be verified and raises
+    ``ValueError`` naming its ``n_tot``.
     """
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
     n = np.asarray(spec.n_tot, dtype=float)[()]
     beta = np.asarray(spec.beta, dtype=float)[()]
-    # n >= 0 and 0 <= beta <= 1 (checked by the spec) leave no negative factor
-    shift = np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
-    f_plus = 0.5 + n + shift
-    f_minus = 0.5 + n - shift
-    expected_det = (0.5 + (1.0 - beta) * n) ** 2
-    # below 1e-4 f+, 1/2 + N - shift has lost more than 4 digits to cancellation;
-    # there the purity identity gives f- without the subtraction
-    f_minus = np.where(f_minus < 1e-4 * f_plus, expected_det / f_plus, f_minus)[()]
+    # an overflow leaves inf or NaN, which is refused below instead of warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        # n >= 0 and 0 <= beta <= 1 (checked by the spec) leave no negative factor
+        shift = np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
+        f_plus = 0.5 + n + shift
+        f_minus = 0.5 + n - shift
+        expected_det = (0.5 + (1.0 - beta) * n) ** 2
+        # below 1e-4 f+, 1/2 + N - shift has lost more than 4 digits to cancellation;
+        # there the purity identity gives f- without the subtraction
+        f_minus = np.where(f_minus < 1e-4 * f_plus, expected_det / f_plus, f_minus)[()]
+        err = abs(f_plus * f_minus - expected_det)
+    unfit = ~(np.isfinite(f_plus) & np.isfinite(f_minus) & np.isfinite(expected_det))
+    if unfit.any():
+        n_unfit = np.broadcast_to(n, unfit.shape)[unfit][0]
+        raise member_error(ValueError, f"n_tot {n_unfit:g} overflows the covariance matrix", unfit)
     # relative to max(1, expected_det): beyond 1e-10 and beyond 1e-10 expected_det
-    err = abs(f_plus * f_minus - expected_det)
     if ((err > 1e-10) & (err > 1e-10 * expected_det)).any():
         raise ArithmeticError("purity identity violated: numerical failure in f+/f-")
     cm = np.zeros(f_plus.shape + (2, 2))
@@ -164,7 +178,7 @@ def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
 def _require_finite(cm: np.ndarray) -> None:
     if not np.isfinite(cm).all():
         bad = ~np.isfinite(cm).all(axis=(-2, -1))
-        raise ValueError(f"covariance matrix contains non-finite entries{at_member(bad)}")
+        raise member_error(ValueError, "covariance matrix contains non-finite entries", bad)
 
 
 class GaussianState:
@@ -195,17 +209,20 @@ class GaussianState:
         if (asym > SYMMETRY_TOL).any():
             too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
             if too_asym.any():
-                raise PhysicalityError(
-                    f"covariance matrix asymmetry {np.max(asym[too_asym]):g} exceeds tolerance"
-                    f"{at_member(too_asym)}"
+                raise member_error(
+                    PhysicalityError,
+                    f"covariance matrix asymmetry {asym[too_asym][0]:g} exceeds tolerance",
+                    too_asym,
                 )
         arr = (arr + arr_t) / 2.0
         d_min = _symplectic_moduli(arr).min(axis=-1)
         below = d_min < VACUUM_VARIANCE - PHYSICALITY_TOL
         if below.any():
-            raise PhysicalityError(
-                f"smallest symplectic eigenvalue {np.min(d_min):.12g} lies below the vacuum "
-                f"limit 1/2{at_member(below)}"
+            raise member_error(
+                PhysicalityError,
+                f"smallest symplectic eigenvalue {d_min[below][0]:.12g} lies below the vacuum "
+                "limit 1/2",
+                below,
             )
         arr.flags.writeable = False
         self._cm = arr

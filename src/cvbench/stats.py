@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .states import GaussianState, at_member
+from .states import GaussianState, member_error
 
 __all__ = [
     "CorrelationEstimate",
@@ -170,8 +170,8 @@ def cm_to_intensity_corr(
     (n_k, _), pair_k = _ladder_moments(cm, mode_k, mode_k)
     dark = (n_h <= 0.0) | (n_k <= 0.0)
     if dark.any():
-        raise ValueError(
-            f"intensity correlation undefined for a mode with zero mean photons{at_member(dark)}"
+        raise member_error(
+            ValueError, "intensity correlation undefined for a mode with zero mean photons", dark
         )
     cross, pair = _ladder_moments(cm, mode_h, mode_k)
     cov = _abs_sq(cross) + _abs_sq(pair)

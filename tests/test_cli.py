@@ -15,9 +15,15 @@ import pytest
 
 from cvbench import __version__, cli
 from cvbench.info import discord_oracle, gaussian_discord
-from cvbench.network import ThreeModeProtocol, matched_probe, run_three_mode
+from cvbench.network import ThreeModeProtocol, bs_symplectic, matched_probe, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
-from cvbench.states import SingleModeSpec, SymplecticOp, partial_trace, symplectic_eigenvalues
+from cvbench.states import (
+    SingleModeSpec,
+    SymplecticOp,
+    apply_symplectic,
+    partial_trace,
+    symplectic_eigenvalues,
+)
 from cvbench.stats import cm_to_intensity_corr
 
 
@@ -430,17 +436,27 @@ class TestSweep:
         assert len(rows) == 10_000 and float(rows[-1][1]) == cli.SWEEP_N_MAX
 
     def test_unevaluable_discord_is_one_error_line(self, tmp_path, capsys):
-        # a valid grid whose closed-form discord falls below its -1e-9 clamp
-        # (near 1.3e6 photons at t_split 1e-10) exits 2 and writes nothing
+        # a valid bright grid at a tiny t_split exits 2 with one error line that
+        # names the failing point, not only its batch member, with that point's
+        # own value (the discord's minimum, -5.72e-8, lies at member 1991), and
+        # writes nothing
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(
-            "[sweep]\nsweep_param = t_split\ntaus = 1e-10\nn_source_max = 1e7\nn_points = 2000\n"
-        )
         out = tmp_path / "sweep.csv"
-        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().split("\n")
-        assert len(err) == 1 and err[0].startswith("error: discord evaluated to "), err
-        assert list(tmp_path.iterdir()) == [cfg]
+        for tau, what, member, n_source in (
+            # the closed-form discord falls below its -1e-9 clamp
+            ("1e-10", "discord evaluated to -1.32271e-09", 1794, "1.28206e+06"),
+            # splitting at 1 - 1e-9 rounds the mode-2 marginal off the probe's
+            ("1e-09", "mode-2 marginal deviates from the probe by 1.0076e-10", 1896, "3.5627e+06"),
+        ):
+            cfg.write_text(
+                f"[sweep]\nsweep_param = t_split\ntaus = {tau}\nn_source_max = 1e7\n"
+                "n_points = 2000\n"
+            )
+            assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err.strip().split("\n")
+            assert len(err) == 1 and err[0].startswith(f"error: {what}"), err
+            assert err[0].endswith(f"(batch member {member}) at tau {tau}, n_source {n_source}")
+            assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestValidate:
@@ -474,6 +490,20 @@ class TestValidate:
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split()[0] for line in lines].count("FAIL") == 1
         assert lines[2].startswith("FAIL identity-interference: ")
+
+    def test_output_blocks_read_the_mixer(self, capsys, monkeypatch):
+        # a mixer placed on the pair (modes 2 and 3) instead of on the probe
+        # and mode 2 leaves the probe uncorrelated with mode 3
+        def misplaced(protocol):
+            state_in, _ = run_three_mode(protocol)
+            op = np.eye(6)
+            op[2:, 2:] = bs_symplectic(protocol.tau_mix).matrix
+            return state_in, apply_symplectic(state_in, SymplecticOp(op))
+
+        monkeypatch.setattr(cli, "run_three_mode", misplaced)
+        assert run_main(["validate", "--quick"]) == 1
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[3].startswith("FAIL three-mode-output-blocks: output blocks off by ")
 
     def test_purity_identity_reads_the_spectrum(self, capsys, monkeypatch):
         monkeypatch.setattr(

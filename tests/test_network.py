@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbench.network import (
-    BeamSplitterSpec,
     MarginalMismatchError,
     ThreeModeProtocol,
     bs_symplectic,
@@ -53,20 +52,15 @@ class TestBsSymplectic:
         with pytest.raises(ValueError):
             bs_symplectic(1.01)
 
-    def test_embedding(self):
-        op = BeamSplitterSpec(0.3, 0, 2).operator(3)
-        m = op.matrix
-        core = bs_symplectic(0.3).matrix
-        assert np.allclose(m[0:2, 0:2], core[0:2, 0:2])
-        assert np.allclose(m[0:2, 4:6], core[0:2, 2:4])
-        assert np.allclose(m[4:6, 0:2], core[2:4, 0:2])
-        assert np.allclose(m[2:4, 2:4], np.eye(2))
-
-    def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            BeamSplitterSpec(0.5, 1, 1)
-        with pytest.raises(IndexError):
-            BeamSplitterSpec(0.5, 0, 3).operator(2)
+    @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.15, 0.5, 1.0])
+    def test_written_out_matrix_is_the_kron_form(self, tau):
+        # the Kronecker product of the 2x2 mode matrix with I2, as an oracle:
+        # equal bits, down to the signed zeros that -r times 0 leaves
+        t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+        expected = np.kron([[t, r], [-r, t]], np.eye(2))
+        s = bs_symplectic(tau).matrix
+        assert np.array_equal(s, expected)
+        assert np.array_equal(np.signbit(s), np.signbit(expected))
 
 
 def blocks(state):

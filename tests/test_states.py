@@ -1,6 +1,7 @@
 """Tests for the covariance-matrix engine."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ class TestSingleModeSpec:
         for n_tot in (float("inf"), np.array([1.0, np.inf, 2.0])):
             with pytest.raises(ValueError, match="n_tot must be finite and >= 0"):
                 SingleModeSpec(n_tot, 0.5)
+
+    @pytest.mark.parametrize("n_tot, beta", [(1e200, 0.5), (1e160, 1.0), (1e300, 0.0)])
+    def test_overflowing_member_refused(self, n_tot, beta):
+        # f+, f- or the purity-identity determinant overflows, so the identity
+        # cannot be checked. The refusal names n_tot and the member, and no
+        # RuntimeWarning escapes (this suite turns one into an error)
+        message = re.escape(f"n_tot {n_tot:g} overflows the covariance matrix")
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            single_mode_cm(SingleModeSpec(n_tot, beta))
+        assert exc.value.member is None
+        with pytest.raises(ValueError, match=rf"^{message} \(batch member 2\)$") as exc:
+            single_mode_cm(SingleModeSpec(np.array([1.0, 1e100, n_tot, n_tot]), beta))
+        assert exc.value.member == (2,)
+
+    @pytest.mark.parametrize("n_tot, beta", [(1e150, 0.0), (1e100, 0.5)])
+    def test_bright_member_keeps_its_bits(self, n_tot, beta):
+        # no overflow, and f- far above 1e-4 f+: the plain formula in Python floats
+        shift = math.sqrt(beta * n_tot * (1.0 + n_tot * (2.0 - beta)))
+        expected = np.diag([0.5 + n_tot + shift, 0.5 + n_tot - shift])
+        assert np.array_equal(single_mode_cm(SingleModeSpec(n_tot, beta)), expected)
+        batch = single_mode_cm(SingleModeSpec(np.array([1.0, n_tot]), beta))
+        assert np.array_equal(batch[1], expected)
 
     def test_derived_quantities(self):
         spec = SingleModeSpec(2.0, 0.25)
@@ -274,9 +297,9 @@ class TestBatchedStates:
         cms[3] = np.diag([0.4, 0.4])
         with pytest.raises(PhysicalityError, match=r"batch member 3\b"):
             GaussianState(cms)
-        # with several offenders the first one is named
+        # with several offenders the first one is named, with its own eigenvalue
         cms[4] = np.diag([0.3, 0.3])
-        with pytest.raises(PhysicalityError, match=r"batch member 3\b"):
+        with pytest.raises(PhysicalityError, match=r"eigenvalue 0\.4 lies .* \(batch member 3\)$"):
             GaussianState(cms)
 
     def test_asymmetric_and_non_finite_members_named(self):
