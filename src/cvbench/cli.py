@@ -146,7 +146,8 @@ def _typed(raw) -> dict:
 
 def load_config(path: str | Path | None = None) -> dict:
     """Defaults overlaid with an optional config file; values are typed."""
-    parser = configparser.ConfigParser()
+    # values are literal text: % has no meaning, and no key refers to another
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(DEFAULTS)
     if path is not None:
         try:
@@ -273,7 +274,12 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
     ``SWEEP_N_MAX`` raise ``ConfigError`` before any series is computed.
     """
     sweep = cfg["sweep"]
-    taus = [float(x) for x in str(sweep["taus"]).split(",") if x.strip()]
+    taus = []
+    for text in filter(str.strip, str(sweep["taus"]).split(",")):
+        try:
+            taus.append(float(text))
+        except ValueError as exc:
+            raise ConfigError(f"[sweep] taus: cannot parse {text.strip()!r} as float") from exc
     if not taus:
         raise ConfigError("sweep taus must name at least one transmissivity")
     if sweep["n_points"] < 2:

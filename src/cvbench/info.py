@@ -2,9 +2,9 @@
 
 All entropies are in nats. Two conventions meet here: the package-wide
 vacuum-variance-1/2 CMs, and the vacuum-equals-identity convention in which
-the discord literature states its invariants. ``unit_vacuum_cm`` is the one
-bridge between them; the entropy term of a symplectic eigenvalue d in the 1/2
-convention equals ``_h_vec(2 d)`` in the rescaled one.
+the discord literature states its invariants. ``_ordered_blocks`` doubles a
+CM into the latter, the one place a CM is rescaled; the entropy term of a
+symplectic eigenvalue d in the 1/2 convention is ``_h_vec(2 d)`` there.
 
 ``entropy``, ``gaussian_discord`` and ``discord_oracle`` accept batched
 states (see ``cvbench.states``) and then return arrays; a single state gives
@@ -36,6 +36,8 @@ DISCORD_CLAMP = 1e-9
 _BRANCH_MARGIN = 1e-12
 #: the oracle's scan: measurement squeezings q = 1/s by angles phi
 _ORACLE_GRID = (64, 64)
+#: refinement steps within which the oracle's step must fall below 1e-13
+_ORACLE_STEPS = 320
 
 __all__ = [
     "EntropyReport",
@@ -45,7 +47,6 @@ __all__ = [
     "mutual_information",
     "gaussian_discord",
     "discord_oracle",
-    "unit_vacuum_cm",
 ]
 
 
@@ -60,28 +61,19 @@ def entropy(state: GaussianState):
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropies of a two-mode state and the mutual information they imply.
-
-    ``delta_s1``/``delta_s2`` are the marginal entropy increases relative to a
-    supplied pre-interaction state; they are ``None`` when no input was given.
-    For a product input their sum equals the mutual information.
-    """
+    """Entropies of a two-mode state and the mutual information they imply."""
 
     s1: float
     s2: float
     s12: float
     mutual_information: float
-    delta_s1: Optional[float] = None
-    delta_s2: Optional[float] = None
 
 
-def mutual_information(
-    state: GaussianState, input_state: Optional[GaussianState] = None
-) -> EntropyReport:
+def mutual_information(state: GaussianState) -> EntropyReport:
     """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats."""
     if state.n_modes != 2:
         raise ValueError(f"mutual information needs a two-mode state, got {state.n_modes} modes")
-    if state.batch_shape or (input_state is not None and input_state.batch_shape):
+    if state.batch_shape:
         raise ValueError("mutual information takes a single state, not a batch")
     s1 = entropy(partial_trace(state, {0}))
     s2 = entropy(partial_trace(state, {1}))
@@ -91,13 +83,7 @@ def mutual_information(
         if mi < -1e-12:
             raise ArithmeticError(f"subadditivity violated numerically: I = {mi:g}")
         mi = 0.0
-    delta_s1 = delta_s2 = None
-    if input_state is not None:
-        if input_state.n_modes != 2:
-            raise ValueError("input_state must be a two-mode state")
-        delta_s1 = s1 - entropy(partial_trace(input_state, {0}))
-        delta_s2 = s2 - entropy(partial_trace(input_state, {1}))
-    return EntropyReport(s1, s2, s12, mi, delta_s1, delta_s2)
+    return EntropyReport(s1, s2, s12, mi)
 
 
 @dataclass(frozen=True)
@@ -126,11 +112,6 @@ class DiscordResult:
     converged: bool | np.ndarray = True
 
 
-def unit_vacuum_cm(state: GaussianState) -> np.ndarray:
-    """CM rescaled to the vacuum-equals-identity convention (2x the 1/2-convention)."""
-    return 2.0 * state.cm
-
-
 def _h_vec(x: np.ndarray) -> np.ndarray:
     # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d)
     y = (x - 1.0) / 2.0
@@ -141,8 +122,8 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
 
 
 def _ordered_blocks(state: GaussianState, side: str):
-    # rescaled CM with the measured mode second ("B" position)
-    cm = unit_vacuum_cm(state)
+    # CM doubled into the vacuum-equals-identity convention, measured mode second ("B")
+    cm = 2.0 * state.cm
     if side == "A":
         perm = np.array([2, 3, 0, 1])
         cm = cm[..., perm, :][..., perm]
@@ -326,11 +307,7 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     return _h_vec(np.sqrt(det_eps))
 
 
-def discord_oracle(
-    state: GaussianState,
-    side: str = "B",
-    refinement: int = 40,
-) -> DiscordResult:
+def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     """Brute-force Gaussian discord: scan measurements, then refine locally.
 
     Scans the compact measurement domain q = 1/s in [0, 1] (q = 0 being the
@@ -339,7 +316,7 @@ def discord_oracle(
     an upper bound that converges to the closed form. Fully deterministic:
     fixed enumeration order, ties resolved toward smaller s, then smaller
     phi. The result records the refinement steps taken and whether the step
-    fell below 1e-13 within ``refinement * 8`` of them; non-convergence is
+    fell below 1e-13 within ``_ORACLE_STEPS`` of them; non-convergence is
     also reported as one warning carrying the best value found.
 
     A batched state is refined in lockstep, one ``_conditional_entropies``
@@ -375,12 +352,12 @@ def discord_oracle(
     q_offsets = np.linspace(steps[0], -steps[0], 9)
     phi_offsets = np.linspace(-steps[1], steps[1], 9)
     rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
-    iterations = np.full(members, refinement * 8)
+    iterations = np.full(members, _ORACLE_STEPS)
     converged = np.zeros(members, dtype=bool)
     # the members still refining: indices, blocks, best points and scales
     active, blocks, scale = np.arange(members), (a_blk, b_blk, c_blk), np.ones(members)
     q, phi, val = best_q, best_phi, best_val
-    for step in range(refinement * 8):
+    for step in range(_ORACLE_STEPS):
         settled = max(steps) * scale < 1e-13
         if settled.any():
             done, keep = active[settled], ~settled

@@ -51,7 +51,6 @@ SAMPLER = "bartlett-gram"
 
 #: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
-SCENARIOS = tuple(POLARIZATIONS)
 #: intensity projector of each analyzer on (H, V) Jones vectors; 'none' detects both planes
 ANALYZERS = {
     "none": np.eye(2),
@@ -59,7 +58,6 @@ ANALYZERS = {
     "V": np.diag([0.0, 1.0]),
     "H": np.diag([1.0, 0.0]),
 }
-ANALYSIS_BASES = tuple(ANALYZERS)
 
 #: stream id keying run_bench's per-chunk Gram streams; ids 1-4 key the per-beam
 #: field streams of the test oracle (source 1, source 2, mix and split substitutes)
@@ -69,8 +67,6 @@ __all__ = [
     "CHUNK_FRAMES",
     "SAMPLER",
     "POLARIZATIONS",
-    "SCENARIOS",
-    "ANALYSIS_BASES",
     "ANALYZERS",
     "GRAM_STREAM",
     "BenchConfig",
@@ -169,7 +165,7 @@ class FrameBatch:
         if basis not in ANALYZERS:
             raise ValueError(f"unknown analysis basis {basis!r}")
         if scenario not in POLARIZATIONS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+            raise ValueError(f"scenario must be one of {tuple(POLARIZATIONS)}, got {scenario!r}")
         proj = ANALYZERS[basis]
         e1, e2 = np.array(POLARIZATIONS[scenario])
         ins = self.intensities_in

@@ -123,13 +123,6 @@ class SingleModeSpec:
     def n_thermal(self) -> float:
         return (1.0 - self.beta) * self.n_tot
 
-    @property
-    def squeezing(self) -> float:
-        """Squeezing parameter r >= 0 of the mode, r = ln(f+ / f-) / 4."""
-        cm = single_mode_cm(self)
-        r = 0.25 * np.log(cm[..., 0, 0] / cm[..., 1, 1])
-        return float(r) if r.ndim == 0 else r
-
 
 def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     """CM diag(f+, f-) with f(+/-) = 1/2 + N +/- sqrt(beta N [1 + N (2 - beta)]).

@@ -1,9 +1,10 @@
 """Correlation estimation with confidence intervals, and CM-level predictions.
 
 ``corr_coeff`` is the frame-averaged second-order correlation coefficient of
-two intensity series. ``cm_to_intensity_corr`` predicts the same quantity
-analytically from a covariance matrix, which the Monte Carlo tests use as a
-cross-module oracle; it takes batched states too.
+two intensity series, and ``confidence_interval`` its Fisher z-transform
+interval; no other interval is built. ``cm_to_intensity_corr`` predicts the
+same quantity analytically from a covariance matrix, which the Monte Carlo
+tests use as a cross-module oracle; it takes batched states too.
 """
 
 from __future__ import annotations
@@ -89,7 +90,18 @@ def corr_coeff(series_h, series_k) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def _fisher_z_interval(c: float, n_frames: int, level: float) -> CorrelationEstimate:
+def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> CorrelationEstimate:
+    """Fisher z-transform confidence interval for a correlation, clamped to [-1, 1].
+
+    |c| = 1 gives the degenerate interval [c, c], and the width shrinks like
+    1/sqrt(n_frames).
+    """
+    if not -1.0 <= c <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
+    if n_frames < 4:
+        raise ValueError(f"need at least 4 frames, got {n_frames!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     if 1.0 - abs(c) <= 1e-15:
         return CorrelationEstimate(c, n_frames, c, c, level)
     z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
@@ -98,33 +110,6 @@ def _fisher_z_interval(c: float, n_frames: int, level: float) -> CorrelationEsti
     lo = max(-1.0, math.tanh(z - half))
     hi = min(1.0, math.tanh(z + half))
     return CorrelationEstimate(c, n_frames, lo, hi, level)
-
-
-#: interval constructions by name; register here to plug in another method
-CI_METHODS = {"fisher-z": _fisher_z_interval}
-
-
-def confidence_interval(
-    c: float, n_frames: int, level: float = 0.99, method: str = "fisher-z"
-) -> CorrelationEstimate:
-    """Confidence interval for a correlation, clamped to [-1, 1].
-
-    The default is the Fisher z-transform interval; |c| = 1 gives the
-    degenerate interval [c, c], and the width shrinks like 1/sqrt(n_frames).
-    Alternative constructions (e.g. a bounded-Bayesian one) can be registered
-    in ``CI_METHODS``.
-    """
-    if not -1.0 <= c <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
-    if n_frames < 4:
-        raise ValueError(f"need at least 4 frames, got {n_frames!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
-    try:
-        build = CI_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown CI method {method!r}; registered: {sorted(CI_METHODS)}") from None
-    return build(c, n_frames, level)
 
 
 def _ladder_moments(cm: np.ndarray, h: int, k: int):

@@ -81,6 +81,29 @@ class TestConfig:
         assert len(cfg["source"]) + len(cfg["bench"]) == len(fields)
         assert BenchConfig(**cfg["source"], **cfg["bench"]) == BenchConfig()
 
+    @pytest.mark.parametrize("taus, bad", [("0.1%", "0.1%"), ("0.5, abc", "abc")])
+    def test_unparseable_tau_names_the_key(self, tmp_path, capsys, taus, bad):
+        # values are literal text, so a % is an unparseable tau and not a
+        # configparser interpolation error
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"[sweep]\ntaus = {taus}\n")
+        code = cli.main(["sweep-discord", "--config", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: [sweep] taus: cannot parse {bad!r} as float"]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_no_reference_between_keys(self, tmp_path, capsys):
+        # %(frames)s is not filled in from [bench] frames; it is refused as a seed
+        path = tmp_path / "bench.cfg"
+        path.write_text("[bench]\nseed = %(frames)s\n")
+        out = str(tmp_path / "t.csv")
+        code = cli.main(["tables", "--config", str(path), "--frames", "2000", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["error: [bench] seed: cannot parse '%(frames)s' as int"]
+        assert list(tmp_path.iterdir()) == [path]
+
 
 def run_main(args):
     return cli.main(args)

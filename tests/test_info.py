@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvbench import info
 from cvbench.info import (
     DISCORD_CLAMP,
     _clamped,
@@ -14,7 +15,6 @@ from cvbench.info import (
     entropy,
     gaussian_discord,
     mutual_information,
-    unit_vacuum_cm,
 )
 from cvbench.network import (
     ThreeModeProtocol,
@@ -98,16 +98,10 @@ class TestMutualInformation:
         # I equals the sum of marginal entropy increases across the BS
         state_in = tensor([thermal_state(1.0), single_mode_state(SingleModeSpec(3.0, 0.5))])
         state_out = apply_symplectic(state_in, bs_symplectic(0.3))
-        report = mutual_information(state_out, input_state=state_in)
-        assert report.delta_s1 is not None and report.delta_s2 is not None
-        assert report.mutual_information == pytest.approx(
-            report.delta_s1 + report.delta_s2, abs=1e-10
-        )
-
-    def test_deltas_absent_without_input(self):
-        pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        report = mutual_information(pair)
-        assert report.delta_s1 is None and report.delta_s2 is None
+        report = mutual_information(state_out)
+        delta_s1 = report.s1 - entropy(partial_trace(state_in, {0}))
+        delta_s2 = report.s2 - entropy(partial_trace(state_in, {1}))
+        assert report.mutual_information == pytest.approx(delta_s1 + delta_s2, abs=1e-10)
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
@@ -189,11 +183,6 @@ class TestGaussianDiscord:
             gaussian_discord(pair, "C")
         with pytest.raises(ValueError):
             gaussian_discord(vacuum_state(3), "B")
-
-
-def test_unit_vacuum_rescaling():
-    state = vacuum_state()
-    assert np.array_equal(unit_vacuum_cm(state), np.eye(2))
 
 
 def test_pure_two_mode_discord_equals_marginal_entropy():
@@ -397,7 +386,6 @@ SINGLE_STATE_INPUTS = [
     ("0x1.d7f4911e8736ap-9", 1.0, "c13"),
     ("0x1.d6253a1e99d21p-3", 1.0, "c13"),
     ("0x1.351c09abb2454p+3", 1.0, "c13"),
-    ("0x1.1f818f2f2f5f6p-9", 0.3, "squeezing"),
 ]
 
 
@@ -453,11 +441,9 @@ def test_single_state_values_keep_their_bits():
         elif quantity == "mi":
             single = mutual_information(pair).mutual_information
             stack = [mutual_information(GaussianState(cm)).mutual_information for cm in pairs.cm]
-        elif quantity == "c13":
+        else:
             single = cm_to_intensity_corr(three_mode_output(spec), 0, 2, shot_noise=True)
             stack = cm_to_intensity_corr(three_mode_output(batch), 0, 2, shot_noise=True)
-        else:
-            single, stack = spec.squeezing, batch.squeezing
         assert type(single) is float
         assert [float(v).hex() for v in stack] == [single.hex()] * 3, (n_hex, quantity)
 
@@ -481,8 +467,6 @@ def test_mutual_information_takes_a_single_state():
     pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
     with pytest.raises(ValueError, match="single state"):
         mutual_information(stacked([pair, pair]))
-    with pytest.raises(ValueError, match="single state"):
-        mutual_information(pair, input_state=stacked([pair]))
 
 
 def validate_oracle_states():
@@ -546,20 +530,22 @@ class TestOracleConvergence:
         assert result.converged is True
         assert 0 < result.iterations < 40 * 8
 
-    def test_short_refinement_reports_non_convergence(self):
+    def test_short_refinement_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(info, "_ORACLE_STEPS", 8)
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
         with pytest.warns(RuntimeWarning, match="did not settle"):
-            result = discord_oracle(pair, "B", refinement=1)
+            result = discord_oracle(pair, "B")
         assert result.converged is False
         assert result.iterations == 8
 
-    def test_short_refinement_on_a_stack_warns_once(self):
+    def test_short_refinement_on_a_stack_warns_once(self, monkeypatch):
+        monkeypatch.setattr(info, "_ORACLE_STEPS", 8)
         pairs = prepare_discordant_pair(SingleModeSpec(np.array([2.0, 0.7, 5.0])), 0.5)
         with pytest.warns(RuntimeWarning, match="did not settle") as caught:
-            result = discord_oracle(pairs, "B", refinement=1)
+            result = discord_oracle(pairs, "B")
         assert len(caught) == 1
         with pytest.warns(RuntimeWarning) as first:
-            discord_oracle(GaussianState(pairs.cm[0]), "B", refinement=1)
+            discord_oracle(GaussianState(pairs.cm[0]), "B")
         # the warning of the first unsettled member's own call, naming that member
         assert str(caught[0].message) == f"{first[0].message} (batch member 0)"
         assert result.converged.tolist() == [False] * 3

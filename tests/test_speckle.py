@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from cvbench.speckle import (
-    ANALYSIS_BASES,
     ANALYZERS,
     CHUNK_FRAMES,
     BenchConfig,
@@ -36,7 +35,7 @@ H, V = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 SCENARIO_JONES = {"interference": (H, H), "erasure": (H, V)}
 
 #: every (scenario, analysis basis) the bench distinguishes
-SCENARIO_BASES = [(scenario, basis) for scenario in SCENARIO_JONES for basis in ANALYSIS_BASES]
+SCENARIO_BASES = [(scenario, basis) for scenario in SCENARIO_JONES for basis in ANALYZERS]
 
 
 def thermal_fields(rng, shape, mean):
@@ -415,7 +414,7 @@ class TestRunBench:
     def test_out_series_read_only(self, scenario):
         batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7))
         series = [
-            batch.out_series(beam, basis, scenario) for basis in ANALYSIS_BASES for beam in range(3)
+            batch.out_series(beam, basis, scenario) for basis in ANALYZERS for beam in range(3)
         ]
         series.append(batch.intensities_out)
         for values in series:

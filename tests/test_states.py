@@ -101,8 +101,6 @@ class TestSingleModeSpec:
     def test_derived_quantities(self):
         spec = SingleModeSpec(2.0, 0.25)
         assert spec.n_thermal == pytest.approx(1.5)
-        cm = single_mode_cm(spec)
-        assert spec.squeezing == pytest.approx(0.25 * math.log(cm[0, 0] / cm[1, 1]))
 
 
 class TestGaussianState:
@@ -324,8 +322,6 @@ class TestBatchedStates:
         assert cms.shape == (4, 2, 2)
         for cm, n, b in zip(cms, n_tot, beta):
             assert np.array_equal(cm, single_mode_cm(SingleModeSpec(float(n), float(b))))
-        singles = [SingleModeSpec(float(n), float(b)) for n, b in zip(n_tot, beta)]
-        assert np.array_equal(SingleModeSpec(n_tot, beta).squeezing, [s.squeezing for s in singles])
 
     def test_array_spec_validated_per_member(self):
         with pytest.raises(ValueError):
