@@ -266,12 +266,13 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
 
     One series per value in ``taus``, interpreted as the mixing transmissivity
     (sweep_param = tau_mix) or as the splitting used to prepare the pair
-    (sweep_param = t_split). Correlations use the photon-counting variance:
-    with the analog (classical) variance every split-thermal pair has
-    intensity correlation exactly 1 and the curves would degenerate. A tau
-    outside [0, 1], or a t_split of 0 or 1 (beam 2 or beam 3 then carries no
-    photons), whether swept or fixed, and an ``n_source_max`` above
-    ``SWEEP_N_MAX`` raise ``ConfigError`` before any series is computed.
+    (sweep_param = t_split), all in one stacked pass over the axes (tau,
+    point). Correlations use the photon-counting variance: with the analog
+    (classical) variance every split-thermal pair has intensity correlation
+    exactly 1 and the curves would degenerate. A tau outside [0, 1], or a
+    t_split of 0 or 1 (beam 2 or beam 3 then carries no photons), whether
+    swept or fixed, and an ``n_source_max`` above ``SWEEP_N_MAX`` raise
+    ``ConfigError`` before any series is computed.
     """
     sweep = cfg["sweep"]
     taus = []
@@ -294,38 +295,37 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
     if sweep["sweep_param"] not in ("tau_mix", "t_split"):
         raise ConfigError(f"sweep_param must be tau_mix or t_split, got {sweep['sweep_param']!r}")
     dark = {0.0: "beam 2", 1.0: "beam 3"}
-    for tau in taus:
-        if not 0.0 <= tau <= 1.0:
-            raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
-        if sweep["sweep_param"] == "t_split" and tau in dark:
+    split_swept = sweep["sweep_param"] == "t_split"
+    tau_axis = np.array(taus)[:, None]  # a column against the photon grid: axes (tau, point)
+    # the first tau outside [0, 1] (NaN too) or, swept as t_split, at 0 or 1 is refused
+    unfit = ~((tau_axis >= 0.0) & (tau_axis <= 1.0)) | split_swept & np.isin(tau_axis, (0.0, 1.0))
+    if unfit.any():
+        tau = taus[int(np.argmax(unfit))]
+        if tau in dark:
             raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into {dark[tau]}")
-    t_split = cfg["source"]["t_split"]
-    if sweep["sweep_param"] == "tau_mix" and t_split in dark:
+        raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
+    t_split, tau_mix = cfg["source"]["t_split"], cfg["bench"]["tau_mix"]
+    if split_swept:
+        t_split = tau_axis
+    elif t_split in dark:
         raise ConfigError(f"sweep t_split {t_split!r} sends no photons into {dark[t_split]}")
+    else:
+        tau_mix = tau_axis
     grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
-    # one batched source: each series is one stacked pass over the whole grid
     source = SingleModeSpec(grid)
-    rows = []
-    for tau in taus:
-        if sweep["sweep_param"] == "tau_mix":
-            t_split, tau_mix = cfg["source"]["t_split"], tau
-        else:
-            t_split, tau_mix = tau, cfg["bench"]["tau_mix"]
-        try:
-            protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
-            in_state, out_state = run_three_mode(protocol)
-            # modes 2 and 3 of the input state are the discordant pair
-            disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
-            c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
-            c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
-        except (ArithmeticError, ValueError) as exc:
-            # the batch axis is the photon grid, so a flagged member is a point
-            if getattr(exc, "member", None) is None:
-                raise
-            raise type(exc)(f"{exc} at tau {tau:g}, n_source {grid[exc.member]:g}") from exc
-        rows.extend(
-            (tau, *point) for point in zip(grid.tolist(), disc.tolist(), c13.tolist(), c23.tolist())
-        )
+    try:
+        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
+        in_state, out_state = run_three_mode(protocol)
+        # modes 2 and 3 of the input state are the discordant pair
+        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
+        c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
+        c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
+    except (ArithmeticError, ValueError) as exc:
+        if getattr(exc, "member", None) is None:
+            raise
+        i, j = (0, *exc.member)[-2:]  # (tau, point), or a point of a tau_mix sweep's pair
+        raise type(exc)(f"{exc} at tau {taus[i]:g}, n_source {grid[j]:g}") from exc
+    rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(tau_axis, grid, disc, c13, c23)))
     _write_csv(out_path, ("tau", "n_source", "discord", "c13_out", "c23_out"), rows)
     return out_path
 
@@ -362,40 +362,36 @@ def _check_identity_interference(quick: bool) -> None:
     draws = np.random.default_rng(2).uniform(size=(20 if quick else 60, 2))
     state = single_mode_state(SingleModeSpec(4.0 * draws[:, 0], draws[:, 1]))
     pairs = tensor([state, state])
-    for tau in (0.15, 0.5, 0.85):
-        out = apply_symplectic(pairs, bs_symplectic(tau))
-        off = float(np.max(np.abs(mode_block(out, 0, 1))))
-        if off > 1e-12:
-            raise AssertionError(f"identical inputs gave an off-diagonal block {off:g} at tau {tau}")
-        shift = max(float(np.max(np.abs(mode_block(out, m, m) - state.cm))) for m in (0, 1))
-        if shift > 1e-12:
-            raise AssertionError(f"identical inputs changed a marginal by {shift:g} at tau {tau}")
+    taus = np.array([0.15, 0.5, 0.85])
+    # neither a correlation nor a marginal may change: one congruence over the axes (tau, draw)
+    out = apply_symplectic(pairs, bs_symplectic(taus[:, None]))
+    change = np.abs(out.cm - pairs.cm).max(axis=(1, 2, 3))
+    i = int(np.argmax(change > 1e-12))  # the first tau to fail
+    if change[i] > 1e-12:
+        raise AssertionError(f"identical inputs changed the pair by {change[i]:g} at tau {taus[i]}")
 
 
 def _check_output_blocks(quick: bool) -> None:
-    rng = np.random.default_rng(3)
-    for _ in range(10 if quick else 30):
-        source = SingleModeSpec(rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.9))
-        t_split = rng.uniform(0.15, 0.85)
-        tau = rng.uniform(0.1, 0.9)
-        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
-        state_in, out = run_three_mode(protocol)
-        delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
-        err13 = np.max(np.abs(mode_block(out, 0, 2) - np.sqrt(1 - tau) * delta))
-        err23 = np.max(np.abs(mode_block(out, 1, 2) - np.sqrt(tau) * delta))
-        err12 = np.max(np.abs(mode_block(out, 0, 1)))
-        if max(err13, err23, err12) > 1e-12:
-            raise AssertionError(f"output blocks off by {max(err13, err23, err12):g}")
+    n_tot, beta, t_split, tau = np.random.default_rng(3).uniform(
+        (0.3, 0.0, 0.15, 0.1), (4.0, 0.9, 0.85, 0.9), size=(10 if quick else 30, 4)
+    ).T
+    source = SingleModeSpec(n_tot, beta)
+    protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
+    state_in, out = run_three_mode(protocol)
+    delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
+    err13 = np.max(np.abs(mode_block(out, 0, 2) - np.sqrt(1 - tau)[:, None, None] * delta))
+    err23 = np.max(np.abs(mode_block(out, 1, 2) - np.sqrt(tau)[:, None, None] * delta))
+    err12 = np.max(np.abs(mode_block(out, 0, 1)))
+    if max(err13, err23, err12) > 1e-12:
+        raise AssertionError(f"output blocks off by {max(err13, err23, err12):g}")
 
 
 def _check_discord_oracle(quick: bool) -> None:
     # one stack, one call each: every member's values are those of its own call
-    rng = np.random.default_rng(4)
-    pairs = []
-    for _ in range(3 if quick else 10):
-        source = SingleModeSpec(rng.uniform(0.3, 3.0), rng.uniform(0.0, 0.8))
-        pairs.append(prepare_discordant_pair(source, rng.uniform(0.2, 0.8)).cm)
-    stack = GaussianState(np.stack(pairs))
+    n_tot, beta, t_split = np.random.default_rng(4).uniform(
+        (0.3, 0.0, 0.2), (3.0, 0.8, 0.8), size=(3 if quick else 10, 3)
+    ).T
+    stack = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
     closed = gaussian_discord(stack, side="B").value
     probed = discord_oracle(stack, side="B").value
     err = np.abs(closed - probed)

@@ -5,11 +5,11 @@ closed-form block expressions (tau sigma1 + (1 - tau) sigma2 and friends)
 appear only in the tests, as independent oracles.
 
 The protocol builders pass batches through: a ``SingleModeSpec`` of arrays
-gives batched states (see ``cvbench.states``). Specs and the CMs handed to
-``mix_two`` are checked for physicality as they enter, every member of a
-batch; the congruences and direct sums built from them are physical by
-construction and are not checked again. ``mix_two`` stays a single-state
-operation.
+gives batched states (see ``cvbench.states``), and an array tau a stack of
+beam splitters, whose axes broadcast against the specs'. Specs, taus and the
+CMs handed to ``mix_two`` are checked as they enter, every member of a batch;
+the congruences and direct sums built from them are physical by construction
+and not checked again. ``mix_two`` stays a single-state operation.
 
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
@@ -20,7 +20,6 @@ on modes 1 and 2, and the bench's read-out takes its BS row from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +56,24 @@ class MarginalMismatchError(ValueError):
     """Probe and mode-2 marginals differ, breaking the identical-inputs premise."""
 
 
-def bs_symplectic(tau: float) -> SymplecticOp:
-    """4x4 beam-splitter symplectic with transmissivity tau (see module docstring)."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
-    t = math.sqrt(tau)
-    r = math.sqrt(1.0 - tau)
+def _require_unit_interval(name: str, value) -> None:
+    """Refuse a transmissivity outside [0, 1] or NaN; a float inside costs one comparison."""
+    if isinstance(value, float) and 0.0 <= value <= 1.0:
+        return
+    arr = np.asarray(value, dtype=float)
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise member_error(ValueError, f"{name} must lie in [0, 1], got {arr[bad][0]}", bad)
+
+
+def bs_symplectic(tau) -> SymplecticOp:
+    """4x4 beam-splitter symplectic (see module docstring), stacked over an array tau's axes."""
+    _require_unit_interval("transmissivity", tau)
+    t, r = np.sqrt(tau), np.sqrt(1.0 - tau)
+    z = 0.0 * t
     # the products kron([[t, r], [-r, t]], I2) forms, -r * 0 = -0.0 included
-    return SymplecticOp(
-        np.array([[t, 0.0, r, 0.0], [0.0, t, 0.0, r], [-r, -0.0, t, 0.0], [-0.0, -r, 0.0, t]])
-    )
+    matrix = np.array([[t, z, r, z], [z, t, z, r], [-r, -z, t, z], [-z, -r, z, t]])
+    return SymplecticOp(np.moveaxis(matrix, (0, 1), (-2, -1)) if matrix.ndim > 2 else matrix)
 
 
 def mix_two(sigma1, sigma2, tau: float) -> GaussianState:
@@ -80,13 +87,12 @@ def mix_two(sigma1, sigma2, tau: float) -> GaussianState:
     """
     state1 = GaussianState(np.asarray(sigma1, dtype=float))
     state2 = GaussianState(np.asarray(sigma2, dtype=float))
-    if state1.batch_shape or state2.batch_shape:
-        raise ValueError("mix_two takes single-mode CMs, not batches")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {tau!r}")
+    mixer = bs_symplectic(tau)
+    if state1.batch_shape or state2.batch_shape or mixer.matrix.ndim > 2:
+        raise ValueError("mix_two takes single-mode CMs and one tau, not batches")
     if np.array_equal(state1.cm, state2.cm):
         return tensor([state1, state1])
-    return apply_symplectic(tensor([state1, state2]), bs_symplectic(tau))
+    return apply_symplectic(tensor([state1, state2]), mixer)
 
 
 def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianState:
@@ -98,8 +104,7 @@ def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianS
     with the vacuum entering the free port, so the output is correlated (and
     discordant) unless t_split is 0 or 1 or the source is the vacuum.
     """
-    if not 0.0 <= t_split <= 1.0:
-        raise ValueError(f"t_split must lie in [0, 1], got {t_split!r}")
+    _require_unit_interval("t_split", t_split)
     pair = tensor([vacuum_state(), single_mode_state(source)])
     return apply_symplectic(pair, bs_symplectic(1.0 - t_split))
 
@@ -142,10 +147,8 @@ class ThreeModeProtocol:
     tau_mix: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t_split <= 1.0:
-            raise ValueError(f"t_split must lie in [0, 1], got {self.t_split!r}")
-        if not 0.0 <= self.tau_mix <= 1.0:
-            raise ValueError(f"tau_mix must lie in [0, 1], got {self.tau_mix!r}")
+        _require_unit_interval("t_split", self.t_split)
+        _require_unit_interval("tau_mix", self.tau_mix)
 
 
 def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, GaussianState]:
@@ -153,8 +156,8 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
 
     The output keeps both mixed marginals and leaves modes 1 and 2 mutually
     uncorrelated, while the 2-3 correlation block shrinks by sqrt(tau) and a
-    1-3 block of sqrt(1 - tau) times the input block appears. Batched probe
-    and source specs give batched states. Every member's marginals must match
+    1-3 block of sqrt(1 - tau) times the input block appears. Batched specs
+    and array taus give batched states. Every member's marginals must match
     to ``MARGINAL_TOL`` times max(1, the largest entry of its probe CM), so
     bright sources are not refused for rounding.
     """
@@ -171,7 +174,7 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
             off,
         )
     state_in = tensor([probe, pair])
-    op = np.eye(6)
-    op[:4, :4] = bs_symplectic(protocol.tau_mix).matrix
+    op = np.broadcast_to(np.eye(6), np.shape(protocol.tau_mix) + (6, 6)).copy()
+    op[..., :4, :4] = bs_symplectic(protocol.tau_mix).matrix
     return state_in, apply_symplectic(state_in, SymplecticOp(op))
 

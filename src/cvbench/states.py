@@ -6,14 +6,14 @@ Conventions, fixed across the package:
 * quadratures are interleaved as (x1, p1, x2, p2, ...)
 * a state is physical iff every symplectic eigenvalue reaches 1/2
 
-A ``GaussianState`` may hold a stack of CMs of shape (..., 2n, 2n): every
-operation here acts on the trailing two axes and broadcasts over the leading
-batch axes, so a series of states is one computation and a single state is a
-batch of one. All arithmetic is numpy's ufuncs and stacked linear algebra,
-which act member by member, so each member of a batch gets the bits of its
-own call. States are immutable values; every operation returns a new
-``GaussianState`` and never mutates its inputs, so everything here is safe to
-call from any number of threads.
+A ``GaussianState`` (or ``SymplecticOp``) may hold a stack of shape
+(..., 2n, 2n): every operation here acts on the trailing two axes and
+broadcasts over the leading batch axes, so a series of states or operators is
+one computation and a single one is a batch of one. All arithmetic is numpy's
+ufuncs and stacked linear algebra, which act member by member, so each member
+of a batch gets the bits of its own call. States are immutable values; every
+operation returns a new ``GaussianState`` and never mutates its inputs, so
+everything here is safe to call from any number of threads.
 
 Physicality is checked where a CM enters: ``GaussianState(cm)`` on a CM handed
 in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
@@ -248,25 +248,26 @@ class GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class SymplecticOp:
-    """Linear mode transformation acting on CMs by congruence S Sigma S^T."""
+    """Mode transformation S, or a stack (..., 2n, 2n), acting on CMs by congruence S Sigma S^T."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2 or not arr.size:
-            raise SymplecticError(f"operator must be 2n x 2n, got shape {arr.shape}")
-        w = omega(arr.shape[0] // 2)
-        defect = float(np.max(np.abs(arr @ w @ arr.T - w)))
-        # NaN fails this comparison, so a non-finite matrix is refused
-        if not defect <= 1e-10:
-            raise SymplecticError(f"S Omega S^T deviates from Omega by {defect:g}")
+        arr = np.array(self.matrix, dtype=float, order="C")
+        if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2 or not arr.size:
+            raise SymplecticError(f"operator must be (..., 2n, 2n), got shape {arr.shape}")
+        w = omega(arr.shape[-1] // 2)
+        deviation = np.abs(arr @ w @ arr.swapaxes(-1, -2) - w)
+        if not deviation.max() <= 1e-10:  # NaN fails this too; members are sought on failure only
+            bad = ~(deviation.max(axis=(-2, -1)) <= 1e-10)
+            message = f"S Omega S^T deviates from Omega by {np.max(deviation[bad][0]):g}"
+            raise member_error(SymplecticError, message, bad)
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
 
 def single_mode_state(spec: SingleModeSpec) -> GaussianState:
@@ -320,15 +321,15 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Congruence Sigma -> S Sigma S^T; preserves the symplectic spectrum.
+    """Congruence Sigma -> S Sigma S^T, batch axes broadcast; preserves the symplectic spectrum.
 
     The result is symmetrized, (a + a^T) / 2, and refused only if the
     congruence overflowed: a checked symplectic keeps the state physical.
     """
-    if op.matrix.shape[0] != state.cm.shape[-1]:
+    if op.matrix.shape[-1] != state.cm.shape[-1]:
         raise ValueError(f"operator acts on {op.n_modes} modes, state has {state.n_modes}")
     s = op.matrix
-    cm = s @ state.cm @ s.T
+    cm = s @ state.cm @ s.swapaxes(-1, -2)
     _require_finite(cm)
     return GaussianState._closed((cm + cm.swapaxes(-1, -2)) / 2.0)
 

@@ -460,19 +460,22 @@ class TestSweep:
 
     def test_unevaluable_discord_is_one_error_line(self, tmp_path, capsys):
         # a valid bright grid at a tiny t_split exits 2 with one error line that
-        # names the failing point, not only its batch member, with that point's
-        # own value (the discord's minimum, -5.72e-8, lies at member 1991), and
-        # writes nothing
+        # names the failing point, not only its batch member (tau index, point
+        # index), with that point's own value (the discord's minimum, -5.72e-8,
+        # lies at point 1991), and writes nothing
         cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "sweep.csv"
-        for tau, what, member, n_source in (
+        marginal = "mode-2 marginal deviates from the probe by 1.0076e-10"
+        for taus, tau, what, member, n_source in (
             # the closed-form discord falls below its -1e-9 clamp
-            ("1e-10", "discord evaluated to -1.32271e-09", 1794, "1.28206e+06"),
+            ("1e-10", "1e-10", "discord evaluated to -1.32271e-09", (0, 1794), "1.28206e+06"),
             # splitting at 1 - 1e-9 rounds the mode-2 marginal off the probe's
-            ("1e-09", "mode-2 marginal deviates from the probe by 1.0076e-10", 1896, "3.5627e+06"),
+            ("1e-09", "1e-09", marginal, (0, 1896), "3.5627e+06"),
+            # the same point behind a tau that runs: the tau index names the failing series
+            ("0.3,1e-09", "1e-09", marginal, (1, 1896), "3.5627e+06"),
         ):
             cfg.write_text(
-                f"[sweep]\nsweep_param = t_split\ntaus = {tau}\nn_source_max = 1e7\n"
+                f"[sweep]\nsweep_param = t_split\ntaus = {taus}\nn_source_max = 1e7\n"
                 "n_points = 2000\n"
             )
             assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
@@ -506,21 +509,25 @@ class TestValidate:
         def squeezer(tau):
             c, s = math.cosh(0.3), math.sinh(0.3)
             z = np.diag([1.0, -1.0])
-            return SymplecticOp(np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]]))
+            matrix = np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
+            # one per tau, as bs_symplectic gives for an array of taus
+            return SymplecticOp(np.broadcast_to(matrix, np.shape(tau) + (4, 4)))
 
         monkeypatch.setattr(cli, "bs_symplectic", squeezer)
         assert run_main(["validate", "--quick"]) == 1
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split()[0] for line in lines].count("FAIL") == 1
-        assert lines[2].startswith("FAIL identity-interference: ")
+        failed = "FAIL identity-interference: identical inputs changed the pair by "
+        assert lines[2].startswith(failed) and lines[2].endswith(" at tau 0.15")
 
     def test_output_blocks_read_the_mixer(self, capsys, monkeypatch):
         # a mixer placed on the pair (modes 2 and 3) instead of on the probe
         # and mode 2 leaves the probe uncorrelated with mode 3
         def misplaced(protocol):
             state_in, _ = run_three_mode(protocol)
-            op = np.eye(6)
-            op[2:, 2:] = bs_symplectic(protocol.tau_mix).matrix
+            mixer = bs_symplectic(protocol.tau_mix).matrix  # one per member
+            op = np.broadcast_to(np.eye(6), mixer.shape[:-2] + (6, 6)).copy()
+            op[..., 2:, 2:] = mixer
             return state_in, apply_symplectic(state_in, SymplecticOp(op))
 
         monkeypatch.setattr(cli, "run_three_mode", misplaced)

@@ -31,6 +31,9 @@ from cvbench.states import (
 from helpers import random_single_mode_cm, random_source, random_two_mode_state
 
 
+KRON_TAUS = [0.0, 1e-9, 0.15, 0.5, 1.0]
+
+
 class TestBsSymplectic:
     def test_full_transmission_is_identity(self):
         assert np.allclose(bs_symplectic(1.0).matrix, np.eye(4))
@@ -52,15 +55,17 @@ class TestBsSymplectic:
         with pytest.raises(ValueError):
             bs_symplectic(1.01)
 
-    @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.15, 0.5, 1.0])
+    @pytest.mark.parametrize("tau", KRON_TAUS)
     def test_written_out_matrix_is_the_kron_form(self, tau):
         # the Kronecker product of the 2x2 mode matrix with I2, as an oracle:
-        # equal bits, down to the signed zeros that -r times 0 leaves
+        # equal bits, down to the signed zeros that -r times 0 leaves, for the
+        # scalar call and for this tau's slice of the stack of all five
         t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
         expected = np.kron([[t, r], [-r, t]], np.eye(2))
-        s = bs_symplectic(tau).matrix
-        assert np.array_equal(s, expected)
-        assert np.array_equal(np.signbit(s), np.signbit(expected))
+        stack = bs_symplectic(np.array(KRON_TAUS)).matrix
+        for s in (bs_symplectic(tau).matrix, stack[KRON_TAUS.index(tau)]):
+            assert np.array_equal(s, expected)
+            assert np.array_equal(np.signbit(s), np.signbit(expected))
 
 
 def blocks(state):
@@ -211,24 +216,38 @@ class TestRunThreeMode:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 1.5, 0.5)
+        # a stack of transmissivities names its out-of-range member
+        taus = np.array([0.2, 0.5, 1.5])
+        named = r"^tau_mix must lie in \[0, 1\], got 1.5 \(batch member 2\)$"
+        with pytest.raises(ValueError, match=named):
+            ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, taus)
 
     @pytest.mark.parametrize("t_split", [0.0, 0.3, 1.0])
     def test_batched_source_equals_member_runs(self, t_split):
         n_tot = np.array([0.0, 1e-9, 0.02, 1.0, 50.0])
         beta = np.array([0.0, 0.5, 0.9, 0.0, 0.3])
         source = SingleModeSpec(n_tot, beta)
-        probe = matched_probe(source, t_split)
-        state_in, state_out = run_three_mode(ThreeModeProtocol(probe, source, t_split, 0.4))
-        assert state_in.batch_shape == state_out.batch_shape == (5,)
-        for i, (n, b) in enumerate(zip(n_tot, beta)):
-            single = SingleModeSpec(float(n), float(b))
-            single_probe = matched_probe(single, t_split)
-            assert (probe.n_tot[i], probe.beta[i]) == (single_probe.n_tot, single_probe.beta)
-            single_in, single_out = run_three_mode(
-                ThreeModeProtocol(single_probe, single, t_split, 0.4)
-            )
-            assert np.array_equal(state_in.cm[i], single_in.cm)
-            assert np.array_equal(state_out.cm[i], single_out.cm)
+        # one split and mixer for all members, then one of each per member
+        for splits, taus in (
+            (t_split, 0.4),
+            (
+                np.array([t_split, 1e-9, 0.5, 1.0 - t_split, 0.8]),
+                np.array([0.4, 0.0, 1.0, 0.7, 0.1]),
+            ),
+        ):
+            probe = matched_probe(source, splits)
+            state_in, state_out = run_three_mode(ThreeModeProtocol(probe, source, splits, taus))
+            assert state_in.batch_shape == state_out.batch_shape == (5,)
+            for i, (n, b) in enumerate(zip(n_tot, beta)):
+                single = SingleModeSpec(float(n), float(b))
+                split, tau = (float(np.broadcast_to(x, 5)[i]) for x in (splits, taus))
+                single_probe = matched_probe(single, split)
+                assert (probe.n_tot[i], probe.beta[i]) == (single_probe.n_tot, single_probe.beta)
+                single_in, single_out = run_three_mode(
+                    ThreeModeProtocol(single_probe, single, split, tau)
+                )
+                assert np.array_equal(state_in.cm[i], single_in.cm)
+                assert np.array_equal(state_out.cm[i], single_out.cm)
 
     def test_marginal_mismatch_names_member(self):
         source = SingleModeSpec(np.array([1.0, 2.0, 3.0]))
@@ -259,6 +278,11 @@ class TestSingleStateOnly:
         sigma = single_mode_cm(SingleModeSpec(np.array([1.0, 2.0])))
         with pytest.raises(ValueError, match="not batches"):
             mix_two(sigma, sigma, 0.5)
+        # a stack of taus too, which distinct inputs would mix into a batch
+        # but identical ones, through the shortcut, into a single state
+        for second in (sigma[0], sigma[1]):
+            with pytest.raises(ValueError, match="not batches"):
+                mix_two(sigma[0], second, np.array([0.3, 0.6]))
 
 
 def polarization_filtered(spec1, spec2):

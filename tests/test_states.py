@@ -200,6 +200,10 @@ class TestSymplecticOp:
     def test_rejects_non_symplectic(self):
         with pytest.raises(SymplecticError):
             SymplecticOp(np.diag([2.0, 2.0]))
+        # in a stack, the one offending member is named
+        stack = np.stack([np.eye(2), np.diag([2.0, 0.5]), np.diag([2.0, 2.0]), np.eye(2)])
+        with pytest.raises(SymplecticError, match=r"by 3 \(batch member 2\)$"):
+            SymplecticOp(stack)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SymplecticError):
