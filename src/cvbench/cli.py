@@ -54,7 +54,7 @@ from .states import (
     tensor,
     thermal_state,
 )
-from .stats import cm_to_intensity_corr, confidence_interval, corr_coeff
+from .stats import cm_to_intensity_corr, confidence_interval
 
 __all__ = [
     "DEFAULTS",
@@ -218,9 +218,9 @@ def run_tables(cfg: dict, out_path: Path) -> Path:
     n = batch.n_frames
     rows = []
     for i, j, label in _PAIRS:
-        c_in = corr_coeff(batch.in_series(i), batch.in_series(j))
+        c_in = batch.corr(batch.in_weights(i), batch.in_weights(j))
         e_in = confidence_interval(c_in, n, level)
-        c_out = corr_coeff(batch.out_series(i), batch.out_series(j))
+        c_out = batch.corr(batch.out_weights(i), batch.out_weights(j))
         e_out = confidence_interval(c_out, n, level)
         rows.append((label, c_in, e_in.ci_low, e_in.ci_high, c_out, e_out.ci_low, e_out.ci_high))
     _write_csv(
@@ -243,7 +243,8 @@ def run_erasure(cfg: dict, out_path: Path) -> Path:
         if basis not in ("none", "deg45", "V"):
             raise ConfigError(f"erasure basis must be none, deg45, V or all, got {basis!r}")
     level = cfg["analysis"]["ci_level"]
-    # one run detects every analyzer; each basis is a read-out of the same frames
+    # one run detects every analyzer; each basis is a read-out of the same frames,
+    # and every correlation is read off the run's one co-moment matrix
     batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     n = batch.n_frames
     rows = []
@@ -252,8 +253,8 @@ def run_erasure(cfg: dict, out_path: Path) -> Path:
             print(f"warning: {V_BASIS_WARNING}", file=sys.stderr)
         pairs = _PAIRS if basis != "none" else (_PAIRS[0],)
         for i, j, label in pairs:
-            c = corr_coeff(
-                batch.out_series(i, basis, "erasure"), batch.out_series(j, basis, "erasure")
+            c = batch.corr(
+                batch.out_weights(i, basis, "erasure"), batch.out_weights(j, basis, "erasure")
             )
             est = confidence_interval(c, n, level)
             rows.append((basis, label, c, est.ci_low, est.ci_high))
@@ -422,7 +423,7 @@ def _check_mc_against_cm(quick: bool) -> None:
     protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
     _, out_state = run_three_mode(protocol)
     for i, j in ((0, 2), (1, 2)):
-        c_mc = corr_coeff(batch.out_series(i), batch.out_series(j))
+        c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
         c_cm = cm_to_intensity_corr(out_state, i, j, shot_noise=False)
         se = (1.0 - c_cm**2) / np.sqrt(frames - 3)
         if abs(c_mc - c_cm) > 3.0 * se:

@@ -10,9 +10,14 @@ One bench serves both scenarios, which are its two polarization presets
 (``POLARIZATIONS``). Presets and analyzers are a read-out, not part of the
 run: every intensity detected behind any analyzer is linear in the per-frame
 Gram matrix of the two fields entering the beam splitter, so a run records
-the in-intensities and that matrix, and
-``FrameBatch.out_series(beam, basis, scenario)`` reads any preset and basis
-off them through the analyzer's intensity projector (``ANALYZERS``).
+five columns per frame, the in-intensities and two entries of that matrix.
+Every read-out is a fixed combination of those columns, coded once as its
+weights: ``FrameBatch.out_weights(beam, basis, scenario)`` forms them through
+the analyzer's intensity projector (``ANALYZERS``), ``out_series`` sums the
+columns by them, and ``FrameBatch.corr`` reads the correlation of any two
+read-outs, in-intensities included, off the record's 5x5 centred sums of
+products (``stats.comoments``), reduced once per batch, so that no
+full-length series is built for a correlation.
 
 ``run_bench`` does not draw fields. The five numbers it records per frame
 are entries of Gram matrices of independent unit-variance mode amplitudes,
@@ -30,8 +35,8 @@ output cannot depend on ``BenchConfig.workers``, which is accepted and
 recorded for compatibility while the sampler runs serially. The numbers for
 a given seed changed in 0.2.0, when this sampler replaced per-mode fields.
 
-The beam-splitter convention is coded once, in ``network.bs_symplectic``;
-``out_series`` reads the BS row off its matrix. The per-mode field oracle
+The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
+batch reads its BS rows off that matrix once. The per-mode field oracle
 against which the records are law-tested lives in ``tests/test_speckle.py``.
 """
 
@@ -39,10 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .network import bs_symplectic
+from .stats import comoment_corr, comoments
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 256
@@ -126,7 +133,12 @@ class FrameBatch:
     before the BS. ``gram`` holds two columns: |a2|^2 of beam 2 as it enters
     the BS (after mode substitution) and Re sum_m a1_m conj(a2_m). With
     |a1|^2 = ``intensities_in[:, 0]`` they make the Gram matrix of the two BS
-    inputs, off which ``out_series`` reads every beam, preset and analyzer.
+    inputs. Every read-out, an in-intensity or any beam of any preset behind
+    any analyzer, is a fixed combination of these five record columns, coded
+    once as its weights (``in_weights``, ``out_weights``): ``out_series``
+    sums the columns by them, and ``corr`` reads the correlation of two
+    read-outs off the record's centred sums of products without building
+    either series.
     """
 
     config: BenchConfig
@@ -147,19 +159,26 @@ class FrameBatch:
     def in_series(self, beam: int) -> np.ndarray:
         return self.intensities_in[:, _checked_beam(beam)]
 
-    def out_series(
+    def in_weights(self, beam: int) -> np.ndarray:
+        """(5,) weights of one beam's in-intensity over the record columns: a unit vector."""
+        weights = np.zeros(5)
+        weights[_checked_beam(beam)] = 1.0
+        return weights
+
+    def out_weights(
         self, beam: int, basis: str = "none", scenario: str = "interference"
     ) -> np.ndarray:
-        """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
+        """(5,) weights of one beam's out-intensity of the ``scenario`` preset behind ``basis``.
 
-        ``basis`` is a key of ``ANALYZERS`` and ``scenario`` one of
-        ``POLARIZATIONS``; any other value raises ``ValueError``. With P the
-        analyzer's projector and e1, e2 the Jones vectors of beam 1 and of
-        beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2, (alpha, beta)
-        being row p of the BS matrix of ``network.bs_symplectic``, and
+        The record columns are the in-intensities of beams 1-3, then the two
+        Gram columns. ``basis`` is a key of ``ANALYZERS`` and ``scenario``
+        one of ``POLARIZATIONS``; any other value raises ``ValueError``. With
+        P the analyzer's projector and e1, e2 the Jones vectors of beam 1 and
+        of beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2, (alpha,
+        beta) being row p of the BS matrix of ``network.bs_symplectic``, and
         detects alpha^2 e1.P.e1 |a1|^2 + beta^2 e2.P.e2 |a2|^2 +
         2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3 bypasses the BS and detects
-        e2.P.e2 |a3|^2, a view of its in-column where that weight is 1.
+        e2.P.e2 |a3|^2.
         """
         beam = _checked_beam(beam)
         if basis not in ANALYZERS:
@@ -168,33 +187,62 @@ class FrameBatch:
             raise ValueError(f"scenario must be one of {tuple(POLARIZATIONS)}, got {scenario!r}")
         proj = ANALYZERS[basis]
         e1, e2 = np.array(POLARIZATIONS[scenario])
-        ins = self.intensities_in
+        weights = np.zeros(5)
         if beam == 2:
-            weight = e2 @ proj @ e2
-            if weight == 1.0:
-                return ins[:, 2]
-            series = weight * ins[:, 2]
+            weights[2] = e2 @ proj @ e2
         else:
-            # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
-            alpha, beta = bs_symplectic(self.config.tau_mix).matrix[2 * beam, ::2]
+            alpha, beta = self._bs_rows[beam]
             u, v = alpha * e1, beta * e2
-            terms = (
-                (u @ proj @ u, ins[:, 0]),
-                (v @ proj @ v, self.gram[:, 0]),
-                (2.0 * (u @ proj @ v), self.gram[:, 1]),
-            )
-            series = None
-            for weight, column in terms:
-                if weight == 0.0:
-                    continue  # the term adds an exact 0, so skipping it changes no bit
-                if series is None:
-                    series = weight * column
-                else:
-                    series += weight * column
-            if series is None:
-                series = np.zeros(self.n_frames)
+            weights[0], weights[3], weights[4] = u @ proj @ u, v @ proj @ v, 2.0 * (u @ proj @ v)
+        return weights
+
+    def out_series(
+        self, beam: int, basis: str = "none", scenario: str = "interference"
+    ) -> np.ndarray:
+        """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
+
+        The record columns summed by ``out_weights``, term by term in column
+        order. A zero weight is skipped: its term adds an exact 0, so
+        skipping it changes no bit. A read-out of one column at weight 1
+        (beam 3 behind no analyzer, say) is a view of that column.
+        """
+        weights = self.out_weights(beam, basis, scenario).tolist()
+        terms = [(w, column) for w, column in zip(weights, self._columns) if w != 0.0]
+        if not terms:
+            series = np.zeros(self.n_frames)
+        elif len(terms) == 1 and terms[0][0] == 1.0:
+            series = terms[0][1].view()
+        else:
+            series = terms[0][0] * terms[0][1]
+            for weight, column in terms[1:]:
+                series += weight * column
         series.flags.writeable = False
         return series
+
+    def corr(self, h: np.ndarray, k: np.ndarray) -> float:
+        """Correlation coefficient of two read-outs given by their weights.
+
+        ``h`` and ``k`` come from ``in_weights`` or ``out_weights``. The
+        value is read off the ``stats.comoments`` of the record columns,
+        reduced once per batch, so no series is built. It agrees with
+        ``corr_coeff`` on the two series to within 1e-12 and raises the same
+        ``ValueError`` for a read-out of zero variance or non-finite sums.
+        """
+        return comoment_corr(self._comoments, h, k)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        # the five record columns, in the order of every read-out's weights
+        return (*self.intensities_in.T, *self.gram.T)
+
+    @cached_property
+    def _bs_rows(self) -> np.ndarray:
+        # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
+        return bs_symplectic(self.config.tau_mix).matrix[::2, ::2]
+
+    @cached_property
+    def _comoments(self) -> np.ndarray:
+        return comoments(self._columns)
 
 
 def _checked_beam(beam: int) -> int:

@@ -2,9 +2,16 @@
 
 ``corr_coeff`` is the frame-averaged second-order correlation coefficient of
 two intensity series, and ``confidence_interval`` its Fisher z-transform
-interval; no other interval is built. ``cm_to_intensity_corr`` predicts the
-same quantity analytically from a covariance matrix, which the Monte Carlo
-tests use as a cross-module oracle; it takes batched states too.
+interval; no other interval is built. Every estimated correlation comes
+from one kernel: ``comoments`` reduces k series to their (k, k) centred sums
+of products in fixed-size blocks, and ``comoment_corr`` reads the correlation
+of any two linear combinations of the series off those sums, through one set
+of guards (non-finite sums, zero variance, a norm that over- or underflows).
+``corr_coeff`` is its two-series case, and ``speckle.FrameBatch.corr`` reads
+every bench correlation off the five record columns of a run.
+``cm_to_intensity_corr`` predicts the same quantity analytically from a
+covariance matrix, which the Monte Carlo tests use as a cross-module oracle;
+it takes batched states too.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .states import GaussianState, member_error
 
 __all__ = [
     "CorrelationEstimate",
+    "comoments",
+    "comoment_corr",
     "corr_coeff",
     "confidence_interval",
     "cm_to_intensity_corr",
@@ -43,41 +52,61 @@ class CorrelationEstimate:
             )
 
 
-def _centred(x: np.ndarray) -> np.ndarray:
-    # corrected two-pass centring (Chan, Golub & LeVeque 1983): subtracting the
-    # residual mean of the first pass removes the first pass's rounding error
-    d = x - np.sum(x) / x.size
-    d -= np.sum(d) / x.size
-    return d
+#: frames per block of ``comoments``: each block of every series is centred
+#: into one (k, _BLOCK_FRAMES) buffer, so its scratch does not grow with the series
+_BLOCK_FRAMES = 8192
 
 
-def corr_coeff(series_h, series_k) -> float:
-    """Pearson correlation of two equal-length frame series, clamped to [-1, 1].
+def comoments(series) -> np.ndarray:
+    """(k, k) centred sums of products of k equal-length one-dimensional series.
 
-    Both series are centred by the corrected two-pass algorithm, and the
-    centred sums of squares and products are numpy pairwise sums. On 1e6-frame
-    Gamma series with mean offsets up to 1e8 the result agrees with an
-    error-free ``math.fsum`` reduction to within 1e-12 (tested). A series
-    holding NaN or inf, or one whose sums overflow, raises ``ValueError``
-    rather than returning a clamped value; the check reads the three scalar
-    sums, so finite input costs no extra pass. Finite sums give a finite
-    result, since |cov| <= sqrt(var_h var_k).
+    Entry (i, j) is sum_t (x_i[t] - mean_i)(x_j[t] - mean_j), by the corrected
+    two-pass algorithm (Chan, Golub & LeVeque 1983): the means are numpy
+    pairwise sums; then each block of ``_BLOCK_FRAMES`` frames is centred
+    into one buffer, whose sums of products (``np.einsum``, no BLAS; the
+    upper triangle, mirrored at the end) and sums accumulate over the blocks;
+    subtracting s_i s_j / n, s_i being the sum of the centred values, removes
+    the rounding error of the means. No full-length temporary is made.
+    Non-finite input, or sums that overflow, give non-finite entries without
+    a warning; ``comoment_corr`` reports them. Fewer than two frames raise
+    ``ValueError``.
     """
-    h = np.asarray(series_h, dtype=float)
-    k = np.asarray(series_k, dtype=float)
-    if h.ndim != 1 or h.shape != k.shape:
-        raise ValueError("series must be one-dimensional and of equal length")
-    if h.size < 2:
+    n = series[0].size
+    if n < 2:
         raise ValueError("need at least two frames")
+    buffer = np.empty((len(series), min(n, _BLOCK_FRAMES)))
+    products = np.zeros((len(series), len(series)))
+    residuals = np.zeros(len(series))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [np.sum(x) / n for x in series]
+        for start in range(0, n, _BLOCK_FRAMES):
+            centred = buffer[:, : min(n - start, _BLOCK_FRAMES)]
+            for x, mean, row in zip(series, means, centred):
+                np.subtract(x[start : start + _BLOCK_FRAMES], mean, out=row)
+            for i, row in enumerate(centred):
+                products[i, i:] += np.einsum("t,jt->j", row, centred[i:])
+            residuals += centred.sum(axis=1)
+        products += np.triu(products, 1).T  # the lower triangle was never written
+        return products - np.multiply.outer(residuals, residuals) / n
+
+
+def comoment_corr(sums: np.ndarray, h: np.ndarray, k: np.ndarray) -> float:
+    """Pearson correlation of the combinations h.x and k.x of series x, from their ``comoments``.
+
+    ``h`` and ``k`` weight the k series; a unit vector picks one series
+    alone, and its variance is the diagonal entry exactly. A series holding
+    NaN or inf, or one whose sums overflow, raises ``ValueError`` rather than
+    returning a clamped value, as does a combination of zero variance.
+    Finite sums give a finite result, since |cov| <= sqrt(var_h var_k); it is
+    clamped to [-1, 1].
+    """
+    # only the series either weighting reads: a sum of the others cannot spoil the result
+    used = np.flatnonzero((h != 0.0) | (k != 0.0))
+    weights = np.stack((h[used], k[used]))
     # non-finite sums are reported below, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        # at most two full-length temporaries: the products reuse dh's buffer
-        dh = _centred(h)
-        var_h = float(np.sum(dh * dh))
-        dk = _centred(k)
-        dh *= dk
-        cov = float(np.sum(dh))
-        var_k = float(np.sum(np.multiply(dk, dk, out=dh)))
+        forms = np.einsum("ai,ij,bj->ab", weights, sums[np.ix_(used, used)], weights)
+    (var_h, cov), (_, var_k) = forms.tolist()
     if not (math.isfinite(var_h) and math.isfinite(cov) and math.isfinite(var_k)):
         raise ValueError("correlation undefined: a series is not finite or its sums overflow")
     if var_h <= 0.0 or var_k <= 0.0:
@@ -88,6 +117,23 @@ def corr_coeff(series_h, series_k) -> float:
         norm = math.sqrt(var_h) * math.sqrt(var_k)
     c = cov / norm
     return min(1.0, max(-1.0, c))
+
+
+def corr_coeff(series_h, series_k) -> float:
+    """Pearson correlation of two equal-length frame series, clamped to [-1, 1].
+
+    The two-series case of ``comoments`` and ``comoment_corr``. On 1e6-frame
+    Gamma series with mean offsets up to 1e8 the result agrees with an
+    error-free ``math.fsum`` reduction to within 1e-12 (tested). A series
+    holding NaN or inf, or one whose sums overflow, raises ``ValueError``
+    rather than returning a clamped value; the check reads the three scalar
+    sums, so finite input costs no extra pass.
+    """
+    h = np.asarray(series_h, dtype=float)
+    k = np.asarray(series_k, dtype=float)
+    if h.ndim != 1 or h.shape != k.shape:
+        raise ValueError("series must be one-dimensional and of equal length")
+    return comoment_corr(comoments((h, k)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> CorrelationEstimate:

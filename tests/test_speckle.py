@@ -8,6 +8,8 @@ code.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from cvbench.speckle import (
     chunk_record,
     run_bench,
 )
-from cvbench.stats import corr_coeff
+from cvbench.stats import _BLOCK_FRAMES, corr_coeff
 
 #: stream ids of the oracle's per-beam field streams; the bench's Gram stream is 5
 SOURCE1, SOURCE2, MIX_SUBSTITUTE, SPLIT_SUBSTITUTE = 1, 2, 3, 4
@@ -36,6 +38,9 @@ SCENARIO_JONES = {"interference": (H, H), "erasure": (H, V)}
 
 #: every (scenario, analysis basis) the bench distinguishes
 SCENARIO_BASES = [(scenario, basis) for scenario in SCENARIO_JONES for basis in ANALYZERS]
+
+#: the beam pairs every table reads
+PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
 def thermal_fields(rng, shape, mean):
@@ -456,6 +461,68 @@ class TestRunBench:
                         + 2.0 * (u @ proj @ v) * gram[:, 1]
                     )
                 assert np.array_equal(batch.out_series(beam, basis, scenario), full)
+
+    @pytest.mark.parametrize("modes", [1, 4])
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("frames", [3, 257, _BLOCK_FRAMES + 1])
+    def test_corr_agrees_with_corr_coeff_on_the_series(self, modes, eta, tau_mix, frames):
+        # every pair of every (scenario, basis), and the in-pairs, read off the
+        # record's co-moments equals corr_coeff on the explicit series; a dark
+        # read-out raises corr_coeff's ValueError
+        batch = run_bench(
+            BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
+        )
+        read_outs = [
+            (batch.in_weights(i), batch.in_weights(j), batch.in_series(i), batch.in_series(j))
+            for i, j in PAIRS
+        ]
+        for scenario, basis in SCENARIO_BASES:
+            read_outs += [
+                (
+                    batch.out_weights(i, basis, scenario),
+                    batch.out_weights(j, basis, scenario),
+                    batch.out_series(i, basis, scenario),
+                    batch.out_series(j, basis, scenario),
+                )
+                for i, j in PAIRS
+            ]
+        dark = 0
+        for h, k, series_h, series_k in read_outs:
+            try:
+                expected = corr_coeff(series_h, series_k)
+            except ValueError as exc:
+                dark += 1
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    batch.corr(h, k)
+            else:
+                assert abs(batch.corr(h, k) - expected) <= 1e-12
+        if tau_mix == 1.0:
+            # at tau 1 beam 1 leaves its own port whole, on H: a V analyzer there detects nothing
+            assert not batch.out_weights(0, "V", "erasure").any()
+            assert dark > 0
+
+    def test_erasure_correlations_build_no_series(self):
+        # reading all seven erasure correlations of a 400,000-frame batch
+        # allocates less than one series; building one series does not
+        batch = run_bench(BenchConfig(modes=4, frames=400_000, seed=1))
+        series_bytes = batch.n_frames * 8
+        pairs = [("none", 0, 1)] + [(b, i, j) for b in ("deg45", "V") for i, j in PAIRS]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            for basis, i, j in pairs:
+                batch.corr(
+                    batch.out_weights(i, basis, "erasure"), batch.out_weights(j, basis, "erasure")
+                )
+            _, corr_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            batch.out_series(0, "deg45", "erasure")
+            _, series_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series_peak >= series_bytes  # tracemalloc sees numpy's buffers
+        assert corr_peak < series_bytes
 
     def test_unknown_basis_read_out_rejected(self):
         batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))

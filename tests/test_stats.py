@@ -9,7 +9,14 @@ import pytest
 from cvbench.network import ThreeModeProtocol, prepare_discordant_pair, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import SingleModeSpec, tensor, thermal_state, vacuum_state
-from cvbench.stats import cm_to_intensity_corr, confidence_interval, corr_coeff
+from cvbench.stats import (
+    _BLOCK_FRAMES,
+    cm_to_intensity_corr,
+    comoment_corr,
+    comoments,
+    confidence_interval,
+    corr_coeff,
+)
 
 
 class TestCorrCoeff:
@@ -94,6 +101,40 @@ class TestCorrCoeff:
     def test_clamped_to_unit_interval(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]) * (1.0 + 1e-16)
         assert -1.0 <= corr_coeff(x, x * 2.0) <= 1.0
+
+
+class TestComoments:
+    @pytest.mark.parametrize("n", [2, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5])
+    def test_agrees_with_error_free_sums(self, n):
+        # every entry against the centred sums taken by math.fsum, on blocks
+        # that divide n and blocks that leave a short one
+        rng = np.random.default_rng(113)
+        x = rng.gamma(4.0, size=n) + 1e6
+        series = (x, 0.5 * x + rng.gamma(2.0, size=n), rng.exponential(size=n))
+        sums = comoments(series)
+        centred = [s - math.fsum(s.tolist()) / n for s in series]
+        for i, j in np.ndindex(3, 3):
+            exact = math.fsum((centred[i] * centred[j]).tolist())
+            scale = math.sqrt(sums[i, i] * sums[j, j])
+            assert abs(sums[i, j] - exact) <= 1e-12 * scale
+        assert np.array_equal(sums, sums.T)
+
+    def test_unread_series_cannot_spoil_a_correlation(self):
+        # only the entries the two weightings read enter the correlation
+        rng = np.random.default_rng(127)
+        x, y = rng.exponential(size=(2, 100))
+        sums = comoments((x, y, np.full(100, math.inf)))
+        assert not np.isfinite(sums[2]).any()
+        unit = np.eye(3)
+        assert comoment_corr(sums, unit[0], unit[1]) == corr_coeff(x, y)
+        with pytest.raises(ValueError, match="not finite"):
+            comoment_corr(sums, unit[0], unit[2])
+
+    def test_zero_weighting_has_zero_variance(self):
+        rng = np.random.default_rng(131)
+        sums = comoments(tuple(rng.exponential(size=(2, 50))))
+        with pytest.raises(ValueError, match="zero variance"):
+            comoment_corr(sums, np.zeros(2), np.array([0.0, 1.0]))
 
 
 class TestConfidenceInterval:
