@@ -3,9 +3,11 @@
 Subcommands: ``tables`` (interference bench, in/out correlation table),
 ``erasure`` (polarization bench per analysis basis), ``sweep-discord``
 (analytic output correlations against the input discord), and ``validate``
-(invariant suite). Every CSV is written with a JSON manifest holding the
-fully resolved configuration, which is sufficient to reproduce the CSV
-byte-for-byte (see ``run_from_manifest``).
+(invariant suite). Each bench or sweep command returns its CSV text; ``main``
+commits it together with a JSON manifest holding the fully resolved
+configuration, which is sufficient to reproduce the CSV byte-for-byte (see
+``run_from_manifest``). Both files are renamed into place only once both
+are written, so they change together or not at all.
 
 Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ``[analysis]`` and ``[sweep]`` sections; every key has a default matching the
@@ -179,91 +181,76 @@ class RunManifest:
     duration_s: float = 0.0
     created_utc: str = ""
 
-    def write(self, path: Path) -> None:
-        _write_atomic(path, json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n", "utf-8")
 
+def _commit(files: dict[Path, str]) -> None:
+    """Write each path -> text of ``files`` to a temporary file beside its path,
+    then rename every temporary file over its path.
 
-def _write_atomic(path: Path, text: str, encoding: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
-
-    A write that fails leaves an earlier file at ``path`` whole and removes
-    the temporary file, so no reader ever sees a partial CSV or manifest.
+    The renames start only once every write has succeeded, so a CSV and its
+    manifest change together or not at all: a failed write leaves each earlier
+    file whole and removes the temporary files.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in files]
     try:
-        with open(tmp, "w", encoding=encoding) as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for tmp, text in zip(tmps, files.values()):
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for tmp, path in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.6f}"
+def _estimate(batch, a, b, level: float) -> tuple:
+    """(c, ci_lo, ci_hi): the correlation of two read-outs and its confidence interval."""
+    c = batch.corr(a, b)
+    est = confidence_interval(c, batch.n_frames, level)
+    return c, est.ci_low, est.ci_high
 
 
-def _write_csv(path: Path, header: tuple, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n", "ascii")
-
-
-def run_tables(cfg: dict, out_path: Path) -> Path:
-    """Interference bench: one row per beam pair with in/out correlations and CIs."""
+def run_tables(cfg: dict) -> str:
+    """Interference bench CSV: one row per beam pair with in/out correlations and CIs."""
     batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     level = cfg["analysis"]["ci_level"]
-    n = batch.n_frames
-    rows = []
+    lines = ["pair,c_in,ci_in_lo,ci_in_hi,c_out,ci_out_lo,ci_out_hi"]
     for i, j, label in _PAIRS:
-        c_in = batch.corr(batch.in_weights(i), batch.in_weights(j))
-        e_in = confidence_interval(c_in, n, level)
-        c_out = batch.corr(batch.out_weights(i), batch.out_weights(j))
-        e_out = confidence_interval(c_out, n, level)
-        rows.append((label, c_in, e_in.ci_low, e_in.ci_high, c_out, e_out.ci_low, e_out.ci_high))
-    _write_csv(
-        out_path,
-        ("pair", "c_in", "ci_in_lo", "ci_in_hi", "c_out", "ci_out_lo", "ci_out_hi"),
-        rows,
-    )
-    return out_path
+        c_in = _estimate(batch, batch.in_weights(i), batch.in_weights(j), level)
+        c_out = _estimate(batch, batch.out_weights(i), batch.out_weights(j), level)
+        lines.append(("%s" + ",%.6f" * 6) % (label, *c_in, *c_out))
+    return "\n".join(lines) + "\n"
 
 
-def run_erasure(cfg: dict, out_path: Path) -> Path:
-    """Erasure bench: out-correlations per analysis basis, one row per pair.
+def run_erasure(cfg: dict) -> str:
+    """Erasure bench CSV: out-correlations per analysis basis, one row per pair.
 
     basis 'none' (no polarizers) reports only the 1-2 pair, whose beams leave
     the BS with orthogonal polarizations and identical total intensities.
     """
-    basis_cfg = cfg["analysis"]["basis"]
-    bases = ("none", "deg45", "V") if basis_cfg == "all" else (basis_cfg,)
-    for basis in bases:
-        if basis not in ("none", "deg45", "V"):
-            raise ConfigError(f"erasure basis must be none, deg45, V or all, got {basis!r}")
+    bases = ("none", "deg45", "V")
+    basis = cfg["analysis"]["basis"]
+    if basis != "all":
+        if basis not in bases:
+            raise ConfigError(f"erasure basis must be {', '.join(bases)} or all, got {basis!r}")
+        bases = (basis,)
     level = cfg["analysis"]["ci_level"]
     # one run detects every analyzer; each basis is a read-out of the same frames,
     # and every correlation is read off the run's one co-moment matrix
     batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
-    n = batch.n_frames
-    rows = []
+    lines = ["basis,pair,c_out,ci_lo,ci_hi"]
     for basis in bases:
         if basis == "V":
             print(f"warning: {V_BASIS_WARNING}", file=sys.stderr)
-        pairs = _PAIRS if basis != "none" else (_PAIRS[0],)
-        for i, j, label in pairs:
-            c = batch.corr(
-                batch.out_weights(i, basis, "erasure"), batch.out_weights(j, basis, "erasure")
-            )
-            est = confidence_interval(c, n, level)
-            rows.append((basis, label, c, est.ci_low, est.ci_high))
-    _write_csv(out_path, ("basis", "pair", "c_out", "ci_lo", "ci_hi"), rows)
-    return out_path
+        out = [batch.out_weights(beam, basis, "erasure") for beam in range(3)]
+        for i, j, label in _PAIRS if basis != "none" else _PAIRS[:1]:
+            c = _estimate(batch, out[i], out[j], level)
+            lines.append("%s,%s,%.6f,%.6f,%.6f" % (basis, label, *c))
+    return "\n".join(lines) + "\n"
 
 
-def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
-    """Analytic sweep: input discord of the 2-3 pair versus output correlations.
+def run_sweep_discord(cfg: dict) -> str:
+    """Analytic sweep CSV: input discord of the 2-3 pair versus output correlations.
 
     One series per value in ``taus``, interpreted as the mixing transmissivity
     (sweep_param = tau_mix) or as the splitting used to prepare the pair
@@ -327,8 +314,9 @@ def run_sweep_discord(cfg: dict, out_path: Path) -> Path:
         i, j = (0, *exc.member)[-2:]  # (tau, point), or a point of a tau_mix sweep's pair
         raise type(exc)(f"{exc} at tau {taus[i]:g}, n_source {grid[j]:g}") from exc
     rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(tau_axis, grid, disc, c13, c23)))
-    _write_csv(out_path, ("tau", "n_source", "discord", "c13_out", "c23_out"), rows)
-    return out_path
+    lines = ["tau,n_source,discord,c13_out,c23_out"]
+    lines.extend("%.6f,%.6f,%.6f,%.6f,%.6f" % row for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +533,9 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
         if not isinstance(outputs, list) or not outputs or not isinstance(outputs[0], str):
             raise ConfigError("manifest records no output path and none was given")
         out_path = outputs[0]
-    return run(cfg, Path(out_path))
+    out_path = Path(out_path)
+    _commit({out_path: run(cfg)})
+    return out_path
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -573,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     _, run, _ = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        run(cfg, out_path)
+        csv = run(cfg)
         manifest = RunManifest(
             command=args.command,
             version=__version__,
@@ -583,7 +573,11 @@ def main(argv: list[str] | None = None) -> int:
             duration_s=round(time.perf_counter() - started, 3),
             created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
-        manifest.write(out_path.with_suffix(out_path.suffix + ".manifest.json"))
+        _commit({
+            out_path: csv,
+            out_path.with_suffix(out_path.suffix + ".manifest.json"):
+                json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n",
+        })
     except (ConfigError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         # OSError: an unwritable output path, e.g. a missing directory;
         # MemoryError: a frame count or sweep grid too large to allocate;

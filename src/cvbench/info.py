@@ -94,7 +94,7 @@ class GaussianMeasurement:
     phi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscordResult:
     """Gaussian discord value with the measured side and, when known, the minimizer.
 
@@ -320,12 +320,12 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     also reported as one warning carrying the best value found.
 
     A batched state is refined in lockstep, one ``_conditional_entropies``
-    call per step for all members still refining; the scan runs member by
-    member, so its grid is held for one member at a time. Each member keeps
-    its own best point, steps, stop and iteration count, so its value,
-    ``iterations`` and ``converged`` equal those of a call on that member
-    alone, bit for bit. They are then arrays over the batch axes, and no
-    minimizer is reported.
+    call per step for every member until all have settled; the scan runs
+    member by member, so its grid is held for one member at a time. Each
+    member keeps its own best point, steps, stop and iteration count, so its
+    value, ``iterations`` and ``converged`` equal those of a call on that
+    member alone, bit for bit. They are then arrays over the batch axes, and
+    no minimizer is reported.
     """
     blocks, _, fixed = _discord_terms(state, side)
     fixed = np.reshape(fixed, -1)
@@ -335,13 +335,13 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     n_q, n_phi = _ORACLE_GRID
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
     phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    best_q, best_phi, best_val = np.empty((3, members))
+    q, phi, val = np.empty((3, members))  # each member's best point and value
     for m in range(members):
         values = _conditional_entropies(a_blk[m], b_blk[m], c_blk[m], q_vals, phi_vals)
         flat = int(np.argmin(values))  # first occurrence: smallest s, then smallest phi
-        best_q[m] = q_vals[flat // n_phi]
-        best_phi[m] = phi_vals[flat % n_phi]
-        best_val[m] = values.flat[flat]
+        q[m] = q_vals[flat // n_phi]
+        phi[m] = phi_vals[flat % n_phi]
+        val[m] = values.flat[flat]
 
     # pattern search: walk at a fixed step while improving (valleys can be
     # long), shrink only when the 9x9 neighborhood offers no improvement.
@@ -354,44 +354,39 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
     iterations = np.full(members, _ORACLE_STEPS)
     converged = np.zeros(members, dtype=bool)
-    # the members still refining: indices, blocks, best points and scales
-    active, blocks, scale = np.arange(members), (a_blk, b_blk, c_blk), np.ones(members)
-    q, phi, val = best_q, best_phi, best_val
+    # every member steps until all have settled; a settled member keeps its
+    # point, scale and step count
+    rows, scale = np.arange(members), np.ones(members)
     for step in range(_ORACLE_STEPS):
         settled = max(steps) * scale < 1e-13
-        if settled.any():
-            done, keep = active[settled], ~settled
-            converged[done], iterations[done] = True, step
-            best_q[done], best_phi[done], best_val[done] = q[settled], phi[settled], val[settled]
-            active, q, phi, val, scale = (x[keep] for x in (active, q, phi, val, scale))
-            blocks = tuple(blk[keep] for blk in blocks)
-            if not active.size:
-                break
+        iterations[settled & ~converged] = step
+        converged = settled
+        if converged.all():
+            break
         q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
         phi_loc = phi[:, None] + scale[:, None] * phi_offsets
-        local = _conditional_entropies(*blocks, q_loc, phi_loc).reshape(active.size, 81)
+        local = _conditional_entropies(a_blk, b_blk, c_blk, q_loc, phi_loc).reshape(members, 81)
         flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
-        rows = np.arange(active.size)
         candidate = local[rows, flat]
-        improved = candidate < val
+        improved = (candidate < val) & ~converged
         val = np.where(improved, candidate, val)
         q = np.where(improved, q_loc[rows, flat // 9], q)
         phi = np.where(improved, phi_loc[rows, flat % 9], phi)
         # an improvement on the rim of the neighborhood walks on; all else shrinks
-        scale = np.where(improved & rim[flat], scale, 0.5 * scale)
-    best_q[active], best_phi[active], best_val[active] = q, phi, val
+        scale = np.where(improved & rim[flat] | converged, scale, 0.5 * scale)
     shape = state.batch_shape
-    if active.size:
+    if not converged.all():
+        i = int(np.argmin(converged))  # the first member still refining
         message = (
-            f"discord oracle did not settle (steps {steps[0] * scale[0]:g}, "
-            f"{steps[1] * scale[0]:g}); best value {fixed[active[0]] + val[0]:.9g}"
+            f"discord oracle did not settle (steps {steps[0] * scale[i]:g}, "
+            f"{steps[1] * scale[i]:g}); best value {fixed[i] + val[i]:.9g}"
         )
         unsettled = ~converged.reshape(shape)
         warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
 
-    value = _clamped((fixed + best_val).reshape(shape), "oracle discord")
+    value = _clamped((fixed + val).reshape(shape), "oracle discord")
     if shape:
         return DiscordResult(value, side, None, iterations.reshape(shape), converged.reshape(shape))
-    best_s = math.inf if best_q[0] == 0.0 else 1.0 / float(best_q[0])
-    minimizer = GaussianMeasurement(best_s, float(best_phi[0]) % math.pi)
+    best_s = math.inf if q[0] == 0.0 else 1.0 / float(q[0])
+    minimizer = GaussianMeasurement(best_s, float(phi[0]) % math.pi)
     return DiscordResult(float(value), side, minimizer, int(iterations[0]), bool(converged[0]))

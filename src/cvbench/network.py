@@ -132,7 +132,7 @@ def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
     return SingleModeSpec(np.where(bright, n, 0.0)[()], beta[()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreeModeProtocol:
     """Probe (mode 1) interfering with the near arm of a split source (modes 2, 3).
 

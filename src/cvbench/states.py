@@ -94,7 +94,7 @@ def omega(n_modes: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleModeSpec:
     """Photon-number parametrization of a single-mode Gaussian state.
 

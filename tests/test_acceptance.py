@@ -160,7 +160,7 @@ def test_c05_interference_bench_table():
     )
 
 
-def test_c06_erasure_bench_table(tmp_path, capsys):
+def test_c06_erasure_bench_table(capsys):
     # one run; each basis is a read-out of the erasure preset on its frames
     batch = run_bench(BenchConfig(modes=100, frames=50_000, seed=7))
 
@@ -175,7 +175,7 @@ def test_c06_erasure_bench_table(tmp_path, capsys):
     cfg = cli.load_config()
     cfg["bench"].update(frames=512, seed=7)
     cfg["analysis"]["basis"] = "V"
-    cli.run_erasure(cfg, tmp_path / "c6_v.csv")
+    cli.run_erasure(cfg)
     captured = capsys.readouterr()
     flagged = "basis=V" in captured.err and "not reproduced" in captured.err
     ok = (

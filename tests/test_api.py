@@ -3,9 +3,11 @@
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import cvbench
+from cvbench import SingleModeSpec, ThreeModeProtocol, gaussian_discord, prepare_discordant_pair
 
 MODULES = ["cvbench"] + [f"cvbench.{info.name}" for info in pkgutil.iter_modules(cvbench.__path__)]
 
@@ -25,3 +27,15 @@ def test_exports_resolve_once(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported), sorted(n for n in exported if exported.count(n) > 1)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_batched_values_compare_and_hash():
+    # fields may be arrays, so these values compare and hash by identity
+    def values():
+        spec = SingleModeSpec(np.array([1.0, 2.0]))
+        protocol = ThreeModeProtocol(spec, spec, 0.5, np.array([0.2, 0.4]))
+        return spec, protocol, gaussian_discord(prepare_discordant_pair(spec, 0.5))
+
+    for first, second in zip(values(), values()):
+        assert first == first and first != second
+        hash(first)

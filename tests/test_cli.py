@@ -649,6 +649,7 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys, failin
     assert run_main(["tables", "--frames", "500", "--seed", "1", "--out", str(out)]) == 0
     target = out if failing == "csv" else manifest
     before = target.read_bytes()
+    csv_before, manifest_before = out.read_bytes(), manifest.read_bytes()
 
     def failing_open(file, *args, **kwargs):
         # writes to the target, or to a temporary file named after it, fail halfway
@@ -661,6 +662,12 @@ def test_failed_write_keeps_earlier_output(tmp_path, monkeypatch, capsys, failin
     assert "No space left" in capsys.readouterr().err
     assert target.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
+    # the CSV and its manifest change together or not at all
+    assert out.read_bytes() == csv_before
+    assert manifest.read_bytes() == manifest_before
+    monkeypatch.undo()
+    replay = cli.run_from_manifest(manifest, tmp_path / "replay.csv")
+    assert replay.read_bytes() == csv_before
 
 
 def test_cli_import_loads_no_scipy():
