@@ -9,7 +9,7 @@ gives batched states (see ``cvbench.states``), and an array tau a stack of
 beam splitters, whose axes broadcast against the specs'. Specs, taus and the
 CMs handed to ``mix_two`` are checked as they enter, every member of a batch;
 the congruences and direct sums built from them are physical by construction
-and not checked again. ``mix_two`` stays a single-state operation.
+and not checked again.
 
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
@@ -76,23 +76,17 @@ def bs_symplectic(tau) -> SymplecticOp:
     return SymplecticOp(np.moveaxis(matrix, (0, 1), (-2, -1)) if matrix.ndim > 2 else matrix)
 
 
-def mix_two(sigma1, sigma2, tau: float) -> GaussianState:
+def mix_two(sigma1, sigma2, tau) -> GaussianState:
     """Two-mode state leaving a beam splitter of transmissivity tau fed by two single-mode CMs.
 
-    Computed by congruence with ``bs_symplectic(tau)``; read its blocks with
-    ``mode_block``. Identical inputs give the product state of the input with
-    itself, with an exactly zero off-diagonal block: the two interference
-    contributions cancel and the interaction leaves the pair unchanged, a
-    statement that holds exactly, not only to rounding.
+    The congruence of the inputs' direct sum with ``bs_symplectic(tau)``;
+    read its blocks with ``mode_block``. Batched CMs and an array tau
+    broadcast. Identical inputs leave the pair unchanged: the two
+    interference contributions cancel, so the off-diagonal block vanishes
+    and the marginals stay the input's, to rounding.
     """
-    state1 = GaussianState(np.asarray(sigma1, dtype=float))
-    state2 = GaussianState(np.asarray(sigma2, dtype=float))
-    mixer = bs_symplectic(tau)
-    if state1.batch_shape or state2.batch_shape or mixer.matrix.ndim > 2:
-        raise ValueError("mix_two takes single-mode CMs and one tau, not batches")
-    if np.array_equal(state1.cm, state2.cm):
-        return tensor([state1, state1])
-    return apply_symplectic(tensor([state1, state2]), mixer)
+    states = [GaussianState(np.asarray(sigma, dtype=float)) for sigma in (sigma1, sigma2)]
+    return apply_symplectic(tensor(states), bs_symplectic(tau))
 
 
 def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianState:

@@ -9,15 +9,16 @@ beam's modes with an independent equal-mean field.
 One bench serves both scenarios, which are its two polarization presets
 (``POLARIZATIONS``). Presets and analyzers are a read-out, not part of the
 run: every intensity detected behind any analyzer is linear in the per-frame
-Gram matrix of the two fields entering the beam splitter, so a run records
-five columns per frame, the in-intensities and two entries of that matrix.
-Every read-out is a fixed combination of those columns, coded once as its
-weights: ``FrameBatch.out_weights(beam, basis, scenario)`` forms them through
-the analyzer's intensity projector (``ANALYZERS``), ``out_series`` sums the
-columns by them, and ``FrameBatch.corr`` reads the correlation of any two
-read-outs, in-intensities included, off the record's 5x5 centred sums of
-products (``stats.comoments``), reduced once per batch, so that no
-full-length series is built for a correlation.
+Gram matrix of the two fields entering the beam splitter, so a run is one
+(frames, 5) record, ``FrameBatch.record``: the in-intensities and two entries
+of that matrix. Every read-out is a fixed combination of those columns, coded
+once as its weights: ``FrameBatch.out_weights(beam, basis, scenario)`` forms
+them through the analyzer's intensity projector (``ANALYZERS``), and
+``FrameBatch.corr`` reads the correlation of any two read-outs, in-intensities
+included, off the record's 5x5 centred sums of products (``stats.comoments``),
+reduced once per batch, so that no full-length series is built for a
+correlation. A caller that needs a series itself gets the record times the
+weights (``out_series``).
 
 ``run_bench`` does not draw fields. The five numbers it records per frame
 are entries of Gram matrices of independent unit-variance mode amplitudes,
@@ -89,7 +90,7 @@ class BenchConfig:
     """Configuration of one bench run: the ``[source]`` and ``[bench]`` settings.
 
     Nothing here picks a polarization preset or an analyzer; those are
-    arguments of ``FrameBatch.out_series``. ``mean_photons`` is the per-mode
+    arguments of ``FrameBatch.out_weights``. ``mean_photons`` is the per-mode
     mean intensity of every detected beam in the ideal configuration; the
     split source is drawn brighter by 1/t_split so that beam 2 matches beam 1.
     All modes of a beam share one mean, which is what makes the correlation
@@ -126,38 +127,39 @@ class BenchConfig:
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """Per-frame second moments of one bench run, off which every detection is read.
+    """The record of one bench run, off which every detection is read.
 
-    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3).
-    ``intensities_in`` holds the integrated intensities of the three beams
-    before the BS. ``gram`` holds two columns: |a2|^2 of beam 2 as it enters
-    the BS (after mode substitution) and Re sum_m a1_m conj(a2_m). With
-    |a1|^2 = ``intensities_in[:, 0]`` they make the Gram matrix of the two BS
-    inputs. Every read-out, an in-intensity or any beam of any preset behind
-    any analyzer, is a fixed combination of these five record columns, coded
-    once as its weights (``in_weights``, ``out_weights``): ``out_series``
-    sums the columns by them, and ``corr`` reads the correlation of two
-    read-outs off the record's centred sums of products without building
-    either series.
+    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3). ``record`` is
+    the read-only (frames, 5) array of the run: the integrated intensities of
+    the three beams before the BS, then |a2|^2 of beam 2 as it enters the BS
+    (after mode substitution) and Re sum_m a1_m conj(a2_m). With |a1|^2 in
+    column 0 the last two make the Gram matrix of the two BS inputs. Every
+    read-out, an in-intensity or any beam of any preset behind any analyzer,
+    is a fixed combination of these five columns, coded once as its weights
+    (``in_weights``, ``out_weights``): ``out_series`` is the record times
+    them, and ``corr`` reads the correlation of two read-outs off the
+    record's centred sums of products without building either series.
     """
 
     config: BenchConfig
-    intensities_in: np.ndarray
-    gram: np.ndarray
+    record: np.ndarray
 
     @property
     def n_frames(self) -> int:
-        return self.intensities_in.shape[0]
+        return self.record.shape[0]
+
+    @property
+    def intensities_in(self) -> np.ndarray:
+        """(frames, 3) in-intensities of beams 1-3: a view of the record's first columns."""
+        return self.record[:, :3]
 
     @property
     def intensities_out(self) -> np.ndarray:
         """(frames, 3) out-intensities of the interference preset behind no analyzer."""
-        out = np.stack([self.out_series(beam) for beam in range(3)], axis=1)
+        weights = np.stack([self.out_weights(beam) for beam in range(3)], axis=1)
+        out = np.einsum("tj,jb->tb", self.record, weights)
         out.flags.writeable = False
         return out
-
-    def in_series(self, beam: int) -> np.ndarray:
-        return self.intensities_in[:, _checked_beam(beam)]
 
     def in_weights(self, beam: int) -> np.ndarray:
         """(5,) weights of one beam's in-intensity over the record columns: a unit vector."""
@@ -201,21 +203,12 @@ class FrameBatch:
     ) -> np.ndarray:
         """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
 
-        The record columns summed by ``out_weights``, term by term in column
-        order. A zero weight is skipped: its term adds an exact 0, so
-        skipping it changes no bit. A read-out of one column at weight 1
-        (beam 3 behind no analyzer, say) is a view of that column.
+        The record times ``out_weights``, one ``np.einsum`` product whose value
+        in a frame, unlike that of BLAS's ``@``, does not depend on the frames
+        around it: a run's series is a prefix of a longer run's, and each
+        column of ``intensities_out`` equals its ``out_series``.
         """
-        weights = self.out_weights(beam, basis, scenario).tolist()
-        terms = [(w, column) for w, column in zip(weights, self._columns) if w != 0.0]
-        if not terms:
-            series = np.zeros(self.n_frames)
-        elif len(terms) == 1 and terms[0][0] == 1.0:
-            series = terms[0][1].view()
-        else:
-            series = terms[0][0] * terms[0][1]
-            for weight, column in terms[1:]:
-                series += weight * column
+        series = np.einsum("tj,j->t", self.record, self.out_weights(beam, basis, scenario))
         series.flags.writeable = False
         return series
 
@@ -231,18 +224,13 @@ class FrameBatch:
         return comoment_corr(self._comoments, h, k)
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        # the five record columns, in the order of every read-out's weights
-        return (*self.intensities_in.T, *self.gram.T)
-
-    @cached_property
     def _bs_rows(self) -> np.ndarray:
         # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
         return bs_symplectic(self.config.tau_mix).matrix[::2, ::2]
 
     @cached_property
     def _comoments(self) -> np.ndarray:
-        return comoments(self._columns)
+        return comoments(self.record.T)
 
 
 def _checked_beam(beam: int) -> int:
@@ -283,15 +271,15 @@ def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g0, g1, xy
 
 
-def _record(config: BenchConfig, first: int, n_chunks: int) -> tuple[np.ndarray, np.ndarray]:
-    """(in-intensities, Gram columns) of every frame of chunks first .. first + n_chunks - 1.
+def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
+    """(frames, 5) record of every frame of chunks first .. first + n_chunks - 1.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are
     B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
     substitute), and two Gamma(k): source 2 and the split substitute on the
     substituted modes. Each chunk draws them whole from its own stream, in a
     fixed order, into run-wide rows; the arithmetic then runs once over all
-    rows, in place, and the record is the column views of one 5-row buffer.
+    rows, in place, and the record is the transpose of one 5-row buffer.
     """
     k = _substituted_count(config.modes, config.eta)
     r = config.modes - k
@@ -335,37 +323,36 @@ def _record(config: BenchConfig, first: int, n_chunks: int) -> tuple[np.ndarray,
     np.multiply(beam3_yy, (1.0 - t) * m2, out=ins2)
     b_yy *= t * m2
     b_xx *= m1
-    return rec[:3].T, rec[3:].T
+    return rec.T
 
 
-def chunk_record(config: BenchConfig, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """(in-intensities, Gram columns) of the CHUNK_FRAMES frames of one chunk, drawn alone.
+def chunk_record(config: BenchConfig, chunk: int) -> np.ndarray:
+    """(CHUNK_FRAMES, 5) record of the frames of one chunk, drawn alone.
 
-    Bit-identical to rows chunk * CHUNK_FRAMES onward of ``run_bench``'s batch.
+    Bit-identical to rows chunk * CHUNK_FRAMES onward of ``run_bench``'s record.
     """
     return _record(config, chunk, 1)
 
 
 def run_bench(config: BenchConfig) -> FrameBatch:
-    """Simulate the configured bench and record per-frame intensities.
+    """Simulate the configured bench and record five numbers per frame.
 
     Beam 1 is source 1; source 2 splits into beams 2 and 3 at t_split; beams
     1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
     The pass records the three intensities before the beam splitter and the
-    Gram matrix of its two inputs, which no preset or analyzer changes. Both
-    are read off those afterwards by ``FrameBatch.out_series``: the
-    interference preset puts beams 1-3 on H, so beams 1 and 2 interfere;
-    erasure puts beam 1 on H and beams 2 and 3 on V, so they do not.
+    Gram matrix of its two inputs, which no preset or analyzer changes.
+    Every detection is read off that record afterwards, by its weights
+    (``FrameBatch.out_weights``): the interference preset puts beams 1-3 on
+    H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
+    3 on V, so they do not.
 
     With m1 = mean_photons, t = t_split, m2 = m1 / t and the draws of
-    ``_record``, a frame records ins = (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
-    (1 - t) m2 (G_ss + B_yy)) and gram = (m1 A_yy + t m2 B_yy,
+    ``_record``, a frame records (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
+    (1 - t) m2 (G_ss + B_yy), m1 A_yy + t m2 B_yy,
     m1 Re A_xy + sqrt(t m1 m2) Re B_xy). Identical (seed, config) produce
-    bit-identical batches for any worker count; frame j depends only on the
+    bit-identical records for any worker count; frame j depends only on the
     seed, j, modes, eta, mean_photons and t_split.
     """
-    ins, gram = _record(config, 0, -(-config.frames // CHUNK_FRAMES))
-    ins, gram = ins[: config.frames], gram[: config.frames]
-    ins.flags.writeable = False
-    gram.flags.writeable = False
-    return FrameBatch(config, ins, gram)
+    record = _record(config, 0, -(-config.frames // CHUNK_FRAMES))[: config.frames]
+    record.flags.writeable = False
+    return FrameBatch(config, record)

@@ -13,13 +13,20 @@ import pytest
 from cvbench.info import discord_oracle, entropy, gaussian_discord, mutual_information
 from cvbench.network import (
     ThreeModeProtocol,
+    bs_symplectic,
     matched_probe,
-    mix_two,
     prepare_discordant_pair,
     run_three_mode,
 )
 from cvbench.speckle import BenchConfig, run_bench
-from cvbench.states import SingleModeSpec, mode_block, tensor, thermal_state
+from cvbench.states import (
+    GaussianState,
+    SingleModeSpec,
+    apply_symplectic,
+    mode_block,
+    tensor,
+    thermal_state,
+)
 from cvbench.stats import cm_to_intensity_corr, confidence_interval, corr_coeff
 from cvbench import cli
 from helpers import random_single_mode_cm, random_source, random_two_mode_state
@@ -33,17 +40,16 @@ def report(name, ok, detail):
 def test_c01_identity_interference_law():
     rng = np.random.default_rng(101)
     started = time.perf_counter()
-    worst_off = worst_marginal = 0.0
-    for _ in range(200):
-        sigma = random_single_mode_cm(rng)
-        for tau in (0.15, 0.5, 0.85):
-            out = mix_two(sigma, sigma, tau)
-            worst_off = max(worst_off, float(np.max(np.abs(mode_block(out, 0, 1)))))
-            worst_marginal = max(
-                worst_marginal,
-                float(np.max(np.abs(mode_block(out, 0, 0) - sigma))),
-                float(np.max(np.abs(mode_block(out, 1, 1) - sigma))),
-            )
+    sigma = np.stack([random_single_mode_cm(rng) for _ in range(200)])
+    state = GaussianState(sigma)
+    taus = np.array([0.15, 0.5, 0.85])
+    # the beam splitter itself, by congruence: one pass over the axes (tau, draw)
+    out = apply_symplectic(tensor([state, state]), bs_symplectic(taus[:, None]))
+    worst_off = float(np.max(np.abs(mode_block(out, 0, 1))))
+    worst_marginal = max(
+        float(np.max(np.abs(mode_block(out, 0, 0) - sigma))),
+        float(np.max(np.abs(mode_block(out, 1, 1) - sigma))),
+    )
     elapsed = time.perf_counter() - started
     ok = worst_off <= 1e-12 and worst_marginal <= 1e-12 and elapsed < 1.0
     report(
@@ -136,8 +142,8 @@ def test_c05_interference_bench_table():
         BenchConfig(modes=100, frames=100_000, mean_photons=1.0, tau_mix=0.5, t_split=0.5, seed=42)
     )
     pairs = ((0, 1), (0, 2), (1, 2))
-    c_in = [corr_coeff(batch.in_series(i), batch.in_series(j)) for i, j in pairs]
-    c_out = [corr_coeff(batch.out_series(i), batch.out_series(j)) for i, j in pairs]
+    c_in = [batch.corr(batch.in_weights(i), batch.in_weights(j)) for i, j in pairs]
+    c_out = [batch.corr(batch.out_weights(i), batch.out_weights(j)) for i, j in pairs]
     ci = confidence_interval(0.5, 50, 0.99)
     elapsed = time.perf_counter() - started
     ok = (
@@ -165,8 +171,8 @@ def test_c06_erasure_bench_table(capsys):
     batch = run_bench(BenchConfig(modes=100, frames=50_000, seed=7))
 
     def c_out(basis, pairs=((0, 1), (0, 2), (1, 2))):
-        out = [batch.out_series(beam, basis, "erasure") for beam in range(3)]
-        return [corr_coeff(out[i], out[j]) for i, j in pairs]
+        out = [batch.out_weights(beam, basis, "erasure") for beam in range(3)]
+        return [batch.corr(out[i], out[j]) for i, j in pairs]
 
     c45 = c_out("deg45")
     (c12_none,) = c_out("none", ((0, 1),))
@@ -255,7 +261,7 @@ def test_c08_monte_carlo_vs_analytic():
         )
         _, out = run_three_mode(protocol)
         for i, j in ((0, 2), (1, 2)):
-            c_mc = corr_coeff(batch.out_series(i), batch.out_series(j))
+            c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
             c_cm = cm_to_intensity_corr(out, i, j)
             se = (1.0 - c_cm**2) / math.sqrt(frames - 3)
             worst_sigma = max(worst_sigma, abs(c_mc - c_cm) / se)

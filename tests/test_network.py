@@ -78,16 +78,29 @@ class TestMixTwo:
         sigma = single_mode_cm(SingleModeSpec(1.0, 0.0))
         for tau in (0.1, 0.5, 0.9):
             sigma1, sigma2, sigma12 = blocks(mix_two(sigma, sigma, tau))
-            assert np.array_equal(sigma12, np.zeros((2, 2)))  # exact zero
+            assert np.allclose(sigma12, 0.0, atol=1e-12)
             assert np.allclose(sigma1, sigma, atol=1e-12)
             assert np.allclose(sigma2, sigma, atol=1e-12)
 
-    def test_identical_random_inputs_exact_zero(self):
+    def test_identical_random_inputs_stay_uncorrelated(self):
+        # squeezed, rotated inputs: the congruence itself must cancel the
+        # interference terms, to rounding, at any tau
         rng = np.random.default_rng(23)
         for _ in range(50):
             sigma = random_single_mode_cm(rng)
             tau = rng.uniform(0.0, 1.0)
-            assert np.array_equal(mode_block(mix_two(sigma, sigma, tau), 0, 1), np.zeros((2, 2)))
+            assert np.allclose(mode_block(mix_two(sigma, sigma, tau), 0, 1), 0.0, atol=1e-12)
+
+    def test_batch_members_equal_single_calls(self):
+        # a stack of CMs against a stack of taus, each member its own call
+        rng = np.random.default_rng(31)
+        s1 = np.stack([random_single_mode_cm(rng) for _ in range(4)])
+        s2 = np.stack([random_single_mode_cm(rng) for _ in range(4)])
+        taus = rng.uniform(0.0, 1.0, size=4)
+        batch = mix_two(s1, s2, taus)
+        assert batch.batch_shape == (4,)
+        for i in range(4):
+            assert np.array_equal(batch.cm[i], mix_two(s1[i], s2[i], taus[i]).cm)
 
     def test_tau_one_passthrough(self):
         s1 = single_mode_cm(SingleModeSpec(1.0, 0.0))
@@ -271,18 +284,6 @@ class TestRunThreeMode:
         off = SingleModeSpec(probe.n_tot * np.array([1.0, 1.0 + 1e-8]), probe.beta)
         with pytest.raises(MarginalMismatchError, match=r"batch member 1\b"):
             run_three_mode(ThreeModeProtocol(off, source, 0.5, 0.5))
-
-
-class TestSingleStateOnly:
-    def test_mix_two_refuses_a_batch(self):
-        sigma = single_mode_cm(SingleModeSpec(np.array([1.0, 2.0])))
-        with pytest.raises(ValueError, match="not batches"):
-            mix_two(sigma, sigma, 0.5)
-        # a stack of taus too, which distinct inputs would mix into a batch
-        # but identical ones, through the shortcut, into a single state
-        for second in (sigma[0], sigma[1]):
-            with pytest.raises(ValueError, match="not batches"):
-                mix_two(sigma[0], second, np.array([0.3, 0.6]))
 
 
 def polarization_filtered(spec1, spec2):

@@ -119,8 +119,7 @@ def field_record(cfg, frames=None):
 
 def field_batch(cfg, frames):
     """FrameBatch of the given frames, recorded from the oracle's fields."""
-    record = field_record(cfg, frames)
-    return FrameBatch(cfg, record[:, :3], record[:, 3:])
+    return FrameBatch(cfg, field_record(cfg, frames))
 
 
 def reference_out(cfg, frames, scenario, basis):
@@ -174,8 +173,8 @@ def law_config(modes, eta):
 
 
 def sampled_record(cfg):
-    batch = run_bench(cfg)
-    return np.concatenate([batch.intensities_in, batch.gram], axis=1)
+    """A writable copy of run_bench's record."""
+    return run_bench(cfg).record.copy()
 
 
 class TestSampler:
@@ -205,9 +204,9 @@ class TestSampler:
         batch = run_bench(cfg)
         beam3_mean = (1.0 - cfg.t_split) * cfg.mean_photons / cfg.t_split
         for name, series, mean in (
-            ("in 1", batch.in_series(0), cfg.mean_photons),
-            ("in 2", batch.in_series(1), cfg.mean_photons),
-            ("in 3", batch.in_series(2), beam3_mean),
+            ("in 1", batch.intensities_in[:, 0], cfg.mean_photons),
+            ("in 2", batch.intensities_in[:, 1], cfg.mean_photons),
+            ("in 3", batch.intensities_in[:, 2], beam3_mean),
             ("out 1", batch.out_series(0), cfg.mean_photons),
         ):
             result = kstest(series, "gamma", args=(modes, 0.0, mean))
@@ -255,7 +254,7 @@ class TestGramSampler:
         # eta = 0 substitutes every mode (B = W2(0) is a zero block), and
         # M = 1 draws no Gamma(d - 1); the record must stay a valid Gram record
         batch = run_bench(BenchConfig(modes=modes, frames=1000, seed=3, eta=eta))
-        ins, gram = batch.intensities_in, batch.gram
+        ins, gram = batch.record[:, :3], batch.record[:, 3:]
         assert np.all(ins >= 0.0) and np.all(gram[:, 0] >= 0.0)
         # Cauchy-Schwarz on the BS inputs: (Re a1.a2*)^2 <= |a1|^2 |a2|^2
         assert np.all(gram[:, 1] ** 2 <= ins[:, 0] * gram[:, 0] * (1 + 1e-12))
@@ -362,9 +361,7 @@ class TestRunBench:
         batch = run_bench(cfg)
         for j in (0, 1, 255, 256, 257, cfg.frames - 1):
             chunk, row = divmod(j, CHUNK_FRAMES)
-            ins, gram = chunk_record(cfg, chunk)
-            assert ins[row].tobytes() == batch.intensities_in[j].tobytes()
-            assert gram[row].tobytes() == batch.gram[j].tobytes()
+            assert chunk_record(cfg, chunk)[row].tobytes() == batch.record[j].tobytes()
 
     def test_matches_per_frame_operations(self):
         # the read-out of a record built from per-frame fields must agree with
@@ -421,13 +418,11 @@ class TestRunBench:
         series = [
             batch.out_series(beam, basis, scenario) for basis in ANALYZERS for beam in range(3)
         ]
-        series.append(batch.intensities_out)
+        series += [batch.intensities_out, batch.record, batch.intensities_in]
         for values in series:
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 1.0
-        # beam 3 bypasses the BS: behind 'none' its detection is its in-column
-        assert np.shares_memory(batch.out_series(2, "none", scenario), batch.intensities_in)
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize("tau_mix", [0.0, 1.0])
@@ -442,25 +437,20 @@ class TestRunBench:
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
     @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
-    def test_out_series_keeps_the_bits_of_the_full_sum(self, scenario, tau_mix):
-        # out_series skips zero-weight terms; every (basis, beam) must still
-        # equal the full three-term weighted sum
+    def test_out_series_is_the_same_in_any_sub_batch(self, scenario, tau_mix):
+        # a frame's read-out depends on its own record row alone, not on the
+        # number, order or spacing of the frames around it: any slice of a
+        # run's record reads the bits of the whole run's series
         batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, tau_mix=tau_mix))
-        e1, e2 = SCENARIO_JONES[scenario]
-        bs = np.array(mix(*np.eye(2), tau_mix))
-        ins, gram = batch.intensities_in, batch.gram
-        for basis, proj in ANALYZERS.items():
-            for beam in range(3):
-                if beam == 2:
-                    full = (e2 @ proj @ e2) * ins[:, 2]
-                else:
-                    u, v = bs[beam, 0] * e1, bs[beam, 1] * e2
-                    full = (
-                        (u @ proj @ u) * ins[:, 0]
-                        + (v @ proj @ v) * gram[:, 0]
-                        + 2.0 * (u @ proj @ v) * gram[:, 1]
+        slices = (slice(0, 1), slice(255, 258), slice(1, None), slice(None, None, -1))
+        for rows in slices + (slice(None, None, 3),):
+            sub = FrameBatch(batch.config, batch.record[rows])
+            for basis in ANALYZERS:
+                for beam in range(3):
+                    assert np.array_equal(
+                        sub.out_series(beam, basis, scenario),
+                        batch.out_series(beam, basis, scenario)[rows],
                     )
-                assert np.array_equal(batch.out_series(beam, basis, scenario), full)
 
     @pytest.mark.parametrize("modes", [1, 4])
     @pytest.mark.parametrize("eta", [1.0, 0.7])
@@ -474,7 +464,7 @@ class TestRunBench:
             BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
         )
         read_outs = [
-            (batch.in_weights(i), batch.in_weights(j), batch.in_series(i), batch.in_series(j))
+            (batch.in_weights(i), batch.in_weights(j), batch.intensities_in[:, i], batch.intensities_in[:, j])
             for i, j in PAIRS
         ]
         for scenario, basis in SCENARIO_BASES:
@@ -535,14 +525,14 @@ class TestRunBench:
     def test_beam_outside_the_bench_rejected(self, beam):
         batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
         with pytest.raises(IndexError):
-            batch.in_series(beam)
+            batch.in_weights(beam)
         with pytest.raises(IndexError):
             batch.out_series(beam)
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
     def test_energy_conservation_per_frame(self, scenario):
         batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))
-        before = batch.in_series(0) + batch.in_series(1)
+        before = batch.intensities_in[:, 0] + batch.intensities_in[:, 1]
         after = batch.out_series(0, "none", scenario) + batch.out_series(1, "none", scenario)
         assert np.allclose(after, before, rtol=1e-9)
 
@@ -559,7 +549,7 @@ class TestRunBench:
         n = 3 * 10**4
         batch = run_bench(BenchConfig(modes=100, frames=n, seed=17))
         for beam in (0, 1):
-            i_in = batch.in_series(beam)
+            i_in = batch.intensities_in[:, beam]
             i_out = batch.out_series(beam)
             se_mean = float(np.std(i_in)) / math.sqrt(n)
             assert abs(float(np.mean(i_out)) - float(np.mean(i_in))) <= 3.0 * se_mean
@@ -567,7 +557,7 @@ class TestRunBench:
 
     def test_eta_sets_the_in_correlation_ceiling(self):
         batch = run_bench(BenchConfig(modes=100, frames=2 * 10**4, seed=23, eta=0.97))
-        c23_in = corr_coeff(batch.in_series(1), batch.in_series(2))
+        c23_in = corr_coeff(batch.intensities_in[:, 1], batch.intensities_in[:, 2])
         assert c23_in == pytest.approx(0.97, abs=0.02)
 
     def test_erasure_without_polarizers_outputs_identical(self):
@@ -575,7 +565,7 @@ class TestRunBench:
         out1, out2 = (batch.out_series(beam, "none", "erasure") for beam in (0, 1))
         c12 = corr_coeff(out1, out2)
         assert c12 >= 0.9999  # identical total intensities at tau = 1/2
-        c12_in = corr_coeff(batch.in_series(0), batch.in_series(1))
+        c12_in = corr_coeff(batch.intensities_in[:, 0], batch.intensities_in[:, 1])
         assert abs(c12_in) <= 0.05
 
     def test_erasure_deg45_restores_transfer_pattern(self):

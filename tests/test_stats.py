@@ -80,23 +80,32 @@ class TestCorrCoeff:
         with pytest.raises(ValueError):
             corr_coeff([1.0, 2.0], [1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8, 1e12])
     def test_agrees_with_error_free_reduction(self, offset):
-        # reference: the same two-pass formula with every sum taken by math.fsum
-        def fsum_corr(h, k):
-            dh = h - math.fsum(h.tolist()) / h.size
-            dk = k - math.fsum(k.tolist()) / k.size
-            cov = math.fsum((dh * dk).tolist())
-            return cov / math.sqrt(math.fsum((dh * dh).tolist()) * math.fsum((dk * dk).tolist()))
+        # reference: the corrected two-pass formula with every sum taken by
+        # math.fsum. Subtracting s_h s_k / n, s being the sum of the centred
+        # values, removes the rounding of the means; at offset 1e12 the
+        # uncorrected sums are off by up to 2e-9 in the correlation
+        def centred(x):
+            d = x - math.fsum(x.tolist()) / x.size
+            return d, math.fsum(d.tolist())
+
+        def comoment(a, b):
+            (d_a, s_a), (d_b, s_b) = a, b
+            return math.fsum((d_a * d_b).tolist()) - s_a * s_b / d_a.size
 
         rng = np.random.default_rng(109)
         n = 10**6
         x = rng.gamma(4.0, size=n)
         y = rng.gamma(4.0, size=n)
+        h = x + offset
+        c_h = centred(h)
+        var_h = comoment(c_h, c_h)
         for c in (0.0, 0.5, 0.999):
-            h = x + offset
             k = c * x + math.sqrt(1.0 - c * c) * y + offset
-            assert abs(corr_coeff(h, k) - fsum_corr(h, k)) <= 1e-12
+            c_k = centred(k)
+            expected = comoment(c_h, c_k) / math.sqrt(var_h * comoment(c_k, c_k))
+            assert abs(corr_coeff(h, k) - expected) <= 1e-12
 
     def test_clamped_to_unit_interval(self):
         x = np.array([1.0, 2.0, 3.0, 4.0]) * (1.0 + 1e-16)
@@ -261,7 +270,7 @@ class TestCmToIntensityCorr:
         protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.3)
         _, out = run_three_mode(protocol)
         for i, j in ((0, 2), (1, 2)):
-            c_mc = corr_coeff(batch.out_series(i), batch.out_series(j))
+            c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
             c_cm = cm_to_intensity_corr(out, i, j)
             se = (1.0 - c_cm**2) / math.sqrt(frames - 3)
             assert abs(c_mc - c_cm) <= 3.0 * se
