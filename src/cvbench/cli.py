@@ -16,7 +16,7 @@ t = 1/2, eta = 1, seed 42, 99% confidence level). Each setting is declared
 once, in ``_SETTINGS``, with its type, default and flag; the ``[source]`` and
 ``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``. A command
 takes flags only for the settings it reads, so ``sweep-discord`` takes just
-``--tau`` and ``--t-split``.
+``--tau`` and ``--t-split``, and refuses the flag of the setting it sweeps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import time
@@ -323,31 +322,28 @@ def run_sweep_discord(cfg: dict) -> str:
 # validation suite
 
 
-def _check_physicality(quick: bool) -> None:
+def _check_physicality(quick: bool) -> tuple:
     thermal_state(1.0)  # accepts a physical state
     try:
-        GaussianState(np.diag([0.4, 0.4]))
+        GaussianState(np.diag([0.4, 0.4]))  # variance 0.4 < 1/2
     except PhysicalityError:
-        return
-    raise AssertionError("corrupted CM (variance 0.4 < 1/2) was not rejected")
+        return "corrupted CMs accepted", 0.0, 0.0
+    return "corrupted CMs accepted", 1.0, 0.0
 
 
-def _check_purity_identity(quick: bool) -> None:
+def _check_purity_identity(quick: bool) -> tuple:
     # the symplectic spectrum, not the determinant single_mode_cm already checks
     draws = np.random.default_rng(1).uniform(size=(100 if quick else 500, 2))
     spec = SingleModeSpec(8.0 * draws[:, 0], draws[:, 1])
     nu = symplectic_eigenvalues(single_mode_state(spec))[:, 0]
     expected = (0.5 + spec.n_thermal) ** 2
-    err = np.abs(nu**2 - expected)
-    off = err > 1e-10 * np.maximum(1.0, expected)
-    if off.any():
-        i = int(np.argmax(off))
-        raise AssertionError(
-            f"purity identity off by {err[i]:g} at n_tot={spec.n_tot[i]!r}, beta={spec.beta[i]!r}"
-        )
+    err = np.abs(nu**2 - expected) / np.maximum(1.0, expected)
+    i = int(np.argmax(err))  # argmax picks a NaN first, and a NaN fails
+    where = f"at n_tot {spec.n_tot[i]:.3g}, beta {spec.beta[i]:.3g}"
+    return f"relative error of nu^2 {where}", err[i], 1e-10
 
 
-def _check_identity_interference(quick: bool) -> None:
+def _check_identity_interference(quick: bool) -> tuple:
     draws = np.random.default_rng(2).uniform(size=(20 if quick else 60, 2))
     state = single_mode_state(SingleModeSpec(4.0 * draws[:, 0], draws[:, 1]))
     pairs = tensor([state, state])
@@ -355,12 +351,11 @@ def _check_identity_interference(quick: bool) -> None:
     # neither a correlation nor a marginal may change: one congruence over the axes (tau, draw)
     out = apply_symplectic(pairs, bs_symplectic(taus[:, None]))
     change = np.abs(out.cm - pairs.cm).max(axis=(1, 2, 3))
-    i = int(np.argmax(change > 1e-12))  # the first tau to fail
-    if change[i] > 1e-12:
-        raise AssertionError(f"identical inputs changed the pair by {change[i]:g} at tau {taus[i]}")
+    i = int(np.argmax(change))
+    return f"change of the pair at tau {taus[i]:g}", change[i], 1e-12
 
 
-def _check_output_blocks(quick: bool) -> None:
+def _check_output_blocks(quick: bool) -> tuple:
     n_tot, beta, t_split, tau = np.random.default_rng(3).uniform(
         (0.3, 0.0, 0.15, 0.1), (4.0, 0.9, 0.85, 0.9), size=(10 if quick else 30, 4)
     ).T
@@ -368,58 +363,53 @@ def _check_output_blocks(quick: bool) -> None:
     protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
     state_in, out = run_three_mode(protocol)
     delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
-    err13 = np.max(np.abs(mode_block(out, 0, 2) - np.sqrt(1 - tau)[:, None, None] * delta))
-    err23 = np.max(np.abs(mode_block(out, 1, 2) - np.sqrt(tau)[:, None, None] * delta))
-    err12 = np.max(np.abs(mode_block(out, 0, 1)))
-    if max(err13, err23, err12) > 1e-12:
-        raise AssertionError(f"output blocks off by {max(err13, err23, err12):g}")
+    # the output blocks 1-2, 1-3 and 2-3 are 0, sqrt(1 - tau) and sqrt(tau) times it
+    weights = np.stack([0.0 * tau, np.sqrt(1.0 - tau), np.sqrt(tau)])[..., None, None]
+    blocks = np.stack([mode_block(out, i, j) for i, j, _ in _PAIRS])
+    err = np.abs(blocks - weights * delta).max(axis=(1, 2, 3))
+    i = int(np.argmax(err))
+    return f"error of output block {_PAIRS[i][2]}", err[i], 1e-12
 
 
-def _check_discord_oracle(quick: bool) -> None:
+def _check_discord_oracle(quick: bool) -> tuple:
     # one stack, one call each: every member's values are those of its own call
     n_tot, beta, t_split = np.random.default_rng(4).uniform(
         (0.3, 0.0, 0.2), (3.0, 0.8, 0.8), size=(3 if quick else 10, 3)
     ).T
     stack = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
-    closed = gaussian_discord(stack, side="B").value
-    probed = discord_oracle(stack, side="B").value
-    err = np.abs(closed - probed)
+    err = np.abs(gaussian_discord(stack, side="B").value - discord_oracle(stack, side="B").value)
     i = int(np.argmax(err))
-    if err[i] > 1e-6:
-        raise AssertionError(
-            f"closed form {closed[i]:.9f} vs oracle {probed[i]:.9f} at worst member {i}: "
-            f"off by {err[i]:.3g}, {err[i] - 1e-6:.3g} beyond the 1e-6 bound"
-        )
+    return f"|closed form - oracle| at member {i}", err[i], 1e-6
 
 
-def _check_entropy_identities(quick: bool) -> None:
-    for n in (0.1, 1.0, 10.0):
-        expected = (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
-        if abs(entropy(thermal_state(n)) - expected) > 1e-12:
-            raise AssertionError(f"thermal entropy mismatch at N={n}")
-    pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-    report = mutual_information(pair)
-    expected = 3.0 * math.log(4.0 / 3.0)  # 2 g(1) - g(2)
-    if abs(report.mutual_information - expected) > 1e-9:
-        raise AssertionError("split-thermal mutual information mismatch")
+def _check_entropy_identities(quick: bool) -> tuple:
+    # two bounds, so each error is read as a fraction of its own
+    n = np.array([0.1, 1.0, 10.0])
+    thermal = entropy(thermal_state(n)) - ((n + 1.0) * np.log(n + 1.0) - n * np.log(n))
+    report = mutual_information(prepare_discordant_pair(SingleModeSpec(2.0), 0.5))
+    split = report.mutual_information - 3.0 * np.log(4.0 / 3.0)  # 2 g(1) - g(2)
+    errors = np.abs(np.append(thermal / 1e-12, split / 1e-9))
+    i = int(np.argmax(errors))
+    where = f"thermal entropy at N {n[i]:g}" if i < n.size else "split-thermal mutual information"
+    return f"error / bound of the {where}", errors[i], 1.0
 
 
-def _check_mc_against_cm(quick: bool) -> None:
+def _check_mc_against_cm(quick: bool) -> tuple:
     frames = 2_000 if quick else 20_000
-    bench = BenchConfig(modes=64, frames=frames, mean_photons=1.0, seed=11)
-    batch = run_bench(bench)
+    batch = run_bench(BenchConfig(modes=64, frames=frames, mean_photons=1.0, seed=11))
     protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
     _, out_state = run_three_mode(protocol)
-    for i, j in ((0, 2), (1, 2)):
+    z = []  # |MC - CM| in standard errors, for the pairs 1-3 and 2-3
+    for i, j, _ in _PAIRS[1:]:
         c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
         c_cm = cm_to_intensity_corr(out_state, i, j, shot_noise=False)
-        se = (1.0 - c_cm**2) / np.sqrt(frames - 3)
-        if abs(c_mc - c_cm) > 3.0 * se:
-            raise AssertionError(
-                f"pair ({i + 1},{j + 1}): MC {c_mc:.4f} vs CM {c_cm:.4f} beyond 3 SE ({3 * se:.4f})"
-            )
+        z.append(abs(c_mc - c_cm) / ((1.0 - c_cm**2) / np.sqrt(frames - 3)))
+    k = int(np.argmax(z))
+    return f"|MC - CM| in SEs at pair {_PAIRS[1 + k][2]}", z[k], 3.0
 
 
+#: (name, check); a check returns (what it measured and where its worst value
+#: lies, that value, its bound), and ``run_validate`` alone compares the two
 _CHECKS = (
     ("physicality-gate", _check_physicality),
     ("purity-identity", _check_purity_identity),
@@ -432,16 +422,22 @@ _CHECKS = (
 
 
 def run_validate(quick: bool = False) -> int:
-    """Run the invariant suite, print one PASS/FAIL line per check, return exit code."""
+    """Run the invariant suite, print one line per check, return the exit code.
+
+    Each line reads ``PASS <name>: <what> <worst> (bound <bound>)``, or FAIL
+    unless worst <= bound (so a NaN fails). A check that raises prints
+    ``FAIL <name>: <message>``, and the others still run.
+    """
     failures = 0
     for name, check in _CHECKS:
         try:
-            check(quick)
+            what, worst, bound = check(quick)
         except Exception as exc:  # a failing check must not stop the others
-            print(f"FAIL {name}: {exc}")
-            failures += 1
+            passed, line = False, str(exc) or type(exc).__name__
         else:
-            print(f"PASS {name}")
+            passed, line = worst <= bound, f"{what} {worst:.3g} (bound {bound:g})"
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {line}")
+        failures += not passed
     return 1 if failures else 0
 
 
@@ -491,10 +487,13 @@ def _add_flags(sub: argparse.ArgumentParser, flags: tuple) -> None:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = load_config(args.config)
-    for section, key, *_ in _SETTINGS:
+    for section, key, _, _, flag in _SETTINGS:
         value = getattr(args, key, None)
-        if value is not None:
-            cfg[section][key] = value
+        if value is None:
+            continue
+        if args.command == "sweep-discord" and key == cfg["sweep"]["sweep_param"]:
+            raise ConfigError(f"{flag} sets {key}, which this sweep takes from [sweep] taus")
+        cfg[section][key] = value
     return cfg
 
 

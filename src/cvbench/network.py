@@ -1,8 +1,8 @@
 """The beam splitter and the two bench protocols it builds, at CM level.
 
-All transformations are computed by explicit symplectic congruence; the
-closed-form block expressions (tau sigma1 + (1 - tau) sigma2 and friends)
-appear only in the tests, as independent oracles.
+All transformations, the marginal a probe matches included, are explicit
+symplectic congruences; the closed-form block expressions (tau sigma1 +
+(1 - tau) sigma2 and friends) appear only in the tests, as independent oracles.
 
 The protocol builders pass batches through: a ``SingleModeSpec`` of arrays
 gives batched states (see ``cvbench.states``), and an array tau a stack of
@@ -31,7 +31,6 @@ from .states import (
     apply_symplectic,
     member_error,
     mode_block,
-    single_mode_cm,
     single_mode_state,
     tensor,
     vacuum_state,
@@ -106,16 +105,16 @@ def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianS
 def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
     """Probe parameters whose CM equals the beam-2 marginal of the split source.
 
-    Splitting maps diag(f+, f-) to diag(g+, g-) with g = t f + (1 - t)/2. The
-    (n_tot, beta) pair is recovered by inverting the f+/f- parametrization:
+    The marginal diag(g+, g-) is read off the split's own congruence
+    (``prepare_discordant_pair``), the rounding of 1 - t_split included, and
+    inverted for (n_tot, beta) through the f+/f- parametrization:
     n = (g+ + g- - 1)/2, and the purity identity sqrt(g+ g-) = 1/2 + (1 - beta) n
     gives beta = delta^2 / (n (n + 1/2 + sqrt(g+ g-))) with delta = (g+ - g-)/2,
     a form without cancellation (clamped into [0, 1]). A probe without photons
     is the vacuum. A batched source gives a batched probe.
     """
-    cm = single_mode_cm(source)
-    g_plus = t_split * cm[..., 0, 0] + (1.0 - t_split) * 0.5
-    g_minus = t_split * cm[..., 1, 1] + (1.0 - t_split) * 0.5
+    marginal = mode_block(prepare_discordant_pair(source, t_split), 0, 0)
+    g_plus, g_minus = marginal[..., 0, 0], marginal[..., 1, 1]
     n = (g_plus + g_minus - 1.0) / 2.0
     delta = (g_plus - g_minus) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -465,14 +465,13 @@ class TestSweep:
         # lies at point 1991), and writes nothing
         cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "sweep.csv"
-        marginal = "mode-2 marginal deviates from the probe by 1.0076e-10"
+        clamp = "discord evaluated to -8.07906e-09"
         for taus, tau, what, member, n_source in (
             # the closed-form discord falls below its -1e-9 clamp
             ("1e-10", "1e-10", "discord evaluated to -1.32271e-09", (0, 1794), "1.28206e+06"),
-            # splitting at 1 - 1e-9 rounds the mode-2 marginal off the probe's
-            ("1e-09", "1e-09", marginal, (0, 1896), "3.5627e+06"),
+            ("1e-09", "1e-09", clamp, (0, 1944), "5.76313e+06"),
             # the same point behind a tau that runs: the tau index names the failing series
-            ("0.3,1e-09", "1e-09", marginal, (1, 1896), "3.5627e+06"),
+            ("0.3,1e-09", "1e-09", clamp, (1, 1944), "5.76313e+06"),
         ):
             cfg.write_text(
                 f"[sweep]\nsweep_param = t_split\ntaus = {taus}\nn_source_max = 1e7\n"
@@ -484,23 +483,108 @@ class TestSweep:
             assert err[0].endswith(f"(batch member {member}) at tau {tau}, n_source {n_source}")
             assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_tiny_t_split_runs(self, tmp_path):
+        # the probe reads its marginal off the split's congruence, so rounding
+        # 1 - t_split no longer sets it off mode 2 at a tiny t_split
+        cfg = tmp_path / "sweep.cfg"
+        out = tmp_path / "sweep.csv"
+        cfg.write_text(
+            "[sweep]\nsweep_param = t_split\ntaus = 1e-8\nn_source_max = 1e7\nn_points = 2000\n"
+        )
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2000 and {row[0] for row in rows} == {"0.000000"}
+
+    @pytest.mark.parametrize("swept, flag", [("tau_mix", "--tau"), ("t_split", "--t-split")])
+    def test_flag_of_the_swept_setting_refused(self, tmp_path, capsys, swept, flag):
+        # the swept setting takes its values from [sweep] taus, so its flag
+        # would be ignored
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"[sweep]\nsweep_param = {swept}\n")
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), flag, "0.3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {flag} sets {swept}, which this sweep takes from [sweep] taus"]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_file_may_set_the_swept_setting(self, tmp_path):
+        # one file may serve tables and a sweep: its [bench] tau_mix is not refused
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("[bench]\ntau_mix = 0.3\n[sweep]\nn_points = 3\n")
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows] == ["0.150000"] * 3 + ["0.500000"] * 3 + ["0.850000"] * 3
+
+
+#: one line of ``validate``: verdict, check, what it measured and where, worst value, bound
+VALIDATE_LINE = re.compile(r"(PASS|FAIL) ([a-z-]+): (.+) (\S+) \(bound (\S+)\)")
+
+
+def validate_lines(text):
+    """(verdict, name, what, worst, bound) of each line ``validate`` printed."""
+    matches = [VALIDATE_LINE.fullmatch(line) for line in text.strip().split("\n")]
+    assert all(matches), text
+    return [(m[1], m[2], m[3], float(m[4]), float(m[5])) for m in matches]
+
+
+def assert_suite_passes(text):
+    """One PASS line per check, each with its worst value within its bound."""
+    lines = validate_lines(text)
+    assert [(verdict, name) for verdict, name, *_ in lines] == [
+        ("PASS", name) for name, _ in cli._CHECKS
+    ]
+    assert all(worst <= bound for *_, worst, bound in lines)
+
 
 class TestValidate:
     def test_quick_suite_passes(self, capsys):
         assert run_main(["validate", "--quick"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert len(lines) == len(cli._CHECKS)
-        assert all(line.startswith("PASS") for line in lines)
+        assert_suite_passes(capsys.readouterr().out)
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
+        # a raising check prints one FAIL line, and the others still run
         def broken(quick):
             raise AssertionError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_CHECKS", (("synthetic", broken),) + cli._CHECKS[:1])
+        def silent(quick):
+            raise ZeroDivisionError  # no message: the line names the exception
+
+        checks = (("synthetic", broken), ("silent", silent)) + cli._CHECKS[:1]
+        monkeypatch.setattr(cli, "_CHECKS", checks)
         assert cli.run_validate(quick=True) == 1
-        out = capsys.readouterr().out
-        assert "FAIL synthetic" in out
-        assert "PASS physicality-gate" in out
+        assert capsys.readouterr().out.split("\n") == [
+            "FAIL synthetic: synthetic failure",
+            "FAIL silent: ZeroDivisionError",
+            "PASS physicality-gate: corrupted CMs accepted 0 (bound 0)",
+            "",
+        ]
+
+    @pytest.mark.parametrize(
+        "worst, verdict",
+        [
+            (1.0, "PASS"), (0.5, "PASS"),
+            (1.0 + 1e-12, "FAIL"), (math.nan, "FAIL"), (math.inf, "FAIL"),
+        ],
+    )
+    def test_verdict_is_worst_at_most_bound(self, capsys, monkeypatch, worst, verdict):
+        # run_validate alone compares: a NaN is never within its bound
+        monkeypatch.setattr(cli, "_CHECKS", (("stub", lambda quick: ("worst value", worst, 1.0)),))
+        assert cli.run_validate(quick=True) == (verdict == "FAIL")
+        assert capsys.readouterr().out == f"{verdict} stub: worst value {worst:.3g} (bound 1)\n"
+
+    def test_nan_in_a_check_fails_it(self, capsys, monkeypatch):
+        # a NaN anywhere among a check's values is its worst value
+        def one_nan(state):
+            nu = symplectic_eigenvalues(state)
+            nu[7] = np.nan
+            return nu
+
+        monkeypatch.setattr(cli, "symplectic_eigenvalues", one_nan)
+        monkeypatch.setattr(cli, "_CHECKS", (cli._CHECKS[1],))
+        assert cli.run_validate(quick=True) == 1
+        [(verdict, name, what, worst, bound)] = validate_lines(capsys.readouterr().out)
+        assert (verdict, name, math.isnan(worst), bound) == ("FAIL", "purity-identity", True, 1e-10)
 
     def test_identity_interference_runs_the_congruence(self, capsys, monkeypatch):
         # a two-mode squeezer is symplectic but not passive: it correlates
@@ -515,10 +599,13 @@ class TestValidate:
 
         monkeypatch.setattr(cli, "bs_symplectic", squeezer)
         assert run_main(["validate", "--quick"]) == 1
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert [line.split()[0] for line in lines].count("FAIL") == 1
-        failed = "FAIL identity-interference: identical inputs changed the pair by "
-        assert lines[2].startswith(failed) and lines[2].endswith(" at tau 0.15")
+        lines = validate_lines(capsys.readouterr().out)
+        assert [line[0] for line in lines].count("FAIL") == 1
+        verdict, name, what, worst, bound = lines[2]
+        assert (verdict, name, what, bound) == (
+            "FAIL", "identity-interference", "change of the pair at tau 0.15", 1e-12
+        )
+        assert worst > 1.0
 
     def test_output_blocks_read_the_mixer(self, capsys, monkeypatch):
         # a mixer placed on the pair (modes 2 and 3) instead of on the probe
@@ -532,8 +619,13 @@ class TestValidate:
 
         monkeypatch.setattr(cli, "run_three_mode", misplaced)
         assert run_main(["validate", "--quick"]) == 1
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[3].startswith("FAIL three-mode-output-blocks: output blocks off by ")
+        lines = validate_lines(capsys.readouterr().out)
+        # the MC check's CM prediction comes from the same mixer, so it fails too
+        failed = [name for verdict, name, *_ in lines if verdict == "FAIL"]
+        assert failed == ["three-mode-output-blocks", "mc-vs-analytic-correlations"]
+        verdict, name, what, worst, bound = lines[3]
+        assert (verdict, name, bound) == ("FAIL", "three-mode-output-blocks", 1e-12)
+        assert what.startswith("error of output block ") and worst > 0.1
 
     def test_purity_identity_reads_the_spectrum(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -541,11 +633,13 @@ class TestValidate:
         )
         monkeypatch.setattr(cli, "_CHECKS", (cli._CHECKS[1],))
         assert cli.run_validate(quick=True) == 1
-        assert capsys.readouterr().out.startswith("FAIL purity-identity: purity identity off by ")
+        [(verdict, name, what, worst, bound)] = validate_lines(capsys.readouterr().out)
+        assert (verdict, name, bound) == ("FAIL", "purity-identity", 1e-10)
+        assert what.startswith("relative error of nu^2 at n_tot ") and worst > 1e-9
 
     def test_oracle_check_fails_on_an_offset_oracle(self, capsys, monkeypatch):
         assert run_main(["validate"]) == 0
-        assert capsys.readouterr().out == "".join(f"PASS {name}\n" for name, _ in cli._CHECKS)
+        assert_suite_passes(capsys.readouterr().out)
 
         def offset_by(shift):
             def offset(state, side="B", **kwargs):
@@ -561,8 +655,8 @@ class TestValidate:
             lines = capsys.readouterr().out.strip().split("\n")
             assert [line.split()[0] for line in lines].count("FAIL") == 1
             assert re.fullmatch(
-                r"FAIL discord-closed-form-vs-oracle: closed form 0\.\d{9} vs oracle 0\.\d{9} "
-                rf"at worst member {member}: off by 1e-05, 9e-06 beyond the 1e-6 bound",
+                r"FAIL discord-closed-form-vs-oracle: \|closed form - oracle\| "
+                rf"at member {member} 1e-05 \(bound 1e-06\)",
                 lines[4],
             )
 
