@@ -12,7 +12,6 @@ __version__ = "0.2.0"
 from .info import (
     DiscordResult,
     EntropyReport,
-    GaussianMeasurement,
     discord_oracle,
     entropy,
     gaussian_discord,
@@ -51,7 +50,6 @@ __all__ = [
     "__version__",
     "DiscordResult",
     "EntropyReport",
-    "GaussianMeasurement",
     "discord_oracle",
     "entropy",
     "gaussian_discord",

@@ -304,7 +304,7 @@ def run_sweep_discord(cfg: dict) -> str:
         protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
         in_state, out_state = run_three_mode(protocol)
         # modes 2 and 3 of the input state are the discordant pair
-        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B").value
+        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B")
         c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
         c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
     except (ArithmeticError, ValueError) as exc:
@@ -377,7 +377,7 @@ def _check_discord_oracle(quick: bool) -> tuple:
         (0.3, 0.0, 0.2), (3.0, 0.8, 0.8), size=(3 if quick else 10, 3)
     ).T
     stack = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
-    err = np.abs(gaussian_discord(stack, side="B").value - discord_oracle(stack, side="B").value)
+    err = np.abs(gaussian_discord(stack, side="B") - discord_oracle(stack, side="B").value)
     i = int(np.argmax(err))
     return f"|closed form - oracle| at member {i}", err[i], 1e-6
 

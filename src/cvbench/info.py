@@ -6,13 +6,15 @@ the discord literature states its invariants. ``_ordered_blocks`` doubles a
 CM into the latter, the one place a CM is rescaled; the entropy term of a
 symplectic eigenvalue d in the 1/2 convention is ``_h_vec(2 d)`` there.
 
-``entropy``, ``gaussian_discord`` and ``discord_oracle`` accept batched
-states (see ``cvbench.states``) and then return arrays; a single state gives
-floats, and each member of a batch gives the bits of its own call.
-``discord_oracle`` is the brute-force reference the closed form is tested
-against: it scans a batch member by member and refines all members in
-lockstep. The two share one entropy term, one evaluation of the
-measurement-free part of the discord and one clamp of its rounding.
+Every read-out takes batched states (see ``cvbench.states``) and returns
+numpy values over the batch shape: arrays for a batch and numpy scalars, of
+shape (), for a single state, which is a batch of that shape. No read-out
+branches on the shape, so each member of a batch has the bits of its own
+call. ``discord_oracle`` is the brute-force reference the closed form is
+tested against: it scans a batch member by member and refines all members
+in lockstep. The two share one entropy term, one evaluation of the
+measurement-free part of the discord and one clamp of its rounding, which
+also clamps the mutual information.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +42,6 @@ _ORACLE_STEPS = 320
 
 __all__ = [
     "EntropyReport",
-    "GaussianMeasurement",
     "DiscordResult",
     "entropy",
     "mutual_information",
@@ -51,65 +51,48 @@ __all__ = [
 
 
 def entropy(state: GaussianState):
-    """Von Neumann entropy in nats; >= 0, and 0 iff the state is pure.
-
-    A float for a single state, an array over the batch axes for a batch.
-    """
-    total = np.sum(_h_vec(2.0 * symplectic_eigenvalues(state)), axis=-1)
-    return float(total) if total.ndim == 0 else total
+    """Von Neumann entropy in nats over the batch shape; >= 0, and 0 iff the state is pure."""
+    return np.sum(_h_vec(2.0 * symplectic_eigenvalues(state)), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyReport:
-    """Entropies of a two-mode state and the mutual information they imply."""
+    """Entropies of a two-mode state and the mutual information they imply.
 
-    s1: float
-    s2: float
-    s12: float
-    mutual_information: float
+    Each field holds numpy values over the batch shape, so the report
+    compares and hashes by identity.
+    """
+
+    s1: float | np.ndarray
+    s2: float | np.ndarray
+    s12: float | np.ndarray
+    mutual_information: float | np.ndarray
 
 
 def mutual_information(state: GaussianState) -> EntropyReport:
-    """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats."""
+    """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats.
+
+    Values of I in [-1e-12, 0) are rounding and read as 0; below is an error.
+    """
     if state.n_modes != 2:
         raise ValueError(f"mutual information needs a two-mode state, got {state.n_modes} modes")
-    if state.batch_shape:
-        raise ValueError("mutual information takes a single state, not a batch")
     s1 = entropy(partial_trace(state, {0}))
     s2 = entropy(partial_trace(state, {1}))
     s12 = entropy(state)
-    mi = s1 + s2 - s12
-    if mi < 0.0:
-        if mi < -1e-12:
-            raise ArithmeticError(f"subadditivity violated numerically: I = {mi:g}")
-        mi = 0.0
-    return EntropyReport(s1, s2, s12, mi)
-
-
-@dataclass(frozen=True)
-class GaussianMeasurement:
-    """Pure single-mode Gaussian measurement: squeezing s >= 1 at angle phi."""
-
-    s: float
-    phi: float
+    return EntropyReport(s1, s2, s12, _clamped(s1 + s2 - s12, "mutual information", 1e-12))
 
 
 @dataclass(frozen=True, eq=False)
 class DiscordResult:
-    """Gaussian discord value with the measured side and, when known, the minimizer.
+    """The oracle's discord with its refinement: steps taken and whether they settled.
 
-    ``iterations`` and ``converged`` describe the oracle's local refinement;
-    the closed form is exact and leaves them at 0 and True. For a batched
-    state ``value`` is an array over the batch axes and no minimizer is
-    reported; the oracle's ``iterations`` and ``converged`` are arrays too.
-    Each member equals the result of a call on that member alone.
+    Each field holds numpy values over the batch shape, and each member
+    equals the result of a call on that member alone.
     """
 
     value: float | np.ndarray
-    side: str
-    minimizer: Optional[GaussianMeasurement] = None
-    iterations: int | np.ndarray = 0
-    converged: bool | np.ndarray = True
+    iterations: np.integer | np.ndarray
+    converged: np.bool_ | np.ndarray
 
 
 def _h_vec(x: np.ndarray) -> np.ndarray:
@@ -177,7 +160,7 @@ def _minimal_conditional_det(ia, ib, ic, k):
 
     The branches are masks over the members: both expressions are evaluated
     everywhere and each is used only where its branch applies. Returns the
-    determinant and a mask that is True where the heterodyne expression won.
+    determinant, at least 1 (its pure limit).
     """
     id_ = ia * ib + k
     lhs = k * k
@@ -197,8 +180,7 @@ def _minimal_conditional_det(ia, ib, ic, k):
     e_het = np.where(heterodyne_branch, e_het, np.inf)
     e_gen = np.where(general_branch, e_gen, np.inf)
     # a tie goes to the heterodyne expression
-    heterodyne = e_het <= e_gen
-    return np.maximum(np.where(heterodyne, e_het, e_gen), 1.0), heterodyne
+    return np.maximum(np.where(e_het <= e_gen, e_het, e_gen), 1.0)
 
 
 def _discord_terms(state: GaussianState, side: str):
@@ -217,37 +199,34 @@ def _discord_terms(state: GaussianState, side: str):
     return blocks, invariants, h[0] - h[1] - h[2]
 
 
-def _clamped(value: np.ndarray, what: str) -> np.ndarray:
-    # values in [-DISCORD_CLAMP, 0) are rounding and read as 0; below is an error
-    negative = value < -DISCORD_CLAMP
+def _clamped(value: np.ndarray, what: str, bound: float = DISCORD_CLAMP) -> np.ndarray:
+    # values in [-bound, 0) are rounding and read as 0; below is an error. A
+    # value of shape () comes back as a numpy scalar, any other as an array
+    negative = value < -bound
     if negative.any():
         raise member_error(ArithmeticError, f"{what} evaluated to {value[negative][0]:g}", negative)
-    return np.where(value < 0.0, 0.0, value)
+    return np.where(value < 0.0, 0.0, value)[()]
 
 
-def gaussian_discord(state: GaussianState, side: str = "B") -> DiscordResult:
+def gaussian_discord(state: GaussianState, side: str = "B"):
     """Gaussian discord of a two-mode state with the measurement on ``side``.
 
     Closed form in the symplectic invariants (det A, det B, det C, det CM) of
     the rescaled CM with the piecewise minimal conditional determinant; zero
     exactly for product states, and strictly positive otherwise. Values in
-    [-1e-9, 0) are clamped to 0. A batched state is one stacked evaluation:
-    ``value`` is then an array, and each member equals the discord of that
-    member alone.
+    [-1e-9, 0) are clamped to 0. Returns the value over the batch shape, in
+    one stacked evaluation; each member equals the discord of that member
+    alone.
 
     The invariants cancel at scale N^4 for N photons per mode, so the absolute
     error grows as N^2 times machine epsilon: on split thermal pairs it is
     below 1e-6 nats up to N = 1e4 and reaches 2.5e-4 at 1e6 and 2.3e-2 at 1e7.
     """
     blocks, invariants, fixed = _discord_terms(state, side)
-    e_min, heterodyne = _minimal_conditional_det(*invariants)
-    # a product state has no discord, and the heterodyne is among its minimizers
+    e_min = _minimal_conditional_det(*invariants)
+    # a product state has no discord
     product = ~blocks[2].any(axis=(-2, -1))
-    value = _clamped(np.where(product, 0.0, fixed + _h_vec(np.sqrt(e_min))), "discord")
-    heterodyne = heterodyne | product
-    if value.ndim:
-        return DiscordResult(value, side)
-    return DiscordResult(float(value), side, GaussianMeasurement(1.0, 0.0) if heterodyne else None)
+    return _clamped(np.where(product, 0.0, fixed + _h_vec(np.sqrt(e_min))), "discord")
 
 
 def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
@@ -314,18 +293,18 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     exact homodyne limit, q = 1 the heterodyne) crossed with angles phi in
     [0, pi), then shrinks a local grid around the best point. The result is
     an upper bound that converges to the closed form. Fully deterministic:
-    fixed enumeration order, ties resolved toward smaller s, then smaller
-    phi. The result records the refinement steps taken and whether the step
-    fell below 1e-13 within ``_ORACLE_STEPS`` of them; non-convergence is
-    also reported as one warning carrying the best value found.
+    fixed enumeration order, and a tie goes to the smaller s, then the
+    smaller phi, so refinement starts from one fixed point of the scan. The
+    result records the refinement steps taken and whether the step fell
+    below 1e-13 within ``_ORACLE_STEPS`` of them; non-convergence is also
+    reported as one warning carrying the best value found.
 
     A batched state is refined in lockstep, one ``_conditional_entropies``
     call per step for every member until all have settled; the scan runs
     member by member, so its grid is held for one member at a time. Each
     member keeps its own best point, steps, stop and iteration count, so its
     value, ``iterations`` and ``converged`` equal those of a call on that
-    member alone, bit for bit. They are then arrays over the batch axes, and
-    no minimizer is reported.
+    member alone, bit for bit.
     """
     blocks, _, fixed = _discord_terms(state, side)
     fixed = np.reshape(fixed, -1)
@@ -385,8 +364,4 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
         warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
 
     value = _clamped((fixed + val).reshape(shape), "oracle discord")
-    if shape:
-        return DiscordResult(value, side, None, iterations.reshape(shape), converged.reshape(shape))
-    best_s = math.inf if q[0] == 0.0 else 1.0 / float(q[0])
-    minimizer = GaussianMeasurement(best_s, float(phi[0]) % math.pi)
-    return DiscordResult(float(value), side, minimizer, int(iterations[0]), bool(converged[0]))
+    return DiscordResult(value, iterations.reshape(shape)[()], converged.reshape(shape)[()])

@@ -72,7 +72,7 @@ def bs_symplectic(tau) -> SymplecticOp:
     z = 0.0 * t
     # the products kron([[t, r], [-r, t]], I2) forms, -r * 0 = -0.0 included
     matrix = np.array([[t, z, r, z], [z, t, z, r], [-r, -z, t, z], [-z, -r, z, t]])
-    return SymplecticOp(np.moveaxis(matrix, (0, 1), (-2, -1)) if matrix.ndim > 2 else matrix)
+    return SymplecticOp(np.moveaxis(matrix, (0, 1), (-2, -1)))
 
 
 def mix_two(sigma1, sigma2, tau) -> GaussianState:

@@ -11,7 +11,8 @@ of guards (non-finite sums, zero variance, a norm that over- or underflows).
 every bench correlation off the five record columns of a run.
 ``cm_to_intensity_corr`` predicts the same quantity analytically from a
 covariance matrix, which the Monte Carlo tests use as a cross-module oracle;
-it takes batched states too.
+like the read-outs of ``cvbench.info`` it returns numpy values over the
+state's batch shape, a numpy scalar for a single state.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _abs_sq(z) -> np.ndarray:
 
 def cm_to_intensity_corr(
     state: GaussianState, mode_h: int, mode_k: int, shot_noise: bool = False
-) -> float:
+):
     """Intensity correlation coefficient between two modes of a Gaussian state.
 
     For zero-mean Gaussian fields the intensity covariance is
@@ -189,8 +190,8 @@ def cm_to_intensity_corr(
     n^2 + |<a a>|^2, plus a shot term n when ``shot_noise`` is set. The
     default matches analog detection of bright fields (no shot term) and is
     what the speckle bench realizes; the value is independent of how many
-    equal-intensity copies of the modes a detector collects. A float for a
-    single state, an array over the batch axes for a batched one.
+    equal-intensity copies of the modes a detector collects. Returns the
+    coefficient over the batch shape, each member with the bits of its own call.
     """
     n_modes = state.n_modes
     if not (0 <= mode_h < n_modes and 0 <= mode_k < n_modes):
@@ -212,5 +213,4 @@ def cm_to_intensity_corr(
     if shot_noise:
         var_h += n_h
         var_k += n_k
-    c = np.clip(cov / np.sqrt(var_h * var_k), -1.0, 1.0)
-    return float(c) if c.ndim == 0 else c
+    return np.clip(cov / np.sqrt(var_h * var_k), -1.0, 1.0)

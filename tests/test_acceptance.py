@@ -88,13 +88,13 @@ def test_c03_discord_closed_form_vs_oracle():
     for i in range(100):
         state = random_two_mode_state(rng)
         side = "B" if i % 2 == 0 else "A"
-        closed = gaussian_discord(state, side).value
+        closed = gaussian_discord(state, side)
         probed = discord_oracle(state, side).value
         worst = max(worst, abs(closed - probed))
     worst_product = 0.0
     for n1, n2 in ((0.5, 1.0), (2.0, 0.1), (3.0, 3.0)):
         state = tensor([thermal_state(n1), thermal_state(n2)])
-        worst_product = max(worst_product, gaussian_discord(state, "B").value)
+        worst_product = max(worst_product, gaussian_discord(state, "B"))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and worst_product <= 1e-9 and elapsed < 30.0
     report(
@@ -209,7 +209,7 @@ def test_c07_sweep_monotone_in_discord():
         for n_source in grid:
             source = SingleModeSpec(float(n_source))
             pair = prepare_discordant_pair(source, 0.5)
-            disc = gaussian_discord(pair, "B").value
+            disc = gaussian_discord(pair, "B")
             protocol = ThreeModeProtocol(matched_probe(source, 0.5), source, 0.5, tau)
             _, out = run_three_mode(protocol)
             rows.append(

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import cvbench
-from cvbench import SingleModeSpec, ThreeModeProtocol, gaussian_discord, prepare_discordant_pair
+from cvbench import (
+    SingleModeSpec,
+    ThreeModeProtocol,
+    discord_oracle,
+    mutual_information,
+    prepare_discordant_pair,
+)
 
 MODULES = ["cvbench"] + [f"cvbench.{info.name}" for info in pkgutil.iter_modules(cvbench.__path__)]
 
@@ -34,7 +40,8 @@ def test_batched_values_compare_and_hash():
     def values():
         spec = SingleModeSpec(np.array([1.0, 2.0]))
         protocol = ThreeModeProtocol(spec, spec, 0.5, np.array([0.2, 0.4]))
-        return spec, protocol, gaussian_discord(prepare_discordant_pair(spec, 0.5))
+        pairs = prepare_discordant_pair(spec, 0.5)
+        return spec, protocol, mutual_information(pairs), discord_oracle(pairs)
 
     for first, second in zip(values(), values()):
         assert first == first and first != second

@@ -378,7 +378,7 @@ class TestSweep:
                 row = (
                     tau,
                     n_source,
-                    gaussian_discord(partial_trace(state_in, (1, 2)), "B").value,
+                    gaussian_discord(partial_trace(state_in, (1, 2)), "B"),
                     cm_to_intensity_corr(state_out, 0, 2, shot_noise=True),
                     cm_to_intensity_corr(state_out, 1, 2, shot_noise=True),
                 )
