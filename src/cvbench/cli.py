@@ -9,6 +9,12 @@ configuration, which is sufficient to reproduce the CSV byte-for-byte (see
 ``run_from_manifest``). Both files are renamed into place only once both
 are written, so they change together or not at all.
 
+Five of validate's checks are also acceptance criteria, which the
+acceptance tests run through the same ``_check_*`` functions on their own
+draws: identity-interference (C01), three-mode-output-blocks (C02),
+discord-closed-form-vs-oracle (C03), entropy-identities (C04a) and
+mc-vs-analytic-correlations (C08).
+
 Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ``[analysis]`` and ``[sweep]`` sections; every key has a default matching the
 ideal balanced bench (100 modes, 1e5 frames, unit mean intensity, tau = 1/2,
@@ -320,9 +326,21 @@ def run_sweep_discord(cfg: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # validation suite
+#
+# Each check takes the states or configs it checks and returns (what it
+# measured and where its worst value lies, that value, its bound);
+# ``run_validate`` alone compares the two. A check with a C number in its
+# docstring is also that acceptance criterion.
 
 
-def _check_physicality(quick: bool) -> tuple:
+def _sources(seed: int, count: int, low: tuple, high: tuple) -> tuple:
+    """``count`` uniform draws of each range [low, high) from ``seed``: the
+    first two ranges as a source (n_tot, beta), each further one as an array."""
+    n_tot, beta, *rest = np.random.default_rng(seed).uniform(low, high, (count, len(low))).T
+    return (SingleModeSpec(n_tot, beta), *rest)
+
+
+def _check_physicality() -> tuple:
     thermal_state(1.0)  # accepts a physical state
     try:
         GaussianState(np.diag([0.4, 0.4]))  # variance 0.4 < 1/2
@@ -331,10 +349,8 @@ def _check_physicality(quick: bool) -> tuple:
     return "corrupted CMs accepted", 1.0, 0.0
 
 
-def _check_purity_identity(quick: bool) -> tuple:
+def _check_purity_identity(spec: SingleModeSpec) -> tuple:
     # the symplectic spectrum, not the determinant single_mode_cm already checks
-    draws = np.random.default_rng(1).uniform(size=(100 if quick else 500, 2))
-    spec = SingleModeSpec(8.0 * draws[:, 0], draws[:, 1])
     nu = symplectic_eigenvalues(single_mode_state(spec))[:, 0]
     expected = (0.5 + spec.n_thermal) ** 2
     err = np.abs(nu**2 - expected) / np.maximum(1.0, expected)
@@ -343,23 +359,20 @@ def _check_purity_identity(quick: bool) -> tuple:
     return f"relative error of nu^2 {where}", err[i], 1e-10
 
 
-def _check_identity_interference(quick: bool) -> tuple:
-    draws = np.random.default_rng(2).uniform(size=(20 if quick else 60, 2))
-    state = single_mode_state(SingleModeSpec(4.0 * draws[:, 0], draws[:, 1]))
+def _check_identity_interference(state: GaussianState) -> tuple:
+    """C01: two copies of each single-mode member of ``state`` leave a BS unchanged."""
     pairs = tensor([state, state])
     taus = np.array([0.15, 0.5, 0.85])
-    # neither a correlation nor a marginal may change: one congruence over the axes (tau, draw)
+    # neither a correlation nor a marginal may change: one congruence over the axes (tau, member)
     out = apply_symplectic(pairs, bs_symplectic(taus[:, None]))
     change = np.abs(out.cm - pairs.cm).max(axis=(1, 2, 3))
     i = int(np.argmax(change))
     return f"change of the pair at tau {taus[i]:g}", change[i], 1e-12
 
 
-def _check_output_blocks(quick: bool) -> tuple:
-    n_tot, beta, t_split, tau = np.random.default_rng(3).uniform(
-        (0.3, 0.0, 0.15, 0.1), (4.0, 0.9, 0.85, 0.9), size=(10 if quick else 30, 4)
-    ).T
-    source = SingleModeSpec(n_tot, beta)
+def _check_output_blocks(source: SingleModeSpec, t_split, tau) -> tuple:
+    """C02: the pair split off ``source`` at ``t_split``, its mode 2 mixed with a
+    matched probe at ``tau``, shows its correlation in the output blocks."""
     protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
     state_in, out = run_three_mode(protocol)
     delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
@@ -371,20 +384,24 @@ def _check_output_blocks(quick: bool) -> tuple:
     return f"error of output block {_PAIRS[i][2]}", err[i], 1e-12
 
 
-def _check_discord_oracle(quick: bool) -> tuple:
-    # one stack, one call each: every member's values are those of its own call
-    n_tot, beta, t_split = np.random.default_rng(4).uniform(
-        (0.3, 0.0, 0.2), (3.0, 0.8, 0.8), size=(3 if quick else 10, 3)
-    ).T
-    stack = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
+def _check_discord_oracle(stack: GaussianState) -> tuple:
+    """C03: the closed-form discord of each two-mode member of ``stack`` against
+    the oracle's, measured on side B for even members and on side A for odd ones."""
+    # side A is side B of the pair with its modes swapped, so one stacked call
+    # of each method measures both sides, every member with the bits of its own call
+    swap = [2, 3, 0, 1]
+    cm = stack.cm.copy()
+    cm[1::2] = cm[1::2][:, swap][:, :, swap]
+    stack = GaussianState(cm)
     err = np.abs(gaussian_discord(stack, side="B") - discord_oracle(stack, side="B").value)
     i = int(np.argmax(err))
     return f"|closed form - oracle| at member {i}", err[i], 1e-6
 
 
-def _check_entropy_identities(quick: bool) -> tuple:
+def _check_entropy_identities(n: np.ndarray) -> tuple:
+    """C04a: the entropy of thermal states of ``n`` photons is g(n), and the
+    balanced split of a thermal(2) source has mutual information 2 g(1) - g(2)."""
     # two bounds, so each error is read as a fraction of its own
-    n = np.array([0.1, 1.0, 10.0])
     thermal = entropy(thermal_state(n)) - ((n + 1.0) * np.log(n + 1.0) - n * np.log(n))
     report = mutual_information(prepare_discordant_pair(SingleModeSpec(2.0), 0.5))
     split = report.mutual_information - 3.0 * np.log(4.0 / 3.0)  # 2 g(1) - g(2)
@@ -394,30 +411,46 @@ def _check_entropy_identities(quick: bool) -> tuple:
     return f"error / bound of the {where}", errors[i], 1.0
 
 
-def _check_mc_against_cm(quick: bool) -> tuple:
-    frames = 2_000 if quick else 20_000
-    batch = run_bench(BenchConfig(modes=64, frames=frames, mean_photons=1.0, seed=11))
-    protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
-    _, out_state = run_three_mode(protocol)
-    z = []  # |MC - CM| in standard errors, for the pairs 1-3 and 2-3
-    for i, j, _ in _PAIRS[1:]:
-        c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
-        c_cm = cm_to_intensity_corr(out_state, i, j, shot_noise=False)
-        z.append(abs(c_mc - c_cm) / ((1.0 - c_cm**2) / np.sqrt(frames - 3)))
+def _check_mc_against_cm(configs) -> tuple:
+    """C08: the out-correlations 1-3 and 2-3 of a bench run of each config against
+    the CM prediction of its protocol, in standard errors. The CM protocol has
+    no mode mismatch, so each config must have eta 1."""
+    z = []  # |MC - CM| in standard errors, per run for the pairs 1-3 and 2-3
+    for config in configs:
+        batch = run_bench(config)
+        mean, t_split = config.mean_photons, config.t_split
+        # the source is split brighter by 1 / t_split, so that beam 2 matches the probe
+        protocol = ThreeModeProtocol(
+            SingleModeSpec(mean), SingleModeSpec(mean / t_split), t_split, config.tau_mix
+        )
+        _, out_state = run_three_mode(protocol)
+        for i, j, _ in _PAIRS[1:]:
+            c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
+            c_cm = cm_to_intensity_corr(out_state, i, j)
+            z.append(abs(c_mc - c_cm) / ((1.0 - c_cm**2) / np.sqrt(config.frames - 3)))
     k = int(np.argmax(z))
-    return f"|MC - CM| in SEs at pair {_PAIRS[1 + k][2]}", z[k], 3.0
+    return f"|MC - CM| in SEs at pair {_PAIRS[1 + k % 2][2]}", z[k], 3.0
 
 
-#: (name, check); a check returns (what it measured and where its worst value
-#: lies, that value, its bound), and ``run_validate`` alone compares the two
+#: (name, the check on validate's inputs, full or with --quick)
 _CHECKS = (
-    ("physicality-gate", _check_physicality),
-    ("purity-identity", _check_purity_identity),
-    ("identity-interference", _check_identity_interference),
-    ("three-mode-output-blocks", _check_output_blocks),
-    ("discord-closed-form-vs-oracle", _check_discord_oracle),
-    ("entropy-identities", _check_entropy_identities),
-    ("mc-vs-analytic-correlations", _check_mc_against_cm),
+    ("physicality-gate", lambda quick: _check_physicality()),
+    ("purity-identity", lambda quick: _check_purity_identity(
+        *_sources(1, 100 if quick else 500, (0.0, 0.0), (8.0, 1.0))
+    )),
+    ("identity-interference", lambda quick: _check_identity_interference(
+        single_mode_state(*_sources(2, 20 if quick else 60, (0.0, 0.0), (4.0, 1.0)))
+    )),
+    ("three-mode-output-blocks", lambda quick: _check_output_blocks(
+        *_sources(3, 10 if quick else 30, (0.3, 0.0, 0.15, 0.1), (4.0, 0.9, 0.85, 0.9))
+    )),
+    ("discord-closed-form-vs-oracle", lambda quick: _check_discord_oracle(
+        prepare_discordant_pair(*_sources(4, 3 if quick else 10, (0.3, 0.0, 0.2), (3.0, 0.8, 0.8)))
+    )),
+    ("entropy-identities", lambda quick: _check_entropy_identities(np.array([0.1, 1.0, 10.0]))),
+    ("mc-vs-analytic-correlations", lambda quick: _check_mc_against_cm(
+        [BenchConfig(modes=64, frames=2_000 if quick else 20_000, mean_photons=1.0, seed=11)]
+    )),
 )
 
 

@@ -64,7 +64,6 @@ ANALYZERS = {
     "none": np.eye(2),
     "deg45": np.full((2, 2), 0.5),
     "V": np.diag([0.0, 1.0]),
-    "H": np.diag([1.0, 0.0]),
 }
 
 #: stream id keying run_bench's per-chunk Gram streams; ids 1-4 key the per-beam

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cvbench import __version__, cli
-from cvbench.info import discord_oracle, gaussian_discord
+from cvbench.info import discord_oracle, entropy, gaussian_discord
 from cvbench.network import ThreeModeProtocol, bs_symplectic, matched_probe, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import (
@@ -636,6 +636,19 @@ class TestValidate:
         [(verdict, name, what, worst, bound)] = validate_lines(capsys.readouterr().out)
         assert (verdict, name, bound) == ("FAIL", "purity-identity", 1e-10)
         assert what.startswith("relative error of nu^2 at n_tot ") and worst > 1e-9
+
+    def test_entropy_identities_read_the_entropy(self, capsys, monkeypatch):
+        # an entropy off by 10 times the thermal bound; the mutual information
+        # is computed in info, so only the thermal identities see it
+        monkeypatch.setattr(cli, "entropy", lambda state: entropy(state) + 1e-11)
+        assert run_main(["validate", "--quick"]) == 1
+        lines = validate_lines(capsys.readouterr().out)
+        assert [name for verdict, name, *_ in lines if verdict == "FAIL"] == ["entropy-identities"]
+        verdict, name, what, worst, bound = lines[5]
+        assert what.startswith("error / bound of the thermal entropy at N ") and worst > 9.0
+        # acceptance criterion C04a runs the same check, so it fails too
+        _, worst, bound = cli._check_entropy_identities(np.array([0.1, 1.0, 10.0]))
+        assert worst > bound
 
     def test_oracle_check_fails_on_an_offset_oracle(self, capsys, monkeypatch):
         assert run_main(["validate"]) == 0

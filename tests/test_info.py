@@ -467,7 +467,9 @@ def test_discord_clamp_bounds():
 
 
 def validate_oracle_states():
-    # the draws of the validate command's oracle check
+    # the draws of the validate command's oracle check, pinned below on side B.
+    # validate measures half of these: the even members on side B, and the odd
+    # ones on side A, as side B with their modes swapped
     rng = np.random.default_rng(4)
     states = []
     for _ in range(10):
