@@ -11,7 +11,6 @@ __version__ = "0.2.0"
 
 from .info import (
     DiscordResult,
-    EntropyReport,
     discord_oracle,
     entropy,
     gaussian_discord,
@@ -44,12 +43,11 @@ from .states import (
     thermal_state,
     vacuum_state,
 )
-from .stats import CorrelationEstimate, cm_to_intensity_corr, confidence_interval, corr_coeff
+from .stats import cm_to_intensity_corr, confidence_interval, corr_coeff
 
 __all__ = [
     "__version__",
     "DiscordResult",
-    "EntropyReport",
     "discord_oracle",
     "entropy",
     "gaussian_discord",
@@ -79,7 +77,6 @@ __all__ = [
     "tensor",
     "thermal_state",
     "vacuum_state",
-    "CorrelationEstimate",
     "cm_to_intensity_corr",
     "confidence_interval",
     "corr_coeff",

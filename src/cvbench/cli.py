@@ -211,8 +211,7 @@ def _commit(files: dict[Path, str]) -> None:
 def _estimate(batch, a, b, level: float) -> tuple:
     """(c, ci_lo, ci_hi): the correlation of two read-outs and its confidence interval."""
     c = batch.corr(a, b)
-    est = confidence_interval(c, batch.n_frames, level)
-    return c, est.ci_low, est.ci_high
+    return c, *confidence_interval(c, batch.n_frames, level)
 
 
 def run_tables(cfg: dict) -> str:
@@ -403,8 +402,8 @@ def _check_entropy_identities(n: np.ndarray) -> tuple:
     balanced split of a thermal(2) source has mutual information 2 g(1) - g(2)."""
     # two bounds, so each error is read as a fraction of its own
     thermal = entropy(thermal_state(n)) - ((n + 1.0) * np.log(n + 1.0) - n * np.log(n))
-    report = mutual_information(prepare_discordant_pair(SingleModeSpec(2.0), 0.5))
-    split = report.mutual_information - 3.0 * np.log(4.0 / 3.0)  # 2 g(1) - g(2)
+    mi = mutual_information(prepare_discordant_pair(SingleModeSpec(2.0), 0.5))
+    split = mi - 3.0 * np.log(4.0 / 3.0)  # 2 g(1) - g(2)
     errors = np.abs(np.append(thermal / 1e-12, split / 1e-9))
     i = int(np.argmax(errors))
     where = f"thermal entropy at N {n[i]:g}" if i < n.size else "split-thermal mutual information"

@@ -7,9 +7,9 @@ CM into the latter, the one place a CM is rescaled; the entropy term of a
 symplectic eigenvalue d in the 1/2 convention is ``_h_vec(2 d)`` there.
 
 Every read-out takes batched states (see ``cvbench.states``) and returns
-numpy values over the batch shape: arrays for a batch and numpy scalars, of
-shape (), for a single state, which is a batch of that shape. No read-out
-branches on the shape, so each member of a batch has the bits of its own
+its value as numpy values over the batch shape: arrays for a batch and numpy
+scalars, of shape (), for a single state, which is a batch of that shape,
+and I alone for ``mutual_information``. No read-out branches on the shape, so each member of a batch has the bits of its own
 call. ``discord_oracle`` is the brute-force reference the closed form is
 tested against: it scans a batch member by member and refines all members
 in lockstep. The two share one entropy term, one evaluation of the
@@ -41,7 +41,6 @@ _ORACLE_GRID = (64, 64)
 _ORACLE_STEPS = 320
 
 __all__ = [
-    "EntropyReport",
     "DiscordResult",
     "entropy",
     "mutual_information",
@@ -55,22 +54,8 @@ def entropy(state: GaussianState):
     return np.sum(_h_vec(2.0 * symplectic_eigenvalues(state)), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class EntropyReport:
-    """Entropies of a two-mode state and the mutual information they imply.
-
-    Each field holds numpy values over the batch shape, so the report
-    compares and hashes by identity.
-    """
-
-    s1: float | np.ndarray
-    s2: float | np.ndarray
-    s12: float | np.ndarray
-    mutual_information: float | np.ndarray
-
-
-def mutual_information(state: GaussianState) -> EntropyReport:
-    """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats.
+def mutual_information(state: GaussianState):
+    """Total correlations I = S1 + S2 - S12 of a two-mode state, in nats, over the batch shape.
 
     Values of I in [-1e-12, 0) are rounding and read as 0; below is an error.
     """
@@ -78,8 +63,7 @@ def mutual_information(state: GaussianState) -> EntropyReport:
         raise ValueError(f"mutual information needs a two-mode state, got {state.n_modes} modes")
     s1 = entropy(partial_trace(state, {0}))
     s2 = entropy(partial_trace(state, {1}))
-    s12 = entropy(state)
-    return EntropyReport(s1, s2, s12, _clamped(s1 + s2 - s12, "mutual information", 1e-12))
+    return _clamped(s1 + s2 - entropy(state), "mutual information", 1e-12)
 
 
 @dataclass(frozen=True, eq=False)

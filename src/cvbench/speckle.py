@@ -18,7 +18,8 @@ them through the analyzer's intensity projector (``ANALYZERS``), and
 included, off the record's 5x5 centred sums of products (``stats.comoments``),
 reduced once per batch, so that no full-length series is built for a
 correlation. A caller that needs a series itself gets the record times the
-weights (``out_series``).
+weights (``out_series``), summed column by column, so that a frame's value
+depends on its own record row alone, whatever the record's memory layout.
 
 ``run_bench`` does not draw fields. The five numbers it records per frame
 are entries of Gram matrices of independent unit-variance mode amplitudes,
@@ -154,9 +155,8 @@ class FrameBatch:
 
     @property
     def intensities_out(self) -> np.ndarray:
-        """(frames, 3) out-intensities of the interference preset behind no analyzer."""
-        weights = np.stack([self.out_weights(beam) for beam in range(3)], axis=1)
-        out = np.einsum("tj,jb->tb", self.record, weights)
+        """(frames, 3) ``out_series`` of the interference preset behind no analyzer."""
+        out = np.stack([self.out_series(beam) for beam in range(3)], axis=1)
         out.flags.writeable = False
         return out
 
@@ -202,12 +202,16 @@ class FrameBatch:
     ) -> np.ndarray:
         """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
 
-        The record times ``out_weights``, one ``np.einsum`` product whose value
-        in a frame, unlike that of BLAS's ``@``, does not depend on the frames
-        around it: a run's series is a prefix of a longer run's, and each
-        column of ``intensities_out`` equals its ``out_series``.
+        The record times ``out_weights``, summed from zeros over the nonzero
+        weights in column order, so a frame's value depends on its own record
+        row alone, whatever the record's layout (a matrix product may group
+        its sum by the layout): any selection of a run's rows reads the bits
+        of the whole run's series at those rows.
         """
-        series = np.einsum("tj,j->t", self.record, self.out_weights(beam, basis, scenario))
+        series = np.zeros(self.n_frames)
+        for column, weight in enumerate(self.out_weights(beam, basis, scenario)):
+            if weight != 0.0:
+                series += weight * self.record[:, column]
         series.flags.writeable = False
         return series
 

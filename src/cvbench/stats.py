@@ -2,23 +2,23 @@
 
 ``corr_coeff`` is the frame-averaged second-order correlation coefficient of
 two intensity series, and ``confidence_interval`` its Fisher z-transform
-interval; no other interval is built. Every estimated correlation comes
-from one kernel: ``comoments`` reduces k series to their (k, k) centred sums
-of products in fixed-size blocks, and ``comoment_corr`` reads the correlation
-of any two linear combinations of the series off those sums, through one set
-of guards (non-finite sums, zero variance, a norm that over- or underflows).
-``corr_coeff`` is its two-series case, and ``speckle.FrameBatch.corr`` reads
-every bench correlation off the five record columns of a run.
-``cm_to_intensity_corr`` predicts the same quantity analytically from a
-covariance matrix, which the Monte Carlo tests use as a cross-module oracle;
-like the read-outs of ``cvbench.info`` it returns numpy values over the
-state's batch shape, a numpy scalar for a single state.
+interval as the pair (low, high); no other interval is built. Every
+estimated correlation comes from one kernel: ``comoments`` reduces k series
+to their (k, k) centred sums of products in fixed-size blocks, and
+``comoment_corr`` reads the correlation of any two linear combinations of
+the series off those sums, through one set of guards (non-finite sums, zero
+variance, a norm that over- or underflows). ``corr_coeff`` is its two-series
+case, and ``speckle.FrameBatch.corr`` reads every bench correlation off the
+five record columns of a run. ``cm_to_intensity_corr`` predicts the same
+quantity analytically from a covariance matrix, which the Monte Carlo tests
+use as a cross-module oracle; like the read-outs of ``cvbench.info`` it
+returns numpy values over the state's batch shape, a numpy scalar for a
+single state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -26,31 +26,12 @@ import numpy as np
 from .states import GaussianState, member_error
 
 __all__ = [
-    "CorrelationEstimate",
     "comoments",
     "comoment_corr",
     "corr_coeff",
     "confidence_interval",
     "cm_to_intensity_corr",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Estimated correlation with its confidence interval, all within [-1, 1]."""
-
-    c: float
-    n_frames: int
-    ci_low: float
-    ci_high: float
-    level: float
-
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.ci_low <= self.c <= self.ci_high <= 1.0:
-            raise ValueError(
-                f"interval [{self.ci_low}, {self.ci_high}] must contain c={self.c} "
-                "and stay within [-1, 1]"
-            )
 
 
 #: frames per block of ``comoments``: each block of every series is centred
@@ -138,10 +119,10 @@ def corr_coeff(series_h, series_k) -> float:
     return comoment_corr(comoments((h, k)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> CorrelationEstimate:
-    """Fisher z-transform confidence interval for a correlation, clamped to [-1, 1].
+def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> tuple[float, float]:
+    """Fisher z-transform confidence interval (low, high) of a correlation, clamped to [-1, 1].
 
-    |c| = 1 gives the degenerate interval [c, c], and the width shrinks like
+    |c| = 1 gives the degenerate interval (c, c), and the width shrinks like
     1/sqrt(n_frames).
     """
     if not -1.0 <= c <= 1.0:
@@ -151,13 +132,11 @@ def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> Correla
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     if 1.0 - abs(c) <= 1e-15:
-        return CorrelationEstimate(c, n_frames, c, c, level)
+        return c, c
     z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z_crit / math.sqrt(n_frames - 3.0)
     z = math.atanh(c)
-    lo = max(-1.0, math.tanh(z - half))
-    hi = min(1.0, math.tanh(z + half))
-    return CorrelationEstimate(c, n_frames, lo, hi, level)
+    return max(-1.0, math.tanh(z - half)), min(1.0, math.tanh(z + half))
 
 
 def _ladder_moments(cm: np.ndarray, h: int, k: int):

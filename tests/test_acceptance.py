@@ -88,6 +88,7 @@ def test_c04a_thermal_entropy_identity():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason=(
         "the required value 2 ln 2 is arithmetically inconsistent: the joint "
         "entropy of the balanced split of a thermal(2) source is fixed by "
@@ -97,14 +98,14 @@ def test_c04a_thermal_entropy_identity():
 )
 def test_c04b_split_thermal_mutual_information_target():
     pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-    report_mi = mutual_information(pair)
+    mi = mutual_information(pair)
     consistent = 3.0 * math.log(4.0 / 3.0)
-    assert abs(report_mi.mutual_information - consistent) <= 1e-9  # engine self-check
-    ok = abs(report_mi.mutual_information - 2.0 * math.log(2.0)) <= 1e-9
+    assert abs(mi - consistent) <= 1e-9  # engine self-check
+    ok = abs(mi - 2.0 * math.log(2.0)) <= 1e-9
     report(
         "C4b split-thermal mutual information (stated target 2 ln 2)",
         ok,
-        f"I = {report_mi.mutual_information:.6f}, target 1.386294 (inconsistent), "
+        f"I = {mi:.6f}, target 1.386294 (inconsistent), "
         f"unitary-invariance value {consistent:.6f}",
     )
 
@@ -117,7 +118,7 @@ def test_c05_interference_bench_table():
     pairs = ((0, 1), (0, 2), (1, 2))
     c_in = [batch.corr(batch.in_weights(i), batch.in_weights(j)) for i, j in pairs]
     c_out = [batch.corr(batch.out_weights(i), batch.out_weights(j)) for i, j in pairs]
-    ci = confidence_interval(0.5, 50, 0.99)
+    ci_low, ci_high = confidence_interval(0.5, 50, 0.99)
     elapsed = time.perf_counter() - started
     ok = (
         abs(c_in[0]) <= 0.02
@@ -126,8 +127,8 @@ def test_c05_interference_bench_table():
         and abs(c_out[0]) <= 0.02
         and abs(c_out[1] - 0.5) <= 0.02
         and abs(c_out[2] - 0.5) <= 0.02
-        and ci.ci_low <= 0.55 <= ci.ci_high
-        and ci.ci_low <= 0.62 <= ci.ci_high
+        and ci_low <= 0.55 <= ci_high
+        and ci_low <= 0.62 <= ci_high
         and elapsed < 60.0
     )
     report(
@@ -135,7 +136,7 @@ def test_c05_interference_bench_table():
         ok,
         f"in ({c_in[0]:+.3f}, {c_in[1]:+.3f}, {c_in[2]:.3f}), "
         f"out ({c_out[0]:+.3f}, {c_out[1]:.3f}, {c_out[2]:.3f}), "
-        f"reference 0.55/0.62 in 99% CI [{ci.ci_low:.2f}, {ci.ci_high:.2f}], {elapsed:.1f}s",
+        f"reference 0.55/0.62 in 99% CI [{ci_low:.2f}, {ci_high:.2f}], {elapsed:.1f}s",
     )
 
 
@@ -248,8 +249,8 @@ def test_c10_confidence_interval_coverage():
         z2 = rng.standard_normal(50)
         x = z1
         y = true_c * z1 + math.sqrt(1.0 - true_c**2) * z2
-        est = confidence_interval(corr_coeff(x, y), 50, 0.99)
-        hits += est.ci_low <= true_c <= est.ci_high
+        low, high = confidence_interval(corr_coeff(x, y), 50, 0.99)
+        hits += low <= true_c <= high
     coverage = hits / runs
     ok = coverage >= 0.97
     report("C10 99% CI coverage", ok, f"empirical coverage {coverage:.3f} over {runs} runs")

@@ -11,7 +11,6 @@ from cvbench import (
     SingleModeSpec,
     ThreeModeProtocol,
     discord_oracle,
-    mutual_information,
     prepare_discordant_pair,
 )
 
@@ -41,7 +40,7 @@ def test_batched_values_compare_and_hash():
         spec = SingleModeSpec(np.array([1.0, 2.0]))
         protocol = ThreeModeProtocol(spec, spec, 0.5, np.array([0.2, 0.4]))
         pairs = prepare_discordant_pair(spec, 0.5)
-        return spec, protocol, mutual_information(pairs), discord_oracle(pairs)
+        return spec, protocol, discord_oracle(pairs)
 
     for first, second in zip(values(), values()):
         assert first == first and first != second

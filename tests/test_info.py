@@ -73,35 +73,33 @@ class TestEntropy:
 class TestMutualInformation:
     def test_product_is_zero(self):
         state = tensor([thermal_state(1.0), thermal_state(2.0)])
-        assert mutual_information(state).mutual_information == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_split_thermal_value(self):
         # joint entropy equals the source entropy (splitting is a global
         # unitary of thermal(2) x vacuum) and both marginals are thermal(1):
         # I = 2 g(1) - g(2) = 3 ln(4/3)
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        report = mutual_information(pair)
-        assert report.s1 == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-        assert report.s2 == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-        assert report.s12 == pytest.approx(g_thermal(2.0), abs=1e-12)
-        assert report.mutual_information == pytest.approx(3.0 * math.log(4.0 / 3.0), abs=1e-9)
+        assert entropy(partial_trace(pair, {0})) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert entropy(partial_trace(pair, {1})) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert entropy(pair) == pytest.approx(g_thermal(2.0), abs=1e-12)
+        assert mutual_information(pair) == pytest.approx(3.0 * math.log(4.0 / 3.0), abs=1e-9)
 
     def test_report_identity(self):
         pair = prepare_discordant_pair(SingleModeSpec(1.5, 0.3), 0.4)
-        report = mutual_information(pair)
-        assert report.mutual_information == pytest.approx(
-            report.s1 + report.s2 - report.s12, abs=1e-12
-        )
-        assert report.mutual_information >= 0.0
+        s1 = entropy(partial_trace(pair, {0}))
+        s2 = entropy(partial_trace(pair, {1}))
+        mi = mutual_information(pair)
+        assert mi == pytest.approx(s1 + s2 - entropy(pair), abs=1e-12)
+        assert mi >= 0.0
 
     def test_entropy_increase_form(self):
         # I equals the sum of marginal entropy increases across the BS
         state_in = tensor([thermal_state(1.0), single_mode_state(SingleModeSpec(3.0, 0.5))])
         state_out = apply_symplectic(state_in, bs_symplectic(0.3))
-        report = mutual_information(state_out)
-        delta_s1 = report.s1 - entropy(partial_trace(state_in, {0}))
-        delta_s2 = report.s2 - entropy(partial_trace(state_in, {1}))
-        assert report.mutual_information == pytest.approx(delta_s1 + delta_s2, abs=1e-10)
+        delta_s1 = entropy(partial_trace(state_out, {0})) - entropy(partial_trace(state_in, {0}))
+        delta_s2 = entropy(partial_trace(state_out, {1})) - entropy(partial_trace(state_in, {1}))
+        assert mutual_information(state_out) == pytest.approx(delta_s1 + delta_s2, abs=1e-10)
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
@@ -115,7 +113,7 @@ class TestMutualInformation:
         protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
         _, out = run_three_mode(protocol)
         reduced = partial_trace(out, {0, 2})
-        assert mutual_information(reduced).mutual_information > 1e-3
+        assert mutual_information(reduced) > 1e-3
 
 
 class TestGaussianDiscord:
@@ -222,7 +220,7 @@ taus = st.one_of(st.floats(0.0, 1e-6), st.floats(1.0 - 1e-6, 1.0), st.floats(0.0
 def test_discord_between_zero_and_mutual_information(spec_a, spec_b, tau):
     product = tensor([single_mode_state(spec_a), single_mode_state(spec_b)])
     state = apply_symplectic(product, bs_symplectic(tau))
-    mi = mutual_information(state).mutual_information
+    mi = mutual_information(state)
     for side in ("A", "B"):
         assert 0.0 <= gaussian_discord(state, side) <= mi + 1e-12
 
@@ -316,9 +314,7 @@ def test_stacked_calls_equal_member_calls(members, tau):
         singles = [gaussian_discord(m, side) for m in members]
         assert np.array_equal(gaussian_discord(batch, side), singles)
     assert np.array_equal(entropy(batch), [entropy(m) for m in members])
-    report, singles = mutual_information(batch), [mutual_information(m) for m in members]
-    for field in ("s1", "s2", "s12", "mutual_information"):
-        assert np.array_equal(getattr(report, field), [getattr(r, field) for r in singles])
+    assert np.array_equal(mutual_information(batch), [mutual_information(m) for m in members])
     op = bs_symplectic(tau)
     assert np.array_equal(
         apply_symplectic(batch, op).cm, [apply_symplectic(m, op).cm for m in members]
@@ -340,7 +336,7 @@ def test_stacked_calls_equal_member_calls(members, tau):
 @given(pairs=st.lists(st.tuples(specs, specs, taus), min_size=1, max_size=8))
 def test_stacked_discord_between_zero_and_mutual_information(pairs):
     states = [mixed_pair(*p) for p in pairs]
-    mi = np.array([mutual_information(s).mutual_information for s in states])
+    mi = np.array([mutual_information(s) for s in states])
     for side in ("A", "B"):
         values = gaussian_discord(stacked(states), side)
         assert np.all(0.0 <= values) and np.all(values <= mi + 1e-12)
@@ -436,7 +432,7 @@ READ_OUTS = {
     "discord": lambda source: gaussian_discord(split_pair(source)),
     "oracle": lambda source: discord_oracle(split_pair(source)).value,
     "entropy": lambda source: entropy(split_pair(source)),
-    "mi": lambda source: mutual_information(split_pair(source)).mutual_information,
+    "mi": lambda source: mutual_information(split_pair(source)),
     "c13": lambda source: cm_to_intensity_corr(three_mode_output(source), 0, 2, shot_noise=True),
 }
 

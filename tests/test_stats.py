@@ -149,22 +149,21 @@ class TestComoments:
 class TestConfidenceInterval:
     def test_frozen_null_interval(self):
         # tanh(2.5758293035489.../sqrt(47)) = 0.3589876656...
-        est = confidence_interval(0.0, 50, 0.99)
-        assert est.ci_high == pytest.approx(0.3589876656, abs=1e-9)
-        assert est.ci_low == pytest.approx(-0.3589876656, abs=1e-9)
+        low, high = confidence_interval(0.0, 50, 0.99)
+        assert high == pytest.approx(0.3589876656, abs=1e-9)
+        assert low == pytest.approx(-0.3589876656, abs=1e-9)
 
     def test_degenerate_at_unity(self):
-        est = confidence_interval(1.0, 50, 0.99)
-        assert (est.ci_low, est.ci_high) == (1.0, 1.0)
+        assert confidence_interval(1.0, 50, 0.99) == (1.0, 1.0)
 
     def test_bounds_clamped(self):
-        est = confidence_interval(0.97, 50, 0.99)
-        assert -1.0 <= est.ci_low <= 0.97 <= est.ci_high <= 1.0
+        low, high = confidence_interval(0.97, 50, 0.99)
+        assert -1.0 <= low <= 0.97 <= high <= 1.0
 
     def test_width_shrinks_like_root_n(self):
-        w50 = confidence_interval(0.3, 50, 0.99)
-        w5000 = confidence_interval(0.3, 5000, 0.99)
-        ratio = (w50.ci_high - w50.ci_low) / (w5000.ci_high - w5000.ci_low)
+        low50, high50 = confidence_interval(0.3, 50, 0.99)
+        low5000, high5000 = confidence_interval(0.3, 5000, 0.99)
+        ratio = (high50 - low50) / (high5000 - low5000)
         assert ratio == pytest.approx(math.sqrt(4997.0 / 47.0), rel=0.1)
 
     def test_validation(self):
@@ -182,22 +181,14 @@ class TestConfidenceInterval:
         for c in (-0.999, -0.3, 0.0, 0.5, 1.0 - 1e-16, 1.0):
             for n in (4, 50, 100000):
                 for level in (0.5, 0.9, 0.99, 0.999):
-                    est = confidence_interval(c, n, level)
+                    interval = confidence_interval(c, n, level)
                     if 1.0 - abs(c) <= 1e-15:
                         expected = (c, c)
                     else:
                         half = NormalDist().inv_cdf(0.5 + level / 2.0) / math.sqrt(n - 3.0)
                         z = math.atanh(c)
                         expected = (max(-1.0, math.tanh(z - half)), min(1.0, math.tanh(z + half)))
-                    assert (est.ci_low, est.ci_high) == expected, (c, n, level)
-
-    def test_estimate_invariant_enforced(self):
-        from cvbench.stats import CorrelationEstimate
-
-        with pytest.raises(ValueError):
-            CorrelationEstimate(0.5, 50, 0.6, 0.9, 0.99)
-        with pytest.raises(ValueError):
-            CorrelationEstimate(0.5, 50, 0.1, 1.2, 0.99)
+                    assert interval == expected, (c, n, level)
 
     def test_coverage_calibration(self):
         # 99% intervals over synthetic bivariate-Gaussian runs at true c = 0.5
@@ -210,8 +201,8 @@ class TestConfidenceInterval:
             z2 = rng.standard_normal(50)
             x = z1
             y = true_c * z1 + math.sqrt(1.0 - true_c**2) * z2
-            est = confidence_interval(corr_coeff(x, y), 50, 0.99)
-            hits += est.ci_low <= true_c <= est.ci_high
+            low, high = confidence_interval(corr_coeff(x, y), 50, 0.99)
+            hits += low <= true_c <= high
         assert hits / runs >= 0.97
 
 
