@@ -7,13 +7,15 @@ Subcommands: ``tables`` (interference bench, in/out correlation table),
 commits it together with a JSON manifest holding the fully resolved
 configuration, which is sufficient to reproduce the CSV byte-for-byte (see
 ``run_from_manifest``). Both files are renamed into place only once both
-are written, so they change together or not at all.
+are written, so they change together or not at all. ``erasure`` reads one
+analyzer of ``speckle.ANALYZERS``, or all of them.
 
 Five of validate's checks are also acceptance criteria, which the
 acceptance tests run through the same ``_check_*`` functions on their own
 draws: identity-interference (C01), three-mode-output-blocks (C02),
-discord-closed-form-vs-oracle (C03), entropy-identities (C04a) and
-mc-vs-analytic-correlations (C08).
+discord-closed-form-vs-oracle (C03; both discord read-outs measure the second
+mode, so the odd members are measured as side B of the swapped pair),
+entropy-identities (C04a) and mc-vs-analytic-correlations (C08).
 
 Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ``[analysis]`` and ``[sweep]`` sections; every key has a default matching the
@@ -33,7 +35,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from .network import (
     prepare_discordant_pair,
     run_three_mode,
 )
-from .speckle import SAMPLER, BenchConfig, run_bench
+from .speckle import ANALYZERS, SAMPLER, BenchConfig, run_bench
 from .states import (
     GaussianState,
     PhysicalityError,
@@ -66,7 +67,6 @@ from .stats import cm_to_intensity_corr, confidence_interval
 __all__ = [
     "DEFAULTS",
     "V_BASIS_WARNING",
-    "RunManifest",
     "load_config",
     "run_tables",
     "run_erasure",
@@ -170,23 +170,6 @@ def load_config(path: str | Path | None = None) -> dict:
     return _typed({section: dict(parser[section]) for section in parser.sections()})
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a CSV byte-for-byte, plus provenance."""
-
-    command: str
-    version: str
-    seed: int
-    config: dict
-    #: the Philox streams and the Gamma sampler, and so the CSV bytes, depend on numpy's version
-    numpy_version: str = np.__version__
-    #: how the bench draws its frames; a replay refuses a manifest of another sampler
-    sampler: str = SAMPLER
-    outputs: list = field(default_factory=list)
-    duration_s: float = 0.0
-    created_utc: str = ""
-
-
 def _commit(files: dict[Path, str]) -> None:
     """Write each path -> text of ``files`` to a temporary file beside its path,
     then rename every temporary file over its path.
@@ -232,7 +215,7 @@ def run_erasure(cfg: dict) -> str:
     basis 'none' (no polarizers) reports only the 1-2 pair, whose beams leave
     the BS with orthogonal polarizations and identical total intensities.
     """
-    bases = ("none", "deg45", "V")
+    bases = tuple(ANALYZERS)
     basis = cfg["analysis"]["basis"]
     if basis != "all":
         if basis not in bases:
@@ -309,7 +292,7 @@ def run_sweep_discord(cfg: dict) -> str:
         protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
         in_state, out_state = run_three_mode(protocol)
         # modes 2 and 3 of the input state are the discordant pair
-        disc = gaussian_discord(partial_trace(in_state, (1, 2)), side="B")
+        disc = gaussian_discord(partial_trace(in_state, (1, 2)))
         c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
         c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
     except (ArithmeticError, ValueError) as exc:
@@ -392,7 +375,7 @@ def _check_discord_oracle(stack: GaussianState) -> tuple:
     cm = stack.cm.copy()
     cm[1::2] = cm[1::2][:, swap][:, :, swap]
     stack = GaussianState(cm)
-    err = np.abs(gaussian_discord(stack, side="B") - discord_oracle(stack, side="B").value)
+    err = np.abs(gaussian_discord(stack) - discord_oracle(stack).value)
     i = int(np.argmax(err))
     return f"|closed form - oracle| at member {i}", err[i], 1e-6
 
@@ -595,19 +578,24 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         csv = run(cfg)
-        manifest = RunManifest(
-            command=args.command,
-            version=__version__,
-            seed=cfg["bench"]["seed"],
-            config=cfg,
-            outputs=[str(out_path)],
-            duration_s=round(time.perf_counter() - started, 3),
-            created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "seed": cfg["bench"]["seed"],
+            "config": cfg,
+            # the Philox streams and the Gamma sampler, and so the CSV bytes,
+            # depend on numpy's version
+            "numpy_version": np.__version__,
+            # how the bench draws its frames; a replay refuses a manifest of another sampler
+            "sampler": SAMPLER,
+            "outputs": [str(out_path)],
+            "duration_s": round(time.perf_counter() - started, 3),
+            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        }
         _commit({
             out_path: csv,
             out_path.with_suffix(out_path.suffix + ".manifest.json"):
-                json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n",
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         })
     except (ConfigError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         # OSError: an unwritable output path, e.g. a missing directory;

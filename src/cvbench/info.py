@@ -6,15 +6,18 @@ the discord literature states its invariants. ``_ordered_blocks`` doubles a
 CM into the latter, the one place a CM is rescaled; the entropy term of a
 symplectic eigenvalue d in the 1/2 convention is ``_h_vec(2 d)`` there.
 
-Every read-out takes batched states (see ``cvbench.states``) and returns
-its value as numpy values over the batch shape: arrays for a batch and numpy
+Every read-out takes batched states (see ``cvbench.states``) and returns its
+value as numpy values over the batch shape: arrays for a batch and numpy
 scalars, of shape (), for a single state, which is a batch of that shape,
-and I alone for ``mutual_information``. No read-out branches on the shape, so each member of a batch has the bits of its own
-call. ``discord_oracle`` is the brute-force reference the closed form is
-tested against: it scans a batch member by member and refines all members
-in lockstep. The two share one entropy term, one evaluation of the
-measurement-free part of the discord and one clamp of its rounding, which
-also clamps the mutual information.
+and I alone for ``mutual_information``. No read-out branches on the shape,
+so each member of a batch has the bits of its own call. Both discord
+read-outs measure the second mode (B), as Adesso and Datta define the
+Gaussian discord; the discord measured on the first mode is that of the
+state with its modes swapped. ``discord_oracle`` is the brute-force
+reference the closed form is tested against: it scans a batch member by
+member and refines all members in lockstep. The two share one entropy term,
+one evaluation of the measurement-free part of the discord and one clamp of
+its rounding, which also clamps the mutual information.
 """
 
 from __future__ import annotations
@@ -88,12 +91,9 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
     return np.where(safe, xp * np.log(xp) - yp * np.log(yp), 0.0)
 
 
-def _ordered_blocks(state: GaussianState, side: str):
-    # CM doubled into the vacuum-equals-identity convention, measured mode second ("B")
+def _ordered_blocks(state: GaussianState):
+    # CM doubled into the vacuum-equals-identity convention: blocks A, B (measured) and C
     cm = 2.0 * state.cm
-    if side == "A":
-        perm = np.array([2, 3, 0, 1])
-        cm = cm[..., perm, :][..., perm]
     return cm[..., 0:2, 0:2], cm[..., 2:4, 2:4], cm[..., 0:2, 2:4]
 
 
@@ -167,7 +167,7 @@ def _minimal_conditional_det(ia, ib, ic, k):
     return np.maximum(np.where(e_het <= e_gen, e_het, e_gen), 1.0)
 
 
-def _discord_terms(state: GaussianState, side: str):
+def _discord_terms(state: GaussianState):
     """Ordered blocks, invariants and h(sqrt det B) - h(nu-) - h(nu+) of a two-mode state.
 
     The part of the discord that no measurement changes, shared by the closed
@@ -175,9 +175,7 @@ def _discord_terms(state: GaussianState, side: str):
     """
     if state.n_modes != 2:
         raise ValueError(f"discord needs a two-mode state, got {state.n_modes} modes")
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    blocks = _ordered_blocks(state, side)
+    blocks = _ordered_blocks(state)
     invariants = _invariants(*blocks)
     h = _h_vec(np.stack([np.sqrt(invariants[1]), *_symplectic_pair(*invariants)]))
     return blocks, invariants, h[0] - h[1] - h[2]
@@ -192,8 +190,8 @@ def _clamped(value: np.ndarray, what: str, bound: float = DISCORD_CLAMP) -> np.n
     return np.where(value < 0.0, 0.0, value)[()]
 
 
-def gaussian_discord(state: GaussianState, side: str = "B"):
-    """Gaussian discord of a two-mode state with the measurement on ``side``.
+def gaussian_discord(state: GaussianState):
+    """Gaussian discord of a two-mode state with the measurement on its second mode.
 
     Closed form in the symplectic invariants (det A, det B, det C, det CM) of
     the rescaled CM with the piecewise minimal conditional determinant; zero
@@ -206,7 +204,7 @@ def gaussian_discord(state: GaussianState, side: str = "B"):
     error grows as N^2 times machine epsilon: on split thermal pairs it is
     below 1e-6 nats up to N = 1e4 and reaches 2.5e-4 at 1e6 and 2.3e-2 at 1e7.
     """
-    blocks, invariants, fixed = _discord_terms(state, side)
+    blocks, invariants, fixed = _discord_terms(state)
     e_min = _minimal_conditional_det(*invariants)
     # a product state has no discord
     product = ~blocks[2].any(axis=(-2, -1))
@@ -270,8 +268,8 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     return _h_vec(np.sqrt(det_eps))
 
 
-def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
-    """Brute-force Gaussian discord: scan measurements, then refine locally.
+def discord_oracle(state: GaussianState) -> DiscordResult:
+    """Brute-force Gaussian discord, measured on the second mode: scan, then refine locally.
 
     Scans the compact measurement domain q = 1/s in [0, 1] (q = 0 being the
     exact homodyne limit, q = 1 the heterodyne) crossed with angles phi in
@@ -290,7 +288,7 @@ def discord_oracle(state: GaussianState, side: str = "B") -> DiscordResult:
     value, ``iterations`` and ``converged`` equal those of a call on that
     member alone, bit for bit.
     """
-    blocks, _, fixed = _discord_terms(state, side)
+    blocks, _, fixed = _discord_terms(state)
     fixed = np.reshape(fixed, -1)
     a_blk, b_blk, c_blk = (blk.reshape(-1, 2, 2) for blk in blocks)
     members = len(a_blk)

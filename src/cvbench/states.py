@@ -22,6 +22,8 @@ in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
 states to physical states (a direct sum, a principal submatrix and a
 congruence by a checked symplectic all keep every symplectic eigenvalue at or
 above 1/2), so they build their results without a second eigen-solve.
+``vacuum_state()`` is the one-mode vacuum; ``tensor([vacuum_state()] * n)``
+is that of n modes.
 """
 
 from __future__ import annotations
@@ -274,10 +276,8 @@ def single_mode_state(spec: SingleModeSpec) -> GaussianState:
     return GaussianState(single_mode_cm(spec))
 
 
-def vacuum_state(n_modes: int = 1) -> GaussianState:
-    if n_modes < 1:
-        raise ValueError(f"vacuum state needs at least one mode, got {n_modes!r}")
-    return GaussianState._closed(np.eye(2 * n_modes) * VACUUM_VARIANCE)
+def vacuum_state() -> GaussianState:
+    return GaussianState._closed(np.eye(2) * VACUUM_VARIANCE)
 
 
 def thermal_state(n_photons: float) -> GaussianState:

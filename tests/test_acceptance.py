@@ -66,10 +66,9 @@ def test_c03_discord_closed_form_vs_oracle():
     rng = np.random.default_rng(303)
     started = time.perf_counter()
     # the check measures even members on side B and odd ones on side A
-    stack = GaussianState(np.stack([random_two_mode_state(rng).cm for _ in range(100)]))
-    what, worst, bound = cli._check_discord_oracle(stack)
+    what, worst, bound = cli._check_discord_oracle(random_two_mode_state(rng, (100,)))
     products = tensor([thermal_state(np.array(n)) for n in ((0.5, 2.0, 3.0), (1.0, 0.1, 3.0))])
-    worst_product = float(np.max(gaussian_discord(products, "B")))
+    worst_product = float(np.max(gaussian_discord(products)))
     elapsed = time.perf_counter() - started
     ok = worst <= bound and worst_product <= 1e-9 and elapsed < 30.0
     report(
@@ -100,7 +99,10 @@ def test_c04b_split_thermal_mutual_information_target():
     pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
     mi = mutual_information(pair)
     consistent = 3.0 * math.log(4.0 / 3.0)
-    assert abs(mi - consistent) <= 1e-9  # engine self-check
+    # engine self-check; pytest.fail raises Failed, which is no AssertionError,
+    # so a failing self-check fails the test instead of meeting the xfail
+    if not abs(mi - consistent) <= 1e-9:
+        pytest.fail(f"engine self-check: I = {mi:.16g}, unitary-invariance value {consistent:.16g}")
     ok = abs(mi - 2.0 * math.log(2.0)) <= 1e-9
     report(
         "C4b split-thermal mutual information (stated target 2 ln 2)",
@@ -183,7 +185,7 @@ def test_c07_sweep_monotone_in_discord():
         for n_source in grid:
             source = SingleModeSpec(float(n_source))
             pair = prepare_discordant_pair(source, 0.5)
-            disc = gaussian_discord(pair, "B")
+            disc = gaussian_discord(pair)
             protocol = ThreeModeProtocol(matched_probe(source, 0.5), source, 0.5, tau)
             _, out = run_three_mode(protocol)
             rows.append(

@@ -378,7 +378,7 @@ class TestSweep:
                 row = (
                     tau,
                     n_source,
-                    gaussian_discord(partial_trace(state_in, (1, 2)), "B"),
+                    gaussian_discord(partial_trace(state_in, (1, 2))),
                     cm_to_intensity_corr(state_out, 0, 2, shot_noise=True),
                     cm_to_intensity_corr(state_out, 1, 2, shot_noise=True),
                 )
@@ -655,8 +655,8 @@ class TestValidate:
         assert_suite_passes(capsys.readouterr().out)
 
         def offset_by(shift):
-            def offset(state, side="B", **kwargs):
-                result = discord_oracle(state, side, **kwargs)
+            def offset(state):
+                result = discord_oracle(state)
                 return dataclasses.replace(result, value=result.value + shift)
 
             return offset

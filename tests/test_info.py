@@ -35,7 +35,7 @@ from cvbench.states import (
     vacuum_state,
 )
 from cvbench.stats import cm_to_intensity_corr
-from helpers import random_symplectic, random_two_mode_state
+from helpers import random_symplectic, random_two_mode_state, swapped
 
 
 def g_thermal(n):
@@ -103,7 +103,7 @@ class TestMutualInformation:
 
     def test_wrong_mode_count(self):
         with pytest.raises(ValueError):
-            mutual_information(vacuum_state(3))
+            mutual_information(tensor([vacuum_state()] * 3))
 
     def test_positive_between_modes_1_and_3(self):
         # mixing transfers correlations: the (1,3) pair of the three-mode
@@ -119,24 +119,22 @@ class TestMutualInformation:
 class TestGaussianDiscord:
     def test_product_state_zero(self):
         state = tensor([thermal_state(1.0), thermal_state(2.0)])
-        assert gaussian_discord(state, "B") == 0.0
-        assert gaussian_discord(state, "A") == 0.0
+        assert gaussian_discord(state) == 0.0
+        assert gaussian_discord(swapped(state)) == 0.0
 
     def test_split_thermal_frozen_value(self):
         # h(3) + h(2) - h(5) in the rescaled convention, computed by hand
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        assert gaussian_discord(pair, "B") == pytest.approx(0.4315231086776714, abs=1e-12)
+        assert gaussian_discord(pair) == pytest.approx(0.4315231086776714, abs=1e-12)
 
     def test_symmetric_state_sides_agree(self):
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        assert gaussian_discord(pair, "A") == pytest.approx(
-            gaussian_discord(pair, "B"), abs=1e-9
-        )
+        assert gaussian_discord(swapped(pair)) == pytest.approx(gaussian_discord(pair), abs=1e-9)
 
     def test_oracle_matches_closed_form(self):
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        closed = gaussian_discord(pair, "B")
-        probed = discord_oracle(pair, "B")
+        closed = gaussian_discord(pair)
+        probed = discord_oracle(pair)
         assert probed.value == pytest.approx(closed, abs=1e-6)
         assert probed.value >= closed - 1e-6  # upper-bound search
 
@@ -144,37 +142,37 @@ class TestGaussianDiscord:
         rng = np.random.default_rng(59)
         for i in range(30):
             state = random_two_mode_state(rng)
-            side = "B" if i % 2 == 0 else "A"
-            closed = gaussian_discord(state, side)
-            probed = discord_oracle(state, side).value
+            if i % 2:
+                state = swapped(state)
+            closed = gaussian_discord(state)
+            probed = discord_oracle(state).value
             assert probed == pytest.approx(closed, abs=1e-6)
 
     def test_oracle_product_state(self):
         state = tensor([thermal_state(1.0), thermal_state(0.5)])
-        assert discord_oracle(state, "B").value == pytest.approx(0.0, abs=1e-9)
+        assert discord_oracle(state).value == pytest.approx(0.0, abs=1e-9)
 
     def test_vanishes_monotonically_as_split_closes(self):
-        # measurement on beam 2 (side A) decays monotonically on this grid;
-        # the side-B value peaks slightly above the balanced point first
+        # measurement on beam 2 (side A, the first mode of the pair) decays
+        # monotonically on this grid; the side-B value peaks slightly above
+        # the balanced point first
         values_a, values_b = [], []
         for t in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
             pair = prepare_discordant_pair(SingleModeSpec(2.0), t)
-            values_a.append(gaussian_discord(pair, "A"))
-            values_b.append(gaussian_discord(pair, "B"))
+            values_a.append(gaussian_discord(swapped(pair)))
+            values_b.append(gaussian_discord(pair))
         assert all(a > b for a, b in zip(values_a, values_a[1:]))
         assert values_a[-1] < 0.05
         assert values_b[-1] < 0.08  # both sides vanish at the product limit
 
     def test_positive_for_correlated_state(self):
         pair = prepare_discordant_pair(SingleModeSpec(0.5), 0.3)
-        assert gaussian_discord(pair, "B") > 0.0
+        assert gaussian_discord(pair) > 0.0
 
-    def test_side_validation(self):
-        pair = prepare_discordant_pair(SingleModeSpec(1.0), 0.5)
-        with pytest.raises(ValueError):
-            gaussian_discord(pair, "C")
-        with pytest.raises(ValueError):
-            gaussian_discord(vacuum_state(3), "B")
+    def test_wrong_mode_count(self):
+        for read_out in (gaussian_discord, discord_oracle):
+            with pytest.raises(ValueError, match="discord needs a two-mode state, got 3 modes"):
+                read_out(tensor([vacuum_state()] * 3))
 
 
 def test_pure_two_mode_discord_equals_marginal_entropy():
@@ -190,7 +188,7 @@ def test_pure_two_mode_discord_equals_marginal_entropy():
     state = GaussianState(cm)
     marginal_entropy = entropy(partial_trace(state, {0}))
     assert marginal_entropy == pytest.approx(g_thermal(math.sinh(r) ** 2), abs=1e-12)
-    assert gaussian_discord(state, "B") == pytest.approx(marginal_entropy, abs=1e-9)
+    assert gaussian_discord(state) == pytest.approx(marginal_entropy, abs=1e-9)
 
 
 @pytest.mark.parametrize("n_a, n_b, tau", [(3.0, 0.5, 0.5), (10.0, 1.0, 0.3), (2.0, 0.0, 0.7)])
@@ -200,8 +198,8 @@ def test_mixed_squeezed_vacua_discord_equals_marginal_entropy(n_a, n_b, tau):
     product = tensor([single_mode_state(SingleModeSpec(n, 1.0)) for n in (n_a, n_b)])
     state = apply_symplectic(product, bs_symplectic(tau))
     marginal_entropy = entropy(partial_trace(state, {0}))
-    for side in ("A", "B"):
-        assert gaussian_discord(state, side) == pytest.approx(marginal_entropy, abs=1e-9)
+    for measured in (state, swapped(state)):
+        assert gaussian_discord(measured) == pytest.approx(marginal_entropy, abs=1e-9)
 
 
 specs = st.builds(
@@ -221,8 +219,8 @@ def test_discord_between_zero_and_mutual_information(spec_a, spec_b, tau):
     product = tensor([single_mode_state(spec_a), single_mode_state(spec_b)])
     state = apply_symplectic(product, bs_symplectic(tau))
     mi = mutual_information(state)
-    for side in ("A", "B"):
-        assert 0.0 <= gaussian_discord(state, side) <= mi + 1e-12
+    for measured in (state, swapped(state)):
+        assert 0.0 <= gaussian_discord(measured) <= mi + 1e-12
 
 
 def mixed_pair(spec_a, spec_b, tau):
@@ -285,7 +283,7 @@ near_pure_measured_mode = st.builds(
 def test_oracle_bounds_closed_form_from_above(state):
     # the oracle's value is the entropy of one measurement it found, so it
     # cannot fall below the minimum over all of them that the closed form gives
-    assert discord_oracle(state, "B").value >= gaussian_discord(state, "B") - 1e-6
+    assert discord_oracle(state).value >= gaussian_discord(state) - 1e-6
 
 
 # -- batched evaluation: a stack is one call, and each member is its own call --
@@ -310,9 +308,9 @@ def has_photons(state):
 @given(members=st.lists(stack_members, min_size=1, max_size=6), tau=taus)
 def test_stacked_calls_equal_member_calls(members, tau):
     batch = stacked(members)
-    for side in ("A", "B"):
-        singles = [gaussian_discord(m, side) for m in members]
-        assert np.array_equal(gaussian_discord(batch, side), singles)
+    for view in (lambda state: state, swapped):
+        singles = [gaussian_discord(view(m)) for m in members]
+        assert np.array_equal(gaussian_discord(view(batch)), singles)
     assert np.array_equal(entropy(batch), [entropy(m) for m in members])
     assert np.array_equal(mutual_information(batch), [mutual_information(m) for m in members])
     op = bs_symplectic(tau)
@@ -337,8 +335,8 @@ def test_stacked_calls_equal_member_calls(members, tau):
 def test_stacked_discord_between_zero_and_mutual_information(pairs):
     states = [mixed_pair(*p) for p in pairs]
     mi = np.array([mutual_information(s) for s in states])
-    for side in ("A", "B"):
-        values = gaussian_discord(stacked(states), side)
+    for batch in (stacked(states), swapped(stacked(states))):
+        values = gaussian_discord(batch)
         assert np.all(0.0 <= values) and np.all(values <= mi + 1e-12)
 
 
@@ -354,11 +352,11 @@ def test_stacked_oracle_bounds_closed_form_from_above(states, product, position)
     # one oracle call per side on a stack holding a product state; each
     # member equals its own call bit for bit, and bounds the closed form
     states.insert(position, product)
-    batch = stacked(states)
-    for side in ("A", "B"):
-        closed = gaussian_discord(batch, side)
-        result = discord_oracle(batch, side)
-        singles = [discord_oracle(state, side) for state in states]
+    for view in (lambda state: state, swapped):
+        batch = view(stacked(states))
+        closed = gaussian_discord(batch)
+        result = discord_oracle(batch)
+        singles = [discord_oracle(view(state)) for state in states]
         assert [float(v).hex() for v in result.value] == [r.value.hex() for r in singles]
         assert result.iterations.tolist() == [r.iterations for r in singles]
         assert result.converged.tolist() == [r.converged for r in singles]
@@ -410,7 +408,7 @@ def test_protocol_over_the_stated_photon_range(t_split):
     n_tot[:2], beta[:2] = (1e-6, 700.0), 1e-9
     source = SingleModeSpec(n_tot, beta)
     pair = prepare_discordant_pair(source, t_split)
-    discord = gaussian_discord(pair, "B")
+    discord = gaussian_discord(pair)
     mi = entropy(partial_trace(pair, {0})) + entropy(partial_trace(pair, {1})) - entropy(pair)
     # 1e-12 is the mutual information's own clamp
     assert np.all(0.0 <= discord) and np.all(discord <= mi + 1e-12)
@@ -463,9 +461,9 @@ def test_discord_clamp_bounds():
 
 
 def validate_oracle_states():
-    # the draws of the validate command's oracle check, pinned below on side B.
-    # validate measures half of these: the even members on side B, and the odd
-    # ones on side A, as side B with their modes swapped
+    # the draws of the validate command's oracle check, pinned below as drawn.
+    # validate measures half of these: the even members as drawn, and the odd
+    # ones with their modes swapped
     rng = np.random.default_rng(4)
     states = []
     for _ in range(10):
@@ -475,16 +473,16 @@ def validate_oracle_states():
 
 
 def c03_states(indices):
-    # the random states of acceptance criterion C3
-    rng = np.random.default_rng(303)
-    states = [random_two_mode_state(rng) for _ in range(max(indices) + 1)]
-    return [states[i] for i in indices]
+    # odd members of the random states of acceptance criterion C3, with their
+    # modes swapped as its check swaps them
+    stack = random_two_mode_state(np.random.default_rng(303), (max(indices) + 1,))
+    return [swapped(GaussianState(stack.cm[i])) for i in indices]
 
 
-# measured side, states -> (value as a hex float, iterations) of each state's
-# oracle call; each call converges
+# states -> (value as a hex float, iterations) of each state's oracle call;
+# each call converges
 PINNED_ORACLE_BITS = {
-    "validate": ("B", validate_oracle_states, [
+    "validate": (validate_oracle_states, [
         ("0x1.033af65547134p-2", 39),
         ("0x1.c170dc95b826cp-4", 39),
         ("0x1.8779e4cc13478p-2", 39),
@@ -496,7 +494,7 @@ PINNED_ORACLE_BITS = {
         ("0x1.82e6e8a47a250p-3", 39),
         ("0x1.28725ba5f0b66p-2", 40),
     ]),
-    "c03": ("A", lambda: c03_states([5, 7]), [
+    "c03": (lambda: c03_states([5, 7]), [
         ("0x1.7f61c44029eacp-2", 40),
         ("0x1.1dcc68763b39ep-2", 40),
     ]),
@@ -505,13 +503,13 @@ PINNED_ORACLE_BITS = {
 
 @pytest.mark.parametrize("name", PINNED_ORACLE_BITS)
 def test_oracle_keeps_its_bits(name):
-    side, build, pinned = PINNED_ORACLE_BITS[name]
+    build, pinned = PINNED_ORACLE_BITS[name]
     states = build()
     for state, expected in zip(states, pinned):
-        result = discord_oracle(state, side)
+        result = discord_oracle(state)
         assert (result.value.hex(), result.iterations) == expected
         assert result.converged
-    result = discord_oracle(stacked(states), side)
+    result = discord_oracle(stacked(states))
     assert [float(v).hex() for v in result.value] == [p[0] for p in pinned]
     assert result.iterations.tolist() == [p[1] for p in pinned]
     assert result.converged.all()
@@ -520,7 +518,7 @@ def test_oracle_keeps_its_bits(name):
 class TestOracleConvergence:
     def test_default_call_converges(self):
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        result = discord_oracle(pair, "B")
+        result = discord_oracle(pair)
         assert result.converged
         assert 0 < result.iterations < 40 * 8
 
@@ -528,7 +526,7 @@ class TestOracleConvergence:
         monkeypatch.setattr(info, "_ORACLE_STEPS", 8)
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
         with pytest.warns(RuntimeWarning, match="did not settle"):
-            result = discord_oracle(pair, "B")
+            result = discord_oracle(pair)
         assert not result.converged
         assert result.iterations == 8
 
@@ -536,10 +534,10 @@ class TestOracleConvergence:
         monkeypatch.setattr(info, "_ORACLE_STEPS", 8)
         pairs = prepare_discordant_pair(SingleModeSpec(np.array([2.0, 0.7, 5.0])), 0.5)
         with pytest.warns(RuntimeWarning, match="did not settle") as caught:
-            result = discord_oracle(pairs, "B")
+            result = discord_oracle(pairs)
         assert len(caught) == 1
         with pytest.warns(RuntimeWarning) as first:
-            discord_oracle(GaussianState(pairs.cm[0]), "B")
+            discord_oracle(GaussianState(pairs.cm[0]))
         # the warning of the first unsettled member's own call, naming that member
         assert str(caught[0].message) == f"{first[0].message} (batch member 0)"
         assert result.converged.tolist() == [False] * 3

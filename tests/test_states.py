@@ -106,9 +106,7 @@ class TestSingleModeSpec:
 class TestGaussianState:
     def test_vacuum(self):
         assert np.allclose(vacuum_state().cm, np.diag([0.5, 0.5]))
-        assert np.allclose(vacuum_state(2).cm, np.diag([0.5] * 4))
-        with pytest.raises(ValueError):
-            vacuum_state(0)
+        assert np.allclose(tensor([vacuum_state()] * 2).cm, np.diag([0.5] * 4))
 
     def test_rejects_below_vacuum(self):
         with pytest.raises(PhysicalityError):
@@ -169,7 +167,7 @@ class TestTensorAndPartialTrace:
         assert np.array_equal(partial_trace(state, {0, 1}).cm, state.cm)
 
     def test_partial_trace_errors(self):
-        state = vacuum_state(2)
+        state = tensor([vacuum_state()] * 2)
         with pytest.raises(ValueError):
             partial_trace(state, set())
         with pytest.raises(IndexError):
@@ -240,7 +238,7 @@ class TestSymplecticOp:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_symplectic(vacuum_state(1), SymplecticOp(balanced_bs_4x4()))
+            apply_symplectic(vacuum_state(), SymplecticOp(balanced_bs_4x4()))
 
     def test_congruence_preserves_spectrum_and_det(self):
         rng = np.random.default_rng(7)
@@ -361,7 +359,7 @@ class TestClosedOperations:
     @staticmethod
     def states(rng):
         single = random_two_mode_state(rng)
-        batch = GaussianState(np.stack([random_two_mode_state(rng).cm for _ in range(6)]))
+        batch = random_two_mode_state(rng, (6,))
         return single, batch
 
     @pytest.mark.parametrize(
@@ -370,7 +368,7 @@ class TestClosedOperations:
             lambda state, rng: tensor([state, GaussianState(random_single_mode_cm(rng))]),
             lambda state, rng: partial_trace(state, {1}),
             lambda state, rng: apply_symplectic(state, SymplecticOp(random_symplectic(rng, 2))),
-            lambda state, rng: vacuum_state(state.n_modes),
+            lambda state, rng: vacuum_state(),
         ],
         ids=["tensor", "partial_trace", "apply_symplectic", "vacuum_state"],
     )
