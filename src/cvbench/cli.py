@@ -14,7 +14,7 @@ Five of validate's checks are also acceptance criteria, which the
 acceptance tests run through the same ``_check_*`` functions on their own
 draws: identity-interference (C01), three-mode-output-blocks (C02),
 discord-closed-form-vs-oracle (C03; both discord read-outs measure the second
-mode, so the odd members are measured as side B of the swapped pair),
+mode, so odd members are measured as ``partial_trace(pair, (1, 0))``),
 entropy-identities (C04a) and mc-vs-analytic-correlations (C08).
 
 Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
@@ -371,9 +371,8 @@ def _check_discord_oracle(stack: GaussianState) -> tuple:
     the oracle's, measured on side B for even members and on side A for odd ones."""
     # side A is side B of the pair with its modes swapped, so one stacked call
     # of each method measures both sides, every member with the bits of its own call
-    swap = [2, 3, 0, 1]
     cm = stack.cm.copy()
-    cm[1::2] = cm[1::2][:, swap][:, :, swap]
+    cm[1::2] = partial_trace(stack, (1, 0)).cm[1::2]
     stack = GaussianState(cm)
     err = np.abs(gaussian_discord(stack) - discord_oracle(stack).value)
     i = int(np.argmax(err))
@@ -568,15 +567,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         return run_validate(quick=args.quick)
 
-    try:
-        cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
     _, run, _ = _COMMANDS[args.command]
-    started = time.perf_counter()
     try:
+        cfg = _resolve_config(args)
+        started = time.perf_counter()
         csv = run(cfg)
         manifest = {
             "command": args.command,

@@ -2,9 +2,10 @@
 
 All entropies are in nats. Two conventions meet here: the package-wide
 vacuum-variance-1/2 CMs, and the vacuum-equals-identity convention in which
-the discord literature states its invariants. ``_ordered_blocks`` doubles a
-CM into the latter, the one place a CM is rescaled; the entropy term of a
-symplectic eigenvalue d in the 1/2 convention is ``_h_vec(2 d)`` there.
+the discord literature states its invariants. ``_ordered_blocks`` reads the
+blocks with ``mode_block`` and doubles them into the latter, the one place a
+CM is rescaled; the entropy term of a symplectic eigenvalue d in the 1/2
+convention is ``_h_vec(2 d)`` there.
 
 Every read-out takes batched states (see ``cvbench.states``) and returns its
 value as numpy values over the batch shape: arrays for a batch and numpy
@@ -13,11 +14,11 @@ and I alone for ``mutual_information``. No read-out branches on the shape,
 so each member of a batch has the bits of its own call. Both discord
 read-outs measure the second mode (B), as Adesso and Datta define the
 Gaussian discord; the discord measured on the first mode is that of the
-state with its modes swapped. ``discord_oracle`` is the brute-force
-reference the closed form is tested against: it scans a batch member by
-member and refines all members in lockstep. The two share one entropy term,
-one evaluation of the measurement-free part of the discord and one clamp of
-its rounding, which also clamps the mutual information.
+swapped state ``partial_trace(state, (1, 0))``. ``discord_oracle`` is the
+brute-force reference the closed form is tested against: it scans a batch
+member by member and refines all members in lockstep. The two share one
+entropy term, one evaluation of the measurement-free part of the discord and
+one clamp of its rounding, which also clamps the mutual information.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GaussianState, member_error, partial_trace, symplectic_eigenvalues
+from .states import GaussianState, member_error, mode_block, partial_trace, symplectic_eigenvalues
 
 #: symplectic eigenvalues within this distance of the pure limit contribute 0;
 #: it absorbs eigensolver rounding at the pure limit, and the entropy it cuts
@@ -92,9 +93,8 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
 
 
 def _ordered_blocks(state: GaussianState):
-    # CM doubled into the vacuum-equals-identity convention: blocks A, B (measured) and C
-    cm = 2.0 * state.cm
-    return cm[..., 0:2, 0:2], cm[..., 2:4, 2:4], cm[..., 0:2, 2:4]
+    # blocks A, B (measured) and C, doubled into the vacuum-equals-identity convention
+    return tuple(2.0 * mode_block(state, i, j) for i, j in ((0, 0), (1, 1), (0, 1)))
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:

@@ -56,9 +56,7 @@ class MarginalMismatchError(ValueError):
 
 
 def _require_unit_interval(name: str, value) -> None:
-    """Refuse a transmissivity outside [0, 1] or NaN; a float inside costs one comparison."""
-    if isinstance(value, float) and 0.0 <= value <= 1.0:
-        return
+    """Refuse a transmissivity outside [0, 1] or NaN, naming the first such member of an array."""
     arr = np.asarray(value, dtype=float)
     bad = ~((arr >= 0.0) & (arr <= 1.0))
     if bad.any():

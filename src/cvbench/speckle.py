@@ -249,10 +249,6 @@ def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _substituted_count(modes: int, eta: float) -> int:
-    return int(round((1.0 - eta) * modes))
-
-
 def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(|x|^2, |y|^2, Re x.y*) per frame of a 2x2 complex Wishart W2(d), in place.
 
@@ -284,7 +280,7 @@ def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
     fixed order, into run-wide rows; the arithmetic then runs once over all
     rows, in place, and the record is the transpose of one 5-row buffer.
     """
-    k = _substituted_count(config.modes, config.eta)
+    k = int(round((1.0 - config.eta) * config.modes))
     r = config.modes - k
     n = n_chunks * CHUNK_FRAMES
     # rec: B's rows (g0, g1, two normals, spare), which become the record;

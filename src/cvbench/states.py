@@ -19,11 +19,12 @@ Physicality is checked where a CM enters: ``GaussianState(cm)`` on a CM handed
 in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
 ``SymplecticOp`` on its matrix. The closed operations ``tensor``,
 ``partial_trace``, ``apply_symplectic`` and ``vacuum_state`` map physical
-states to physical states (a direct sum, a principal submatrix and a
-congruence by a checked symplectic all keep every symplectic eigenvalue at or
-above 1/2), so they build their results without a second eigen-solve.
-``vacuum_state()`` is the one-mode vacuum; ``tensor([vacuum_state()] * n)``
-is that of n modes.
+states to physical states (a direct sum, a principal submatrix with its modes
+in any order and a congruence by a checked symplectic all keep every
+symplectic eigenvalue at or above 1/2), so they build their results without a
+second eigen-solve. ``vacuum_state()`` is the one-mode vacuum;
+``tensor([vacuum_state()] * n)`` is that of n modes. Mode order is the one
+way to choose modes: ``partial_trace(state, (1, 0))`` swaps a pair.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: absolute asymmetry accepted before a covariance matrix is rejected
+#: asymmetry accepted before a covariance matrix is rejected, relative to max(1, its largest entry)
 SYMMETRY_TOL = 1e-12
 #: symplectic eigenvalues may undershoot 1/2 by this much (numerical slack)
 PHYSICALITY_TOL = 1e-9
@@ -123,7 +124,7 @@ class SingleModeSpec:
 
     @property
     def n_thermal(self) -> float:
-        return (1.0 - self.beta) * self.n_tot
+        return ((1.0 - np.asarray(self.beta, float)) * np.asarray(self.n_tot, float))[()]
 
 
 def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
@@ -146,7 +147,7 @@ def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
         shift = np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
         f_plus = 0.5 + n + shift
         f_minus = 0.5 + n - shift
-        expected_det = (0.5 + (1.0 - beta) * n) ** 2
+        expected_det = (0.5 + spec.n_thermal) ** 2
         # below 1e-4 f+, 1/2 + N - shift has lost more than 4 digits to cancellation;
         # there the purity identity gives f- without the subtraction
         f_minus = np.where(f_minus < 1e-4 * f_plus, expected_det / f_plus, f_minus)[()]
@@ -181,8 +182,9 @@ class GaussianState:
 
     ``cm`` may carry leading batch axes, shape (..., 2n, 2n); the state is
     then a batch of states of the same mode count. The constructor is the
-    entry check: it symmetrizes every matrix (asymmetry beyond 1e-12 is an
-    error, anything smaller is averaged away) and rejects unphysical input:
+    entry check: it symmetrizes every matrix (asymmetry beyond 1e-12 times
+    max(1, the largest entry) is an error, anything smaller is averaged away)
+    and rejects unphysical input:
     every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack. A rejection
     names the first offending member of a batch. The closed operations
     (``tensor``, ``partial_trace``, ``apply_symplectic``, ``vacuum_state``)
@@ -300,11 +302,13 @@ def tensor(states) -> GaussianState:
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Reduced state over the ``keep`` mode indices (result in ascending order)."""
-    modes = sorted({int(m) for m in keep})
+    """Reduced state over the ``keep`` mode indices, each listed once, in the listed order."""
+    modes = [int(m) for m in keep]
     if not modes:
         raise ValueError("keep must name at least one mode")
-    if modes[0] < 0 or modes[-1] >= state.n_modes:
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"mode indices {modes} name a mode twice")
+    if min(modes) < 0 or max(modes) >= state.n_modes:
         raise IndexError(f"mode indices {modes} out of range for {state.n_modes} modes")
     idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
     return GaussianState._closed(state.cm[..., idx, :][..., idx])

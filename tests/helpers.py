@@ -45,11 +45,5 @@ def random_two_mode_state(rng, shape=(), nu_max=2.5, strength=0.8):
     return GaussianState(s @ (d[..., None] * np.eye(4)) @ s.swapaxes(-1, -2))
 
 
-def swapped(state):
-    """The two-mode ``state`` with its modes swapped, so that its first mode is measured."""
-    order = [2, 3, 0, 1]
-    return GaussianState(state.cm[..., order, :][..., order])
-
-
 def random_source(rng, n_max=4.0, beta_max=0.9):
     return SingleModeSpec(rng.uniform(0.3, n_max), rng.uniform(0.0, beta_max))

@@ -35,7 +35,7 @@ from cvbench.states import (
     vacuum_state,
 )
 from cvbench.stats import cm_to_intensity_corr
-from helpers import random_symplectic, random_two_mode_state, swapped
+from helpers import random_symplectic, random_two_mode_state
 
 
 def g_thermal(n):
@@ -112,7 +112,7 @@ class TestMutualInformation:
 
         protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
         _, out = run_three_mode(protocol)
-        reduced = partial_trace(out, {0, 2})
+        reduced = partial_trace(out, (0, 2))
         assert mutual_information(reduced) > 1e-3
 
 
@@ -120,7 +120,7 @@ class TestGaussianDiscord:
     def test_product_state_zero(self):
         state = tensor([thermal_state(1.0), thermal_state(2.0)])
         assert gaussian_discord(state) == 0.0
-        assert gaussian_discord(swapped(state)) == 0.0
+        assert gaussian_discord(partial_trace(state, (1, 0))) == 0.0
 
     def test_split_thermal_frozen_value(self):
         # h(3) + h(2) - h(5) in the rescaled convention, computed by hand
@@ -129,7 +129,8 @@ class TestGaussianDiscord:
 
     def test_symmetric_state_sides_agree(self):
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-        assert gaussian_discord(swapped(pair)) == pytest.approx(gaussian_discord(pair), abs=1e-9)
+        swapped = partial_trace(pair, (1, 0))
+        assert gaussian_discord(swapped) == pytest.approx(gaussian_discord(pair), abs=1e-9)
 
     def test_oracle_matches_closed_form(self):
         pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
@@ -143,7 +144,7 @@ class TestGaussianDiscord:
         for i in range(30):
             state = random_two_mode_state(rng)
             if i % 2:
-                state = swapped(state)
+                state = partial_trace(state, (1, 0))
             closed = gaussian_discord(state)
             probed = discord_oracle(state).value
             assert probed == pytest.approx(closed, abs=1e-6)
@@ -159,7 +160,7 @@ class TestGaussianDiscord:
         values_a, values_b = [], []
         for t in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
             pair = prepare_discordant_pair(SingleModeSpec(2.0), t)
-            values_a.append(gaussian_discord(swapped(pair)))
+            values_a.append(gaussian_discord(partial_trace(pair, (1, 0))))
             values_b.append(gaussian_discord(pair))
         assert all(a > b for a, b in zip(values_a, values_a[1:]))
         assert values_a[-1] < 0.05
@@ -198,7 +199,7 @@ def test_mixed_squeezed_vacua_discord_equals_marginal_entropy(n_a, n_b, tau):
     product = tensor([single_mode_state(SingleModeSpec(n, 1.0)) for n in (n_a, n_b)])
     state = apply_symplectic(product, bs_symplectic(tau))
     marginal_entropy = entropy(partial_trace(state, {0}))
-    for measured in (state, swapped(state)):
+    for measured in (state, partial_trace(state, (1, 0))):
         assert gaussian_discord(measured) == pytest.approx(marginal_entropy, abs=1e-9)
 
 
@@ -219,7 +220,7 @@ def test_discord_between_zero_and_mutual_information(spec_a, spec_b, tau):
     product = tensor([single_mode_state(spec_a), single_mode_state(spec_b)])
     state = apply_symplectic(product, bs_symplectic(tau))
     mi = mutual_information(state)
-    for measured in (state, swapped(state)):
+    for measured in (state, partial_trace(state, (1, 0))):
         assert 0.0 <= gaussian_discord(measured) <= mi + 1e-12
 
 
@@ -308,9 +309,9 @@ def has_photons(state):
 @given(members=st.lists(stack_members, min_size=1, max_size=6), tau=taus)
 def test_stacked_calls_equal_member_calls(members, tau):
     batch = stacked(members)
-    for view in (lambda state: state, swapped):
-        singles = [gaussian_discord(view(m)) for m in members]
-        assert np.array_equal(gaussian_discord(view(batch)), singles)
+    for order in ((0, 1), (1, 0)):
+        singles = [gaussian_discord(partial_trace(m, order)) for m in members]
+        assert np.array_equal(gaussian_discord(partial_trace(batch, order)), singles)
     assert np.array_equal(entropy(batch), [entropy(m) for m in members])
     assert np.array_equal(mutual_information(batch), [mutual_information(m) for m in members])
     op = bs_symplectic(tau)
@@ -335,7 +336,7 @@ def test_stacked_calls_equal_member_calls(members, tau):
 def test_stacked_discord_between_zero_and_mutual_information(pairs):
     states = [mixed_pair(*p) for p in pairs]
     mi = np.array([mutual_information(s) for s in states])
-    for batch in (stacked(states), swapped(stacked(states))):
+    for batch in (stacked(states), partial_trace(stacked(states), (1, 0))):
         values = gaussian_discord(batch)
         assert np.all(0.0 <= values) and np.all(values <= mi + 1e-12)
 
@@ -352,11 +353,11 @@ def test_stacked_oracle_bounds_closed_form_from_above(states, product, position)
     # one oracle call per side on a stack holding a product state; each
     # member equals its own call bit for bit, and bounds the closed form
     states.insert(position, product)
-    for view in (lambda state: state, swapped):
-        batch = view(stacked(states))
+    for order in ((0, 1), (1, 0)):
+        batch = partial_trace(stacked(states), order)
         closed = gaussian_discord(batch)
         result = discord_oracle(batch)
-        singles = [discord_oracle(view(state)) for state in states]
+        singles = [discord_oracle(partial_trace(state, order)) for state in states]
         assert [float(v).hex() for v in result.value] == [r.value.hex() for r in singles]
         assert result.iterations.tolist() == [r.iterations for r in singles]
         assert result.converged.tolist() == [r.converged for r in singles]
@@ -476,7 +477,7 @@ def c03_states(indices):
     # odd members of the random states of acceptance criterion C3, with their
     # modes swapped as its check swaps them
     stack = random_two_mode_state(np.random.default_rng(303), (max(indices) + 1,))
-    return [swapped(GaussianState(stack.cm[i])) for i in indices]
+    return [partial_trace(GaussianState(stack.cm[i]), (1, 0)) for i in indices]
 
 
 # states -> (value as a hex float, iterations) of each state's oracle call;

@@ -101,6 +101,8 @@ class TestSingleModeSpec:
     def test_derived_quantities(self):
         spec = SingleModeSpec(2.0, 0.25)
         assert spec.n_thermal == pytest.approx(1.5)
+        # list fields broadcast as they do for single_mode_cm
+        assert np.array_equal(SingleModeSpec([1.0, 2.0], [0.0, 0.5]).n_thermal, [1.0, 1.0])
 
 
 class TestGaussianState:
@@ -115,11 +117,21 @@ class TestGaussianState:
     def test_accepts_tiny_undershoot(self):
         GaussianState(np.diag([0.5 - 1e-10, 0.5 - 1e-10]))
 
-    def test_rejects_asymmetry(self):
-        cm = np.diag([1.0, 1.0])
-        cm[0, 1] = 1e-6
-        with pytest.raises(PhysicalityError):
-            GaussianState(cm)
+    # the tolerance is 1e-12 of max(1, the largest entry): 1e-6 for a bright CM,
+    # where an absolute 1e-12 would refuse the rounding of its entries
+    @pytest.mark.parametrize(
+        "scale, asymmetry, refused",
+        [(1.0, 1e-6, True), (1e6, 1e-9, False), (1e6, 1e-5, True)],
+        ids=["unit-refused", "bright-accepted", "bright-refused"],
+    )
+    def test_rejects_asymmetry(self, scale, asymmetry, refused):
+        cm = np.diag([scale, scale])
+        cm[0, 1] = asymmetry
+        if refused:
+            with pytest.raises(PhysicalityError, match=f"asymmetry {asymmetry:g} exceeds"):
+                GaussianState(cm)
+        else:
+            assert np.array_equal(GaussianState(cm).cm, (cm + cm.T) / 2.0)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -164,7 +176,13 @@ class TestTensorAndPartialTrace:
 
     def test_partial_trace_keep_all(self):
         state = tensor([thermal_state(1.0), vacuum_state()])
-        assert np.array_equal(partial_trace(state, {0, 1}).cm, state.cm)
+        assert np.array_equal(partial_trace(state, (0, 1)).cm, state.cm)
+        # in the listed order: (1, 0) swaps the blocks A, B and C of a pair and of a batch
+        for shape in ((), (3,)):
+            pair = random_two_mode_state(np.random.default_rng(8), shape)
+            a, b, c = pair.cm[..., :2, :2], pair.cm[..., 2:, 2:], pair.cm[..., :2, 2:]
+            swapped = np.block([[b, c.swapaxes(-1, -2)], [c, a]])
+            assert np.array_equal(partial_trace(pair, (1, 0)).cm, swapped)
 
     def test_partial_trace_errors(self):
         state = tensor([vacuum_state()] * 2)
@@ -172,6 +190,8 @@ class TestTensorAndPartialTrace:
             partial_trace(state, set())
         with pytest.raises(IndexError):
             partial_trace(state, {2})
+        with pytest.raises(ValueError, match=re.escape("mode indices [0, 0] name a mode twice")):
+            partial_trace(state, (0, 0))
 
 
 class TestSymplecticSpectrum:
