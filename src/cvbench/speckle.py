@@ -30,12 +30,14 @@ number of Gamma and normal draws per frame, whatever the mode count.
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; chunk c draws its frames from the Philox stream keyed by
 (seed, ``GRAM_STREAM``) at counter position c, whole and in a fixed order.
-Gamma rejection takes a variable number of draws, so no stream spans two
-chunks. This chunk keying is the reproducibility contract: any frame is
-reproducible by regenerating its chunk alone (``chunk_record``), and the
-output cannot depend on ``BenchConfig.workers``, which is accepted and
-recorded for compatibility while the sampler runs serially. The numbers for
-a given seed changed in 0.2.0, when this sampler replaced per-mode fields.
+The key is a stream's only seed material: ``chunk_rng`` opens each chunk's
+stream afresh from it, and no OS entropy is drawn. Gamma rejection takes a
+variable number of draws, so no stream spans two chunks. This chunk keying
+is the reproducibility contract: any frame is reproducible by regenerating
+its chunk alone (``chunk_record``), and the output cannot depend on
+``BenchConfig.workers``, which is accepted and recorded for compatibility
+while the sampler runs serially. The numbers for a given seed changed in
+0.2.0, when this sampler replaced per-mode fields.
 
 The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
 batch reads its BS rows off that matrix once. The per-mode field oracle
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -242,11 +244,49 @@ def _checked_beam(beam: int) -> int:
     return beam
 
 
+class _StreamKey:
+    """The seed sequence of one Philox stream: its key (seed, stream id), and nothing else.
+
+    A bit generator given a seed sequence reads its seed from the sequence's
+    ``generate_state``, and Philox asks it for two uint64 words, which here
+    are the key itself. numpy's ``Philox(key=...)`` sets the same key but
+    first builds a ``SeedSequence()`` from OS entropy and discards it, which
+    cost more than half of opening a stream. The class implements numpy's
+    ``ISeedSequence`` (registered by ``_seed_interface``) and not its
+    spawnable variant, so a chunk generator refuses to ``spawn`` with the
+    ``TypeError`` of a keyed Philox. It is defined at module level so that a
+    chunk generator, which holds it, pickles.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, seed: int, stream: int) -> None:
+        self.key = np.array([seed, stream], dtype=np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # Philox, the only caller, asks for (2, np.uint64)
+        return self.key
+
+
+@cache
+def _seed_interface() -> None:
+    # at first use, not at import: importing numpy.random costs about 13 ms
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StreamKey)
+
+
 def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    """Counter-based stream for one (stream id, chunk-of-frames) cell."""
-    key = np.array([seed, stream], dtype=np.uint64)
+    """Counter-based stream for one (stream id, chunk-of-frames) cell.
+
+    A fresh Philox with key (seed, stream) and counter (0, chunk, 0, 0) as
+    uint64 words: the state of numpy's ``Philox(key=..., counter=...)``
+    given those words. The key is the stream's only seed material: opening a
+    stream draws no OS entropy.
+    """
+    _seed_interface()
     counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(_StreamKey(seed, stream), counter=counter))
 
 
 def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,13 +8,16 @@ code.
 """
 
 import math
+import pickle
 import re
 import tracemalloc
 
 import numpy as np
+import numpy.random.bit_generator
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from cvbench import speckle
 from cvbench.speckle import (
     ANALYZERS,
     CHUNK_FRAMES,
@@ -342,6 +345,58 @@ class TestJones:
         assert intensity(project(jones, "V")[None]) == pytest.approx(9.0)
         assert intensity(project(jones, "H")[None]) == pytest.approx(0.0)
         assert intensity(project(jones, "none")[None]) == pytest.approx(9.0)
+
+
+def keyed_philox(seed, stream, chunk):
+    """The stream contract through numpy's keyed constructor. uint64 arrays, as a
+    list holding 2**64 - 1 is cast through float and keys the stream with 0."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [1, 5])
+    @pytest.mark.parametrize("chunk", [0, 1 << 32, 2**64 - 1])
+    def test_state_is_that_of_numpys_keyed_constructor(self, seed, stream, chunk):
+        np.testing.assert_equal(
+            chunk_rng(seed, stream, chunk).bit_generator.state,
+            keyed_philox(seed, stream, chunk).bit_generator.state,
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BenchConfig(modes=4, frames=400_000, seed=1, workers=2),  # the erasure workload's
+            BenchConfig(modes=7, frames=1000, seed=3, eta=0.7),  # substitution rows
+            BenchConfig(modes=3, frames=2 * CHUNK_FRAMES + 100, seed=4),  # short last chunk
+        ],
+    )
+    def test_record_is_drawn_from_numpys_keyed_streams(self, cfg, monkeypatch):
+        record = run_bench(cfg).record
+        monkeypatch.setattr(speckle, "chunk_rng", keyed_philox)
+        assert record.tobytes() == run_bench(cfg).record.tobytes()
+
+    def test_opening_a_stream_draws_no_os_entropy(self, monkeypatch):
+        # numpy's SeedSequence() draws its entropy through randbits
+        def no_entropy(bits):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(numpy.random.bit_generator, "randbits", no_entropy)
+        chunk_rng(21, 1, 0).random()
+        run_bench(BenchConfig(modes=3, frames=600, seed=21, eta=0.7))
+
+    def test_pickled_generator_continues_its_draws(self):
+        rng = chunk_rng(22, 5, 3)
+        rng.standard_gamma(2.5, size=7)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(copy.standard_gamma(2.5, size=50), rng.standard_gamma(2.5, size=50))
+
+    def test_generator_refuses_to_spawn(self):
+        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0)):
+            with pytest.raises(TypeError):
+                rng.spawn(1)
 
 
 class TestRunBench:
