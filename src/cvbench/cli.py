@@ -594,7 +594,8 @@ def main(argv: list[str] | None = None) -> int:
         })
     except (ConfigError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         # OSError: an unwritable output path, e.g. a missing directory;
-        # MemoryError: a frame count or sweep grid too large to allocate;
+        # MemoryError: a sweep grid too large to allocate (a bench run streams
+        # its frames through a fixed block, so no frame count allocates with it);
         # ArithmeticError: a value the engine cannot evaluate to its tolerance
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

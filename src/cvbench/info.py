@@ -84,7 +84,10 @@ class DiscordResult:
 
 
 def _h_vec(x: np.ndarray) -> np.ndarray:
-    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d)
+    # entropy term in the vacuum-=-identity convention; h(1) = 0, h(2 d) = f(d).
+    # NaN compares False with the guard, so it would read as a pure mode
+    if not np.isfinite(x).all():
+        raise ArithmeticError("entropy of a symplectic eigenvalue that is not finite")
     y = (x - 1.0) / 2.0
     safe = y > PURE_GUARD
     yp = np.where(safe, y, 1.0)
@@ -124,9 +127,13 @@ def _invariants(a_blk, b_blk, c_blk):
 def _symplectic_pair(ia, ib, ic, k):
     # nu_(+/-)^2 = (delta +/- sqrt(delta^2 - 4 det CM)) / 2, with the radicand
     # regrouped around k; the smaller root is det CM over the larger one, and
-    # the larger one is capped at det CM so that nu_minus >= 1 (the pure limit)
+    # the larger one is capped at det CM so that nu_minus >= 1 (the pure limit).
+    # A det CM that cancels to <= 0 has no eigenvalues: refused before the roots
     delta = ia + ib + 2.0 * ic
     id_ = ia * ib + k
+    bad = ~(id_ > 0.0)
+    if bad.any():
+        raise member_error(ArithmeticError, f"det CM evaluated to {id_[bad][0]:g}", bad)
     radicand = np.square(ia - ib) + 4.0 * ic * (ia + ib + ic) - 4.0 * k
     nu_plus_sq = np.minimum((delta + np.sqrt(np.maximum(radicand, 0.0))) / 2.0, id_)
     return np.sqrt(id_ / nu_plus_sq), np.sqrt(nu_plus_sq)

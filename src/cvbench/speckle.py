@@ -9,17 +9,21 @@ beam's modes with an independent equal-mean field.
 One bench serves both scenarios, which are its two polarization presets
 (``POLARIZATIONS``). Presets and analyzers are a read-out, not part of the
 run: every intensity detected behind any analyzer is linear in the per-frame
-Gram matrix of the two fields entering the beam splitter, so a run is one
-(frames, 5) record, ``FrameBatch.record``: the in-intensities and two entries
-of that matrix. Every read-out is a fixed combination of those columns, coded
-once as its weights: ``FrameBatch.out_weights(beam, basis, scenario)`` forms
-them through the analyzer's intensity projector (``ANALYZERS``), and
-``FrameBatch.corr`` reads the correlation of any two read-outs, in-intensities
-included, off the record's 5x5 centred sums of products (``stats.comoments``),
-reduced once per batch, so that no full-length series is built for a
-correlation. A caller that needs a series itself gets the record times the
-weights (``out_series``), summed column by column, so that a frame's value
-depends on its own record row alone, whatever the record's memory layout.
+Gram matrix of the two fields entering the beam splitter, so a frame is five
+numbers, a row of the run's (frames, 5) record: the in-intensities and two
+entries of that matrix. Every read-out is a fixed combination of those
+columns, coded once as its weights: ``FrameBatch.out_weights(beam, basis,
+scenario)`` forms them through the analyzer's intensity projector
+(``ANALYZERS``). Every correlation of two read-outs, in-intensities included,
+is a second moment, so a run's datum is the record's 5x5 centred sums of
+products (``stats.comoments``): ``run_bench`` streams the record through one
+reusable block of ``stats._BLOCK_FRAMES`` frames, reduced while in cache, and
+keeps only the sums, so its memory does not grow with frames, and
+``FrameBatch.corr`` reads any correlation off them. A caller that needs a
+series itself reads ``FrameBatch.record``, redrawn on demand with the same
+bits, times the weights (``out_series``), summed column by column, so that a
+frame's value depends on its own record row alone, whatever the record's
+memory layout.
 
 ``run_bench`` does not draw fields. The five numbers it records per frame
 are entries of Gram matrices of independent unit-variance mode amplitudes,
@@ -53,7 +57,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .network import bs_symplectic
-from .stats import comoment_corr, comoments
+from .stats import _BLOCK_FRAMES, comoment_corr, comoments
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 256
@@ -129,26 +133,42 @@ class BenchConfig:
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """The record of one bench run, off which every detection is read.
+    """One bench run, off which every detection is read: its config and its record's sums.
 
-    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3). ``record`` is
-    the read-only (frames, 5) array of the run: the integrated intensities of
-    the three beams before the BS, then |a2|^2 of beam 2 as it enters the BS
+    Beams are indexed (0, 1, 2) <-> (beam 1, beam 2, beam 3). The run's
+    record has five columns per frame: the integrated intensities of the
+    three beams before the BS, then |a2|^2 of beam 2 as it enters the BS
     (after mode substitution) and Re sum_m a1_m conj(a2_m). With |a1|^2 in
     column 0 the last two make the Gram matrix of the two BS inputs. Every
     read-out, an in-intensity or any beam of any preset behind any analyzer,
     is a fixed combination of these five columns, coded once as its weights
-    (``in_weights``, ``out_weights``): ``out_series`` is the record times
-    them, and ``corr`` reads the correlation of two read-outs off the
-    record's centred sums of products without building either series.
+    (``in_weights``, ``out_weights``). ``sums`` is the read-only 5x5
+    ``stats.comoments`` of the record columns, which ``run_bench`` streams,
+    and ``corr`` reads the correlation of two read-outs off it without
+    building either series. ``record`` itself is redrawn from the run's
+    chunk streams on first read, bit-identical to what was reduced, and
+    ``out_series`` is the record times the weights.
     """
 
     config: BenchConfig
-    record: np.ndarray
+    sums: np.ndarray
 
     @property
     def n_frames(self) -> int:
-        return self.record.shape[0]
+        return self.config.frames
+
+    @cached_property
+    def record(self) -> np.ndarray:
+        """Read-only (frames, 5) record of the run, drawn on first read through its chunk streams.
+
+        Under the chunk keying every frame's row has the bits that the run
+        reduced into ``sums``; it costs the run's draws again, and 40 bytes a
+        frame.
+        """
+        record = _record(self.config, 0, -(-self.config.frames // CHUNK_FRAMES))
+        record = record[: self.config.frames]
+        record.flags.writeable = False
+        return record
 
     @property
     def intensities_in(self) -> np.ndarray:
@@ -204,38 +224,41 @@ class FrameBatch:
     ) -> np.ndarray:
         """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
 
-        The record times ``out_weights``, summed from zeros over the nonzero
-        weights in column order, so a frame's value depends on its own record
-        row alone, whatever the record's layout (a matrix product may group
-        its sum by the layout): any selection of a run's rows reads the bits
-        of the whole run's series at those rows.
+        ``record`` times ``out_weights``, summed as ``_read_out`` sums.
         """
-        series = np.zeros(self.n_frames)
-        for column, weight in enumerate(self.out_weights(beam, basis, scenario)):
-            if weight != 0.0:
-                series += weight * self.record[:, column]
-        series.flags.writeable = False
-        return series
+        return _read_out(self.record, self.out_weights(beam, basis, scenario))
 
     def corr(self, h: np.ndarray, k: np.ndarray) -> float:
         """Correlation coefficient of two read-outs given by their weights.
 
         ``h`` and ``k`` come from ``in_weights`` or ``out_weights``. The
-        value is read off the ``stats.comoments`` of the record columns,
-        reduced once per batch, so no series is built. It agrees with
-        ``corr_coeff`` on the two series to within 1e-12 and raises the same
-        ``ValueError`` for a read-out of zero variance or non-finite sums.
+        value is read off ``sums``, so neither series is built nor the
+        record redrawn. It agrees with ``corr_coeff`` on the two series to
+        within 1e-12 and raises the same ``ValueError`` for a read-out of
+        zero variance or non-finite sums.
         """
-        return comoment_corr(self._comoments, h, k)
+        return comoment_corr(self.sums, h, k)
 
     @cached_property
     def _bs_rows(self) -> np.ndarray:
         # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
         return bs_symplectic(self.config.tau_mix).matrix[::2, ::2]
 
-    @cached_property
-    def _comoments(self) -> np.ndarray:
-        return comoments(self.record.T)
+
+def _read_out(record: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Read-only series of one read-out: a (frames, 5) record times (5,) weights.
+
+    Summed from zeros over the nonzero weights in column order, so a frame's
+    value depends on its own record row alone, whatever the record's layout
+    (a matrix product may group its sum by the layout): any selection of a
+    run's rows reads the bits of the whole run's series at those rows.
+    """
+    series = np.zeros(record.shape[0])
+    for column, weight in enumerate(weights):
+        if weight != 0.0:
+            series += weight * record[:, column]
+    series.flags.writeable = False
+    return series
 
 
 def _checked_beam(beam: int) -> int:
@@ -310,29 +333,48 @@ def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g0, g1, xy
 
 
-def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
+def _substituted(config: BenchConfig) -> int:
+    # k, the modes of a beam that mode mismatch substitutes
+    return int(round((1.0 - config.eta) * config.modes))
+
+
+def _buffers(config: BenchConfig, frames: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Uninitialised draw rows of ``_record`` for ``frames`` frames: B's 5, and A's 7 if k > 0."""
+    return np.empty((5, frames)), np.empty((7, frames)) if _substituted(config) else None
+
+
+def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.ndarray:
     """(frames, 5) record of every frame of chunks first .. first + n_chunks - 1.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are
     B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
     substitute), and two Gamma(k): source 2 and the split substitute on the
     substituted modes. Each chunk draws them whole from its own stream, in a
-    fixed order, into run-wide rows; the arithmetic then runs once over all
-    rows, in place, and the record is the transpose of one 5-row buffer.
+    fixed order, into the rows of ``buffers`` (from ``_buffers``, fresh ones
+    by default, at least as wide as the frames); a row that the config never
+    draws is zeroed. The arithmetic then runs once over all rows, in place,
+    and the record is the transpose of B's 5-row buffer: a view, which the
+    next call with the same buffers overwrites.
     """
-    k = int(round((1.0 - config.eta) * config.modes))
+    k = _substituted(config)
     r = config.modes - k
     n = n_chunks * CHUNK_FRAMES
     # rec: B's rows (g0, g1, two normals, spare), which become the record;
     # sub: A's rows, then G_s2 and G_ss
-    rec = np.zeros((5, n))
-    sub = np.zeros((7, n)) if k else None
+    rec, sub = buffers or _buffers(config, n)
+    rec = rec[:, :n]
+    # each row with the mode count of its Wishart block; a row of none is not drawn
     gammas = [(rec[0], r), (rec[1], r - 1)]
-    normals = [rec[2], rec[3]] if r else []
+    normals = [(rec[2], r), (rec[3], r)]
     if k:
+        sub = sub[:, :n]
         gammas += [(sub[0], k), (sub[1], k - 1), (sub[5], k), (sub[6], k)]
-        normals += [sub[2], sub[3]]
+        normals += [(sub[2], k), (sub[3], k)]
+    for row, d in gammas + normals:
+        if d <= 0:
+            row.fill(0.0)
     gammas = [(row, shape) for row, shape in gammas if shape > 0]
+    normals = [row for row, d in normals if d > 0]
     for i in range(n_chunks):
         rng = chunk_rng(config.seed, GRAM_STREAM, first + i)
         cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
@@ -368,13 +410,13 @@ def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
 def chunk_record(config: BenchConfig, chunk: int) -> np.ndarray:
     """(CHUNK_FRAMES, 5) record of the frames of one chunk, drawn alone.
 
-    Bit-identical to rows chunk * CHUNK_FRAMES onward of ``run_bench``'s record.
+    Bit-identical to rows chunk * CHUNK_FRAMES onward of the run's ``FrameBatch.record``.
     """
     return _record(config, chunk, 1)
 
 
 def run_bench(config: BenchConfig) -> FrameBatch:
-    """Simulate the configured bench and record five numbers per frame.
+    """Simulate the configured bench and reduce its five numbers per frame to their sums.
 
     Beam 1 is source 1; source 2 splits into beams 2 and 3 at t_split; beams
     1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
@@ -385,13 +427,29 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 
+    The record streams: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` chunks at a
+    time are drawn into one pair of buffers, allocated once per run, and
+    each block is folded into ``stats.comoments`` while it is in cache. The
+    batch keeps the 5x5 sums, so the run's memory does not grow with frames;
+    ``FrameBatch.record`` redraws the record on demand. Fewer than two
+    frames have no sums and raise ``ValueError``.
+
     With m1 = mean_photons, t = t_split, m2 = m1 / t and the draws of
     ``_record``, a frame records (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
     (1 - t) m2 (G_ss + B_yy), m1 A_yy + t m2 B_yy,
     m1 Re A_xy + sqrt(t m1 m2) Re B_xy). Identical (seed, config) produce
-    bit-identical records for any worker count; frame j depends only on the
-    seed, j, modes, eta, mean_photons and t_split.
+    bit-identical records, and so sums, for any worker count; frame j
+    depends only on the seed, j, modes, eta, mean_photons and t_split.
     """
-    record = _record(config, 0, -(-config.frames // CHUNK_FRAMES))[: config.frames]
-    record.flags.writeable = False
-    return FrameBatch(config, record)
+    n_chunks = -(-config.frames // CHUNK_FRAMES)
+    per_block = _BLOCK_FRAMES // CHUNK_FRAMES
+    buffers = _buffers(config, min(n_chunks, per_block) * CHUNK_FRAMES)
+
+    def blocks():
+        for first in range(0, n_chunks, per_block):
+            record = _record(config, first, min(per_block, n_chunks - first), buffers)
+            yield record[: config.frames - first * CHUNK_FRAMES].T
+
+    sums = comoments(blocks())
+    sums.flags.writeable = False
+    return FrameBatch(config, sums)

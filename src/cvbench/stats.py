@@ -3,14 +3,15 @@
 ``corr_coeff`` is the frame-averaged second-order correlation coefficient of
 two intensity series, and ``confidence_interval`` its Fisher z-transform
 interval as the pair (low, high); no other interval is built. Every
-estimated correlation comes from one kernel: ``comoments`` reduces k series
-to their (k, k) centred sums of products in fixed-size blocks, and
-``comoment_corr`` reads the correlation of any two linear combinations of
-the series off those sums, through one set of guards (non-finite sums, zero
-variance, a norm that over- or underflows). ``corr_coeff`` is its two-series
-case, and ``speckle.FrameBatch.corr`` reads every bench correlation off the
-five record columns of a run. ``cm_to_intensity_corr`` predicts the same
-quantity analytically from a covariance matrix, which the Monte Carlo tests
+estimated correlation comes from one kernel: ``comoments`` reduces k series,
+given as a stream of fixed-size blocks, to their (k, k) centred sums of
+products in one pass, and ``comoment_corr`` reads the correlation of any two
+linear combinations of the series off those sums, through one set of guards
+(non-finite sums, zero variance, a norm that over- or underflows).
+``corr_coeff`` is its two-series case, and ``speckle.FrameBatch.corr`` reads
+every bench correlation off the sums of the five record columns that
+``speckle.run_bench`` streams through it. ``cm_to_intensity_corr`` predicts
+the same quantity analytically from a covariance matrix, which the Monte Carlo tests
 use as a cross-module oracle; like the read-outs of ``cvbench.info`` it
 returns numpy values over the state's batch shape, a numpy scalar for a
 single state.
@@ -34,40 +35,53 @@ __all__ = [
 ]
 
 
-#: frames per block of ``comoments``: each block of every series is centred
-#: into one (k, _BLOCK_FRAMES) buffer, so its scratch does not grow with the series
+#: frames per block of ``comoments``' callers: a block of k series is at most
+#: (k, _BLOCK_FRAMES), so no caller's scratch grows with the series
 _BLOCK_FRAMES = 8192
 
 
-def comoments(series) -> np.ndarray:
-    """(k, k) centred sums of products of k equal-length one-dimensional series.
+def comoments(blocks) -> np.ndarray:
+    """(k, k) centred sums of products of k series, from their consecutive (k, b) blocks.
 
-    Entry (i, j) is sum_t (x_i[t] - mean_i)(x_j[t] - mean_j), by the corrected
-    two-pass algorithm (Chan, Golub & LeVeque 1983): the means are numpy
-    pairwise sums; then each block of ``_BLOCK_FRAMES`` frames is centred
-    into one buffer, whose sums of products (``np.einsum``, no BLAS; the
-    upper triangle, mirrored at the end) and sums accumulate over the blocks;
-    subtracting s_i s_j / n, s_i being the sum of the centred values, removes
-    the rounding error of the means. No full-length temporary is made.
-    Non-finite input, or sums that overflow, give non-finite entries without
-    a warning; ``comoment_corr`` reports them. Fewer than two frames raise
-    ``ValueError``.
+    ``blocks`` yields each block once, in order: k one-dimensional slices of
+    equal length, a (k, b) array or a tuple of k arrays, of at most
+    ``_BLOCK_FRAMES`` frames for bounded scratch. Entry (i, j) is
+    sum_t (x_i[t] - mean_i)(x_j[t] - mean_j), in a single pass by the
+    shifted-data form of the corrected two-pass algorithm (Chan, Golub &
+    LeVeque 1983): every block is centred on the first block's means (numpy
+    pairwise sums) into one buffer, whose sums of products (``np.einsum``, no
+    BLAS; the upper triangle, mirrored at the end) and sums accumulate over
+    the blocks; subtracting s_i s_j / n at the end, s_i being the sum of the
+    shifted values, moves the sums from the shift to the means and removes
+    the rounding error of the shift. A block is read before the next is
+    asked for, so a caller can refill one buffer. No full-length temporary
+    is made. Non-finite input, or sums that overflow, give non-finite
+    entries without a warning; ``comoment_corr`` reports them. Fewer than
+    two frames in all, or a block that is not k one-dimensional slices,
+    raise ``ValueError``.
     """
-    n = series[0].size
-    if n < 2:
-        raise ValueError("need at least two frames")
-    buffer = np.empty((len(series), min(n, _BLOCK_FRAMES)))
-    products = np.zeros((len(series), len(series)))
-    residuals = np.zeros(len(series))
+    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        means = [np.sum(x) / n for x in series]
-        for start in range(0, n, _BLOCK_FRAMES):
-            centred = buffer[:, : min(n - start, _BLOCK_FRAMES)]
-            for x, mean, row in zip(series, means, centred):
-                np.subtract(x[start : start + _BLOCK_FRAMES], mean, out=row)
+        for block in blocks:
+            if np.ndim(block[0]) != 1:
+                raise ValueError("a block must hold one-dimensional slices of the series")
+            width = block[0].size
+            if not n:
+                shift = [np.sum(x) / width for x in block]
+                buffer = np.empty((len(block), width))
+                products = np.zeros((len(block), len(block)))
+                residuals = np.zeros(len(block))
+            elif width > buffer.shape[1]:
+                buffer = np.empty((len(block), width))
+            centred = buffer[:, :width]
+            for x, mean, row in zip(block, shift, centred):
+                np.subtract(x, mean, out=row)
             for i, row in enumerate(centred):
                 products[i, i:] += np.einsum("t,jt->j", row, centred[i:])
             residuals += centred.sum(axis=1)
+            n += width
+        if n < 2:
+            raise ValueError("need at least two frames")
         products += np.triu(products, 1).T  # the lower triangle was never written
         return products - np.multiply.outer(residuals, residuals) / n
 
@@ -116,7 +130,9 @@ def corr_coeff(series_h, series_k) -> float:
     k = np.asarray(series_k, dtype=float)
     if h.ndim != 1 or h.shape != k.shape:
         raise ValueError("series must be one-dimensional and of equal length")
-    return comoment_corr(comoments((h, k)), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    starts = range(0, h.size, _BLOCK_FRAMES)
+    blocks = ((h[t : t + _BLOCK_FRAMES], k[t : t + _BLOCK_FRAMES]) for t in starts)
+    return comoment_corr(comoments(blocks), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 def confidence_interval(c: float, n_frames: int, level: float = 0.99) -> tuple[float, float]:

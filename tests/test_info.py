@@ -461,6 +461,36 @@ def test_discord_clamp_bounds():
             _clamped(np.array([0.1, value]), "discord")
 
 
+#: a split thermal pair (N = 1e4, t_split 0.5) under local squeezing, which
+#: GaussianState accepts: its invariant discord is ln 2, but det CM cancels
+#: to a negative value, so nu- would be NaN and read as a pure mode (9.5173)
+CANCELLED_DET_CM = [
+    [40840610.942068204, 1517466.1090169428, 7096176.171716856, -14571783.519447874],
+    [1517466.1090169428, 56383.299463410476, 261697.59564997818, -537384.588416845],
+    [7096176.171716856, 261697.59564997818, 7551297.624761955, -15517680.053324971],
+    [-14571783.519447874, -537384.588416845, -15517680.053324971, 31888349.686117798],
+]
+
+
+def test_cancelled_det_cm_is_refused_not_read_as_a_value():
+    state = GaussianState(np.array(CANCELLED_DET_CM))
+    for read_out in (gaussian_discord, discord_oracle):
+        with pytest.raises(ArithmeticError, match="det CM evaluated to -7.66"):
+            read_out(state)
+    # in a stack, the error names the member
+    stack = GaussianState(np.stack([split_pair(SingleModeSpec(2.0)).cm, state.cm]))
+    with pytest.raises(ArithmeticError, match=r"\(batch member 1\)") as caught:
+        gaussian_discord(stack)
+    assert caught.value.member == (1,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_entropy_term_refuses_a_non_finite_eigenvalue(bad):
+    # NaN > PURE_GUARD is False, so without the check it would read as 0
+    with pytest.raises(ArithmeticError, match="not finite"):
+        info._h_vec(np.array([3.0, bad]))
+
+
 def validate_oracle_states():
     # the draws of the validate command's oracle check, pinned below as drawn.
     # validate measures half of these: the even members as drawn, and the odd

@@ -22,7 +22,6 @@ from cvbench.speckle import (
     ANALYZERS,
     CHUNK_FRAMES,
     BenchConfig,
-    FrameBatch,
     chunk_rng,
     chunk_record,
     run_bench,
@@ -120,9 +119,11 @@ def field_record(cfg, frames=None):
     return np.stack(columns + [(beam1 * mixed.conj()).real.sum(axis=1)], axis=1)
 
 
-def field_batch(cfg, frames):
-    """FrameBatch of the given frames, recorded from the oracle's fields."""
-    return FrameBatch(cfg, field_record(cfg, frames))
+def read_outs(batch, record, scenario="interference", basis="none"):
+    """(frames, 3) read-outs of a preset behind a basis on any (frames, 5) record: the
+    batch's weights, summed as the bench sums them (speckle._read_out)."""
+    weights = [batch.out_weights(beam, basis, scenario) for beam in range(3)]
+    return np.stack([speckle._read_out(record, w) for w in weights], axis=1)
 
 
 def reference_out(cfg, frames, scenario, basis):
@@ -418,17 +419,59 @@ class TestRunBench:
             chunk, row = divmod(j, CHUNK_FRAMES)
             assert chunk_record(cfg, chunk)[row].tobytes() == batch.record[j].tobytes()
 
+    @pytest.mark.parametrize("modes, eta", [(7, 0.7), (4, 1.0), (1, 1.0), (3, 0.0)])
+    @pytest.mark.parametrize(
+        "frames", [2, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5]
+    )
+    def test_streamed_sums_agree_with_error_free_sums(self, modes, eta, frames):
+        # the sums a run streams, block by block through reused buffers,
+        # against the centred sums taken by math.fsum of the record drawn
+        # chunk by chunk; _BLOCK_FRAMES + 1 leaves a last block of one frame.
+        # M = 1 draws no Gamma(M - 1) and eta = 0 no B block: rows that a
+        # reused buffer must read as zero in every block
+        cfg = BenchConfig(modes=modes, frames=frames, seed=41, eta=eta, tau_mix=0.3, t_split=0.4)
+        sums = run_bench(cfg).sums
+        chunks = range(-(-frames // CHUNK_FRAMES))
+        record = np.concatenate([chunk_record(cfg, c) for c in chunks])[:frames]
+        centred = [x - math.fsum(x.tolist()) / frames for x in record.T]
+        for i, j in np.ndindex(5, 5):
+            exact = math.fsum((centred[i] * centred[j]).tolist())
+            assert abs(sums[i, j] - exact) <= 1e-12 * math.sqrt(sums[i, i] * sums[j, j])
+        assert np.array_equal(sums, sums.T)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_memory_does_not_grow_with_frames(self, eta):
+        # a run keeps its 5x5 sums and streams the record through 17 rows of
+        # _BLOCK_FRAMES doubles (B's 5, A's 7 and comoments' 5), about 1.1 MB;
+        # a run that keeps its record holds 40 bytes a frame, 13 MB at
+        # 40 blocks and eta 1
+        bound = 32 * _BLOCK_FRAMES * 8
+        run_bench(BenchConfig(modes=4, frames=10, seed=2, eta=eta))  # first-use imports
+        for blocks in (4, 40):
+            tracemalloc.start()
+            try:
+                batch = run_bench(BenchConfig(modes=4, frames=blocks * _BLOCK_FRAMES, eta=eta))
+                batch.corr(batch.in_weights(1), batch.out_weights(0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, blocks
+
+    def test_one_frame_has_no_sums(self):
+        with pytest.raises(ValueError, match="two frames"):
+            run_bench(BenchConfig(modes=3, frames=1, seed=5))
+
     def test_matches_per_frame_operations(self):
         # the read-out of a record built from per-frame fields must agree with
         # mixing the scalar fields of those frames and detecting them
         cfg = BenchConfig(modes=7, frames=10, seed=4, eta=0.7, tau_mix=0.3, t_split=0.4)
         frames = range(cfg.frames)
-        batch = field_batch(cfg, frames)
+        out = read_outs(run_bench(cfg), field_record(cfg, frames))
         beam1, _, beam3, mixed = oracle_fields(cfg, frames)
         out1, out2 = mix(beam1, mixed, cfg.tau_mix)
-        assert batch.out_series(0) == pytest.approx(intensity(out1), rel=1e-12)
-        assert batch.out_series(1) == pytest.approx(intensity(out2), rel=1e-12)
-        assert np.array_equal(batch.out_series(2), intensity(beam3))
+        assert out[:, 0] == pytest.approx(intensity(out1), rel=1e-12)
+        assert out[:, 1] == pytest.approx(intensity(out2), rel=1e-12)
+        assert np.array_equal(out[:, 2], intensity(beam3))
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100])
@@ -451,19 +494,19 @@ class TestRunBench:
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
     def test_read_out_matches_per_frame_operations(self, scenario, basis, modes, eta, tau_mix):
-        # out_series on a record built from per-frame fields (|a|^2 sums and the
-        # Re-dot) must equal mixing and detecting those fields through the
-        # Jones pipeline. The next (scenario, basis) is read off the record
-        # first and again after, and neither read-out may change the other
+        # the bench's read-out on a record built from per-frame fields (|a|^2
+        # sums and the Re-dot) must equal mixing and detecting those fields
+        # through the Jones pipeline. The next (scenario, basis) is read off
+        # the record first and again after, and neither read-out may change
+        # the other
         cfg = BenchConfig(modes=modes, frames=600, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
         frames = (0, 1, 255, 256, 257, 599)
-        batch = field_batch(cfg, frames)
+        batch, record = run_bench(cfg), field_record(cfg, frames)
         k = SCENARIO_BASES.index((scenario, basis))
-        other_scenario, other_basis = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
-        first = [batch.out_series(b, other_basis, other_scenario).copy() for b in range(3)]
-        detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
-        for beam in range(3):
-            assert np.array_equal(batch.out_series(beam, other_basis, other_scenario), first[beam])
+        other = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
+        first = read_outs(batch, record, *other).copy()
+        detected = read_outs(batch, record, scenario, basis)
+        assert np.array_equal(read_outs(batch, record, *other), first)
         reference = reference_out(cfg, frames, scenario, basis)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
@@ -485,8 +528,7 @@ class TestRunBench:
         # at tau 0 or 1 one input of each port has weight zero
         cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix)
         frames = (0, 131, 299)
-        batch = field_batch(cfg, frames)
-        detected = np.stack([batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1)
+        detected = read_outs(run_bench(cfg), field_record(cfg, frames), scenario, basis)
         reference = reference_out(cfg, frames, scenario, basis)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
@@ -495,19 +537,18 @@ class TestRunBench:
     def test_out_series_is_the_same_in_any_sub_batch(self, scenario, tau_mix):
         # a frame's read-out depends on its own record row alone, not on the
         # number, order or spacing of the frames around it, nor on the
-        # record's memory layout: any slice of a run's record, and a
-        # fancy-index selection (a C-contiguous copy), reads the bits of the
-        # whole run's series
+        # record's memory layout: the read-out of any slice of a run's record,
+        # and of a fancy-index selection (a C-contiguous copy), has the bits
+        # of the whole run's series
         batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, tau_mix=tau_mix))
         slices = (slice(0, 1), slice(255, 258), slice(1, None), slice(None, None, -1))
         for rows in slices + (slice(None, None, 3), [1, 255, 256, 699]):
-            sub = FrameBatch(batch.config, batch.record[rows])
             for basis in ANALYZERS:
-                for beam in range(3):
-                    assert np.array_equal(
-                        sub.out_series(beam, basis, scenario),
-                        batch.out_series(beam, basis, scenario)[rows],
-                    )
+                whole = np.stack(
+                    [batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1
+                )
+                sub = read_outs(batch, batch.record[rows], scenario, basis)
+                assert np.array_equal(sub, whole[rows])
 
     @pytest.mark.parametrize("modes", [1, 4])
     @pytest.mark.parametrize("eta", [1.0, 0.7])

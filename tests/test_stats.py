@@ -112,6 +112,11 @@ class TestCorrCoeff:
         assert -1.0 <= corr_coeff(x, x * 2.0) <= 1.0
 
 
+def blocks_of(series, width=_BLOCK_FRAMES):
+    """Consecutive blocks of k equal-length series, each a tuple of k slices: comoments' input."""
+    return (tuple(x[t : t + width] for x in series) for t in range(0, series[0].size, width))
+
+
 class TestComoments:
     @pytest.mark.parametrize("n", [2, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5])
     def test_agrees_with_error_free_sums(self, n):
@@ -120,7 +125,7 @@ class TestComoments:
         rng = np.random.default_rng(113)
         x = rng.gamma(4.0, size=n) + 1e6
         series = (x, 0.5 * x + rng.gamma(2.0, size=n), rng.exponential(size=n))
-        sums = comoments(series)
+        sums = comoments(blocks_of(series))
         centred = [s - math.fsum(s.tolist()) / n for s in series]
         for i, j in np.ndindex(3, 3):
             exact = math.fsum((centred[i] * centred[j]).tolist())
@@ -128,11 +133,36 @@ class TestComoments:
             assert abs(sums[i, j] - exact) <= 1e-12 * scale
         assert np.array_equal(sums, sums.T)
 
+    @pytest.mark.parametrize("widths", [(1, 4999), (3000, 1, 1999), (1000,) * 5], ids=str)
+    def test_sums_do_not_depend_on_the_blocking(self, widths):
+        # any consecutive blocking gives the same sums to within rounding, a
+        # first block of one frame (the shift is then one frame's values) and
+        # a block wider than the first included; one (k, b) array per block
+        # reads as its k rows
+        rng = np.random.default_rng(137)
+        x = rng.gamma(4.0, size=(2, 5000)) + 1e6
+        series = np.stack((x[0], 0.5 * x[0] + x[1], rng.exponential(size=5000)))
+        edges = np.cumsum((0,) + widths)
+        sums = comoments(series[:, a:b] for a, b in zip(edges[:-1], edges[1:]))
+        whole = comoments(blocks_of(series))
+        scale = np.sqrt(np.outer(np.diag(whole), np.diag(whole)))
+        assert np.all(np.abs(sums - whole) <= 1e-12 * scale)
+
+    def test_a_block_of_whole_series_is_refused(self):
+        # a 1-D series taken for a block would read as one frame of many series
+        with pytest.raises(ValueError, match="one-dimensional"):
+            comoments((np.arange(5.0), np.arange(5.0)))
+
+    def test_fewer_than_two_frames_refused(self):
+        for blocks in ([], [np.ones((2, 1))], [np.ones((2, 0)), np.ones((2, 1))]):
+            with pytest.raises(ValueError, match="two frames"):
+                comoments(blocks)
+
     def test_unread_series_cannot_spoil_a_correlation(self):
         # only the entries the two weightings read enter the correlation
         rng = np.random.default_rng(127)
         x, y = rng.exponential(size=(2, 100))
-        sums = comoments((x, y, np.full(100, math.inf)))
+        sums = comoments(blocks_of((x, y, np.full(100, math.inf))))
         assert not np.isfinite(sums[2]).any()
         unit = np.eye(3)
         assert comoment_corr(sums, unit[0], unit[1]) == corr_coeff(x, y)
@@ -141,7 +171,7 @@ class TestComoments:
 
     def test_zero_weighting_has_zero_variance(self):
         rng = np.random.default_rng(131)
-        sums = comoments(tuple(rng.exponential(size=(2, 50))))
+        sums = comoments(blocks_of(rng.exponential(size=(2, 50))))
         with pytest.raises(ValueError, match="zero variance"):
             comoment_corr(sums, np.zeros(2), np.array([0.0, 1.0]))
 
