@@ -7,7 +7,7 @@ analytic predictions and Monte Carlo intensity correlations can be checked
 against each other.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .info import (
     DiscordResult,

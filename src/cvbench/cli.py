@@ -197,9 +197,21 @@ def _estimate(batch, a, b, level: float) -> tuple:
     return c, *confidence_interval(c, batch.n_frames, level)
 
 
+def _bench_config(cfg: dict) -> BenchConfig:
+    """The bench run of a command's config; frames too few for its intervals are refused.
+
+    A Fisher z interval needs at least 4 frames (``confidence_interval``), so
+    fewer are refused here, with one message, before any frame is drawn.
+    """
+    frames = cfg["bench"]["frames"]
+    if frames < 4:
+        raise ConfigError(f"[bench] frames must be at least 4, got {frames}")
+    return BenchConfig(**cfg["source"], **cfg["bench"])
+
+
 def run_tables(cfg: dict) -> str:
     """Interference bench CSV: one row per beam pair with in/out correlations and CIs."""
-    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
+    batch = run_bench(_bench_config(cfg))
     level = cfg["analysis"]["ci_level"]
     lines = ["pair,c_in,ci_in_lo,ci_in_hi,c_out,ci_out_lo,ci_out_hi"]
     for i, j, label in _PAIRS:
@@ -224,7 +236,7 @@ def run_erasure(cfg: dict) -> str:
     level = cfg["analysis"]["ci_level"]
     # one run detects every analyzer; each basis is a read-out of the same frames,
     # and every correlation is read off the run's one co-moment matrix
-    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
+    batch = run_bench(_bench_config(cfg))
     lines = ["basis,pair,c_out,ci_lo,ci_hi"]
     for basis in bases:
         if basis == "V":

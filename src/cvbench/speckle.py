@@ -29,7 +29,10 @@ memory layout.
 are entries of Gram matrices of independent unit-variance mode amplitudes,
 which follow complex Wishart laws, so it samples them directly by the
 Bartlett decomposition (Goodman 1963, Ann. Math. Stat. 34:152): a fixed
-number of Gamma and normal draws per frame, whatever the mode count.
+number of Gamma and normal draws per frame, whatever the mode count. Only
+Re x.y* of each 2x2 Wishart block is recorded, so Bartlett's unrecorded
+normal folds into one Gamma draw (``_bartlett``): three draws per block and
+frame.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
 ``CHUNK_FRAMES``; chunk c draws its frames from the Philox stream keyed by
@@ -40,8 +43,11 @@ variable number of draws, so no stream spans two chunks. This chunk keying
 is the reproducibility contract: any frame is reproducible by regenerating
 its chunk alone (``chunk_record``), and the output cannot depend on
 ``BenchConfig.workers``, which is accepted and recorded for compatibility
-while the sampler runs serially. The numbers for a given seed changed in
-0.2.0, when this sampler replaced per-mode fields.
+while the sampler runs serially. A run draws whole chunks, so it draws up to
+``CHUNK_FRAMES - 1`` frames that it does not keep. The numbers for a given
+seed changed in 0.2.0, when this sampler replaced per-mode fields, and in
+0.3.0, when the fold and chunks of 1,024 frames replaced four draws per
+block and chunks of 256 frames.
 
 The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
 batch reads its BS rows off that matrix once. The per-mode field oracle
@@ -60,9 +66,9 @@ from .network import bs_symplectic
 from .stats import _BLOCK_FRAMES, comoment_corr, comoments
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
-CHUNK_FRAMES = 256
+CHUNK_FRAMES = 1024
 #: what run_bench samples; a manifest records it and a replay must match it
-SAMPLER = "bartlett-gram"
+SAMPLER = "bartlett-gram-2"
 
 #: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
@@ -312,25 +318,26 @@ def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_StreamKey(seed, stream), counter=counter))
 
 
-def _bartlett(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bartlett(rows: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(|x|^2, |y|^2, Re x.y*) per frame of a 2x2 complex Wishart W2(d), in place.
 
-    ``rows`` holds the Bartlett draws g0 ~ Gamma(d), g1 ~ Gamma(d - 1) and two
-    standard normals n0, n1, then a spare row; an undrawn row (g1 when d = 1,
-    every row when d = 0) is zero. With l = (n0 + i n1) / sqrt(2) ~ CN(0, 1),
-    |x|^2 = g0 stays in row 0, |y|^2 = g1 + |l|^2 lands in row 1 and
-    Re x.y* = sqrt(g0) Re l in row 4; rows 2 and 3 are left as scratch.
+    ``rows`` holds the draws g0 ~ Gamma(d), h ~ Gamma(d - 1/2) and a standard
+    normal n, all zero when d = 0. Bartlett's factor of W2(d) gives
+    |x|^2 = g0, |y|^2 = g1 + |l|^2 and Re x.y* = sqrt(g0) Re l, with
+    g1 ~ Gamma(d - 1) and l = (n0 + i n1) / sqrt(2) ~ CN(0, 1). Only Re x.y*
+    is recorded, so Im l enters through |y|^2 alone, and g1 + n1^2 / 2 ~
+    Gamma(d - 1/2), independent of n0 and g0, is the one draw h:
+    |y|^2 = h + n^2 / 2 and Re x.y* = sqrt(g0) n / sqrt(2). |x|^2 = g0 stays
+    in row 0, |y|^2 lands in row 1 and Re x.y* in ``xy``; row 2 is left as
+    scratch.
     """
-    g0, g1, re, im, xy = rows
-    re *= math.sqrt(0.5)
-    im *= math.sqrt(0.5)
+    g0, h, n = rows
+    n *= math.sqrt(0.5)
     np.sqrt(g0, out=xy)
-    xy *= re
-    re *= re
-    im *= im
-    g1 += re
-    g1 += im
-    return g0, g1, xy
+    xy *= n
+    n *= n
+    h += n
+    return g0, h, xy
 
 
 def _substituted(config: BenchConfig) -> int:
@@ -339,8 +346,8 @@ def _substituted(config: BenchConfig) -> int:
 
 
 def _buffers(config: BenchConfig, frames: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Uninitialised draw rows of ``_record`` for ``frames`` frames: B's 5, and A's 7 if k > 0."""
-    return np.empty((5, frames)), np.empty((7, frames)) if _substituted(config) else None
+    """Uninitialised draw rows of ``_record`` for ``frames`` frames: B's 5, and A's 5 if k > 0."""
+    return np.empty((5, frames)), np.empty((5, frames)) if _substituted(config) else None
 
 
 def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.ndarray:
@@ -348,33 +355,34 @@ def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are
     B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
-    substitute), and two Gamma(k): source 2 and the split substitute on the
-    substituted modes. Each chunk draws them whole from its own stream, in a
-    fixed order, into the rows of ``buffers`` (from ``_buffers``, fresh ones
-    by default, at least as wide as the frames); a row that the config never
-    draws is zeroed. The arithmetic then runs once over all rows, in place,
-    and the record is the transpose of B's 5-row buffer: a view, which the
-    next call with the same buffers overwrites.
+    substitute), three draws each (``_bartlett``), and two Gamma(k): source 2
+    and the split substitute on the substituted modes. Each chunk draws them
+    whole from its own stream, in one fixed order: B's Gamma(M - k) and
+    Gamma(M - k - 1/2), then, if k > 0, A's Gamma(k) and Gamma(k - 1/2) and
+    the two Gamma(k), then B's normal and A's. They land in the rows of
+    ``buffers`` (from ``_buffers``, fresh ones by default, at least as wide
+    as the frames); B's rows are zeroed when M - k = 0, which draws none. The
+    arithmetic then runs once over all rows, in place, and the record is the
+    transpose of B's 5-row buffer: a view, which the next call with the same
+    buffers overwrites.
     """
     k = _substituted(config)
     r = config.modes - k
     n = n_chunks * CHUNK_FRAMES
-    # rec: B's rows (g0, g1, two normals, spare), which become the record;
-    # sub: A's rows, then G_s2 and G_ss
+    # rec: B's rows (g0, h, normal, two spares), which become the record;
+    # sub: A's rows (g0, h, normal), then G_s2 and G_ss
     rec, sub = buffers or _buffers(config, n)
     rec = rec[:, :n]
-    # each row with the mode count of its Wishart block; a row of none is not drawn
-    gammas = [(rec[0], r), (rec[1], r - 1)]
-    normals = [(rec[2], r), (rec[3], r)]
+    gammas, normals = [], []
+    if r:
+        gammas += [(rec[0], r), (rec[1], r - 0.5)]
+        normals += [rec[2]]
+    else:
+        rec[:3].fill(0.0)
     if k:
         sub = sub[:, :n]
-        gammas += [(sub[0], k), (sub[1], k - 1), (sub[5], k), (sub[6], k)]
-        normals += [(sub[2], k), (sub[3], k)]
-    for row, d in gammas + normals:
-        if d <= 0:
-            row.fill(0.0)
-    gammas = [(row, shape) for row, shape in gammas if shape > 0]
-    normals = [row for row, d in normals if d > 0]
+        gammas += [(sub[0], k), (sub[1], k - 0.5), (sub[3], k), (sub[4], k)]
+        normals += [sub[2]]
     for i in range(n_chunks):
         rng = chunk_rng(config.seed, GRAM_STREAM, first + i)
         cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
@@ -385,14 +393,15 @@ def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.
 
     m1, t = config.mean_photons, config.t_split
     m2 = m1 / t
-    b_xx, b_yy, b_xy = _bartlett(rec)
-    _, _, ins2, gram0, _ = rec  # B's scratch rows take the outputs it has no row for
+    _, _, ins2, gram0, _ = rec  # B's spare rows take the outputs it has no row for
+    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[4])
     np.multiply(b_yy, t * m2, out=gram0)
     b_xy *= math.sqrt(t * m1 * m2)
     beam3_yy = b_yy
     if k:
-        a_xx, a_yy, a_xy = _bartlett(sub[:5])
-        g_s2, g_ss = sub[5], sub[6]
+        # A's cross term passes through ins2, which is written last
+        a_xx, a_yy, a_xy = _bartlett(sub[:3], ins2)
+        g_s2, g_ss = sub[3], sub[4]
         b_xx += a_xx
         a_yy *= m1
         gram0 += a_yy
@@ -427,8 +436,8 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 
-    The record streams: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` chunks at a
-    time are drawn into one pair of buffers, allocated once per run, and
+    The record streams: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 8 chunks at
+    a time are drawn into one pair of buffers, allocated once per run, and
     each block is folded into ``stats.comoments`` while it is in cache. The
     batch keeps the 5x5 sums, so the run's memory does not grow with frames;
     ``FrameBatch.record`` redraws the record on demand. Fewer than two

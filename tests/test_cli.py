@@ -181,7 +181,7 @@ class TestManifest:
         _, _, manifest = self._tables_manifest(tmp_path)
         assert manifest["version"] == __version__
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["sampler"] == "bartlett-gram"
+        assert manifest["sampler"] == "bartlett-gram-2"
 
     def test_other_version_refused(self, tmp_path):
         _, path, manifest = self._tables_manifest(tmp_path)
@@ -710,6 +710,22 @@ def test_non_finite_correlation_exit_code(tmp_path, capsys, mean_photons):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bright.cfg"]
+
+
+@pytest.mark.parametrize("command", ["tables", "erasure"])
+@pytest.mark.parametrize("frames", ["1", "2", "3"])
+def test_too_few_frames_refused_before_sampling(tmp_path, monkeypatch, capsys, command, frames):
+    # a confidence interval needs 4 frames; fewer are refused once, by the
+    # config, with one line naming the setting, and no frame is drawn
+    def no_run(config):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    out = tmp_path / "out.csv"
+    assert run_main([command, "--frames", frames, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [bench] frames must be at least 4, got {frames}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_path_exit_code(tmp_path, capsys):

@@ -108,10 +108,11 @@ def oracle_fields(cfg, frames):
 def field_record(cfg, frames=None):
     """(frames, 5) record (3 in-intensities, 2 Gram columns) built from the oracle's fields.
 
-    All of cfg's frames by default, drawn 8 chunks at a time to bound memory.
+    All of cfg's frames by default, drawn 2,048 frames (2 chunks) at a time to
+    bound memory.
     """
     if frames is None:
-        block = 8 * CHUNK_FRAMES
+        block = 2 * CHUNK_FRAMES
         parts = np.split(np.arange(cfg.frames), range(block, cfg.frames, block))
         return np.concatenate([field_record(cfg, part) for part in parts])
     beam1, beam2, beam3, mixed = oracle_fields(cfg, frames)
@@ -166,8 +167,9 @@ def law_mismatches(sampled, reference):
     return problems
 
 
-#: (modes, eta) of the law tests: single and multi-mode, with and without substitution
-LAW_CASES = [(1, 1.0), (4, 1.0), (7, 0.7), (100, 1.0), (100, 0.5)]
+#: (modes, eta) of the law tests: single and multi-mode, with and without substitution;
+#: W2(1) blocks, whose h is Gamma(1/2), at (1, 1.0) for B and (4, 0.75) for A
+LAW_CASES = [(1, 1.0), (2, 1.0), (4, 1.0), (4, 0.75), (7, 0.7), (100, 1.0), (100, 0.5)]
 
 
 def law_config(modes, eta):
@@ -236,14 +238,33 @@ class TestGramSampler:
         assert law_mismatches(sampled_record(cfg), field_record(cfg)) == []
 
     def test_law_check_catches_a_wrong_bartlett_gamma(self):
-        # drawing Gamma(d) where Bartlett needs Gamma(d - 1) adds an independent
-        # Exp(1) to B_yy: to both source-2 beams and, at eta = 1, to |a2|^2.
-        # At M = 100 that is a 1% shift of their means
+        # drawing h ~ Gamma(d + 1/2) where the folded Bartlett factor needs
+        # Gamma(d - 1/2) adds an independent Exp(1) to B_yy: to both source-2
+        # beams and, at eta = 1, to |a2|^2. At M = 100 that is a 1% shift of
+        # their means
         cfg = law_config(100, 1.0)
         m2 = cfg.mean_photons / cfg.t_split
         gain = [0.0, cfg.t_split * m2, (1.0 - cfg.t_split) * m2, cfg.t_split * m2, 0.0]
         extra = np.random.default_rng(1).standard_exponential(cfg.frames)
         wrong = sampled_record(cfg) + np.outer(extra, gain)
+        assert law_mismatches(wrong, field_record(cfg))
+
+    def test_law_check_catches_a_missing_normal_in_y(self, monkeypatch):
+        # |y|^2 = h + n^2 / 2: without the n^2 / 2 that the fold adds, B_yy is
+        # Gamma(M - 1/2) instead of Gamma(M), and the normal n, still in
+        # Re x.y*, no longer enters |y|^2
+        bartlett = speckle._bartlett
+
+        def without_the_normal(rows, xy):
+            half_square = rows[2] ** 2 / 2.0
+            xx, yy, xy = bartlett(rows, xy)
+            yy -= half_square
+            return xx, yy, xy
+
+        cfg = law_config(4, 1.0)
+        monkeypatch.setattr(speckle, "_bartlett", without_the_normal)
+        wrong = sampled_record(cfg)
+        monkeypatch.undo()
         assert law_mismatches(wrong, field_record(cfg))
 
     def test_law_check_catches_a_missing_sqrt_t(self):
@@ -255,8 +276,9 @@ class TestGramSampler:
 
     @pytest.mark.parametrize("modes, eta", [(1, 0.0), (3, 0.5)])
     def test_degenerate_blocks(self, modes, eta):
-        # eta = 0 substitutes every mode (B = W2(0) is a zero block), and
-        # M = 1 draws no Gamma(d - 1); the record must stay a valid Gram record
+        # eta = 0 substitutes every mode (B = W2(0) is a zero block, A = W2(1)),
+        # and at M = 3, eta = 0.5, B = W2(1): a W2(1) block draws its h from
+        # Gamma(1/2). The record must stay a valid Gram record
         batch = run_bench(BenchConfig(modes=modes, frames=1000, seed=3, eta=eta))
         ins, gram = batch.record[:, :3], batch.record[:, 3:]
         assert np.all(ins >= 0.0) and np.all(gram[:, 0] >= 0.0)
@@ -412,23 +434,27 @@ class TestRunBench:
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     def test_frame_reproducible_in_isolation(self, eta):
         # every frame comes from its chunk's stream alone, so one chunk drawn
-        # by itself reproduces its rows of the whole run bit for bit
-        cfg = BenchConfig(modes=13, frames=600, seed=99, eta=eta)
+        # by itself reproduces its rows of the whole run bit for bit, on both
+        # sides of each chunk boundary of a three-chunk run
+        cfg = BenchConfig(modes=13, frames=2 * CHUNK_FRAMES + 88, seed=99, eta=eta)
         batch = run_bench(cfg)
-        for j in (0, 1, 255, 256, 257, cfg.frames - 1):
+        boundaries = (CHUNK_FRAMES, 2 * CHUNK_FRAMES)
+        rows = [j + d for j in boundaries for d in (-1, 0, 1)]
+        for j in [0, 1, *rows, cfg.frames - 1]:
             chunk, row = divmod(j, CHUNK_FRAMES)
             assert chunk_record(cfg, chunk)[row].tobytes() == batch.record[j].tobytes()
 
     @pytest.mark.parametrize("modes, eta", [(7, 0.7), (4, 1.0), (1, 1.0), (3, 0.0)])
     @pytest.mark.parametrize(
-        "frames", [2, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5]
+        "frames", [2, 256, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5]
     )
     def test_streamed_sums_agree_with_error_free_sums(self, modes, eta, frames):
         # the sums a run streams, block by block through reused buffers,
         # against the centred sums taken by math.fsum of the record drawn
-        # chunk by chunk; _BLOCK_FRAMES + 1 leaves a last block of one frame.
-        # M = 1 draws no Gamma(M - 1) and eta = 0 no B block: rows that a
-        # reused buffer must read as zero in every block
+        # chunk by chunk; 2 and 256 frames end inside the first chunk, and
+        # _BLOCK_FRAMES + 1 leaves a last block of one frame.
+        # eta = 0 draws no B block: rows that a reused buffer must read as
+        # zero in every block. M = 1 draws B = W2(1), whose h is Gamma(1/2)
         cfg = BenchConfig(modes=modes, frames=frames, seed=41, eta=eta, tau_mix=0.3, t_split=0.4)
         sums = run_bench(cfg).sums
         chunks = range(-(-frames // CHUNK_FRAMES))
@@ -441,8 +467,8 @@ class TestRunBench:
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_memory_does_not_grow_with_frames(self, eta):
-        # a run keeps its 5x5 sums and streams the record through 17 rows of
-        # _BLOCK_FRAMES doubles (B's 5, A's 7 and comoments' 5), about 1.1 MB;
+        # a run keeps its 5x5 sums and streams the record through 15 rows of
+        # _BLOCK_FRAMES doubles (B's 5, A's 5 and comoments' 5), about 1 MB;
         # a run that keeps its record holds 40 bytes a frame, 13 MB at
         # 40 blocks and eta 1
         bound = 32 * _BLOCK_FRAMES * 8
@@ -474,9 +500,13 @@ class TestRunBench:
         assert np.array_equal(out[:, 2], intensity(beam3))
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
-    @pytest.mark.parametrize("frames", [CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100])
+    @pytest.mark.parametrize(
+        "frames", [255, 256, 612, CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100]
+    )
     def test_determinism_across_workers_and_chunk_counts(self, scenario, basis, frames):
-        # no worker count changes a value, and a run is a prefix of any longer run
+        # no worker count changes a value, and a run is a prefix of any longer
+        # run: runs that end inside the first chunk, one frame short of it,
+        # exactly one chunk, and a short third chunk
         batches = [
             run_bench(BenchConfig(modes=3, frames=n, seed=78, eta=0.7, workers=w))
             for n, w in ((frames, 1), (frames, 2), (frames, 8), (3 * CHUNK_FRAMES, 1))
@@ -499,8 +529,11 @@ class TestRunBench:
         # through the Jones pipeline. The next (scenario, basis) is read off
         # the record first and again after, and neither read-out may change
         # the other
-        cfg = BenchConfig(modes=modes, frames=600, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
-        frames = (0, 1, 255, 256, 257, 599)
+        # rows on both sides of the first chunk boundary, and the last row of a
+        # three-chunk run
+        n = 2 * CHUNK_FRAMES + 88
+        cfg = BenchConfig(modes=modes, frames=n, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
+        frames = (0, 1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, n - 1)
         batch, record = run_bench(cfg), field_record(cfg, frames)
         k = SCENARIO_BASES.index((scenario, basis))
         other = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
@@ -539,10 +572,12 @@ class TestRunBench:
         # number, order or spacing of the frames around it, nor on the
         # record's memory layout: the read-out of any slice of a run's record,
         # and of a fancy-index selection (a C-contiguous copy), has the bits
-        # of the whole run's series
-        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7, tau_mix=tau_mix))
-        slices = (slice(0, 1), slice(255, 258), slice(1, None), slice(None, None, -1))
-        for rows in slices + (slice(None, None, 3), [1, 255, 256, 699]):
+        # of the whole run's series. The run has three chunks, and the
+        # selections cross the first chunk boundary
+        n, c = 2 * CHUNK_FRAMES + 188, CHUNK_FRAMES
+        batch = run_bench(BenchConfig(modes=3, frames=n, seed=8, eta=0.7, tau_mix=tau_mix))
+        slices = (slice(0, 1), slice(c - 1, c + 2), slice(1, None), slice(None, None, -1))
+        for rows in slices + (slice(None, None, 3), [1, c - 1, c, n - 1]):
             for basis in ANALYZERS:
                 whole = np.stack(
                     [batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1
@@ -553,11 +588,13 @@ class TestRunBench:
     @pytest.mark.parametrize("modes", [1, 4])
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("frames", [3, 257, _BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [3, 257, CHUNK_FRAMES + 1, _BLOCK_FRAMES + 1])
     def test_corr_agrees_with_corr_coeff_on_the_series(self, modes, eta, tau_mix, frames):
         # every pair of every (scenario, basis), and the in-pairs, read off the
         # record's co-moments equals corr_coeff on the explicit series; a dark
-        # read-out raises corr_coeff's ValueError
+        # read-out raises corr_coeff's ValueError. 3 and 257 frames end inside
+        # the first chunk, CHUNK_FRAMES + 1 one frame into the second, and
+        # _BLOCK_FRAMES + 1 one frame into the second block
         batch = run_bench(
             BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
         )
