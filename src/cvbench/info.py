@@ -16,7 +16,8 @@ read-outs measure the second mode (B), as Adesso and Datta define the
 Gaussian discord; the discord measured on the first mode is that of the
 swapped state ``partial_trace(state, (1, 0))``. ``discord_oracle`` is the
 brute-force reference the closed form is tested against: it scans a batch
-member by member and refines all members in lockstep. The two share one
+member by member and refines all members in lockstep, on the conditional
+determinant, and takes the entropy term of the best one. The two share one
 entropy term, one evaluation of the measurement-free part of the discord and
 one clamp of its rounding, which also clamps the mutual information.
 """
@@ -41,7 +42,8 @@ DISCORD_CLAMP = 1e-9
 _BRANCH_MARGIN = 1e-12
 #: the oracle's scan: measurement squeezings q = 1/s by angles phi
 _ORACLE_GRID = (64, 64)
-#: refinement steps within which the oracle's step must fall below 1e-13
+#: refinement steps within which the oracle's step must fall below 1e-13; the
+#: step shrinks by 8 at a time, so a call without walks settles in 13 of them
 _ORACLE_STEPS = 320
 
 __all__ = [
@@ -218,8 +220,8 @@ def gaussian_discord(state: GaussianState):
     return _clamped(np.where(product, 0.0, fixed + _h_vec(np.sqrt(e_min))), "discord")
 
 
-def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
-    """Post-measurement entropy of mode A on a (q, phi) measurement grid.
+def _conditional_dets(a, b, c, q_vals, phi_vals) -> np.ndarray:
+    """Post-measurement determinant of mode A on a (q, phi) measurement grid.
 
     The measurement squeezing is parametrized as s = 1/q with q in [0, 1] so
     the domain is compact; q = 1 is the heterodyne, q = 0 the exact homodyne
@@ -228,11 +230,13 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     the inverse is evaluated in the measurement eigenframe with numerator and
     denominator scaled by q, so every entry is polynomial in q and no
     cancellation occurs even at q = 0. Only the determinant of the
-    conditional CM matters for the entropy.
+    conditional CM matters for the entropy, h(sqrt det), which increases
+    with it, so the oracle compares determinants. Returns it, at least 1
+    (its pure limit).
 
     Broadcasts over leading member axes: blocks (..., 2, 2) and grids
-    (..., n_q) and (..., n_phi) give entropies (..., n_q, n_phi), and every
-    entry is computed as it would be for its member alone.
+    (..., n_q) and (..., n_phi) give determinants (..., n_q, n_phi), and
+    every entry is computed as it would be for its member alone.
     """
     q = np.asarray(q_vals, dtype=float)[..., :, None]
     phi = np.asarray(phi_vals, dtype=float)[..., None, :]
@@ -272,7 +276,10 @@ def _conditional_entropies(a, b, c, q_vals, phi_vals) -> np.ndarray:
     e12 = entry(a, 0, 1) - w12
     e22 = entry(a, 1, 1) - w22
     det_eps = np.maximum(e11 * e22 - e12 * e12, 1.0)
-    return _h_vec(np.sqrt(det_eps))
+    # NaN compares False with every candidate, so it would be skipped unseen
+    if not np.isfinite(det_eps).all():
+        raise ArithmeticError("conditional determinant that is not finite")
+    return det_eps
 
 
 def discord_oracle(state: GaussianState) -> DiscordResult:
@@ -280,15 +287,19 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
 
     Scans the compact measurement domain q = 1/s in [0, 1] (q = 0 being the
     exact homodyne limit, q = 1 the heterodyne) crossed with angles phi in
-    [0, pi), then shrinks a local grid around the best point. The result is
-    an upper bound that converges to the closed form. Fully deterministic:
+    [0, pi), then refines a 9x9 neighborhood around the best point: it walks
+    while the best point lies on the rim and otherwise cuts the step by 8.
+    Scan and refinement compare conditional determinants, which order the
+    measurements as their entropies do, and the entropy term is taken once,
+    of each member's best determinant. The result is an upper bound that
+    converges to the closed form. Fully deterministic:
     fixed enumeration order, and a tie goes to the smaller s, then the
     smaller phi, so refinement starts from one fixed point of the scan. The
     result records the refinement steps taken and whether the step fell
     below 1e-13 within ``_ORACLE_STEPS`` of them; non-convergence is also
     reported as one warning carrying the best value found.
 
-    A batched state is refined in lockstep, one ``_conditional_entropies``
+    A batched state is refined in lockstep, one ``_conditional_dets``
     call per step for every member until all have settled; the scan runs
     member by member, so its grid is held for one member at a time. Each
     member keeps its own best point, steps, stop and iteration count, so its
@@ -303,19 +314,21 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
     n_q, n_phi = _ORACLE_GRID
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
     phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    q, phi, val = np.empty((3, members))  # each member's best point and value
+    q, phi, val = np.empty((3, members))  # each member's best point and determinant
     for m in range(members):
-        values = _conditional_entropies(a_blk[m], b_blk[m], c_blk[m], q_vals, phi_vals)
-        flat = int(np.argmin(values))  # first occurrence: smallest s, then smallest phi
+        dets = _conditional_dets(a_blk[m], b_blk[m], c_blk[m], q_vals, phi_vals)
+        flat = int(np.argmin(dets))  # first occurrence: smallest s, then smallest phi
         q[m] = q_vals[flat // n_phi]
         phi[m] = phi_vals[flat % n_phi]
-        val[m] = values.flat[flat]
+        val[m] = dets.flat[flat]
 
     # pattern search: walk at a fixed step while improving (valleys can be
-    # long), shrink only when the 9x9 neighborhood offers no improvement.
-    # Both steps halve together, so each member carries one power-of-two
-    # scale; scaling the offsets by it is exact, as rescaling the end points
-    # of a linspace would be
+    # long) and cut the step by 8 when the best point is interior. The
+    # neighborhood spans +/- step at a spacing of step/4, so an interior best
+    # point is within step/8 of a locally quadratic minimum. Both steps
+    # shrink together by a power of two, so each member carries one
+    # power-of-two scale; scaling the offsets by it is exact, as rescaling
+    # the end points of a linspace would be
     steps = (1.0 / (n_q - 1), math.pi / n_phi)
     q_offsets = np.linspace(steps[0], -steps[0], 9)
     phi_offsets = np.linspace(-steps[1], steps[1], 9)
@@ -333,7 +346,7 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
             break
         q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
         phi_loc = phi[:, None] + scale[:, None] * phi_offsets
-        local = _conditional_entropies(a_blk, b_blk, c_blk, q_loc, phi_loc).reshape(members, 81)
+        local = _conditional_dets(a_blk, b_blk, c_blk, q_loc, phi_loc).reshape(members, 81)
         flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
         candidate = local[rows, flat]
         improved = (candidate < val) & ~converged
@@ -341,16 +354,17 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
         q = np.where(improved, q_loc[rows, flat // 9], q)
         phi = np.where(improved, phi_loc[rows, flat % 9], phi)
         # an improvement on the rim of the neighborhood walks on; all else shrinks
-        scale = np.where(improved & rim[flat] | converged, scale, 0.5 * scale)
+        scale = np.where(improved & rim[flat] | converged, scale, 0.125 * scale)
+    best = fixed + _h_vec(np.sqrt(val))
     shape = state.batch_shape
     if not converged.all():
         i = int(np.argmin(converged))  # the first member still refining
         message = (
             f"discord oracle did not settle (steps {steps[0] * scale[i]:g}, "
-            f"{steps[1] * scale[i]:g}); best value {fixed[i] + val[i]:.9g}"
+            f"{steps[1] * scale[i]:g}); best value {best[i]:.9g}"
         )
         unsettled = ~converged.reshape(shape)
         warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
 
-    value = _clamped((fixed + val).reshape(shape), "oracle discord")
+    value = _clamped(best.reshape(shape), "oracle discord")
     return DiscordResult(value, iterations.reshape(shape)[()], converged.reshape(shape)[()])

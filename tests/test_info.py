@@ -1,6 +1,7 @@
 """Tests for entropies, mutual information, and Gaussian discord."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -491,6 +492,20 @@ def test_entropy_term_refuses_a_non_finite_eigenvalue(bad):
         info._h_vec(np.array([3.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("block", range(3))
+def test_conditional_dets_refuse_a_non_finite_block(block, bad):
+    # the oracle searches on these determinants, and a NaN fails every
+    # comparison with the best point, so without the check it is skipped unseen
+    blocks = [blk.copy() for blk in info._ordered_blocks(split_pair(SingleModeSpec(2.0)))]
+    blocks[block][0, 0] = bad
+    q_vals, phi_vals = np.linspace(1.0, 0.0, 5), np.linspace(0.0, math.pi, 4, endpoint=False)
+    # inf times a zero sine is NaN, and numpy's warning of it is not the refusal
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="conditional determinant that is not finite"):
+            info._conditional_dets(*blocks, q_vals, phi_vals)
+
+
 def validate_oracle_states():
     # the draws of the validate command's oracle check, pinned below as drawn.
     # validate measures half of these: the even members as drawn, and the odd
@@ -514,20 +529,20 @@ def c03_states(indices):
 # each call converges
 PINNED_ORACLE_BITS = {
     "validate": (validate_oracle_states, [
-        ("0x1.033af65547134p-2", 39),
-        ("0x1.c170dc95b826cp-4", 39),
-        ("0x1.8779e4cc13478p-2", 39),
-        ("0x1.8ec4f8ce25b58p-3", 39),
-        ("0x1.7a5575aa58780p-3", 39),
-        ("0x1.d24acceb2655ep-3", 39),
-        ("0x1.2a78a0f6e074cp-3", 39),
-        ("0x1.1c54efb1ce28ep-3", 39),
-        ("0x1.82e6e8a47a250p-3", 39),
-        ("0x1.28725ba5f0b66p-2", 40),
+        ("0x1.033af65547134p-2", 13),
+        ("0x1.c170dc95b826cp-4", 13),
+        ("0x1.8779e4cc13478p-2", 13),
+        ("0x1.8ec4f8ce25b58p-3", 13),
+        ("0x1.7a5575aa58780p-3", 13),
+        ("0x1.d24acceb2655ep-3", 13),
+        ("0x1.2a78a0f6e074cp-3", 13),
+        ("0x1.1c54efb1ce28ep-3", 14),
+        ("0x1.82e6e8a47a250p-3", 13),
+        ("0x1.28725ba5f0b66p-2", 16),
     ]),
     "c03": (lambda: c03_states([5, 7]), [
-        ("0x1.7f61c44029eacp-2", 40),
-        ("0x1.1dcc68763b39ep-2", 40),
+        ("0x1.7f61c44029eacp-2", 18),
+        ("0x1.1dcc68763b3a4p-2", 15),
     ]),
 }
 
@@ -573,3 +588,84 @@ class TestOracleConvergence:
         assert str(caught[0].message) == f"{first[0].message} (batch member 0)"
         assert result.converged.tolist() == [False] * 3
         assert result.iterations.tolist() == [8] * 3
+
+
+def test_oracle_meets_the_closed_form_to_1e_12():
+    # C03's seeded states, each measured on both sides: the settled oracle
+    # agrees with the closed form to below 1e-13, far inside C03's 1e-6, so
+    # a refinement that stops early (at a step of 1e-5 it is off by 3.7e-12) fails
+    stack = random_two_mode_state(np.random.default_rng(303), (100,))
+    for order in ((0, 1), (1, 0)):
+        batch = partial_trace(stack, order)
+        result = discord_oracle(batch)
+        assert result.converged.all()
+        assert np.max(np.abs(result.value - gaussian_discord(batch))) <= 1e-12
+
+
+def local_squeezer(r, theta):
+    # R(theta) diag(e^-r, e^r) R(theta)^T: a single-mode squeezer along theta
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([math.exp(-r), math.exp(r)]) @ rot.T
+
+
+#: the range where the closed form's rounding is measured (worst 5.8e-11 nats):
+#: split pairs of up to 1e2 photons, at most half of them squeezed, under
+#: local squeezers of |r| <= 1. Brighter or purer states lose more digits
+squeezings = st.floats(-1.0, 1.0)
+angles = st.floats(0.0, math.pi)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    n_tot=st.floats(0.0, 100.0),
+    beta=st.floats(0.0, 0.5),
+    t_split=st.floats(0.1, 0.9),
+    r=st.tuples(squeezings, squeezings),
+    theta=st.tuples(angles, angles),
+)
+def test_local_symplectic_maps_keep_the_correlations(n_tot, beta, t_split, r, theta):
+    # discord, mutual information and marginal entropies are invariant under
+    # S_A + S_B (Adesso & Datta, PRL 105, 030501 (2010)). The bound is the
+    # closed form's N^2 eps error scaled by the map's squared condition number
+    # e^(4 |r|); the measured worst is 29 of these units
+    pair = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
+    local = np.zeros((4, 4))
+    local[:2, :2], local[2:, 2:] = (local_squeezer(*p) for p in zip(r, theta))
+    mapped = apply_symplectic(pair, SymplecticOp(local))
+    bound = 256.0 * np.finfo(float).eps * (1.0 + n_tot) ** 2 * math.exp(4.0 * max(map(abs, r)))
+    read_outs = (
+        gaussian_discord,
+        lambda s: gaussian_discord(partial_trace(s, (1, 0))),
+        mutual_information,
+        lambda s: entropy(partial_trace(s, {0})),
+        lambda s: entropy(partial_trace(s, {1})),
+    )
+    for read_out in read_outs:
+        assert abs(read_out(mapped) - read_out(pair)) <= bound
+    # the oracle on the swapped state measures side A, and its value is that
+    # of one measurement, so the closed form of the same state cannot lie
+    # above it. Only that side holds here: next to the heterodyne the oracle
+    # can stop above the minimum (xfail below), settled or not
+    swapped = partial_trace(mapped, (1, 0))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "discord oracle did not settle", RuntimeWarning)
+        probed = discord_oracle(swapped).value
+    assert gaussian_discord(swapped) <= probed + bound
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "the scan's best point is the heterodyne q = 1, where every phi meets, and "
+        "the refinement there only tries phi within pi/64 of the scan's angle, none "
+        "of them downhill: the search settles 3.8e-6 above the minimum, a measurement "
+        "squeezed by s = 1.007 that lies inside the scan's first q cell"
+    ),
+)
+def test_oracle_finds_a_squeezed_optimum_next_to_the_heterodyne():
+    pair = prepare_discordant_pair(SingleModeSpec(8.0, 1e-4), 0.5)
+    result = discord_oracle(pair)
+    assert result.converged
+    assert result.value - gaussian_discord(pair) <= 1e-9
