@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -312,9 +313,14 @@ def run_sweep_discord(cfg: dict) -> str:
             raise
         i, j = (0, *exc.member)[-2:]  # (tau, point), or a point of a tau_mix sweep's pair
         raise type(exc)(f"{exc} at tau {taus[i]:g}, n_source {grid[j]:g}") from exc
-    rows = zip(*(c.ravel().tolist() for c in np.broadcast_arrays(tau_axis, grid, disc, c13, c23)))
+    # rows run over the axes (tau, point); each tau and each n_source is formatted
+    # once, so a row formats only its three computed columns
+    n_text = ["%.6f," % n for n in grid.tolist()]
+    axes = [tau_text + n for tau_text in ("%.6f," % tau for tau in taus) for n in n_text]
+    shape = (len(taus), grid.size)
+    columns = (np.broadcast_to(c, shape).ravel().tolist() for c in (disc, c13, c23))
     lines = ["tau,n_source,discord,c13_out,c23_out"]
-    lines.extend("%.6f,%.6f,%.6f,%.6f,%.6f" % row for row in rows)
+    lines.extend("%s%.6f,%.6f,%.6f" % row for row in zip(axes, *columns))
     return "\n".join(lines) + "\n"
 
 
@@ -563,7 +569,14 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     return out_path
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command line's parser, built on the first ``main`` call of a process.
+
+    A parse leaves the parser as it found it (each call gets a new namespace),
+    so every later call reuses it; ``main`` still looks up the command's
+    function in ``_COMMANDS`` at call time.
+    """
     parser = _ArgumentParser(
         prog="cvbench",
         description="Virtual optical bench: correlation tables, discord sweeps, validation.",
@@ -574,8 +587,12 @@ def main(argv: list[str] | None = None) -> int:
         _add_flags(sub.add_parser(name, help=desc), flags)
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--quick", action="store_true", help="reduced-size checks")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code; the parser is built once per process."""
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return run_validate(quick=args.quick)
 

@@ -4,7 +4,9 @@ Conventions, fixed across the package:
 
 * vacuum quadrature variance 1/2 (hbar = 1): the vacuum CM is diag(1/2, 1/2)
 * quadratures are interleaved as (x1, p1, x2, p2, ...)
-* a state is physical iff every symplectic eigenvalue reaches 1/2
+* a state is physical iff every symplectic eigenvalue reaches 1/2, which
+  holds exactly when cm + i Omega / 2 is positive semidefinite (Williamson;
+  Simon, Mukunda & Dutta, PRA 49, 1567 (1994))
 
 A ``GaussianState`` (or ``SymplecticOp``) may hold a stack of shape
 (..., 2n, 2n): every operation here acts on the trailing two axes and
@@ -17,12 +19,15 @@ everything here is safe to call from any number of threads.
 
 Physicality is checked where a CM enters: ``GaussianState(cm)`` on a CM handed
 in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
-``SymplecticOp`` on its matrix. The closed operations ``tensor``,
-``partial_trace``, ``apply_symplectic`` and ``vacuum_state`` map physical
-states to physical states (a direct sum, a principal submatrix with its modes
-in any order and a congruence by a checked symplectic all keep every
-symplectic eigenvalue at or above 1/2), so they build their results without a
-second eigen-solve. ``vacuum_state()`` is the one-mode vacuum;
+``SymplecticOp`` on its matrix. A CM's check is one stacked Cholesky
+factor of cm + i (1/2 - ``PHYSICALITY_TOL``) Omega, which exists exactly when
+every symplectic eigenvalue exceeds that bound; only a stack without one is
+eigen-solved, and that solve decides each refusal. The closed operations
+``tensor``, ``partial_trace``, ``apply_symplectic`` and ``vacuum_state`` map
+physical states to physical states (a direct sum, a principal submatrix with
+its modes in any order and a congruence by a checked symplectic all keep
+every symplectic eigenvalue at or above 1/2), so they build their results
+without a second check. ``vacuum_state()`` is the one-mode vacuum;
 ``tensor([vacuum_state()] * n)`` is that of n modes. Mode order is the one
 way to choose modes: ``partial_trace(state, (1, 0))`` swaps a pair.
 """
@@ -36,7 +41,9 @@ import numpy as np
 
 #: asymmetry accepted before a covariance matrix is rejected, relative to max(1, its largest entry)
 SYMMETRY_TOL = 1e-12
-#: symplectic eigenvalues may undershoot 1/2 by this much (numerical slack)
+#: symplectic eigenvalues may undershoot 1/2 by this much (numerical slack): a CM
+#: is accepted when cm + i (1/2 - PHYSICALITY_TOL) Omega has a Cholesky factor, or
+#: else when its eigen-solved symplectic spectrum reaches 1/2 - PHYSICALITY_TOL
 PHYSICALITY_TOL = 1e-9
 
 VACUUM_VARIANCE = 0.5
@@ -185,11 +192,14 @@ class GaussianState:
     entry check: it symmetrizes every matrix (asymmetry beyond 1e-12 times
     max(1, the largest entry) is an error, anything smaller is averaged away)
     and rejects unphysical input:
-    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack. A rejection
-    names the first offending member of a batch. The closed operations
-    (``tensor``, ``partial_trace``, ``apply_symplectic``, ``vacuum_state``)
-    build their physical-by-construction results through ``_closed`` and skip
-    the eigen-solve.
+    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack. One
+    Cholesky factor of the stack's cm + i (1/2 - 1e-9) Omega proves that;
+    only when it does not exist is the symplectic spectrum eigen-solved, and
+    that spectrum decides the rejection, which names the first offending
+    member of a batch and its smallest symplectic eigenvalue. The closed
+    operations (``tensor``, ``partial_trace``, ``apply_symplectic``,
+    ``vacuum_state``) build their physical-by-construction results through
+    ``_closed`` and skip the check.
     """
 
     __slots__ = ("_cm",)
@@ -212,15 +222,22 @@ class GaussianState:
                     too_asym,
                 )
         arr = (arr + arr_t) / 2.0
-        d_min = _symplectic_moduli(arr).min(axis=-1)
-        below = d_min < VACUUM_VARIANCE - PHYSICALITY_TOL
-        if below.any():
-            raise member_error(
-                PhysicalityError,
-                f"smallest symplectic eigenvalue {d_min[below][0]:.12g} lies below the vacuum "
-                "limit 1/2",
-                below,
-            )
+        # every symplectic eigenvalue exceeds nu exactly when cm + i nu Omega is
+        # positive definite, which one Cholesky factor of the stack proves; a stack
+        # it fails on is eigen-solved, and that solve alone refuses and names the member
+        nu = VACUUM_VARIANCE - PHYSICALITY_TOL
+        try:
+            np.linalg.cholesky(arr + 1j * nu * omega(arr.shape[-1] // 2))
+        except np.linalg.LinAlgError:
+            d_min = _symplectic_moduli(arr).min(axis=-1)
+            below = d_min < nu
+            if below.any():
+                raise member_error(
+                    PhysicalityError,
+                    f"smallest symplectic eigenvalue {d_min[below][0]:.12g} lies below the "
+                    "vacuum limit 1/2",
+                    below,
+                ) from None
         arr.flags.writeable = False
         self._cm = arr
 

@@ -699,6 +699,27 @@ def test_rejected_command_line_is_one_error_line(tmp_path, capsys, argv, message
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once per process, so no call may leave a value for the next
+    assert cli._parser() is cli._parser()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run_main(["tables", "--seed", "3", "--frames", "500", "--out", str(first)]) == 0
+    assert run_main(["tables", "--frames", "500", "--out", str(second)]) == 0
+    manifests = [json.loads(Path(f"{out}.manifest.json").read_text()) for out in (first, second)]
+    assert [manifest["seed"] for manifest in manifests] == [3, 42]
+    assert run_main(["sweep-discord", "--out", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_main(["sweep-discord", "--seed", "3", "--out", str(tmp_path / "refused.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 3\n"
+    assert not (tmp_path / "refused.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        run_main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+
+
 @pytest.mark.parametrize("mean_photons", ["inf", "1e300"])
 def test_non_finite_correlation_exit_code(tmp_path, capsys, mean_photons):
     # an infinite source is refused by BenchConfig; a finite one too bright for

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from cvbench.states import (
+    PHYSICALITY_TOL,
     GaussianState,
     PhysicalityError,
     SingleModeSpec,
@@ -373,8 +374,96 @@ class TestBatchedStates:
         )
 
 
+def eigen_smallest(cm):
+    """Smallest symplectic eigenvalue per member, eigen-solved: the rule of the refusal."""
+    return np.abs(np.linalg.eigvals(omega(cm.shape[-1] // 2) @ cm)).min(axis=-1)
+
+
+def local_squeezer(r, theta):
+    """R(theta) diag(e^-r, e^r) R(theta)^T: a squeezer along the axis at angle theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
+
+
+def williamson_cm(rng, n_modes, nu_min):
+    """S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T with S random symplectic and
+    ``nu_min`` the smallest nu_k, held by a randomly chosen mode."""
+    nu = rng.uniform(0.8, 2.5, n_modes)
+    nu[rng.integers(n_modes)] = nu_min
+    s = random_symplectic(rng, n_modes)
+    return s @ np.diag(np.repeat(nu, 2)) @ s.T
+
+
+class TestPhysicalityCheck:
+    """The Cholesky factor of cm + i (1/2 - slack) Omega decides as the eigen-solve does.
+
+    Away from the rounding band of the bound, a CM is accepted exactly when its
+    eigen-solved symplectic spectrum reaches 1/2 - PHYSICALITY_TOL, and a
+    refusal names the member and the eigenvalue that the eigen-solve finds.
+    """
+
+    BOUND = 0.5 - PHYSICALITY_TOL
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [1e-6, 1e-8, -2e-9, -1e-6])
+    def test_agrees_with_the_eigen_solve(self, n_modes, offset):
+        rng = np.random.default_rng(n_modes)
+        cm = williamson_cm(rng, n_modes, 0.5 + offset)
+        # a stack whose member 2 holds the case, among clearly physical members
+        stack = np.stack([williamson_cm(rng, n_modes, 0.8) for _ in range(4)])
+        stack[2] = cm
+        for cms, member in ((cm, ()), (stack, (2,))):
+            d_min = eigen_smallest(cms)
+            # away from the band the eigen-solve reads the side of the bound that nu has
+            assert np.all(d_min >= self.BOUND) == (offset > -PHYSICALITY_TOL)
+            if offset > -PHYSICALITY_TOL:
+                assert np.array_equal(GaussianState(cms).cm, (cms + cms.swapaxes(-1, -2)) / 2.0)
+                continue
+            message = f"smallest symplectic eigenvalue {d_min[member]:.12g} lies below the vacuum "
+            message += "limit 1/2" + "".join(f" (batch member {i})" for i in member)
+            with pytest.raises(PhysicalityError) as exc:
+                GaussianState(cms)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.0, -5e-10, 1e-8])
+    def test_physical_states_need_no_eigen_solve(self, monkeypatch, n_modes, offset):
+        # pure modes sit at 1/2 exactly, and the slack admits a little below it
+        rng = np.random.default_rng(7 * n_modes)
+        cms = np.stack([williamson_cm(rng, n_modes, 0.5 + offset) for _ in range(3)])
+
+        def refuse(*args):
+            raise AssertionError("eigen-solve on a state the Cholesky factor proves")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        GaussianState(cms)
+        GaussianState(cms[1])
+        GaussianState(np.eye(2 * n_modes) / 2.0)
+
+    # split thermal pairs under random local squeezers: one symplectic
+    # eigenvalue is exactly 1/2, so each rounds to either side of the bound
+    @pytest.mark.parametrize("n_source, r_max", [(1e4, 3.0), (1e6, 2.0), (1e8, 1.0)])
+    def test_rounding_band_refuses_only_what_the_eigen_solve_refuses(self, n_source, r_max):
+        a, c = (0.5 + n_source / 2.0) * np.eye(2), n_source / 2.0 * np.eye(2)
+        pair = np.block([[a, c], [c, a]])
+        rng = np.random.default_rng(1)
+        draws = rng.uniform([-r_max, 0.0] * 2, [r_max, np.pi] * 2, (200, 4))
+        for r1, theta1, r2, theta2 in draws:
+            s = block_diag(local_squeezer(r1, theta1), local_squeezer(r2, theta2))
+            cm = s @ pair @ s.T
+            cm = (cm + cm.T) / 2.0
+            try:
+                GaussianState(cm)
+            except PhysicalityError as exc:
+                # every refusal is the eigen-solve's, with its value
+                d_min = eigen_smallest(cm)
+                assert d_min < self.BOUND
+                assert f"eigenvalue {d_min:.12g} lies below" in str(exc)
+
+
 class TestClosedOperations:
-    """Closed operations skip the eigen-check; their results must pass it unchanged."""
+    """Closed operations skip the entry check; their results must pass it unchanged."""
 
     @staticmethod
     def states(rng):
@@ -406,12 +495,14 @@ class TestClosedOperations:
         op = SymplecticOp(random_symplectic(rng, 2))
 
         def refuse(*args):
-            raise AssertionError("eigen-solve on a closed operation")
+            raise AssertionError("physicality check on a closed operation")
 
+        # the entry check factors by Cholesky and eigen-solves only what that fails on
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         for s in (state, batch):
             tensor([s, vacuum_state()])
             partial_trace(s, {0})
             apply_symplectic(s, op)
-        with pytest.raises(AssertionError, match="eigen-solve"):
+        with pytest.raises(AssertionError, match="physicality check"):
             GaussianState(state.cm)
