@@ -17,7 +17,11 @@ Gaussian discord; the discord measured on the first mode is that of the
 swapped state ``partial_trace(state, (1, 0))``. ``discord_oracle`` is the
 brute-force reference the closed form is tested against: it scans a batch
 member by member and refines all members in lockstep, on the conditional
-determinant, and takes the entropy term of the best one. The two share one
+determinant, and takes the entropy term of the best one. By the Schur
+determinant identity that determinant is det A det(S + m) / det(B + m) for a
+measurement of CM m, where S = B - C^T A^-1 C is the Schur complement of A in
+the state's CM: a ratio of two quadratics in the measurement's q = 1/s whose
+coefficients are set once per member, before its scan. The two share one
 entropy term, one evaluation of the measurement-free part of the discord and
 one clamp of its rounding, which also clamps the mutual information.
 """
@@ -220,66 +224,120 @@ def gaussian_discord(state: GaussianState):
     return _clamped(np.where(product, 0.0, fixed + _h_vec(np.sqrt(e_min))), "discord")
 
 
-def _conditional_dets(a, b, c, q_vals, phi_vals) -> np.ndarray:
+def _objective_coefficients(a, b, c):
+    """Coefficients of the oracle's objective, set once per member before its scan.
+
+    The oracle measures mode B with m = R(phi) diag(1/q, q) R(phi)^T, and its
+    objective is the determinant of the conditional CM of mode A. Applied to
+    the CM plus 0 (+) m, the Schur determinant identity gives
+
+        det(a - c (b + m)^-1 c^T) = det a det(S + m) / det(b + m),
+
+    where S = b - c^T a^-1 c is the Schur complement of a in the CM. For
+    X in {S, b}, q det(X + m) = X_vv + q (det X + 1) + q^2 X_uu in the frame
+    u = (cos phi, sin phi), v = (-sin phi, cos phi), and X_uu, X_vv = h +/- t
+    with t = d cos 2phi + o sin 2phi, h = (X00 + X11)/2, d = (X00 - X11)/2 and
+    o = X01. Returns (h, d, o, det X + 1) of shape (..., 2, 4): the row of S
+    times det a, then the row of b.
+    """
+    a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
+    c00, c01, c10, c11 = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    det_a = a00 * a11 - a01 * a01
+    # g = adj(a) c, so that c^T a^-1 c = c^T g / det a; each entry stacks S, b
+    g00, g01 = a11 * c00 - a01 * c10, a11 * c01 - a01 * c11
+    g10, g11 = a00 * c10 - a01 * c00, a00 * c11 - a01 * c01
+    x00 = np.stack([b00 - (c00 * g00 + c10 * g10) / det_a, b00], axis=-1)
+    x01 = np.stack([b01 - (c00 * g01 + c10 * g11) / det_a, b01], axis=-1)
+    x11 = np.stack([b11 - (c01 * g01 + c11 * g11) / det_a, b11], axis=-1)
+    coeffs = np.stack(
+        [(x00 + x11) / 2.0, (x00 - x11) / 2.0, x01, x00 * x11 - x01 * x01 + 1.0], axis=-1
+    )
+    coeffs[..., 0, :] *= det_a[..., None]
+    return coeffs
+
+
+def _conditional_dets(coeffs, q_vals, phi_vals) -> np.ndarray:
     """Post-measurement determinant of mode A on a (q, phi) measurement grid.
 
     The measurement squeezing is parametrized as s = 1/q with q in [0, 1] so
     the domain is compact; q = 1 is the heterodyne, q = 0 the exact homodyne
-    limit along v = (-sin phi, cos phi). The conditional CM is the Schur
-    complement a - c (b + m)^-1 c^T with m = R(phi) diag(1/q, q) R(phi)^T;
-    the inverse is evaluated in the measurement eigenframe with numerator and
-    denominator scaled by q, so every entry is polynomial in q and no
-    cancellation occurs even at q = 0. Only the determinant of the
-    conditional CM matters for the entropy, h(sqrt det), which increases
-    with it, so the oracle compares determinants. Returns it, at least 1
-    (its pure limit).
+    limit along v = (-sin phi, cos phi). The determinant of the conditional
+    CM a - c (b + m)^-1 c^T is det a det(S + m) / det(b + m), with S the
+    Schur complement b - c^T a^-1 c of a in the CM; ``coeffs`` holds the
+    coefficients of both factors (see ``_objective_coefficients``).
+    Numerator and denominator are scaled by q, so each is a quadratic in q,
+    even at q = 0, whose coefficients are linear in cos 2phi and sin 2phi.
+    S and b are positive definite, so each quadratic is a sum of positive
+    terms; a numerator formed as det a det(b + m) less the terms of
+    c^T adj(a) c would cancel at scale N^2 for N photons. Only the
+    determinant of the conditional CM matters for the entropy, h(sqrt det),
+    which increases with it, so the oracle compares determinants. Returns
+    it, at least 1 (its pure limit).
 
-    Broadcasts over leading member axes: blocks (..., 2, 2) and grids
+    Broadcasts over leading member axes: coefficients (..., 2, 4) and grids
     (..., n_q) and (..., n_phi) give determinants (..., n_q, n_phi), and
     every entry is computed as it would be for its member alone.
     """
-    q = np.asarray(q_vals, dtype=float)[..., :, None]
-    phi = np.asarray(phi_vals, dtype=float)[..., None, :]
-    cos = np.cos(phi)
-    sin = np.sin(phi)
-
-    def entry(m, i, j):
-        return m[..., i, j, None, None]
-
-    # b in the (u, v) frame of the measurement, u = (cos, sin). Shared
-    # products are formed once, in the order the written-out formulas use;
-    # doubling is exact, so 2 (cos sin) equals (2 cos) sin
-    b00, b01, b11 = entry(b, 0, 0), entry(b, 0, 1), entry(b, 1, 1)
-    cc, ss, cs = cos * cos, sin * sin, cos * sin
-    cross = 2.0 * cs * b01
-    b_uu = cc * b00 + cross + ss * b11
-    b_vv = ss * b00 - cross + cc * b11
-    b_uv = cs * (b11 - b00) + (cc - ss) * b01
-    # q-scaled inverse of (b + m) in the (u, v) frame
-    row_u = 1.0 + q * b_uu
-    row_v = b_vv + q
-    q_uv = q * b_uv
-    det_q = row_u * row_v - q_uv * b_uv
-    i_uu = q * row_v / det_q
-    i_vv = row_u / det_q
-    i_uv = -q_uv / det_q
-    # g = c R rotates the coupling block into the same frame
-    c00, c01, c10, c11 = entry(c, 0, 0), entry(c, 0, 1), entry(c, 1, 0), entry(c, 1, 1)
-    g11 = c00 * cos + c01 * sin
-    g12 = -c00 * sin + c01 * cos
-    g21 = c10 * cos + c11 * sin
-    g22 = -c10 * sin + c11 * cos
-    w11 = g11 * g11 * i_uu + 2.0 * g11 * g12 * i_uv + g12 * g12 * i_vv
-    w12 = g11 * g21 * i_uu + (g11 * g22 + g12 * g21) * i_uv + g12 * g22 * i_vv
-    w22 = g21 * g21 * i_uu + 2.0 * g21 * g22 * i_uv + g22 * g22 * i_vv
-    e11 = entry(a, 0, 0) - w11
-    e12 = entry(a, 0, 1) - w12
-    e22 = entry(a, 1, 1) - w22
-    det_eps = np.maximum(e11 * e22 - e12 * e12, 1.0)
+    q = np.asarray(q_vals, dtype=float)[..., None, :, None]
+    two_phi = 2.0 * np.asarray(phi_vals, dtype=float)[..., None, None, :]
+    h, d, o, e = (coeffs[..., k, None, None] for k in range(4))
+    t = d * np.cos(two_phi) + o * np.sin(two_phi)
+    # q det(X + m) for X = S (times det a) and X = b, by Horner's rule
+    quad = ((h + t) * q + e) * q + (h - t)
+    det_eps = np.maximum(quad[..., 0, :, :] / quad[..., 1, :, :], 1.0)
     # NaN compares False with every candidate, so it would be skipped unseen
     if not np.isfinite(det_eps).all():
         raise ArithmeticError("conditional determinant that is not finite")
     return det_eps
+
+
+def _refine(coeffs, q, phi, val):
+    """Pattern search on the conditional determinant from each member's start point.
+
+    ``coeffs`` (members, 2, 4) are the objective's (see
+    ``_objective_coefficients``); ``q``, ``phi`` and ``val`` (members,) are
+    the start points and their determinants. Walks at a fixed step while
+    the best point of a 9x9 neighborhood improves on its rim (valleys can be
+    long) and cuts the step by 8 when it is interior. The neighborhood spans
+    +/- step at a spacing of step/4, so an interior best point is within
+    step/8 of a locally quadratic minimum. The steps start at the scan's grid
+    spacing. All members step in lockstep, one ``_conditional_dets`` call
+    per step, until all have settled; a settled member keeps its point, scale
+    and step count, so each member's result is that of its own call, bit for
+    bit. Returns the best determinants, the steps taken, whether the step fell
+    below 1e-13 within ``_ORACLE_STEPS`` of them, and the last (q, phi) steps.
+    """
+    # both steps shrink together by a power of two, so each member carries one
+    # power-of-two scale; scaling the offsets by it is exact, as rescaling the
+    # end points of a linspace would be
+    n_q, n_phi = _ORACLE_GRID
+    steps = (1.0 / (n_q - 1), math.pi / n_phi)
+    q_offsets = np.linspace(steps[0], -steps[0], 9)
+    phi_offsets = np.linspace(-steps[1], steps[1], 9)
+    rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
+    members = len(val)
+    iterations = np.full(members, _ORACLE_STEPS)
+    converged = np.zeros(members, dtype=bool)
+    rows, scale = np.arange(members), np.ones(members)
+    for step in range(_ORACLE_STEPS):
+        settled = max(steps) * scale < 1e-13
+        iterations[settled & ~converged] = step
+        converged = settled
+        if converged.all():
+            break
+        q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
+        phi_loc = phi[:, None] + scale[:, None] * phi_offsets
+        local = _conditional_dets(coeffs, q_loc, phi_loc).reshape(members, 81)
+        flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
+        candidate = local[rows, flat]
+        improved = (candidate < val) & ~converged
+        val = np.where(improved, candidate, val)
+        q = np.where(improved, q_loc[rows, flat // 9], q)
+        phi = np.where(improved, phi_loc[rows, flat % 9], phi)
+        # an improvement on the rim of the neighborhood walks on; all else shrinks
+        scale = np.where(improved & rim[flat] | converged, scale, 0.125 * scale)
+    return val, iterations, converged, np.multiply.outer(scale, steps)
 
 
 def discord_oracle(state: GaussianState) -> DiscordResult:
@@ -287,12 +345,15 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
 
     Scans the compact measurement domain q = 1/s in [0, 1] (q = 0 being the
     exact homodyne limit, q = 1 the heterodyne) crossed with angles phi in
-    [0, pi), then refines a 9x9 neighborhood around the best point: it walks
-    while the best point lies on the rim and otherwise cuts the step by 8.
-    Scan and refinement compare conditional determinants, which order the
-    measurements as their entropies do, and the entropy term is taken once,
-    of each member's best determinant. The result is an upper bound that
-    converges to the closed form. Fully deterministic:
+    [0, pi), then refines a 9x9 neighborhood around the best point (see
+    ``_refine``): it walks while the best point lies on the rim and
+    otherwise cuts the step by 8. Scan and refinement compare conditional
+    determinants, which order the measurements as their entropies do. Each
+    is det A det(S + m) / det(B + m), with S = B - C^T A^-1 C the Schur
+    complement of A in the state's CM, a ratio of two quadratics in q whose
+    coefficients are set once per member, before the scan. The entropy term
+    is taken once, of each member's best determinant. The result is an upper
+    bound that converges to the closed form. Fully deterministic:
     fixed enumeration order, and a tie goes to the smaller s, then the
     smaller phi, so refinement starts from one fixed point of the scan. The
     result records the refinement steps taken and whether the step fell
@@ -308,60 +369,28 @@ def discord_oracle(state: GaussianState) -> DiscordResult:
     """
     blocks, _, fixed = _discord_terms(state)
     fixed = np.reshape(fixed, -1)
-    a_blk, b_blk, c_blk = (blk.reshape(-1, 2, 2) for blk in blocks)
-    members = len(a_blk)
+    coeffs = _objective_coefficients(*(blk.reshape(-1, 2, 2) for blk in blocks))
+    members = len(coeffs)
 
     n_q, n_phi = _ORACLE_GRID
     q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
     phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
     q, phi, val = np.empty((3, members))  # each member's best point and determinant
     for m in range(members):
-        dets = _conditional_dets(a_blk[m], b_blk[m], c_blk[m], q_vals, phi_vals)
+        dets = _conditional_dets(coeffs[m], q_vals, phi_vals)
         flat = int(np.argmin(dets))  # first occurrence: smallest s, then smallest phi
         q[m] = q_vals[flat // n_phi]
         phi[m] = phi_vals[flat % n_phi]
         val[m] = dets.flat[flat]
 
-    # pattern search: walk at a fixed step while improving (valleys can be
-    # long) and cut the step by 8 when the best point is interior. The
-    # neighborhood spans +/- step at a spacing of step/4, so an interior best
-    # point is within step/8 of a locally quadratic minimum. Both steps
-    # shrink together by a power of two, so each member carries one
-    # power-of-two scale; scaling the offsets by it is exact, as rescaling
-    # the end points of a linspace would be
-    steps = (1.0 / (n_q - 1), math.pi / n_phi)
-    q_offsets = np.linspace(steps[0], -steps[0], 9)
-    phi_offsets = np.linspace(-steps[1], steps[1], 9)
-    rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
-    iterations = np.full(members, _ORACLE_STEPS)
-    converged = np.zeros(members, dtype=bool)
-    # every member steps until all have settled; a settled member keeps its
-    # point, scale and step count
-    rows, scale = np.arange(members), np.ones(members)
-    for step in range(_ORACLE_STEPS):
-        settled = max(steps) * scale < 1e-13
-        iterations[settled & ~converged] = step
-        converged = settled
-        if converged.all():
-            break
-        q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
-        phi_loc = phi[:, None] + scale[:, None] * phi_offsets
-        local = _conditional_dets(a_blk, b_blk, c_blk, q_loc, phi_loc).reshape(members, 81)
-        flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
-        candidate = local[rows, flat]
-        improved = (candidate < val) & ~converged
-        val = np.where(improved, candidate, val)
-        q = np.where(improved, q_loc[rows, flat // 9], q)
-        phi = np.where(improved, phi_loc[rows, flat % 9], phi)
-        # an improvement on the rim of the neighborhood walks on; all else shrinks
-        scale = np.where(improved & rim[flat] | converged, scale, 0.125 * scale)
+    val, iterations, converged, last_steps = _refine(coeffs, q, phi, val)
     best = fixed + _h_vec(np.sqrt(val))
     shape = state.batch_shape
     if not converged.all():
         i = int(np.argmin(converged))  # the first member still refining
         message = (
-            f"discord oracle did not settle (steps {steps[0] * scale[i]:g}, "
-            f"{steps[1] * scale[i]:g}); best value {best[i]:.9g}"
+            f"discord oracle did not settle (steps {last_steps[i, 0]:g}, "
+            f"{last_steps[i, 1]:g}); best value {best[i]:.9g}"
         )
         unsettled = ~converged.reshape(shape)
         warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
