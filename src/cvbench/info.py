@@ -15,20 +15,21 @@ so each member of a batch has the bits of its own call. Both discord
 read-outs measure the second mode (B), as Adesso and Datta define the
 Gaussian discord; the discord measured on the first mode is that of the
 swapped state ``partial_trace(state, (1, 0))``. ``discord_oracle`` is the
-brute-force reference the closed form is tested against: it scans a batch
-member by member and refines all members in lockstep, on the conditional
-determinant, and takes the entropy term of the best one. By the Schur
-determinant identity that determinant is det A det(S + m) / det(B + m) for a
-measurement of CM m, where S = B - C^T A^-1 C is the Schur complement of A in
-the state's CM: a ratio of two quadratics in the measurement's q = 1/s whose
-coefficients are set once per member, before its scan. The two share one
-entropy term, one evaluation of the measurement-free part of the discord and
-one clamp of its rounding, which also clamps the mutual information.
+numerical reference the closed form is tested against: it minimizes the
+conditional determinant over the measurements and takes the entropy term of
+the minimum. By the Schur determinant identity that determinant is
+det A det(S + m) / det(B + m) for a measurement of CM m, where
+S = B - C^T A^-1 C is the Schur complement of A in the state's CM. On the
+Poincare disk of pure single-mode Gaussian measurements, w = rho e^(2i phi),
+it is a ratio of two quadratics in w whose coefficients are set once per
+member, and Dinkelbach's method minimizes such a ratio exactly, one closed-form
+step at a time, for all members in lockstep. The two share one entropy term,
+one evaluation of the measurement-free part of the discord and one clamp of
+its rounding, which also clamps the mutual information.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,11 +45,8 @@ PURE_GUARD = 1e-14
 DISCORD_CLAMP = 1e-9
 #: relative margin within which both branches of the discord formula are taken
 _BRANCH_MARGIN = 1e-12
-#: the oracle's scan: measurement squeezings q = 1/s by angles phi
-_ORACLE_GRID = (64, 64)
-#: refinement steps within which the oracle's step must fall below 1e-13; the
-#: step shrinks by 8 at a time, so a call without walks settles in 13 of them
-_ORACLE_STEPS = 320
+#: Dinkelbach steps within which the oracle must stop; measured states take at most 10
+_ORACLE_STEPS = 32
 
 __all__ = [
     "DiscordResult",
@@ -78,10 +76,13 @@ def mutual_information(state: GaussianState):
 
 @dataclass(frozen=True, eq=False)
 class DiscordResult:
-    """The oracle's discord with its refinement: steps taken and whether they settled.
+    """The oracle's discord with its Dinkelbach steps: how many lowered it, and if they stopped.
 
-    Each field holds numpy values over the batch shape, and each member
-    equals the result of a call on that member alone.
+    ``iterations`` counts the steps that lowered the conditional determinant,
+    0 where the heterodyne is optimal; ``converged`` is False where the
+    determinant still fell at the step cap. Each field holds numpy values
+    over the batch shape, and each member equals the result of a call on
+    that member alone.
     """
 
     value: float | np.ndarray
@@ -225,7 +226,7 @@ def gaussian_discord(state: GaussianState):
 
 
 def _objective_coefficients(a, b, c):
-    """Coefficients of the oracle's objective, set once per member before its scan.
+    """Coefficients of the oracle's objective, set once per member before its steps.
 
     The oracle measures mode B with m = R(phi) diag(1/q, q) R(phi)^T, and its
     objective is the determinant of the conditional CM of mode A. Applied to
@@ -257,140 +258,102 @@ def _objective_coefficients(a, b, c):
     return coeffs
 
 
-def _conditional_dets(coeffs, q_vals, phi_vals) -> np.ndarray:
-    """Post-measurement determinant of mode A on a (q, phi) measurement grid.
+def _conditional_dets(coeffs, x, y) -> np.ndarray:
+    """Post-measurement determinant of mode A for the measurement at w = x + iy on the disk.
 
-    The measurement squeezing is parametrized as s = 1/q with q in [0, 1] so
-    the domain is compact; q = 1 is the heterodyne, q = 0 the exact homodyne
-    limit along v = (-sin phi, cos phi). The determinant of the conditional
-    CM a - c (b + m)^-1 c^T is det a det(S + m) / det(b + m), with S the
-    Schur complement b - c^T a^-1 c of a in the CM; ``coeffs`` holds the
-    coefficients of both factors (see ``_objective_coefficients``).
-    Numerator and denominator are scaled by q, so each is a quadratic in q,
-    even at q = 0, whose coefficients are linear in cos 2phi and sin 2phi.
-    S and b are positive definite, so each quadratic is a sum of positive
-    terms; a numerator formed as det a det(b + m) less the terms of
-    c^T adj(a) c would cancel at scale N^2 for N photons. Only the
+    w = rho e^(2i phi) with rho = (1 - q)/(1 + q) maps the measurement
+    m = R(phi) diag(1/q, q) R(phi)^T onto the closed unit disk: w = 0 is the
+    heterodyne, and the rim holds the homodynes along v = (-sin phi, cos phi).
+    The determinant of the conditional CM a - c (b + m)^-1 c^T is
+    det a det(S + m) / det(b + m), with S the Schur complement b - c^T a^-1 c
+    of a in the CM; ``coeffs`` holds the coefficients (h, d, o, e) of both
+    factors (see ``_objective_coefficients``). Scaled by q (1 + rho)^2, each
+    factor is the quadratic (2h - e)|w|^2 - 4(d x + o y) + (2h + e), also on
+    the rim. It equals 2h (1 - rho)^2 + 4 rho (h - t) + e (1 - rho^2) with
+    |t| < h, so it is positive on the disk, S and b being positive definite.
+    Taking S's coefficients from S itself keeps the numerator's rounding at
+    the scale of the problem; formed as det a det(b + m) less the terms of
+    c^T adj(a) c, it would cancel at scale N^2 for N photons. Only the
     determinant of the conditional CM matters for the entropy, h(sqrt det),
-    which increases with it, so the oracle compares determinants. Returns
-    it, at least 1 (its pure limit).
+    which increases with it, so the oracle compares determinants.
 
-    Broadcasts over leading member axes: coefficients (..., 2, 4) and grids
-    (..., n_q) and (..., n_phi) give determinants (..., n_q, n_phi), and
-    every entry is computed as it would be for its member alone.
+    Broadcasts over leading member axes: coefficients (..., 2, 4) and points
+    (...) give determinants (...), and every entry is computed as it would
+    be for its member alone.
     """
-    q = np.asarray(q_vals, dtype=float)[..., None, :, None]
-    two_phi = 2.0 * np.asarray(phi_vals, dtype=float)[..., None, None, :]
-    h, d, o, e = (coeffs[..., k, None, None] for k in range(4))
-    t = d * np.cos(two_phi) + o * np.sin(two_phi)
-    # q det(X + m) for X = S (times det a) and X = b, by Horner's rule
-    quad = ((h + t) * q + e) * q + (h - t)
-    det_eps = np.maximum(quad[..., 0, :, :] / quad[..., 1, :, :], 1.0)
+    h, d, o, e = np.moveaxis(coeffs, -1, 0)
+    x, y = np.asarray(x, dtype=float)[..., None], np.asarray(y, dtype=float)[..., None]
+    quad = (2.0 * h - e) * (x * x + y * y) - 4.0 * (d * x + o * y) + (2.0 * h + e)
+    dets = quad[..., 0] / quad[..., 1]
     # NaN compares False with every candidate, so it would be skipped unseen
-    if not np.isfinite(det_eps).all():
+    if not np.isfinite(dets).all():
         raise ArithmeticError("conditional determinant that is not finite")
-    return det_eps
-
-
-def _refine(coeffs, q, phi, val):
-    """Pattern search on the conditional determinant from each member's start point.
-
-    ``coeffs`` (members, 2, 4) are the objective's (see
-    ``_objective_coefficients``); ``q``, ``phi`` and ``val`` (members,) are
-    the start points and their determinants. Walks at a fixed step while
-    the best point of a 9x9 neighborhood improves on its rim (valleys can be
-    long) and cuts the step by 8 when it is interior. The neighborhood spans
-    +/- step at a spacing of step/4, so an interior best point is within
-    step/8 of a locally quadratic minimum. The steps start at the scan's grid
-    spacing. All members step in lockstep, one ``_conditional_dets`` call
-    per step, until all have settled; a settled member keeps its point, scale
-    and step count, so each member's result is that of its own call, bit for
-    bit. Returns the best determinants, the steps taken, whether the step fell
-    below 1e-13 within ``_ORACLE_STEPS`` of them, and the last (q, phi) steps.
-    """
-    # both steps shrink together by a power of two, so each member carries one
-    # power-of-two scale; scaling the offsets by it is exact, as rescaling the
-    # end points of a linspace would be
-    n_q, n_phi = _ORACLE_GRID
-    steps = (1.0 / (n_q - 1), math.pi / n_phi)
-    q_offsets = np.linspace(steps[0], -steps[0], 9)
-    phi_offsets = np.linspace(-steps[1], steps[1], 9)
-    rim = np.pad(np.zeros((7, 7), dtype=bool), 1, constant_values=True).ravel()
-    members = len(val)
-    iterations = np.full(members, _ORACLE_STEPS)
-    converged = np.zeros(members, dtype=bool)
-    rows, scale = np.arange(members), np.ones(members)
-    for step in range(_ORACLE_STEPS):
-        settled = max(steps) * scale < 1e-13
-        iterations[settled & ~converged] = step
-        converged = settled
-        if converged.all():
-            break
-        q_loc = np.clip(q[:, None] + scale[:, None] * q_offsets, 0.0, 1.0)
-        phi_loc = phi[:, None] + scale[:, None] * phi_offsets
-        local = _conditional_dets(coeffs, q_loc, phi_loc).reshape(members, 81)
-        flat = np.argmin(local, axis=-1)  # first occurrence, as in the scan
-        candidate = local[rows, flat]
-        improved = (candidate < val) & ~converged
-        val = np.where(improved, candidate, val)
-        q = np.where(improved, q_loc[rows, flat // 9], q)
-        phi = np.where(improved, phi_loc[rows, flat % 9], phi)
-        # an improvement on the rim of the neighborhood walks on; all else shrinks
-        scale = np.where(improved & rim[flat] | converged, scale, 0.125 * scale)
-    return val, iterations, converged, np.multiply.outer(scale, steps)
+    return dets
 
 
 def discord_oracle(state: GaussianState) -> DiscordResult:
-    """Brute-force Gaussian discord, measured on the second mode: scan, then refine locally.
+    """Numerical Gaussian discord, measured on the second mode, by Dinkelbach's method.
 
-    Scans the compact measurement domain q = 1/s in [0, 1] (q = 0 being the
-    exact homodyne limit, q = 1 the heterodyne) crossed with angles phi in
-    [0, pi), then refines a 9x9 neighborhood around the best point (see
-    ``_refine``): it walks while the best point lies on the rim and
-    otherwise cuts the step by 8. Scan and refinement compare conditional
-    determinants, which order the measurements as their entropies do. Each
-    is det A det(S + m) / det(B + m), with S = B - C^T A^-1 C the Schur
-    complement of A in the state's CM, a ratio of two quadratics in q whose
-    coefficients are set once per member, before the scan. The entropy term
-    is taken once, of each member's best determinant. The result is an upper
-    bound that converges to the closed form. Fully deterministic:
-    fixed enumeration order, and a tie goes to the smaller s, then the
-    smaller phi, so refinement starts from one fixed point of the scan. The
-    result records the refinement steps taken and whether the step fell
-    below 1e-13 within ``_ORACLE_STEPS`` of them; non-convergence is also
-    reported as one warning carrying the best value found.
+    Minimizes the conditional determinant N(w)/D(w), which orders the
+    measurements as their entropies do, over the closed disk of pure
+    single-mode Gaussian measurements (see ``_conditional_dets``; Arvind,
+    Dutta, Mukunda & Simon, Pramana 45, 471 (1995)). D > 0 on the whole disk,
+    B being positive definite, so Dinkelbach's method for fractional programs
+    (W. Dinkelbach, Management Science 13, 492 (1967)) finds the global
+    minimum with no scan. It starts at the heterodyne, w = 0, and repeats one
+    step: set lambda = N(w)/D(w), then move w to the exact minimum of
+    N - lambda D on the disk. That quadratic's |w|^2 coefficient a is the same
+    in every direction, so its minimum is the stationary point 2b/a when
+    a > 0 and that lies inside the disk, and otherwise the rim point along
+    its linear coefficient b (w = 1 where b = 0 and every rim point ties).
+    The minimum is at most 0, so lambda never rises, and the method stops as
+    soon as it no longer falls. The entropy term is taken once, of each
+    member's last lambda. The value is the discord of one measurement, so it
+    bounds the closed form from above, and the oracle uses neither
+    ``_invariants`` nor ``_minimal_conditional_det``. The result records the
+    steps in which lambda fell and whether the method stopped within
+    ``_ORACLE_STEPS`` of them; non-convergence is also reported as one
+    warning carrying the best value found.
 
-    A batched state is refined in lockstep, one ``_conditional_dets``
-    call per step for every member until all have settled; the scan runs
-    member by member, so its grid is held for one member at a time. Each
-    member keeps its own best point, steps, stop and iteration count, so its
-    value, ``iterations`` and ``converged`` equal those of a call on that
-    member alone, bit for bit.
+    A batched state is solved in lockstep, one ``_conditional_dets`` call per
+    step for every member until all have stopped; a stopped member keeps its
+    lambda and step count, so its value, ``iterations`` and ``converged``
+    equal those of a call on that member alone, bit for bit.
     """
     blocks, _, fixed = _discord_terms(state)
     fixed = np.reshape(fixed, -1)
     coeffs = _objective_coefficients(*(blk.reshape(-1, 2, 2) for blk in blocks))
-    members = len(coeffs)
+    h, d, o, e = np.moveaxis(coeffs, -1, 0)  # (members, 2): numerator, denominator
+    curv = 2.0 * h - e  # the |w|^2 coefficients
 
-    n_q, n_phi = _ORACLE_GRID
-    q_vals = np.linspace(1.0, 0.0, n_q)  # descending so ties pick the smaller s
-    phi_vals = np.linspace(0.0, math.pi, n_phi, endpoint=False)
-    q, phi, val = np.empty((3, members))  # each member's best point and determinant
-    for m in range(members):
-        dets = _conditional_dets(coeffs[m], q_vals, phi_vals)
-        flat = int(np.argmin(dets))  # first occurrence: smallest s, then smallest phi
-        q[m] = q_vals[flat // n_phi]
-        phi[m] = phi_vals[flat % n_phi]
-        val[m] = dets.flat[flat]
+    lam = _conditional_dets(coeffs, 0.0, 0.0)  # at the heterodyne
+    iterations = np.zeros(len(coeffs), dtype=int)
+    falling = np.ones(len(coeffs), dtype=bool)
+    for _ in range(_ORACLE_STEPS):
+        # N - lam D = a |w|^2 - 4 (bx x + by y) + const
+        a = curv[:, 0] - lam * curv[:, 1]
+        bx, by = d[:, 0] - lam * d[:, 1], o[:, 0] - lam * o[:, 1]
+        r = np.sqrt(bx * bx + by * by)
+        on_rim = ~(2.0 * r < a)
+        tie = on_rim & (r == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(on_rim, 1.0 / r, 2.0 / a)
+            x = np.where(tie, 1.0, scale * bx)
+            y = np.where(tie, 0.0, scale * by)
+        new = _conditional_dets(coeffs, x, y)
+        falling &= new < lam
+        lam = np.where(falling, new, lam)
+        iterations += falling
+        if not falling.any():
+            break
+    converged = ~falling
 
-    val, iterations, converged, last_steps = _refine(coeffs, q, phi, val)
-    best = fixed + _h_vec(np.sqrt(val))
+    best = fixed + _h_vec(np.sqrt(np.maximum(lam, 1.0)))
     shape = state.batch_shape
     if not converged.all():
-        i = int(np.argmin(converged))  # the first member still refining
+        i = int(np.argmin(converged))  # the first member still descending
         message = (
-            f"discord oracle did not settle (steps {last_steps[i, 0]:g}, "
-            f"{last_steps[i, 1]:g}); best value {best[i]:.9g}"
+            f"discord oracle did not settle in {_ORACLE_STEPS} steps; best value {best[i]:.9g}"
         )
         unsettled = ~converged.reshape(shape)
         warnings.warn(member_error(RuntimeWarning, message, unsettled), stacklevel=2)
