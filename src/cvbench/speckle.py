@@ -16,14 +16,18 @@ columns, coded once as its weights: ``FrameBatch.out_weights(beam, basis,
 scenario)`` forms them through the analyzer's intensity projector
 (``ANALYZERS``). Every correlation of two read-outs, in-intensities included,
 is a second moment, so a run's datum is the record's 5x5 centred sums of
-products (``stats.comoments``): ``run_bench`` streams the record through one
-reusable block of ``stats._BLOCK_FRAMES`` frames, reduced while in cache, and
-keeps only the sums, so its memory does not grow with frames, and
-``FrameBatch.corr`` reads any correlation off them. A caller that needs a
-series itself reads ``FrameBatch.record``, redrawn on demand with the same
-bits, times the weights (``out_series``), summed column by column, so that a
-frame's value depends on its own record row alone, whatever the record's
-memory layout.
+products. Each record column is one row that the run draws times one scale:
+without mode mismatch (eta = 1) three Bartlett rows carry all five columns,
+and otherwise each column is its own row. ``run_bench`` therefore folds the
+rows it draws (``stats.comoments``), through one reusable block of
+``stats._BLOCK_FRAMES`` frames reduced while in cache, and scales their sums
+into the record's: entry (i, j) is s_i s_j times the rows' entry (r_i, r_j)
+for columns i = (r_i, s_i). It keeps only the sums, so its memory does not
+grow with frames, and ``FrameBatch.corr`` reads any correlation off them. A
+caller that needs a series itself reads ``FrameBatch.record``, redrawn on
+demand with the same bits, times the weights (``out_series``), summed column
+by column, so that a frame's value depends on its own record row alone,
+whatever the record's memory layout.
 
 ``run_bench`` does not draw fields. The five numbers it records per frame
 are entries of Gram matrices of independent unit-variance mode amplitudes,
@@ -148,12 +152,13 @@ class FrameBatch:
     column 0 the last two make the Gram matrix of the two BS inputs. Every
     read-out, an in-intensity or any beam of any preset behind any analyzer,
     is a fixed combination of these five columns, coded once as its weights
-    (``in_weights``, ``out_weights``). ``sums`` is the read-only 5x5
-    ``stats.comoments`` of the record columns, which ``run_bench`` streams,
-    and ``corr`` reads the correlation of two read-outs off it without
-    building either series. ``record`` itself is redrawn from the run's
-    chunk streams on first read, bit-identical to what was reduced, and
-    ``out_series`` is the record times the weights.
+    (``in_weights``, ``out_weights``). ``sums`` is the read-only 5x5 matrix
+    of centred sums of products of the record columns, which ``run_bench``
+    scales from the sums of the rows it draws, and ``corr`` reads the
+    correlation of two read-outs off it without building either series.
+    ``record`` itself is redrawn from the run's chunk streams on first read,
+    each column one drawn row times one scale, and ``out_series`` is the
+    record times the weights.
     """
 
     config: BenchConfig
@@ -167,9 +172,10 @@ class FrameBatch:
     def record(self) -> np.ndarray:
         """Read-only (frames, 5) record of the run, drawn on first read through its chunk streams.
 
-        Under the chunk keying every frame's row has the bits that the run
-        reduced into ``sums``; it costs the run's draws again, and 40 bytes a
-        frame.
+        Under the chunk keying every frame's drawn rows have the bits that
+        the run folded into ``sums``, and each column is one of them times
+        its scale (``_columns``). It costs the run's draws again, and 40
+        bytes a frame, beside the draws' buffers while it is built.
         """
         record = _record(self.config, 0, -(-self.config.frames // CHUNK_FRAMES))
         record = record[: self.config.frames]
@@ -346,12 +352,12 @@ def _substituted(config: BenchConfig) -> int:
 
 
 def _buffers(config: BenchConfig, frames: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Uninitialised draw rows of ``_record`` for ``frames`` frames: B's 5, and A's 5 if k > 0."""
+    """Uninitialised draw rows of ``_rows`` for ``frames`` frames: B's 5, and A's 5 if k > 0."""
     return np.empty((5, frames)), np.empty((5, frames)) if _substituted(config) else None
 
 
-def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.ndarray:
-    """(frames, 5) record of every frame of chunks first .. first + n_chunks - 1.
+def _rows(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> tuple:
+    """The rows drawn for every frame of chunks first .. first + n_chunks - 1.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are
     B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
@@ -362,14 +368,16 @@ def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.
     the two Gamma(k), then B's normal and A's. They land in the rows of
     ``buffers`` (from ``_buffers``, fresh ones by default, at least as wide
     as the frames); B's rows are zeroed when M - k = 0, which draws none. The
-    arithmetic then runs once over all rows, in place, and the record is the
-    transpose of B's 5-row buffer: a view, which the next call with the same
-    buffers overwrites.
+    arithmetic then runs once over all rows, in place. At k = 0 the rows are
+    B's three Bartlett rows (|x|^2, |y|^2, Re x.y*), unscaled; at k > 0 they
+    are the five record columns. Each record column is one row times one
+    scale (``_columns``). The rows are views of the buffers, which the next
+    call with the same buffers overwrites.
     """
     k = _substituted(config)
     r = config.modes - k
     n = n_chunks * CHUNK_FRAMES
-    # rec: B's rows (g0, h, normal, two spares), which become the record;
+    # rec: B's rows (g0, h, normal, two spares), which become the rows;
     # sub: A's rows (g0, h, normal), then G_s2 and G_ss
     rec, sub = buffers or _buffers(config, n)
     rec = rec[:, :n]
@@ -391,29 +399,55 @@ def _record(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> np.
         for row in normals:
             rng.standard_normal(out=row[cols])
 
+    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[4])
+    if not k:
+        return b_xx, b_yy, b_xy
     m1, t = config.mean_photons, config.t_split
     m2 = m1 / t
-    _, _, ins2, gram0, _ = rec  # B's spare rows take the outputs it has no row for
-    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[4])
+    _, _, ins2, gram0, _ = rec  # B's spare rows take the columns it has no row for
     np.multiply(b_yy, t * m2, out=gram0)
     b_xy *= math.sqrt(t * m1 * m2)
-    beam3_yy = b_yy
-    if k:
-        # A's cross term passes through ins2, which is written last
-        a_xx, a_yy, a_xy = _bartlett(sub[:3], ins2)
-        g_s2, g_ss = sub[3], sub[4]
-        b_xx += a_xx
-        a_yy *= m1
-        gram0 += a_yy
-        a_xy *= m1
-        b_xy += a_xy
-        g_ss += b_yy
-        beam3_yy = g_ss
-        b_yy += g_s2
-    np.multiply(beam3_yy, (1.0 - t) * m2, out=ins2)
+    # A's cross term passes through ins2, which is written last
+    a_xx, a_yy, a_xy = _bartlett(sub[:3], ins2)
+    g_s2, g_ss = sub[3], sub[4]
+    b_xx += a_xx
+    a_yy *= m1
+    gram0 += a_yy
+    a_xy *= m1
+    b_xy += a_xy
+    g_ss += b_yy
+    b_yy += g_s2
+    np.multiply(g_ss, (1.0 - t) * m2, out=ins2)
     b_yy *= t * m2
     b_xx *= m1
-    return rec.T
+    return tuple(rec)
+
+
+def _columns(config: BenchConfig) -> tuple[tuple[int, float], ...]:
+    """Each of the five record columns as (row of ``_rows``, scale).
+
+    At k = 0 (m1 = mean_photons, t = t_split, m2 = m1 / t) the columns are
+    m1 |x|^2, t m2 |y|^2, (1 - t) m2 |y|^2, t m2 |y|^2 and sqrt(t m1 m2)
+    Re x.y*; at k > 0 each column is its own row at scale 1.
+    """
+    if _substituted(config):
+        return tuple((column, 1.0) for column in range(5))
+    m1, t = config.mean_photons, config.t_split
+    m2 = m1 / t
+    return ((0, m1), (1, t * m2), (1, (1.0 - t) * m2), (1, t * m2), (2, math.sqrt(t * m1 * m2)))
+
+
+def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
+    """(frames, 5) record of every frame of chunks first .. first + n_chunks - 1.
+
+    Column c is its row of ``_rows`` times its scale of ``_columns``, one
+    multiply per column.
+    """
+    rows = _rows(config, first, n_chunks)
+    record = np.empty((5, rows[0].size))
+    for out, (row, scale) in zip(record, _columns(config)):
+        np.multiply(rows[row], scale, out=out)
+    return record.T
 
 
 def chunk_record(config: BenchConfig, chunk: int) -> np.ndarray:
@@ -436,19 +470,23 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 
-    The record streams: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 8 chunks at
+    The draws stream: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 8 chunks at
     a time are drawn into one pair of buffers, allocated once per run, and
-    each block is folded into ``stats.comoments`` while it is in cache. The
-    batch keeps the 5x5 sums, so the run's memory does not grow with frames;
-    ``FrameBatch.record`` redraws the record on demand. Fewer than two
-    frames have no sums and raise ``ValueError``.
+    each block of drawn rows (``_rows``) is folded into ``stats.comoments``
+    while it is in cache: three rows at eta = 1, five otherwise. The rows'
+    sums S then give the record's, sums[i, j] = s_i s_j S[r_i, r_j] for
+    columns i = (r_i, s_i) of ``_columns``; a product that overflows is left
+    to ``FrameBatch.corr`` to refuse. The batch keeps the 5x5 sums, so the
+    run's memory does not grow with frames; ``FrameBatch.record`` redraws
+    the record on demand. Fewer than two frames have no sums and raise
+    ``ValueError``.
 
     With m1 = mean_photons, t = t_split, m2 = m1 / t and the draws of
-    ``_record``, a frame records (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
+    ``_rows``, a frame records (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
     (1 - t) m2 (G_ss + B_yy), m1 A_yy + t m2 B_yy,
     m1 Re A_xy + sqrt(t m1 m2) Re B_xy). Identical (seed, config) produce
-    bit-identical records, and so sums, for any worker count; frame j
-    depends only on the seed, j, modes, eta, mean_photons and t_split.
+    bit-identical records and sums for any worker count; frame j depends
+    only on the seed, j, modes, eta, mean_photons and t_split.
     """
     n_chunks = -(-config.frames // CHUNK_FRAMES)
     per_block = _BLOCK_FRAMES // CHUNK_FRAMES
@@ -456,9 +494,14 @@ def run_bench(config: BenchConfig) -> FrameBatch:
 
     def blocks():
         for first in range(0, n_chunks, per_block):
-            record = _record(config, first, min(per_block, n_chunks - first), buffers)
-            yield record[: config.frames - first * CHUNK_FRAMES].T
+            drawn = _rows(config, first, min(per_block, n_chunks - first), buffers)
+            width = config.frames - first * CHUNK_FRAMES
+            yield tuple(row[:width] for row in drawn)
 
-    sums = comoments(blocks())
+    row_sums = comoments(blocks())
+    rows, scales = (np.array(x) for x in zip(*_columns(config)))
+    # a source too bright for its sums is refused by comoment_corr, not here
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.multiply.outer(scales, scales) * row_sums[np.ix_(rows, rows)]
     sums.flags.writeable = False
     return FrameBatch(config, sums)

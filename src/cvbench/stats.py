@@ -9,12 +9,14 @@ products in one pass, and ``comoment_corr`` reads the correlation of any two
 linear combinations of the series off those sums, through one set of guards
 (non-finite sums, zero variance, a norm that over- or underflows).
 ``corr_coeff`` is its two-series case, and ``speckle.FrameBatch.corr`` reads
-every bench correlation off the sums of the five record columns that
-``speckle.run_bench`` streams through it. ``cm_to_intensity_corr`` predicts
-the same quantity analytically from a covariance matrix, which the Monte Carlo tests
-use as a cross-module oracle; like the read-outs of ``cvbench.info`` it
-returns numpy values over the state's batch shape, a numpy scalar for a
-single state.
+every bench correlation off the sums of the five record columns, which
+``speckle.run_bench`` scales from the sums of the rows it draws and streams
+through it. ``cm_to_intensity_corr`` predicts the same quantity analytically
+from a covariance matrix, which the Monte Carlo tests use as a cross-module
+oracle; like the read-outs of ``cvbench.info`` it returns numpy values over
+the state's batch shape, a numpy scalar for a single state. Its analog
+coefficient refuses a state whose Glauber P-function is negative, when the
+value shows it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ __all__ = [
 #: frames per block of ``comoments``' callers: a block of k series is at most
 #: (k, _BLOCK_FRAMES), so no caller's scratch grows with the series
 _BLOCK_FRAMES = 8192
+
+#: how far an analog coefficient may exceed 1 and still be rounding, in units of
+#: eps ((n_h + 1/2) / n_h + (n_k + 1/2) / n_k): each mean photon number n is read
+#: off quadrature variances of size n + 1/2. Split thermal and squeezed pairs and
+#: their three-mode outputs reach 1.5 units (N down to 1e-6, t_split down to 1e-6)
+_ANALOG_ROUNDING = 8
 
 
 def comoments(blocks) -> np.ndarray:
@@ -187,6 +195,13 @@ def cm_to_intensity_corr(
     what the speckle bench realizes; the value is independent of how many
     equal-intensity copies of the modes a detector collects. Returns the
     coefficient over the batch shape, each member with the bits of its own call.
+
+    The analog model is normally ordered, so it describes classical fields,
+    those with a non-negative Glauber P-function, for which the coefficient
+    is a Pearson correlation of two intensities and at most 1. An analog
+    value above 1 by more than ``_ANALOG_ROUNDING`` units of rounding (see
+    there) comes from a negative P-function and raises ``ValueError``; one
+    within them is clamped to 1.
     """
     n_modes = state.n_modes
     if not (0 <= mode_h < n_modes and 0 <= mode_k < n_modes):
@@ -208,4 +223,15 @@ def cm_to_intensity_corr(
     if shot_noise:
         var_h += n_h
         var_k += n_k
-    return np.clip(cov / np.sqrt(var_h * var_k), -1.0, 1.0)
+    c = cov / np.sqrt(var_h * var_k)
+    if not shot_noise:
+        rounding = np.finfo(float).eps * ((n_h + 0.5) / n_h + (n_k + 0.5) / n_k)
+        negative_p = c > 1.0 + _ANALOG_ROUNDING * rounding
+        if negative_p.any():
+            raise member_error(
+                ValueError,
+                "analog intensity correlation above 1: the state's Glauber P-function "
+                "is negative, which analog detection cannot represent",
+                negative_p,
+            )
+    return np.clip(c, -1.0, 1.0)

@@ -37,7 +37,7 @@ from cvbench.states import (
     vacuum_state,
 )
 from cvbench.stats import cm_to_intensity_corr
-from helpers import random_symplectic, random_two_mode_state
+from helpers import random_single_mode_cm, random_symplectic, random_two_mode_state
 
 
 def g_thermal(n):
@@ -302,6 +302,14 @@ def stacked(states):
     return GaussianState(np.stack([s.cm for s in states]))
 
 
+def outcome(function, *args):
+    """What a call returns, or the ValueError that it raises."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return exc
+
+
 def has_photons(state):
     # both modes carry photons, so their intensity correlation is defined
     return bool(np.all(np.diag(state.cm).reshape(2, 2).sum(axis=1) > 1.0))
@@ -327,10 +335,20 @@ def test_stacked_calls_equal_member_calls(members, tau):
     bright = [m for m in members if has_photons(m)]
     if bright:
         for shot_noise in (False, True):
-            assert np.array_equal(
-                cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise),
-                [cm_to_intensity_corr(m, 0, 1, shot_noise) for m in bright],
-            )
+            singles = [outcome(cm_to_intensity_corr, m, 0, 1, shot_noise) for m in bright]
+            refused = [i for i, single in enumerate(singles) if isinstance(single, ValueError)]
+            if not refused:
+                assert np.array_equal(
+                    cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise), singles
+                )
+                continue
+            # an analog value that only a negative P-function gives refuses the
+            # member alone and the stack alike, which names its first such member
+            first = singles[refused[0]]
+            with pytest.raises(ValueError) as stack_error:
+                cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise)
+            assert str(stack_error.value) == f"{first} (batch member {refused[0]})"
+            assert stack_error.value.member == (refused[0],)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -421,6 +439,44 @@ def test_protocol_over_the_stated_photon_range(t_split):
         for mode in (0, 1):
             c = cm_to_intensity_corr(out, mode, 2, shot_noise=True)
             assert np.all((0.0 <= c) & (c <= 1.0)), (tau, mode)
+
+
+@st.composite
+def two_mode_pairs(draw):
+    """A general two-mode pair (``random_two_mode_state``), or a product pair, whose C block is 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return tensor([GaussianState(random_single_mode_cm(rng)) for _ in range(2)])
+    return random_two_mode_state(rng)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pair=two_mode_pairs(), tau=st.floats(0.05, 0.95))
+def test_any_pair_reveals_interference_exactly_when_discordant(pair, tau):
+    # the paper's law beyond the split family: the probe (mode 1) is the
+    # pair's own mode-0 marginal, the pair feeds modes 2 and 3, and the BS
+    # mixes modes 1 and 2. Photon counting (shot noise) describes every
+    # state, classical P-function or not
+    state_in = tensor([partial_trace(pair, (0,)), pair])
+    op = np.eye(6)
+    op[:4, :4] = bs_symplectic(tau).matrix
+    out = apply_symplectic(state_in, SymplecticOp(op))
+
+    def corr(state, h, k):
+        return cm_to_intensity_corr(state, h, k, shot_noise=True)
+
+    # identical independent inputs leave no 1-2 correlation: each cross
+    # moment is a difference of two equal products, so c12 is O(eps^2)
+    # (at most 3.5e-33 over 3,200 seeded general pairs)
+    assert corr(out, 0, 1) <= 1e-24
+    # the BS passes sqrt(1 - tau) of mode 2's field into mode 1 and leaves
+    # mode 1's intensity variance that of mode 2 (at most 2 eps off over the same pairs)
+    c13 = corr(out, 0, 2)
+    assert abs(c13 - (1.0 - tau) * corr(state_in, 1, 2)) <= 1e-14
+    # discord on either side is zero exactly when the C block is: products
+    # give exact zeros, correlated pairs at least 1e-4 nats and 1e-4 in c13
+    for measured in (pair, partial_trace(pair, (1, 0))):
+        assert (gaussian_discord(measured) > 0.0) == (c13 > 0.0)
 
 
 def split_pair(source):

@@ -26,7 +26,7 @@ from cvbench.speckle import (
     chunk_record,
     run_bench,
 )
-from cvbench.stats import _BLOCK_FRAMES, corr_coeff
+from cvbench.stats import _BLOCK_FRAMES, comoments, corr_coeff
 
 #: stream ids of the oracle's per-beam field streams; the bench's Gram stream is 5
 SOURCE1, SOURCE2, MIX_SUBSTITUTE, SPLIT_SUBSTITUTE = 1, 2, 3, 4
@@ -454,23 +454,48 @@ class TestRunBench:
         # chunk by chunk; 2 and 256 frames end inside the first chunk, and
         # _BLOCK_FRAMES + 1 leaves a last block of one frame.
         # eta = 0 draws no B block: rows that a reused buffer must read as
-        # zero in every block. M = 1 draws B = W2(1), whose h is Gamma(1/2)
-        cfg = BenchConfig(modes=modes, frames=frames, seed=41, eta=eta, tau_mix=0.3, t_split=0.4)
-        sums = run_bench(cfg).sums
-        chunks = range(-(-frames // CHUNK_FRAMES))
-        record = np.concatenate([chunk_record(cfg, c) for c in chunks])[:frames]
-        centred = [x - math.fsum(x.tolist()) / frames for x in record.T]
-        for i, j in np.ndindex(5, 5):
-            exact = math.fsum((centred[i] * centred[j]).tolist())
-            assert abs(sums[i, j] - exact) <= 1e-12 * math.sqrt(sums[i, i] * sums[j, j])
-        assert np.array_equal(sums, sums.T)
+        # zero in every block. M = 1 draws B = W2(1), whose h is Gamma(1/2).
+        # A mean of 2.7 photons makes every scale of the record columns other than 1
+        for mean_photons in (1.0, 2.7):
+            cfg = BenchConfig(
+                modes=modes,
+                frames=frames,
+                mean_photons=mean_photons,
+                seed=41,
+                eta=eta,
+                tau_mix=0.3,
+                t_split=0.4,
+            )
+            sums = run_bench(cfg).sums
+            chunks = range(-(-frames // CHUNK_FRAMES))
+            record = np.concatenate([chunk_record(cfg, c) for c in chunks])[:frames]
+            centred = [x - math.fsum(x.tolist()) / frames for x in record.T]
+            for i, j in np.ndindex(5, 5):
+                exact = math.fsum((centred[i] * centred[j]).tolist())
+                assert abs(sums[i, j] - exact) <= 1e-12 * math.sqrt(sums[i, i] * sums[j, j])
+            assert np.array_equal(sums, sums.T)
+
+    @pytest.mark.parametrize("modes, eta", [(4, 1.0), (7, 0.7)])
+    def test_sums_are_the_records_comoments_at_unit_scales(self, modes, eta):
+        # at one photon and t_split 1/2 every scale of a record column is
+        # exactly 1, so the sums a run folds from its drawn rows have the bits
+        # of comoments over the record's blocks, at k = 0 (three rows) as at
+        # k > 0 (five); at k = 0 the in-intensity of beam 2 and the first Gram
+        # column are one row at one scale
+        cfg = BenchConfig(modes=modes, frames=3 * _BLOCK_FRAMES - 5, seed=43, eta=eta)
+        batch = run_bench(cfg)
+        starts = range(0, cfg.frames, _BLOCK_FRAMES)
+        expected = comoments(batch.record[t : t + _BLOCK_FRAMES].T for t in starts)
+        assert batch.sums.tobytes() == expected.tobytes()
+        if eta == 1.0:
+            assert batch.sums[1].tobytes() == batch.sums[3].tobytes()
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_memory_does_not_grow_with_frames(self, eta):
-        # a run keeps its 5x5 sums and streams the record through 15 rows of
-        # _BLOCK_FRAMES doubles (B's 5, A's 5 and comoments' 5), about 1 MB;
-        # a run that keeps its record holds 40 bytes a frame, 13 MB at
-        # 40 blocks and eta 1
+        # a run keeps its 5x5 sums and streams its draws through at most 15
+        # rows of _BLOCK_FRAMES doubles (B's 5, A's 5 and comoments' 3 or 5),
+        # about 1 MB; a run that keeps its record holds 40 bytes a frame,
+        # 13 MB at 40 blocks and eta 1
         bound = 32 * _BLOCK_FRAMES * 8
         run_bench(BenchConfig(modes=4, frames=10, seed=2, eta=eta))  # first-use imports
         for blocks in (4, 40):

@@ -8,7 +8,7 @@ import pytest
 
 from cvbench.network import ThreeModeProtocol, prepare_discordant_pair, run_three_mode
 from cvbench.speckle import BenchConfig, run_bench
-from cvbench.states import SingleModeSpec, tensor, thermal_state, vacuum_state
+from cvbench.states import GaussianState, SingleModeSpec, tensor, thermal_state, vacuum_state
 from cvbench.stats import (
     _BLOCK_FRAMES,
     cm_to_intensity_corr,
@@ -265,6 +265,29 @@ class TestCmToIntensityCorr:
         _, out = run_three_mode(protocol)
         assert cm_to_intensity_corr(out, 0, 2) == pytest.approx(0.5, abs=1e-12)
         assert cm_to_intensity_corr(out, 1, 2) == pytest.approx(0.5, abs=1e-12)
+
+    def test_analog_refuses_a_negative_p_function(self):
+        # a two-mode squeezed vacuum of n = 1/8 photon per mode, <a b> = 3/8:
+        # the normally ordered coefficient |<a b>|^2 / n^2 is 9, which no
+        # classical field gives, while photon counting reads the perfect
+        # correlation of its photon numbers, 1
+        cm = np.array([[5, 0, 3, 0], [0, 5, 0, -3], [3, 0, 5, 0], [0, -3, 0, 5]]) / 8.0
+        squeezed = GaussianState(cm)
+        with pytest.raises(ValueError, match="Glauber P-function is negative"):
+            cm_to_intensity_corr(squeezed, 0, 1)
+        assert cm_to_intensity_corr(squeezed, 0, 1, shot_noise=True) == pytest.approx(1.0)
+        split = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+        stack = GaussianState(np.stack([split.cm, cm]))
+        with pytest.raises(ValueError, match=r"negative.*\(batch member 1\)$"):
+            cm_to_intensity_corr(stack, 0, 1)
+
+    def test_analog_admits_the_rounding_of_a_dim_split_source(self):
+        # the split pair of a bench source of 1e-3 photons at t_split 0.9:
+        # each mean photon number is read off variances near 1/2, so the
+        # coefficient rounds to 1 + 2106 eps, 0.42 of the stated units, and
+        # reads 1
+        pair = prepare_discordant_pair(SingleModeSpec(1e-3 / 0.9), 0.9)
+        assert cm_to_intensity_corr(pair, 0, 1) == 1.0
 
     def test_zero_photon_mode_rejected(self):
         state = tensor([vacuum_state(), thermal_state(1.0)])
