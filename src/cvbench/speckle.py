@@ -16,13 +16,15 @@ columns, coded once as its weights: ``FrameBatch.out_weights(beam, basis,
 scenario)`` forms them through the analyzer's intensity projector
 (``ANALYZERS``). Every correlation of two read-outs, in-intensities included,
 is a second moment, so a run's datum is the record's 5x5 centred sums of
-products. Each record column is one row that the run draws times one scale:
-without mode mismatch (eta = 1) three Bartlett rows carry all five columns,
-and otherwise each column is its own row. ``run_bench`` therefore folds the
-rows it draws (``stats.comoments``), through one reusable block of
-``stats._BLOCK_FRAMES`` frames reduced while in cache, and scales their sums
-into the record's: entry (i, j) is s_i s_j times the rows' entry (r_i, r_j)
-for columns i = (r_i, s_i). It keeps only the sums, so its memory does not
+products. Each record column is one unscaled row that the run draws times
+one scale, which ``mean_photons`` and ``t_split`` set at every eta: without
+mode mismatch (eta = 1) three Bartlett rows carry all five columns, and
+otherwise each column is its own row, a sum of draws. So a source's scales
+move no correlation. ``run_bench`` folds the rows it draws
+(``stats.comoments``), through one reusable block of ``stats._BLOCK_FRAMES``
+frames reduced while in cache, and scales their sums into the record's:
+entry (i, j) is s_i s_j times the rows' entry (r_i, r_j) for columns
+i = (r_i, s_i). It keeps only the sums, so its memory does not
 grow with frames, and ``FrameBatch.corr`` reads any correlation off them. A
 caller that needs a series itself reads ``FrameBatch.record``, redrawn on
 demand with the same bits, times the weights (``out_series``), summed column
@@ -110,7 +112,9 @@ class BenchConfig:
     mean intensity of every detected beam in the ideal configuration; the
     split source is drawn brighter by 1/t_split so that beam 2 matches beam 1.
     All modes of a beam share one mean, which is what makes the correlation
-    coefficients independent of ``modes``.
+    coefficients independent of ``modes``. ``modes``, ``frames``, ``seed``
+    and ``workers`` are Python or numpy integers; any other value, or one out
+    of range, raises ``ValueError``.
     """
 
     modes: int = 100
@@ -123,6 +127,9 @@ class BenchConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("modes", "frames", "seed", "workers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.modes < 1:
             raise ValueError(f"modes must be >= 1, got {self.modes!r}")
         if self.frames < 1:
@@ -157,8 +164,8 @@ class FrameBatch:
     scales from the sums of the rows it draws, and ``corr`` reads the
     correlation of two read-outs off it without building either series.
     ``record`` itself is redrawn from the run's chunk streams on first read,
-    each column one drawn row times one scale, and ``out_series`` is the
-    record times the weights.
+    each column one unscaled drawn row times its scale, and ``out_series``
+    is the record times the weights.
     """
 
     config: BenchConfig
@@ -175,7 +182,7 @@ class FrameBatch:
         Under the chunk keying every frame's drawn rows have the bits that
         the run folded into ``sums``, and each column is one of them times
         its scale (``_columns``). It costs the run's draws again, and 40
-        bytes a frame, beside the draws' buffers while it is built.
+        bytes a frame, beside the draws' buffer while it is built.
         """
         record = _record(self.config, 0, -(-self.config.frames // CHUNK_FRAMES))
         record = record[: self.config.frames]
@@ -351,13 +358,13 @@ def _substituted(config: BenchConfig) -> int:
     return int(round((1.0 - config.eta) * config.modes))
 
 
-def _buffers(config: BenchConfig, frames: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Uninitialised draw rows of ``_rows`` for ``frames`` frames: B's 5, and A's 5 if k > 0."""
-    return np.empty((5, frames)), np.empty((5, frames)) if _substituted(config) else None
+def _buffers(config: BenchConfig, frames: int) -> np.ndarray:
+    """Uninitialised draw rows of ``_rows`` for ``frames`` frames: B's 4, then A's 5 if k > 0."""
+    return np.empty((9 if _substituted(config) else 4, frames))
 
 
-def _rows(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> tuple:
-    """The rows drawn for every frame of chunks first .. first + n_chunks - 1.
+def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
+    """The unscaled rows drawn for every frame of chunks first .. first + n_chunks - 1.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are
     B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
@@ -366,21 +373,21 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> tuple
     whole from its own stream, in one fixed order: B's Gamma(M - k) and
     Gamma(M - k - 1/2), then, if k > 0, A's Gamma(k) and Gamma(k - 1/2) and
     the two Gamma(k), then B's normal and A's. They land in the rows of
-    ``buffers`` (from ``_buffers``, fresh ones by default, at least as wide
+    ``buffer`` (from ``_buffers``, a fresh one by default, at least as wide
     as the frames); B's rows are zeroed when M - k = 0, which draws none. The
     arithmetic then runs once over all rows, in place. At k = 0 the rows are
-    B's three Bartlett rows (|x|^2, |y|^2, Re x.y*), unscaled; at k > 0 they
-    are the five record columns. Each record column is one row times one
-    scale (``_columns``). The rows are views of the buffers, which the next
-    call with the same buffers overwrites.
+    B's three Bartlett rows (B_xx, B_yy, Re B_xy); at k > 0 they are the five
+    sums of draws (A_xx + B_xx, G_s2 + B_yy, G_ss + B_yy, A_yy + B_yy,
+    Re A_xy + Re B_xy). Each record column is one row times one scale
+    (``_columns``). The rows are views of the buffer, which the next call
+    with the same buffer overwrites.
     """
     k = _substituted(config)
     r = config.modes - k
     n = n_chunks * CHUNK_FRAMES
-    # rec: B's rows (g0, h, normal, two spares), which become the rows;
-    # sub: A's rows (g0, h, normal), then G_s2 and G_ss
-    rec, sub = buffers or _buffers(config, n)
-    rec = rec[:, :n]
+    draws = (_buffers(config, n) if buffer is None else buffer)[:, :n]
+    # B's rows (g0, h, normal, Re x.y*), then A's (g0, h, normal, G_s2, G_ss)
+    rec, sub = draws[:4], draws[4:]
     gammas, normals = [], []
     if r:
         gammas += [(rec[0], r), (rec[1], r - 0.5)]
@@ -388,7 +395,6 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> tuple
     else:
         rec[:3].fill(0.0)
     if k:
-        sub = sub[:, :n]
         gammas += [(sub[0], k), (sub[1], k - 0.5), (sub[3], k), (sub[4], k)]
         normals += [sub[2]]
     for i in range(n_chunks):
@@ -399,42 +405,31 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffers=None) -> tuple
         for row in normals:
             rng.standard_normal(out=row[cols])
 
-    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[4])
+    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[3])
     if not k:
         return b_xx, b_yy, b_xy
-    m1, t = config.mean_photons, config.t_split
-    m2 = m1 / t
-    _, _, ins2, gram0, _ = rec  # B's spare rows take the columns it has no row for
-    np.multiply(b_yy, t * m2, out=gram0)
-    b_xy *= math.sqrt(t * m1 * m2)
-    # A's cross term passes through ins2, which is written last
-    a_xx, a_yy, a_xy = _bartlett(sub[:3], ins2)
+    # A's cross term goes through B's spent normal row
+    a_xx, a_yy, a_xy = _bartlett(sub[:3], rec[2])
     g_s2, g_ss = sub[3], sub[4]
     b_xx += a_xx
-    a_yy *= m1
-    gram0 += a_yy
-    a_xy *= m1
-    b_xy += a_xy
+    g_s2 += b_yy
     g_ss += b_yy
-    b_yy += g_s2
-    np.multiply(g_ss, (1.0 - t) * m2, out=ins2)
-    b_yy *= t * m2
-    b_xx *= m1
-    return tuple(rec)
+    a_yy += b_yy
+    b_xy += a_xy
+    return b_xx, g_s2, g_ss, a_yy, b_xy
 
 
 def _columns(config: BenchConfig) -> tuple[tuple[int, float], ...]:
     """Each of the five record columns as (row of ``_rows``, scale).
 
-    At k = 0 (m1 = mean_photons, t = t_split, m2 = m1 / t) the columns are
-    m1 |x|^2, t m2 |y|^2, (1 - t) m2 |y|^2, t m2 |y|^2 and sqrt(t m1 m2)
-    Re x.y*; at k > 0 each column is its own row at scale 1.
+    With m1 = mean_photons, t = t_split and m2 = m1 / t the scales are m1,
+    t m2, (1 - t) m2, t m2 and sqrt(t m1 m2) at every eta. At k = 0 the
+    columns read rows (0, 1, 1, 1, 2), at k > 0 each column its own row.
     """
-    if _substituted(config):
-        return tuple((column, 1.0) for column in range(5))
     m1, t = config.mean_photons, config.t_split
     m2 = m1 / t
-    return ((0, m1), (1, t * m2), (1, (1.0 - t) * m2), (1, t * m2), (2, math.sqrt(t * m1 * m2)))
+    scales = (m1, t * m2, (1.0 - t) * m2, t * m2, math.sqrt(t * m1 * m2))
+    return tuple(zip(range(5) if _substituted(config) else (0, 1, 1, 1, 2), scales))
 
 
 def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
@@ -471,30 +466,28 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     3 on V, so they do not.
 
     The draws stream: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 8 chunks at
-    a time are drawn into one pair of buffers, allocated once per run, and
-    each block of drawn rows (``_rows``) is folded into ``stats.comoments``
-    while it is in cache: three rows at eta = 1, five otherwise. The rows'
-    sums S then give the record's, sums[i, j] = s_i s_j S[r_i, r_j] for
+    a time are drawn into one buffer (``_buffers``), allocated once per
+    run, and each block of drawn rows (``_rows``) is folded into
+    ``stats.comoments`` while it is in cache: three rows at eta = 1, five
+    otherwise. The rows' sums S then give the record's, sums[i, j] = s_i s_j S[r_i, r_j] for
     columns i = (r_i, s_i) of ``_columns``; a product that overflows is left
     to ``FrameBatch.corr`` to refuse. The batch keeps the 5x5 sums, so the
     run's memory does not grow with frames; ``FrameBatch.record`` redraws
     the record on demand. Fewer than two frames have no sums and raise
     ``ValueError``.
 
-    With m1 = mean_photons, t = t_split, m2 = m1 / t and the draws of
-    ``_rows``, a frame records (m1 (A_xx + B_xx), t m2 (G_s2 + B_yy),
-    (1 - t) m2 (G_ss + B_yy), m1 A_yy + t m2 B_yy,
-    m1 Re A_xy + sqrt(t m1 m2) Re B_xy). Identical (seed, config) produce
-    bit-identical records and sums for any worker count; frame j depends
-    only on the seed, j, modes, eta, mean_photons and t_split.
+    Each record column is a sum of the draws of ``_rows`` times its scale
+    of ``_columns``. Identical (seed, config) produce bit-identical records
+    and sums for any worker count; frame j depends only on the seed, j,
+    modes, eta, mean_photons and t_split.
     """
     n_chunks = -(-config.frames // CHUNK_FRAMES)
     per_block = _BLOCK_FRAMES // CHUNK_FRAMES
-    buffers = _buffers(config, min(n_chunks, per_block) * CHUNK_FRAMES)
+    buffer = _buffers(config, min(n_chunks, per_block) * CHUNK_FRAMES)
 
     def blocks():
         for first in range(0, n_chunks, per_block):
-            drawn = _rows(config, first, min(per_block, n_chunks - first), buffers)
+            drawn = _rows(config, first, min(per_block, n_chunks - first), buffer)
             width = config.frames - first * CHUNK_FRAMES
             yield tuple(row[:width] for row in drawn)
 

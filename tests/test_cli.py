@@ -720,14 +720,23 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert capsys.readouterr().out == f"{__version__}\n"
 
 
-@pytest.mark.parametrize("mean_photons", ["inf", "1e300"])
-def test_non_finite_correlation_exit_code(tmp_path, capsys, mean_photons):
+@pytest.mark.parametrize(
+    "mean_photons, bench",
+    [
+        pytest.param("inf", [], id="inf"),
+        pytest.param("1e300", [], id="1e300"),
+        pytest.param("1e300", ["--modes", "7", "--eta", "0.7"], id="1e300-eta0.7"),
+    ],
+)
+def test_non_finite_correlation_exit_code(tmp_path, capsys, mean_photons, bench):
     # an infinite source is refused by BenchConfig; a finite one too bright for
-    # the correlation sums is refused by corr_coeff. Neither writes a CSV
+    # the correlation sums is refused by corr_coeff, with mode mismatch and
+    # without. None writes a CSV
     cfg = tmp_path / "bright.cfg"
     cfg.write_text(f"[source]\nmean_photons = {mean_photons}\n")
     out = tmp_path / "tables.csv"
-    assert run_main(["tables", "--frames", "500", "--config", str(cfg), "--out", str(out)]) == 2
+    args = ["tables", "--frames", "500", *bench, "--config", str(cfg), "--out", str(out)]
+    assert run_main(args) == 2
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bright.cfg"]

@@ -7,6 +7,7 @@ and detect the fields with the optics written out here, not with the bench's
 code.
 """
 
+import dataclasses
 import math
 import pickle
 import re
@@ -490,10 +491,26 @@ class TestRunBench:
         if eta == 1.0:
             assert batch.sums[1].tobytes() == batch.sums[3].tobytes()
 
+    @pytest.mark.parametrize("eta", [1.0, 0.7, 0.0])
+    @pytest.mark.parametrize("mean_photons, t_split", [(2.7, 0.3), (0.37, 0.81), (1e3, 0.02)])
+    def test_mean_photons_and_t_split_only_scale_the_record(self, eta, mean_photons, t_split):
+        # the rows a run draws and folds do not depend on the source's scales,
+        # so its sums are the unit-scale run's times s_i s_j, and its record
+        # the unit-scale record times s_j, bit for bit, at k = 0 and k > 0
+        # alike; the scales of the five columns are written out here
+        unit = BenchConfig(modes=7, frames=2 * _BLOCK_FRAMES + 5, seed=47, eta=eta)
+        cfg = dataclasses.replace(unit, mean_photons=mean_photons, t_split=t_split)
+        m1, t = mean_photons, t_split
+        m2 = m1 / t
+        s = np.array([m1, t * m2, (1.0 - t) * m2, t * m2, math.sqrt(t * m1 * m2)])
+        unit_batch, batch = run_bench(unit), run_bench(cfg)
+        assert batch.sums.tobytes() == (np.multiply.outer(s, s) * unit_batch.sums).tobytes()
+        assert batch.record.tobytes() == (unit_batch.record * s).tobytes()
+
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_memory_does_not_grow_with_frames(self, eta):
-        # a run keeps its 5x5 sums and streams its draws through at most 15
-        # rows of _BLOCK_FRAMES doubles (B's 5, A's 5 and comoments' 3 or 5),
+        # a run keeps its 5x5 sums and streams its draws through at most 14
+        # rows of _BLOCK_FRAMES doubles (B's 4, A's 5 and comoments' 3 or 5),
         # about 1 MB; a run that keeps its record holds 40 bytes a frame,
         # 13 MB at 40 blocks and eta 1
         bound = 32 * _BLOCK_FRAMES * 8
@@ -754,6 +771,16 @@ class TestRunBench:
         for mean_photons in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="mean_photons"):
                 BenchConfig(mean_photons=mean_photons)
+        # a count or a seed is an integer: a fractional one is refused, not
+        # truncated by a draw or passed on to the run as a fractional law
+        for name, value in [("seed", 1.5), ("modes", 2.5), ("frames", 2000.5), ("workers", 2.0)]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                BenchConfig(**{name: value})
+        numpy_ints = BenchConfig(
+            modes=np.int64(5), frames=np.int32(300), seed=np.uint64(1), workers=np.int8(2)
+        )
+        python_ints = BenchConfig(modes=5, frames=300, seed=1, workers=2)
+        assert run_bench(numpy_ints).sums.tobytes() == run_bench(python_ints).sums.tobytes()
 
     def test_batch_shapes_and_nonnegativity(self):
         batch = run_bench(BenchConfig(modes=5, frames=300, seed=1))
