@@ -20,7 +20,7 @@ from .network import (
     MarginalMismatchError,
     ThreeModeProtocol,
     bs_symplectic,
-    matched_probe,
+    interfere,
     mix_two,
     prepare_discordant_pair,
     run_three_mode,
@@ -55,7 +55,7 @@ __all__ = [
     "MarginalMismatchError",
     "ThreeModeProtocol",
     "bs_symplectic",
-    "matched_probe",
+    "interfere",
     "mix_two",
     "prepare_discordant_pair",
     "run_three_mode",

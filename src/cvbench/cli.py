@@ -43,13 +43,7 @@ import numpy as np
 
 from . import __version__
 from .info import discord_oracle, entropy, gaussian_discord, mutual_information
-from .network import (
-    ThreeModeProtocol,
-    bs_symplectic,
-    matched_probe,
-    prepare_discordant_pair,
-    run_three_mode,
-)
+from .network import bs_symplectic, interfere, prepare_discordant_pair
 from .speckle import ANALYZERS, SAMPLER, BenchConfig, run_bench
 from .states import (
     GaussianState,
@@ -199,14 +193,17 @@ def _estimate(batch, a, b, level: float) -> tuple:
 
 
 def _bench_config(cfg: dict) -> BenchConfig:
-    """The bench run of a command's config; frames too few for its intervals are refused.
+    """The bench run of a command's config; settings its intervals cannot use are refused.
 
-    A Fisher z interval needs at least 4 frames (``confidence_interval``), so
-    fewer are refused here, with one message, before any frame is drawn.
+    A Fisher z interval needs at least 4 frames and a level in (0, 1)
+    (``confidence_interval``), so anything else is refused here, with one
+    message, before any frame is drawn.
     """
-    frames = cfg["bench"]["frames"]
+    frames, level = cfg["bench"]["frames"], cfg["analysis"]["ci_level"]
     if frames < 4:
         raise ConfigError(f"[bench] frames must be at least 4, got {frames}")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
     return BenchConfig(**cfg["source"], **cfg["bench"])
 
 
@@ -255,7 +252,9 @@ def run_sweep_discord(cfg: dict) -> str:
     One series per value in ``taus``, interpreted as the mixing transmissivity
     (sweep_param = tau_mix) or as the splitting used to prepare the pair
     (sweep_param = t_split), all in one stacked pass over the axes (tau,
-    point). Correlations use the photon-counting variance: with the analog
+    point). Each point's pair is split off its source once: its discord is
+    read off it, and ``interfere`` mixes its near arm with a probe identical
+    to that arm. Correlations use the photon-counting variance: with the analog
     (classical) variance every split-thermal pair has intensity correlation
     exactly 1 and the curves would degenerate. A tau outside [0, 1], or a
     t_split of 0 or 1 (beam 2 or beam 3 then carries no photons), whether
@@ -300,12 +299,10 @@ def run_sweep_discord(cfg: dict) -> str:
     else:
         tau_mix = tau_axis
     grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
-    source = SingleModeSpec(grid)
     try:
-        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau_mix)
-        in_state, out_state = run_three_mode(protocol)
-        # modes 2 and 3 of the input state are the discordant pair
-        disc = gaussian_discord(partial_trace(in_state, (1, 2)))
+        pair = prepare_discordant_pair(SingleModeSpec(grid), t_split)
+        _, out_state = interfere(pair, tau_mix)
+        disc = gaussian_discord(pair)
         c13 = cm_to_intensity_corr(out_state, 0, 2, shot_noise=True)
         c23 = cm_to_intensity_corr(out_state, 1, 2, shot_noise=True)
     except (ArithmeticError, ValueError) as exc:
@@ -372,9 +369,8 @@ def _check_identity_interference(state: GaussianState) -> tuple:
 
 def _check_output_blocks(source: SingleModeSpec, t_split, tau) -> tuple:
     """C02: the pair split off ``source`` at ``t_split``, its mode 2 mixed with a
-    matched probe at ``tau``, shows its correlation in the output blocks."""
-    protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
-    state_in, out = run_three_mode(protocol)
+    probe identical to it at ``tau``, shows its correlation in the output blocks."""
+    state_in, out = interfere(prepare_discordant_pair(source, t_split), tau)
     delta = mode_block(state_in, 1, 2)  # modes 2 and 3 are the discordant pair
     # the output blocks 1-2, 1-3 and 2-3 are 0, sqrt(1 - tau) and sqrt(tau) times it
     weights = np.stack([0.0 * tau, np.sqrt(1.0 - tau), np.sqrt(tau)])[..., None, None]
@@ -417,12 +413,9 @@ def _check_mc_against_cm(configs) -> tuple:
     z = []  # |MC - CM| in standard errors, per run for the pairs 1-3 and 2-3
     for config in configs:
         batch = run_bench(config)
-        mean, t_split = config.mean_photons, config.t_split
-        # the source is split brighter by 1 / t_split, so that beam 2 matches the probe
-        protocol = ThreeModeProtocol(
-            SingleModeSpec(mean), SingleModeSpec(mean / t_split), t_split, config.tau_mix
-        )
-        _, out_state = run_three_mode(protocol)
+        # the source is split brighter by 1 / t_split, so that beam 2 carries the mean photons
+        source = SingleModeSpec(config.mean_photons / config.t_split)
+        _, out_state = interfere(prepare_discordant_pair(source, config.t_split), config.tau_mix)
         for i, j, _ in _PAIRS[1:]:
             c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
             c_cm = cm_to_intensity_corr(out_state, i, j)

@@ -1,8 +1,10 @@
 """The beam splitter and the two bench protocols it builds, at CM level.
 
-All transformations, the marginal a probe matches included, are explicit
-symplectic congruences; the closed-form block expressions (tau sigma1 +
-(1 - tau) sigma2 and friends) appear only in the tests, as independent oracles.
+All transformations are explicit symplectic congruences; the closed-form
+block expressions (tau sigma1 + (1 - tau) sigma2 and friends) appear only in
+the tests, as independent oracles. A three-mode state is built in one place,
+``interfere``: its probe is the pair's own near-arm marginal, so the paper's
+identical interfering inputs hold by construction.
 
 The protocol builders pass batches through: a ``SingleModeSpec`` of arrays
 gives batched states (see ``cvbench.states``), and an array tau a stack of
@@ -14,8 +16,8 @@ and not checked again.
 Sign convention: the beam splitter is
 S = [[sqrt(tau) I, sqrt(1-tau) I], [-sqrt(1-tau) I, sqrt(tau) I]],
 i.e. the reflection of the first input mode carries the minus sign. It is
-written out only in ``bs_symplectic``: ``run_three_mode`` embeds that matrix
-on modes 1 and 2, and the bench's read-out takes its BS row from it.
+written out only in ``bs_symplectic``: ``interfere`` embeds that matrix on
+modes 1 and 2, and the bench's read-out takes its BS row from it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .states import (
     apply_symplectic,
     member_error,
     mode_block,
+    partial_trace,
     single_mode_state,
     tensor,
     vacuum_state,
@@ -46,7 +49,7 @@ __all__ = [
     "bs_symplectic",
     "mix_two",
     "prepare_discordant_pair",
-    "matched_probe",
+    "interfere",
     "run_three_mode",
 ]
 
@@ -100,27 +103,24 @@ def prepare_discordant_pair(source: SingleModeSpec, t_split: float) -> GaussianS
     return apply_symplectic(pair, bs_symplectic(1.0 - t_split))
 
 
-def matched_probe(source: SingleModeSpec, t_split: float) -> SingleModeSpec:
-    """Probe parameters whose CM equals the beam-2 marginal of the split source.
+def interfere(pair: GaussianState, tau_mix) -> tuple[GaussianState, GaussianState]:
+    """Input and output three-mode states of a probe mixed with the near arm of ``pair``.
 
-    The marginal diag(g+, g-) is read off the split's own congruence
-    (``prepare_discordant_pair``), the rounding of 1 - t_split included, and
-    inverted for (n_tot, beta) through the f+/f- parametrization:
-    n = (g+ + g- - 1)/2, and the purity identity sqrt(g+ g-) = 1/2 + (1 - beta) n
-    gives beta = delta^2 / (n (n + 1/2 + sqrt(g+ g-))) with delta = (g+ - g-)/2,
-    a form without cancellation (clamped into [0, 1]). A probe without photons
-    is the vacuum. A batched source gives a batched probe.
+    The probe (mode 1) is the pair's mode-0 marginal, identical to it by
+    construction; the pair feeds modes 2 and 3, and a beam splitter of
+    transmissivity ``tau_mix`` mixes modes 1 and 2. The output keeps both
+    mixed marginals and leaves modes 1 and 2 mutually uncorrelated, while the
+    2-3 correlation block shrinks by sqrt(tau) and a 1-3 block of
+    sqrt(1 - tau) times the input block appears. A batched pair and an array
+    tau give batched states; a pair that is not two-mode raises ``ValueError``.
     """
-    marginal = mode_block(prepare_discordant_pair(source, t_split), 0, 0)
-    g_plus, g_minus = marginal[..., 0, 0], marginal[..., 1, 1]
-    n = (g_plus + g_minus - 1.0) / 2.0
-    delta = (g_plus - g_minus) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = (delta * delta) / (n * (n + 0.5 + np.sqrt(g_plus * g_minus)))
-    bright = n > 0.0
-    # beta > 0 is False for NaN, which the clamp sends to 0
-    beta = np.where(bright & (beta > 0.0), np.minimum(beta, 1.0), 0.0)
-    return SingleModeSpec(np.where(bright, n, 0.0)[()], beta[()])
+    if pair.n_modes != 2:
+        raise ValueError(f"interfere takes a two-mode pair, got {pair.n_modes} modes")
+    _require_unit_interval("tau_mix", tau_mix)
+    state_in = tensor([partial_trace(pair, (0,)), pair])
+    op = np.broadcast_to(np.eye(6), np.shape(tau_mix) + (6, 6)).copy()
+    op[..., :4, :4] = bs_symplectic(tau_mix).matrix
+    return state_in, apply_symplectic(state_in, SymplecticOp(op))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +129,9 @@ class ThreeModeProtocol:
 
     ``t_split`` prepares the discordant pair feeding modes 2 and 3;
     ``tau_mix`` is the transmissivity of the beam splitter mixing modes 1 and 2.
-    The probe marginal must equal the mode-2 marginal (checked when run).
+    ``probe`` must describe the mode-2 marginal (checked when run), which is
+    the probe that mixes; ``interfere`` builds the same states from the pair
+    alone.
     """
 
     probe: SingleModeSpec
@@ -143,14 +145,12 @@ class ThreeModeProtocol:
 
 
 def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, GaussianState]:
-    """Input and output three-mode states of the probe/pair mixing protocol.
+    """``interfere`` on the pair split off the protocol's source, once its probe spec is checked.
 
-    The output keeps both mixed marginals and leaves modes 1 and 2 mutually
-    uncorrelated, while the 2-3 correlation block shrinks by sqrt(tau) and a
-    1-3 block of sqrt(1 - tau) times the input block appears. Batched specs
-    and array taus give batched states. Every member's marginals must match
-    to ``MARGINAL_TOL`` times max(1, the largest entry of its probe CM), so
-    bright sources are not refused for rounding.
+    Every member's probe CM must match the mode-2 marginal to
+    ``MARGINAL_TOL`` times max(1, the largest entry of its probe CM), so
+    bright sources are not refused for rounding. The probe that mixes is the
+    marginal itself, as in ``interfere``.
     """
     pair = prepare_discordant_pair(protocol.source, protocol.t_split)
     probe = single_mode_state(protocol.probe)
@@ -164,8 +164,4 @@ def run_three_mode(protocol: ThreeModeProtocol) -> tuple[GaussianState, Gaussian
             "identical interfering states are required",
             off,
         )
-    state_in = tensor([probe, pair])
-    op = np.broadcast_to(np.eye(6), np.shape(protocol.tau_mix) + (6, 6)).copy()
-    op[..., :4, :4] = bs_symplectic(protocol.tau_mix).matrix
-    return state_in, apply_symplectic(state_in, SymplecticOp(op))
-
+    return interfere(pair, protocol.tau_mix)

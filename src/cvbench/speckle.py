@@ -113,8 +113,8 @@ class BenchConfig:
     split source is drawn brighter by 1/t_split so that beam 2 matches beam 1.
     All modes of a beam share one mean, which is what makes the correlation
     coefficients independent of ``modes``. ``modes``, ``frames``, ``seed``
-    and ``workers`` are Python or numpy integers; any other value, or one out
-    of range, raises ``ValueError``.
+    and ``workers`` are Python or numpy integers, not bools; any other value,
+    or one out of range, raises ``ValueError``.
     """
 
     modes: int = 100
@@ -128,8 +128,9 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         for name in ("modes", "frames", "seed", "workers"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.modes < 1:
             raise ValueError(f"modes must be >= 1, got {self.modes!r}")
         if self.frames < 1:

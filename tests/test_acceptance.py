@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from cvbench.info import gaussian_discord, mutual_information
-from cvbench.network import (
-    ThreeModeProtocol,
-    matched_probe,
-    prepare_discordant_pair,
-    run_three_mode,
-)
+from cvbench.network import interfere, prepare_discordant_pair
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import GaussianState, SingleModeSpec, tensor, thermal_state
 from cvbench.stats import cm_to_intensity_corr, confidence_interval, corr_coeff
@@ -183,11 +178,9 @@ def test_c07_sweep_monotone_in_discord():
     for tau in (0.15, 0.5, 0.85):
         rows = []
         for n_source in grid:
-            source = SingleModeSpec(float(n_source))
-            pair = prepare_discordant_pair(source, 0.5)
+            pair = prepare_discordant_pair(SingleModeSpec(float(n_source)), 0.5)
             disc = gaussian_discord(pair)
-            protocol = ThreeModeProtocol(matched_probe(source, 0.5), source, 0.5, tau)
-            _, out = run_three_mode(protocol)
+            _, out = interfere(pair, tau)
             rows.append(
                 (
                     disc,

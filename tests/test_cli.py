@@ -15,7 +15,7 @@ import pytest
 
 from cvbench import __version__, cli
 from cvbench.info import discord_oracle, entropy, gaussian_discord
-from cvbench.network import ThreeModeProtocol, bs_symplectic, matched_probe, run_three_mode
+from cvbench.network import bs_symplectic, interfere, prepare_discordant_pair
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import (
     SingleModeSpec,
@@ -370,11 +370,8 @@ class TestSweep:
         for tau in (0.05, 0.7):
             t_split, tau_mix = (0.5, tau) if sweep_param == "tau_mix" else (tau, 0.5)
             for n_source in np.geomspace(0.001, 1000.0, 1000).tolist():
-                source = SingleModeSpec(n_source)
-                protocol = ThreeModeProtocol(
-                    matched_probe(source, t_split), source, t_split, tau_mix
-                )
-                state_in, state_out = run_three_mode(protocol)
+                pair = prepare_discordant_pair(SingleModeSpec(n_source), t_split)
+                state_in, state_out = interfere(pair, tau_mix)
                 row = (
                     tau,
                     n_source,
@@ -610,14 +607,14 @@ class TestValidate:
     def test_output_blocks_read_the_mixer(self, capsys, monkeypatch):
         # a mixer placed on the pair (modes 2 and 3) instead of on the probe
         # and mode 2 leaves the probe uncorrelated with mode 3
-        def misplaced(protocol):
-            state_in, _ = run_three_mode(protocol)
-            mixer = bs_symplectic(protocol.tau_mix).matrix  # one per member
+        def misplaced(pair, tau_mix):
+            state_in, _ = interfere(pair, tau_mix)
+            mixer = bs_symplectic(tau_mix).matrix  # one per member
             op = np.broadcast_to(np.eye(6), mixer.shape[:-2] + (6, 6)).copy()
             op[..., 2:, 2:] = mixer
             return state_in, apply_symplectic(state_in, SymplecticOp(op))
 
-        monkeypatch.setattr(cli, "run_three_mode", misplaced)
+        monkeypatch.setattr(cli, "interfere", misplaced)
         assert run_main(["validate", "--quick"]) == 1
         lines = validate_lines(capsys.readouterr().out)
         # the MC check's CM prediction comes from the same mixer, so it fails too
@@ -755,6 +752,24 @@ def test_too_few_frames_refused_before_sampling(tmp_path, monkeypatch, capsys, c
     assert run_main([command, "--frames", frames, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [bench] frames must be at least 4, got {frames}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tables", "erasure"])
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.5", "nan"])
+def test_ci_level_outside_unit_interval_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, level
+):
+    # an interval's level lies in (0, 1); any other is refused by the config,
+    # with one line, before a frame is drawn
+    def no_run(config):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    out = tmp_path / "out.csv"
+    assert run_main([command, "--ci-level", level, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: confidence level must lie in (0, 1), got {float(level)!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -18,13 +18,7 @@ from cvbench.info import (
     gaussian_discord,
     mutual_information,
 )
-from cvbench.network import (
-    ThreeModeProtocol,
-    bs_symplectic,
-    matched_probe,
-    prepare_discordant_pair,
-    run_three_mode,
-)
+from cvbench.network import bs_symplectic, interfere, prepare_discordant_pair
 from cvbench.states import (
     GaussianState,
     SingleModeSpec,
@@ -110,10 +104,7 @@ class TestMutualInformation:
     def test_positive_between_modes_1_and_3(self):
         # mixing transfers correlations: the (1,3) pair of the three-mode
         # output is correlated whenever the input pair was and tau < 1
-        from cvbench.network import ThreeModeProtocol, run_three_mode
-
-        protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.5)
-        _, out = run_three_mode(protocol)
+        _, out = interfere(prepare_discordant_pair(SingleModeSpec(2.0), 0.5), 0.5)
         reduced = partial_trace(out, (0, 2))
         assert mutual_information(reduced) > 1e-3
 
@@ -421,7 +412,7 @@ EDGE_SPLITS = (1e-6, 1e-4, 1e-2, 0.5, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
 @pytest.mark.parametrize("t_split", EDGE_SPLITS)
 def test_protocol_over_the_stated_photon_range(t_split):
     # seeded draws: N log-uniform in [1e-6, 1e7], beta in [0, 1] with its
-    # edges; the first two members put the probe's beta root where it cancels
+    # edges; the first two members are a dim and a bright near-thermal source
     rng = np.random.default_rng([12, EDGE_SPLITS.index(t_split)])
     n_tot = 10.0 ** rng.uniform(-6.0, 7.0, 300)
     edges = rng.choice([0.0, 1e-9, 1.0 - 1e-9, 1.0], 300)
@@ -434,8 +425,7 @@ def test_protocol_over_the_stated_photon_range(t_split):
     # 1e-12 is the mutual information's own clamp
     assert np.all(0.0 <= discord) and np.all(discord <= mi + 1e-12)
     for tau in EDGE_SPLITS:
-        protocol = ThreeModeProtocol(matched_probe(source, t_split), source, t_split, tau)
-        _, out = run_three_mode(protocol)
+        _, out = interfere(pair, tau)
         for mode in (0, 1):
             c = cm_to_intensity_corr(out, mode, 2, shot_noise=True)
             assert np.all((0.0 <= c) & (c <= 1.0)), (tau, mode)
@@ -457,10 +447,7 @@ def test_any_pair_reveals_interference_exactly_when_discordant(pair, tau):
     # pair's own mode-0 marginal, the pair feeds modes 2 and 3, and the BS
     # mixes modes 1 and 2. Photon counting (shot noise) describes every
     # state, classical P-function or not
-    state_in = tensor([partial_trace(pair, (0,)), pair])
-    op = np.eye(6)
-    op[:4, :4] = bs_symplectic(tau).matrix
-    out = apply_symplectic(state_in, SymplecticOp(op))
+    state_in, out = interfere(pair, tau)
 
     def corr(state, h, k):
         return cm_to_intensity_corr(state, h, k, shot_noise=True)
@@ -505,8 +492,7 @@ def test_single_state_values_keep_their_bits():
 
 
 def three_mode_output(source):
-    probe = matched_probe(source, 0.5)
-    return run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.37))[1]
+    return interfere(split_pair(source), 0.37)[1]
 
 
 def test_discord_clamp_bounds():

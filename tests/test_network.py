@@ -11,7 +11,7 @@ from cvbench.network import (
     MarginalMismatchError,
     ThreeModeProtocol,
     bs_symplectic,
-    matched_probe,
+    interfere,
     mix_two,
     prepare_discordant_pair,
     run_three_mode,
@@ -166,23 +166,10 @@ class TestPrepareDiscordantPair:
         assert np.allclose(pair.cm, np.diag([0.5] * 4), atol=1e-12)
 
 
-class TestMatchedProbe:
-    def test_thermal(self):
-        probe = matched_probe(SingleModeSpec(2.0), 0.5)
-        assert probe.n_tot == pytest.approx(1.0, abs=1e-12)
-        assert probe.beta == pytest.approx(0.0, abs=1e-12)
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            source = random_source(rng)
-            t = rng.uniform(0.1, 0.95)
-            probe = matched_probe(source, t)
-            pair = prepare_discordant_pair(source, t)
-            assert np.allclose(single_mode_cm(probe), mode_block(pair, 0, 0), atol=1e-12)
-
-
 class TestRunThreeMode:
+    """The three-mode protocol: ``interfere`` on a pair, and ``run_three_mode``,
+    which checks a probe spec against the split pair's marginal first."""
+
     def test_tau_one_identity(self):
         protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 1.0)
         state_in, state_out = run_three_mode(protocol)
@@ -202,10 +189,12 @@ class TestRunThreeMode:
             source = random_source(rng)
             t = rng.uniform(0.15, 0.85)
             tau = rng.uniform(0.05, 0.95)
-            delta = mode_block(prepare_discordant_pair(source, t), 0, 1)
-            protocol = ThreeModeProtocol(matched_probe(source, t), source, t, tau)
-            state_in, out = run_three_mode(protocol)
-            sigma = single_mode_cm(matched_probe(source, t))
+            pair = prepare_discordant_pair(source, t)
+            delta = mode_block(pair, 0, 1)
+            state_in, out = interfere(pair, tau)
+            sigma = mode_block(pair, 0, 0)
+            # the probe is the near arm's marginal, bit for bit
+            assert np.array_equal(mode_block(state_in, 0, 0), sigma)
             assert np.allclose(mode_block(out, 0, 0), sigma, atol=1e-12)
             assert np.allclose(mode_block(out, 1, 1), sigma, atol=1e-12)
             assert np.allclose(mode_block(out, 0, 1), 0.0, atol=1e-12)
@@ -232,8 +221,15 @@ class TestRunThreeMode:
         # a stack of transmissivities names its out-of-range member
         taus = np.array([0.2, 0.5, 1.5])
         named = r"^tau_mix must lie in \[0, 1\], got 1.5 \(batch member 2\)$"
+        pair = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
         with pytest.raises(ValueError, match=named):
             ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, taus)
+        with pytest.raises(ValueError, match=named):
+            interfere(pair, taus)
+        # the probe is a pair's mode 0: a state of any other mode count is no pair
+        for state, n_modes in ((tensor([pair, vacuum_state()]), 3), (vacuum_state(), 1)):
+            with pytest.raises(ValueError, match=f"two-mode pair, got {n_modes} modes$"):
+                interfere(state, 0.5)
 
     @pytest.mark.parametrize("t_split", [0.0, 0.3, 1.0])
     def test_batched_source_equals_member_runs(self, t_split):
@@ -248,19 +244,28 @@ class TestRunThreeMode:
                 np.array([0.4, 0.0, 1.0, 0.7, 0.1]),
             ),
         ):
-            probe = matched_probe(source, splits)
-            state_in, state_out = run_three_mode(ThreeModeProtocol(probe, source, splits, taus))
+            state_in, state_out = interfere(prepare_discordant_pair(source, splits), taus)
             assert state_in.batch_shape == state_out.batch_shape == (5,)
             for i, (n, b) in enumerate(zip(n_tot, beta)):
                 single = SingleModeSpec(float(n), float(b))
                 split, tau = (float(np.broadcast_to(x, 5)[i]) for x in (splits, taus))
-                single_probe = matched_probe(single, split)
-                assert (probe.n_tot[i], probe.beta[i]) == (single_probe.n_tot, single_probe.beta)
-                single_in, single_out = run_three_mode(
-                    ThreeModeProtocol(single_probe, single, split, tau)
-                )
+                single_in, single_out = interfere(prepare_discordant_pair(single, split), tau)
                 assert np.array_equal(state_in.cm[i], single_in.cm)
                 assert np.array_equal(state_out.cm[i], single_out.cm)
+
+    def test_batched_interfere_equals_member_calls(self):
+        # general pairs against a column of taus, axes (tau, pair) as in the
+        # sweep: each member is bit for bit its own call
+        pairs = random_two_mode_state(np.random.default_rng(41), (5,))
+        taus = np.array([[0.0], [1e-9], [0.3], [1.0]])
+        state_in, state_out = interfere(pairs, taus)
+        assert state_in.batch_shape == (5,) and state_out.batch_shape == (4, 5)
+        for j in range(5):
+            pair = GaussianState(pairs.cm[j])
+            for i, tau in enumerate(taus[:, 0].tolist()):
+                single_in, single_out = interfere(pair, tau)
+                assert np.array_equal(state_in.cm[j], single_in.cm)
+                assert np.array_equal(state_out.cm[i, j], single_out.cm)
 
     def test_marginal_mismatch_names_member(self):
         source = SingleModeSpec(np.array([1.0, 2.0, 3.0]))
@@ -269,19 +274,19 @@ class TestRunThreeMode:
             run_three_mode(ThreeModeProtocol(probe, source, 0.5, 0.5))
 
     @pytest.mark.parametrize("t_split", [0.3, 0.5, 0.7])
-    @pytest.mark.parametrize("beta", [0.0, 0.9])
-    def test_bright_source_runs(self, beta, t_split):
-        # the marginal match scales with the probe CM: at 1e6 photons an
-        # absolute 1e-10 would refuse rounding in the last bits
-        source = SingleModeSpec(1e6, beta)
-        probe = matched_probe(source, t_split)
+    @pytest.mark.parametrize("n_source", [1e7, 1e9])
+    def test_bright_source_runs(self, n_source, t_split):
+        # the marginal match scales with the probe CM: at 1e7 photons and
+        # t_split 0.3 or 0.5 the split's marginal rounds 4.7e-10 and 9.3e-10
+        # off the probe's, which an absolute 1e-10 would refuse
+        probe = SingleModeSpec(t_split * n_source)
+        source = SingleModeSpec(n_source)
         _, out = run_three_mode(ThreeModeProtocol(probe, source, t_split, 0.4))
         assert np.allclose(mode_block(out, 0, 0), single_mode_cm(probe), rtol=1e-12, atol=0.0)
 
     def test_bright_mismatched_probe_rejected(self):
-        source = SingleModeSpec(np.array([1e6, 2e6]), 0.9)
-        probe = matched_probe(source, 0.5)
-        off = SingleModeSpec(probe.n_tot * np.array([1.0, 1.0 + 1e-8]), probe.beta)
+        source = SingleModeSpec(np.array([1e7, 2e7]))
+        off = SingleModeSpec(0.5 * source.n_tot * np.array([1.0, 1.0 + 1e-8]))
         with pytest.raises(MarginalMismatchError, match=r"batch member 1\b"):
             run_three_mode(ThreeModeProtocol(off, source, 0.5, 0.5))
 

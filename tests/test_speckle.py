@@ -776,6 +776,11 @@ class TestRunBench:
         for name, value in [("seed", 1.5), ("modes", 2.5), ("frames", 2000.5), ("workers", 2.0)]:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BenchConfig(**{name: value})
+        # a bool is an int to Python, but True is no count or seed: it would run as 1
+        for name in ("modes", "frames", "seed", "workers"):
+            for value in (True, False):
+                with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+                    BenchConfig(**{name: value})
         numpy_ints = BenchConfig(
             modes=np.int64(5), frames=np.int32(300), seed=np.uint64(1), workers=np.int8(2)
         )
