@@ -347,7 +347,7 @@ def _check_physicality() -> tuple:
 
 
 def _check_purity_identity(spec: SingleModeSpec) -> tuple:
-    # the symplectic spectrum, not the determinant single_mode_cm already checks
+    # the symplectic spectrum of the built state, not the f- single_mode_cm takes from the identity
     nu = symplectic_eigenvalues(single_mode_state(spec))[:, 0]
     expected = (0.5 + spec.n_thermal) ** 2
     err = np.abs(nu**2 - expected) / np.maximum(1.0, expected)

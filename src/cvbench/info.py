@@ -43,8 +43,6 @@ from .states import GaussianState, member_error, mode_block, partial_trace, symp
 PURE_GUARD = 1e-14
 #: discord values in [-DISCORD_CLAMP, 0) are clamped to 0; below is an error
 DISCORD_CLAMP = 1e-9
-#: relative margin within which both branches of the discord formula are taken
-_BRANCH_MARGIN = 1e-12
 #: Dinkelbach steps within which the oracle must stop; measured states take at most 10
 _ORACLE_STEPS = 32
 
@@ -149,36 +147,29 @@ def _symplectic_pair(ia, ib, ic, k):
 def _minimal_conditional_det(ia, ib, ic, k):
     """Minimal conditional determinant over Gaussian measurements on mode B.
 
-    Piecewise in the symplectic invariants. In the first branch the optimum is
-    the heterodyne measurement (s = 1); near the branch boundary both
-    expressions are evaluated and the smaller one wins. States with a
-    near-pure measured mode (det B -> 1) are routed to the second branch,
-    whose expression has no (det B - 1) denominator. The margin is relative:
-    outside its own branch an expression can fall below the true minimum.
-
-    The branches are masks over the members: both expressions are evaluated
-    everywhere and each is used only where its branch applies. Returns the
-    determinant, at least 1 (its pure limit).
+    Adesso and Datta's minimum (PRL 105, 030501 (2010)) is piecewise in the
+    symplectic invariants. Its second expression, E_hom, is the conditional
+    determinant of the best homodyne measurement, the rim minimum of the
+    oracle's disk objective: a real measurement reaches it for every state,
+    so it bounds the minimum everywhere. The first, E_int, is the interior
+    (general-dyne) optimum; it holds only inside its branch,
+    k^2 <= (1 + det B) det C^2 (det A + det CM), and outside it can fall below
+    the minimum. So the minimum is the lesser of E_hom and, inside its branch,
+    E_int. A near-pure measured mode ((det B - 1)^2 <= 1e-12) takes E_hom
+    alone, which has no (det B - 1) denominator. Returns the determinant over
+    the members, at least 1 (its pure limit).
     """
     id_ = ia * ib + k
-    lhs = k * k
-    rhs = (1.0 + ib) * ic * ic * (ia + id_)
-    margin = _BRANCH_MARGIN * np.maximum(lhs, rhs)
+    ic_sq = ic * ic
     denom = np.square(ib - 1.0)
+    interior = (denom > 1e-12) & (k * k <= (1.0 + ib) * ic_sq * (ia + id_))
     # (det B - 1)(det CM - det A) with det CM - det A = det A (det B - 1) + k
     w = (ib - 1.0) * (ia * (ib - 1.0) + k)
-    heterodyne_branch = (denom > 1e-12) & (lhs <= rhs + margin)
-    general_branch = (lhs >= rhs - margin) | ~heterodyne_branch
-    ic_sq = ic * ic
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.maximum(ic_sq + w, 0.0)
-        e_het = (2.0 * ic_sq + w + 2.0 * np.abs(ic) * np.sqrt(inner)) / denom
-        inner = np.maximum(ic_sq * ic_sq + k * k - 2.0 * ic_sq * (id_ + ia * ib), 0.0)
-        e_gen = (ia * ib - ic_sq + id_ - np.sqrt(inner)) / (2.0 * ib)
-    e_het = np.where(heterodyne_branch, e_het, np.inf)
-    e_gen = np.where(general_branch, e_gen, np.inf)
-    # a tie goes to the heterodyne expression
-    return np.maximum(np.where(e_het <= e_gen, e_het, e_gen), 1.0)
+        e_int = (2.0 * ic_sq + w + 2.0 * np.abs(ic) * np.sqrt(np.maximum(ic_sq + w, 0.0))) / denom
+    inner = np.maximum(ic_sq * ic_sq + k * k - 2.0 * ic_sq * (id_ + ia * ib), 0.0)
+    e_hom = (ia * ib - ic_sq + id_ - np.sqrt(inner)) / (2.0 * ib)
+    return np.maximum(np.minimum(np.where(interior, e_int, np.inf), e_hom), 1.0)
 
 
 def _discord_terms(state: GaussianState):

@@ -135,15 +135,15 @@ class SingleModeSpec:
 
 
 def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
-    """CM diag(f+, f-) with f(+/-) = 1/2 + N +/- sqrt(beta N [1 + N (2 - beta)]).
+    """CM diag(f+, f-) with f+ = 1/2 + N + sqrt(beta N [1 + N (2 - beta)]) and f- = nu^2 / f+.
 
-    Where that f- falls below 1e-4 f+ (a nearly pure, squeezed mode) it is
-    taken as (1/2 + (1 - beta) N)^2 / f+ instead, which does not cancel.
-    Shape (..., 2, 2) over the broadcast shape of ``n_tot`` and ``beta``. The
-    determinant obeys the purity identity det = (1/2 + (1 - beta) N)^2, which
-    is verified for every member before returning. A member so bright that
-    f+, f- or that determinant overflows cannot be verified and raises
-    ``ValueError`` naming its ``n_tot``.
+    nu = 1/2 + (1 - beta) N is the mode's symplectic eigenvalue, and f+ f- = nu^2
+    is its purity identity. f- is taken from it as nu (nu / f+) for every
+    member, with no subtraction to cancel in a nearly pure, squeezed mode; a
+    thermal mode (beta = 0) has nu / f+ = 1 exactly, so f- = f+ bit for bit.
+    Shape (..., 2, 2) over the broadcast shape of ``n_tot`` and ``beta``. A
+    member so bright that f+ or nu^2 overflows raises ``ValueError`` naming
+    its ``n_tot``.
     """
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
     n = np.asarray(spec.n_tot, dtype=float)[()]
@@ -151,21 +151,13 @@ def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     # an overflow leaves inf or NaN, which is refused below instead of warned of
     with np.errstate(over="ignore", invalid="ignore"):
         # n >= 0 and 0 <= beta <= 1 (checked by the spec) leave no negative factor
-        shift = np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
-        f_plus = 0.5 + n + shift
-        f_minus = 0.5 + n - shift
-        expected_det = (0.5 + spec.n_thermal) ** 2
-        # below 1e-4 f+, 1/2 + N - shift has lost more than 4 digits to cancellation;
-        # there the purity identity gives f- without the subtraction
-        f_minus = np.where(f_minus < 1e-4 * f_plus, expected_det / f_plus, f_minus)[()]
-        err = abs(f_plus * f_minus - expected_det)
-    unfit = ~(np.isfinite(f_plus) & np.isfinite(f_minus) & np.isfinite(expected_det))
+        f_plus = 0.5 + n + np.sqrt(beta * n * (1.0 + n * (2.0 - beta)))
+        nu = 0.5 + (1.0 - beta) * n
+        f_minus = nu * (nu / f_plus)
+        unfit = ~(np.isfinite(f_plus) & np.isfinite(nu * nu))
     if unfit.any():
         n_unfit = np.broadcast_to(n, unfit.shape)[unfit][0]
         raise member_error(ValueError, f"n_tot {n_unfit:g} overflows the covariance matrix", unfit)
-    # relative to max(1, expected_det): beyond 1e-10 and beyond 1e-10 expected_det
-    if ((err > 1e-10) & (err > 1e-10 * expected_det)).any():
-        raise ArithmeticError("purity identity violated: numerical failure in f+/f-")
     cm = np.zeros(f_plus.shape + (2, 2))
     cm[..., 0, 0] = f_plus
     cm[..., 1, 1] = f_minus
@@ -212,15 +204,13 @@ class GaussianState:
         _require_finite(arr)
         arr_t = arr.swapaxes(-1, -2)
         asym = np.abs(arr - arr_t).max(axis=(-2, -1))
-        # the tolerance is relative to the largest entry, but never below SYMMETRY_TOL
-        if (asym > SYMMETRY_TOL).any():
-            too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
-            if too_asym.any():
-                raise member_error(
-                    PhysicalityError,
-                    f"covariance matrix asymmetry {asym[too_asym][0]:g} exceeds tolerance",
-                    too_asym,
-                )
+        too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+        if too_asym.any():
+            raise member_error(
+                PhysicalityError,
+                f"covariance matrix asymmetry {asym[too_asym][0]:g} exceeds tolerance",
+                too_asym,
+            )
         arr = (arr + arr_t) / 2.0
         # every symplectic eigenvalue exceeds nu exactly when cm + i nu Omega is
         # positive definite, which one Cholesky factor of the stack proves; a stack

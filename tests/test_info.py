@@ -225,17 +225,19 @@ def mixed_pair(spec_a, spec_b, tau):
 def branch_gap(state):
     """k^2 - (1 + det B) det C^2 (det A + det CM) of the rescaled CM, measurement on B.
 
-    Negative in the heterodyne branch of the closed-form discord, positive in
-    the general one, written out here from the invariants.
+    Negative in the interior (general-dyne) branch of the closed-form
+    discord, positive in the homodyne one, written out here from the
+    invariants.
     """
     cm = 2.0 * state.cm
     ia, ib, ic, id_ = (np.linalg.det(m) for m in (cm[:2, :2], cm[2:, 2:], cm[:2, 2:], cm))
     return (id_ - ia * ib) ** 2 - (1.0 + ib) * ic**2 * (ia + id_)
 
 
-#: one state deep in each branch: a split thermal pair and a mixed squeezed-thermal pair
-HETERODYNE_ANCHOR = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
-GENERAL_ANCHOR = mixed_pair(SingleModeSpec(1.0, 1.0), SingleModeSpec(1.0), 0.3)
+#: one state deep in each branch: a split thermal pair, whose interior optimum
+#: is the heterodyne, and a mixed squeezed-thermal pair
+INTERIOR_ANCHOR = prepare_discordant_pair(SingleModeSpec(2.0), 0.5)
+HOMODYNE_ANCHOR = mixed_pair(SingleModeSpec(1.0, 1.0), SingleModeSpec(1.0), 0.3)
 
 
 @st.composite
@@ -248,7 +250,7 @@ def near_branch_boundary(draw):
     """
     start = mixed_pair(draw(specs), draw(specs), draw(taus))
     side = branch_gap(start) > 0.0
-    end = HETERODYNE_ANCHOR if side else GENERAL_ANCHOR
+    end = INTERIOR_ANCHOR if side else HOMODYNE_ANCHOR
     lo, hi = 0.0, 1.0
     for _ in range(45):
         mid = (lo + hi) / 2.0
@@ -278,6 +280,36 @@ def test_oracle_bounds_closed_form_from_above(state):
     # the oracle's value is the entropy of one measurement it found, so it
     # cannot fall below the minimum over all of them that the closed form gives
     assert discord_oracle(state).value >= gaussian_discord(state) - 1e-6
+
+
+def homodyne_discord(state):
+    """The discord read off the second Adesso-Datta expression alone, measurement on B.
+
+    That expression is the conditional determinant of the best homodyne
+    measurement, written out here from the package's invariants.
+    """
+    _, (ia, ib, ic, k), fixed = info._discord_terms(state)
+    id_ = ia * ib + k
+    root = np.sqrt(np.maximum(ic**4 + k**2 - 2.0 * ic**2 * (id_ + ia * ib), 0.0))
+    e_hom = (ia * ib - ic**2 + id_ - root) / (2.0 * ib)
+    return fixed + info._h_vec(np.sqrt(np.maximum(e_hom, 1.0)))
+
+
+general_pairs = st.builds(
+    lambda seed: random_two_mode_state(np.random.default_rng(seed)), st.integers(0, 2**32)
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(state=st.one_of(near_branch_boundary(), near_pure_measured_mode, general_pairs))
+def test_homodyne_expression_bounds_the_minimum(state):
+    # a real measurement reaches the homodyne expression for every state, so
+    # its discord never falls below the oracle's minimum, in either branch;
+    # that is why the closed form takes it everywhere and needs no margin
+    # between the branches. The interior expression undershoots the minimum
+    # outside its branch, so the closed form uses that one only inside it
+    for measured in (state, partial_trace(state, (1, 0))):
+        assert homodyne_discord(measured) >= discord_oracle(measured).value - 1e-12
 
 
 # -- batched evaluation: a stack is one call, and each member is its own call --
@@ -583,13 +615,13 @@ PINNED_ORACLE_BITS = {
         ("0x1.033af65547134p-2", 1),
         ("0x1.c170dc95b825cp-4", 1),
         ("0x1.8779e4cc13478p-2", 1),
-        ("0x1.8ec4f8ce25b60p-3", 1),
+        ("0x1.8ec4f8ce25b5cp-3", 1),
         ("0x1.7a5575aa58780p-3", 1),
         ("0x1.d24acceb2656cp-3", 1),
-        ("0x1.2a78a0f6e074cp-3", 1),
-        ("0x1.1c54efb1ce28ep-3", 1),
-        ("0x1.82e6e8a47a25cp-3", 1),
-        ("0x1.28725ba5f0b6ep-2", 1),
+        ("0x1.2a78a0f6e075cp-3", 1),
+        ("0x1.1c54efb1ce2a0p-3", 1),
+        ("0x1.82e6e8a47a270p-3", 1),
+        ("0x1.28725ba5f0b4ep-2", 1),
     ]),
     "c03": (lambda: c03_states([5, 7]), [
         ("0x1.7f61c44029eb8p-2", 3),

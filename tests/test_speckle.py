@@ -19,15 +19,18 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from cvbench import speckle
+from cvbench.network import interfere, prepare_discordant_pair
 from cvbench.speckle import (
     ANALYZERS,
     CHUNK_FRAMES,
     BenchConfig,
+    FrameBatch,
     chunk_rng,
     chunk_record,
     run_bench,
 )
-from cvbench.stats import _BLOCK_FRAMES, comoments, corr_coeff
+from cvbench.states import SingleModeSpec
+from cvbench.stats import _BLOCK_FRAMES, cm_to_intensity_corr, comoments, corr_coeff
 
 #: stream ids of the oracle's per-beam field streams; the bench's Gram stream is 5
 SOURCE1, SOURCE2, MIX_SUBSTITUTE, SPLIT_SUBSTITUTE = 1, 2, 3, 4
@@ -506,6 +509,39 @@ class TestRunBench:
         unit_batch, batch = run_bench(unit), run_bench(cfg)
         assert batch.sums.tobytes() == (np.multiply.outer(s, s) * unit_batch.sums).tobytes()
         assert batch.record.tobytes() == (unit_batch.record * s).tobytes()
+
+    @pytest.mark.parametrize("modes, eta", [(7, 0.7), (1, 1.0), (100, 0.0)])
+    def test_sums_do_not_depend_on_tau_mix(self, modes, eta):
+        # the beam splitter enters only the read-out weights, never the drawn
+        # rows: the sums of three blocks of frames are the same bits at every tau_mix
+        base = BenchConfig(modes=modes, frames=2 * _BLOCK_FRAMES + 5, seed=5, eta=eta)
+        sums = [
+            run_bench(dataclasses.replace(base, tau_mix=tau)).sums.tobytes()
+            for tau in (0.0, 0.15, 0.5, 1.0)
+        ]
+        assert sums[1:] == sums[:1] * 3
+
+    def test_one_run_reads_the_cm_correlations_at_every_tau(self):
+        # one default run read at 19 interior taus, each a FrameBatch of the
+        # run's sums under that tau, against the CM read-outs of one stacked
+        # interfere call. Pair 1-2 is the identical-inputs null, 0 at every
+        # tau up to the square of rounding (below 2e-33 here). The bound is 4
+        # normal-theory SEs, (1 - c^2) / sqrt(frames - 3); the worst over the
+        # 57 points was 2.47 at seeds 1, 2, 3 and 42, and a BS row read at
+        # 1 - tau reads about 2,900
+        config = BenchConfig()
+        batch = run_bench(config)
+        taus = np.linspace(0.05, 0.95, 19)
+        source = SingleModeSpec(config.mean_photons / config.t_split)
+        _, out = interfere(prepare_discordant_pair(source, config.t_split), taus)
+        for i, j in PAIRS:
+            c_cm = cm_to_intensity_corr(out, i, j)
+            for tau, c in zip(taus, c_cm):
+                read = FrameBatch(dataclasses.replace(config, tau_mix=tau), batch.sums)
+                c_mc = read.corr(read.out_weights(i), read.out_weights(j))
+                se = (1.0 - c**2) / math.sqrt(config.frames - 3)
+                assert abs(c_mc - c) <= 4.0 * se, (i, j, tau)
+        assert np.all(np.abs(cm_to_intensity_corr(out, 0, 1)) <= 1e-30)
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_memory_does_not_grow_with_frames(self, eta):

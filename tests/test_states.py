@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,8 +49,9 @@ class TestSingleModeSpec:
         assert abs(np.linalg.det(cm) - 0.25) < 1e-12  # pure state
 
     def test_nearly_pure_bright_modes(self):
-        # f- = 1/2 + N - shift cancels for a nearly pure squeezed mode; the
-        # purity identity, checked inside single_mode_cm, must still hold
+        # f- = 1/2 + N - shift would cancel for a nearly pure squeezed mode;
+        # single_mode_cm takes f- from the purity identity instead, and the
+        # symplectic eigenvalue read off the built state must still be nu
         n_tot = np.geomspace(1e-6, 1e9, 4000)
         for beta in (0.5, 0.9, 0.99, 0.999, 0.99999, 1.0):
             state = single_mode_state(SingleModeSpec(n_tot, beta))
@@ -57,6 +59,22 @@ class TestSingleModeSpec:
             assert np.allclose(nu, 0.5 + (1.0 - beta) * n_tot, rtol=1e-6, atol=0.0)
         cm = single_mode_cm(SingleModeSpec(1e4, 1.0))
         assert cm[0, 0] * cm[1, 1] == pytest.approx(0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 0.999, 0.99999, 1.0])
+    def test_f_minus_obeys_the_purity_identity(self, beta):
+        # f- = nu (nu / f+) keeps f+ f- = nu^2 to rounding, nu = 1/2 + (1 - beta) N,
+        # checked in exact rationals of the float CM (measured worst 1.94 eps,
+        # at N 3.2e3, beta 0.3); f- = 1/2 + N - shift loses up to 5.5e-13 of
+        # nu^2 to cancellation (N 23.4, beta 0.999). A thermal mode keeps
+        # f- = f+ bit for bit, as nu / f+ = 1 exactly
+        n_tot = np.geomspace(1e-6, 1e9, 400)
+        cm = single_mode_cm(SingleModeSpec(n_tot, beta))
+        bound = 4 * Fraction(np.finfo(float).eps)
+        for n, f_plus, f_minus in zip(n_tot.tolist(), cm[:, 0, 0].tolist(), cm[:, 1, 1].tolist()):
+            nu = Fraction(1, 2) + (1 - Fraction(beta)) * Fraction(n)
+            assert abs(Fraction(f_plus) * Fraction(f_minus) - nu * nu) <= bound * nu * nu, n
+        if beta == 0.0:
+            assert np.array_equal(cm[:, 1, 1], cm[:, 0, 0])
 
     def test_purity_identity_random(self):
         rng = np.random.default_rng(11)
@@ -79,9 +97,9 @@ class TestSingleModeSpec:
 
     @pytest.mark.parametrize("n_tot, beta", [(1e200, 0.5), (1e160, 1.0), (1e300, 0.0)])
     def test_overflowing_member_refused(self, n_tot, beta):
-        # f+, f- or the purity-identity determinant overflows, so the identity
-        # cannot be checked. The refusal names n_tot and the member, and no
-        # RuntimeWarning escapes (this suite turns one into an error)
+        # f+ or the purity-identity determinant nu^2 overflows. The refusal
+        # names n_tot and the member, and no RuntimeWarning escapes (this
+        # suite turns one into an error)
         message = re.escape(f"n_tot {n_tot:g} overflows the covariance matrix")
         with pytest.raises(ValueError, match=f"^{message}$") as exc:
             single_mode_cm(SingleModeSpec(n_tot, beta))
@@ -92,9 +110,10 @@ class TestSingleModeSpec:
 
     @pytest.mark.parametrize("n_tot, beta", [(1e150, 0.0), (1e100, 0.5)])
     def test_bright_member_keeps_its_bits(self, n_tot, beta):
-        # no overflow, and f- far above 1e-4 f+: the plain formula in Python floats
-        shift = math.sqrt(beta * n_tot * (1.0 + n_tot * (2.0 - beta)))
-        expected = np.diag([0.5 + n_tot + shift, 0.5 + n_tot - shift])
+        # no overflow: f+ and f- = nu (nu / f+) of the formula in Python floats
+        f_plus = 0.5 + n_tot + math.sqrt(beta * n_tot * (1.0 + n_tot * (2.0 - beta)))
+        nu = 0.5 + (1.0 - beta) * n_tot
+        expected = np.diag([f_plus, nu * (nu / f_plus)])
         assert np.array_equal(single_mode_cm(SingleModeSpec(n_tot, beta)), expected)
         batch = single_mode_cm(SingleModeSpec(np.array([1.0, n_tot]), beta))
         assert np.array_equal(batch[1], expected)
