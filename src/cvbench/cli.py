@@ -600,8 +600,8 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "seed": cfg["bench"]["seed"],
             "config": cfg,
-            # the Philox streams and the Gamma sampler, and so the CSV bytes,
-            # depend on numpy's version
+            # the Philox keys, the SFC64 draws and the Gamma and normal
+            # samplers, and so the CSV bytes, depend on numpy's version
             "numpy_version": np.__version__,
             # how the bench draws its frames; a replay refuses a manifest of another sampler
             "sampler": SAMPLER,

@@ -41,19 +41,24 @@ normal folds into one Gamma draw (``_bartlett``): three draws per block and
 frame.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
-``CHUNK_FRAMES``; chunk c draws its frames from the Philox stream keyed by
-(seed, ``GRAM_STREAM``) at counter position c, whole and in a fixed order.
-The key is a stream's only seed material: ``chunk_rng`` opens each chunk's
-stream afresh from it, and no OS entropy is drawn. Gamma rejection takes a
-variable number of draws, so no stream spans two chunks. This chunk keying
-is the reproducibility contract: any frame is reproducible by regenerating
-its chunk alone (``chunk_record``), and the output cannot depend on
+``CHUNK_FRAMES``. Chunk c's key is the Philox stream with key (seed,
+``GRAM_STREAM``) at counter position c (``chunk_rng``), and the chunk draws
+its frames, whole and in a fixed order, from the SFC64 generator seeded with
+that stream's first three words (``_chunk_draws``). The Philox block is a
+keyed bijection, so adjacent chunks' SFC64 seeds share no structure, and
+SFC64 draws Gamma and normal variates faster than Philox. The key is a
+chunk's only seed material: each chunk's generators are opened afresh from
+it, and no OS entropy is drawn. Gamma rejection takes a variable number of
+draws, so no generator spans two chunks. This chunk keying is the
+reproducibility contract: any frame is reproducible by regenerating its
+chunk alone (``chunk_record``), and the output cannot depend on
 ``BenchConfig.workers``, which is accepted and recorded for compatibility
 while the sampler runs serially. A run draws whole chunks, so it draws up to
 ``CHUNK_FRAMES - 1`` frames that it does not keep. The numbers for a given
-seed changed in 0.2.0, when this sampler replaced per-mode fields, and in
-0.3.0, when the fold and chunks of 1,024 frames replaced four draws per
-block and chunks of 256 frames.
+seed changed in 0.2.0, when this sampler replaced per-mode fields, in 0.3.0,
+when the fold and chunks of 1,024 frames replaced four draws per block and
+chunks of 256 frames, and in 0.4.0, when each chunk's draws moved from its
+Philox stream to the SFC64 generator that stream seeds.
 
 The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
 batch reads its BS rows off that matrix once. The per-mode field oracle
@@ -73,8 +78,9 @@ from .stats import _BLOCK_FRAMES, comoment_corr, comoments
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
 CHUNK_FRAMES = 1024
-#: what run_bench samples; a manifest records it and a replay must match it
-SAMPLER = "bartlett-gram-2"
+#: what run_bench samples, and from which generators; a manifest records it and
+#: a replay must match it
+SAMPLER = "bartlett-gram-3"
 
 #: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
@@ -288,27 +294,35 @@ def _checked_beam(beam: int) -> int:
 
 
 class _StreamKey:
-    """The seed sequence of one Philox stream: its key (seed, stream id), and nothing else.
+    """The seed sequence of one bit generator: a fixed tuple of uint64 words, and nothing else.
 
     A bit generator given a seed sequence reads its seed from the sequence's
-    ``generate_state``, and Philox asks it for two uint64 words, which here
-    are the key itself. numpy's ``Philox(key=...)`` sets the same key but
-    first builds a ``SeedSequence()`` from OS entropy and discards it, which
-    cost more than half of opening a stream. The class implements numpy's
-    ``ISeedSequence`` (registered by ``_seed_interface``) and not its
-    spawnable variant, so a chunk generator refuses to ``spawn`` with the
-    ``TypeError`` of a keyed Philox. It is defined at module level so that a
-    chunk generator, which holds it, pickles.
+    ``generate_state``: Philox asks for two uint64 words, its key (seed,
+    stream id), and SFC64 for three, its seed. Asked for any other number of
+    words or another dtype, it raises ``ValueError`` rather than hand over
+    words that the generator did not ask for. numpy's ``Philox(key=...)``
+    sets the same key but first builds a ``SeedSequence()`` from OS entropy
+    and discards it, which cost more than half of opening a stream, and
+    numpy's ``SFC64(seed)`` hashes its seed through a ``SeedSequence``. The
+    class implements numpy's ``ISeedSequence`` (registered by
+    ``_seed_interface``) and not its spawnable variant, so a chunk generator
+    refuses to ``spawn`` with the ``TypeError`` of a keyed Philox. It is
+    defined at module level so that a chunk generator, which holds it,
+    pickles.
     """
 
-    __slots__ = ("key",)
+    __slots__ = ("words",)
 
-    def __init__(self, seed: int, stream: int) -> None:
-        self.key = np.array([seed, stream], dtype=np.uint64)
+    def __init__(self, *words: int) -> None:
+        self.words = np.array(words, dtype=np.uint64)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # Philox, the only caller, asks for (2, np.uint64)
-        return self.key
+        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"a key of {self.words.size} uint64 words cannot give {n_words} words "
+                f"of {np.dtype(dtype)}"
+            )
+        return self.words
 
 
 @cache
@@ -320,16 +334,29 @@ def _seed_interface() -> None:
 
 
 def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
-    """Counter-based stream for one (stream id, chunk-of-frames) cell.
+    """Counter-based stream for one (stream id, chunk-of-frames) cell: the chunk's key.
 
     A fresh Philox with key (seed, stream) and counter (0, chunk, 0, 0) as
     uint64 words: the state of numpy's ``Philox(key=..., counter=...)``
     given those words. The key is the stream's only seed material: opening a
-    stream draws no OS entropy.
+    stream draws no OS entropy. ``run_bench`` draws no frame from it, but
+    seeds each chunk's SFC64 generator with its first three words
+    (``_chunk_draws``); the test oracle draws its fields from it directly.
     """
     _seed_interface()
     counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_StreamKey(seed, stream), counter=counter))
+
+
+def _chunk_draws(seed: int, chunk: int) -> np.random.Generator:
+    """The generator that chunk ``chunk`` of a run draws its frames from.
+
+    SFC64 seeded with the first three words of the chunk's keyed Philox
+    stream, ``chunk_rng(seed, GRAM_STREAM, chunk)``, taken as SFC64's
+    seed words without hashing (``_StreamKey``).
+    """
+    words = chunk_rng(seed, GRAM_STREAM, chunk).bit_generator.random_raw(3)
+    return np.random.Generator(np.random.SFC64(_StreamKey(*words)))
 
 
 def _bartlett(rows: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,21 +394,21 @@ def _buffers(config: BenchConfig, frames: int) -> np.ndarray:
 def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
     """The unscaled rows drawn for every frame of chunks first .. first + n_chunks - 1.
 
-    With k = round((1 - eta) M) substituted modes, a frame's draws are
-    B = W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
-    substitute), three draws each (``_bartlett``), and two Gamma(k): source 2
-    and the split substitute on the substituted modes. Each chunk draws them
-    whole from its own stream, in one fixed order: B's Gamma(M - k) and
-    Gamma(M - k - 1/2), then, if k > 0, A's Gamma(k) and Gamma(k - 1/2) and
-    the two Gamma(k), then B's normal and A's. They land in the rows of
-    ``buffer`` (from ``_buffers``, a fresh one by default, at least as wide
-    as the frames); B's rows are zeroed when M - k = 0, which draws none. The
-    arithmetic then runs once over all rows, in place. At k = 0 the rows are
-    B's three Bartlett rows (B_xx, B_yy, Re B_xy); at k > 0 they are the five
-    sums of draws (A_xx + B_xx, G_s2 + B_yy, G_ss + B_yy, A_yy + B_yy,
-    Re A_xy + Re B_xy). Each record column is one row times one scale
-    (``_columns``). The rows are views of the buffer, which the next call
-    with the same buffer overwrites.
+    With k = round((1 - eta) M) substituted modes, a frame's draws are B =
+    W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
+    substitute), three draws each (``_bartlett``), and two Gamma(k): source
+    2 and the split substitute on the substituted modes. Each chunk draws
+    them whole from its own generator (``_chunk_draws``), in one fixed
+    order: B's Gamma(M - k) and Gamma(M - k - 1/2), then, if k > 0, A's
+    Gamma(k) and Gamma(k - 1/2) and the two Gamma(k), then B's normal and
+    A's. They land in the rows of ``buffer`` (from ``_buffers``, a fresh one
+    by default, at least as wide as the frames); B's rows are zeroed when M
+    - k = 0, which draws none. The arithmetic then runs once over all rows,
+    in place. At k = 0 the rows are B's three Bartlett rows (B_xx, B_yy, Re
+    B_xy); at k > 0 they are the five sums of draws (A_xx + B_xx, G_s2 +
+    B_yy, G_ss + B_yy, A_yy + B_yy, Re A_xy + Re B_xy). Each record column
+    is one row times one scale (``_columns``). The rows are views of the
+    buffer, which the next call with the same buffer overwrites.
     """
     k = _substituted(config)
     r = config.modes - k
@@ -399,7 +426,7 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
         gammas += [(sub[0], k), (sub[1], k - 0.5), (sub[3], k), (sub[4], k)]
         normals += [sub[2]]
     for i in range(n_chunks):
-        rng = chunk_rng(config.seed, GRAM_STREAM, first + i)
+        rng = _chunk_draws(config.seed, first + i)
         cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
         for row, shape in gammas:
             rng.standard_gamma(shape, out=row[cols])

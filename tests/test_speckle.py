@@ -8,6 +8,7 @@ code.
 """
 
 import dataclasses
+import hashlib
 import math
 import pickle
 import re
@@ -382,6 +383,42 @@ def keyed_philox(seed, stream, chunk):
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+class RawWords:
+    """numpy's seed interface, test-side: it hands a bit generator its words unhashed."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (len(self.words), np.uint64)
+        return self.words
+
+
+numpy.random.bit_generator.ISeedSequence.register(RawWords)
+
+
+def keyed_draws(seed, chunk):
+    """The generator a run's chunk draws from, through numpy's public constructors:
+    SFC64 seeded with the first three words of the chunk's keyed Philox stream 5."""
+    words = keyed_philox(seed, 5, chunk).bit_generator.random_raw(3)
+    return np.random.Generator(np.random.SFC64(RawWords(words)))
+
+
+#: sha256 of chunk_record's bytes per (config, chunk), as numpy 2.4.6 draws them
+PINNED_CHUNK_RECORDS = [
+    (
+        BenchConfig(modes=4, seed=1),
+        390,
+        "fb4c0eb03408bfcc8a256ee893c94c9953acf5aaab843e17ddc7bb37f5c95a21",
+    ),
+    (
+        BenchConfig(modes=7, seed=3, eta=0.7),
+        1,
+        "c429f01d7895fcd5ebe9aa54495d058408188dac240e606c3281a40d0e76d513",
+    ),
+]
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("stream", [1, 5])
@@ -401,9 +438,45 @@ class TestStreams:
         ],
     )
     def test_record_is_drawn_from_numpys_keyed_streams(self, cfg, monkeypatch):
+        # the record rebuilt with every chunk's generator made by numpy's
+        # public constructors alone, the SFC64 seeding included
         record = run_bench(cfg).record
-        monkeypatch.setattr(speckle, "chunk_rng", keyed_philox)
+        monkeypatch.setattr(speckle, "_chunk_draws", keyed_draws)
         assert record.tobytes() == run_bench(cfg).record.tobytes()
+
+    def test_a_run_opens_each_chunks_key_once_in_chunk_order(self, monkeypatch):
+        # 400,000 frames are 391 chunks of 1,024: what perfbench's traced
+        # run counts as speckle.rng_streams
+        opened = []
+
+        def counted(seed, stream, chunk):
+            opened.append((seed, stream, chunk))
+            return chunk_rng(seed, stream, chunk)
+
+        monkeypatch.setattr(speckle, "chunk_rng", counted)
+        run_bench(BenchConfig(modes=4, frames=400_000, seed=1, workers=2))
+        assert opened == [(1, speckle.GRAM_STREAM, c) for c in range(391)]
+
+    @pytest.mark.parametrize("cfg, chunk, digest", PINNED_CHUNK_RECORDS)
+    def test_chunk_records_keep_their_bits(self, cfg, chunk, digest):
+        # a numpy whose SFC64, Philox, standard_gamma or standard_normal
+        # changed would replay other bytes under the same manifest
+        got = hashlib.sha256(chunk_record(cfg, chunk).tobytes()).hexdigest()
+        assert got == digest, (
+            f"chunk {chunk} of {cfg} hashes to {got} under numpy {np.__version__}, "
+            f"not to the pinned {digest}"
+        )
+
+    def test_stream_key_gives_only_the_words_it_holds(self):
+        speckle._seed_interface()
+        key = speckle._StreamKey(1, 2, 3)
+        assert key.generate_state(3, np.uint64).tolist() == [1, 2, 3]
+        for n_words, dtype in [(2, np.uint64), (4, np.uint64), (3, np.uint32), (6, np.uint32)]:
+            with pytest.raises(ValueError, match="3 uint64 words cannot give"):
+                key.generate_state(n_words, dtype)
+        # SFC64 asks for three words, so a two-word key is refused
+        with pytest.raises(ValueError, match="2 uint64 words cannot give 3"):
+            np.random.SFC64(speckle._StreamKey(1, 2))
 
     def test_opening_a_stream_draws_no_os_entropy(self, monkeypatch):
         # numpy's SeedSequence() draws its entropy through randbits
@@ -415,13 +488,15 @@ class TestStreams:
         run_bench(BenchConfig(modes=3, frames=600, seed=21, eta=0.7))
 
     def test_pickled_generator_continues_its_draws(self):
-        rng = chunk_rng(22, 5, 3)
-        rng.standard_gamma(2.5, size=7)
-        copy = pickle.loads(pickle.dumps(rng))
-        assert np.array_equal(copy.standard_gamma(2.5, size=50), rng.standard_gamma(2.5, size=50))
+        for rng in (chunk_rng(22, 5, 3), speckle._chunk_draws(22, 3)):
+            rng.standard_gamma(2.5, size=7)
+            copy = pickle.loads(pickle.dumps(rng))
+            assert np.array_equal(
+                copy.standard_gamma(2.5, size=50), rng.standard_gamma(2.5, size=50)
+            )
 
     def test_generator_refuses_to_spawn(self):
-        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0)):
+        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0), speckle._chunk_draws(23, 0)):
             with pytest.raises(TypeError):
                 rng.spawn(1)
 
