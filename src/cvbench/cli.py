@@ -526,8 +526,9 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
 
     Raises ``ConfigError`` when the manifest cannot be read, is not a JSON
-    object, was written by another cvbench version, records another bench
-    sampler or none, names an unknown command, holds a config that
+    object, was written by another cvbench version or under another numpy
+    version (whose generators may give other bytes, NEP 19), records another
+    bench sampler or none, names an unknown command, holds a config that
     ``load_config`` would reject, or (without ``out_path``) records no output.
     """
     try:
@@ -542,6 +543,11 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
         raise ConfigError(
             f"manifest written by cvbench {data.get('version')!r} cannot be replayed "
             f"by cvbench {__version__!r}"
+        )
+    if data.get("numpy_version") != np.__version__:
+        raise ConfigError(
+            f"manifest written under numpy {data.get('numpy_version')!r} cannot be replayed "
+            f"under numpy {np.__version__!r}"
         )
     if data.get("sampler") != SAMPLER:
         raise ConfigError(

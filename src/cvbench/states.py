@@ -30,6 +30,9 @@ every symplectic eigenvalue at or above 1/2), so they build their results
 without a second check. ``vacuum_state()`` is the one-mode vacuum;
 ``tensor([vacuum_state()] * n)`` is that of n modes. Mode order is the one
 way to choose modes: ``partial_trace(state, (1, 0))`` swaps a pair.
+
+Classicality is a second, private gate beside physicality: ``_p_negative``
+flags a member whose Glauber P-function is negative, read off its CM alone.
 """
 
 from __future__ import annotations
@@ -257,6 +260,22 @@ class GaussianState:
         return f"GaussianState(n_modes={self.n_modes}{batch})"
 
 
+def _p_negative(state: GaussianState) -> np.ndarray:
+    """Which members' Glauber P-function is negative, as a bool over the batch shape.
+
+    A zero-mean Gaussian state's P-function is the Gaussian of CM cm - I/2,
+    a distribution exactly when that matrix is positive semidefinite. Its
+    smallest eigenvalue may undershoot 0 by 8 units of eps max|cm| and still
+    be rounding: split thermal and squeezed pairs lie on the boundary in
+    exact arithmetic, and they and their three-mode states reach 4 units
+    below it, while the P < 0 states of the tests' random draws lie more
+    than 5e10 units below.
+    """
+    cm = state.cm
+    lam_min = np.linalg.eigvalsh(cm - VACUUM_VARIANCE * np.eye(cm.shape[-1]))[..., 0]
+    return lam_min < -8 * np.finfo(float).eps * np.abs(cm).max(axis=(-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticOp:
     """Mode transformation S, or a stack (..., 2n, 2n), acting on CMs by congruence S Sigma S^T."""
@@ -318,7 +337,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     if min(modes) < 0 or max(modes) >= state.n_modes:
         raise IndexError(f"mode indices {modes} out of range for {state.n_modes} modes")
     idx = np.array([q for m in modes for q in (2 * m, 2 * m + 1)])
-    return GaussianState._closed(state.cm[..., idx, :][..., idx])
+    return GaussianState._closed(state.cm[..., idx[:, None], idx])
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

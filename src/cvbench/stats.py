@@ -14,9 +14,10 @@ every bench correlation off the sums of the five record columns, which
 through it. ``cm_to_intensity_corr`` predicts the same quantity analytically
 from a covariance matrix, which the Monte Carlo tests use as a cross-module
 oracle; like the read-outs of ``cvbench.info`` it returns numpy values over
-the state's batch shape, a numpy scalar for a single state. Its analog
-coefficient refuses a state whose Glauber P-function is negative, when the
-value shows it.
+the state's batch shape, a numpy scalar for a single state. It reads
+everything off the detected pair's marginal, and its analog coefficient
+refuses every pair whose Glauber P-function is negative, by that marginal's
+CM.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .states import GaussianState, member_error
+from .states import GaussianState, _p_negative, member_error, partial_trace
 
 __all__ = [
     "comoments",
@@ -40,12 +41,6 @@ __all__ = [
 #: frames per block of ``comoments``' callers: a block of k series is at most
 #: (k, _BLOCK_FRAMES), so no caller's scratch grows with the series
 _BLOCK_FRAMES = 8192
-
-#: how far an analog coefficient may exceed 1 and still be rounding, in units of
-#: eps ((n_h + 1/2) / n_h + (n_k + 1/2) / n_k): each mean photon number n is read
-#: off quadrature variances of size n + 1/2. Split thermal and squeezed pairs and
-#: their three-mode outputs reach 1.5 units (N down to 1e-6, t_split down to 1e-6)
-_ANALOG_ROUNDING = 8
 
 
 def comoments(blocks) -> np.ndarray:
@@ -195,28 +190,36 @@ def cm_to_intensity_corr(
     what the speckle bench realizes; the value is independent of how many
     equal-intensity copies of the modes a detector collects. Returns the
     coefficient over the batch shape, each member with the bits of its own call.
+    Everything is read off the detected pair's marginal,
+    ``partial_trace(state, (mode_h, mode_k))``, which refuses a mode out of
+    range (``IndexError``) or named twice (``ValueError``).
 
     The analog model is normally ordered, so it describes classical fields,
     those with a non-negative Glauber P-function, for which the coefficient
-    is a Pearson correlation of two intensities and at most 1. An analog
-    value above 1 by more than ``_ANALOG_ROUNDING`` units of rounding (see
-    there) comes from a negative P-function and raises ``ValueError``; one
-    within them is clamped to 1.
+    is a Pearson correlation of two intensities and at most 1. A pair whose
+    P-function is negative, by the CM gate ``states._p_negative``, raises
+    ``ValueError`` naming its first such member, whatever value it would
+    give; the clamp to [-1, 1] absorbs the rounding of the rest.
     """
-    n_modes = state.n_modes
-    if not (0 <= mode_h < n_modes and 0 <= mode_k < n_modes):
-        raise IndexError("mode index out of range")
-    if mode_h == mode_k:
-        raise ValueError("intensity correlation needs two distinct modes")
-    cm = state.cm
-    (n_h, _), pair_h = _ladder_moments(cm, mode_h, mode_h)
-    (n_k, _), pair_k = _ladder_moments(cm, mode_k, mode_k)
+    detected = partial_trace(state, (mode_h, mode_k))
+    cm = detected.cm
+    (n_h, _), pair_h = _ladder_moments(cm, 0, 0)
+    (n_k, _), pair_k = _ladder_moments(cm, 1, 1)
     dark = (n_h <= 0.0) | (n_k <= 0.0)
     if dark.any():
         raise member_error(
             ValueError, "intensity correlation undefined for a mode with zero mean photons", dark
         )
-    cross, pair = _ladder_moments(cm, mode_h, mode_k)
+    if not shot_noise:
+        negative_p = _p_negative(detected)
+        if negative_p.any():
+            raise member_error(
+                ValueError,
+                "analog intensity correlation undefined: the detected pair's Glauber "
+                "P-function is negative, which analog detection cannot represent",
+                negative_p,
+            )
+    cross, pair = _ladder_moments(cm, 0, 1)
     cov = _abs_sq(cross) + _abs_sq(pair)
     var_h = np.square(n_h) + _abs_sq(pair_h)
     var_k = np.square(n_k) + _abs_sq(pair_k)
@@ -224,14 +227,4 @@ def cm_to_intensity_corr(
         var_h += n_h
         var_k += n_k
     c = cov / np.sqrt(var_h * var_k)
-    if not shot_noise:
-        rounding = np.finfo(float).eps * ((n_h + 0.5) / n_h + (n_k + 0.5) / n_k)
-        negative_p = c > 1.0 + _ANALOG_ROUNDING * rounding
-        if negative_p.any():
-            raise member_error(
-                ValueError,
-                "analog intensity correlation above 1: the state's Glauber P-function "
-                "is negative, which analog detection cannot represent",
-                negative_p,
-            )
     return np.clip(c, -1.0, 1.0)

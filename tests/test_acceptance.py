@@ -172,6 +172,15 @@ def test_c06_erasure_bench_table(capsys):
 
 
 def test_c07_sweep_monotone_in_discord():
+    """Along the split thermal family (beta = 0, t_split 0.5), the correlations rise with the discord.
+
+    The monotone law holds within one family of states. Across families it
+    does not: a classical pair of correlated x-quadrature noise with 0.0034
+    nats of discord correlates more than a split thermal pair with 0.6156
+    (``test_discord_reveals_but_does_not_measure_interference``). What holds
+    for every pair is the qualitative law, c13 > 0 exactly when the discord is
+    above 0 (``test_any_pair_reveals_interference_exactly_when_discordant``).
+    """
     started = time.perf_counter()
     grid = np.geomspace(0.05, 50.0, 50)
     series = {}
@@ -201,7 +210,7 @@ def test_c07_sweep_monotone_in_discord():
     )
     ok = monotone and ordering and elapsed < 30.0
     report(
-        "C7 sweep monotone in discord",
+        "C7 split thermal sweep monotone in discord",
         ok,
         f"strict monotonicity {monotone}, tau ordering {ordering}, {elapsed:.1f}s",
     )

@@ -191,6 +191,15 @@ class TestManifest:
             cli.run_from_manifest(path, tmp_path / "replay.csv")
         assert not (tmp_path / "replay.csv").exists()
 
+    def test_other_numpy_version_refused(self, tmp_path):
+        # numpy's generators may change their streams between releases (NEP 19)
+        _, path, manifest = self._tables_manifest(tmp_path)
+        manifest["numpy_version"] = "1.0.0"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(cli.ConfigError, match=rf"'1\.0\.0'.*'{re.escape(np.__version__)}'"):
+            cli.run_from_manifest(path, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
     def test_other_sampler_refused(self, tmp_path):
         # a manifest of another sampler would replay into different bytes
         _, path, manifest = self._tables_manifest(tmp_path)

@@ -23,6 +23,7 @@ from cvbench.states import (
     GaussianState,
     SingleModeSpec,
     SymplecticOp,
+    _p_negative,
     apply_symplectic,
     partial_trace,
     single_mode_state,
@@ -318,7 +319,18 @@ def test_homodyne_expression_bounds_the_minimum(state):
 products = st.builds(
     lambda a, b: tensor([single_mode_state(a), single_mode_state(b)]), specs, specs
 )
-stack_members = st.one_of(products, near_branch_boundary(), near_pure_measured_mode)
+# thermal inputs mixed at a beam splitter: correlated, and classical (P >= 0),
+# so the analog coefficient of a stack of them is a value and not a refusal
+thermal_n = st.floats(1e-6, 10.0)
+classical_pairs = st.builds(
+    lambda n_a, n_b, tau: mixed_pair(SingleModeSpec(n_a), SingleModeSpec(n_b), tau),
+    thermal_n,
+    thermal_n,
+    taus,
+)
+stack_members = st.one_of(
+    products, classical_pairs, near_branch_boundary(), near_pure_measured_mode
+)
 
 
 def stacked(states):
@@ -365,8 +377,8 @@ def test_stacked_calls_equal_member_calls(members, tau):
                     cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise), singles
                 )
                 continue
-            # an analog value that only a negative P-function gives refuses the
-            # member alone and the stack alike, which names its first such member
+            # a member whose P-function is negative refuses the analog value
+            # alone and in the stack alike, which names its first such member
             first = singles[refused[0]]
             with pytest.raises(ValueError) as stack_error:
                 cm_to_intensity_corr(stacked(bright), 0, 1, shot_noise)
@@ -496,6 +508,58 @@ def test_any_pair_reveals_interference_exactly_when_discordant(pair, tau):
     # give exact zeros, correlated pairs at least 1e-4 nats and 1e-4 in c13
     for measured in (pair, partial_trace(pair, (1, 0))):
         assert (gaussian_discord(measured) > 0.0) == (c13 > 0.0)
+
+
+#: the abstract's claim as data: a split source of N = 1 photon at squeezing
+#: fraction beta, t_split 0.5 and tau_mix 0.5, with the pair's discord and the
+#: shot-noise c13 of the output; beta* = (3 - sqrt 5)/2 solves N (1 - beta)^2 = beta
+SQUEEZING_TABLE = [
+    (0.0, 0.3183, 0.1667),
+    (0.3, 0.1709, 0.2375),
+    ((3.0 - math.sqrt(5.0)) / 2.0, 0.1540, 0.2500),
+    (0.6, 0.1523, 0.2748),
+    (0.9, 0.3338, 0.2955),
+]
+
+
+@pytest.mark.parametrize("beta, discord, c13", SQUEEZING_TABLE)
+def test_discordant_states_reveal_interference_on_either_side_of_the_p_boundary(
+    beta, discord, c13
+):
+    # c13 rises with beta across the boundary, while the discord first falls
+    # and then rises: interference is revealed with P >= 0 and with P < 0, and
+    # the classicality gate's verdict is the source's, N (1 - beta)^2 >= beta
+    pair = prepare_discordant_pair(SingleModeSpec(1.0, beta), 0.5)
+    state_in, out = interfere(pair, 0.5)
+    assert gaussian_discord(pair) == pytest.approx(discord, abs=1e-4)
+    assert cm_to_intensity_corr(out, 0, 2, shot_noise=True) == pytest.approx(c13, abs=1e-4)
+    classical = (1.0 - beta) ** 2 >= beta
+    for state in (pair, state_in, out):
+        assert _p_negative(state) == (not classical)
+
+
+def test_the_rounded_p_boundary_is_refused():
+    # the boundary of the table, printed as beta = 0.382, lies just outside
+    # it: N (1 - beta)^2 = 0.381924 < 0.382
+    pair = prepare_discordant_pair(SingleModeSpec(1.0, 0.382), 0.5)
+    assert _p_negative(pair)
+    with pytest.raises(ValueError, match="Glauber P-function is negative"):
+        cm_to_intensity_corr(pair, 0, 1)
+
+
+def test_discord_reveals_but_does_not_measure_interference():
+    # noise correlated in the x quadratures, cm = I/2 + k v v^T + mu I with
+    # v = (1, 0, 1, 0): a classical pair (P >= 0) whose 0.0034 nats of discord
+    # reveal more interference (shot-noise c23 0.995) than the 0.6156 nats of
+    # the split thermal pair of N = 10 (0.833). The monotone law of C07 holds
+    # within one family of states, not across families
+    v = np.array([1.0, 0.0, 1.0, 0.0])
+    noisy = GaussianState(np.eye(4) / 2.0 + 1e3 * np.outer(v, v) + 2.0 * np.eye(4))
+    split = prepare_discordant_pair(SingleModeSpec(10.0), 0.5)
+    assert not _p_negative(noisy) and not _p_negative(split)
+    for state, discord, c23 in ((noisy, 0.0034, 0.995), (split, 0.6156, 0.833)):
+        assert gaussian_discord(state) == pytest.approx(discord, abs=1e-4)
+        assert cm_to_intensity_corr(state, 0, 1, shot_noise=True) == pytest.approx(c23, abs=5e-4)
 
 
 def split_pair(source):

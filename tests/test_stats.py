@@ -6,9 +6,21 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from cvbench.network import ThreeModeProtocol, prepare_discordant_pair, run_three_mode
+from cvbench.network import (
+    ThreeModeProtocol,
+    interfere,
+    prepare_discordant_pair,
+    run_three_mode,
+)
 from cvbench.speckle import BenchConfig, run_bench
-from cvbench.states import GaussianState, SingleModeSpec, tensor, thermal_state, vacuum_state
+from cvbench.states import (
+    GaussianState,
+    SingleModeSpec,
+    _p_negative,
+    tensor,
+    thermal_state,
+    vacuum_state,
+)
 from cvbench.stats import (
     _BLOCK_FRAMES,
     cm_to_intensity_corr,
@@ -17,6 +29,7 @@ from cvbench.stats import (
     confidence_interval,
     corr_coeff,
 )
+from helpers import random_two_mode_state
 
 
 class TestCorrCoeff:
@@ -236,6 +249,13 @@ class TestConfidenceInterval:
         assert hits / runs >= 0.97
 
 
+def p_margin(state):
+    """lambda_min(cm - I/2) in units of eps max|cm|, over the batch shape."""
+    cm = state.cm
+    lam_min = np.linalg.eigvalsh(cm - np.eye(cm.shape[-1]) / 2.0)[..., 0]
+    return lam_min / (np.finfo(float).eps * np.abs(cm).max(axis=(-2, -1)))
+
+
 class TestCmToIntensityCorr:
     def test_product_state(self):
         state = tensor([thermal_state(1.0), thermal_state(2.0)])
@@ -282,12 +302,24 @@ class TestCmToIntensityCorr:
             cm_to_intensity_corr(stack, 0, 1)
 
     def test_analog_admits_the_rounding_of_a_dim_split_source(self):
-        # the split pair of a bench source of 1e-3 photons at t_split 0.9:
-        # each mean photon number is read off variances near 1/2, so the
-        # coefficient rounds to 1 + 2106 eps, 0.42 of the stated units, and
-        # reads 1
+        # the split pair of a bench source of 1e-3 photons at t_split 0.9: it
+        # lies on the P-function's boundary, since the vacuum it is split
+        # with keeps one eigenvalue of cm - I/2 at 0 in exact arithmetic; the
+        # gate admits it, and the coefficient, which rounds to 1 + 2106 eps
+        # (each mean photon number is read off variances near 1/2), reads 1
         pair = prepare_discordant_pair(SingleModeSpec(1e-3 / 0.9), 0.9)
         assert cm_to_intensity_corr(pair, 0, 1) == 1.0
+
+    def test_analog_refuses_each_negative_p_draw(self):
+        # the first 300 draws of random_two_mode_state (seed 1) with
+        # lambda_min(cm - I/2) < 0, each in its own call: most of them give an
+        # analog coefficient below 1, which a bound on the value would let pass
+        draws = random_two_mode_state(np.random.default_rng(1), (400,))
+        negative = draws.cm[p_margin(draws) < 0.0]
+        assert len(negative) >= 300
+        for cm in negative[:300]:
+            with pytest.raises(ValueError, match="Glauber P-function is negative"):
+                cm_to_intensity_corr(GaussianState(cm), 0, 1)
 
     def test_zero_photon_mode_rejected(self):
         state = tensor([vacuum_state(), thermal_state(1.0)])
@@ -302,11 +334,18 @@ class TestCmToIntensityCorr:
             cm_to_intensity_corr(pair, 1, 1)
 
     def test_squeezed_pair_moment_contributes(self):
-        # splitting a squeezed source makes <a a> nonzero; the prediction must
-        # still be a valid correlation
-        pair = prepare_discordant_pair(SingleModeSpec(2.0, 0.8), 0.5)
+        # splitting a squeezed source makes <a a> nonzero; it enters the
+        # covariance and both variances, and the two copies of one classical
+        # field keep the analog coefficient at 1. SingleModeSpec(N, beta) has
+        # P >= 0 exactly when N (1 - beta)^2 >= beta: at N = 2, beta = 0.3 it
+        # does (its split pair sits on the boundary, 0.08 units of rounding
+        # below it), at beta = 0.8 it does not, and the analog model refuses it
+        pair = prepare_discordant_pair(SingleModeSpec(2.0, 0.3), 0.5)
         c = cm_to_intensity_corr(pair, 0, 1)
-        assert 0.0 < c <= 1.0
+        assert 0.0 < c <= 1.0 and c == pytest.approx(1.0, abs=1e-12)
+        squeezed = prepare_discordant_pair(SingleModeSpec(2.0, 0.8), 0.5)
+        with pytest.raises(ValueError, match="Glauber P-function is negative"):
+            cm_to_intensity_corr(squeezed, 0, 1)
 
     def test_monte_carlo_agreement(self):
         frames = 2 * 10**4
@@ -318,3 +357,40 @@ class TestCmToIntensityCorr:
             c_cm = cm_to_intensity_corr(out, i, j)
             se = (1.0 - c_cm**2) / math.sqrt(frames - 3)
             assert abs(c_mc - c_cm) <= 3.0 * se
+
+
+class TestClassicalityGate:
+    """``states._p_negative``: a Glauber P-function is negative when cm - I/2 is not PSD."""
+
+    def test_every_negative_p_draw_is_flagged(self):
+        # 20,000 draws of random_two_mode_state (seed 1): 16,913 have
+        # lambda_min(cm - I/2) < 0, every one of them more than 5e10 units
+        # below 0, and the gate flags exactly those
+        states = random_two_mode_state(np.random.default_rng(1), (20_000,))
+        margin = p_margin(states)
+        assert np.count_nonzero(margin < 0.0) == 16_913
+        assert margin[margin < 0.0].max() < -5e10
+        assert np.array_equal(_p_negative(states), margin < 0.0)
+
+    def test_split_pairs_and_their_three_mode_states_are_admitted(self):
+        # 30,000 split sources, on the P boundary in exact arithmetic since the
+        # vacuum they are split with keeps an eigenvalue of cm - I/2 at 0:
+        # N log-uniform in [1e-6, 1e7], t_split log-spaced toward both ends of
+        # [1e-6, 1 - 1e-6], half of them thermal and half squeezed with
+        # N (1 - beta)^2 > beta, at random tau_mix. Rounding takes them up to
+        # 4 units of eps max|cm| below 0, inside the gate's band of 8
+        rng = np.random.default_rng(42)
+        size = 30_000
+        n_tot = 10.0 ** rng.uniform(-6.0, 7.0, size)
+        edge = 10.0 ** rng.uniform(-6.0, math.log10(0.5), size)
+        t_split = np.where(rng.random(size) < 0.5, edge, 1.0 - edge)
+        # the beta at which N (1 - beta)^2 = beta, where P reaches the boundary
+        beta_max = (2.0 * n_tot + 1.0 - np.sqrt(4.0 * n_tot + 1.0)) / (2.0 * n_tot)
+        beta = np.where(rng.random(size) < 0.5, 0.0, rng.uniform(0.0, 1.0, size) * beta_max)
+        pair = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
+        state_in, out = interfere(pair, rng.uniform(0.0, 1.0, size))
+        worst = {}
+        for name, state in (("pair", pair), ("three-mode input", state_in), ("output", out)):
+            assert not _p_negative(state).any(), name
+            worst[name] = float(p_margin(state).min())
+        print(f"worst margins in units of eps max|cm| (bound -8): {worst}")
