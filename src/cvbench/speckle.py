@@ -41,24 +41,28 @@ normal folds into one Gamma draw (``_bartlett``): three draws per block and
 frame.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
-``CHUNK_FRAMES``. Chunk c's key is the Philox stream with key (seed,
-``GRAM_STREAM``) at counter position c (``chunk_rng``), and the chunk draws
-its frames, whole and in a fixed order, from the SFC64 generator seeded with
-that stream's first three words (``_chunk_draws``). The Philox block is a
-keyed bijection, so adjacent chunks' SFC64 seeds share no structure, and
-SFC64 draws Gamma and normal variates faster than Philox. The key is a
-chunk's only seed material: each chunk's generators are opened afresh from
-it, and no OS entropy is drawn. Gamma rejection takes a variable number of
-draws, so no generator spans two chunks. This chunk keying is the
-reproducibility contract: any frame is reproducible by regenerating its
-chunk alone (``chunk_record``), and the output cannot depend on
-``BenchConfig.workers``, which is accepted and recorded for compatibility
-while the sampler runs serially. A run draws whole chunks, so it draws up to
-``CHUNK_FRAMES - 1`` frames that it does not keep. The numbers for a given
-seed changed in 0.2.0, when this sampler replaced per-mode fields, in 0.3.0,
-when the fold and chunks of 1,024 frames replaced four draws per block and
-chunks of 256 frames, and in 0.4.0, when each chunk's draws moved from its
-Philox stream to the SFC64 generator that stream seeds.
+``CHUNK_FRAMES``. Chunk c draws its frames, whole and in a fixed order, from
+the SFC64 generator seeded with words 0-2 of block c + 1 of the Philox
+stream keyed by (seed, ``GRAM_STREAM``): ``chunk_rng(seed, GRAM_STREAM, 0)``
+advanced by c blocks (``_chunk_generators``). The Philox block is a keyed
+bijection of its counter, so adjacent chunks' SFC64 seeds share no
+structure, and the keys of consecutive chunks are consecutive blocks of one
+stream, read in one call; SFC64 draws Gamma and normal variates faster than
+Philox. The key is a chunk's only seed material: each chunk's generator is
+opened afresh from it, and no OS entropy is drawn. Gamma rejection takes a
+variable number of draws, so no generator spans two chunks. This chunk
+keying is the reproducibility contract: any frame is reproducible by
+regenerating its chunk alone (``chunk_record``), and the output cannot
+depend on ``BenchConfig.workers``, which is accepted and recorded for
+compatibility while the sampler runs serially. A run draws whole chunks, so
+it draws up to ``CHUNK_FRAMES - 1`` frames that it does not keep. The
+numbers for a given seed changed in 0.2.0, when this sampler replaced
+per-mode fields, in 0.3.0, when the fold and chunks of 1,024 frames replaced
+four draws per block and chunks of 256 frames, in 0.4.0, when each chunk's
+draws moved from its Philox stream to the SFC64 generator that stream
+seeds, and in 0.5.0, when chunks grew to 2,048 frames and chunk c's key
+moved from the first block of its own Philox stream (counter position c) to
+block c + 1 of one stream.
 
 The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
 batch reads its BS rows off that matrix once. The per-mode field oracle
@@ -77,10 +81,10 @@ from .network import bs_symplectic
 from .stats import _BLOCK_FRAMES, comoment_corr, comoments
 
 #: frames per RNG chunk; fixed, part of the reproducibility contract
-CHUNK_FRAMES = 1024
+CHUNK_FRAMES = 2048
 #: what run_bench samples, and from which generators; a manifest records it and
 #: a replay must match it
-SAMPLER = "bartlett-gram-3"
+SAMPLER = "bartlett-gram-4"
 
 #: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
@@ -91,8 +95,9 @@ ANALYZERS = {
     "V": np.diag([0.0, 1.0]),
 }
 
-#: stream id keying run_bench's per-chunk Gram streams; ids 1-4 key the per-beam
-#: field streams of the test oracle (source 1, source 2, mix and split substitutes)
+#: stream id keying the Philox stream whose block c + 1 seeds run_bench's chunk c; ids
+#: 1-4 key the per-beam field streams of the test oracle (source 1, source 2, mix and
+#: split substitutes)
 GRAM_STREAM = 5
 
 __all__ = [
@@ -308,13 +313,16 @@ class _StreamKey:
     ``_seed_interface``) and not its spawnable variant, so a chunk generator
     refuses to ``spawn`` with the ``TypeError`` of a keyed Philox. It is
     defined at module level so that a chunk generator, which holds it,
-    pickles.
+    pickles. It holds its words contiguous, a view of ``words`` if they
+    already are: SFC64 reads its seed from the memory of the array it is
+    given whatever the array's strides, so a strided view would seed it from
+    other words.
     """
 
     __slots__ = ("words",)
 
-    def __init__(self, *words: int) -> None:
-        self.words = np.array(words, dtype=np.uint64)
+    def __init__(self, words) -> None:
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != self.words.size or np.dtype(dtype) != np.uint64:
@@ -340,23 +348,28 @@ def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     uint64 words: the state of numpy's ``Philox(key=..., counter=...)``
     given those words. The key is the stream's only seed material: opening a
     stream draws no OS entropy. ``run_bench`` draws no frame from it, but
-    seeds each chunk's SFC64 generator with its first three words
-    (``_chunk_draws``); the test oracle draws its fields from it directly.
+    reads the keys of its chunks' SFC64 generators off the stream of chunk 0
+    (``_chunk_generators``); the test oracle draws its fields from it
+    directly.
     """
     _seed_interface()
     counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_StreamKey(seed, stream), counter=counter))
+    return np.random.Generator(np.random.Philox(_StreamKey((seed, stream)), counter=counter))
 
 
-def _chunk_draws(seed: int, chunk: int) -> np.random.Generator:
-    """The generator that chunk ``chunk`` of a run draws its frames from.
+def _chunk_generators(seed: int, first: int, n_chunks: int) -> list[np.random.Generator]:
+    """The generators that chunks first .. first + n_chunks - 1 of a run draw their frames from.
 
-    SFC64 seeded with the first three words of the chunk's keyed Philox
-    stream, ``chunk_rng(seed, GRAM_STREAM, chunk)``, taken as SFC64's
-    seed words without hashing (``_StreamKey``).
+    Chunk c's is SFC64 seeded, without hashing (``_StreamKey``), with words
+    0-2 of block c + 1 of the keyed Philox stream ``chunk_rng(seed,
+    GRAM_STREAM, 0)``, which is that stream advanced by c blocks and read
+    for one block. The stream is opened once per call, advanced by ``first``
+    blocks and read once for all the chunks' blocks, so a chunk's generator
+    does not depend on the chunks it is opened with.
     """
-    words = chunk_rng(seed, GRAM_STREAM, chunk).bit_generator.random_raw(3)
-    return np.random.Generator(np.random.SFC64(_StreamKey(*words)))
+    keys = chunk_rng(seed, GRAM_STREAM, 0).bit_generator.advance(first)
+    blocks = keys.random_raw(4 * n_chunks).reshape(n_chunks, 4)
+    return [np.random.Generator(np.random.SFC64(_StreamKey(block[:3]))) for block in blocks]
 
 
 def _bartlett(rows: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,7 +411,7 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
     W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
     substitute), three draws each (``_bartlett``), and two Gamma(k): source
     2 and the split substitute on the substituted modes. Each chunk draws
-    them whole from its own generator (``_chunk_draws``), in one fixed
+    them whole from its own generator (``_chunk_generators``), in one fixed
     order: B's Gamma(M - k) and Gamma(M - k - 1/2), then, if k > 0, A's
     Gamma(k) and Gamma(k - 1/2) and the two Gamma(k), then B's normal and
     A's. They land in the rows of ``buffer`` (from ``_buffers``, a fresh one
@@ -425,8 +438,7 @@ def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
     if k:
         gammas += [(sub[0], k), (sub[1], k - 0.5), (sub[3], k), (sub[4], k)]
         normals += [sub[2]]
-    for i in range(n_chunks):
-        rng = _chunk_draws(config.seed, first + i)
+    for i, rng in enumerate(_chunk_generators(config.seed, first, n_chunks)):
         cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
         for row, shape in gammas:
             rng.standard_gamma(shape, out=row[cols])
@@ -493,13 +505,14 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 
-    The draws stream: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 8 chunks at
+    The draws stream: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 4 chunks at
     a time are drawn into one buffer (``_buffers``), allocated once per
-    run, and each block of drawn rows (``_rows``) is folded into
-    ``stats.comoments`` while it is in cache: three rows at eta = 1, five
-    otherwise. The rows' sums S then give the record's, sums[i, j] = s_i s_j S[r_i, r_j] for
-    columns i = (r_i, s_i) of ``_columns``; a product that overflows is left
-    to ``FrameBatch.corr`` to refuse. The batch keeps the 5x5 sums, so the
+    run, from generators whose keys one Philox read per block gives
+    (``_chunk_generators``), and each block of drawn rows (``_rows``) is
+    folded into ``stats.comoments`` while it is in cache: three rows at eta
+    = 1, five otherwise. The rows' sums S then give the record's, sums[i, j]
+    = s_i s_j S[r_i, r_j] for columns i = (r_i, s_i) of ``_columns``; a
+    product that overflows is left to ``FrameBatch.corr`` to refuse. The batch keeps the 5x5 sums, so the
     run's memory does not grow with frames; ``FrameBatch.record`` redraws
     the record on demand. Fewer than two frames have no sums and raise
     ``ValueError``.

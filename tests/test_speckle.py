@@ -397,24 +397,34 @@ class RawWords:
 numpy.random.bit_generator.ISeedSequence.register(RawWords)
 
 
-def keyed_draws(seed, chunk):
-    """The generator a run's chunk draws from, through numpy's public constructors:
-    SFC64 seeded with the first three words of the chunk's keyed Philox stream 5."""
-    words = keyed_philox(seed, 5, chunk).bit_generator.random_raw(3)
-    return np.random.Generator(np.random.SFC64(RawWords(words)))
+def chunk_key(seed, chunk):
+    """A run's chunk key through numpy's public constructors, the chunk's stream
+    opened on its own: words 0-2 of block chunk + 1 of the Philox stream keyed by
+    (seed, 5), which is the stream at counter 0 advanced by chunk blocks."""
+    return keyed_philox(seed, 5, 0).bit_generator.advance(chunk).random_raw(3)
 
 
-#: sha256 of chunk_record's bytes per (config, chunk), as numpy 2.4.6 draws them
+def keyed_draws(seed, first, n_chunks):
+    """The generators that a run's chunks first .. first + n_chunks - 1 draw from,
+    each SFC64 seeded with its chunk's key read alone."""
+    return [
+        np.random.Generator(np.random.SFC64(RawWords(chunk_key(seed, c))))
+        for c in range(first, first + n_chunks)
+    ]
+
+
+#: sha256 of chunk_record's bytes per (config, chunk), as numpy 2.4.6 draws them;
+#: chunk 195 is the last of the erasure workload's 400,000 frames
 PINNED_CHUNK_RECORDS = [
     (
         BenchConfig(modes=4, seed=1),
-        390,
-        "fb4c0eb03408bfcc8a256ee893c94c9953acf5aaab843e17ddc7bb37f5c95a21",
+        195,
+        "ab26b572728dd7acbcd1daf5c990f3d469ef74300985ee40ec95cecfa98eb7f0",
     ),
     (
         BenchConfig(modes=7, seed=3, eta=0.7),
         1,
-        "c429f01d7895fcd5ebe9aa54495d058408188dac240e606c3281a40d0e76d513",
+        "d38dee1031381b95da0cd0e0090f4d5c1f10aefcfb4f3e711636f83f00daaaa0",
     ),
 ]
 
@@ -439,23 +449,57 @@ class TestStreams:
     )
     def test_record_is_drawn_from_numpys_keyed_streams(self, cfg, monkeypatch):
         # the record rebuilt with every chunk's generator made by numpy's
-        # public constructors alone, the SFC64 seeding included
+        # public constructors alone, each chunk's key read on its own, the
+        # SFC64 seeding included
         record = run_bench(cfg).record
-        monkeypatch.setattr(speckle, "_chunk_draws", keyed_draws)
+        monkeypatch.setattr(speckle, "_chunk_generators", keyed_draws)
         assert record.tobytes() == run_bench(cfg).record.tobytes()
 
     def test_a_run_opens_each_chunks_key_once_in_chunk_order(self, monkeypatch):
-        # 400,000 frames are 391 chunks of 1,024: what perfbench's traced
-        # run counts as speckle.rng_streams
-        opened = []
+        # 400,000 frames are 196 chunks of 2,048 in 49 fold blocks of 4: a run
+        # opens one key stream per block, what perfbench's traced run counts
+        # as speckle.rng_streams, and reads from it each of the block's chunk
+        # keys once, in chunk order, and nothing more
+        opened, streams, seeded = [], [], []
 
         def counted(seed, stream, chunk):
             opened.append((seed, stream, chunk))
-            return chunk_rng(seed, stream, chunk)
+            streams.append(chunk_rng(seed, stream, chunk))
+            return streams[-1]
+
+        class RecordedKey(speckle._StreamKey):
+            def generate_state(self, n_words, dtype=np.uint32):
+                if n_words == 3:
+                    seeded.append(self.words.tolist())
+                return super().generate_state(n_words, dtype)
 
         monkeypatch.setattr(speckle, "chunk_rng", counted)
+        monkeypatch.setattr(speckle, "_StreamKey", RecordedKey)
         run_bench(BenchConfig(modes=4, frames=400_000, seed=1, workers=2))
-        assert opened == [(1, speckle.GRAM_STREAM, c) for c in range(391)]
+        assert opened == [(1, speckle.GRAM_STREAM, 0)] * 49
+        assert seeded == [chunk_key(1, c).tolist() for c in range(196)]
+        counters = [rng.bit_generator.state["state"]["counter"].tolist() for rng in streams]
+        assert counters == [[min(4 * (b + 1), 196), 0, 0, 0] for b in range(49)]
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    @pytest.mark.parametrize("first, n_chunks", [(0, 4), (2, 3), (3, 6), (4, 4), (7, 9), (191, 5)])
+    def test_chunk_keys_do_not_depend_on_their_grouping(self, seed, first, n_chunks):
+        # one key read across fold-block boundaries (4 chunks a block) gives
+        # chunk first + j the key that reading it alone gives
+        together = speckle._chunk_generators(seed, first, n_chunks)
+        assert len(together) == n_chunks
+        for j, rng in enumerate(together):
+            (alone,) = speckle._chunk_generators(seed, first + j, 1)
+            assert rng.bit_generator.seed_seq.words.tolist() == chunk_key(seed, first + j).tolist()
+            np.testing.assert_equal(rng.bit_generator.state, alone.bit_generator.state)
+
+    def test_the_erasure_configs_chunk_keys_are_distinct(self):
+        n_chunks = -(-400_000 // CHUNK_FRAMES)
+        keys = {
+            tuple(rng.bit_generator.seed_seq.words.tolist())
+            for rng in speckle._chunk_generators(1, 0, n_chunks)
+        }
+        assert len(keys) == n_chunks == 196
 
     @pytest.mark.parametrize("cfg, chunk, digest", PINNED_CHUNK_RECORDS)
     def test_chunk_records_keep_their_bits(self, cfg, chunk, digest):
@@ -469,14 +513,23 @@ class TestStreams:
 
     def test_stream_key_gives_only_the_words_it_holds(self):
         speckle._seed_interface()
-        key = speckle._StreamKey(1, 2, 3)
+        key = speckle._StreamKey((1, 2, 3))
         assert key.generate_state(3, np.uint64).tolist() == [1, 2, 3]
         for n_words, dtype in [(2, np.uint64), (4, np.uint64), (3, np.uint32), (6, np.uint32)]:
             with pytest.raises(ValueError, match="3 uint64 words cannot give"):
                 key.generate_state(n_words, dtype)
         # SFC64 asks for three words, so a two-word key is refused
         with pytest.raises(ValueError, match="2 uint64 words cannot give 3"):
-            np.random.SFC64(speckle._StreamKey(1, 2))
+            np.random.SFC64(speckle._StreamKey((1, 2)))
+
+    def test_a_strided_key_seeds_from_its_own_words(self):
+        # SFC64 reads its seed from the memory of the array it is handed, so
+        # a key held as a strided view would seed it from other words
+        speckle._seed_interface()
+        strided = np.arange(1, 13, dtype=np.uint64).reshape(3, 4).T[1]
+        assert strided.tolist() == [2, 6, 10] and not strided.flags.c_contiguous
+        expected = np.random.SFC64(RawWords(np.array([2, 6, 10], dtype=np.uint64))).state
+        np.testing.assert_equal(np.random.SFC64(speckle._StreamKey(strided)).state, expected)
 
     def test_opening_a_stream_draws_no_os_entropy(self, monkeypatch):
         # numpy's SeedSequence() draws its entropy through randbits
@@ -488,7 +541,7 @@ class TestStreams:
         run_bench(BenchConfig(modes=3, frames=600, seed=21, eta=0.7))
 
     def test_pickled_generator_continues_its_draws(self):
-        for rng in (chunk_rng(22, 5, 3), speckle._chunk_draws(22, 3)):
+        for rng in (chunk_rng(22, 5, 3), *speckle._chunk_generators(22, 3, 2)):
             rng.standard_gamma(2.5, size=7)
             copy = pickle.loads(pickle.dumps(rng))
             assert np.array_equal(
@@ -496,7 +549,8 @@ class TestStreams:
             )
 
     def test_generator_refuses_to_spawn(self):
-        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0), speckle._chunk_draws(23, 0)):
+        chunks = speckle._chunk_generators(23, 0, 2)
+        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0), *chunks):
             with pytest.raises(TypeError):
                 rng.spawn(1)
 
@@ -523,14 +577,34 @@ class TestRunBench:
             chunk, row = divmod(j, CHUNK_FRAMES)
             assert chunk_record(cfg, chunk)[row].tobytes() == batch.record[j].tobytes()
 
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_a_run_across_a_fold_block_is_its_chunks_drawn_alone(self, eta):
+        # 9,000 frames are two fold blocks: four chunks, then a fifth that the
+        # run draws whole and keeps 808 frames of. The run's second block, and
+        # chunk 4 drawn alone, key their generators from the stream advanced
+        # by 4 blocks: every frame of the record equals its chunk's row drawn
+        # alone, and at unit scales the run's folded sums have the bits of
+        # the chunks' comoments
+        cfg = BenchConfig(modes=13, frames=9000, seed=99, eta=eta)
+        n_chunks = -(-cfg.frames // CHUNK_FRAMES)
+        assert _BLOCK_FRAMES < cfg.frames < n_chunks * CHUNK_FRAMES <= 2 * _BLOCK_FRAMES
+        alone = np.concatenate([chunk_record(cfg, c) for c in range(n_chunks)])[: cfg.frames]
+        batch = run_bench(cfg)
+        for j in range(cfg.frames):
+            assert alone[j].tobytes() == batch.record[j].tobytes(), f"frame {j}"
+        starts = range(0, cfg.frames, _BLOCK_FRAMES)
+        expected = comoments(alone[t : t + _BLOCK_FRAMES].T for t in starts)
+        assert batch.sums.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("modes, eta", [(7, 0.7), (4, 1.0), (1, 1.0), (3, 0.0)])
     @pytest.mark.parametrize(
-        "frames", [2, 256, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5]
+        "frames",
+        [2, 256, 1024, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5],
     )
     def test_streamed_sums_agree_with_error_free_sums(self, modes, eta, frames):
         # the sums a run streams, block by block through reused buffers,
         # against the centred sums taken by math.fsum of the record drawn
-        # chunk by chunk; 2 and 256 frames end inside the first chunk, and
+        # chunk by chunk; 2, 256 and 1,024 frames end inside the first chunk, and
         # _BLOCK_FRAMES + 1 leaves a last block of one frame.
         # eta = 0 draws no B block: rows that a reused buffer must read as
         # zero in every block. M = 1 draws B = W2(1), whose h is Gamma(1/2).
@@ -654,12 +728,14 @@ class TestRunBench:
 
     @pytest.mark.parametrize("scenario, basis", SCENARIO_BASES)
     @pytest.mark.parametrize(
-        "frames", [255, 256, 612, CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100]
+        "frames",
+        [255, 256, 612, 1023, 1024, 2148, CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100],
     )
     def test_determinism_across_workers_and_chunk_counts(self, scenario, basis, frames):
         # no worker count changes a value, and a run is a prefix of any longer
         # run: runs that end inside the first chunk, one frame short of it,
-        # exactly one chunk, and a short third chunk
+        # exactly one chunk, 100 frames into the second chunk, and a short
+        # third chunk
         batches = [
             run_bench(BenchConfig(modes=3, frames=n, seed=78, eta=0.7, workers=w))
             for n, w in ((frames, 1), (frames, 2), (frames, 8), (3 * CHUNK_FRAMES, 1))
@@ -741,13 +817,13 @@ class TestRunBench:
     @pytest.mark.parametrize("modes", [1, 4])
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("frames", [3, 257, CHUNK_FRAMES + 1, _BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize("frames", [3, 257, 1025, CHUNK_FRAMES + 1, _BLOCK_FRAMES + 1])
     def test_corr_agrees_with_corr_coeff_on_the_series(self, modes, eta, tau_mix, frames):
         # every pair of every (scenario, basis), and the in-pairs, read off the
         # record's co-moments equals corr_coeff on the explicit series; a dark
-        # read-out raises corr_coeff's ValueError. 3 and 257 frames end inside
-        # the first chunk, CHUNK_FRAMES + 1 one frame into the second, and
-        # _BLOCK_FRAMES + 1 one frame into the second block
+        # read-out raises corr_coeff's ValueError. 3, 257 and 1,025 frames end
+        # inside the first chunk, CHUNK_FRAMES + 1 one frame into the second,
+        # and _BLOCK_FRAMES + 1 one frame into the second block
         batch = run_bench(
             BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
         )
