@@ -36,7 +36,6 @@ import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +111,14 @@ _PAIRS = ((0, 1, "1-2"), (0, 2, "1-3"), (1, 2, "2-3"))
 #: discord, whose invariants cancel at scale N^4, loses its printed digits
 #: (its error grows as N^2 times machine epsilon: 2.3e-2 nats at 1e7)
 SWEEP_N_MAX = 1e7
+
+
+#: what decides a manifest's CSV bytes besides its config, each written by
+#: ``main`` and checked by a replay: the cvbench version, which fixes every
+#: formula and format; numpy's, since the Philox keys, the SFC64 draws and the
+#: Gamma and normal samplers depend on it (NEP 19); and how the bench draws its
+#: frames, so a manifest of another sampler is refused
+_PROVENANCE = {"version": __version__, "numpy_version": np.__version__, "sampler": SAMPLER}
 
 
 class ConfigError(ValueError):
@@ -193,17 +200,20 @@ def _estimate(batch, a, b, level: float) -> tuple:
 
 
 def _bench_config(cfg: dict) -> BenchConfig:
-    """The bench run of a command's config; settings its intervals cannot use are refused.
+    """The bench run of a command's config; settings its tables cannot use are refused.
 
     A Fisher z interval needs at least 4 frames and a level in (0, 1)
-    (``confidence_interval``), so anything else is refused here, with one
-    message, before any frame is drawn.
+    (``confidence_interval``), and a t_split of 1 leaves beam 3 dark, so no
+    correlation with it is defined; each is refused here, with one message,
+    before any frame is drawn.
     """
     frames, level = cfg["bench"]["frames"], cfg["analysis"]["ci_level"]
     if frames < 4:
         raise ConfigError(f"[bench] frames must be at least 4, got {frames}")
     if not 0.0 < level < 1.0:
         raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
+    if cfg["source"]["t_split"] == 1.0:
+        raise ConfigError("[source] t_split 1.0 sends no photons into beam 3")
     return BenchConfig(**cfg["source"], **cfg["bench"])
 
 
@@ -526,10 +536,11 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     """Re-run the command recorded in a manifest; reproduces its CSV byte-for-byte.
 
     Raises ``ConfigError`` when the manifest cannot be read, is not a JSON
-    object, was written by another cvbench version or under another numpy
-    version (whose generators may give other bytes, NEP 19), records another
-    bench sampler or none, names an unknown command, holds a config that
-    ``load_config`` would reject, or (without ``out_path``) records no output.
+    object, records a value of ``_PROVENANCE`` other than this replay's or
+    none (another cvbench version, numpy version or bench sampler, any of
+    which may give other bytes), names an unknown command, holds a config
+    that ``load_config`` would reject, or (without ``out_path``) records no
+    output.
     """
     try:
         data = json.loads(Path(manifest_path).read_text())
@@ -539,21 +550,12 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
         raise ConfigError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"manifest must be a JSON object, got {type(data).__name__}")
-    if data.get("version") != __version__:
-        raise ConfigError(
-            f"manifest written by cvbench {data.get('version')!r} cannot be replayed "
-            f"by cvbench {__version__!r}"
-        )
-    if data.get("numpy_version") != np.__version__:
-        raise ConfigError(
-            f"manifest written under numpy {data.get('numpy_version')!r} cannot be replayed "
-            f"under numpy {np.__version__!r}"
-        )
-    if data.get("sampler") != SAMPLER:
-        raise ConfigError(
-            f"manifest records bench sampler {data.get('sampler')!r}, "
-            f"but cvbench {__version__} samples with {SAMPLER!r}"
-        )
+    for key, value in _PROVENANCE.items():
+        if data.get(key) != value:
+            raise ConfigError(
+                f"manifest records {key} {data.get(key)!r}, but cvbench {__version__} "
+                f"replays with {value!r}"
+            )
     if data.get("command") not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {data.get('command')!r}")
     cfg = _typed(data.get("config"))
@@ -603,17 +605,12 @@ def main(argv: list[str] | None = None) -> int:
         csv = run(cfg)
         manifest = {
             "command": args.command,
-            "version": __version__,
+            **_PROVENANCE,
             "seed": cfg["bench"]["seed"],
             "config": cfg,
-            # the Philox keys, the SFC64 draws and the Gamma and normal
-            # samplers, and so the CSV bytes, depend on numpy's version
-            "numpy_version": np.__version__,
-            # how the bench draws its frames; a replay refuses a manifest of another sampler
-            "sampler": SAMPLER,
             "outputs": [str(out_path)],
             "duration_s": round(time.perf_counter() - started, 3),
-            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         }
         _commit({
             out_path: csv,

@@ -96,8 +96,10 @@ def _h_vec(x: np.ndarray) -> np.ndarray:
     y = (x - 1.0) / 2.0
     safe = y > PURE_GUARD
     yp = np.where(safe, y, 1.0)
-    xp = (x + 1.0) / 2.0
-    return np.where(safe, xp * np.log(xp) - yp * np.log(yp), 0.0)
+    # (y + 1) log(y + 1) - y log y as a sum of two positive terms: the
+    # difference cancels, to eps y log y of a bright mode and eps / y of a
+    # nearly pure one
+    return np.where(safe, np.log1p(yp) + yp * np.log1p(1.0 / yp), 0.0)
 
 
 def _ordered_blocks(state: GaussianState):

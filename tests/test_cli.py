@@ -21,6 +21,7 @@ from cvbench.states import (
     SingleModeSpec,
     SymplecticOp,
     apply_symplectic,
+    member_error,
     partial_trace,
     symplectic_eigenvalues,
 )
@@ -464,30 +465,50 @@ class TestSweep:
         _, rows = read_rows(out)
         assert len(rows) == 10_000 and float(rows[-1][1]) == cli.SWEEP_N_MAX
 
-    def test_unevaluable_discord_is_one_error_line(self, tmp_path, capsys):
-        # a valid bright grid at a tiny t_split exits 2 with one error line that
-        # names the failing point, not only its batch member (tau index, point
-        # index), with that point's own value (the discord's minimum, -5.72e-8,
-        # lies at point 1991), and writes nothing
+    @pytest.mark.parametrize("taus, rows", [("1e-10", 2000), ("1e-09", 2000), ("0.3,1e-09", 4000)])
+    def test_bright_grid_at_a_tiny_t_split_runs(self, tmp_path, taus, rows):
+        # the entropy term keeps its digits at every photon number, so the
+        # closed-form discord of these pairs, coupled through a split of 1e-10
+        # or 1e-9, no longer falls below its -1e-9 clamp at bright points
         cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "sweep.csv"
-        clamp = "discord evaluated to -8.07906e-09"
-        for taus, tau, what, member, n_source in (
-            # the closed-form discord falls below its -1e-9 clamp
-            ("1e-10", "1e-10", "discord evaluated to -1.32271e-09", (0, 1794), "1.28206e+06"),
-            ("1e-09", "1e-09", clamp, (0, 1944), "5.76313e+06"),
-            # the same point behind a tau that runs: the tau index names the failing series
-            ("0.3,1e-09", "1e-09", clamp, (1, 1944), "5.76313e+06"),
-        ):
-            cfg.write_text(
-                f"[sweep]\nsweep_param = t_split\ntaus = {taus}\nn_source_max = 1e7\n"
-                "n_points = 2000\n"
-            )
-            assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
-            err = capsys.readouterr().err.strip().split("\n")
-            assert len(err) == 1 and err[0].startswith(f"error: {what}"), err
-            assert err[0].endswith(f"(batch member {member}) at tau {tau}, n_source {n_source}")
-            assert list(tmp_path.iterdir()) == [cfg]
+        cfg.write_text(
+            f"[sweep]\nsweep_param = t_split\ntaus = {taus}\nn_source_max = 1e7\n"
+            "n_points = 2000\n"
+        )
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
+        _, written = read_rows(out)
+        assert len(written) == rows and min(float(row[2]) for row in written) >= 0.0
+
+    @pytest.mark.parametrize(
+        "taus, member", [("1e-09", (0, 1944)), ("0.3,1e-09", (1, 1944))], ids=["one-tau", "two-taus"]
+    )
+    def test_unevaluable_discord_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, taus, member
+    ):
+        # an error inside the stacked pass exits 2 with one error line that
+        # names the failing point, not only its batch member (tau index, point
+        # index), and writes nothing; behind a tau that runs, the tau index
+        # names the failing series
+        def failing(pair):
+            bad = np.zeros(pair.batch_shape, dtype=bool)
+            bad[member] = True
+            raise member_error(ArithmeticError, "discord evaluated to -8e-09", bad)
+
+        monkeypatch.setattr(cli, "gaussian_discord", failing)
+        cfg = tmp_path / "sweep.cfg"
+        out = tmp_path / "sweep.csv"
+        cfg.write_text(
+            f"[sweep]\nsweep_param = t_split\ntaus = {taus}\nn_source_max = 1e7\n"
+            "n_points = 2000\n"
+        )
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [
+            f"error: discord evaluated to -8e-09 (batch member {member}) at tau 1e-09, "
+            "n_source 5.76313e+06"
+        ]
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_tiny_t_split_runs(self, tmp_path):
         # the probe reads its marginal off the split's congruence, so rounding
@@ -779,6 +800,22 @@ def test_ci_level_outside_unit_interval_refused_before_sampling(
     assert run_main([command, "--ci-level", level, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: confidence level must lie in (0, 1), got {float(level)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tables", "erasure"])
+def test_dark_beam_3_refused_before_sampling(tmp_path, monkeypatch, capsys, command):
+    # a t_split of 1 sends no photons into beam 3, so its correlations, which
+    # every table holds, are undefined; it is refused by the config, naming
+    # the setting, before a frame is drawn
+    def no_run(config):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    out = tmp_path / "out.csv"
+    assert run_main([command, "--t-split", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [source] t_split 1.0 sends no photons into beam 3\n"
     assert list(tmp_path.iterdir()) == []
 
 

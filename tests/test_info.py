@@ -1,5 +1,6 @@
 """Tests for entropies, mutual information, and Gaussian discord."""
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -624,6 +625,23 @@ def test_cancelled_det_cm_is_refused_not_read_as_a_value():
     assert caught.value.member == (1,)
 
 
+def test_entropy_term_to_machine_precision():
+    # the term of each eigenvalue x = 2 n + 1 it is given, against a 60-digit
+    # reference of (y + 1) ln(y + 1) - y ln y at the exact y = (x - 1) / 2, from
+    # nearly pure modes (n = 1e-12, where that difference cancels to eps / y)
+    # to bright ones (n = 1e9)
+    ctx = decimal.Context(prec=60)
+    x = 2.0 * np.geomspace(1e-12, 1e9, 600) + 1.0
+
+    def reference(value):
+        y = ctx.divide(ctx.subtract(decimal.Decimal(value), 1), 2)
+        return float(ctx.subtract(ctx.multiply(y + 1, ctx.ln(y + 1)), ctx.multiply(y, ctx.ln(y))))
+
+    expected = np.array([reference(value) for value in x.tolist()])
+    relative = np.abs(info._h_vec(x) - expected) / expected
+    assert relative.max() <= 4.0 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_entropy_term_refuses_a_non_finite_eigenvalue(bad):
     # NaN > PURE_GUARD is False, so without the check it would read as 0
@@ -676,20 +694,20 @@ def c03_states(indices):
 # each call converges
 PINNED_ORACLE_BITS = {
     "validate": (validate_oracle_states, [
-        ("0x1.033af65547134p-2", 1),
-        ("0x1.c170dc95b825cp-4", 1),
+        ("0x1.033af65547136p-2", 1),
+        ("0x1.c170dc95b8264p-4", 1),
         ("0x1.8779e4cc13478p-2", 1),
-        ("0x1.8ec4f8ce25b5cp-3", 1),
-        ("0x1.7a5575aa58780p-3", 1),
-        ("0x1.d24acceb2656cp-3", 1),
-        ("0x1.2a78a0f6e075cp-3", 1),
-        ("0x1.1c54efb1ce2a0p-3", 1),
+        ("0x1.8ec4f8ce25b5ep-3", 1),
+        ("0x1.7a5575aa58778p-3", 1),
+        ("0x1.d24acceb26566p-3", 1),
+        ("0x1.2a78a0f6e0750p-3", 1),
+        ("0x1.1c54efb1ce29cp-3", 1),
         ("0x1.82e6e8a47a270p-3", 1),
-        ("0x1.28725ba5f0b4ep-2", 1),
+        ("0x1.28725ba5f0b54p-2", 1),
     ]),
     "c03": (lambda: c03_states([5, 7]), [
-        ("0x1.7f61c44029eb8p-2", 3),
-        ("0x1.1dcc68763b3acp-2", 3),
+        ("0x1.7f61c44029ec0p-2", 3),
+        ("0x1.1dcc68763b3b0p-2", 3),
     ]),
 }
 

@@ -414,7 +414,8 @@ def keyed_draws(seed, first, n_chunks):
 
 
 #: sha256 of chunk_record's bytes per (config, chunk), as numpy 2.4.6 draws them;
-#: chunk 195 is the last of the erasure workload's 400,000 frames
+#: chunk 195 is the last of the erasure workload's 400,000 frames. The test ids
+#: name each pin, not its digest, so a re-pin keeps them
 PINNED_CHUNK_RECORDS = [
     (
         BenchConfig(modes=4, seed=1),
@@ -501,7 +502,9 @@ class TestStreams:
         }
         assert len(keys) == n_chunks == 196
 
-    @pytest.mark.parametrize("cfg, chunk, digest", PINNED_CHUNK_RECORDS)
+    @pytest.mark.parametrize(
+        "cfg, chunk, digest", PINNED_CHUNK_RECORDS, ids=["erasure-last-chunk", "eta07-chunk1"]
+    )
     def test_chunk_records_keep_their_bits(self, cfg, chunk, digest):
         # a numpy whose SFC64, Philox, standard_gamma or standard_normal
         # changed would replay other bytes under the same manifest
