@@ -41,28 +41,31 @@ normal folds into one Gamma draw (``_bartlett``): three draws per block and
 frame.
 
 Randomness is counter-based. Frames are grouped into fixed chunks of
-``CHUNK_FRAMES``. Chunk c draws its frames, whole and in a fixed order, from
-the SFC64 generator seeded with words 0-2 of block c + 1 of the Philox
-stream keyed by (seed, ``GRAM_STREAM``): ``chunk_rng(seed, GRAM_STREAM, 0)``
-advanced by c blocks (``_chunk_generators``). The Philox block is a keyed
-bijection of its counter, so adjacent chunks' SFC64 seeds share no
-structure, and the keys of consecutive chunks are consecutive blocks of one
-stream, read in one call; SFC64 draws Gamma and normal variates faster than
-Philox. The key is a chunk's only seed material: each chunk's generator is
-opened afresh from it, and no OS entropy is drawn. Gamma rejection takes a
-variable number of draws, so no generator spans two chunks. This chunk
-keying is the reproducibility contract: any frame is reproducible by
-regenerating its chunk alone (``chunk_record``), and the output cannot
-depend on ``BenchConfig.workers``, which is accepted and recorded for
-compatibility while the sampler runs serially. A run draws whole chunks, so
-it draws up to ``CHUNK_FRAMES - 1`` frames that it does not keep. The
-numbers for a given seed changed in 0.2.0, when this sampler replaced
-per-mode fields, in 0.3.0, when the fold and chunks of 1,024 frames replaced
-four draws per block and chunks of 256 frames, in 0.4.0, when each chunk's
-draws moved from its Philox stream to the SFC64 generator that stream
-seeds, and in 0.5.0, when chunks grew to 2,048 frames and chunk c's key
-moved from the first block of its own Philox stream (counter position c) to
-block c + 1 of one stream.
+``CHUNK_FRAMES``, one fold block each. Every row that chunk c draws
+(``_rows``) has a fixed slot j of ``_ROW_SLOTS`` = 8 and its own SFC64
+generator, seeded with words 0-2 of block 8c + j + 1 of the Philox stream
+keyed by (seed, ``GRAM_STREAM``): ``chunk_rng(seed, GRAM_STREAM, 0)``
+advanced by 8c + j blocks (``_row_keys``). The Philox block is a keyed
+bijection of its counter, so no two rows' SFC64 seeds share structure, and
+a run reads all its rows' keys from one stream in one call; SFC64 draws
+Gamma and normal variates faster than Philox. The key is a row's only seed
+material: each row's generator is opened afresh from it, and no OS entropy
+is drawn. Gamma rejection takes a variable number of draws, so no generator
+spans two rows: a row's first w values are the same bits whatever its
+width, and a run draws exactly its frames, its last chunk only as far as
+the run reaches. This keying is the reproducibility contract: any frame is
+reproducible by regenerating its chunk alone (``chunk_record``), a run is a
+prefix of any longer run, and the output cannot depend on
+``BenchConfig.workers``, which is accepted and recorded for compatibility
+while the sampler runs serially. The numbers for a given seed changed in
+0.2.0, when this sampler replaced per-mode fields, in 0.3.0, when the fold
+and chunks of 1,024 frames replaced four draws per block and chunks of 256
+frames, in 0.4.0, when each chunk's draws moved from its Philox stream to
+the SFC64 generator that stream seeds, in 0.5.0, when chunks grew to 2,048
+frames and chunk c's key moved from the first block of its own Philox
+stream (counter position c) to block c + 1 of one stream, and in 0.6.0,
+when chunks grew to 8,192 frames, one fold block, and each row of a chunk
+got its own generator, keyed by block 8c + j + 1 of that stream.
 
 The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
 batch reads its BS rows off that matrix once. The per-mode field oracle
@@ -80,11 +83,13 @@ import numpy as np
 from .network import bs_symplectic
 from .stats import _BLOCK_FRAMES, comoment_corr, comoments
 
-#: frames per RNG chunk; fixed, part of the reproducibility contract
-CHUNK_FRAMES = 2048
+#: frames per RNG chunk, one fold block of run_bench; part of the reproducibility contract
+CHUNK_FRAMES = _BLOCK_FRAMES
+#: row slots of a chunk, each keyed by its own Philox block (``_row_keys``)
+_ROW_SLOTS = 8
 #: what run_bench samples, and from which generators; a manifest records it and
 #: a replay must match it
-SAMPLER = "bartlett-gram-4"
+SAMPLER = "bartlett-gram-5"
 
 #: (H, V) Jones vectors of beam 1 and of beams 2 and 3 per scenario; one bench, two presets
 POLARIZATIONS = {"interference": ((1.0, 0.0), (1.0, 0.0)), "erasure": ((1.0, 0.0), (0.0, 1.0))}
@@ -95,9 +100,9 @@ ANALYZERS = {
     "V": np.diag([0.0, 1.0]),
 }
 
-#: stream id keying the Philox stream whose block c + 1 seeds run_bench's chunk c; ids
-#: 1-4 key the per-beam field streams of the test oracle (source 1, source 2, mix and
-#: split substitutes)
+#: stream id keying the Philox stream whose block 8c + j + 1 seeds row slot j of
+#: run_bench's chunk c; ids 1-4 key the per-beam field streams of the test oracle
+#: (source 1, source 2, mix and split substitutes)
 GRAM_STREAM = 5
 
 __all__ = [
@@ -175,7 +180,7 @@ class FrameBatch:
     of centred sums of products of the record columns, which ``run_bench``
     scales from the sums of the rows it draws, and ``corr`` reads the
     correlation of two read-outs off it without building either series.
-    ``record`` itself is redrawn from the run's chunk streams on first read,
+    ``record`` itself is redrawn from the run's row streams on first read,
     each column one unscaled drawn row times its scale, and ``out_series``
     is the record times the weights.
     """
@@ -189,15 +194,15 @@ class FrameBatch:
 
     @cached_property
     def record(self) -> np.ndarray:
-        """Read-only (frames, 5) record of the run, drawn on first read through its chunk streams.
+        """Read-only (frames, 5) record of the run, drawn on first read through its row streams.
 
-        Under the chunk keying every frame's drawn rows have the bits that
+        Under the row keying every frame's drawn rows have the bits that
         the run folded into ``sums``, and each column is one of them times
         its scale (``_columns``). It costs the run's draws again, and 40
-        bytes a frame, beside the draws' buffer while it is built.
+        bytes a frame, beside one block of draws while it is built
+        (``_record``).
         """
-        record = _record(self.config, 0, -(-self.config.frames // CHUNK_FRAMES))
-        record = record[: self.config.frames]
+        record = _record(self.config, 0, self.config.frames)
         record.flags.writeable = False
         return record
 
@@ -310,9 +315,9 @@ class _StreamKey:
     and discards it, which cost more than half of opening a stream, and
     numpy's ``SFC64(seed)`` hashes its seed through a ``SeedSequence``. The
     class implements numpy's ``ISeedSequence`` (registered by
-    ``_seed_interface``) and not its spawnable variant, so a chunk generator
+    ``_seed_interface``) and not its spawnable variant, so a row generator
     refuses to ``spawn`` with the ``TypeError`` of a keyed Philox. It is
-    defined at module level so that a chunk generator, which holds it,
+    defined at module level so that a row generator, which holds it,
     pickles. It holds its words contiguous, a view of ``words`` if they
     already are: SFC64 reads its seed from the memory of the array it is
     given whatever the array's strides, so a strided view would seed it from
@@ -348,28 +353,31 @@ def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     uint64 words: the state of numpy's ``Philox(key=..., counter=...)``
     given those words. The key is the stream's only seed material: opening a
     stream draws no OS entropy. ``run_bench`` draws no frame from it, but
-    reads the keys of its chunks' SFC64 generators off the stream of chunk 0
-    (``_chunk_generators``); the test oracle draws its fields from it
-    directly.
+    reads the keys of its rows' SFC64 generators off the stream of chunk 0
+    (``_row_keys``); the test oracle draws its fields from it directly.
     """
     _seed_interface()
     counter = np.array([0, chunk, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_StreamKey((seed, stream)), counter=counter))
 
 
-def _chunk_generators(seed: int, first: int, n_chunks: int) -> list[np.random.Generator]:
-    """The generators that chunks first .. first + n_chunks - 1 of a run draw their frames from.
+def _row_keys(seed: int, first: int, n_chunks: int) -> np.ndarray:
+    """(n_chunks, _ROW_SLOTS, 4) Philox blocks keying the rows of n_chunks chunks from ``first`` on.
 
-    Chunk c's is SFC64 seeded, without hashing (``_StreamKey``), with words
-    0-2 of block c + 1 of the keyed Philox stream ``chunk_rng(seed,
-    GRAM_STREAM, 0)``, which is that stream advanced by c blocks and read
-    for one block. The stream is opened once per call, advanced by ``first``
-    blocks and read once for all the chunks' blocks, so a chunk's generator
-    does not depend on the chunks it is opened with.
+    Chunk c's row in slot j (``_rows``) is keyed by block _ROW_SLOTS c + j + 1
+    of the keyed Philox stream ``chunk_rng(seed, GRAM_STREAM, 0)``, which is
+    that stream advanced by _ROW_SLOTS c + j blocks and read for one block.
+    The stream is opened once per call, advanced by _ROW_SLOTS first blocks
+    and read once for all the chunks' blocks, so a row's key does not depend
+    on the chunks it is read with.
     """
-    keys = chunk_rng(seed, GRAM_STREAM, 0).bit_generator.advance(first)
-    blocks = keys.random_raw(4 * n_chunks).reshape(n_chunks, 4)
-    return [np.random.Generator(np.random.SFC64(_StreamKey(block[:3]))) for block in blocks]
+    keys = chunk_rng(seed, GRAM_STREAM, 0).bit_generator.advance(_ROW_SLOTS * first)
+    return keys.random_raw(4 * _ROW_SLOTS * n_chunks).reshape(n_chunks, _ROW_SLOTS, 4)
+
+
+def _row_rng(key: np.ndarray) -> np.random.Generator:
+    """The generator of one row of one chunk: SFC64 seeded, unhashed, with words 0-2 of its key."""
+    return np.random.Generator(np.random.SFC64(_StreamKey(key[:3])))
 
 
 def _bartlett(rows: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -400,63 +408,74 @@ def _substituted(config: BenchConfig) -> int:
 
 
 def _buffers(config: BenchConfig, frames: int) -> np.ndarray:
-    """Uninitialised draw rows of ``_rows`` for ``frames`` frames: B's 4, then A's 5 if k > 0."""
+    """Uninitialised rows of ``_rows`` for ``frames`` frames: B's 3, A's 5 if k > 0, a scratch row."""
     return np.empty((9 if _substituted(config) else 4, frames))
 
 
-def _rows(config: BenchConfig, first: int, n_chunks: int, buffer=None) -> tuple:
-    """The unscaled rows drawn for every frame of chunks first .. first + n_chunks - 1.
+def _rows(config: BenchConfig, keys: np.ndarray, buffer: np.ndarray) -> tuple:
+    """The unscaled rows of one chunk's frames, drawn into ``buffer`` from the chunk's row keys.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are B =
     W2(M - k) over (beam 1, source 2), A = W2(k) over (beam 1, mix
     substitute), three draws each (``_bartlett``), and two Gamma(k): source
-    2 and the split substitute on the substituted modes. Each chunk draws
-    them whole from its own generator (``_chunk_generators``), in one fixed
-    order: B's Gamma(M - k) and Gamma(M - k - 1/2), then, if k > 0, A's
-    Gamma(k) and Gamma(k - 1/2) and the two Gamma(k), then B's normal and
-    A's. They land in the rows of ``buffer`` (from ``_buffers``, a fresh one
-    by default, at least as wide as the frames); B's rows are zeroed when M
-    - k = 0, which draws none. The arithmetic then runs once over all rows,
-    in place. At k = 0 the rows are B's three Bartlett rows (B_xx, B_yy, Re
-    B_xy); at k > 0 they are the five sums of draws (A_xx + B_xx, G_s2 +
-    B_yy, G_ss + B_yy, A_yy + B_yy, Re A_xy + Re B_xy). Each record column
-    is one row times one scale (``_columns``). The rows are views of the
-    buffer, which the next call with the same buffer overwrites.
+    2 and the split substitute on the substituted modes. Each draw has its
+    own row of ``buffer`` (from ``_buffers``, as wide as the chunk's frames
+    it holds), in a fixed slot: B's Gamma(M - k), Gamma(M - k - 1/2) and
+    normal in slots 0-2, then, if k > 0, A's Gamma(k), Gamma(k - 1/2) and
+    normal and the two Gamma(k) in slots 3-7; the last row is scratch. The
+    row in slot j is drawn from its own generator, ``_row_rng(keys[j])`` of
+    the chunk's ``_row_keys``, so its first w frames are the same bits
+    whatever the buffer's width: a short last chunk draws only the frames
+    that a run keeps. B's rows are zeroed when M - k = 0, which draws none.
+    The arithmetic then runs once over all rows, in place. At k = 0 the
+    rows are B's three Bartlett rows (B_xx, B_yy, Re B_xy); at k > 0 they
+    are the five sums of draws (A_xx + B_xx, G_s2 + B_yy, G_ss + B_yy, A_yy
+    + B_yy, Re A_xy + Re B_xy). Each record column is one row times one
+    scale (``_columns``). The rows are views of the buffer, which the next
+    call with the same buffer overwrites.
     """
     k = _substituted(config)
     r = config.modes - k
-    n = n_chunks * CHUNK_FRAMES
-    draws = (_buffers(config, n) if buffer is None else buffer)[:, :n]
-    # B's rows (g0, h, normal, Re x.y*), then A's (g0, h, normal, G_s2, G_ss)
-    rec, sub = draws[:4], draws[4:]
-    gammas, normals = [], []
+    shapes = {}  # slot: Gamma shape, or None for a standard normal
     if r:
-        gammas += [(rec[0], r), (rec[1], r - 0.5)]
-        normals += [rec[2]]
+        shapes.update({0: r, 1: r - 0.5, 2: None})
     else:
-        rec[:3].fill(0.0)
+        buffer[:3].fill(0.0)
     if k:
-        gammas += [(sub[0], k), (sub[1], k - 0.5), (sub[3], k), (sub[4], k)]
-        normals += [sub[2]]
-    for i, rng in enumerate(_chunk_generators(config.seed, first, n_chunks)):
-        cols = slice(i * CHUNK_FRAMES, (i + 1) * CHUNK_FRAMES)
-        for row, shape in gammas:
-            rng.standard_gamma(shape, out=row[cols])
-        for row in normals:
-            rng.standard_normal(out=row[cols])
+        shapes.update({3: k, 4: k - 0.5, 5: None, 6: k, 7: k})
+    for slot, shape in shapes.items():
+        rng = _row_rng(keys[slot])
+        if shape is None:
+            rng.standard_normal(out=buffer[slot])
+        else:
+            rng.standard_gamma(shape, out=buffer[slot])
 
-    b_xx, b_yy, b_xy = _bartlett(rec[:3], rec[3])
+    b_xx, b_yy, b_xy = _bartlett(buffer[:3], buffer[-1])
     if not k:
         return b_xx, b_yy, b_xy
     # A's cross term goes through B's spent normal row
-    a_xx, a_yy, a_xy = _bartlett(sub[:3], rec[2])
-    g_s2, g_ss = sub[3], sub[4]
+    a_xx, a_yy, a_xy = _bartlett(buffer[3:6], buffer[2])
+    g_s2, g_ss = buffer[6], buffer[7]
     b_xx += a_xx
     g_s2 += b_yy
     g_ss += b_yy
     a_yy += b_yy
     b_xy += a_xy
     return b_xx, g_s2, g_ss, a_yy, b_xy
+
+
+def _chunk_rows(config: BenchConfig, first: int, frames: int):
+    """Yield the rows of ``_rows`` chunk by chunk, for ``frames`` frames from chunk ``first`` on.
+
+    Every row key is read at once (``_row_keys``), and every chunk is drawn
+    into one buffer of at most ``CHUNK_FRAMES`` frames, so a yielded tuple
+    is overwritten by the next. The last chunk is drawn only as far as the
+    frames reach.
+    """
+    n_chunks = -(-frames // CHUNK_FRAMES)
+    buffer = _buffers(config, min(frames, CHUNK_FRAMES))
+    for c, keys in enumerate(_row_keys(config.seed, first, n_chunks)):
+        yield _rows(config, keys, buffer[:, : frames - c * CHUNK_FRAMES])
 
 
 def _columns(config: BenchConfig) -> tuple[tuple[int, float], ...]:
@@ -472,25 +491,28 @@ def _columns(config: BenchConfig) -> tuple[tuple[int, float], ...]:
     return tuple(zip(range(5) if _substituted(config) else (0, 1, 1, 1, 2), scales))
 
 
-def _record(config: BenchConfig, first: int, n_chunks: int) -> np.ndarray:
-    """(frames, 5) record of every frame of chunks first .. first + n_chunks - 1.
+def _record(config: BenchConfig, first: int, frames: int) -> np.ndarray:
+    """(frames, 5) record of ``frames`` frames from chunk ``first`` on, drawn chunk by chunk.
 
-    Column c is its row of ``_rows`` times its scale of ``_columns``, one
-    multiply per column.
+    Column c of each chunk is its row of ``_rows`` times its scale of
+    ``_columns``, one multiply per column, so only one chunk's draws are
+    held beside the record.
     """
-    rows = _rows(config, first, n_chunks)
-    record = np.empty((5, rows[0].size))
-    for out, (row, scale) in zip(record, _columns(config)):
-        np.multiply(rows[row], scale, out=out)
+    record = np.empty((5, frames))
+    columns = _columns(config)
+    for start, rows in zip(range(0, frames, CHUNK_FRAMES), _chunk_rows(config, first, frames)):
+        for out, (row, scale) in zip(record[:, start : start + rows[0].size], columns):
+            np.multiply(rows[row], scale, out=out)
     return record.T
 
 
 def chunk_record(config: BenchConfig, chunk: int) -> np.ndarray:
     """(CHUNK_FRAMES, 5) record of the frames of one chunk, drawn alone.
 
-    Bit-identical to rows chunk * CHUNK_FRAMES onward of the run's ``FrameBatch.record``.
+    Bit-identical to rows chunk * CHUNK_FRAMES onward of the run's
+    ``FrameBatch.record``, also for a run that ends inside the chunk.
     """
-    return _record(config, chunk, 1)
+    return _record(config, chunk, CHUNK_FRAMES)
 
 
 def run_bench(config: BenchConfig) -> FrameBatch:
@@ -505,12 +527,13 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 
-    The draws stream: ``stats._BLOCK_FRAMES // CHUNK_FRAMES`` = 4 chunks at
-    a time are drawn into one buffer (``_buffers``), allocated once per
-    run, from generators whose keys one Philox read per block gives
-    (``_chunk_generators``), and each block of drawn rows (``_rows``) is
-    folded into ``stats.comoments`` while it is in cache: three rows at eta
-    = 1, five otherwise. The rows' sums S then give the record's, sums[i, j]
+    The draws stream: a chunk is one fold block of ``stats._BLOCK_FRAMES``
+    frames, and each is drawn into one buffer (``_buffers``), allocated once
+    per run, from row generators whose keys one Philox read gives for the
+    whole run (``_row_keys``); each chunk's drawn rows (``_rows``) are
+    folded into ``stats.comoments`` while they are in cache: three rows at
+    eta = 1, five otherwise. The last chunk draws only the frames the run
+    keeps (``_chunk_rows``). The rows' sums S then give the record's, sums[i, j]
     = s_i s_j S[r_i, r_j] for columns i = (r_i, s_i) of ``_columns``; a
     product that overflows is left to ``FrameBatch.corr`` to refuse. The batch keeps the 5x5 sums, so the
     run's memory does not grow with frames; ``FrameBatch.record`` redraws
@@ -522,17 +545,7 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     and sums for any worker count; frame j depends only on the seed, j,
     modes, eta, mean_photons and t_split.
     """
-    n_chunks = -(-config.frames // CHUNK_FRAMES)
-    per_block = _BLOCK_FRAMES // CHUNK_FRAMES
-    buffer = _buffers(config, min(n_chunks, per_block) * CHUNK_FRAMES)
-
-    def blocks():
-        for first in range(0, n_chunks, per_block):
-            drawn = _rows(config, first, min(per_block, n_chunks - first), buffer)
-            width = config.frames - first * CHUNK_FRAMES
-            yield tuple(row[:width] for row in drawn)
-
-    row_sums = comoments(blocks())
+    row_sums = comoments(_chunk_rows(config, 0, config.frames))
     rows, scales = (np.array(x) for x in zip(*_columns(config)))
     # a source too bright for its sums is refused by comoment_corr, not here
     with np.errstate(over="ignore", invalid="ignore"):

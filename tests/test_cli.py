@@ -182,7 +182,7 @@ class TestManifest:
         _, _, manifest = self._tables_manifest(tmp_path)
         assert manifest["version"] == __version__
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["sampler"] == "bartlett-gram-4"
+        assert manifest["sampler"] == "bartlett-gram-5"
 
     def test_other_version_refused(self, tmp_path):
         _, path, manifest = self._tables_manifest(tmp_path)

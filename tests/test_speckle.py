@@ -8,6 +8,7 @@ code.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import pickle
@@ -113,16 +114,35 @@ def oracle_fields(cfg, frames):
 def field_record(cfg, frames=None):
     """(frames, 5) record (3 in-intensities, 2 Gram columns) built from the oracle's fields.
 
-    All of cfg's frames by default, drawn 2,048 frames (2 chunks) at a time to
-    bound memory.
+    All of cfg's frames by default, drawn one chunk at a time to bound memory.
     """
     if frames is None:
-        block = 2 * CHUNK_FRAMES
-        parts = np.split(np.arange(cfg.frames), range(block, cfg.frames, block))
+        parts = np.split(np.arange(cfg.frames), range(CHUNK_FRAMES, cfg.frames, CHUNK_FRAMES))
         return np.concatenate([field_record(cfg, part) for part in parts])
-    beam1, beam2, beam3, mixed = oracle_fields(cfg, frames)
+    return fields_record(oracle_fields(cfg, frames))
+
+
+def fields_record(fields):
+    """(frames, 5) record of the oracle's (beam 1, beam 2, beam 3, BS input) fields."""
+    beam1, beam2, beam3, mixed = fields
     columns = [intensity(beam1), intensity(beam2), intensity(beam3), intensity(mixed)]
     return np.stack(columns + [(beam1 * mixed.conj()).real.sum(axis=1)], axis=1)
+
+
+#: run_bench with its batches kept, for a run that a test reads in many cases; a
+#: batch's sums and record are read-only
+cached_run = functools.cache(run_bench)
+
+
+@functools.cache
+def drawn_once(cfg, frames):
+    """(run_bench(cfg).sums, oracle_fields(cfg, frames)), drawn once for the tests
+    that read them at many (tau_mix, scenario, basis): neither depends on those.
+    Every array is read-only, since every caller shares it."""
+    fields = oracle_fields(cfg, frames)
+    for field in fields:
+        field.flags.writeable = False
+    return cached_run(cfg).sums, fields
 
 
 def read_outs(batch, record, scenario="interference", basis="none"):
@@ -132,10 +152,11 @@ def read_outs(batch, record, scenario="interference", basis="none"):
     return np.stack([speckle._read_out(record, w) for w in weights], axis=1)
 
 
-def reference_out(cfg, frames, scenario, basis):
+def reference_out(cfg, frames, scenario, basis, fields=None):
     """(len(frames), 3) out-intensities of a preset behind a basis: the oracle's fields
-    lifted to Jones fields, mixed, projected and detected."""
-    beam1, _, beam3, mixed = oracle_fields(cfg, frames)
+    (``oracle_fields(cfg, frames)`` unless given) lifted to Jones fields, mixed,
+    projected and detected."""
+    beam1, _, beam3, mixed = oracle_fields(cfg, frames) if fields is None else fields
     e1, e2 = SCENARIO_JONES[scenario]
     out1, out2 = mix(beam1[..., None] * e1, mixed[..., None] * e2, cfg.tau_mix)
     outs = (out1, out2, beam3[..., None] * e2)
@@ -397,35 +418,56 @@ class RawWords:
 numpy.random.bit_generator.ISeedSequence.register(RawWords)
 
 
-def chunk_key(seed, chunk):
-    """A run's chunk key through numpy's public constructors, the chunk's stream
-    opened on its own: words 0-2 of block chunk + 1 of the Philox stream keyed by
-    (seed, 5), which is the stream at counter 0 advanced by chunk blocks."""
-    return keyed_philox(seed, 5, 0).bit_generator.advance(chunk).random_raw(3)
+def row_key(seed, chunk, slot):
+    """The key of a run's row through numpy's public constructors, the row's stream
+    opened on its own: words 0-2 of block 8 chunk + slot + 1 of the Philox stream
+    keyed by (seed, 5), which is the stream at counter 0 advanced by 8 chunk + slot
+    blocks."""
+    return keyed_philox(seed, 5, 0).bit_generator.advance(8 * chunk + slot).random_raw(3)
 
 
-def keyed_draws(seed, first, n_chunks):
-    """The generators that a run's chunks first .. first + n_chunks - 1 draw from,
-    each SFC64 seeded with its chunk's key read alone."""
-    return [
-        np.random.Generator(np.random.SFC64(RawWords(chunk_key(seed, c))))
-        for c in range(first, first + n_chunks)
-    ]
+def keyed_row_keys(seed, first, n_chunks):
+    """(n_chunks, 8, 4) row keys of a run's chunks first .. first + n_chunks - 1, each
+    read alone; only words 0-2 of a key seed its row."""
+    keys = np.zeros((n_chunks, 8, 4), dtype=np.uint64)
+    for c, slot in np.ndindex(n_chunks, 8):
+        keys[c, slot, :3] = row_key(seed, first + c, slot)
+    return keys
+
+
+def keyed_row_rng(key):
+    """The generator a row draws from: SFC64 seeded with words 0-2 of its key as they are."""
+    return np.random.Generator(np.random.SFC64(RawWords(np.array(key[:3]))))
+
+
+class CountedRow:
+    """A row generator that counts the values asked of it."""
+
+    def __init__(self, rng):
+        self.rng, self.values = rng, 0
+
+    def standard_gamma(self, shape, out):
+        self.values += out.size
+        return self.rng.standard_gamma(shape, out=out)
+
+    def standard_normal(self, out):
+        self.values += out.size
+        return self.rng.standard_normal(out=out)
 
 
 #: sha256 of chunk_record's bytes per (config, chunk), as numpy 2.4.6 draws them;
-#: chunk 195 is the last of the erasure workload's 400,000 frames. The test ids
+#: chunk 48 is the last of the erasure workload's 400,000 frames. The test ids
 #: name each pin, not its digest, so a re-pin keeps them
 PINNED_CHUNK_RECORDS = [
     (
         BenchConfig(modes=4, seed=1),
-        195,
-        "ab26b572728dd7acbcd1daf5c990f3d469ef74300985ee40ec95cecfa98eb7f0",
+        48,
+        "713575f65d45f079d91964c8777da0cae8b29ea2b8043fcd34221a0a64c6c0fd",
     ),
     (
         BenchConfig(modes=7, seed=3, eta=0.7),
         1,
-        "d38dee1031381b95da0cd0e0090f4d5c1f10aefcfb4f3e711636f83f00daaaa0",
+        "240a85b9eff0981594b2d098886a6dbe3c7670547d880f6be858df452e76b118",
     ),
 ]
 
@@ -449,18 +491,20 @@ class TestStreams:
         ],
     )
     def test_record_is_drawn_from_numpys_keyed_streams(self, cfg, monkeypatch):
-        # the record rebuilt with every chunk's generator made by numpy's
-        # public constructors alone, each chunk's key read on its own, the
+        # the record rebuilt with every row's generator made by numpy's
+        # public constructors alone, each row's key read on its own, the
         # SFC64 seeding included
         record = run_bench(cfg).record
-        monkeypatch.setattr(speckle, "_chunk_generators", keyed_draws)
+        monkeypatch.setattr(speckle, "_row_keys", keyed_row_keys)
+        monkeypatch.setattr(speckle, "_row_rng", keyed_row_rng)
         assert record.tobytes() == run_bench(cfg).record.tobytes()
 
     def test_a_run_opens_each_chunks_key_once_in_chunk_order(self, monkeypatch):
-        # 400,000 frames are 196 chunks of 2,048 in 49 fold blocks of 4: a run
-        # opens one key stream per block, what perfbench's traced run counts
-        # as speckle.rng_streams, and reads from it each of the block's chunk
-        # keys once, in chunk order, and nothing more
+        # 400,000 frames are 49 chunks of 8,192: a run opens one key stream,
+        # what perfbench's traced run counts as speckle.rng_streams, reads
+        # from it the 8 row keys of each chunk once, in chunk order, and
+        # nothing more, and seeds one SFC64 with the key of each row it
+        # draws: slots 0-2 of every chunk at eta = 1, slots 0-7 at eta < 1
         opened, streams, seeded = [], [], []
 
         def counted(seed, stream, chunk):
@@ -477,30 +521,33 @@ class TestStreams:
         monkeypatch.setattr(speckle, "chunk_rng", counted)
         monkeypatch.setattr(speckle, "_StreamKey", RecordedKey)
         run_bench(BenchConfig(modes=4, frames=400_000, seed=1, workers=2))
-        assert opened == [(1, speckle.GRAM_STREAM, 0)] * 49
-        assert seeded == [chunk_key(1, c).tolist() for c in range(196)]
+        assert opened == [(1, speckle.GRAM_STREAM, 0)]
+        assert seeded == [row_key(1, c, j).tolist() for c in range(49) for j in range(3)]
         counters = [rng.bit_generator.state["state"]["counter"].tolist() for rng in streams]
-        assert counters == [[min(4 * (b + 1), 196), 0, 0, 0] for b in range(49)]
+        assert counters == [[8 * 49, 0, 0, 0]]
+        opened.clear(), seeded.clear()
+        run_bench(BenchConfig(modes=7, frames=CHUNK_FRAMES + 1, seed=3, eta=0.7))
+        assert opened == [(3, speckle.GRAM_STREAM, 0)]
+        assert seeded == [row_key(3, c, j).tolist() for c in range(2) for j in range(8)]
 
     @pytest.mark.parametrize("seed", [1, 2**64 - 1])
     @pytest.mark.parametrize("first, n_chunks", [(0, 4), (2, 3), (3, 6), (4, 4), (7, 9), (191, 5)])
     def test_chunk_keys_do_not_depend_on_their_grouping(self, seed, first, n_chunks):
-        # one key read across fold-block boundaries (4 chunks a block) gives
-        # chunk first + j the key that reading it alone gives
-        together = speckle._chunk_generators(seed, first, n_chunks)
-        assert len(together) == n_chunks
-        for j, rng in enumerate(together):
-            (alone,) = speckle._chunk_generators(seed, first + j, 1)
-            assert rng.bit_generator.seed_seq.words.tolist() == chunk_key(seed, first + j).tolist()
-            np.testing.assert_equal(rng.bit_generator.state, alone.bit_generator.state)
+        # one key read for any run of chunks gives chunk first + j the row keys
+        # that reading it alone gives, each the Philox block of its own row
+        together = speckle._row_keys(seed, first, n_chunks)
+        assert together.shape == (n_chunks, 8, 4)
+        for j, keys in enumerate(together):
+            (alone,) = speckle._row_keys(seed, first + j, 1)
+            assert keys.tobytes() == alone.tobytes()
+            expected = [row_key(seed, first + j, slot).tolist() for slot in range(8)]
+            assert keys[:, :3].tolist() == expected
 
     def test_the_erasure_configs_chunk_keys_are_distinct(self):
         n_chunks = -(-400_000 // CHUNK_FRAMES)
-        keys = {
-            tuple(rng.bit_generator.seed_seq.words.tolist())
-            for rng in speckle._chunk_generators(1, 0, n_chunks)
-        }
-        assert len(keys) == n_chunks == 196
+        keys = speckle._row_keys(1, 0, n_chunks).reshape(-1, 4)
+        seeds = {tuple(key[:3].tolist()) for key in keys}
+        assert len(seeds) == 8 * n_chunks == 392
 
     @pytest.mark.parametrize(
         "cfg, chunk, digest", PINNED_CHUNK_RECORDS, ids=["erasure-last-chunk", "eta07-chunk1"]
@@ -513,6 +560,41 @@ class TestStreams:
             f"chunk {chunk} of {cfg} hashes to {got} under numpy {np.__version__}, "
             f"not to the pinned {digest}"
         )
+
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_a_run_is_a_prefix_of_a_longer_run(self, eta):
+        # each row of a chunk is a prefix of its own stream, so runs that end
+        # inside the first chunk and 1,000 frames into the second are the
+        # first frames of a run that draws those chunks further, and a third
+        longest = run_bench(BenchConfig(modes=5, frames=2 * CHUNK_FRAMES + 3000, seed=71, eta=eta))
+        for frames in (300, CHUNK_FRAMES + 1000):
+            run = run_bench(dataclasses.replace(longest.config, frames=frames))
+            assert run.record.tobytes() == longest.record[:frames].tobytes(), frames
+
+    @pytest.mark.parametrize("eta, rows", [(1.0, 3), (0.7, 8)])
+    def test_a_run_draws_exactly_its_frames_from_each_row(self, eta, rows, monkeypatch):
+        # every row of every chunk has its own generator, and a run asks each
+        # for the frames it keeps of that chunk: a run 100 frames into its
+        # third chunk draws 100 values of each of that chunk's rows, as does
+        # its record; the chunk drawn alone draws it whole
+        drawn = []
+        row_rng = speckle._row_rng
+
+        def counted(key):
+            drawn.append(CountedRow(row_rng(key)))
+            return drawn[-1]
+
+        monkeypatch.setattr(speckle, "_row_rng", counted)
+        cfg = BenchConfig(modes=5, frames=2 * CHUNK_FRAMES + 100, seed=72, eta=eta)
+        expected = [CHUNK_FRAMES] * 2 * rows + [100] * rows
+        batch = run_bench(cfg)
+        assert [rng.values for rng in drawn] == expected
+        drawn.clear()
+        assert batch.record.shape == (cfg.frames, 5)
+        assert [rng.values for rng in drawn] == expected
+        drawn.clear()
+        chunk_record(cfg, 2)
+        assert [rng.values for rng in drawn] == [CHUNK_FRAMES] * rows
 
     def test_stream_key_gives_only_the_words_it_holds(self):
         speckle._seed_interface()
@@ -544,7 +626,9 @@ class TestStreams:
         run_bench(BenchConfig(modes=3, frames=600, seed=21, eta=0.7))
 
     def test_pickled_generator_continues_its_draws(self):
-        for rng in (chunk_rng(22, 5, 3), *speckle._chunk_generators(22, 3, 2)):
+        keys = speckle._row_keys(22, 3, 2)[:, [0, 7]].reshape(-1, 4)
+        rows = [speckle._row_rng(key) for key in keys]
+        for rng in (chunk_rng(22, 5, 3), *rows):
             rng.standard_gamma(2.5, size=7)
             copy = pickle.loads(pickle.dumps(rng))
             assert np.array_equal(
@@ -552,8 +636,9 @@ class TestStreams:
             )
 
     def test_generator_refuses_to_spawn(self):
-        chunks = speckle._chunk_generators(23, 0, 2)
-        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0), *chunks):
+        keys = speckle._row_keys(23, 0, 2)[:, [0, 7]].reshape(-1, 4)
+        rows = [speckle._row_rng(key) for key in keys]
+        for rng in (chunk_rng(23, 5, 0), keyed_philox(23, 5, 0), *rows):
             with pytest.raises(TypeError):
                 rng.spawn(1)
 
@@ -582,12 +667,11 @@ class TestRunBench:
 
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     def test_a_run_across_a_fold_block_is_its_chunks_drawn_alone(self, eta):
-        # 9,000 frames are two fold blocks: four chunks, then a fifth that the
-        # run draws whole and keeps 808 frames of. The run's second block, and
-        # chunk 4 drawn alone, key their generators from the stream advanced
-        # by 4 blocks: every frame of the record equals its chunk's row drawn
-        # alone, and at unit scales the run's folded sums have the bits of
-        # the chunks' comoments
+        # 9,000 frames are two fold blocks, one chunk each: the run draws 808
+        # frames of the second chunk, which chunk_record draws whole, each
+        # row from the stream advanced by 8 blocks and its slot: every frame
+        # of the record equals its chunk's row drawn alone, and at unit
+        # scales the run's folded sums have the bits of the chunks' comoments
         cfg = BenchConfig(modes=13, frames=9000, seed=99, eta=eta)
         n_chunks = -(-cfg.frames // CHUNK_FRAMES)
         assert _BLOCK_FRAMES < cfg.frames < n_chunks * CHUNK_FRAMES <= 2 * _BLOCK_FRAMES
@@ -602,13 +686,15 @@ class TestRunBench:
     @pytest.mark.parametrize("modes, eta", [(7, 0.7), (4, 1.0), (1, 1.0), (3, 0.0)])
     @pytest.mark.parametrize(
         "frames",
-        [2, 256, 1024, CHUNK_FRAMES, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5],
+        [2, 256, 1024, 2048, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 3 * _BLOCK_FRAMES - 5],
+        ids=["2", "256", "1024", "2048", "block", "block+1", "3blocks-5"],
     )
     def test_streamed_sums_agree_with_error_free_sums(self, modes, eta, frames):
         # the sums a run streams, block by block through reused buffers,
         # against the centred sums taken by math.fsum of the record drawn
-        # chunk by chunk; 2, 256 and 1,024 frames end inside the first chunk, and
-        # _BLOCK_FRAMES + 1 leaves a last block of one frame.
+        # chunk by chunk; 2, 256, 1,024 and 2,048 frames end inside the first
+        # chunk, _BLOCK_FRAMES is one chunk, and _BLOCK_FRAMES + 1 leaves a
+        # last block of one frame.
         # eta = 0 draws no B block: rows that a reused buffer must read as
         # zero in every block. M = 1 draws B = W2(1), whose h is Gamma(1/2).
         # A mean of 2.7 photons makes every scale of the record columns other than 1
@@ -733,14 +819,15 @@ class TestRunBench:
     @pytest.mark.parametrize(
         "frames",
         [255, 256, 612, 1023, 1024, 2148, CHUNK_FRAMES - 1, CHUNK_FRAMES, 2 * CHUNK_FRAMES + 100],
+        ids=["255", "256", "612", "1023", "1024", "2148", "chunk-1", "chunk", "2chunks+100"],
     )
     def test_determinism_across_workers_and_chunk_counts(self, scenario, basis, frames):
         # no worker count changes a value, and a run is a prefix of any longer
         # run: runs that end inside the first chunk, one frame short of it,
-        # exactly one chunk, 100 frames into the second chunk, and a short
-        # third chunk
+        # exactly one chunk, and 100 frames into a third chunk. Each run is
+        # drawn once for every (scenario, basis), which read it alone
         batches = [
-            run_bench(BenchConfig(modes=3, frames=n, seed=78, eta=0.7, workers=w))
+            cached_run(BenchConfig(modes=3, frames=n, seed=78, eta=0.7, workers=w))
             for n, w in ((frames, 1), (frames, 2), (frames, 8), (3 * CHUNK_FRAMES, 1))
         ]
         for other in batches[1:]:
@@ -766,13 +853,16 @@ class TestRunBench:
         n = 2 * CHUNK_FRAMES + 88
         cfg = BenchConfig(modes=modes, frames=n, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
         frames = (0, 1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, n - 1)
-        batch, record = run_bench(cfg), field_record(cfg, frames)
+        # one run and one set of fields per (modes, eta): neither depends on
+        # tau_mix (test_sums_do_not_depend_on_tau_mix), scenario or basis
+        sums, fields = drawn_once(dataclasses.replace(cfg, tau_mix=0.5), frames)
+        batch, record = FrameBatch(cfg, sums), fields_record(fields)
         k = SCENARIO_BASES.index((scenario, basis))
         other = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
         first = read_outs(batch, record, *other).copy()
         detected = read_outs(batch, record, scenario, basis)
         assert np.array_equal(read_outs(batch, record, *other), first)
-        reference = reference_out(cfg, frames, scenario, basis)
+        reference = reference_out(cfg, frames, scenario, basis, fields)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
@@ -793,8 +883,9 @@ class TestRunBench:
         # at tau 0 or 1 one input of each port has weight zero
         cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix)
         frames = (0, 131, 299)
-        detected = read_outs(run_bench(cfg), field_record(cfg, frames), scenario, basis)
-        reference = reference_out(cfg, frames, scenario, basis)
+        sums, fields = drawn_once(dataclasses.replace(cfg, tau_mix=0.5), frames)
+        detected = read_outs(FrameBatch(cfg, sums), fields_record(fields), scenario, basis)
+        reference = reference_out(cfg, frames, scenario, basis, fields)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
@@ -820,13 +911,17 @@ class TestRunBench:
     @pytest.mark.parametrize("modes", [1, 4])
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     @pytest.mark.parametrize("tau_mix", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("frames", [3, 257, 1025, CHUNK_FRAMES + 1, _BLOCK_FRAMES + 1])
+    @pytest.mark.parametrize(
+        "frames",
+        [3, 257, 1025, 2049, CHUNK_FRAMES + 1],
+        ids=["3", "257", "1025", "2049", "chunk+1"],
+    )
     def test_corr_agrees_with_corr_coeff_on_the_series(self, modes, eta, tau_mix, frames):
         # every pair of every (scenario, basis), and the in-pairs, read off the
         # record's co-moments equals corr_coeff on the explicit series; a dark
-        # read-out raises corr_coeff's ValueError. 3, 257 and 1,025 frames end
-        # inside the first chunk, CHUNK_FRAMES + 1 one frame into the second,
-        # and _BLOCK_FRAMES + 1 one frame into the second block
+        # read-out raises corr_coeff's ValueError. 3, 257, 1,025 and 2,049
+        # frames end inside the first chunk, and CHUNK_FRAMES + 1 one frame
+        # into the second, which is the second fold block
         batch = run_bench(
             BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
         )

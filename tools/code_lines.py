@@ -1,6 +1,6 @@
 """Count the code lines of each module of a Python package.
 
-Usage: python tools/code_lines.py [PACKAGE_DIR]   (default: src/cvbench)
+Usage: python tools/code_lines.py [PACKAGE_DIR]   (default: the repo's src/cvbench)
 
 A code line is a physical line that holds at least one token other than a
 comment, a docstring or layout. Layout is the tokens NEWLINE, NL, INDENT,
@@ -13,7 +13,10 @@ comment, part of a docstring or nothing does not count, and a line holding
 code and a trailing comment counts once.
 
 Prints one line per module, sorted by path, and the total last. Exits 0
-whatever the count: the number is reported, not gated.
+whatever the count: the number is reported, not gated. The default package
+is found from this file's own place in the repo, not from the working
+directory. A directory that holds no ``.py`` file, or none at all, prints
+one ``error:`` line and exits 2 rather than a total of 0.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+#: the package this tool counts by default: src/cvbench of the repo it lives in
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cvbench"
 
 SKIPPED = {  # comments and layout
     tokenize.COMMENT,
@@ -57,9 +63,13 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    package = Path(argv[1] if len(argv) > 1 else "src/cvbench")
+    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+    modules = sorted(package.glob("*.py"))
+    if not modules:
+        print(f"error: {package} holds no .py file", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in modules:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path}")
