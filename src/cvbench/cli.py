@@ -349,11 +349,15 @@ def _sources(seed: int, count: int, low: tuple, high: tuple) -> tuple:
 
 def _check_physicality() -> tuple:
     thermal_state(1.0)  # accepts a physical state
-    try:
-        GaussianState(np.diag([0.4, 0.4]))  # variance 0.4 < 1/2
-    except PhysicalityError:
-        return "corrupted CMs accepted", 0.0, 0.0
-    return "corrupted CMs accepted", 1.0, 0.0
+    accepted = 0
+    # variance 0.4 < 1/2, and a negative-definite CM, whose symplectic spectrum is 1
+    for cm in (np.diag([0.4, 0.4]), -np.eye(2)):
+        try:
+            GaussianState(cm)
+        except PhysicalityError:
+            continue
+        accepted += 1
+    return "corrupted CMs accepted", float(accepted), 0.0
 
 
 def _check_purity_identity(spec: SingleModeSpec) -> tuple:

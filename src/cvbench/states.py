@@ -19,10 +19,15 @@ everything here is safe to call from any number of threads.
 
 Physicality is checked where a CM enters: ``GaussianState(cm)`` on a CM handed
 in, ``single_mode_state`` (and so ``thermal_state``) on the CM of a spec, and
-``SymplecticOp`` on its matrix. A CM's check is one stacked Cholesky
-factor of cm + i (1/2 - ``PHYSICALITY_TOL``) Omega, which exists exactly when
-every symplectic eigenvalue exceeds that bound; only a stack without one is
-eigen-solved, and that solve decides each refusal. The closed operations
+``SymplecticOp`` on its matrix. A CM is accepted at once when
+cm + i nu Omega, nu = 1/2 - ``PHYSICALITY_TOL``, is positive definite, which
+holds exactly when every symplectic eigenvalue exceeds nu. For one mode,
+cm = [[a, b], [b, c]], that is a > 0 and ac - b^2 > nu^2, read off the whole
+stack in closed form; for more modes it is one stacked Cholesky factor. Only a
+stack that fails is solved member by member, and that solve decides each
+refusal: a member is refused when its smallest symplectic eigenvalue lies
+below nu, or when it is not positive definite. The spectrum alone cannot see
+the latter, since -cm has the spectrum of cm. The closed operations
 ``tensor``, ``partial_trace``, ``apply_symplectic`` and ``vacuum_state`` map
 physical states to physical states (a direct sum, a principal submatrix with
 its modes in any order and a congruence by a checked symplectic all keep
@@ -45,8 +50,8 @@ import numpy as np
 #: asymmetry accepted before a covariance matrix is rejected, relative to max(1, its largest entry)
 SYMMETRY_TOL = 1e-12
 #: symplectic eigenvalues may undershoot 1/2 by this much (numerical slack): a CM
-#: is accepted when cm + i (1/2 - PHYSICALITY_TOL) Omega has a Cholesky factor, or
-#: else when its eigen-solved symplectic spectrum reaches 1/2 - PHYSICALITY_TOL
+#: is accepted when cm + i (1/2 - PHYSICALITY_TOL) Omega is positive definite, or
+#: else when it is positive definite and its symplectic spectrum reaches 1/2 - PHYSICALITY_TOL
 PHYSICALITY_TOL = 1e-9
 
 VACUUM_VARIANCE = 0.5
@@ -167,10 +172,53 @@ def single_mode_cm(spec: SingleModeSpec) -> np.ndarray:
     return cm
 
 
-def _symplectic_moduli(cm: np.ndarray) -> np.ndarray:
-    # |eigenvalues| of Omega @ cm over the trailing axes: each symplectic
-    # eigenvalue d twice, from the +/- i d pair
-    return np.abs(np.linalg.eigvals(omega(cm.shape[-1] // 2) @ cm))
+def _det2(cm: np.ndarray) -> np.ndarray:
+    # determinant of symmetric 2x2 matrices over the leading axes
+    return cm[..., 0, 0] * cm[..., 1, 1] - cm[..., 0, 1] ** 2
+
+
+def _symplectic_spectrum(cm: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of symmetric CMs over the trailing axes, ascending, (..., n).
+
+    One mode's is sqrt|det cm|, the modulus of both eigenvalues of Omega cm;
+    n >= 2 modes' are the moduli of those eigenvalues, each d twice, from the
+    +/- i d pair.
+    """
+    if cm.shape[-1] == 2:
+        return np.sqrt(np.abs(_det2(cm)))[..., None]
+    # the moduli come in equal pairs; sorting lines each pair up
+    d = np.sort(np.abs(np.linalg.eigvals(omega(cm.shape[-1] // 2) @ cm)), axis=-1)
+    return d[..., ::2]
+
+
+def _refuse_unphysical(cm: np.ndarray, nu: float) -> None:
+    """Raise ``PhysicalityError`` for the first member of a symmetric CM stack
+    whose smallest symplectic eigenvalue lies below ``nu`` or that is not
+    positive definite; return if there is none.
+
+    The spectrum is blind to the sign of a CM (that of -cm is the same), so
+    the sign is read apart from it: for one mode exactly, as cm_00 > 0 and
+    det cm > 0; for more from each member's smallest eigenvalue, which may
+    read up to 3 eps max|cm| below 0 on the physical CMs of squeezers as
+    strong as e^-24 and is refused below -8 eps max|cm|, the rounding band of
+    ``_p_negative``.
+    """
+    d_min = _symplectic_spectrum(cm)[..., 0]
+    below = d_min < nu
+    if cm.shape[-1] == 2:
+        indefinite = ~((cm[..., 0, 0] > 0.0) & (_det2(cm) > 0.0))
+    else:
+        scale = 8 * np.finfo(float).eps * np.abs(cm).max(axis=(-2, -1))
+        indefinite = np.linalg.eigvalsh(cm)[..., 0] < -scale
+    bad = below | indefinite
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        message = (
+            f"smallest symplectic eigenvalue {d_min[first]:.12g} lies below the vacuum limit 1/2"
+            if below[first]
+            else "covariance matrix is not positive definite"
+        )
+        raise member_error(PhysicalityError, message, bad)
 
 
 def _require_finite(cm: np.ndarray) -> None:
@@ -187,11 +235,14 @@ class GaussianState:
     entry check: it symmetrizes every matrix (asymmetry beyond 1e-12 times
     max(1, the largest entry) is an error, anything smaller is averaged away)
     and rejects unphysical input:
-    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack. One
-    Cholesky factor of the stack's cm + i (1/2 - 1e-9) Omega proves that;
-    only when it does not exist is the symplectic spectrum eigen-solved, and
-    that spectrum decides the rejection, which names the first offending
-    member of a batch and its smallest symplectic eigenvalue. The closed
+    every symplectic eigenvalue must reach 1/2 up to a 1e-9 slack, and the
+    CM must be positive definite. A positive definite cm + i (1/2 - 1e-9) Omega
+    proves both: for one mode, cm_00 > 0 and det cm > (1/2 - 1e-9)^2 over the
+    whole stack, for more one Cholesky factor of the stack. Only when that
+    fails is each member's symplectic spectrum solved (sqrt|det cm| for one
+    mode) and its sign read, and they decide the rejection, which names the
+    first offending member of a batch and either its smallest symplectic
+    eigenvalue or that it is not positive definite. The closed
     operations (``tensor``, ``partial_trace``, ``apply_symplectic``,
     ``vacuum_state``) build their physical-by-construction results through
     ``_closed`` and skip the check.
@@ -203,34 +254,36 @@ class GaussianState:
         arr = np.array(cm, dtype=float)
         if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] % 2 or not arr.size:
             raise ValueError(f"covariance matrix must be (..., 2n, 2n), got shape {arr.shape}")
-        # each check reduces the whole stack first and finds the member only on failure
+        # each check reduces the whole stack first and finds the member only on failure;
+        # max(1, |entry|) >= 1, so an asymmetry within SYMMETRY_TOL passes every member's rule
         _require_finite(arr)
         arr_t = arr.swapaxes(-1, -2)
-        asym = np.abs(arr - arr_t).max(axis=(-2, -1))
-        too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
-        if too_asym.any():
-            raise member_error(
-                PhysicalityError,
-                f"covariance matrix asymmetry {asym[too_asym][0]:g} exceeds tolerance",
-                too_asym,
-            )
-        arr = (arr + arr_t) / 2.0
-        # every symplectic eigenvalue exceeds nu exactly when cm + i nu Omega is
-        # positive definite, which one Cholesky factor of the stack proves; a stack
-        # it fails on is eigen-solved, and that solve alone refuses and names the member
-        nu = VACUUM_VARIANCE - PHYSICALITY_TOL
-        try:
-            np.linalg.cholesky(arr + 1j * nu * omega(arr.shape[-1] // 2))
-        except np.linalg.LinAlgError:
-            d_min = _symplectic_moduli(arr).min(axis=-1)
-            below = d_min < nu
-            if below.any():
+        asym = np.abs(arr - arr_t)
+        if asym.max() > SYMMETRY_TOL:
+            asym = asym.max(axis=(-2, -1))
+            too_asym = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+            if too_asym.any():
                 raise member_error(
                     PhysicalityError,
-                    f"smallest symplectic eigenvalue {d_min[below][0]:.12g} lies below the "
-                    "vacuum limit 1/2",
-                    below,
-                ) from None
+                    f"covariance matrix asymmetry {asym[too_asym][0]:g} exceeds tolerance",
+                    too_asym,
+                )
+        arr = (arr + arr_t) / 2.0
+        # every symplectic eigenvalue exceeds nu exactly when cm + i nu Omega is
+        # positive definite: for one mode when cm_00 > 0 and det cm > nu^2, for
+        # more when one Cholesky factor of the stack exists. A stack that fails
+        # is solved member by member, and that solve alone refuses and names one
+        nu = VACUUM_VARIANCE - PHYSICALITY_TOL
+        if arr.shape[-1] == 2:
+            proven = ((arr[..., 0, 0] > 0.0) & (_det2(arr) > nu * nu)).all()
+        else:
+            try:
+                np.linalg.cholesky(arr + 1j * nu * omega(arr.shape[-1] // 2))
+                proven = True
+            except np.linalg.LinAlgError:
+                proven = False
+        if not proven:
+            _refuse_unphysical(arr, nu)
         arr.flags.writeable = False
         self._cm = arr
 
@@ -343,11 +396,12 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
     """Symplectic spectrum, sorted ascending; >= 1/2 for physical states.
 
-    Shape (..., n): one spectrum per member of a batch.
+    Shape (..., n): one spectrum per member of a batch. A one-mode state's is
+    sqrt(det cm) in closed form; that of n >= 2 modes is the moduli of the
+    eigenvalues of Omega cm. Both are blind to the sign of the CM, which the
+    entry check of ``GaussianState`` reads apart.
     """
-    # the moduli come in equal pairs; sorting lines each pair up
-    d = np.sort(_symplectic_moduli(state.cm), axis=-1)
-    return np.ascontiguousarray(d[..., ::2])
+    return np.ascontiguousarray(_symplectic_spectrum(state.cm))
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:

@@ -18,10 +18,12 @@ from cvbench.info import discord_oracle, entropy, gaussian_discord
 from cvbench.network import bs_symplectic, interfere, prepare_discordant_pair
 from cvbench.speckle import BenchConfig, run_bench
 from cvbench.states import (
+    PhysicalityError,
     SingleModeSpec,
     SymplecticOp,
     apply_symplectic,
     member_error,
+    omega,
     partial_trace,
     symplectic_eigenvalues,
 )
@@ -653,6 +655,27 @@ class TestValidate:
         verdict, name, what, worst, bound = lines[3]
         assert (verdict, name, bound) == ("FAIL", "three-mode-output-blocks", 1e-12)
         assert what.startswith("error of output block ") and worst > 0.1
+
+    @pytest.mark.parametrize(
+        "gate, accepted",
+        [
+            # the gate of a spectrum alone, blind to the sign of a CM: -I has spectrum 1
+            (lambda cm: np.abs(np.linalg.eigvals(omega(1) @ cm)).min() < 0.5, 1),
+            (lambda cm: False, 2),
+        ],
+        ids=["spectrum-only", "no-gate"],
+    )
+    def test_physicality_gate_counts_each_accepted_cm(self, capsys, monkeypatch, gate, accepted):
+        def entry(cm):
+            if gate(np.asarray(cm)):
+                raise PhysicalityError("refused")
+
+        monkeypatch.setattr(cli, "GaussianState", entry)
+        monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS[:1])
+        assert cli.run_validate(quick=True) == 1
+        assert capsys.readouterr().out == (
+            f"FAIL physicality-gate: corrupted CMs accepted {accepted} (bound 0)\n"
+        )
 
     def test_purity_identity_reads_the_spectrum(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -18,6 +18,7 @@ from cvbench.network import (
 )
 from cvbench.states import (
     GaussianState,
+    PhysicalityError,
     SingleModeSpec,
     apply_symplectic,
     mode_block,
@@ -131,6 +132,27 @@ class TestMixTwo:
             assert np.allclose(sigma1, tau * s1 + (1 - tau) * s2, atol=1e-12)
             assert np.allclose(sigma2, tau * s2 + (1 - tau) * s1, atol=1e-12)
             assert np.allclose(sigma12, math.sqrt(tau * (1 - tau)) * (s2 - s1), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            np.diag([-1.0, -1.0]),
+            np.diag([2.0, -1.0]),
+            -random_single_mode_cm(np.random.default_rng(3)),
+        ],
+        ids=["negative-definite", "indefinite", "negated-squeezed"],
+    )
+    def test_refuses_inputs_that_are_not_positive_definite(self, sigma):
+        # each has a symplectic eigenvalue of 1/2 or more: the sign refuses it
+        vac = np.diag([0.5, 0.5])
+        message = "covariance matrix is not positive definite"
+        for sigma1, sigma2 in ((sigma, vac), (vac, sigma)):
+            with pytest.raises(PhysicalityError, match=f"^{message}$"):
+                mix_two(sigma1, sigma2, 0.5)
+        stack = np.stack([vac] * 4)
+        stack[2] = sigma
+        with pytest.raises(PhysicalityError, match=rf"^{message} \(batch member 2\)$"):
+            mix_two(stack, vac, np.full(4, 0.3))
 
     def test_assembled_state_is_physical(self):
         state = mix_two(np.diag([0.5, 0.5]), np.diag([2.5, 2.5]), 0.3)

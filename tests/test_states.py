@@ -10,6 +10,7 @@ from scipy.linalg import block_diag
 
 from cvbench.states import (
     PHYSICALITY_TOL,
+    SYMMETRY_TOL,
     GaussianState,
     PhysicalityError,
     SingleModeSpec,
@@ -352,6 +353,31 @@ class TestBatchedStates:
         with pytest.raises(ValueError, match=r"non-finite entries \(batch member \(0, 1\)\)"):
             GaussianState(cms)
 
+    def test_symmetry_reduction_refuses_what_the_member_rule_refuses(self):
+        # the stack is reduced once against SYMMETRY_TOL, and only its failure
+        # computes the member rule, SYMMETRY_TOL max(1, max|cm|)
+        stack = np.stack([np.eye(2), np.eye(2), 1e6 * np.eye(2), np.eye(2), 1e6 * np.eye(2)])
+        stack[1, 0, 1] += 1e-13  # within the tolerance
+        stack[2, 0, 1] += 1e-9  # beyond SYMMETRY_TOL, within SYMMETRY_TOL max|cm| = 1e-6
+        stack[3, 1, 0] += 1e-6  # beyond both at unit scale
+        stack[4, 0, 1] += 1e-5  # beyond both at scale 1e6
+        asym = np.abs(stack - stack.swapaxes(-1, -2)).max(axis=(-2, -1))
+        rule = asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+        assert list(rule) == [False, False, False, True, True] and asym[2] > SYMMETRY_TOL
+        for cm, refused in zip(stack, rule):
+            if refused:
+                with pytest.raises(PhysicalityError, match="asymmetry"):
+                    GaussianState(cm)
+            else:
+                assert np.array_equal(GaussianState(cm).cm, (cm + cm.T) / 2.0)
+        for members, named in ((slice(None), "1e-06 exceeds tolerance (batch member 3)"),
+                               ([0, 2, 4], "1e-05 exceeds tolerance (batch member 2)")):
+            with pytest.raises(PhysicalityError) as exc:
+                GaussianState(stack[members])
+            assert str(exc.value) == "covariance matrix asymmetry " + named
+        kept = GaussianState(stack[:3]).cm
+        assert np.array_equal(kept, (stack[:3] + stack[:3].swapaxes(-1, -2)) / 2.0)
+
     def test_single_state_messages_name_no_member(self):
         with pytest.raises(PhysicalityError) as exc:
             GaussianState(np.diag([0.4, 0.4]))
@@ -480,6 +506,152 @@ class TestPhysicalityCheck:
                 assert d_min < self.BOUND
                 assert f"eigenvalue {d_min:.12g} lies below" in str(exc)
 
+
+def not_positive_definite(rng, n_modes):
+    """CMs of ``n_modes`` modes that are not positive definite but whose
+    symplectic eigenvalues all reach 1/2: a spectrum alone accepts them."""
+    negative_mode = np.eye(2 * n_modes)
+    negative_mode[-2:, -2:] *= -1.0  # one mode of variance -1, the others 1
+    cases = [-williamson_cm(rng, n_modes, 0.8), negative_mode]
+    if n_modes == 1:
+        cases.append(np.diag([2.0, -1.0]))  # indefinite: det -2, spectrum sqrt 2
+    return cases
+
+
+class TestPositiveDefiniteness:
+    """A CM that is not positive definite is refused, whatever its symplectic spectrum.
+
+    The spectrum is that of -cm too, so the sign is read apart from it. The
+    one-mode entry check reads it exactly; for more modes a refusal reads it
+    from the smallest eigenvalue, outside a rounding band of 8 eps max|cm|.
+    """
+
+    MESSAGE = "covariance matrix is not positive definite"
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_refused_alone_and_as_member_2(self, n_modes):
+        rng = np.random.default_rng(60 + n_modes)
+        for cm in not_positive_definite(rng, n_modes):
+            assert np.linalg.eigvalsh(cm)[0] < -0.5
+            assert eigen_smallest(cm) >= 0.5
+            with pytest.raises(PhysicalityError) as exc:
+                GaussianState(cm)
+            assert str(exc.value) == self.MESSAGE and exc.value.member is None
+            stack = np.stack([williamson_cm(rng, n_modes, 0.8) for _ in range(4)])
+            stack[2] = cm
+            with pytest.raises(PhysicalityError) as exc:
+                GaussianState(stack)
+            assert str(exc.value) == self.MESSAGE + " (batch member 2)"
+            assert exc.value.member == (2,)
+
+    def test_first_offender_named_with_its_own_reason(self):
+        stack = np.stack([np.eye(2)] * 4)
+        stack[1] = -np.eye(2)
+        stack[3] = np.diag([0.4, 0.4])
+        with pytest.raises(PhysicalityError) as exc:
+            GaussianState(stack)
+        assert str(exc.value) == self.MESSAGE + " (batch member 1)"
+        # below the vacuum and negative definite: the eigenvalue is named, as for diag(0.4, 0.4)
+        stack[1] = np.diag([-0.4, -0.4])
+        with pytest.raises(PhysicalityError, match=r"^smallest symplectic eigenvalue 0\.4 lies "):
+            GaussianState(stack)
+
+    @pytest.mark.parametrize("n_source, r_max", [(1.0, 12.0), (1e2, 10.0), (1e4, 8.0)])
+    def test_strongly_squeezed_states_keep_their_sign(self, n_source, r_max):
+        # split thermal pairs under local squeezers of variance factors down to
+        # e^-24: the smallest eigenvalue of some of them reads up to 3 eps max|cm|
+        # below 0, and none of those is refused for its sign
+        a, c = (0.5 + n_source / 2.0) * np.eye(2), n_source / 2.0 * np.eye(2)
+        pair = np.block([[a, c], [c, a]])
+        rng = np.random.default_rng(1)
+        draws = rng.uniform([-r_max, 0.0] * 2, [r_max, np.pi] * 2, (200, 4))
+        signs_in_band = 0
+        for r1, theta1, r2, theta2 in draws:
+            s = block_diag(local_squeezer(r1, theta1), local_squeezer(r2, theta2))
+            cm = s @ pair @ s.T
+            cm = (cm + cm.T) / 2.0
+            signs_in_band += np.linalg.eigvalsh(cm)[0] <= 0.0
+            try:
+                GaussianState(cm)
+            except PhysicalityError as exc:
+                assert "eigenvalue" in str(exc)
+        assert signs_in_band > 0
+
+
+class TestOneModeClosedForm:
+    """One mode's entry check and spectrum are closed forms of the general solvers' answers.
+
+    For cm = [[a, b], [b, c]], cm + i nu Omega has a Cholesky factor exactly
+    when a > 0 and ac - b^2 > nu^2 (Simon, Mukunda & Dutta, PRA 49, 1567
+    (1994)), and sqrt(ac - b^2) is the modulus of both eigenvalues of Omega cm.
+    """
+
+    BOUND = 0.5 - PHYSICALITY_TOL
+
+    @classmethod
+    def cms(cls):
+        """Thermal, squeezed and rotated squeezed CMs of symplectic eigenvalue
+        d near the bound, N from 1e-6 to 1e7 photons, and their negatives."""
+        offsets = np.geomspace(1e-17, 1e-6, 12)
+        ds = cls.BOUND * (1.0 + np.concatenate([-offsets, [0.0], offsets]))
+        cms = [d * np.eye(2) for d in ds]
+        cms += [(0.5 + n) * np.eye(2) for n in np.geomspace(1e-6, 1e7, 14)]
+        for n in np.geomspace(1e-6, 1e7, 14):
+            for d in ds:
+                # d (s + 1/s) / 2 = 1/2 + N
+                m = (0.5 + n) / d
+                s = m + math.sqrt(m * m - 1.0)
+                for theta in (0.0, 0.3, 1.1):
+                    cm = d * local_squeezer(-math.log(s), theta)
+                    cms.append((cm + cm.T) / 2.0)
+        cms = np.array(cms)
+        return np.concatenate([cms, -cms])
+
+    @staticmethod
+    def accepted(cm):
+        try:
+            GaussianState(cm)
+        except PhysicalityError:
+            return False
+        return True
+
+    def test_entry_verdict_is_the_cholesky_factor(self):
+        # outside a band of 4 units of eps (|ac| + b^2 + nu^2) around the exact
+        # ac - b^2 = nu^2, both verdicts are the exact one; the largest
+        # disagreement measured lies 0.9 units from it
+        nu2 = Fraction(self.BOUND) ** 2
+        jw = 1j * self.BOUND * omega(1)
+        outside = {True: 0, False: 0}
+        for cm in self.cms():
+            a, b, c = (Fraction(float(x)) for x in (cm[0, 0], cm[0, 1], cm[1, 1]))
+            det = a * c - b * b
+            unit = np.finfo(float).eps * float(abs(a * c) + b * b + nu2)
+            if a > 0 and abs(float(det - nu2)) <= 4 * unit:
+                continue
+            exact = a > 0 and det > nu2
+            try:
+                np.linalg.cholesky(cm + jw)
+                factored = True
+            except np.linalg.LinAlgError:
+                factored = False
+            assert self.accepted(cm) == factored == exact, cm
+            outside[exact] += 1
+        # the band leaves 333 accepted and 1,407 refused CMs, the nearest of
+        # them 2e-15 from the bound in relative terms
+        assert outside[True] > 300 and outside[False] > 1300
+
+    def test_spectrum_is_the_eigen_solve(self):
+        # the determinant's condition kappa = (|ac| + b^2) / det scales the
+        # rounding of both; the largest disagreement measured is 2 eps kappa
+        cms = np.array([cm for cm in self.cms() if self.accepted(cm)])
+        d = symplectic_eigenvalues(GaussianState(cms))[:, 0]
+        d_eigen = eigen_smallest(cms)
+        kappa = (np.abs(cms[:, 0, 0] * cms[:, 1, 1]) + cms[:, 0, 1] ** 2) / d**2
+        assert np.all(np.abs(d - d_eigen) <= 8 * np.finfo(float).eps * kappa * d)
+        # away from cancellation the two agree to a few eps
+        calm = kappa < 10.0
+        assert calm.sum() > 100
+        assert np.all(np.abs(d - d_eigen)[calm] <= 8 * np.finfo(float).eps * d[calm])
 
 class TestClosedOperations:
     """Closed operations skip the entry check; their results must pass it unchanged."""
