@@ -7,7 +7,7 @@ analytic predictions and Monte Carlo intensity correlations can be checked
 against each other.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .info import (
     DiscordResult,

@@ -22,7 +22,9 @@ Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ideal balanced bench (100 modes, 1e5 frames, unit mean intensity, tau = 1/2,
 t = 1/2, eta = 1, seed 42, 99% confidence level). Each setting is declared
 once, in ``_SETTINGS``, with its type, default and flag; the ``[source]`` and
-``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``. A command
+``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``, and the
+mixer's transmissivity, ``[analysis] tau_mix``, is read out of a run beside
+the analyzer and the confidence level. A command
 takes flags only for the settings it reads, so ``sweep-discord`` takes just
 ``--tau`` and ``--t-split``, and refuses the flag of the setting it sweeps.
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .info import discord_oracle, entropy, gaussian_discord, mutual_information
-from .network import bs_symplectic, interfere, prepare_discordant_pair
+from .network import _require_unit_interval, bs_symplectic, interfere, prepare_discordant_pair
 from .speckle import ANALYZERS, SAMPLER, BenchConfig, run_bench
 from .states import (
     GaussianState,
@@ -78,12 +80,12 @@ _SETTINGS = (
     ("source", "t_split", float, "0.5", "--t-split"),
     ("bench", "modes", int, "100", "--modes"),
     ("bench", "frames", int, "100000", "--frames"),
-    ("bench", "tau_mix", float, "0.5", "--tau"),
     ("bench", "eta", float, "1.0", "--eta"),
     ("bench", "seed", int, "42", "--seed"),
     ("bench", "workers", int, "1", "--workers"),
     ("analysis", "ci_level", float, "0.99", "--ci-level"),
     ("analysis", "basis", str, "all", "--basis"),
+    ("analysis", "tau_mix", float, "0.5", "--tau"),
     ("sweep", "n_source_min", float, "0.02", None),
     ("sweep", "n_source_max", float, "50.0", None),
     ("sweep", "n_points", int, "50", None),
@@ -154,11 +156,16 @@ def _typed(raw) -> dict:
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults overlaid with an optional config file; values are typed."""
-    # values are literal text: % has no meaning, and no key refers to another
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(DEFAULTS)
+    """Defaults overlaid with an optional config file's sections; values are typed.
+
+    configparser copies the keys of a ``[DEFAULT]`` section into every
+    section, so one that sets a key is refused by name rather than have each
+    of its keys blamed on the first section it reaches.
+    """
+    raw = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is not None:
+        # values are literal text: % has no meaning, and no key refers to another
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 parser.read_file(handle)
@@ -169,7 +176,11 @@ def load_config(path: str | Path | None = None) -> dict:
         except configparser.Error as exc:
             # configparser messages carry the offending line numbers
             raise ConfigError(f"config parse error: {exc}") from exc
-    return _typed({section: dict(parser[section]) for section in parser.sections()})
+        if parser.defaults():
+            raise ConfigError(f"unknown config section [{parser.default_section}]")
+        for section in parser.sections():
+            raw.setdefault(section, {}).update(parser[section])
+    return _typed(raw)
 
 
 def _commit(files: dict[Path, str]) -> None:
@@ -203,9 +214,9 @@ def _bench_config(cfg: dict) -> BenchConfig:
     """The bench run of a command's config; settings its tables cannot use are refused.
 
     A Fisher z interval needs at least 4 frames and a level in (0, 1)
-    (``confidence_interval``), and a t_split of 1 leaves beam 3 dark, so no
-    correlation with it is defined; each is refused here, with one message,
-    before any frame is drawn.
+    (``confidence_interval``), a t_split of 1 leaves beam 3 dark, so no
+    correlation with it is defined, and the read-out's tau must lie in
+    [0, 1]; each is refused here, with one message, before any frame is drawn.
     """
     frames, level = cfg["bench"]["frames"], cfg["analysis"]["ci_level"]
     if frames < 4:
@@ -214,17 +225,19 @@ def _bench_config(cfg: dict) -> BenchConfig:
         raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
     if cfg["source"]["t_split"] == 1.0:
         raise ConfigError("[source] t_split 1.0 sends no photons into beam 3")
+    _require_unit_interval("tau_mix", cfg["analysis"]["tau_mix"])
     return BenchConfig(**cfg["source"], **cfg["bench"])
 
 
 def run_tables(cfg: dict) -> str:
     """Interference bench CSV: one row per beam pair with in/out correlations and CIs."""
     batch = run_bench(_bench_config(cfg))
-    level = cfg["analysis"]["ci_level"]
+    level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
     lines = ["pair,c_in,ci_in_lo,ci_in_hi,c_out,ci_out_lo,ci_out_hi"]
+    out = [batch.out_weights(beam, tau=tau) for beam in range(3)]
     for i, j, label in _PAIRS:
         c_in = _estimate(batch, batch.in_weights(i), batch.in_weights(j), level)
-        c_out = _estimate(batch, batch.out_weights(i), batch.out_weights(j), level)
+        c_out = _estimate(batch, out[i], out[j], level)
         lines.append(("%s" + ",%.6f" * 6) % (label, *c_in, *c_out))
     return "\n".join(lines) + "\n"
 
@@ -241,7 +254,7 @@ def run_erasure(cfg: dict) -> str:
         if basis not in bases:
             raise ConfigError(f"erasure basis must be {', '.join(bases)} or all, got {basis!r}")
         bases = (basis,)
-    level = cfg["analysis"]["ci_level"]
+    level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
     # one run detects every analyzer; each basis is a read-out of the same frames,
     # and every correlation is read off the run's one co-moment matrix
     batch = run_bench(_bench_config(cfg))
@@ -249,7 +262,7 @@ def run_erasure(cfg: dict) -> str:
     for basis in bases:
         if basis == "V":
             print(f"warning: {V_BASIS_WARNING}", file=sys.stderr)
-        out = [batch.out_weights(beam, basis, "erasure") for beam in range(3)]
+        out = [batch.out_weights(beam, basis, "erasure", tau) for beam in range(3)]
         for i, j, label in _PAIRS if basis != "none" else _PAIRS[:1]:
             c = _estimate(batch, out[i], out[j], level)
             lines.append("%s,%s,%.6f,%.6f,%.6f" % (basis, label, *c))
@@ -301,7 +314,7 @@ def run_sweep_discord(cfg: dict) -> str:
         if tau in dark:
             raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into {dark[tau]}")
         raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
-    t_split, tau_mix = cfg["source"]["t_split"], cfg["bench"]["tau_mix"]
+    t_split, tau_mix = cfg["source"]["t_split"], cfg["analysis"]["tau_mix"]
     if split_swept:
         t_split = tau_axis
     elif t_split in dark:
@@ -420,18 +433,18 @@ def _check_entropy_identities(n: np.ndarray) -> tuple:
     return f"error / bound of the {where}", errors[i], 1.0
 
 
-def _check_mc_against_cm(configs) -> tuple:
-    """C08: the out-correlations 1-3 and 2-3 of a bench run of each config against
-    the CM prediction of its protocol, in standard errors. The CM protocol has
-    no mode mismatch, so each config must have eta 1."""
+def _check_mc_against_cm(runs) -> tuple:
+    """C08: the out-correlations 1-3 and 2-3 of a bench run of each (config, tau),
+    read out at tau, against the CM prediction of its protocol, in standard
+    errors. The CM protocol has no mode mismatch, so each config must have eta 1."""
     z = []  # |MC - CM| in standard errors, per run for the pairs 1-3 and 2-3
-    for config in configs:
+    for config, tau in runs:
         batch = run_bench(config)
         # the source is split brighter by 1 / t_split, so that beam 2 carries the mean photons
         source = SingleModeSpec(config.mean_photons / config.t_split)
-        _, out_state = interfere(prepare_discordant_pair(source, config.t_split), config.tau_mix)
+        _, out_state = interfere(prepare_discordant_pair(source, config.t_split), tau)
         for i, j, _ in _PAIRS[1:]:
-            c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
+            c_mc = batch.corr(batch.out_weights(i, tau=tau), batch.out_weights(j, tau=tau))
             c_cm = cm_to_intensity_corr(out_state, i, j)
             z.append(abs(c_mc - c_cm) / ((1.0 - c_cm**2) / np.sqrt(config.frames - 3)))
     k = int(np.argmax(z))
@@ -455,7 +468,7 @@ _CHECKS = (
     )),
     ("entropy-identities", lambda quick: _check_entropy_identities(np.array([0.1, 1.0, 10.0]))),
     ("mc-vs-analytic-correlations", lambda quick: _check_mc_against_cm(
-        [BenchConfig(modes=64, frames=2_000 if quick else 20_000, mean_photons=1.0, seed=11)]
+        [(BenchConfig(modes=64, frames=2_000 if quick else 20_000, mean_photons=1.0, seed=11), 0.5)]
     )),
 )
 
@@ -604,6 +617,12 @@ def main(argv: list[str] | None = None) -> int:
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
     _, run, _ = _COMMANDS[args.command]
     try:
+        # a path that no write can reach is refused before the run, naming the path
+        # and not the temporary file that _commit would fail on
+        if not out_path.parent.is_dir():
+            raise ConfigError(f"cannot write {out_path}: {out_path.parent} is not a directory")
+        if out_path.is_dir():
+            raise ConfigError(f"cannot write {out_path}: it is a directory")
         cfg = _resolve_config(args)
         started = time.perf_counter()
         csv = run(cfg)

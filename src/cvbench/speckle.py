@@ -13,14 +13,15 @@ Gram matrix of the two fields entering the beam splitter, so a frame is five
 numbers, a row of the run's (frames, 5) record: the in-intensities and two
 entries of that matrix. Every read-out is a fixed combination of those
 columns, coded once as its weights: ``FrameBatch.out_weights(beam, basis,
-scenario)`` forms them through the analyzer's intensity projector
-(``ANALYZERS``). Every correlation of two read-outs, in-intensities included,
-is a second moment, so a run's datum is the record's 5x5 centred sums of
-products. Each record column is one unscaled row that the run draws times
-one scale, which ``mean_photons`` and ``t_split`` set at every eta: without
-mode mismatch (eta = 1) three Bartlett rows carry all five columns, and
-otherwise each column is its own row, a sum of draws. So a source's scales
-move no correlation. ``run_bench`` folds the rows it draws
+scenario, tau)`` forms them through the analyzer's intensity projector
+(``ANALYZERS``) and the BS rows at the mixer's transmissivity tau, which is
+no setting of the run either: one run reads every tau. Every correlation of
+two read-outs, in-intensities included, is a second moment, so a run's datum
+is the record's 5x5 centred sums of products. Each record column is one
+unscaled row that the run draws times one scale, which ``mean_photons`` and
+``t_split`` set at every eta: without mode mismatch (eta = 1) three Bartlett
+rows carry all five columns, and otherwise each column is its own row, a sum
+of draws. So a source's scales move no correlation. ``run_bench`` folds the rows it draws
 (``stats.comoments``), through one reusable block of ``stats._BLOCK_FRAMES``
 frames reduced while in cache, and scales their sums into the record's:
 entry (i, j) is s_i s_j times the rows' entry (r_i, r_j) for columns
@@ -67,9 +68,10 @@ stream (counter position c) to block c + 1 of one stream, and in 0.6.0,
 when chunks grew to 8,192 frames, one fold block, and each row of a chunk
 got its own generator, keyed by block 8c + j + 1 of that stream.
 
-The beam-splitter convention is coded once, in ``network.bs_symplectic``; a
-batch reads its BS rows off that matrix once. The per-mode field oracle
-against which the records are law-tested lives in ``tests/test_speckle.py``.
+The beam-splitter convention is coded once, in ``network.bs_symplectic``; the
+read-out takes its BS rows off that matrix once per tau (``_bs_rows``). The
+per-mode field oracle against which the records are law-tested lives in
+``tests/test_speckle.py``.
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ __all__ = [
 class BenchConfig:
     """Configuration of one bench run: the ``[source]`` and ``[bench]`` settings.
 
-    Nothing here picks a polarization preset or an analyzer; those are
-    arguments of ``FrameBatch.out_weights``. ``mean_photons`` is the per-mode
+    Nothing here picks a polarization preset, an analyzer or the mixer's
+    transmissivity tau; those are arguments of ``FrameBatch.out_weights``,
+    since no draw depends on them. ``mean_photons`` is the per-mode
     mean intensity of every detected beam in the ideal configuration; the
     split source is drawn brighter by 1/t_split so that beam 2 matches beam 1.
     All modes of a beam share one mean, which is what makes the correlation
@@ -136,7 +139,6 @@ class BenchConfig:
     modes: int = 100
     frames: int = 100_000
     mean_photons: float = 1.0
-    tau_mix: float = 0.5
     t_split: float = 0.5
     eta: float = 1.0
     seed: int = 42
@@ -153,8 +155,6 @@ class BenchConfig:
             raise ValueError(f"frames must be >= 1, got {self.frames!r}")
         if not 0.0 < self.mean_photons < math.inf:
             raise ValueError(f"mean_photons must be finite and > 0, got {self.mean_photons!r}")
-        if not 0.0 <= self.tau_mix <= 1.0:
-            raise ValueError(f"tau_mix must lie in [0, 1], got {self.tau_mix!r}")
         if not 0.0 < self.t_split <= 1.0:
             raise ValueError(f"t_split must lie in (0, 1], got {self.t_split!r}")
         if not 0.0 <= self.eta <= 1.0:
@@ -174,15 +174,16 @@ class FrameBatch:
     three beams before the BS, then |a2|^2 of beam 2 as it enters the BS
     (after mode substitution) and Re sum_m a1_m conj(a2_m). With |a1|^2 in
     column 0 the last two make the Gram matrix of the two BS inputs. Every
-    read-out, an in-intensity or any beam of any preset behind any analyzer,
-    is a fixed combination of these five columns, coded once as its weights
-    (``in_weights``, ``out_weights``). ``sums`` is the read-only 5x5 matrix
-    of centred sums of products of the record columns, which ``run_bench``
-    scales from the sums of the rows it draws, and ``corr`` reads the
-    correlation of two read-outs off it without building either series.
-    ``record`` itself is redrawn from the run's row streams on first read,
-    each column one unscaled drawn row times its scale, and ``out_series``
-    is the record times the weights.
+    read-out, an in-intensity or any beam of any preset behind any analyzer
+    at any mixer transmissivity tau, is a fixed combination of these five
+    columns, coded once as its weights (``in_weights``, ``out_weights``), so
+    the batch holds no tau and one run reads every tau. ``sums`` is the
+    read-only 5x5 matrix of centred sums of products of the record columns,
+    which ``run_bench`` scales from the sums of the rows it draws, and
+    ``corr`` reads the correlation of two read-outs off it without building
+    either series. ``record`` itself is redrawn from the run's row streams
+    on first read, each column one unscaled drawn row times its scale, and
+    ``out_series`` is the record times the weights.
     """
 
     config: BenchConfig
@@ -213,7 +214,7 @@ class FrameBatch:
 
     @property
     def intensities_out(self) -> np.ndarray:
-        """(frames, 3) ``out_series`` of the interference preset behind no analyzer."""
+        """(frames, 3) ``out_series`` of the interference preset behind no analyzer, at tau 1/2."""
         out = np.stack([self.out_series(beam) for beam in range(3)], axis=1)
         out.flags.writeable = False
         return out
@@ -225,16 +226,17 @@ class FrameBatch:
         return weights
 
     def out_weights(
-        self, beam: int, basis: str = "none", scenario: str = "interference"
+        self, beam: int, basis: str = "none", scenario: str = "interference", tau: float = 0.5
     ) -> np.ndarray:
         """(5,) weights of one beam's out-intensity of the ``scenario`` preset behind ``basis``.
 
         The record columns are the in-intensities of beams 1-3, then the two
         Gram columns. ``basis`` is a key of ``ANALYZERS`` and ``scenario``
-        one of ``POLARIZATIONS``; any other value raises ``ValueError``. With
-        P the analyzer's projector and e1, e2 the Jones vectors of beam 1 and
-        of beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2, (alpha,
-        beta) being row p of the BS matrix of ``network.bs_symplectic``, and
+        one of ``POLARIZATIONS``; any other value raises ``ValueError``, and
+        so does a transmissivity ``tau`` outside [0, 1] (``bs_symplectic``'s).
+        With P the analyzer's projector and e1, e2 the Jones vectors of beam
+        1 and of beams 2-3, out-port p carries alpha a1 e1 + beta a2 e2,
+        (alpha, beta) being row p of the BS matrix at tau (``_bs_rows``), and
         detects alpha^2 e1.P.e1 |a1|^2 + beta^2 e2.P.e2 |a2|^2 +
         2 alpha beta e1.P.e2 Re(a1.a2*). Beam 3 bypasses the BS and detects
         e2.P.e2 |a3|^2.
@@ -250,19 +252,19 @@ class FrameBatch:
         if beam == 2:
             weights[2] = e2 @ proj @ e2
         else:
-            alpha, beta = self._bs_rows[beam]
+            alpha, beta = _bs_rows(tau)[beam]
             u, v = alpha * e1, beta * e2
             weights[0], weights[3], weights[4] = u @ proj @ u, v @ proj @ v, 2.0 * (u @ proj @ v)
         return weights
 
     def out_series(
-        self, beam: int, basis: str = "none", scenario: str = "interference"
+        self, beam: int, basis: str = "none", scenario: str = "interference", tau: float = 0.5
     ) -> np.ndarray:
         """Read-only out-intensities of one beam of the ``scenario`` preset behind ``basis``.
 
-        ``record`` times ``out_weights``, summed as ``_read_out`` sums.
+        ``record`` times ``out_weights`` at tau, summed as ``_read_out`` sums.
         """
-        return _read_out(self.record, self.out_weights(beam, basis, scenario))
+        return _read_out(self.record, self.out_weights(beam, basis, scenario, tau))
 
     def corr(self, h: np.ndarray, k: np.ndarray) -> float:
         """Correlation coefficient of two read-outs given by their weights.
@@ -275,10 +277,20 @@ class FrameBatch:
         """
         return comoment_corr(self.sums, h, k)
 
-    @cached_property
-    def _bs_rows(self) -> np.ndarray:
-        # the quadrature symplectic acts on (x, p) pairs alike: its x rows are the BS matrix
-        return bs_symplectic(self.config.tau_mix).matrix[::2, ::2]
+
+@cache
+def _bs_rows(tau: float) -> np.ndarray:
+    """2x2 BS matrix at transmissivity tau, shared by every read-out at that tau.
+
+    The quadrature symplectic acts on (x, p) pairs alike, so its x rows are
+    the BS matrix: a view of ``bs_symplectic``'s matrix, read-only as it is.
+    """
+    return bs_symplectic(tau).matrix[::2, ::2]
+
+
+# the default tau's rows are read at import, so the first default read-out of a
+# process builds no beam splitter that a later one skips
+_bs_rows(0.5)
 
 
 def _read_out(record: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -519,11 +531,12 @@ def run_bench(config: BenchConfig) -> FrameBatch:
     """Simulate the configured bench and reduce its five numbers per frame to their sums.
 
     Beam 1 is source 1; source 2 splits into beams 2 and 3 at t_split; beams
-    1 and 2 mix at tau_mix, while beam 3 is untouched by the beam splitter.
-    The pass records the three intensities before the beam splitter and the
-    Gram matrix of its two inputs, which no preset or analyzer changes.
-    Every detection is read off that record afterwards, by its weights
-    (``FrameBatch.out_weights``): the interference preset puts beams 1-3 on
+    1 and 2 mix at a beam splitter, while beam 3 is untouched by it. The
+    pass records the three intensities before the beam splitter and the
+    Gram matrix of its two inputs, which no preset, analyzer or
+    transmissivity changes. Every detection is read off that record
+    afterwards, by its weights (``FrameBatch.out_weights``), at any
+    transmissivity: the interference preset puts beams 1-3 on
     H, so beams 1 and 2 interfere; erasure puts beam 1 on H and beams 2 and
     3 on V, so they do not.
 

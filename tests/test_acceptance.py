@@ -110,7 +110,7 @@ def test_c04b_split_thermal_mutual_information_target():
 def test_c05_interference_bench_table():
     started = time.perf_counter()
     batch = run_bench(
-        BenchConfig(modes=100, frames=100_000, mean_photons=1.0, tau_mix=0.5, t_split=0.5, seed=42)
+        BenchConfig(modes=100, frames=100_000, mean_photons=1.0, t_split=0.5, seed=42)
     )
     pairs = ((0, 1), (0, 2), (1, 2))
     c_in = [batch.corr(batch.in_weights(i), batch.in_weights(j)) for i, j in pairs]
@@ -219,15 +219,13 @@ def test_c07_sweep_monotone_in_discord():
 def test_c08_monte_carlo_vs_analytic():
     rng = np.random.default_rng(808)
     started = time.perf_counter()
-    # one row per run: tau_mix, t_split, mean_photons
+    # one row per run: the tau it is read out at, t_split, mean_photons
     draws = rng.uniform((0.2, 0.3, 0.5), (0.8, 0.7, 2.0), (10, 3)).tolist()
-    configs = [
-        BenchConfig(
-            modes=64, frames=20_000, mean_photons=mean, tau_mix=tau, t_split=t_split, seed=9000 + k
-        )
+    runs = [
+        (BenchConfig(modes=64, frames=20_000, mean_photons=mean, t_split=t_split, seed=9000 + k), tau)
         for k, (tau, t_split, mean) in enumerate(draws)
     ]
-    report_check("C8 MC vs analytic correlations", cli._check_mc_against_cm(configs), started)
+    report_check("C8 MC vs analytic correlations", cli._check_mc_against_cm(runs), started)
 
 
 def test_c09_tables_bit_identical_across_workers(tmp_path):

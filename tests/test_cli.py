@@ -77,6 +77,40 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="frames"):
             cli.load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[DEFAULT]\nframes = 300\n", "unknown config section [DEFAULT]"),
+            ("[bench]\nframes = 300\n[DEFAULT]\nseed = 3\n", "unknown config section [DEFAULT]"),
+            # the 0.6.0 layout: tau is read out of a run, not a setting of it
+            ("[bench]\ntau_mix = 0.3\n", "unknown config key [bench] tau_mix"),
+        ],
+        ids=["default", "default-after-bench", "bench-tau"],
+    )
+    def test_misplaced_key_refused_by_its_section(self, tmp_path, capsys, text, message):
+        # configparser copies a [DEFAULT] key into every section, so without a
+        # check of its own it would be blamed on [source], the first section
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "t.csv"
+        assert cli.main(["tables", "--config", str(path), "--frames", "500", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[DEFAULT]\n[bench]\nframes = 2000\n")
+        expected = cli.load_config()
+        expected["bench"]["frames"] = 2000
+        assert cli.load_config(path) == expected
+
+    def test_tau_is_an_analysis_setting(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[analysis]\ntau_mix = 0.3\n")
+        cfg = cli.load_config(path)
+        assert cfg["analysis"] == {"ci_level": 0.99, "basis": "all", "tau_mix": 0.3}
+        assert "tau_mix" not in cfg["bench"]
+
     def test_source_and_bench_are_the_bench_config(self):
         cfg = cli.load_config()
         fields = set(BenchConfig.__dataclass_fields__)
@@ -191,6 +225,19 @@ class TestManifest:
         manifest["version"] = "9.9"
         path.write_text(json.dumps(manifest))
         with pytest.raises(cli.ConfigError, match="9.9"):
+            cli.run_from_manifest(path, tmp_path / "replay.csv")
+        assert not (tmp_path / "replay.csv").exists()
+
+    def test_manifest_of_the_0_6_0_layout_refused(self, tmp_path):
+        # 0.6.0 recorded tau as [bench] tau_mix: the version check refuses its
+        # manifests before their config is read
+        _, path, manifest = self._tables_manifest(tmp_path)
+        assert manifest["config"]["analysis"]["tau_mix"] == 0.5
+        manifest["config"]["bench"]["tau_mix"] = manifest["config"]["analysis"].pop("tau_mix")
+        manifest["version"] = "0.6.0"
+        path.write_text(json.dumps(manifest))
+        message = f"manifest records version '0.6.0', but cvbench {__version__} replays with"
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(message)}"):
             cli.run_from_manifest(path, tmp_path / "replay.csv")
         assert not (tmp_path / "replay.csv").exists()
 
@@ -537,9 +584,9 @@ class TestSweep:
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_may_set_the_swept_setting(self, tmp_path):
-        # one file may serve tables and a sweep: its [bench] tau_mix is not refused
+        # one file may serve tables and a sweep: its [analysis] tau_mix is not refused
         cfg = tmp_path / "both.cfg"
-        cfg.write_text("[bench]\ntau_mix = 0.3\n[sweep]\nn_points = 3\n")
+        cfg.write_text("[analysis]\ntau_mix = 0.3\n[sweep]\nn_points = 3\n")
         out = tmp_path / "sweep.csv"
         assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_rows(out)
@@ -840,6 +887,50 @@ def test_dark_beam_3_refused_before_sampling(tmp_path, monkeypatch, capsys, comm
     err = capsys.readouterr().err
     assert err == "error: [source] t_split 1.0 sends no photons into beam 3\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tables", "erasure"])
+@pytest.mark.parametrize("tau", ["1.5", "-0.5", "nan"])
+def test_tau_outside_unit_interval_refused_before_sampling(
+    tmp_path, monkeypatch, capsys, command, tau
+):
+    # the read-out's tau is checked with the config, before a frame is drawn
+    def no_run(config):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    out = tmp_path / "out.csv"
+    assert run_main([command, "--tau", tau, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: tau_mix must lie in [0, 1], got {float(tau)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["tables", "erasure", "sweep-discord"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
+def test_unreachable_out_path_refused_before_the_run(
+    tmp_path, monkeypatch, capsys, command, where
+):
+    # a path no write can reach is refused before any frame is drawn, in one
+    # line that names it and not the temporary file the commit would write
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    monkeypatch.setattr(cli, "prepare_discordant_pair", no_run)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
+    out = {
+        "missing-dir": tmp_path / "missing" / "t.csv",
+        "a-dir": tmp_path / "a-dir",
+        "under-a-file": tmp_path / "a-file" / "t.csv",
+    }[where]
+    assert run_main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert ".tmp" not in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+    assert list((tmp_path / "a-dir").iterdir()) == []
 
 
 def test_unwritable_out_path_exit_code(tmp_path, capsys):

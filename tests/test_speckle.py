@@ -137,7 +137,7 @@ cached_run = functools.cache(run_bench)
 @functools.cache
 def drawn_once(cfg, frames):
     """(run_bench(cfg).sums, oracle_fields(cfg, frames)), drawn once for the tests
-    that read them at many (tau_mix, scenario, basis): neither depends on those.
+    that read them at many (tau, scenario, basis): neither depends on those.
     Every array is read-only, since every caller shares it."""
     fields = oracle_fields(cfg, frames)
     for field in fields:
@@ -145,20 +145,20 @@ def drawn_once(cfg, frames):
     return cached_run(cfg).sums, fields
 
 
-def read_outs(batch, record, scenario="interference", basis="none"):
-    """(frames, 3) read-outs of a preset behind a basis on any (frames, 5) record: the
-    batch's weights, summed as the bench sums them (speckle._read_out)."""
-    weights = [batch.out_weights(beam, basis, scenario) for beam in range(3)]
+def read_outs(batch, record, scenario="interference", basis="none", tau=0.5):
+    """(frames, 3) read-outs of a preset behind a basis at tau on any (frames, 5) record:
+    the batch's weights, summed as the bench sums them (speckle._read_out)."""
+    weights = [batch.out_weights(beam, basis, scenario, tau) for beam in range(3)]
     return np.stack([speckle._read_out(record, w) for w in weights], axis=1)
 
 
-def reference_out(cfg, frames, scenario, basis, fields=None):
+def reference_out(cfg, frames, scenario, basis, tau, fields=None):
     """(len(frames), 3) out-intensities of a preset behind a basis: the oracle's fields
-    (``oracle_fields(cfg, frames)`` unless given) lifted to Jones fields, mixed,
-    projected and detected."""
+    (``oracle_fields(cfg, frames)`` unless given) lifted to Jones fields, mixed at
+    tau, projected and detected."""
     beam1, _, beam3, mixed = oracle_fields(cfg, frames) if fields is None else fields
     e1, e2 = SCENARIO_JONES[scenario]
-    out1, out2 = mix(beam1[..., None] * e1, mixed[..., None] * e2, cfg.tau_mix)
+    out1, out2 = mix(beam1[..., None] * e1, mixed[..., None] * e2, tau)
     outs = (out1, out2, beam3[..., None] * e2)
     return np.stack([intensity(project(field, basis)) for field in outs], axis=1)
 
@@ -200,7 +200,7 @@ LAW_CASES = [(1, 1.0), (2, 1.0), (4, 1.0), (4, 0.75), (7, 0.7), (100, 1.0), (100
 
 def law_config(modes, eta):
     return BenchConfig(
-        modes=modes, frames=20_000, mean_photons=1.3, tau_mix=0.3, t_split=0.4, eta=eta, seed=1000
+        modes=modes, frames=20_000, mean_photons=1.3, t_split=0.4, eta=eta, seed=1000
     )
 
 
@@ -230,8 +230,7 @@ class TestSampler:
         # the fields run_bench draws: each detected beam sums M exponential
         # modes of one mean, substituted modes included, so it is Gamma(M, mean)
         cfg = BenchConfig(
-            modes=modes, frames=20_000, mean_photons=1.3, tau_mix=0.3, t_split=0.4, eta=eta,
-            seed=61,
+            modes=modes, frames=20_000, mean_photons=1.3, t_split=0.4, eta=eta, seed=61
         )
         batch = run_bench(cfg)
         beam3_mean = (1.0 - cfg.t_split) * cfg.mean_photons / cfg.t_split
@@ -239,7 +238,7 @@ class TestSampler:
             ("in 1", batch.intensities_in[:, 0], cfg.mean_photons),
             ("in 2", batch.intensities_in[:, 1], cfg.mean_photons),
             ("in 3", batch.intensities_in[:, 2], beam3_mean),
-            ("out 1", batch.out_series(0), cfg.mean_photons),
+            ("out 1", batch.out_series(0, tau=0.3), cfg.mean_photons),
         ):
             result = kstest(series, "gamma", args=(modes, 0.0, mean))
             assert result.pvalue > 0.01, name
@@ -705,7 +704,6 @@ class TestRunBench:
                 mean_photons=mean_photons,
                 seed=41,
                 eta=eta,
-                tau_mix=0.3,
                 t_split=0.4,
             )
             sums = run_bench(cfg).sums
@@ -751,17 +749,22 @@ class TestRunBench:
     @pytest.mark.parametrize("modes, eta", [(7, 0.7), (1, 1.0), (100, 0.0)])
     def test_sums_do_not_depend_on_tau_mix(self, modes, eta):
         # the beam splitter enters only the read-out weights, never the drawn
-        # rows: the sums of three blocks of frames are the same bits at every tau_mix
+        # rows: a run has no tau to set, and reading its out-correlations at
+        # every tau leaves the sums of its three blocks of frames the same
+        # bits, those of a run never read
         base = BenchConfig(modes=modes, frames=2 * _BLOCK_FRAMES + 5, seed=5, eta=eta)
-        sums = [
-            run_bench(dataclasses.replace(base, tau_mix=tau)).sums.tobytes()
-            for tau in (0.0, 0.15, 0.5, 1.0)
-        ]
-        assert sums[1:] == sums[:1] * 3
+        with pytest.raises(TypeError, match="tau_mix"):
+            BenchConfig(tau_mix=0.5)
+        batch = run_bench(base)
+        for tau in (0.0, 0.15, 0.5, 1.0):
+            weights = [batch.out_weights(beam, tau=tau) for beam in range(3)]
+            for i, j in PAIRS:
+                batch.corr(weights[i], weights[j])
+        assert batch.sums.tobytes() == run_bench(base).sums.tobytes()
 
     def test_one_run_reads_the_cm_correlations_at_every_tau(self):
-        # one default run read at 19 interior taus, each a FrameBatch of the
-        # run's sums under that tau, against the CM read-outs of one stacked
+        # one default run read at 19 interior taus, each through the run's
+        # out_weights at that tau, against the CM read-outs of one stacked
         # interfere call. Pair 1-2 is the identical-inputs null, 0 at every
         # tau up to the square of rounding (below 2e-33 here). The bound is 4
         # normal-theory SEs, (1 - c^2) / sqrt(frames - 3); the worst over the
@@ -775,11 +778,36 @@ class TestRunBench:
         for i, j in PAIRS:
             c_cm = cm_to_intensity_corr(out, i, j)
             for tau, c in zip(taus, c_cm):
-                read = FrameBatch(dataclasses.replace(config, tau_mix=tau), batch.sums)
-                c_mc = read.corr(read.out_weights(i), read.out_weights(j))
+                c_mc = batch.corr(batch.out_weights(i, tau=tau), batch.out_weights(j, tau=tau))
                 se = (1.0 - c**2) / math.sqrt(config.frames - 3)
                 assert abs(c_mc - c) <= 4.0 * se, (i, j, tau)
         assert np.all(np.abs(cm_to_intensity_corr(out, 0, 1)) <= 1e-30)
+
+    def test_bs_rows_are_shared_and_read_only(self):
+        # every read-out at one tau shares one BS matrix, so none may change it
+        rows = speckle._bs_rows(0.3)
+        assert rows is speckle._bs_rows(0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("tau", [1.5, -0.25, math.nan], ids=["1.5", "-0.25", "nan"])
+    def test_read_out_refuses_a_tau_outside_the_unit_interval(self, tau):
+        # the read-out refuses with bs_symplectic's error, and a refused tau is
+        # not cached: a valid call afterwards reads the rows of its own tau,
+        # port 1 (sqrt(tau), sqrt(1 - tau)) and port 2 (-sqrt(1 - tau), sqrt(tau))
+        batch = run_bench(BenchConfig(modes=2, frames=10, seed=8))
+        for read in (batch.out_weights, batch.out_series):
+            with pytest.raises(ValueError, match=r"^transmissivity must lie in \[0, 1\], got "):
+                read(0, tau=tau)
+        cross = 2.0 * math.sqrt(0.3 * 0.7)
+        for beam, expected in ((0, [0.3, 0, 0, 0.7, cross]), (1, [0.7, 0, 0, 0.3, -cross])):
+            assert batch.out_weights(beam, tau=0.3) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_intensities_out_is_the_read_out_at_tau_one_half(self):
+        batch = run_bench(BenchConfig(modes=3, frames=700, seed=8, eta=0.7))
+        half = np.stack([batch.out_series(beam, tau=0.5) for beam in range(3)], axis=1)
+        assert batch.intensities_out.tobytes() == half.tobytes()
+        assert not np.array_equal(batch.intensities_out[:, 0], batch.out_series(0, tau=0.3))
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_memory_does_not_grow_with_frames(self, eta):
@@ -806,11 +834,11 @@ class TestRunBench:
     def test_matches_per_frame_operations(self):
         # the read-out of a record built from per-frame fields must agree with
         # mixing the scalar fields of those frames and detecting them
-        cfg = BenchConfig(modes=7, frames=10, seed=4, eta=0.7, tau_mix=0.3, t_split=0.4)
+        cfg = BenchConfig(modes=7, frames=10, seed=4, eta=0.7, t_split=0.4)
         frames = range(cfg.frames)
-        out = read_outs(run_bench(cfg), field_record(cfg, frames))
+        out = read_outs(run_bench(cfg), field_record(cfg, frames), tau=0.3)
         beam1, _, beam3, mixed = oracle_fields(cfg, frames)
-        out1, out2 = mix(beam1, mixed, cfg.tau_mix)
+        out1, out2 = mix(beam1, mixed, 0.3)
         assert out[:, 0] == pytest.approx(intensity(out1), rel=1e-12)
         assert out[:, 1] == pytest.approx(intensity(out2), rel=1e-12)
         assert np.array_equal(out[:, 2], intensity(beam3))
@@ -851,18 +879,18 @@ class TestRunBench:
         # rows on both sides of the first chunk boundary, and the last row of a
         # three-chunk run
         n = 2 * CHUNK_FRAMES + 88
-        cfg = BenchConfig(modes=modes, frames=n, seed=6, eta=eta, tau_mix=tau_mix, t_split=0.4)
+        cfg = BenchConfig(modes=modes, frames=n, seed=6, eta=eta, t_split=0.4)
         frames = (0, 1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, n - 1)
         # one run and one set of fields per (modes, eta): neither depends on
-        # tau_mix (test_sums_do_not_depend_on_tau_mix), scenario or basis
-        sums, fields = drawn_once(dataclasses.replace(cfg, tau_mix=0.5), frames)
+        # tau (test_sums_do_not_depend_on_tau_mix), scenario or basis
+        sums, fields = drawn_once(cfg, frames)
         batch, record = FrameBatch(cfg, sums), fields_record(fields)
         k = SCENARIO_BASES.index((scenario, basis))
         other = SCENARIO_BASES[(k + 1) % len(SCENARIO_BASES)]
-        first = read_outs(batch, record, *other).copy()
-        detected = read_outs(batch, record, scenario, basis)
-        assert np.array_equal(read_outs(batch, record, *other), first)
-        reference = reference_out(cfg, frames, scenario, basis, fields)
+        first = read_outs(batch, record, *other, tau_mix).copy()
+        detected = read_outs(batch, record, scenario, basis, tau_mix)
+        assert np.array_equal(read_outs(batch, record, *other, tau_mix), first)
+        reference = reference_out(cfg, frames, scenario, basis, tau_mix, fields)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
@@ -881,11 +909,11 @@ class TestRunBench:
     @pytest.mark.parametrize("tau_mix", [0.0, 1.0])
     def test_extreme_mixing_matches_per_frame_operations(self, scenario, basis, tau_mix):
         # at tau 0 or 1 one input of each port has weight zero
-        cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8, tau_mix=tau_mix)
+        cfg = BenchConfig(modes=5, frames=300, seed=12, eta=0.8)
         frames = (0, 131, 299)
-        sums, fields = drawn_once(dataclasses.replace(cfg, tau_mix=0.5), frames)
-        detected = read_outs(FrameBatch(cfg, sums), fields_record(fields), scenario, basis)
-        reference = reference_out(cfg, frames, scenario, basis, fields)
+        sums, fields = drawn_once(cfg, frames)
+        detected = read_outs(FrameBatch(cfg, sums), fields_record(fields), scenario, basis, tau_mix)
+        reference = reference_out(cfg, frames, scenario, basis, tau_mix, fields)
         assert detected == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
@@ -898,14 +926,14 @@ class TestRunBench:
         # of the whole run's series. The run has three chunks, and the
         # selections cross the first chunk boundary
         n, c = 2 * CHUNK_FRAMES + 188, CHUNK_FRAMES
-        batch = run_bench(BenchConfig(modes=3, frames=n, seed=8, eta=0.7, tau_mix=tau_mix))
+        batch = run_bench(BenchConfig(modes=3, frames=n, seed=8, eta=0.7))
         slices = (slice(0, 1), slice(c - 1, c + 2), slice(1, None), slice(None, None, -1))
         for rows in slices + (slice(None, None, 3), [1, c - 1, c, n - 1]):
             for basis in ANALYZERS:
                 whole = np.stack(
-                    [batch.out_series(beam, basis, scenario) for beam in range(3)], axis=1
+                    [batch.out_series(beam, basis, scenario, tau_mix) for beam in range(3)], axis=1
                 )
-                sub = read_outs(batch, batch.record[rows], scenario, basis)
+                sub = read_outs(batch, batch.record[rows], scenario, basis, tau_mix)
                 assert np.array_equal(sub, whole[rows])
 
     @pytest.mark.parametrize("modes", [1, 4])
@@ -922,9 +950,7 @@ class TestRunBench:
         # read-out raises corr_coeff's ValueError. 3, 257, 1,025 and 2,049
         # frames end inside the first chunk, and CHUNK_FRAMES + 1 one frame
         # into the second, which is the second fold block
-        batch = run_bench(
-            BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, tau_mix=tau_mix, t_split=0.4)
-        )
+        batch = run_bench(BenchConfig(modes=modes, frames=frames, seed=21, eta=eta, t_split=0.4))
         read_outs = [
             (batch.in_weights(i), batch.in_weights(j), batch.intensities_in[:, i], batch.intensities_in[:, j])
             for i, j in PAIRS
@@ -932,10 +958,10 @@ class TestRunBench:
         for scenario, basis in SCENARIO_BASES:
             read_outs += [
                 (
-                    batch.out_weights(i, basis, scenario),
-                    batch.out_weights(j, basis, scenario),
-                    batch.out_series(i, basis, scenario),
-                    batch.out_series(j, basis, scenario),
+                    batch.out_weights(i, basis, scenario, tau_mix),
+                    batch.out_weights(j, basis, scenario, tau_mix),
+                    batch.out_series(i, basis, scenario, tau_mix),
+                    batch.out_series(j, basis, scenario, tau_mix),
                 )
                 for i, j in PAIRS
             ]
@@ -951,7 +977,7 @@ class TestRunBench:
                 assert abs(batch.corr(h, k) - expected) <= 1e-12
         if tau_mix == 1.0:
             # at tau 1 beam 1 leaves its own port whole, on H: a V analyzer there detects nothing
-            assert not batch.out_weights(0, "V", "erasure").any()
+            assert not batch.out_weights(0, "V", "erasure", tau_mix).any()
             assert dark > 0
 
     def test_erasure_correlations_build_no_series(self):
@@ -993,9 +1019,9 @@ class TestRunBench:
 
     @pytest.mark.parametrize("scenario", SCENARIO_JONES)
     def test_energy_conservation_per_frame(self, scenario):
-        batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5, tau_mix=0.31))
+        batch = run_bench(BenchConfig(modes=40, frames=2000, seed=5))
         before = batch.intensities_in[:, 0] + batch.intensities_in[:, 1]
-        after = batch.out_series(0, "none", scenario) + batch.out_series(1, "none", scenario)
+        after = sum(batch.out_series(beam, "none", scenario, 0.31) for beam in (0, 1))
         assert np.allclose(after, before, rtol=1e-9)
 
     def test_correlation_invariant_under_doubling_modes(self):

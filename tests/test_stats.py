@@ -349,11 +349,11 @@ class TestCmToIntensityCorr:
 
     def test_monte_carlo_agreement(self):
         frames = 2 * 10**4
-        batch = run_bench(BenchConfig(modes=64, frames=frames, seed=211, tau_mix=0.3))
+        batch = run_bench(BenchConfig(modes=64, frames=frames, seed=211))
         protocol = ThreeModeProtocol(SingleModeSpec(1.0), SingleModeSpec(2.0), 0.5, 0.3)
         _, out = run_three_mode(protocol)
         for i, j in ((0, 2), (1, 2)):
-            c_mc = batch.corr(batch.out_weights(i), batch.out_weights(j))
+            c_mc = batch.corr(batch.out_weights(i, tau=0.3), batch.out_weights(j, tau=0.3))
             c_cm = cm_to_intensity_corr(out, i, j)
             se = (1.0 - c_cm**2) / math.sqrt(frames - 3)
             assert abs(c_mc - c_cm) <= 3.0 * se
