@@ -21,12 +21,23 @@ Config files are flat ``key = value`` text with ``[source]``, ``[bench]``,
 ``[analysis]`` and ``[sweep]`` sections; every key has a default matching the
 ideal balanced bench (100 modes, 1e5 frames, unit mean intensity, tau = 1/2,
 t = 1/2, eta = 1, seed 42, 99% confidence level). Each setting is declared
-once, in ``_SETTINGS``, with its type, default and flag; the ``[source]`` and
-``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``, and the
+once, in ``_SETTINGS``, with its type, default, flag and rule; the ``[source]``
+and ``[bench]`` keys are exactly the fields of ``speckle.BenchConfig``, and the
 mixer's transmissivity, ``[analysis] tau_mix``, is read out of a run beside
-the analyzer and the confidence level. A command
-takes flags only for the settings it reads, so ``sweep-discord`` takes just
-``--tau`` and ``--t-split``, and refuses the flag of the setting it sweeps.
+the analyzer and the confidence level. A command takes flags only for the
+settings it reads, so ``sweep-discord`` takes just ``--tau`` and
+``--t-split``, and refuses the flag of the setting it sweeps.
+
+Each value is checked on its own in one place, ``_typed``, which every
+config passes before anything runs: the defaults with a config file
+(``load_config``), then with a command's flags overlaid (``main``), or a
+manifest's (``run_from_manifest``). It refuses a value that fails its rule as
+``[section] key must <rule>, got <value>``, so a command also refuses a bad
+value of a setting it does not read, since its manifest records every
+setting. ``run_sweep_discord`` adds the rules across settings: its photon
+grid's ends, and each swept tau, judged by the rule of the setting it sets.
+``main`` and a replay refuse an output path that no write can reach, also
+before the run.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ import numpy as np
 
 from . import __version__
 from .info import discord_oracle, entropy, gaussian_discord, mutual_information
-from .network import _require_unit_interval, bs_symplectic, interfere, prepare_discordant_pair
+from .network import bs_symplectic, interfere, prepare_discordant_pair
 from .speckle import ANALYZERS, SAMPLER, BenchConfig, run_bench
 from .states import (
     GaussianState,
@@ -72,30 +83,47 @@ __all__ = [
     "main",
 ]
 
-#: every setting once: (section, key, type, default, flag). The [source] and
-#: [bench] keys are the fields of ``BenchConfig``; a flag overrides its key on
-#: the commands that read it, and a key without one is set by config file only
+#: largest source photon number a sweep may reach. Beyond it the closed-form
+#: discord, whose invariants cancel at scale N^4, loses its printed digits
+#: (its error grows as N^2 times machine epsilon: 2.3e-2 nats at 1e7)
+SWEEP_N_MAX = 1e7
+
+#: every setting once: (section, key, type, default, flag, rule). The [source]
+#: and [bench] keys are the fields of ``BenchConfig``; a flag overrides its key
+#: on the commands that read it, and a key without one is set by config file
+#: only. A rule is (what a value must do, its test): ``_typed`` refuses every
+#: value that fails it, and a NaN, which fails every comparison, fails every range
 _SETTINGS = (
-    ("source", "mean_photons", float, "1.0", None),
-    ("source", "t_split", float, "0.5", "--t-split"),
-    ("bench", "modes", int, "100", "--modes"),
-    ("bench", "frames", int, "100000", "--frames"),
-    ("bench", "eta", float, "1.0", "--eta"),
-    ("bench", "seed", int, "42", "--seed"),
-    ("bench", "workers", int, "1", "--workers"),
-    ("analysis", "ci_level", float, "0.99", "--ci-level"),
-    ("analysis", "basis", str, "all", "--basis"),
-    ("analysis", "tau_mix", float, "0.5", "--tau"),
-    ("sweep", "n_source_min", float, "0.02", None),
-    ("sweep", "n_source_max", float, "50.0", None),
-    ("sweep", "n_points", int, "50", None),
-    ("sweep", "taus", str, "0.15,0.5,0.85", None),
-    ("sweep", "sweep_param", str, "tau_mix", None),
+    ("source", "mean_photons", float, "1.0", None, ("be finite and positive", lambda v: 0 < v < np.inf)),
+    # a t_split of 0 or 1 leaves beam 2 or beam 3 dark, so no correlation with it is defined
+    ("source", "t_split", float, "0.5", "--t-split", ("lie in (0, 1)", lambda v: 0 < v < 1)),
+    ("bench", "modes", int, "100", "--modes", ("be at least 1", lambda v: v >= 1)),
+    # a Fisher z interval needs 4 frames and a level in (0, 1) (``confidence_interval``)
+    ("bench", "frames", int, "100000", "--frames", ("be at least 4", lambda v: v >= 4)),
+    ("bench", "eta", float, "1.0", "--eta", ("lie in [0, 1]", lambda v: 0 <= v <= 1)),
+    ("bench", "seed", int, "42", "--seed", ("lie in [0, 2**64)", lambda v: 0 <= v < 2**64)),
+    ("bench", "workers", int, "1", "--workers", ("be at least 1", lambda v: v >= 1)),
+    ("analysis", "ci_level", float, "0.99", "--ci-level", ("lie in (0, 1)", lambda v: 0 < v < 1)),
+    ("analysis", "basis", str, "all", "--basis", (
+        f"be {', '.join(ANALYZERS)} or all", lambda v: v in (*ANALYZERS, "all")
+    )),
+    ("analysis", "tau_mix", float, "0.5", "--tau", ("lie in [0, 1]", lambda v: 0 <= v <= 1)),
+    ("sweep", "n_source_min", float, "0.02", None, ("be positive", lambda v: v > 0)),
+    ("sweep", "n_source_max", float, "50.0", None, (
+        f"lie in (0, {SWEEP_N_MAX:g}]", lambda v: 0 < v <= SWEEP_N_MAX
+    )),
+    ("sweep", "n_points", int, "50", None, ("be at least 2", lambda v: v >= 2)),
+    ("sweep", "taus", str, "0.15,0.5,0.85", None, (
+        "name at least one transmissivity", lambda v: any(map(str.strip, v.split(",")))
+    )),
+    ("sweep", "sweep_param", str, "tau_mix", None, (
+        "be tau_mix or t_split", lambda v: v in ("tau_mix", "t_split")
+    )),
 )
 
 #: section -> key -> default text, read off ``_SETTINGS``
 DEFAULTS = {
-    section: {key: default for s, key, _, default, _ in _SETTINGS if s == section}
+    section: {key: default for s, key, _, default, *_ in _SETTINGS if s == section}
     for section in dict.fromkeys(s for s, *_ in _SETTINGS)
 }
 
@@ -108,12 +136,6 @@ V_BASIS_WARNING = (
 )
 
 _PAIRS = ((0, 1, "1-2"), (0, 2, "1-3"), (1, 2, "2-3"))
-
-#: largest source photon number a sweep may reach. Beyond it the closed-form
-#: discord, whose invariants cancel at scale N^4, loses its printed digits
-#: (its error grows as N^2 times machine epsilon: 2.3e-2 nats at 1e7)
-SWEEP_N_MAX = 1e7
-
 
 #: what decides a manifest's CSV bytes besides its config, each written by
 #: ``main`` and checked by a replay: the cvbench version, which fixes every
@@ -128,11 +150,12 @@ class ConfigError(ValueError):
 
 
 def _typed(raw) -> dict:
-    """Type a section -> key -> value mapping holding every key of ``_SETTINGS``.
+    """Type and check a section -> key -> value mapping holding every key of ``_SETTINGS``.
 
     Values are typed from their text, so a manifest's ``"frames": "300"`` and
     a config file's ``frames = 300`` both give the int 300, while ``300.5``
-    is rejected rather than truncated.
+    is rejected rather than truncated. A value that fails its rule is refused
+    as ``[section] key must <rule>, got <value>``.
     """
     if not isinstance(raw, dict) or not all(isinstance(keys, dict) for keys in raw.values()):
         raise ConfigError("config must map each section to its keys")
@@ -143,20 +166,23 @@ def _typed(raw) -> dict:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
     cfg: dict = {}
-    for section, key, typ, _, _ in _SETTINGS:
+    for section, key, typ, _, _, (must, fits) in _SETTINGS:
         try:
             value = raw[section][key]
         except KeyError:
             raise ConfigError(f"missing config key [{section}] {key}") from None
         try:
-            cfg.setdefault(section, {})[key] = typ(str(value))
+            typed = typ(str(value))
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: cannot parse {value!r} as {typ.__name__}") from exc
+        if not fits(typed):
+            raise ConfigError(f"[{section}] {key} must {must}, got {typed!r}")
+        cfg.setdefault(section, {})[key] = typed
     return cfg
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults overlaid with an optional config file's sections; values are typed.
+    """Defaults overlaid with an optional config file's sections; values are typed and checked.
 
     configparser copies the keys of a ``[DEFAULT]`` section into every
     section, so one that sets a key is refused by name rather than have each
@@ -181,6 +207,15 @@ def load_config(path: str | Path | None = None) -> dict:
         for section in parser.sections():
             raw.setdefault(section, {}).update(parser[section])
     return _typed(raw)
+
+
+def _require_writable(out_path: Path) -> None:
+    """Refuse a path that no write can reach, before the run, naming the path
+    and not the temporary file that ``_commit`` would fail on."""
+    if not out_path.parent.is_dir():
+        raise ConfigError(f"cannot write {out_path}: {out_path.parent} is not a directory")
+    if out_path.is_dir():
+        raise ConfigError(f"cannot write {out_path}: it is a directory")
 
 
 def _commit(files: dict[Path, str]) -> None:
@@ -210,28 +245,9 @@ def _estimate(batch, a, b, level: float) -> tuple:
     return c, *confidence_interval(c, batch.n_frames, level)
 
 
-def _bench_config(cfg: dict) -> BenchConfig:
-    """The bench run of a command's config; settings its tables cannot use are refused.
-
-    A Fisher z interval needs at least 4 frames and a level in (0, 1)
-    (``confidence_interval``), a t_split of 1 leaves beam 3 dark, so no
-    correlation with it is defined, and the read-out's tau must lie in
-    [0, 1]; each is refused here, with one message, before any frame is drawn.
-    """
-    frames, level = cfg["bench"]["frames"], cfg["analysis"]["ci_level"]
-    if frames < 4:
-        raise ConfigError(f"[bench] frames must be at least 4, got {frames}")
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"confidence level must lie in (0, 1), got {level!r}")
-    if cfg["source"]["t_split"] == 1.0:
-        raise ConfigError("[source] t_split 1.0 sends no photons into beam 3")
-    _require_unit_interval("tau_mix", cfg["analysis"]["tau_mix"])
-    return BenchConfig(**cfg["source"], **cfg["bench"])
-
-
 def run_tables(cfg: dict) -> str:
     """Interference bench CSV: one row per beam pair with in/out correlations and CIs."""
-    batch = run_bench(_bench_config(cfg))
+    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
     lines = ["pair,c_in,ci_in_lo,ci_in_hi,c_out,ci_out_lo,ci_out_hi"]
     out = [batch.out_weights(beam, tau=tau) for beam in range(3)]
@@ -248,16 +264,12 @@ def run_erasure(cfg: dict) -> str:
     basis 'none' (no polarizers) reports only the 1-2 pair, whose beams leave
     the BS with orthogonal polarizations and identical total intensities.
     """
-    bases = tuple(ANALYZERS)
     basis = cfg["analysis"]["basis"]
-    if basis != "all":
-        if basis not in bases:
-            raise ConfigError(f"erasure basis must be {', '.join(bases)} or all, got {basis!r}")
-        bases = (basis,)
+    bases = tuple(ANALYZERS) if basis == "all" else (basis,)
     level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
     # one run detects every analyzer; each basis is a read-out of the same frames,
     # and every correlation is read off the run's one co-moment matrix
-    batch = run_bench(_bench_config(cfg))
+    batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     lines = ["basis,pair,c_out,ci_lo,ci_hi"]
     for basis in bases:
         if basis == "V":
@@ -279,49 +291,34 @@ def run_sweep_discord(cfg: dict) -> str:
     read off it, and ``interfere`` mixes its near arm with a probe identical
     to that arm. Correlations use the photon-counting variance: with the analog
     (classical) variance every split-thermal pair has intensity correlation
-    exactly 1 and the curves would degenerate. A tau outside [0, 1], or a
-    t_split of 0 or 1 (beam 2 or beam 3 then carries no photons), whether
-    swept or fixed, and an ``n_source_max`` above ``SWEEP_N_MAX`` raise
-    ``ConfigError`` before any series is computed.
+    exactly 1 and the curves would degenerate. ``cfg`` is checked setting by
+    setting (``load_config``); this adds the rules across settings, so a tau
+    that fails the rule of the setting it sets (a t_split of 0 or 1 leaves
+    beam 2 or beam 3 dark) and a photon grid with ``n_source_min`` not below
+    ``n_source_max`` raise ``ConfigError`` before any series is computed.
     """
     sweep = cfg["sweep"]
     taus = []
-    for text in filter(str.strip, str(sweep["taus"]).split(",")):
+    for text in filter(str.strip, sweep["taus"].split(",")):
         try:
             taus.append(float(text))
         except ValueError as exc:
             raise ConfigError(f"[sweep] taus: cannot parse {text.strip()!r} as float") from exc
-    if not taus:
-        raise ConfigError("sweep taus must name at least one transmissivity")
-    if sweep["n_points"] < 2:
-        raise ConfigError("sweep needs at least 2 grid points")
-    if not 0.0 < sweep["n_source_min"] < sweep["n_source_max"]:
-        raise ConfigError("sweep photon grid must satisfy 0 < n_source_min < n_source_max")
-    if sweep["n_source_max"] > SWEEP_N_MAX:
-        raise ConfigError(
-            f"sweep n_source_max {sweep['n_source_max']:g} exceeds the supported "
-            f"{SWEEP_N_MAX:g} photons"
-        )
-    if sweep["sweep_param"] not in ("tau_mix", "t_split"):
-        raise ConfigError(f"sweep_param must be tau_mix or t_split, got {sweep['sweep_param']!r}")
-    dark = {0.0: "beam 2", 1.0: "beam 3"}
-    split_swept = sweep["sweep_param"] == "t_split"
-    tau_axis = np.array(taus)[:, None]  # a column against the photon grid: axes (tau, point)
-    # the first tau outside [0, 1] (NaN too) or, swept as t_split, at 0 or 1 is refused
-    unfit = ~((tau_axis >= 0.0) & (tau_axis <= 1.0)) | split_swept & np.isin(tau_axis, (0.0, 1.0))
-    if unfit.any():
-        tau = taus[int(np.argmax(unfit))]
-        if tau in dark:
-            raise ConfigError(f"sweep tau {tau!r} as t_split sends no photons into {dark[tau]}")
-        raise ConfigError(f"sweep tau {tau!r} must lie in [0, 1]")
+    low, high = sweep["n_source_min"], sweep["n_source_max"]
+    if not low < high:
+        raise ConfigError(f"[sweep] n_source_min must lie below n_source_max {high!r}, got {low!r}")
+    swept = sweep["sweep_param"]
+    section, _, _, _, _, (must, fits) = next(row for row in _SETTINGS if row[1] == swept)
+    for tau in taus:
+        if not fits(tau):
+            raise ConfigError(f"sweep tau {tau!r} sets [{section}] {swept}, which must {must}")
     t_split, tau_mix = cfg["source"]["t_split"], cfg["analysis"]["tau_mix"]
-    if split_swept:
+    tau_axis = np.array(taus)[:, None]  # a column against the photon grid: axes (tau, point)
+    if swept == "t_split":
         t_split = tau_axis
-    elif t_split in dark:
-        raise ConfigError(f"sweep t_split {t_split!r} sends no photons into {dark[t_split]}")
     else:
         tau_mix = tau_axis
-    grid = np.geomspace(sweep["n_source_min"], sweep["n_source_max"], sweep["n_points"])
+    grid = np.geomspace(low, high, sweep["n_points"])
     try:
         pair = prepare_discordant_pair(SingleModeSpec(grid), t_split)
         _, out_state = interfere(pair, tau_mix)
@@ -532,21 +529,22 @@ _COMMANDS = {
 def _add_flags(sub: argparse.ArgumentParser, flags: tuple) -> None:
     sub.add_argument("--config", metavar="FILE", help="config file (key = value with sections)")
     sub.add_argument("--out", metavar="PATH", help="output CSV path")
-    for section, key, typ, _, flag in _SETTINGS:
+    for section, key, typ, _, flag, _ in _SETTINGS:
         if flag in flags:
             sub.add_argument(flag, type=typ, dest=key, help=f"override [{section}] {key}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
+    """The config file's settings overlaid with the command's flags, each checked by ``_typed``."""
     cfg = load_config(args.config)
-    for section, key, _, _, flag in _SETTINGS:
+    for section, key, _, _, flag, _ in _SETTINGS:
         value = getattr(args, key, None)
         if value is None:
             continue
         if args.command == "sweep-discord" and key == cfg["sweep"]["sweep_param"]:
             raise ConfigError(f"{flag} sets {key}, which this sweep takes from [sweep] taus")
         cfg[section][key] = value
-    return cfg
+    return _typed(cfg)
 
 
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
@@ -557,7 +555,8 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     none (another cvbench version, numpy version or bench sampler, any of
     which may give other bytes), names an unknown command, holds a config
     that ``load_config`` would reject, or (without ``out_path``) records no
-    output.
+    output, and, before the replay runs, when its output path is one that no
+    write can reach.
     """
     try:
         data = json.loads(Path(manifest_path).read_text())
@@ -583,6 +582,7 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
             raise ConfigError("manifest records no output path and none was given")
         out_path = outputs[0]
     out_path = Path(out_path)
+    _require_writable(out_path)
     _commit({out_path: run(cfg)})
     return out_path
 
@@ -617,12 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
     _, run, _ = _COMMANDS[args.command]
     try:
-        # a path that no write can reach is refused before the run, naming the path
-        # and not the temporary file that _commit would fail on
-        if not out_path.parent.is_dir():
-            raise ConfigError(f"cannot write {out_path}: {out_path.parent} is not a directory")
-        if out_path.is_dir():
-            raise ConfigError(f"cannot write {out_path}: it is a directory")
+        _require_writable(out_path)
         cfg = _resolve_config(args)
         started = time.perf_counter()
         csv = run(cfg)

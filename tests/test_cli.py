@@ -487,7 +487,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_main(["sweep-discord", "--t-split", t_split, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().split("\n")
-        assert err == [f"error: sweep t_split {t_split} sends no photons into beam {beam}"]
+        assert err == [f"error: [source] t_split must lie in (0, 1), got {t_split}"]
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_grid_rejected(self, tmp_path, capsys):
@@ -498,7 +498,7 @@ class TestSweep:
             cfg.write_text(f"[sweep]\n{grid}\n")
             assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
             err = capsys.readouterr().err.strip().split("\n")
-            assert len(err) == 1 and err[0].startswith("error: sweep "), grid
+            assert len(err) == 1 and err[0].startswith("error: [sweep] "), grid
             assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bright_t_split_sweep_runs(self, tmp_path):
@@ -581,6 +581,32 @@ class TestSweep:
         assert run_main(["sweep-discord", "--config", str(cfg), flag, "0.3", "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert err == [f"error: {flag} sets {swept}, which this sweep takes from [sweep] taus"]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_setting_the_sweep_does_not_read_is_checked(self, tmp_path, capsys):
+        # its manifest records every setting, so each is checked, read or not
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[bench]\nframes = 2\n")
+        out = tmp_path / "sweep.csv"
+        assert run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [bench] frames must be at least 4, got 2\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("swept", ["tau_mix", "t_split"])
+    def test_swept_tau_is_judged_by_the_swept_setting_rule(self, tmp_path, capsys, swept):
+        # 1.0 is a tau_mix, but a t_split of 1.0 leaves beam 3 dark
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"[sweep]\nn_points = 3\ntaus = 0.5,1.0\nsweep_param = {swept}\n")
+        out = tmp_path / "sweep.csv"
+        code = run_main(["sweep-discord", "--config", str(cfg), "--out", str(out)])
+        if swept == "tau_mix":
+            assert code == 0 and len(read_rows(out)[1]) == 6
+            return
+        assert code == 2
+        section, _, _, _, _, (must, _) = next(row for row in cli._SETTINGS if row[1] == swept)
+        assert capsys.readouterr().err == (
+            f"error: sweep tau 1.0 sets [{section}] {swept}, which must {must}\n"
+        )
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_file_may_set_the_swept_setting(self, tmp_path):
@@ -869,7 +895,7 @@ def test_ci_level_outside_unit_interval_refused_before_sampling(
     out = tmp_path / "out.csv"
     assert run_main([command, "--ci-level", level, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: confidence level must lie in (0, 1), got {float(level)!r}\n"
+    assert err == f"error: [analysis] ci_level must lie in (0, 1), got {float(level)!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -885,7 +911,7 @@ def test_dark_beam_3_refused_before_sampling(tmp_path, monkeypatch, capsys, comm
     out = tmp_path / "out.csv"
     assert run_main([command, "--t-split", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: [source] t_split 1.0 sends no photons into beam 3\n"
+    assert err == "error: [source] t_split must lie in (0, 1), got 1.0\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -902,8 +928,98 @@ def test_tau_outside_unit_interval_refused_before_sampling(
     out = tmp_path / "out.csv"
     assert run_main([command, "--tau", tau, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: tau_mix must lie in [0, 1], got {float(tau)!r}\n"
+    assert err == f"error: [analysis] tau_mix must lie in [0, 1], got {float(tau)!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+#: key -> a value its rule refuses: NaN for each float range, else one step outside
+OUTSIDE_THE_RULE = {
+    "mean_photons": "nan", "t_split": "nan", "modes": "0", "frames": "3", "eta": "nan",
+    "seed": "-1", "workers": "0", "ci_level": "nan", "basis": "H", "tau_mix": "nan",
+    "n_source_min": "nan", "n_source_max": "nan", "n_points": "1", "taus": ",",
+    "sweep_param": "beta",
+}
+
+
+@pytest.fixture(scope="module")
+def tables_manifest_text(tmp_path_factory):
+    """The manifest of a small ``tables`` run, as its JSON text."""
+    out = tmp_path_factory.mktemp("manifest") / "t.csv"
+    assert cli.main(["tables", "--frames", "500", "--out", str(out)]) == 0
+    return Path(f"{out}.manifest.json").read_text()
+
+
+@pytest.mark.parametrize("row", cli._SETTINGS, ids=lambda row: row[1])
+def test_each_rule_refuses_from_file_flag_and_manifest(
+    tmp_path, monkeypatch, capsys, tables_manifest_text, row
+):
+    # the default passes its rule; a value outside it is refused in one form, by
+    # every command from a config file, by the row's flag and by a replay, and
+    # nothing runs or is written
+    section, key, typ, default, flag, (must, fits) = row
+    assert fits(typ(default))
+    bad = OUTSIDE_THE_RULE[key]
+    message = f"[{section}] {key} must {must}, got {typ(bad)!r}"
+
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    monkeypatch.setattr(cli, "prepare_discordant_pair", no_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {bad}\n")
+    out = tmp_path / "out.csv"
+    argvs = [[command, "--config", str(cfg)] for command in cli._COMMANDS]
+    if flag is not None:
+        argvs.append(["erasure", f"{flag}={bad}"])  # erasure takes every flag
+    for argv in argvs:
+        assert run_main([*argv, "--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    manifest = json.loads(tables_manifest_text)
+    manifest["config"][section][key] = bad
+    path = tmp_path / "t.csv.manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.run_from_manifest(path, out)
+    assert str(exc.value) == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", path.name]
+
+
+def _end(text):
+    """A range's end as its rule's phrase writes it: a number, or a power such as 2**64."""
+    base, _, power = text.partition("**")
+    return float(base) ** int(power) if power else float(text)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [row for row in cli._SETTINGS if row[5][0].startswith(("lie in ", "be at least "))],
+    ids=lambda row: row[1],
+)
+def test_each_range_rule_tests_what_its_phrase_says(row):
+    # a range's test admits its ends as its phrase's brackets say, a value one
+    # step inside each end, and no value one step outside it
+    _, _, typ, _, _, (must, fits) = row
+    if must.startswith("be at least "):
+        low = typ(must.removeprefix("be at least "))
+        assert fits(low) and fits(low + 1) and not fits(low - 1)
+        return
+    opening, low, high, closing = re.fullmatch(r"lie in ([\[(])(.+), (.+)([\])])", must).groups()
+    for end, closed, outward in ((low, opening == "[", -1), (high, closing == "]", 1)):
+        end = typ(_end(end))
+        if typ is int:
+            inside, outside = end - outward, end + outward
+        else:
+            inside, outside = (np.nextafter(end, sign * np.inf) for sign in (-outward, outward))
+        assert (fits(end), fits(inside), fits(outside)) == (closed, True, False)
+
+
+def test_readme_settings_table_is_settings():
+    # README's table of settings gives _SETTINGS row for row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    row = r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|(?: `([^`]+)`)? \| (.+) \|$"
+    rows = re.findall(row, readme, re.M)
+    assert rows == [(s, k, d, f or "", must) for s, k, _, d, f, (must, _) in cli._SETTINGS]
 
 
 @pytest.mark.parametrize("command", ["tables", "erasure", "sweep-discord"])
@@ -930,6 +1046,35 @@ def test_unreachable_out_path_refused_before_the_run(
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert ".tmp" not in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "a-file"]
+    assert list((tmp_path / "a-dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
+def test_unreachable_replay_path_refused_before_the_replay(tmp_path, monkeypatch, capsys, where):
+    # a replay refuses a path no write can reach before the command runs, with
+    # the helper and message of main, and not naming the temporary file
+    out = tmp_path / "t.csv"
+    assert run_main(["tables", "--frames", "500", "--out", str(out)]) == 0
+    manifest = tmp_path / "t.csv.manifest.json"
+
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
+    target = {
+        "missing-dir": tmp_path / "missing" / "r.csv",
+        "a-dir": tmp_path / "a-dir",
+        "under-a-file": tmp_path / "a-file" / "r.csv",
+    }[where]
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.run_from_manifest(manifest, target)
+    assert str(exc.value).startswith(f"cannot write {target}: ") and ".tmp" not in str(exc.value)
+    assert run_main(["tables", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["a-dir", "a-file", "t.csv", "t.csv.manifest.json"]
     assert list((tmp_path / "a-dir").iterdir()) == []
 
 

@@ -83,13 +83,16 @@ def intensity(fields):
 
 
 def stream_fields(cfg, stream, frames, mean):
-    """(len(frames), M) oracle fields of one stream; each chunk is drawn whole from
-    chunk_rng(seed, stream, chunk), so a frame's row never depends on the others."""
+    """(len(frames), M) oracle fields of one stream. Chunk c's rows are drawn in
+    order from chunk_rng(seed, stream, c), up to the last row read: numpy fills
+    a normal draw in order, so a frame's row never depends on the others."""
     chunk, row = np.divmod(np.asarray(frames), CHUNK_FRAMES)
-    chunks = np.unique(chunk)
-    shape = (CHUNK_FRAMES, cfg.modes)
-    drawn = [thermal_fields(chunk_rng(cfg.seed, stream, c), shape, mean) for c in chunks]
-    return np.concatenate(drawn)[np.searchsorted(chunks, chunk) * CHUNK_FRAMES + row]
+    fields = np.empty((chunk.size, cfg.modes), dtype=complex)
+    for c in np.unique(chunk):
+        read = chunk == c
+        shape = (row[read].max() + 1, cfg.modes)
+        fields[read] = thermal_fields(chunk_rng(cfg.seed, stream, c), shape, mean)[row[read]]
+    return fields
 
 
 def oracle_fields(cfg, frames):
