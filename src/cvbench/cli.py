@@ -28,10 +28,13 @@ the analyzer and the confidence level. A command takes flags only for the
 settings it reads, so ``sweep-discord`` takes just ``--tau`` and
 ``--t-split``, and refuses the flag of the setting it sweeps.
 
-Each value is checked on its own in one place, ``_typed``, which every
-config passes before anything runs: the defaults with a config file
-(``load_config``), then with a command's flags overlaid (``main``), or a
-manifest's (``run_from_manifest``). It refuses a value that fails its rule as
+Each value is checked on its own in one place, ``_typed``, against its rule
+in ``_SETTINGS`` and, for a bench setting without one, against
+``BenchConfig``'s. Each ``run_*`` command passes its config through it before
+anything runs, whether the config comes from ``load_config``, from ``main``
+(a config file's text with the command's flags laid over it, so a flag may
+replace a bad value of the file), from a manifest (``run_from_manifest``) or
+from a caller who edited it. It refuses a value that fails its rule as
 ``[section] key must <rule>, got <value>``, so a command also refuses a bad
 value of a setting it does not read, since its manifest records every
 setting. ``run_sweep_discord`` adds the rules across settings: its photon
@@ -88,37 +91,53 @@ __all__ = [
 #: (its error grows as N^2 times machine epsilon: 2.3e-2 nats at 1e7)
 SWEEP_N_MAX = 1e7
 
+
+def _interval(low, high, brackets: str = "[]") -> tuple:
+    """The rule that a value lie between ``low`` and ``high``, each end admitted
+    where its bracket is square: (its phrase, its test); a NaN fails every test."""
+    opening, closing = brackets
+
+    def fits(v):
+        above = low < v or opening == "[" and v == low
+        return above and (v < high or closing == "]" and v == high)
+
+    return f"lie in {opening}{low:g}, {high:g}{closing}", fits
+
+
+def _at_least(low: int) -> tuple:
+    return f"be at least {low}", lambda v: v >= low
+
+
+def _one_of(*values: str) -> tuple:
+    return f"be {', '.join(values[:-1])} or {values[-1]}", values.__contains__
+
+
 #: every setting once: (section, key, type, default, flag, rule). The [source]
 #: and [bench] keys are the fields of ``BenchConfig``; a flag overrides its key
 #: on the commands that read it, and a key without one is set by config file
-#: only. A rule is (what a value must do, its test): ``_typed`` refuses every
-#: value that fails it, and a NaN, which fails every comparison, fails every range
+#: only. A rule is (what a value must do, its test), and ``_typed`` refuses every
+#: value that fails it. A [source] or [bench] key has one only where the tables
+#: ask more than ``BenchConfig``, whose own rules ``_typed`` applies to the rest
 _SETTINGS = (
-    ("source", "mean_photons", float, "1.0", None, ("be finite and positive", lambda v: 0 < v < np.inf)),
+    ("source", "mean_photons", float, "1.0", None, None),
     # a t_split of 0 or 1 leaves beam 2 or beam 3 dark, so no correlation with it is defined
-    ("source", "t_split", float, "0.5", "--t-split", ("lie in (0, 1)", lambda v: 0 < v < 1)),
-    ("bench", "modes", int, "100", "--modes", ("be at least 1", lambda v: v >= 1)),
+    ("source", "t_split", float, "0.5", "--t-split", _interval(0, 1, "()")),
+    ("bench", "modes", int, "100", "--modes", None),
     # a Fisher z interval needs 4 frames and a level in (0, 1) (``confidence_interval``)
-    ("bench", "frames", int, "100000", "--frames", ("be at least 4", lambda v: v >= 4)),
-    ("bench", "eta", float, "1.0", "--eta", ("lie in [0, 1]", lambda v: 0 <= v <= 1)),
-    ("bench", "seed", int, "42", "--seed", ("lie in [0, 2**64)", lambda v: 0 <= v < 2**64)),
-    ("bench", "workers", int, "1", "--workers", ("be at least 1", lambda v: v >= 1)),
-    ("analysis", "ci_level", float, "0.99", "--ci-level", ("lie in (0, 1)", lambda v: 0 < v < 1)),
-    ("analysis", "basis", str, "all", "--basis", (
-        f"be {', '.join(ANALYZERS)} or all", lambda v: v in (*ANALYZERS, "all")
-    )),
-    ("analysis", "tau_mix", float, "0.5", "--tau", ("lie in [0, 1]", lambda v: 0 <= v <= 1)),
-    ("sweep", "n_source_min", float, "0.02", None, ("be positive", lambda v: v > 0)),
-    ("sweep", "n_source_max", float, "50.0", None, (
-        f"lie in (0, {SWEEP_N_MAX:g}]", lambda v: 0 < v <= SWEEP_N_MAX
-    )),
-    ("sweep", "n_points", int, "50", None, ("be at least 2", lambda v: v >= 2)),
+    ("bench", "frames", int, "100000", "--frames", _at_least(4)),
+    ("bench", "eta", float, "1.0", "--eta", None),
+    ("bench", "seed", int, "42", "--seed", None),
+    ("bench", "workers", int, "1", "--workers", None),
+    ("analysis", "ci_level", float, "0.99", "--ci-level", _interval(0, 1, "()")),
+    ("analysis", "basis", str, "all", "--basis", _one_of(*ANALYZERS, "all")),
+    ("analysis", "tau_mix", float, "0.5", "--tau", _interval(0, 1)),
+    ("sweep", "n_source_min", float, "0.02", None, _interval(0, np.inf, "()")),
+    ("sweep", "n_source_max", float, "50.0", None, _interval(0, SWEEP_N_MAX, "(]")),
+    ("sweep", "n_points", int, "50", None, _at_least(2)),
     ("sweep", "taus", str, "0.15,0.5,0.85", None, (
         "name at least one transmissivity", lambda v: any(map(str.strip, v.split(",")))
     )),
-    ("sweep", "sweep_param", str, "tau_mix", None, (
-        "be tau_mix or t_split", lambda v: v in ("tau_mix", "t_split")
-    )),
+    ("sweep", "sweep_param", str, "tau_mix", None, _one_of("tau_mix", "t_split")),
 )
 
 #: section -> key -> default text, read off ``_SETTINGS``
@@ -154,8 +173,8 @@ def _typed(raw) -> dict:
 
     Values are typed from their text, so a manifest's ``"frames": "300"`` and
     a config file's ``frames = 300`` both give the int 300, while ``300.5``
-    is rejected rather than truncated. A value that fails its rule is refused
-    as ``[section] key must <rule>, got <value>``.
+    is rejected rather than truncated. A value that fails its rule, or the
+    rule of ``BenchConfig``, is refused as ``[section] key must <rule>, got <value>``.
     """
     if not isinstance(raw, dict) or not all(isinstance(keys, dict) for keys in raw.values()):
         raise ConfigError("config must map each section to its keys")
@@ -166,7 +185,7 @@ def _typed(raw) -> dict:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
     cfg: dict = {}
-    for section, key, typ, _, _, (must, fits) in _SETTINGS:
+    for section, key, typ, _, _, rule in _SETTINGS:
         try:
             value = raw[section][key]
         except KeyError:
@@ -175,14 +194,24 @@ def _typed(raw) -> dict:
             typed = typ(str(value))
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: cannot parse {value!r} as {typ.__name__}") from exc
-        if not fits(typed):
-            raise ConfigError(f"[{section}] {key} must {must}, got {typed!r}")
+        if rule is not None and not rule[1](typed):
+            raise ConfigError(f"[{section}] {key} must {rule[0]}, got {typed!r}")
         cfg.setdefault(section, {})[key] = typed
+    try:
+        BenchConfig(**cfg["source"], **cfg["bench"])
+    except ValueError as exc:  # "<key> must <rule>, got <value>"
+        section = "source" if str(exc).split()[0] in cfg["source"] else "bench"
+        raise ConfigError(f"[{section}] {exc}") from None
     return cfg
 
 
 def load_config(path: str | Path | None = None) -> dict:
-    """Defaults overlaid with an optional config file's sections; values are typed and checked.
+    """Defaults overlaid with an optional config file's sections; values are typed and checked."""
+    return _typed(_config_text(path))
+
+
+def _config_text(path: str | Path | None) -> dict:
+    """Defaults overlaid with an optional config file's sections, as text.
 
     configparser copies the keys of a ``[DEFAULT]`` section into every
     section, so one that sets a key is refused by name rather than have each
@@ -206,7 +235,7 @@ def load_config(path: str | Path | None = None) -> dict:
             raise ConfigError(f"unknown config section [{parser.default_section}]")
         for section in parser.sections():
             raw.setdefault(section, {}).update(parser[section])
-    return _typed(raw)
+    return raw
 
 
 def _require_writable(out_path: Path) -> None:
@@ -246,7 +275,11 @@ def _estimate(batch, a, b, level: float) -> tuple:
 
 
 def run_tables(cfg: dict) -> str:
-    """Interference bench CSV: one row per beam pair with in/out correlations and CIs."""
+    """Interference bench CSV: one row per beam pair with in/out correlations and CIs.
+
+    Like each command, it checks ``cfg`` through ``_typed`` before it runs.
+    """
+    cfg = _typed(cfg)
     batch = run_bench(BenchConfig(**cfg["source"], **cfg["bench"]))
     level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
     lines = ["pair,c_in,ci_in_lo,ci_in_hi,c_out,ci_out_lo,ci_out_hi"]
@@ -264,6 +297,7 @@ def run_erasure(cfg: dict) -> str:
     basis 'none' (no polarizers) reports only the 1-2 pair, whose beams leave
     the BS with orthogonal polarizations and identical total intensities.
     """
+    cfg = _typed(cfg)
     basis = cfg["analysis"]["basis"]
     bases = tuple(ANALYZERS) if basis == "all" else (basis,)
     level, tau = cfg["analysis"]["ci_level"], cfg["analysis"]["tau_mix"]
@@ -292,11 +326,12 @@ def run_sweep_discord(cfg: dict) -> str:
     to that arm. Correlations use the photon-counting variance: with the analog
     (classical) variance every split-thermal pair has intensity correlation
     exactly 1 and the curves would degenerate. ``cfg`` is checked setting by
-    setting (``load_config``); this adds the rules across settings, so a tau
+    setting (``_typed``), and then by the rules across settings, so a tau
     that fails the rule of the setting it sets (a t_split of 0 or 1 leaves
     beam 2 or beam 3 dark) and a photon grid with ``n_source_min`` not below
     ``n_source_max`` raise ``ConfigError`` before any series is computed.
     """
+    cfg = _typed(cfg)
     sweep = cfg["sweep"]
     taus = []
     for text in filter(str.strip, sweep["taus"].split(",")):
@@ -535,16 +570,17 @@ def _add_flags(sub: argparse.ArgumentParser, flags: tuple) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """The config file's settings overlaid with the command's flags, each checked by ``_typed``."""
-    cfg = load_config(args.config)
+    """The config file's text overlaid with the command's flags, then typed and
+    checked by ``_typed``, so a flag may replace a value that the file gets wrong."""
+    raw = _config_text(args.config)
     for section, key, _, _, flag, _ in _SETTINGS:
         value = getattr(args, key, None)
         if value is None:
             continue
-        if args.command == "sweep-discord" and key == cfg["sweep"]["sweep_param"]:
+        if args.command == "sweep-discord" and key == raw["sweep"]["sweep_param"]:
             raise ConfigError(f"{flag} sets {key}, which this sweep takes from [sweep] taus")
-        cfg[section][key] = value
-    return _typed(cfg)
+        raw[section][key] = value
+    return _typed(raw)
 
 
 def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = None) -> Path:
@@ -553,10 +589,10 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
     Raises ``ConfigError`` when the manifest cannot be read, is not a JSON
     object, records a value of ``_PROVENANCE`` other than this replay's or
     none (another cvbench version, numpy version or bench sampler, any of
-    which may give other bytes), names an unknown command, holds a config
-    that ``load_config`` would reject, or (without ``out_path``) records no
-    output, and, before the replay runs, when its output path is one that no
-    write can reach.
+    which may give other bytes), names an unknown command, or (without
+    ``out_path``) records no output, and, before the replay runs, when its
+    output path is one that no write can reach or its config breaks a rule
+    (the command checks it as it checks any config).
     """
     try:
         data = json.loads(Path(manifest_path).read_text())
@@ -574,7 +610,6 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
             )
     if data.get("command") not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {data.get('command')!r}")
-    cfg = _typed(data.get("config"))
     _, run, _ = _COMMANDS[data["command"]]
     if out_path is None:
         outputs = data.get("outputs")
@@ -583,7 +618,7 @@ def run_from_manifest(manifest_path: str | Path, out_path: str | Path | None = N
         out_path = outputs[0]
     out_path = Path(out_path)
     _require_writable(out_path)
-    _commit({out_path: run(cfg)})
+    _commit({out_path: run(data.get("config"))})
     return out_path
 
 

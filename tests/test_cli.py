@@ -949,6 +949,28 @@ def tables_manifest_text(tmp_path_factory):
     return Path(f"{out}.manifest.json").read_text()
 
 
+def refusal(row):
+    """The message refusing OUTSIDE_THE_RULE's value of ``row``: by the row's
+    rule, or, for a bench setting without one, by ``BenchConfig``'s."""
+    section, key, typ, _, _, rule = row
+    bad = typ(OUTSIDE_THE_RULE[key])
+    if rule is not None:
+        return f"[{section}] {key} must {rule[0]}, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        BenchConfig(**{key: bad})
+    return f"[{section}] {exc.value}"
+
+
+def rule_phrase(row):
+    """The rule a row's refusal names, read off the message."""
+    section, key, typ, *_ = row
+    message = refusal(row)
+    assert message.startswith(f"[{section}] {key} must ")
+    must, got, bad = message.removeprefix(f"[{section}] {key} must ").rpartition(", got ")
+    assert got and bad == repr(typ(OUTSIDE_THE_RULE[key]))  # the one form
+    return must
+
+
 @pytest.mark.parametrize("row", cli._SETTINGS, ids=lambda row: row[1])
 def test_each_rule_refuses_from_file_flag_and_manifest(
     tmp_path, monkeypatch, capsys, tables_manifest_text, row
@@ -956,10 +978,12 @@ def test_each_rule_refuses_from_file_flag_and_manifest(
     # the default passes its rule; a value outside it is refused in one form, by
     # every command from a config file, by the row's flag and by a replay, and
     # nothing runs or is written
-    section, key, typ, default, flag, (must, fits) = row
-    assert fits(typ(default))
+    section, key, typ, default, flag, rule = row
+    assert rule is not None or section in ("source", "bench")
+    assert rule is None or rule[1](typ(default))
     bad = OUTSIDE_THE_RULE[key]
-    message = f"[{section}] {key} must {must}, got {typ(bad)!r}"
+    rule_phrase(row)
+    message = refusal(row)
 
     def no_run(*args):
         raise AssertionError("the command ran")
@@ -985,41 +1009,52 @@ def test_each_rule_refuses_from_file_flag_and_manifest(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", path.name]
 
 
-def _end(text):
-    """A range's end as its rule's phrase writes it: a number, or a power such as 2**64."""
-    base, _, power = text.partition("**")
-    return float(base) ** int(power) if power else float(text)
+@pytest.mark.parametrize("row", cli._SETTINGS, ids=lambda row: row[1])
+def test_each_command_checks_an_edited_config(monkeypatch, row):
+    # a caller's config edited after load_config passes the same gate
+    section, key, typ, *_ = row
+
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    monkeypatch.setattr(cli, "prepare_discordant_pair", no_run)
+    for run in (cli.run_tables, cli.run_erasure, cli.run_sweep_discord):
+        cfg = cli.load_config()
+        cfg[section][key] = typ(OUTSIDE_THE_RULE[key])
+        with pytest.raises(cli.ConfigError) as exc:
+            run(cfg)
+        assert str(exc.value) == refusal(row), run.__name__
 
 
-@pytest.mark.parametrize(
-    "row",
-    [row for row in cli._SETTINGS if row[5][0].startswith(("lie in ", "be at least "))],
-    ids=lambda row: row[1],
-)
-def test_each_range_rule_tests_what_its_phrase_says(row):
-    # a range's test admits its ends as its phrase's brackets say, a value one
-    # step inside each end, and no value one step outside it
-    _, _, typ, _, _, (must, fits) = row
-    if must.startswith("be at least "):
-        low = typ(must.removeprefix("be at least "))
-        assert fits(low) and fits(low + 1) and not fits(low - 1)
-        return
-    opening, low, high, closing = re.fullmatch(r"lie in ([\[(])(.+), (.+)([\])])", must).groups()
-    for end, closed, outward in ((low, opening == "[", -1), (high, closing == "]", 1)):
-        end = typ(_end(end))
-        if typ is int:
-            inside, outside = end - outward, end + outward
-        else:
-            inside, outside = (np.nextafter(end, sign * np.inf) for sign in (-outward, outward))
-        assert (fits(end), fits(inside), fits(outside)) == (closed, True, False)
+def test_a_flag_replaces_a_value_the_file_gets_wrong(tmp_path, capsys):
+    # the flags are laid over the file's text, and the gate sees the result
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text("[source]\nt_split = 1.0\n")
+    out = tmp_path / "t.csv"
+    assert run_main(["tables", "--config", str(cfg), "--frames", "500", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [source] t_split must lie in (0, 1), got 1.0\n"
+    argv = ["tables", "--config", str(cfg), "--t-split", "0.5", "--frames", "500", "--out", str(out)]
+    assert run_main(argv) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["config"]["source"]["t_split"] == 0.5
+
+
+@pytest.mark.parametrize("brackets", ["[]", "[)", "(]", "()"])
+def test_interval_admits_its_ends_as_its_brackets_say(brackets):
+    must, fits = cli._interval(0, 1, brackets)
+    assert must == f"lie in {brackets[0]}0, 1{brackets[1]}"
+    assert (fits(0.0), fits(1.0)) == (brackets[0] == "[", brackets[1] == "]")
+    assert fits(np.nextafter(0.0, 1.0)) and fits(np.nextafter(1.0, 0.0))
+    assert not any(map(fits, (-1e-300, np.nextafter(1.0, 2.0), math.nan)))
 
 
 def test_readme_settings_table_is_settings():
-    # README's table of settings gives _SETTINGS row for row
+    # README's table of settings gives _SETTINGS row for row, each with the rule its refusal names
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     row = r"^\| `\[(\w+)\]` \| `(\w+)` \| `([^`]*)` \|(?: `([^`]+)`)? \| (.+) \|$"
     rows = re.findall(row, readme, re.M)
-    assert rows == [(s, k, d, f or "", must) for s, k, _, d, f, (must, _) in cli._SETTINGS]
+    assert rows == [(r[0], r[1], r[3], r[4] or "", rule_phrase(r)) for r in cli._SETTINGS]
 
 
 @pytest.mark.parametrize("command", ["tables", "erasure", "sweep-discord"])
