@@ -39,8 +39,9 @@ from a caller who edited it. It refuses a value that fails its rule as
 value of a setting it does not read, since its manifest records every
 setting. ``run_sweep_discord`` adds the rules across settings: its photon
 grid's ends, and each swept tau, judged by the rule of the setting it sets.
-``main`` and a replay refuse an output path that no write can reach, also
-before the run.
+Every path a command commits is checked before the run: ``main`` refuses a
+CSV path or a manifest path that no write can reach, and a replay its CSV
+path, so that no CSV is replaced without its manifest.
 """
 
 from __future__ import annotations
@@ -664,9 +665,12 @@ def main(argv: list[str] | None = None) -> int:
         return run_validate(quick=args.quick)
 
     out_path = Path(args.out) if args.out else Path(f"{args.command.replace('-', '_')}.csv")
+    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     _, run, _ = _COMMANDS[args.command]
     try:
-        _require_writable(out_path)
+        # both paths of the commit, so that neither file is replaced without the other
+        for path in (out_path, manifest_path):
+            _require_writable(path)
         cfg = _resolve_config(args)
         started = time.perf_counter()
         csv = run(cfg)
@@ -681,8 +685,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         _commit({
             out_path: csv,
-            out_path.with_suffix(out_path.suffix + ".manifest.json"):
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            manifest_path: json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         })
     except (ConfigError, ValueError, OSError, MemoryError, ArithmeticError) as exc:
         # OSError: an unwritable output path, e.g. a missing directory;

@@ -1120,6 +1120,29 @@ def test_unreachable_out_path_refused_before_the_run(
     assert list((tmp_path / "a-dir").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["tables", "erasure", "sweep-discord"])
+def test_a_directory_at_the_manifest_path_refused_before_the_run(
+    tmp_path, monkeypatch, capsys, command
+):
+    # the CSV could be replaced and its manifest not, so the run is refused
+    # before any frame is drawn, in one line that names the manifest's path
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run_bench", no_run)
+    monkeypatch.setattr(cli, "prepare_discordant_pair", no_run)
+    out = tmp_path / "t.csv"
+    out.write_text("pair,c_in\nold\n")
+    manifest = tmp_path / "t.csv.manifest.json"
+    manifest.mkdir()
+    frames = [] if command == "sweep-discord" else ["--frames", "2000"]
+    assert run_main([command, *frames, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {manifest}: it is a directory\n"
+    assert out.read_text() == "pair,c_in\nold\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.manifest.json"]
+    assert list(manifest.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
 def test_unreachable_replay_path_refused_before_the_replay(tmp_path, monkeypatch, capsys, where):
     # a replay refuses a path no write can reach before the command runs, with
