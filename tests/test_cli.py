@@ -201,13 +201,6 @@ class TestManifest:
         replay = cli.run_from_manifest(manifest_path, tmp_path / "replay.csv")
         assert replay.read_bytes() == out.read_bytes()
 
-    def test_erasure_roundtrip(self, tmp_path):
-        out = tmp_path / "erasure.csv"
-        run_main(["erasure", "--frames", "2000", "--out", str(out)])
-        replay = cli.run_from_manifest(tmp_path / "erasure.csv.manifest.json", tmp_path / "r.csv")
-        assert replay.read_bytes() == out.read_bytes()
-
-
     def _tables_manifest(self, tmp_path):
         out = tmp_path / "tables.csv"
         run_main(["tables", "--frames", "1000", "--out", str(out)])

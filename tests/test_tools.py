@@ -42,12 +42,27 @@ class TestCodeLines:
             assert result.stderr.splitlines() == [f"error: {package} holds no .py file"]
 
 
-def reference_runs(*args, cwd):
-    # the repo's own cvbench, wherever the tool runs from
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+#: numpy's AVX-512 kernels, switched off for a second run of the tool
+REDUCED_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def reference_runs(*args, cwd, **env):
+    # the repo's own cvbench, wherever the tool runs from, and a RuntimeWarning
+    # fails the run as pyproject.toml makes it fail a test
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning", **env)
     return subprocess.run(
         [sys.executable, str(REFERENCE_RUNS), *args], cwd=cwd, env=env, capture_output=True, text=True
     )
+
+
+def cpu_features():
+    """numpy's map of CPU feature -> active, imported where it is read, so that
+    TestCodeLines collects without numpy."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
 
 
 def read_ledger():
@@ -93,6 +108,63 @@ class TestReferenceRuns:
         assert result.stderr.splitlines() == ["usage: python tools/reference_runs.py DIR"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("where", ["a-file", "a-file/sub"])
+    def test_a_directory_that_cannot_be_made_is_refused(self, tmp_path, where):
+        # DIR is a file, or lies under one: one line naming it, before any run
+        (tmp_path / "a-file").write_text("")
+        directory = tmp_path / where
+        result = reference_runs(str(directory), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: cannot make directory {directory}: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "a-file"]
+
+    def test_it_stops_at_the_first_command_that_fails(self, tmp_path):
+        # a directory where t.csv goes fails the first command: cvbench's line,
+        # then the tool's naming the command, whose code it exits with, and no
+        # later command runs
+        (tmp_path / "t.csv").mkdir()
+        result = reference_runs(str(tmp_path), cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: cannot write {tmp_path / 't.csv'}: it is a directory",
+            "error: cvbench tables --frames 2000 exited 2",
+        ]
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_each_manifest_replays_its_csv(self, reference_dir, tmp_path):
+        # in this process, through the replay that a user runs; a replay
+        # writes its CSV alone, without a manifest
+        from cvbench.cli import run_from_manifest
+
+        moved = []
+        for manifest in sorted(reference_dir.glob("*.csv.manifest.json")):
+            name = manifest.name.removesuffix(".manifest.json")
+            replay = run_from_manifest(manifest, tmp_path / name)
+            if replay.read_bytes() != (reference_dir / name).read_bytes():
+                moved.append(name)
+        assert len(list(tmp_path.iterdir())) == 12
+        assert not moved, f"replayed with other bytes: {', '.join(moved)}"
+
+    def test_the_outputs_do_not_depend_on_simd_dispatch(self, reference_dir, tmp_path):
+        # a second run with numpy's AVX-512 kernels switched off writes every
+        # CSV and validate.out with the bytes of the native run, but those the
+        # ledger names dispatch-bound (ROADMAP item 2). The two runs are
+        # compared with each other, not with the ledger, so the check holds
+        # under any numpy, where the ledger test may skip
+        if not cpu_features().get("X86_V4"):
+            pytest.skip("X86_V4 is not active here, so both runs would use the same kernels")
+        result = reference_runs(str(tmp_path), cwd=tmp_path, NPY_DISABLE_CPU_FEATURES=REDUCED_DISPATCH)
+        assert result.returncode == 0, result.stderr
+        bound = read_ledger()[0]["dispatch-bound"].split()
+        written = [*reference_dir.glob("*.csv"), reference_dir / "validate.out"]
+        moved = sorted(
+            path.name for path in written
+            if path.name not in bound and (tmp_path / path.name).read_bytes() != path.read_bytes()
+        )
+        assert not moved, f"moved under NPY_DISABLE_CPU_FEATURES={REDUCED_DISPATCH!r}: {', '.join(moved)}"
+
     def test_the_outputs_match_the_ledger(self, reference_dir):
         # every CSV and validate.out keeps the bytes the ledger records. Where
         # the provenance a manifest records differs from the header's, or
@@ -109,11 +181,8 @@ class TestReferenceRuns:
         ]
         if differs:
             pytest.skip("; ".join(differs))
-        # imported once numpy is known to be the header's, as numpy before 2.0
-        # keeps this module under numpy.core
-        from numpy._core._multiarray_umath import __cpu_features__
-
-        here = {key: "active" if __cpu_features__.get(key) else "inactive" for key in ("X86_V3", "X86_V4")}
+        features = cpu_features()
+        here = {key: "active" if features.get(key) else "inactive" for key in ("X86_V3", "X86_V4")}
         if here["X86_V3"] != header["X86_V3"]:
             pytest.skip(
                 f"X86_V3 is {here['X86_V3']} here and {header['X86_V3']} in the ledger, "

@@ -9,14 +9,20 @@ in this one process through ``cvbench.cli.main``, so the runs take a fraction
 of a second, where an interpreter per command took seconds. They run on the
 cvbench that Python imports: ``PYTHONPATH=src`` selects the repo's own.
 
-DIR is made if it is missing. The tool stops at the first command that exits
-with a code other than 0, and exits with that code after one ``error:`` line
-naming the command. Without DIR it prints one usage line, writes nothing and
-exits 2.
+DIR is made if it is missing; where DIR is a file or lies under one, the tool
+prints one ``error:`` line and exits 2 before any run. The tool stops at the
+first command that exits with a code other than 0, and exits with that code
+after one ``error:`` line naming the command. Without DIR it prints one usage
+line, writes nothing and exits 2.
 
 ``tools/reference.sha256`` records the sha256 of every CSV and of
 ``validate.out`` written here (a manifest holds times and paths, so none is
-recorded), and ``tests/test_tools.py`` checks a run of this tool against it.
+recorded). ``tests/test_tools.py::TestReferenceRuns`` reads the outputs of one
+run of this tool: ``test_the_outputs_match_the_ledger`` compares them with the
+ledger, ``test_each_manifest_replays_its_csv`` replays every manifest through
+``cvbench.cli.run_from_manifest``, and
+``test_the_outputs_do_not_depend_on_simd_dispatch`` compares them with a second
+run under ``NPY_DISABLE_CPU_FEATURES``.
 """
 
 from __future__ import annotations
@@ -66,11 +72,15 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/reference_runs.py DIR", file=sys.stderr)
         return 2
-    # imported after the usage check, so that a usage error returns before numpy loads
+    directory = Path(argv[1])
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # DIR is a file or lies under one, for instance
+        print(f"error: cannot make directory {directory}: {exc.strerror}", file=sys.stderr)
+        return 2
+    # imported after the checks of DIR, so that a refusal returns before numpy loads
     from cvbench.cli import main as cvbench
 
-    directory = Path(argv[1])
-    directory.mkdir(parents=True, exist_ok=True)
     for name, text in RUNS:
         path = directory / name
         if name.endswith(".cfg"):
