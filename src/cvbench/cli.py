@@ -87,10 +87,10 @@ __all__ = [
     "main",
 ]
 
-#: largest source photon number a sweep may reach. Beyond it the closed-form
-#: discord, whose invariants cancel at scale N^4, loses its printed digits
-#: (its error grows as N^2 times machine epsilon: on split thermal pairs up
-#: to 1.5e-3 nats at 1e6 and 0.13 at 1e7)
+#: largest source photon number a sweep may reach, the range over which the
+#: discord's error is tested: on split thermal pairs, against 60 digits, up
+#: to 1.3e-9 nats at 1e6, 3.5e-9 at 1e7 and 3.4e-8 at 1e8, while at 1e9 the
+#: closed form refuses 6 of 19 t_splits from 0.05 to 0.95
 SWEEP_N_MAX = 1e7
 
 

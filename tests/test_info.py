@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbench import info
+from cvbench.cli import SWEEP_N_MAX
 from cvbench.info import (
     DISCORD_CLAMP,
     _clamped,
@@ -290,8 +291,7 @@ def homodyne_discord(state):
     That expression is the conditional determinant of the best homodyne
     measurement, written out here from the package's invariants.
     """
-    _, (ia, ib, ic, k), fixed = info._discord_terms(state)
-    id_ = ia * ib + k
+    _, (ia, ib, ic, k, id_), _, fixed = info._discord_terms(state)
     root = np.sqrt(np.maximum(ic**4 + k**2 - 2.0 * ic**2 * (id_ + ia * ib), 0.0))
     e_hom = (ia * ib - ic**2 + id_ - root) / (2.0 * ib)
     return fixed + info._h_vec(np.sqrt(np.maximum(e_hom, 1.0)))
@@ -440,9 +440,9 @@ SINGLE_STATE_INPUTS = [
 @pytest.mark.parametrize("t_split", [0.15, 0.3, 0.5, 0.7, 0.85])
 def test_split_thermal_discord_to_six_decimals(t_split):
     # heterodyne-optimal closed form of a split thermal pair, in thermal
-    # entropies: g((1 - t) N) - g(N) + g(t N / ((1 - t) N + 1)). The invariants
-    # cancel at scale N^4, which leaves the sweep's 6 decimals up to N = 1e4
-    n_tot = np.geomspace(1e-3, 1e4, 200)
+    # entropies: g((1 - t) N) - g(N) + g(t N / ((1 - t) N + 1)), over the
+    # sweep's photon range
+    n_tot = np.geomspace(1e-3, SWEEP_N_MAX, 200)
     values = gaussian_discord(prepare_discordant_pair(SingleModeSpec(n_tot), t_split))
     for n, value in zip(n_tot.tolist(), values.tolist()):
         kept = (1.0 - t_split) * n
@@ -602,21 +602,23 @@ def test_discord_clamp_bounds():
             _clamped(np.array([0.1, value]), "discord")
 
 
-#: a split thermal pair (N = 1e4, t_split 0.5) under local squeezing, which
-#: GaussianState accepts: its invariant discord is ln 2, but det CM cancels
-#: to a negative value, so nu- would be NaN and read as a pure mode (9.5173)
+#: a split thermal pair (N = 1e4, t_split 0.5) under the local squeezers
+#: r = -6 at theta = 1 and r = -2 at theta = 0.5, which GaussianState accepts:
+#: its invariant discord is ln 2, but its Schur complement S = B - C^T A^-1 C
+#: cancels at the squeezed scale, and det CM = det A det S rounds to a
+#: negative value, so nu- would be NaN and read as a pure mode
 CANCELLED_DET_CM = [
-    [40840610.942068204, 1517466.1090169428, 7096176.171716856, -14571783.519447874],
-    [1517466.1090169428, 56383.299463410476, 261697.59564997818, -537384.588416845],
-    [7096176.171716856, 261697.59564997818, 7551297.624761955, -15517680.053324971],
-    [-14571783.519447874, -537384.588416845, -15517680.053324971, 31888349.686117798],
+    [237586005.83945292, 370018280.7164186, 6168229.252049521, 3450295.8557771537],
+    [370018280.7164186, 576269328.6820005, 9606375.266160315, 5373480.850903851],
+    [6168229.252049521, 9606375.266160315, 210286.21664188843, 114829.84933271483],
+    [3450295.8557771537, 5373480.850903851, 114829.84933271483, 62823.419951112555],
 ]
 
 
 def test_cancelled_det_cm_is_refused_not_read_as_a_value():
     state = GaussianState(np.array(CANCELLED_DET_CM))
     for read_out in (gaussian_discord, discord_oracle):
-        with pytest.raises(ArithmeticError, match="det CM evaluated to -7.66"):
+        with pytest.raises(ArithmeticError, match="det CM evaluated to -6.43"):
             read_out(state)
     # in a stack, the error names the member
     stack = GaussianState(np.stack([split_pair(SingleModeSpec(2.0)).cm, state.cm]))
@@ -666,7 +668,8 @@ def test_conditional_dets_refuse_a_non_finite_block(block, bad):
     q_vals, phi_vals = np.linspace(1.0, 0.0, 5), np.linspace(0.0, math.pi, 4, endpoint=False)
     # inf times a zero entry is NaN, and numpy's warning of it is not the refusal
     with np.errstate(invalid="ignore"):
-        coefficients = info._objective_coefficients(*blocks)
+        invariants, s = info._schur(*blocks)
+        coefficients = info._objective_coefficients(invariants[0], s, blocks[1])
         with pytest.raises(ArithmeticError, match="conditional determinant that is not finite"):
             info._conditional_dets(coefficients, *disk_point(q_vals[:, None], phi_vals))
 
@@ -694,20 +697,20 @@ def c03_states(indices):
 # each call converges
 PINNED_ORACLE_BITS = {
     "validate": (validate_oracle_states, [
-        ("0x1.033af65547136p-2", 1),
-        ("0x1.c170dc95b8264p-4", 1),
+        ("0x1.033af65547138p-2", 1),
+        ("0x1.c170dc95b825cp-4", 1),
         ("0x1.8779e4cc13478p-2", 1),
-        ("0x1.8ec4f8ce25b5ep-3", 1),
+        ("0x1.8ec4f8ce25b6ap-3", 1),
         ("0x1.7a5575aa58778p-3", 1),
-        ("0x1.d24acceb26566p-3", 1),
-        ("0x1.2a78a0f6e0750p-3", 1),
-        ("0x1.1c54efb1ce29cp-3", 1),
-        ("0x1.82e6e8a47a270p-3", 1),
+        ("0x1.d24acceb2655ep-3", 1),
+        ("0x1.2a78a0f6e074cp-3", 1),
+        ("0x1.1c54efb1ce2a4p-3", 1),
+        ("0x1.82e6e8a47a268p-3", 1),
         ("0x1.28725ba5f0b54p-2", 1),
     ]),
     "c03": (lambda: c03_states([5, 7]), [
-        ("0x1.7f61c44029ec0p-2", 3),
-        ("0x1.1dcc68763b3b0p-2", 3),
+        ("0x1.7f61c44029ea0p-2", 3),
+        ("0x1.1dcc68763b3c0p-2", 3),
     ]),
 }
 
@@ -761,11 +764,10 @@ def test_shared_term_equals_the_entropy_difference():
     # h(sqrt det B) - h(nu-) - h(nu+), the measurement-free term that both
     # discord read-outs take from _discord_terms, so that C03 compares only
     # their minima, is S(B) - S(AB): checked here against entropy(), which
-    # reads the symplectic spectrum another way. Worst measured: 1.6e-13 on
-    # the random draws, 4.4e-11 on split pairs (t_split 0.5, N 94), whose
-    # invariants cancel at scale N^4
+    # reads the symplectic spectrum another way. Worst measured: 1.5e-14 on
+    # the random draws, 8.0e-15 on the split pairs
     def gap(state):
-        _, _, shared = info._discord_terms(state)
+        *_, shared = info._discord_terms(state)
         return np.max(np.abs(shared - (entropy(partial_trace(state, (1,))) - entropy(state))))
 
     assert gap(random_two_mode_state(np.random.default_rng(7), (400,))) <= 1e-12
@@ -822,9 +824,8 @@ def test_oracle_meets_the_closed_form_next_to_the_heterodyne():
     # t_split in [0.1, 0.9]. Their optimal measurements lie next to the
     # heterodyne, where all angles of polar coordinates (q, phi) meet and a
     # search on them stalls, up to 5.8e-6 above the minimum. The bound is
-    # 1e-12 plus the closed form's N^2 eps error (see gaussian_discord),
-    # taken as 4 eps (1 + N)^2; the measured worst is 0.17 of these units
-    # beyond 1e-12 (2.0e-12 at N = 82)
+    # 1e-12 plus a margin for the closed form's rounding, 4 eps (1 + N)^2;
+    # the measured worst is 2.1e-15 (at N = 0.13)
     rng = np.random.default_rng(1)
     n_tot = 10.0 ** rng.uniform(-1.0, 2.0, 400)
     beta = 10.0 ** rng.integers(-12, -1, 400)
@@ -892,22 +893,25 @@ def test_conditional_dets_lose_digits_only_as_n_eps(n_tot):
         pair = apply_symplectic(pair, SymplecticOp(local))
         blocks = info._ordered_blocks(pair)
         points = disk_point(np.array(q_vals)[:, None], np.array(phi_vals))
-        dets = info._conditional_dets(info._objective_coefficients(*blocks), *points)
+        invariants, s = info._schur(*blocks)
+        coefficients = info._objective_coefficients(invariants[0], s, blocks[1])
+        dets = info._conditional_dets(coefficients, *points)
         for (i, q), (j, phi) in itertools.product(enumerate(q_vals), enumerate(phi_vals)):
             exact = exact_conditional_det(*blocks, q, phi)
             assert abs(Fraction(float(dets[i, j])) / exact - 1) <= bound, (q, phi)
 
 
-#: the range where the closed form's rounding is measured (worst 5.8e-11 nats):
-#: split pairs of up to 1e2 photons, at most half of them squeezed, under
-#: local squeezers of |r| <= 1. Brighter or purer states lose more digits
+#: the range where the closed form's rounding is measured: split pairs of up
+#: to 1e7 photons, the sweep's range, at most half of them squeezed, under
+#: local squeezers of |r| <= 1. Purer states and stronger squeezers lose more
+#: digits
 squeezings = st.floats(-1.0, 1.0)
 angles = st.floats(0.0, math.pi)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(
-    n_tot=st.floats(0.0, 100.0),
+    n_tot=st.floats(0.0, SWEEP_N_MAX),
     beta=st.floats(0.0, 0.5),
     t_split=st.floats(0.1, 0.9),
     r=st.tuples(squeezings, squeezings),
@@ -916,13 +920,13 @@ angles = st.floats(0.0, math.pi)
 def test_local_symplectic_maps_keep_the_correlations(n_tot, beta, t_split, r, theta):
     # discord, mutual information and marginal entropies are invariant under
     # S_A + S_B (Adesso & Datta, PRL 105, 030501 (2010)). The bound is the
-    # closed form's N^2 eps error scaled by the map's squared condition number
-    # e^(4 |r|); the measured worst is 29 of these units
+    # closed form's N eps error scaled by the map's squared condition number
+    # e^(4 |r|); the measured worst is 0.18 of these units
     pair = prepare_discordant_pair(SingleModeSpec(n_tot, beta), t_split)
     local = np.zeros((4, 4))
     local[:2, :2], local[2:, 2:] = (local_squeezer(*p) for p in zip(r, theta))
     mapped = apply_symplectic(pair, SymplecticOp(local))
-    bound = 256.0 * np.finfo(float).eps * (1.0 + n_tot) ** 2 * math.exp(4.0 * max(map(abs, r)))
+    bound = 256.0 * np.finfo(float).eps * (1.0 + n_tot) * math.exp(4.0 * max(map(abs, r)))
     read_outs = (
         gaussian_discord,
         lambda s: gaussian_discord(partial_trace(s, (1, 0))),

@@ -42,8 +42,13 @@ class TestCodeLines:
             assert result.stderr.splitlines() == [f"error: {package} holds no .py file"]
 
 
-#: numpy's AVX-512 kernels, switched off for a second run of the tool
-REDUCED_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+#: the two dispatch axes, each switched for a second run of the tool: variable ->
+#: (its value, the CPU feature that must be active here for it to switch kernels).
+#: numpy's AVX-512 kernels off, and OpenBLAS's kernels for CPUs before AVX2 on
+DISPATCH_SWITCHES = {
+    "NPY_DISABLE_CPU_FEATURES": ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4"),
+    "OPENBLAS_CORETYPE": ("Sandybridge", "X86_V3"),
+}
 
 
 def reference_runs(*args, cwd, **env):
@@ -147,31 +152,34 @@ class TestReferenceRuns:
         assert len(list(tmp_path.iterdir())) == 12
         assert not moved, f"replayed with other bytes: {', '.join(moved)}"
 
-    def test_the_outputs_do_not_depend_on_simd_dispatch(self, reference_dir, tmp_path):
-        # a second run with numpy's AVX-512 kernels switched off writes every
-        # CSV and validate.out with the bytes of the native run, but those the
-        # ledger names dispatch-bound (ROADMAP item 2). The two runs are
+    @pytest.mark.parametrize("variable", DISPATCH_SWITCHES)
+    def test_the_outputs_do_not_depend_on_simd_dispatch(self, reference_dir, tmp_path, variable):
+        # a second run with other kernels on one dispatch axis writes every
+        # output with the bytes of the native run, but those the ledger names
+        # dispatch-bound (ROADMAP item 2): all 12 CSVs. The two runs are
         # compared with each other, not with the ledger, so the check holds
         # under any numpy, where the ledger test may skip
-        if not cpu_features().get("X86_V4"):
-            pytest.skip("X86_V4 is not active here, so both runs would use the same kernels")
-        result = reference_runs(str(tmp_path), cwd=tmp_path, NPY_DISABLE_CPU_FEATURES=REDUCED_DISPATCH)
+        value, needed = DISPATCH_SWITCHES[variable]
+        if not cpu_features().get(needed):
+            pytest.skip(f"{needed} is not active here, so both runs would use the same kernels")
+        result = reference_runs(str(tmp_path), cwd=tmp_path, **{variable: value})
         assert result.returncode == 0, result.stderr
         bound = read_ledger()[0]["dispatch-bound"].split()
         written = [*reference_dir.glob("*.csv"), reference_dir / "validate.out"]
+        compared = [path for path in written if path.name not in bound]
+        assert len(compared) == 12
         moved = sorted(
-            path.name for path in written
-            if path.name not in bound and (tmp_path / path.name).read_bytes() != path.read_bytes()
+            path.name for path in compared if (tmp_path / path.name).read_bytes() != path.read_bytes()
         )
-        assert not moved, f"moved under NPY_DISABLE_CPU_FEATURES={REDUCED_DISPATCH!r}: {', '.join(moved)}"
+        assert not moved, f"moved under {variable}={value!r}: {', '.join(moved)}"
 
     def test_the_outputs_match_the_ledger(self, reference_dir):
         # every CSV and validate.out keeps the bytes the ledger records. Where
-        # the provenance a manifest records differs from the header's, or
-        # X86_V3 does, the bytes may differ too, so nothing is compared and the
-        # skip says why. An output the ledger marks dispatch-bound is compared
-        # only under the X86_V4 state that wrote it, and the test says when it
-        # leaves one out
+        # the provenance a manifest records differs from the header's, the
+        # bytes may differ too, so nothing is compared and the skip says why.
+        # An output the ledger marks dispatch-bound is compared only where
+        # X86_V3 and X86_V4 are both as the header records, and the test says
+        # when it leaves one out
         from cvbench.cli import _PROVENANCE
 
         header, pinned = read_ledger()
@@ -183,17 +191,13 @@ class TestReferenceRuns:
             pytest.skip("; ".join(differs))
         features = cpu_features()
         here = {key: "active" if features.get(key) else "inactive" for key in ("X86_V3", "X86_V4")}
-        if here["X86_V3"] != header["X86_V3"]:
-            pytest.skip(
-                f"X86_V3 is {here['X86_V3']} here and {header['X86_V3']} in the ledger, "
-                "so numpy's OpenBLAS runs other kernels"
-            )
-        skipped = [] if here["X86_V4"] == header["X86_V4"] else header["dispatch-bound"].split()
+        other = [
+            f"{key} is {state} here and {header[key]} in the ledger"
+            for key, state in here.items() if state != header[key]
+        ]
+        skipped = header["dispatch-bound"].split() if other else []
         if skipped:
-            warnings.warn(
-                f"not compared, as X86_V4 is {here['X86_V4']} here and {header['X86_V4']} in the "
-                f"ledger: {', '.join(skipped)}"
-            )
+            warnings.warn(f"not compared, as {' and '.join(other)}: {', '.join(skipped)}")
         written = [*reference_dir.glob("*.csv"), reference_dir / "validate.out"]
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
         moved = sorted(

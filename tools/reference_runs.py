@@ -22,7 +22,8 @@ run of this tool: ``test_the_outputs_match_the_ledger`` compares them with the
 ledger, ``test_each_manifest_replays_its_csv`` replays every manifest through
 ``cvbench.cli.run_from_manifest``, and
 ``test_the_outputs_do_not_depend_on_simd_dispatch`` compares them with a second
-run under ``NPY_DISABLE_CPU_FEATURES``.
+run on each dispatch axis, under ``NPY_DISABLE_CPU_FEATURES`` and under
+``OPENBLAS_CORETYPE``.
 """
 
 from __future__ import annotations
