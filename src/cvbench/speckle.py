@@ -57,9 +57,14 @@ width, and a run draws exactly its frames, its last chunk only as far as
 the run reaches. This keying is the reproducibility contract: any frame is
 reproducible by regenerating its chunk alone (``chunk_record``), a run is a
 prefix of any longer run, and the output cannot depend on
-``BenchConfig.workers``, which is accepted and recorded for compatibility
-while the sampler runs serially. The numbers for a given seed changed in
-0.2.0, when this sampler replaced per-mode fields, in 0.3.0, when the fold
+``BenchConfig.workers``. That is the number of threads that fill each
+chunk's rows (``_Drawers``), capped by the rows a chunk draws and the CPUs
+the process may use: the calling thread opens every row's generator, in
+slot order, and deals only the fills, each row into its own row of the one
+buffer, then does all arithmetic and the fold itself, in chunk order. A
+row's bits are fixed by its key alone, so no worker count, and no order in
+which the threads finish, moves a byte. The numbers for a given seed
+changed in 0.2.0, when this sampler replaced per-mode fields, in 0.3.0, when the fold
 and chunks of 1,024 frames replaced four draws per block and chunks of 256
 frames, in 0.4.0, when each chunk's draws moved from its Philox stream to
 the SFC64 generator that stream seeds, in 0.5.0, when chunks grew to 2,048
@@ -77,6 +82,8 @@ per-mode field oracle against which the records are law-tested lives in
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -135,9 +142,12 @@ class BenchConfig:
     k = round((1 - eta) M) of each beam's M modes, rounding a half to even
     (``_substituted``), which caps the attainable correlations at
     (M - k) / M: eta only where (1 - eta) M is whole, so 5/7 at M = 7 and
-    eta = 0.7. ``modes``, ``frames``, ``seed`` and ``workers`` are Python or
-    numpy integers, not bools; any other value, or one out of range, raises
-    ``ValueError``.
+    eta = 0.7. ``workers`` is the number of threads that fill each chunk's
+    rows, at most one per row a chunk draws (3 at eta = 1, 8 or 5 below)
+    and per CPU the process may use; it changes no byte, since every row
+    has its own keyed generator (``run_bench``). ``modes``, ``frames``,
+    ``seed`` and ``workers`` are Python or numpy integers, not bools; any
+    other value, or one out of range, raises ``ValueError``.
     """
 
     modes: int = 100
@@ -436,7 +446,105 @@ def _buffers(config: BenchConfig, frames: int) -> np.ndarray:
     return np.empty((9 if _substituted(config) else 4, frames))
 
 
-def _rows(config: BenchConfig, keys: np.ndarray, buffer: np.ndarray) -> tuple:
+def _shapes(config: BenchConfig) -> dict[int, float | None]:
+    """Slot -> Gamma shape, or None for a standard normal, of each row a chunk draws (``_rows``)."""
+    k = _substituted(config)
+    r = config.modes - k
+    shapes = {}
+    if r:
+        shapes.update({0: r, 1: r - 0.5, 2: None})
+    if k:
+        shapes.update({3: k, 4: k - 0.5, 5: None, 6: k, 7: k})
+    return shapes
+
+
+def _fill(rows) -> None:
+    """Draw each (generator, Gamma shape or None for a standard normal, row) into its row."""
+    for rng, shape, out in rows:
+        if shape is None:
+            rng.standard_normal(out=out)
+        else:
+            rng.standard_gamma(shape, out=out)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _Drawers:
+    """The n drawers that fill one run's rows, chunk by chunk: the calling thread and n - 1 helpers.
+
+    ``fill`` deals a chunk's i-th row to drawer i mod n, fills drawer 0's
+    rows on the calling thread and returns once every drawer has filled its
+    own, so consecutive rows, the two Gamma rows of a Wishart block among
+    them, go to different drawers. A numpy generator fills its ``out``
+    without the GIL, holding only its own bit generator's lock, and each row
+    has its own generator and its own row of the buffer, so a row's bits do
+    not depend on which drawer fills it, or when. An exception raised by a
+    helper's fill is raised again by ``fill`` in the calling thread. The
+    helpers are started here, per run, and ``close`` stops and joins them;
+    at n = 1 no thread is started.
+
+    Each helper waits on two locks of its own, held while it is idle: the
+    caller releases ``go`` once the helper's deal is set, and the helper
+    releases ``done`` once it is filled. ``close`` sets a flag and releases
+    every held ``go``: a helper that is filling, because the caller's own
+    fill raised, finishes its rows first.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._deals: list[list] = []
+        self._errors: list[BaseException] = []
+        self._closed = False
+        self._helpers: list[tuple] = []  # (thread, go, done) per helper
+        try:
+            for i in range(1, n):
+                go, done = threading.Lock(), threading.Lock()
+                go.acquire()
+                done.acquire()
+                helper = threading.Thread(target=self._draw, args=(i, go, done), daemon=True)
+                helper.start()
+                self._helpers.append((helper, go, done))
+        except BaseException:
+            self.close()
+            raise
+
+    def _draw(self, i: int, go, done) -> None:
+        while True:
+            go.acquire()
+            if self._closed:
+                return
+            try:
+                _fill(self._deals[i])
+            except BaseException as error:
+                self._errors.append(error)
+            done.release()
+
+    def fill(self, rows: list) -> None:
+        n = len(self._helpers) + 1
+        self._deals = [rows[i::n] for i in range(n)]
+        for _, go, _ in self._helpers:
+            go.release()
+        _fill(self._deals[0])
+        for _, _, done in self._helpers:
+            done.acquire()
+        if self._errors:
+            raise self._errors[0]
+
+    def close(self) -> None:
+        # an unheld go is one its helper is about to take, and it then sees the flag
+        self._closed = True
+        for helper, go, _ in self._helpers:
+            if go.locked():
+                go.release()
+            helper.join()
+
+
+def _rows(shapes: dict, keys: np.ndarray, buffer: np.ndarray, drawers: _Drawers) -> tuple:
     """The unscaled rows of one chunk's frames, drawn into ``buffer`` from the chunk's row keys.
 
     With k = round((1 - eta) M) substituted modes, a frame's draws are B =
@@ -444,38 +552,29 @@ def _rows(config: BenchConfig, keys: np.ndarray, buffer: np.ndarray) -> tuple:
     substitute), three draws each (``_bartlett``), and two Gamma(k): source
     2 and the split substitute on the substituted modes. Each draw has its
     own row of ``buffer`` (from ``_buffers``, as wide as the chunk's frames
-    it holds), in a fixed slot: B's Gamma(M - k), Gamma(M - k - 1/2) and
-    normal in slots 0-2, then, if k > 0, A's Gamma(k), Gamma(k - 1/2) and
-    normal and the two Gamma(k) in slots 3-7; the last row is scratch. The
-    row in slot j is drawn from its own generator, ``_row_rng(keys[j])`` of
-    the chunk's ``_row_keys``, so its first w frames are the same bits
-    whatever the buffer's width: a short last chunk draws only the frames
-    that a run keeps. B's rows are zeroed when M - k = 0, which draws none.
-    The arithmetic then runs once over all rows, in place. At k = 0 the
-    rows are B's three Bartlett rows (B_xx, B_yy, Re B_xy); at k > 0 they
-    are the five sums of draws (A_xx + B_xx, G_s2 + B_yy, G_ss + B_yy, A_yy
-    + B_yy, Re A_xy + Re B_xy). Each record column is one row times one
-    scale (``_columns``). The rows are views of the buffer, which the next
-    call with the same buffer overwrites.
+    it holds), in a fixed slot (``_shapes``): B's Gamma(M - k),
+    Gamma(M - k - 1/2) and normal in slots 0-2, then, if k > 0, A's
+    Gamma(k), Gamma(k - 1/2) and normal and the two Gamma(k) in slots 3-7;
+    the last row is scratch. The row in slot j is drawn from its own
+    generator, ``_row_rng(keys[j])`` of the chunk's ``_row_keys``, so its
+    first w frames are the same bits whatever the buffer's width: a short
+    last chunk draws only the frames that a run keeps. Every generator is
+    opened here, on the calling thread and in slot order, and only the fills
+    are dealt to the run's ``drawers``. B's rows are zeroed when M - k = 0,
+    which draws none. The arithmetic then runs once over all rows, in place,
+    on the calling thread. At k = 0 the rows are B's three Bartlett rows
+    (B_xx, B_yy, Re B_xy); at k > 0 they are the five sums of draws (A_xx +
+    B_xx, G_s2 + B_yy, G_ss + B_yy, A_yy + B_yy, Re A_xy + Re B_xy). Each
+    record column is one row times one scale (``_columns``). The rows are
+    views of the buffer, which the next call with the same buffer
+    overwrites.
     """
-    k = _substituted(config)
-    r = config.modes - k
-    shapes = {}  # slot: Gamma shape, or None for a standard normal
-    if r:
-        shapes.update({0: r, 1: r - 0.5, 2: None})
-    else:
+    if 0 not in shapes:  # M - k = 0
         buffer[:3].fill(0.0)
-    if k:
-        shapes.update({3: k, 4: k - 0.5, 5: None, 6: k, 7: k})
-    for slot, shape in shapes.items():
-        rng = _row_rng(keys[slot])
-        if shape is None:
-            rng.standard_normal(out=buffer[slot])
-        else:
-            rng.standard_gamma(shape, out=buffer[slot])
+    drawers.fill([(_row_rng(keys[slot]), shape, buffer[slot]) for slot, shape in shapes.items()])
 
     b_xx, b_yy, b_xy = _bartlett(buffer[:3], buffer[-1])
-    if not k:
+    if 3 not in shapes:  # k = 0
         return b_xx, b_yy, b_xy
     # A's cross term goes through B's spent normal row
     a_xx, a_yy, a_xy = _bartlett(buffer[3:6], buffer[2])
@@ -494,12 +593,20 @@ def _chunk_rows(config: BenchConfig, first: int, frames: int):
     Every row key is read at once (``_row_keys``), and every chunk is drawn
     into one buffer of at most ``CHUNK_FRAMES`` frames, so a yielded tuple
     is overwritten by the next. The last chunk is drawn only as far as the
-    frames reach.
+    frames reach. The rows of each chunk are filled by min(workers, rows
+    drawn per chunk, CPUs the process may use) drawers (``_Drawers``), whose
+    helper threads live until the last chunk is drawn or the generator is
+    closed.
     """
     n_chunks = -(-frames // CHUNK_FRAMES)
     buffer = _buffers(config, min(frames, CHUNK_FRAMES))
-    for c, keys in enumerate(_row_keys(config.seed, first, n_chunks)):
-        yield _rows(config, keys, buffer[:, : frames - c * CHUNK_FRAMES])
+    shapes = _shapes(config)
+    drawers = _Drawers(min(config.workers, len(shapes), _cpus()))
+    try:
+        for c, keys in enumerate(_row_keys(config.seed, first, n_chunks)):
+            yield _rows(shapes, keys, buffer[:, : frames - c * CHUNK_FRAMES], drawers)
+    finally:
+        drawers.close()
 
 
 def _columns(config: BenchConfig) -> tuple[tuple[int, float], ...]:
@@ -524,7 +631,8 @@ def _record(config: BenchConfig, first: int, frames: int) -> np.ndarray:
     """
     record = np.empty((5, frames))
     columns = _columns(config)
-    for start, rows in zip(range(0, frames, CHUNK_FRAMES), _chunk_rows(config, first, frames)):
+    for c, rows in enumerate(_chunk_rows(config, first, frames)):
+        start = c * CHUNK_FRAMES
         for out, (row, scale) in zip(record[:, start : start + rows[0].size], columns):
             np.multiply(rows[row], scale, out=out)
     return record.T
@@ -567,8 +675,11 @@ def run_bench(config: BenchConfig) -> FrameBatch:
 
     Each record column is a sum of the draws of ``_rows`` times its scale
     of ``_columns``. Identical (seed, config) produce bit-identical records
-    and sums for any worker count; frame j depends only on the seed, j,
-    modes, eta, mean_photons and t_split.
+    and sums for any worker count: ``workers`` threads fill each chunk's
+    rows together (``_chunk_rows``), each row from its own generator into
+    its own row of the buffer, while the arithmetic and the fold stay on the
+    calling thread; frame j depends only on the seed, j, modes, eta,
+    mean_photons and t_split.
     """
     row_sums = comoments(_chunk_rows(config, 0, config.frames))
     rows, scales = (np.array(x) for x in zip(*_columns(config)))

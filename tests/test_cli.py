@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvbench import __version__, cli
+from cvbench import __version__, cli, speckle
 from cvbench.info import discord_oracle, entropy, gaussian_discord
 from cvbench.network import bs_symplectic, interfere, prepare_discordant_pair
 from cvbench.speckle import BenchConfig, run_bench
@@ -165,13 +165,20 @@ class TestTables:
         # fixed six-decimal formatting
         assert all(len(cell.split(".")[1]) == 6 for r in rows for cell in r[1:])
 
-    def test_bit_identical_across_workers(self, tmp_path):
+    @pytest.mark.parametrize("eta", ["1.0", "0.7"])
+    def test_bit_identical_across_workers(self, tmp_path, monkeypatch, eta):
+        # two chunks, the last one short, filled by up to 3 threads at eta 1
+        # and up to 8 at eta 0.7, whatever this host's CPUs
+        monkeypatch.setattr(speckle, "_cpus", lambda: 8)
         blobs = []
-        for workers in (1, 2, 8):
+        for workers in (1, 2, 3, 8):
             out = tmp_path / f"tables_w{workers}.csv"
-            run_main(["tables", "--frames", "2000", "--workers", str(workers), "--out", str(out)])
+            run_main([
+                "tables", "--frames", "10000", "--eta", eta, "--workers", str(workers),
+                "--out", str(out),
+            ])
             blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[1:] == blobs[:1] * 3
 
     def test_full_transmission_leaves_correlations(self, tmp_path):
         out = tmp_path / "tables_tau1.csv"

@@ -13,6 +13,8 @@ import hashlib
 import math
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -655,13 +657,79 @@ class TestStreams:
 
 
 class TestRunBench:
-    def test_determinism_across_workers(self):
-        batches = [
-            run_bench(BenchConfig(modes=20, frames=1500, seed=77, workers=w)) for w in (1, 2, 8)
-        ]
-        for other in batches[1:]:
-            assert np.array_equal(batches[0].intensities_in, other.intensities_in)
-            assert np.array_equal(batches[0].intensities_out, other.intensities_out)
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_determinism_across_workers(self, eta, monkeypatch):
+        # 3 rows a chunk at eta = 1 and 8 at eta 0.7, filled by as many threads
+        # as the workers ask for up to one per row, whatever this host's CPUs,
+        # and switched between every few microseconds: the sums and the record
+        # keep their bytes, the short last chunk's too
+        monkeypatch.setattr(speckle, "_cpus", lambda: 8)
+        cfg = BenchConfig(modes=20, frames=2 * CHUNK_FRAMES + 100, seed=77, eta=eta)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_bench(dataclasses.replace(cfg, workers=w)) for w in (1, 2, 3, 8)]
+            drawn = [(run.sums.tobytes(), run.record.tobytes()) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert drawn[1:] == drawn[:1] * 3
+
+    @pytest.mark.parametrize("raises_on", ["helper", "caller"])
+    def test_a_failed_fill_is_raised_in_the_caller_and_stops_the_helpers(
+        self, raises_on, monkeypatch
+    ):
+        # a fill that raises on a helper thread raises that same exception in
+        # the run's caller, and one that raises on the caller stops the helpers
+        # still filling; either way every helper is joined before the error
+        # leaves the run
+        error = RuntimeError(f"fill failed on the {raises_on}")
+        fill = speckle._fill
+
+        def failing(rows):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (raises_on == "caller"):
+                raise error
+            fill(rows)
+
+        monkeypatch.setattr(speckle, "_cpus", lambda: 3)
+        monkeypatch.setattr(speckle, "_fill", failing)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            run_bench(BenchConfig(modes=4, frames=3 * CHUNK_FRAMES, seed=1, workers=3))
+        assert caught.value is error
+        assert threading.active_count() == baseline
+
+    def test_a_run_closed_early_joins_its_helpers(self, monkeypatch):
+        monkeypatch.setattr(speckle, "_cpus", lambda: 2)
+        baseline = threading.active_count()
+        chunks = speckle._chunk_rows(BenchConfig(modes=4, seed=1, workers=2), 0, 3 * CHUNK_FRAMES)
+        next(chunks)
+        assert threading.active_count() == baseline + 1
+        chunks.close()
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize(
+        "eta, workers, cpus, helpers",
+        [(1.0, 10**6, 10**6, 2), (0.7, 10**6, 10**6, 7), (0.7, 10**6, 2, 1), (0.7, 1, 10**6, 0)],
+    )
+    def test_helpers_started_are_capped_by_rows_and_cpus(
+        self, eta, workers, cpus, helpers, monkeypatch
+    ):
+        # a run starts min(workers, rows a chunk draws, CPUs) - 1 helper
+        # threads, however many workers are asked for: 3 rows at eta = 1, 8 at
+        # eta 0.7
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(speckle, "_cpus", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", Counted)
+        run_bench(BenchConfig(modes=20, frames=2 * CHUNK_FRAMES, seed=5, eta=eta, workers=workers))
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
 
     @pytest.mark.parametrize("eta", [1.0, 0.7])
     def test_frame_reproducible_in_isolation(self, eta):
